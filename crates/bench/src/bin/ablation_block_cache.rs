@@ -1,6 +1,6 @@
 //! Block-level decoded-trace cache ablation: the same kernels through
-//! the executor with the cache forced off and on (`set_block_cache` —
-//! the `DISE_BLOCK_CACHE` env knob sets only the default), with and
+//! the executor with the cache forced off and on (`set_block_cache`;
+//! every new machine starts with it on), with and
 //! without a storewatching DISE production installed so the fused
 //! DISE-expansion path is measured too. The `Exec` streams are
 //! byte-identical either way (the conformance and determinism suites
@@ -85,7 +85,7 @@ fn run_once(prog: &Program, dise: bool, cache: bool) -> (f64, Executor) {
 }
 
 fn main() {
-    let iters: u32 = dise_bench::env_number("DISE_ITERS", 200_000);
+    let iters: u32 = dise_env::env_number("DISE_ITERS", 200_000);
     let prog = store_loop(iters);
     println!("Block decoded-trace cache ablation ({iters}-iteration store loop)\n");
     println!(

@@ -12,7 +12,7 @@ use dise_debug::{run_baseline, Breakpoint, BreakpointBackend, BreakpointSession}
 use dise_workloads::all;
 
 fn main() {
-    let iters: u32 = dise_bench::env_number("DISE_ITERS", 400);
+    let iters: u32 = dise_env::env_number("DISE_ITERS", 400);
     println!("Breakpoint ablation (iters = {iters})\n");
     println!(
         "{:<10}{:<14}{:>11}{:>12}{:>12}{:>9}{:>10}",

@@ -1,14 +1,14 @@
 //! Cooperative-scheduler ablation: spawn a large mixed fleet of debug
 //! sessions (default 1000, override with `DISE_SESSIONS`) on one
-//! [`Scheduler`] and report what the multiplexer did — slices granted,
+//! [`Scheduler`] with `DISE_JOBS` workers and `DISE_SLICE`-instruction
+//! slices, and report what the multiplexer did — slices granted,
 //! preemptions, the worst queue wait any session saw, and the in-flight
-//! high-water mark — next to the thread-per-job shape the grid used
-//! before `DISE_SCHED`.
+//! high-water mark.
 //!
-//! Honesty about the wall clock: this container is a single core, so
-//! slicing 1000 sessions across it cannot finish *sooner* than running
-//! them to completion one at a time — the same instructions retire
-//! either way, plus preemption bookkeeping. What the scheduler buys is
+//! Honesty about the wall clock: on one core, slicing 1000 sessions
+//! cannot finish *sooner* than running them to completion one at a
+//! time — the same instructions retire either way, plus preemption
+//! bookkeeping. What the scheduler buys is
 //! *liveness*, and that is what the counters pin: every session makes
 //! progress early (in-flight high-water ≈ fleet size, not worker
 //! count), no session waits more than ~2×fleet slices for its next
@@ -23,9 +23,9 @@ use dise_debug::{BackendKind, Scheduler, SessionTask, TaskOutput};
 use dise_workloads::{all, WatchKind};
 
 fn main() {
-    let sessions: usize = dise_bench::env_number("DISE_SESSIONS", 1_000);
-    let workers = dise_bench::configured_workers();
-    let slice = dise_bench::slice_from_env();
+    let sessions: usize = dise_env::env_number("DISE_SESSIONS", 1_000);
+    let workers = dise_env::env_number("DISE_JOBS", dise_bench::default_workers());
+    let slice = dise_env::env_number("DISE_SLICE", dise_bench::DEFAULT_SLICE);
 
     // A mixed fleet: six kernels at three scales, cycling through
     // perturbing and observing backends and the paper's watchpoint
@@ -98,7 +98,7 @@ fn main() {
     );
     println!(
         "\nLiveness, not throughput: on one core the sliced drain retires the same\n\
-         {instructions} instructions as thread-per-job plus scheduling overhead, but every\n\
+         {instructions} instructions as unsliced runs plus scheduling overhead, but every\n\
          session is admitted early ({} in flight at the high-water mark) and the worst\n\
          queue wait any session saw was {} slices across {} grants.",
         stats.max_in_flight, stats.max_wait_slices, stats.slices_granted

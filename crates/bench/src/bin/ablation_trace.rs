@@ -13,7 +13,7 @@ use dise_asm::{parse_asm, Layout};
 use dise_cpu::{replay_timing, CpuConfig, TraceReader};
 use dise_debug::{
     functional_passes, record_session, run_baseline, trace_records, trace_replays, Application,
-    BackendKind, ObserverBatch,
+    BackendKind, SessionTask,
 };
 use dise_workloads::{all, transition_cost_sweep, WatchKind};
 
@@ -26,7 +26,7 @@ fn scratch_dir() -> std::path::PathBuf {
 }
 
 fn main() {
-    let iters: u32 = dise_bench::env_number("DISE_ITERS", 2_000);
+    let iters: u32 = dise_env::env_number("DISE_ITERS", 2_000);
     let dir = scratch_dir();
 
     // 1. The acceptance kernel: a tight store loop, the best case for
@@ -111,27 +111,30 @@ fn main() {
     ];
     let cpus: Vec<CpuConfig> =
         transition_cost_sweep(CpuConfig::default()).into_iter().map(|(_, c)| c).collect();
-    let batch = |app| {
-        let mut b = ObserverBatch::new(app);
-        for set in &sets {
-            for backend in [BackendKind::VirtualMemory, BackendKind::hw4()] {
-                b.member(backend, set.clone(), cpus.clone());
-            }
+    let mut specs = Vec::new();
+    for set in &sets {
+        for backend in [BackendKind::VirtualMemory, BackendKind::hw4()] {
+            specs.push((backend, set.clone(), cpus.clone()));
         }
-        b
-    };
-    let members = batch(w.app()).len();
+    }
+    let members = specs.len();
     let path = dir.join(format!("observer-{}.dtrc", w.name()));
 
     let (p0, r0) = (functional_passes(), trace_records());
     let t = Instant::now();
-    let cold = batch(w.app()).run_recorded(&path).expect("cold observer batch runs");
+    let cold = SessionTask::observer_recorded(w.app(), specs.clone(), &path)
+        .run_to_completion()
+        .into_observe()
+        .expect("cold observer batch runs");
     let cold_secs = t.elapsed().as_secs_f64();
     let (cold_passes, cold_records) = (functional_passes() - p0, trace_records() - r0);
 
     let (p0, r0) = (functional_passes(), trace_replays());
     let t = Instant::now();
-    let warm = batch(w.app()).run_from_trace(&path).expect("warm observer batch replays");
+    let warm = SessionTask::observer_replay(w.app(), specs, &path)
+        .run_to_completion()
+        .into_observe()
+        .expect("warm observer batch replays");
     let warm_secs = t.elapsed().as_secs_f64();
     let (warm_passes, warm_replays) = (functional_passes() - p0, trace_replays() - r0);
 

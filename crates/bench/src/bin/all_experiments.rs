@@ -8,7 +8,7 @@ use dise_bench::{paper, section, Experiment};
 
 fn main() {
     let stdout_only = std::env::args().any(|a| a == "--stdout");
-    let ctx = Experiment::default();
+    let ctx = Experiment::from_env();
     let mut doc = String::new();
 
     writeln!(doc, "# EXPERIMENTS — paper vs. measured\n").unwrap();

@@ -1,7 +1,7 @@
 //! Regenerates Figure 8 of the paper.
 
 fn main() {
-    let ctx = dise_bench::Experiment::default();
+    let ctx = dise_bench::Experiment::from_env();
     println!("Figure 8: DISE overhead with multithreading");
     println!("(iters = {}, override with DISE_ITERS)\n", ctx.iters);
     print!("{}", dise_bench::fig8(&ctx));

@@ -6,7 +6,9 @@
 //! the deterministic submission-order transcript under a
 //! `=== session_server report ===` banner — CI extracts that tail with
 //! `sed -n '/^=== /,$p'` and diffs it against a golden file, because it
-//! is byte-identical for every `DISE_JOBS` and `DISE_SLICE`.
+//! is byte-identical for every `DISE_JOBS` (worker threads, default:
+//! available parallelism) and `DISE_SLICE` (instructions per slice,
+//! default 65536).
 //!
 //! ```text
 //! $ session_server jobs.txt          # or:  session_server < jobs.txt
@@ -17,7 +19,7 @@
 use std::io::Read;
 
 use dise_bench::server::{parse_jobs, serve};
-use dise_bench::{configured_workers, slice_from_env};
+use dise_bench::{default_workers, DEFAULT_SLICE};
 
 fn main() {
     let text = match std::env::args().nth(1) {
@@ -32,8 +34,8 @@ fn main() {
         }
     };
     let jobs = parse_jobs(&text).unwrap_or_else(|e| fail(&e));
-    let workers = configured_workers();
-    let slice = slice_from_env();
+    let workers = dise_env::env_number("DISE_JOBS", default_workers());
+    let slice = dise_env::env_number("DISE_SLICE", DEFAULT_SLICE);
     println!("session_server: {} session(s), {workers} worker(s), slice {slice}", jobs.len());
 
     let outcome = serve(&jobs, workers, slice, |line| println!("{line}"));

@@ -3,50 +3,71 @@
 //! Each table/figure is decomposed into independent grid cells (see
 //! [`crate::grid`]), run on the experiment's worker pool, and
 //! reassembled in cell order, so output is identical for any worker
-//! count.
+//! count. Each grid experiment's cells come from a public `*_cells`
+//! function, so tests check the very grid the experiment runs against
+//! the cell-by-cell reference.
+
+use std::path::PathBuf;
 
 use dise_cpu::{CpuConfig, Executor, Machine, RunStats};
 use dise_debug::{BackendKind, BaselineCache, DebugError, DiseStrategy, SessionReport};
 use dise_workloads::{all, transition_cost_sweep, watchpoint_set_sweep, WatchKind, Workload};
 
-use crate::grid::{self, run_grid_with, run_overhead_grid, SessionJob};
+use crate::grid::{default_workers, run_grid_with, run_overhead_grid, SessionJob, DEFAULT_SLICE};
 
 /// Shared experiment context: workload scale, machine configuration,
-/// worker-pool size, and a baseline cache (the undebugged run of each
-/// kernel).
+/// how grids run (workers, slice budget, trace store), and a baseline
+/// cache (the undebugged run of each kernel).
 pub struct Experiment {
     /// Kernel iteration count.
     pub iters: u32,
     /// Machine configuration.
     pub cpu: CpuConfig,
-    /// Worker-pool size used to run experiment grids.
+    /// Worker threads that drain experiment grids.
     pub workers: usize,
-    /// Batch grid cells differing only in timing configuration into
-    /// single functional passes (on by default; the determinism suite
-    /// compares against the unbatched reference).
-    pub batching: bool,
+    /// Scheduler slice budget (instructions per grant) for grids.
+    pub slice: u64,
+    /// Persistent trace store for observer groups, if any.
+    pub trace_dir: Option<PathBuf>,
     workloads: Vec<Workload>,
     baselines: BaselineCache,
 }
 
-impl Default for Experiment {
-    fn default() -> Experiment {
-        Experiment::new(grid::env_number("DISE_ITERS", 400), CpuConfig::default())
-    }
-}
-
 impl Experiment {
-    /// Build a context at the given scale, with the worker-pool size
-    /// from `DISE_JOBS` (default: available parallelism).
+    /// Build a context at the given scale, on [`default_workers`]
+    /// threads with [`DEFAULT_SLICE`] slices and no trace store. Reads
+    /// nothing from the environment.
     pub fn new(iters: u32, cpu: CpuConfig) -> Experiment {
         Experiment {
             iters,
             cpu,
-            workers: grid::configured_workers(),
-            batching: true,
+            workers: default_workers(),
+            slice: DEFAULT_SLICE,
+            trace_dir: None,
             workloads: all(iters),
             baselines: BaselineCache::new(),
         }
+    }
+
+    /// The binaries' context: [`Experiment::new`] under the paper's
+    /// default machine, configured once from the environment —
+    /// `DISE_ITERS` (default 400), `DISE_JOBS` (default
+    /// [`default_workers`]), `DISE_SLICE` (default [`DEFAULT_SLICE`])
+    /// and `DISE_TRACE_DIR` (default: no store).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unparsable value, a zero `DISE_JOBS` or a zero
+    /// `DISE_SLICE` — a typo must fail loudly, not silently run another
+    /// experiment.
+    pub fn from_env() -> Experiment {
+        let mut ctx =
+            Experiment::new(dise_env::env_number("DISE_ITERS", 400), CpuConfig::default())
+                .with_workers(dise_env::env_number("DISE_JOBS", default_workers()));
+        ctx.slice = dise_env::env_number("DISE_SLICE", DEFAULT_SLICE);
+        assert!(ctx.slice > 0, "DISE_SLICE must be at least one instruction");
+        ctx.trace_dir = dise_env::env_string("DISE_TRACE_DIR").map(PathBuf::from);
+        ctx
     }
 
     /// Override the worker-pool size (1 = serial).
@@ -54,15 +75,6 @@ impl Experiment {
     pub fn with_workers(mut self, workers: usize) -> Experiment {
         assert!(workers > 0, "worker pool needs at least one thread");
         self.workers = workers;
-        self
-    }
-
-    /// Enable or disable multi-config batching (on by default). Output
-    /// must be byte-identical either way; the grid determinism tests
-    /// enforce it.
-    #[must_use]
-    pub fn with_batching(mut self, batching: bool) -> Experiment {
-        self.batching = batching;
         self
     }
 
@@ -123,7 +135,13 @@ impl Experiment {
         run_grid_with(&distinct, self.workers, |w| {
             self.baseline(w);
         });
-        run_overhead_grid(cells, self.workers, &self.baselines, self.batching)
+        run_overhead_grid(
+            cells,
+            self.workers,
+            &self.baselines,
+            self.slice,
+            self.trace_dir.as_deref(),
+        )
     }
 
     /// One result per workload, computed on the worker pool, in
@@ -235,7 +253,18 @@ pub fn fig4(ctx: &Experiment) -> String {
     watchpoint_grid(ctx, true)
 }
 
-fn watchpoint_grid(ctx: &Experiment, conditional: bool) -> String {
+/// Fig. 3's cells: every kernel × watch kind × standard backend.
+pub fn fig3_cells(ctx: &Experiment) -> Vec<SessionJob> {
+    watchpoint_grid_cells(ctx, false)
+}
+
+/// Fig. 4's cells: Fig. 3's grid with never-true conditional
+/// watchpoints.
+pub fn fig4_cells(ctx: &Experiment) -> Vec<SessionJob> {
+    watchpoint_grid_cells(ctx, true)
+}
+
+fn watchpoint_grid_cells(ctx: &Experiment, conditional: bool) -> Vec<SessionJob> {
     let mut cells = Vec::new();
     for w in ctx.workloads() {
         for kind in WatchKind::ALL {
@@ -245,7 +274,11 @@ fn watchpoint_grid(ctx: &Experiment, conditional: bool) -> String {
             }
         }
     }
-    let overheads = ctx.grid_overheads(&cells);
+    cells
+}
+
+fn watchpoint_grid(ctx: &Experiment, conditional: bool) -> String {
+    let overheads = ctx.grid_overheads(&watchpoint_grid_cells(ctx, conditional));
 
     let mut out = format!(
         "{:<10} {:<9}{:>9}{:>9}{:>9}{:>9}{:>9}\n",
@@ -289,6 +322,41 @@ pub fn fig5(ctx: &Experiment) -> String {
     out
 }
 
+/// The named kernels, in the given order.
+fn kernels<'a>(ctx: &'a Experiment, names: &[&str]) -> Vec<&'a Workload> {
+    names
+        .iter()
+        .map(|name| ctx.workloads().iter().find(|w| w.name() == *name).expect("kernel exists"))
+        .collect()
+}
+
+const FIG6_KERNELS: [&str; 3] = ["crafty", "gcc", "vortex"];
+const FIG6_COUNTS: [usize; 9] = [1, 2, 3, 4, 5, 8, 16, 17, 20];
+
+fn fig6_backends() -> [BackendKind; 5] {
+    [
+        BackendKind::hw4(),
+        BackendKind::Dise(DiseStrategy::default()),
+        BackendKind::Dise(DiseStrategy::bloom(false)),
+        BackendKind::Dise(DiseStrategy::bloom(true)),
+        BackendKind::DiseComparators,
+    ]
+}
+
+/// Fig. 6's cells: sweep kernel × watchpoint count × backend.
+pub fn fig6_cells(ctx: &Experiment) -> Vec<SessionJob> {
+    let mut cells = Vec::new();
+    for w in kernels(ctx, &FIG6_KERNELS) {
+        for n in FIG6_COUNTS {
+            let wps = w.sweep_watchpoints(n);
+            for backend in fig6_backends() {
+                cells.push(ctx.job(w, wps.clone(), backend));
+            }
+        }
+    }
+    cells
+}
+
 /// **Figure 6** — impact of the number of watchpoints: the
 /// hardware-register/virtual-memory hybrid against the three DISE
 /// multi-matching organisations and the bound-register comparators, on
@@ -298,40 +366,17 @@ pub fn fig5(ctx: &Experiment) -> String {
 /// `Unsupported` at setup) while the match-address organisations spill
 /// their constants to memory and keep running.
 pub fn fig6(ctx: &Experiment) -> String {
-    let counts = [1usize, 2, 3, 4, 5, 8, 16, 17, 20];
-    let kernels: Vec<&Workload> = ["crafty", "gcc", "vortex"]
-        .iter()
-        .map(|name| {
-            ctx.workloads().iter().find(|w| w.name() == *name).expect("sweep kernel exists")
-        })
-        .collect();
-    let backends = [
-        BackendKind::hw4(),
-        BackendKind::Dise(DiseStrategy::default()),
-        BackendKind::Dise(DiseStrategy::bloom(false)),
-        BackendKind::Dise(DiseStrategy::bloom(true)),
-        BackendKind::DiseComparators,
-    ];
-    let mut cells = Vec::new();
-    for w in &kernels {
-        for n in counts {
-            let wps = w.sweep_watchpoints(n);
-            for backend in backends {
-                cells.push(ctx.job(w, wps.clone(), backend));
-            }
-        }
-    }
-    let overheads = ctx.grid_overheads(&cells);
+    let overheads = ctx.grid_overheads(&fig6_cells(ctx));
 
     let mut out = format!(
         "{:<10}{:>4}{:>10}{:>10}{:>10}{:>10}{:>10}\n",
         "benchmark", "n", "Hw/VM", "Serial", "ByteBloom", "BitBloom", "Cmp"
     );
     let mut next = overheads.into_iter();
-    for w in &kernels {
-        for n in counts {
+    for w in kernels(ctx, &FIG6_KERNELS) {
+        for n in FIG6_COUNTS {
             out.push_str(&format!("{:<10}{:>4}", w.name(), n));
-            for _ in backends {
+            for _ in fig6_backends() {
                 out.push_str(&fmt_over(next.next().expect("one overhead per cell")));
             }
             out.push('\n');
@@ -340,43 +385,53 @@ pub fn fig6(ctx: &Experiment) -> String {
     out
 }
 
-/// **Figure 7** — the DISE design space: three replacement-sequence
-/// organisations with and without conditional trap/call support, on
-/// bzip2, mcf and twolf (HOT/WARM1/WARM2/COLD).
-pub fn fig7(ctx: &Experiment) -> String {
-    let kinds = [WatchKind::Hot, WatchKind::Warm1, WatchKind::Warm2, WatchKind::Cold];
-    let organisations = [
+/// The scalar watch kinds of Figs. 7 and 8.
+const SCALAR_KINDS: [WatchKind; 4] =
+    [WatchKind::Hot, WatchKind::Warm1, WatchKind::Warm2, WatchKind::Cold];
+
+const FIG7_KERNELS: [&str; 3] = ["bzip2", "mcf", "twolf"];
+
+fn fig7_organisations() -> [(&'static str, DiseStrategy); 6] {
+    [
         ("MA/EE +cond", DiseStrategy::match_address_call(true)),
         ("EE/-- +cond", DiseStrategy::evaluate_inline(true)),
         ("MAV/-- +cond", DiseStrategy::match_address_value(true)),
         ("MA/EE -cond", DiseStrategy::match_address_call(false)),
         ("EE/-- -cond", DiseStrategy::evaluate_inline(false)),
         ("MAV/-- -cond", DiseStrategy::match_address_value(false)),
-    ];
-    let kernels: Vec<&Workload> = ["bzip2", "mcf", "twolf"]
-        .iter()
-        .map(|name| ctx.workloads().iter().find(|w| w.name() == *name).expect("fig7 kernel exists"))
-        .collect();
+    ]
+}
+
+/// Fig. 7's cells: design-space kernel × scalar watch kind × DISE
+/// organisation.
+pub fn fig7_cells(ctx: &Experiment) -> Vec<SessionJob> {
     let mut cells = Vec::new();
-    for w in &kernels {
-        for kind in kinds {
-            for (_, strategy) in &organisations {
-                cells.push(ctx.job(w, vec![w.watchpoint(kind)], BackendKind::Dise(*strategy)));
+    for w in kernels(ctx, &FIG7_KERNELS) {
+        for kind in SCALAR_KINDS {
+            for (_, strategy) in fig7_organisations() {
+                cells.push(ctx.job(w, vec![w.watchpoint(kind)], BackendKind::Dise(strategy)));
             }
         }
     }
-    let overheads = ctx.grid_overheads(&cells);
+    cells
+}
+
+/// **Figure 7** — the DISE design space: three replacement-sequence
+/// organisations with and without conditional trap/call support, on
+/// bzip2, mcf and twolf (HOT/WARM1/WARM2/COLD).
+pub fn fig7(ctx: &Experiment) -> String {
+    let overheads = ctx.grid_overheads(&fig7_cells(ctx));
 
     let mut out = format!("{:<10}{:<7}", "benchmark", "watch");
-    for (label, _) in &organisations {
+    for (label, _) in fig7_organisations() {
         out.push_str(&format!("{label:>14}"));
     }
     out.push('\n');
     let mut next = overheads.into_iter();
-    for w in &kernels {
-        for kind in kinds {
+    for w in kernels(ctx, &FIG7_KERNELS) {
+        for kind in SCALAR_KINDS {
             out.push_str(&format!("{:<10}{:<7}", w.name(), kind.label()));
-            for _ in &organisations {
+            for _ in fig7_organisations() {
                 out.push_str(&format!(
                     "      {}",
                     fmt_over(next.next().expect("one overhead per cell"))
@@ -388,28 +443,33 @@ pub fn fig7(ctx: &Experiment) -> String {
     out
 }
 
-/// **Figure 8** — multithreaded DISE function calls: the paper's
-/// default organisation with and without the second thread context.
-pub fn fig8(ctx: &Experiment) -> String {
-    let kinds = [WatchKind::Hot, WatchKind::Warm1, WatchKind::Warm2, WatchKind::Cold];
+/// Fig. 8's cells: kernel × scalar watch kind × DISE without and with
+/// multithreaded calls.
+pub fn fig8_cells(ctx: &Experiment) -> Vec<SessionJob> {
     let backends = [
         BackendKind::dise_default(),
         BackendKind::Dise(DiseStrategy { multithreaded_calls: true, ..DiseStrategy::default() }),
     ];
     let mut cells = Vec::new();
     for w in ctx.workloads() {
-        for kind in kinds {
+        for kind in SCALAR_KINDS {
             for backend in backends {
                 cells.push(ctx.job(w, vec![w.watchpoint(kind)], backend));
             }
         }
     }
-    let overheads = ctx.grid_overheads(&cells);
+    cells
+}
+
+/// **Figure 8** — multithreaded DISE function calls: the paper's
+/// default organisation with and without the second thread context.
+pub fn fig8(ctx: &Experiment) -> String {
+    let overheads = ctx.grid_overheads(&fig8_cells(ctx));
 
     let mut out = format!("{:<10}{:<7}{:>12}{:>12}\n", "benchmark", "watch", "no-MT", "with-MT");
     let mut next = overheads.into_iter();
     for w in ctx.workloads() {
-        for kind in kinds {
+        for kind in SCALAR_KINDS {
             let plain = next.next().expect("one overhead per cell");
             let mt = next.next().expect("one overhead per cell");
             out.push_str(&format!(
@@ -424,9 +484,9 @@ pub fn fig8(ctx: &Experiment) -> String {
     out
 }
 
-/// **Figure 9** — the cost of protecting the debugger's embedded data
-/// (the Fig. 2f store-range check) on a COLD watchpoint.
-pub fn fig9(ctx: &Experiment) -> String {
+/// Fig. 9's cells: kernel × DISE without and with debugger protection,
+/// on a COLD watchpoint.
+pub fn fig9_cells(ctx: &Experiment) -> Vec<SessionJob> {
     let backends = [
         BackendKind::dise_default(),
         BackendKind::Dise(DiseStrategy { protect_debugger: true, ..DiseStrategy::default() }),
@@ -437,7 +497,13 @@ pub fn fig9(ctx: &Experiment) -> String {
             cells.push(ctx.job(w, vec![w.watchpoint(WatchKind::Cold)], backend));
         }
     }
-    let overheads = ctx.grid_overheads(&cells);
+    cells
+}
+
+/// **Figure 9** — the cost of protecting the debugger's embedded data
+/// (the Fig. 2f store-range check) on a COLD watchpoint.
+pub fn fig9(ctx: &Experiment) -> String {
+    let overheads = ctx.grid_overheads(&fig9_cells(ctx));
 
     let mut out = format!("{:<10}{:>14}{:>12}\n", "benchmark", "unprotected", "protected");
     let mut next = overheads.into_iter();
@@ -455,31 +521,12 @@ pub fn fig9(ctx: &Experiment) -> String {
 /// models 100K throughout §5. This table re-runs the WARM1 watchpoint
 /// under all three costs. The three cells of each (kernel, backend) row
 /// differ only in timing configuration, so the grid batches them into a
-/// **single functional pass** (`run_session_batch`) — the sweep costs
-/// one execution per row, not one per cell.
+/// **single functional pass** — the sweep costs one execution per row,
+/// not one per cell.
 pub fn sensitivity(ctx: &Experiment) -> String {
-    let costs = transition_cost_sweep(ctx.cpu);
-    let backends = [
-        ("VirtMem", BackendKind::VirtualMemory),
-        ("HwRegs", BackendKind::hw4()),
-        ("DISE-Cmp", BackendKind::DiseComparators),
-        ("DISE", BackendKind::dise_default()),
-    ];
-    let mut cells = Vec::new();
-    for w in ctx.workloads() {
-        for (_, backend) in backends {
-            for (_, cpu) in &costs {
-                cells.push(SessionJob::new(
-                    w.clone(),
-                    vec![w.watchpoint(WatchKind::Warm1)],
-                    backend,
-                    *cpu,
-                ));
-            }
-        }
-    }
-    let overheads = ctx.grid_overheads(&cells);
+    let overheads = ctx.grid_overheads(&sensitivity_cells(ctx));
 
+    let costs = transition_cost_sweep(ctx.cpu);
     let mut out = format!("{:<10}{:<9}", "benchmark", "backend");
     for (label, _) in &costs {
         out.push_str(&format!("{label:>10}"));
@@ -487,7 +534,7 @@ pub fn sensitivity(ctx: &Experiment) -> String {
     out.push('\n');
     let mut next = overheads.into_iter();
     for w in ctx.workloads() {
-        for (name, _) in backends {
+        for (name, _) in sweep_backends() {
             out.push_str(&format!("{:<10}{:<9}", w.name(), name));
             for _ in &costs {
                 out.push_str(&format!(
@@ -511,38 +558,71 @@ pub fn sensitivity(ctx: &Experiment) -> String {
 /// `--` on the RANGE set (non-scalars exceed register granularity)
 /// without costing its co-members the shared pass.
 pub fn watchpoint_sets(ctx: &Experiment) -> String {
-    let backends = [
-        ("VirtMem", BackendKind::VirtualMemory),
-        ("HwRegs", BackendKind::hw4()),
-        ("DISE-Cmp", BackendKind::DiseComparators),
-        ("DISE", BackendKind::dise_default()),
-    ];
-    let mut cells = Vec::new();
-    let mut labels = Vec::new();
-    for w in ctx.workloads() {
-        for (label, wps) in watchpoint_set_sweep(w) {
-            labels.push((w.name(), label));
-            for (_, backend) in backends {
-                cells.push(ctx.job(w, wps.clone(), backend));
-            }
-        }
-    }
-    let overheads = ctx.grid_overheads(&cells);
+    let overheads = ctx.grid_overheads(&watchpoint_set_cells(ctx));
 
     let mut out = format!("{:<10}{:<12}", "benchmark", "watchpoints");
-    for (label, _) in backends {
+    for (label, _) in sweep_backends() {
         out.push_str(&format!("{label:>10}"));
     }
     out.push('\n');
     let mut next = overheads.into_iter();
-    for (kernel, set) in labels {
-        out.push_str(&format!("{kernel:<10}{set:<12}"));
-        for _ in backends {
-            out.push_str(&format!("  {}", fmt_over(next.next().expect("one overhead per cell"))));
+    for w in ctx.workloads() {
+        for (set, _) in watchpoint_set_sweep(w) {
+            out.push_str(&format!("{:<10}{set:<12}", w.name()));
+            for _ in sweep_backends() {
+                out.push_str(&format!(
+                    "  {}",
+                    fmt_over(next.next().expect("one overhead per cell"))
+                ));
+            }
+            out.push('\n');
         }
-        out.push('\n');
     }
     out
+}
+
+/// The backends of the sensitivity and watchpoint-set sweeps: the
+/// three observing backends plus DISE.
+fn sweep_backends() -> [(&'static str, BackendKind); 4] {
+    [
+        ("VirtMem", BackendKind::VirtualMemory),
+        ("HwRegs", BackendKind::hw4()),
+        ("DISE-Cmp", BackendKind::DiseComparators),
+        ("DISE", BackendKind::dise_default()),
+    ]
+}
+
+/// The sensitivity table's cells: kernel × sweep backend × transition
+/// cost, on a WARM1 watchpoint.
+pub fn sensitivity_cells(ctx: &Experiment) -> Vec<SessionJob> {
+    let mut cells = Vec::new();
+    for w in ctx.workloads() {
+        for (_, backend) in sweep_backends() {
+            for (_, cpu) in transition_cost_sweep(ctx.cpu) {
+                cells.push(SessionJob::new(
+                    w.clone(),
+                    vec![w.watchpoint(WatchKind::Warm1)],
+                    backend,
+                    cpu,
+                ));
+            }
+        }
+    }
+    cells
+}
+
+/// The watchpoint-set sweep's cells: kernel × watchpoint set × sweep
+/// backend.
+pub fn watchpoint_set_cells(ctx: &Experiment) -> Vec<SessionJob> {
+    let mut cells = Vec::new();
+    for w in ctx.workloads() {
+        for (_, wps) in watchpoint_set_sweep(w) {
+            for (_, backend) in sweep_backends() {
+                cells.push(ctx.job(w, wps.clone(), backend));
+            }
+        }
+    }
+    cells
 }
 
 /// Sanity harness used by the quickstart example and the integration

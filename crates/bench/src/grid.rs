@@ -1,19 +1,21 @@
 //! The job-grid subsystem: every table/figure is a grid of independent
 //! debugging sessions (kernel × watchpoint-set × backend × config).
-//! This module decomposes a grid into [`SessionJob`] values, runs them
-//! on a `std::thread` worker pool, and reassembles the per-cell results
-//! in submission order, so parallel output is byte-identical to serial.
+//! This module decomposes a grid into [`SessionJob`] cells, groups the
+//! cells into single-functional-pass [`CellGroup`]s, runs every group as
+//! a resumable [`SessionTask`] on one cooperative [`Scheduler`], and
+//! scatters the per-cell results back in cell order — so output is
+//! byte-identical for any worker count and any slice budget.
 //!
-//! Worker count comes from the `DISE_JOBS` environment variable
-//! (default: the machine's available parallelism, capped by the number
-//! of jobs); `DISE_JOBS=1` runs every job inline on the calling thread.
+//! Worker count, slice budget and trace directory are plain arguments
+//! here; only the binaries read them from the environment (see
+//! [`crate::Experiment::from_env`]).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use dise_cpu::CpuConfig;
+use dise_cpu::{CpuConfig, RunStats};
 use dise_debug::{
     app_fingerprint, run_session, BackendKind, BaselineCache, DebugError, Scheduler, SessionReport,
     SessionTask, TaskOutput, Watchpoint,
@@ -45,7 +47,9 @@ impl SessionJob {
         SessionJob { workload, watchpoints, backend, cpu }
     }
 
-    /// Run the session; `Err` carries the paper's "no experiment" bars.
+    /// Run the cell as a session of its own — the cell-by-cell
+    /// reference every grouped grid must reproduce. `Err` carries the
+    /// paper's "no experiment" bars.
     ///
     /// # Errors
     ///
@@ -54,117 +58,52 @@ impl SessionJob {
         run_session(self.workload.app(), self.watchpoints.clone(), self.backend, self.cpu)
     }
 
-    /// Overhead (normalised execution time) of the session against the
-    /// kernel's baseline from the shared cache, or `None` when the
-    /// backend cannot implement the watchpoints (or the watchpoint is
-    /// ill-formed) — the paper's "no experiment" bars.
+    /// Overhead (normalised execution time) of [`SessionJob::report`]
+    /// against the kernel's baseline from the shared cache, or `None`
+    /// when the backend cannot implement the watchpoints (or the
+    /// watchpoint is ill-formed) — the paper's "no experiment" bars.
     ///
     /// # Panics
     ///
     /// Panics if the session reports an execution error (the calibrated
     /// kernels must run clean).
     pub fn overhead(&self, baselines: &BaselineCache) -> Option<f64> {
-        self.overhead_of(self.report(), baselines)
-    }
-
-    /// The resumable form of this cell: a [`SessionTask`] whose output
-    /// [`SessionJob::overhead_of`] converts exactly as
-    /// [`SessionJob::overhead`] would.
-    pub fn task(&self) -> SessionTask {
-        SessionTask::session(self.workload.app(), self.watchpoints.clone(), self.backend, self.cpu)
-    }
-
-    /// Convert a session result (from [`SessionJob::report`] or a
-    /// drained [`SessionTask`]) into this cell's overhead — the one
-    /// conversion both the threaded and the scheduled grid paths share.
-    ///
-    /// # Panics
-    ///
-    /// As [`SessionJob::overhead`].
-    pub fn overhead_of(
-        &self,
-        report: Result<SessionReport, DebugError>,
-        baselines: &BaselineCache,
-    ) -> Option<f64> {
-        let base = baselines
-            .get_or_run(self.workload.name(), self.workload.app(), self.cpu)
-            .expect("kernel assembles");
-        match report {
-            Ok(report) => {
-                assert_eq!(report.error, None, "{}: session must run clean", self.workload.name());
-                Some(report.overhead_vs(&base))
-            }
-            Err(DebugError::Unsupported { .. } | DebugError::InvalidWatchpoint { .. }) => None,
-            Err(e) => panic!("{}: {e}", self.workload.name()),
-        }
+        let base = baseline(&self.workload, self.cpu, baselines);
+        overheads(&self.workload, self.report().map(|r| vec![r]), 1, &base)[0]
     }
 }
 
-/// A group of grid cells that share one functional execution: same
-/// kernel, same watchpoints, same *functional* backend — the cells
-/// differ only in timing configuration, so
-/// [`dise_debug::run_session_batch`] replays a single `Exec` stream
-/// through one timing model per member.
-#[derive(Clone, Debug)]
-pub struct SessionBatch {
-    /// The kernel to debug.
-    pub workload: Workload,
-    /// The watchpoints to plant.
-    pub watchpoints: Vec<Watchpoint>,
-    /// The functional backend (timing-only knobs already folded into
-    /// `cpus` by [`BackendKind::split_timing`]).
-    pub backend: BackendKind,
-    /// Per-member effective machine configurations, in member order.
-    pub cpus: Vec<CpuConfig>,
-    /// Original grid-cell index of each member, parallel to `cpus`.
-    pub cells: Vec<usize>,
+/// The kernel's undebugged baseline from the shared cache.
+fn baseline(w: &Workload, cpu: CpuConfig, baselines: &BaselineCache) -> RunStats {
+    baselines.get_or_run(w.name(), w.app(), cpu).expect("kernel assembles")
 }
 
-impl SessionBatch {
-    /// Per-member overheads, in member order — member `i` is
-    /// byte-identical to `jobs[self.cells[i]].overhead(baselines)`.
-    ///
-    /// # Panics
-    ///
-    /// As [`SessionJob::overhead`].
-    pub fn overheads(&self, baselines: &BaselineCache) -> Vec<Option<f64>> {
-        self.overheads_of(self.task().run_to_completion().into_batch(), baselines)
-    }
-
-    /// The resumable form of this batch: a [`SessionTask`] whose output
-    /// [`SessionBatch::overheads_of`] converts exactly as
-    /// [`SessionBatch::overheads`] would.
-    pub fn task(&self) -> SessionTask {
-        SessionTask::batch(self.workload.app(), self.watchpoints.clone(), self.backend, &self.cpus)
-    }
-
-    /// Convert batch results into per-member overheads — shared by the
-    /// threaded and the scheduled grid paths.
-    ///
-    /// # Panics
-    ///
-    /// As [`SessionJob::overhead`].
-    pub fn overheads_of(
-        &self,
-        reports: Result<Vec<SessionReport>, DebugError>,
-        baselines: &BaselineCache,
-    ) -> Vec<Option<f64>> {
-        let base = baselines
-            .get_or_run(self.workload.name(), self.workload.app(), self.cpus[0])
-            .expect("kernel assembles");
-        match reports {
-            Ok(reports) => reports
-                .iter()
-                .map(|r| {
-                    assert_eq!(r.error, None, "{}: session must run clean", self.workload.name());
-                    Some(r.overhead_vs(&base))
-                })
-                .collect(),
-            Err(DebugError::Unsupported { .. } | DebugError::InvalidWatchpoint { .. }) => {
-                vec![None; self.cpus.len()]
-            }
-            Err(e) => panic!("{}: {e}", self.workload.name()),
+/// Convert one batch result — one report per timing configuration, for
+/// `cells` cells — into overheads against `base`. Unsupported and
+/// ill-formed watchpoints become the "no experiment" bar (`None`).
+///
+/// # Panics
+///
+/// Panics on any other error, and on a report carrying an execution
+/// error: the calibrated kernels must run clean.
+fn overheads(
+    w: &Workload,
+    result: Result<Vec<SessionReport>, DebugError>,
+    cells: usize,
+    base: &RunStats,
+) -> Vec<Option<f64>> {
+    match result {
+        Ok(reports) => reports
+            .iter()
+            .map(|r| {
+                assert_eq!(r.error, None, "{}: session must run clean", w.name());
+                Some(r.overhead_vs(base))
+            })
+            .collect(),
+        Err(DebugError::Unsupported { .. } | DebugError::InvalidWatchpoint { .. }) => {
+            vec![None; cells]
         }
+        Err(e) => panic!("{}: {e}", w.name()),
     }
 }
 
@@ -188,13 +127,12 @@ pub struct ObserverMember {
 /// A group of grid cells that share one functional execution **across
 /// watchpoint sets and backends**: same kernel, every backend observing
 /// (never perturbing) — so a single pass of the unmodified application
-/// feeds all members' transition detectors and timing models via
-/// [`dise_debug::ObserverBatch`]. The group key is the *workload
-/// alone*: observers' watchpoints steer only what the debugger traps
-/// on, never what the application executes, so cells that differ in
-/// watchpoint set still merge. Unlike [`SessionBatch`], members need
-/// not agree on DISE engine capacities either: observers install no
-/// productions, so the engine is functionally inert.
+/// feeds all members' transition detectors and timing models. The group
+/// key is the *workload alone*: observers' watchpoints steer only what
+/// the debugger traps on, never what the application executes, so cells
+/// that differ in watchpoint set still merge. Members need not agree on
+/// DISE engine capacities either: observers install no productions, so
+/// the engine is functionally inert.
 #[derive(Clone, Debug)]
 pub struct ObserverGroup {
     /// The kernel to debug.
@@ -205,55 +143,24 @@ pub struct ObserverGroup {
 }
 
 impl ObserverGroup {
-    /// Per-cell overheads, tagged with their original cell index —
-    /// entry for cell `c` is byte-identical to
-    /// `jobs[c].overhead(baselines)`.
-    ///
-    /// # Panics
-    ///
-    /// As [`SessionJob::overhead`].
-    pub fn overheads(&self, baselines: &BaselineCache) -> Vec<(usize, Option<f64>)> {
-        self.overheads_of(self.task().run_to_completion().into_observe(), baselines)
-    }
-
-    /// The resumable form of this group: a [`SessionTask`] whose output
-    /// [`ObserverGroup::overheads_of`] converts exactly as
-    /// [`ObserverGroup::overheads`] would.
-    pub fn task(&self) -> SessionTask {
-        SessionTask::observer(self.workload.app(), self.member_specs())
-    }
-
-    /// [`ObserverGroup::overheads`] through the persistent trace store
-    /// at `trace` (`None` behaves exactly as [`ObserverGroup::overheads`]
-    /// — see [`trace_dir_from_env`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`SessionJob::overhead`]; additionally, a stale or corrupt
-    /// stored trace fails the run loudly ([`DebugError::Trace`]) — it is
-    /// never silently re-recorded, because a trace that stops matching
-    /// its fingerprinted kernel means the store is being misused.
-    pub fn overheads_traced(
-        &self,
-        baselines: &BaselineCache,
-        trace: Option<&Path>,
-    ) -> Vec<(usize, Option<f64>)> {
-        self.overheads_of(self.task_traced(trace).run_to_completion().into_observe(), baselines)
-    }
-
-    /// The resumable form of [`ObserverGroup::overheads_traced`]: with a
-    /// trace directory, the group's shared pass is **replayed** from the
-    /// store when a trace for this kernel (keyed by name + program
-    /// fingerprint) already exists — zero functional passes — and
-    /// recorded into the store on miss, so the next run replays.
+    /// The group's shared pass as a task. With a trace directory the
+    /// pass is **replayed** from the store when a trace for this kernel
+    /// (keyed by name + program fingerprint) already exists — zero
+    /// functional passes — and recorded into the store on a miss, so
+    /// the next run replays. A stale or corrupt stored trace fails the
+    /// task loudly ([`DebugError::Trace`]); it is never silently
+    /// re-recorded.
     pub fn task_traced(&self, trace: Option<&Path>) -> SessionTask {
-        let Some(path) = trace.and_then(|dir| self.trace_path(dir)) else {
-            return self.task();
-        };
-        if path.exists() {
-            SessionTask::observer_replay(self.workload.app(), self.member_specs(), &path)
-        } else {
-            SessionTask::observer_recorded(self.workload.app(), self.member_specs(), &path)
+        let app = self.workload.app();
+        let members = self
+            .members
+            .iter()
+            .map(|m| (m.backend, m.watchpoints.clone(), m.cpus.clone()))
+            .collect();
+        match trace.and_then(|dir| self.trace_path(dir)) {
+            None => SessionTask::observer(app, members),
+            Some(path) if path.exists() => SessionTask::observer_replay(app, members, &path),
+            Some(path) => SessionTask::observer_recorded(app, members, &path),
         }
     }
 
@@ -261,9 +168,9 @@ impl ObserverGroup {
     /// `dir`: keyed by kernel name *and* program fingerprint, so two
     /// scales of one kernel — or any edit to it — never collide, and a
     /// recorded trace is valid forever. `None` when the kernel fails to
-    /// assemble (the normal, traceless path reports that error in the
-    /// shape callers expect). Creates `dir` on first use.
-    pub fn trace_path(&self, dir: &Path) -> Option<PathBuf> {
+    /// assemble (the traceless path reports that error in the shape
+    /// callers expect). Creates `dir` on first use.
+    fn trace_path(&self, dir: &Path) -> Option<PathBuf> {
         let fp = app_fingerprint(self.workload.app()).ok()?;
         // A missing store directory is "first recording", not an error;
         // if creation truly failed, recording into it fails loudly.
@@ -271,49 +178,30 @@ impl ObserverGroup {
         Some(dir.join(format!("{}-{fp:016x}.dtrc", self.workload.name())))
     }
 
-    fn member_specs(&self) -> Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)> {
-        self.members.iter().map(|m| (m.backend, m.watchpoints.clone(), m.cpus.clone())).collect()
-    }
-
-    /// Convert shared-pass results into per-cell overheads — shared by
-    /// the threaded and the scheduled grid paths.
+    /// Scatter the finished task's output to per-cell overheads, tagged
+    /// with their original cell index — entry for cell `c` is
+    /// byte-identical to `jobs[c].overhead(baselines)`.
     ///
     /// # Panics
     ///
-    /// As [`SessionJob::overhead`].
-    pub fn overheads_of(
+    /// Panics when `output` is not an observer output, when the kernel
+    /// fails to assemble, and as [`SessionJob::overhead`].
+    pub fn overheads_from(
         &self,
-        results: Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError>,
+        output: TaskOutput,
         baselines: &BaselineCache,
     ) -> Vec<(usize, Option<f64>)> {
-        let base = baselines
-            .get_or_run(self.workload.name(), self.workload.app(), self.members[0].cpus[0])
-            .expect("kernel assembles");
+        let w = &self.workload;
+        let base = baseline(w, self.members[0].cpus[0], baselines);
         // The outer error is an assembly failure; watchpoint problems
-        // (ill-formed, unsupported) come back per member below, exactly
-        // as when each cell runs alone.
-        let results = results.unwrap_or_else(|e| panic!("{}: {e}", self.workload.name()));
-        let mut out = Vec::new();
-        for (m, result) in self.members.iter().zip(results) {
-            match result {
-                Ok(reports) => {
-                    for (&cell, r) in m.cells.iter().zip(&reports) {
-                        assert_eq!(
-                            r.error,
-                            None,
-                            "{}: session must run clean",
-                            self.workload.name()
-                        );
-                        out.push((cell, Some(r.overhead_vs(&base))));
-                    }
-                }
-                Err(DebugError::Unsupported { .. } | DebugError::InvalidWatchpoint { .. }) => {
-                    out.extend(m.cells.iter().map(|&c| (c, None)));
-                }
-                Err(e) => panic!("{}: {e}", self.workload.name()),
-            }
-        }
-        out
+        // (ill-formed, unsupported) come back per member, exactly as
+        // when each cell runs alone.
+        let results = output.into_observe().unwrap_or_else(|e| panic!("{}: {e}", w.name()));
+        self.members
+            .iter()
+            .zip(results)
+            .flat_map(|(m, r)| m.cells.iter().copied().zip(overheads(w, r, m.cells.len(), &base)))
+            .collect()
     }
 }
 
@@ -332,7 +220,7 @@ pub struct PerturbSubBatch {
 /// A group of perturbing grid cells that share one *image*: same
 /// kernel, same watchpoints, same perturbing backend — the cells differ
 /// in engine capacities (one functional stream per sub-batch) and
-/// timing configuration. [`dise_debug::run_perturbing_group`] assembles
+/// timing configuration. [`SessionTask::perturbing_group`] assembles
 /// and loads the backend-transformed program once and forks every
 /// sub-batch's machine from it copy-on-write: K sub-batches cost 1
 /// image load + K forks instead of K loads.
@@ -350,20 +238,8 @@ pub struct PerturbGroup {
 }
 
 impl PerturbGroup {
-    /// Per-cell overheads, tagged with their original cell index —
-    /// entry for cell `c` is byte-identical to
-    /// `jobs[c].overhead(baselines)`.
-    ///
-    /// # Panics
-    ///
-    /// As [`SessionJob::overhead`].
-    pub fn overheads(&self, baselines: &BaselineCache) -> Vec<(usize, Option<f64>)> {
-        self.overheads_of(self.task().run_to_completion().into_group(), baselines)
-    }
-
-    /// The resumable form of this group: a [`SessionTask`] whose output
-    /// [`PerturbGroup::overheads_of`] converts exactly as
-    /// [`PerturbGroup::overheads`] would.
+    /// The group as a task. Perturbing groups change the functional
+    /// stream, so they always execute: a trace store never serves them.
     pub fn task(&self) -> SessionTask {
         let cpus: Vec<Vec<CpuConfig>> = self.batches.iter().map(|b| b.cpus.clone()).collect();
         SessionTask::perturbing_group(
@@ -374,65 +250,38 @@ impl PerturbGroup {
         )
     }
 
-    /// Convert group results into per-cell overheads — shared by the
-    /// threaded and the scheduled grid paths.
+    /// Scatter the finished task's output to per-cell overheads, tagged
+    /// with their original cell index — entry for cell `c` is
+    /// byte-identical to `jobs[c].overhead(baselines)`.
     ///
     /// # Panics
     ///
-    /// As [`SessionJob::overhead`].
-    pub fn overheads_of(
+    /// Panics when `output` is not a perturbing-group output, and as
+    /// [`SessionJob::overhead`].
+    pub fn overheads_from(
         &self,
-        grouped: Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError>,
+        output: TaskOutput,
         baselines: &BaselineCache,
     ) -> Vec<(usize, Option<f64>)> {
-        let base = baselines
-            .get_or_run(self.workload.name(), self.workload.app(), self.batches[0].cpus[0])
-            .expect("kernel assembles");
-        let per_batch = match grouped {
-            Ok(per_batch) => per_batch,
-            Err(DebugError::Unsupported { .. } | DebugError::InvalidWatchpoint { .. }) => {
-                return self
-                    .batches
-                    .iter()
-                    .flat_map(|b| b.cells.iter().map(|&c| (c, None)))
-                    .collect();
-            }
-            Err(e) => panic!("{}: {e}", self.workload.name()),
-        };
-        let mut out = Vec::new();
-        for (b, result) in self.batches.iter().zip(per_batch) {
-            match result {
-                Ok(reports) => {
-                    for (&cell, r) in b.cells.iter().zip(&reports) {
-                        assert_eq!(
-                            r.error,
-                            None,
-                            "{}: session must run clean",
-                            self.workload.name()
-                        );
-                        out.push((cell, Some(r.overhead_vs(&base))));
-                    }
-                }
-                Err(DebugError::Unsupported { .. } | DebugError::InvalidWatchpoint { .. }) => {
-                    out.extend(b.cells.iter().map(|&c| (c, None)));
-                }
-                Err(e) => panic!("{}: {e}", self.workload.name()),
-            }
-        }
-        out
+        let w = &self.workload;
+        let base = baseline(w, self.batches[0].cpus[0], baselines);
+        // A group-wide error (invalid or unsupported watchpoints) is
+        // every sub-batch's error.
+        let per_batch = output.into_group().unwrap_or_else(|e| vec![Err(e); self.batches.len()]);
+        self.batches
+            .iter()
+            .zip(per_batch)
+            .flat_map(|(b, r)| b.cells.iter().copied().zip(overheads(w, r, b.cells.len(), &base)))
+            .collect()
     }
 }
 
-/// A grid group sharing functional work: a single perturbing backend
-/// replayed under many timing configurations ([`SessionBatch`]), many
-/// observing backends fanned off one pass of the unmodified application
-/// ([`ObserverGroup`]), or a perturbing backend's engine-configuration
-/// sub-batches forked copy-on-write from one loaded image
-/// ([`PerturbGroup`]).
+/// A grid group sharing functional work: many observing backends fanned
+/// off one pass of the unmodified application ([`ObserverGroup`]), or a
+/// perturbing backend's engine-configuration sub-batches forked
+/// copy-on-write from one loaded image ([`PerturbGroup`]).
 #[derive(Clone, Debug)]
 pub enum CellGroup {
-    /// A perturbing backend's private replay (timing-only batching).
-    Replay(SessionBatch),
     /// Observing backends sharing the application's own pass.
     Observe(ObserverGroup),
     /// A perturbing backend's sub-batches forked from one shared image.
@@ -440,89 +289,33 @@ pub enum CellGroup {
 }
 
 impl CellGroup {
-    /// Per-cell overheads tagged with original cell indices.
-    ///
-    /// # Panics
-    ///
-    /// As [`SessionJob::overhead`].
-    pub fn overheads(&self, baselines: &BaselineCache) -> Vec<(usize, Option<f64>)> {
+    /// The group as a task — what the grid spawns. Observer groups go
+    /// through the trace store at `trace` when one is configured
+    /// ([`ObserverGroup::task_traced`]); perturbing groups always
+    /// execute.
+    pub fn task_traced(&self, trace: Option<&Path>) -> SessionTask {
         match self {
-            CellGroup::Replay(b) => b.cells.iter().copied().zip(b.overheads(baselines)).collect(),
-            CellGroup::Observe(g) => g.overheads(baselines),
-            CellGroup::Fork(g) => g.overheads(baselines),
-        }
-    }
-
-    /// The resumable form of this group — the unit the scheduled grid
-    /// spawns.
-    pub fn task(&self) -> SessionTask {
-        match self {
-            CellGroup::Replay(b) => b.task(),
-            CellGroup::Observe(g) => g.task(),
+            CellGroup::Observe(g) => g.task_traced(trace),
             CellGroup::Fork(g) => g.task(),
         }
     }
 
-    /// [`CellGroup::overheads`] through the persistent trace store:
-    /// observer groups record on miss and replay on hit (see
-    /// [`ObserverGroup::overheads_traced`]); perturbing groups change
-    /// the functional stream and always execute, trace or no trace.
-    ///
-    /// # Panics
-    ///
-    /// As [`CellGroup::overheads`], and loudly on a stale or corrupt
-    /// stored trace.
-    pub fn overheads_traced(
-        &self,
-        baselines: &BaselineCache,
-        trace: Option<&Path>,
-    ) -> Vec<(usize, Option<f64>)> {
-        match self {
-            CellGroup::Observe(g) => g.overheads_traced(baselines, trace),
-            CellGroup::Replay(_) | CellGroup::Fork(_) => self.overheads(baselines),
-        }
-    }
-
-    /// The resumable form of [`CellGroup::overheads_traced`] — what the
-    /// scheduled grid spawns when a trace store is configured.
-    pub fn task_traced(&self, trace: Option<&Path>) -> SessionTask {
-        match self {
-            CellGroup::Observe(g) => g.task_traced(trace),
-            CellGroup::Replay(_) | CellGroup::Fork(_) => self.task(),
-        }
-    }
-
-    /// Scatter a drained [`SessionTask`] output back to per-cell
-    /// overheads, byte-identical to [`CellGroup::overheads`].
+    /// Scatter a drained task's output back to per-cell overheads,
+    /// tagged with their original cell indices.
     ///
     /// # Panics
     ///
     /// Panics when `output`'s shape does not match this group (a caller
     /// bug: the output must come from this group's
-    /// [`CellGroup::task`]), and as [`SessionJob::overhead`].
+    /// [`CellGroup::task_traced`]), and as [`SessionJob::overhead`].
     pub fn overheads_from(
         &self,
         output: TaskOutput,
         baselines: &BaselineCache,
     ) -> Vec<(usize, Option<f64>)> {
         match self {
-            CellGroup::Replay(b) => b
-                .cells
-                .iter()
-                .copied()
-                .zip(b.overheads_of(output.into_batch(), baselines))
-                .collect(),
-            CellGroup::Observe(g) => g.overheads_of(output.into_observe(), baselines),
-            CellGroup::Fork(g) => g.overheads_of(output.into_group(), baselines),
-        }
-    }
-
-    /// Original cell indices covered by this group.
-    pub fn cells(&self) -> Vec<usize> {
-        match self {
-            CellGroup::Replay(b) => b.cells.clone(),
-            CellGroup::Observe(g) => g.members.iter().flat_map(|m| m.cells.clone()).collect(),
-            CellGroup::Fork(g) => g.batches.iter().flat_map(|b| b.cells.clone()).collect(),
+            CellGroup::Observe(g) => g.overheads_from(output, baselines),
+            CellGroup::Fork(g) => g.overheads_from(output, baselines),
         }
     }
 }
@@ -541,90 +334,16 @@ impl CellGroup {
 ///   (backend, watchpoints) pair share one member (and one detector);
 /// * cells whose functional core **perturbs** (single-stepping,
 ///   rewriting, DISE production injection) group by (kernel,
-///   watchpoints, backend, DISE engine capacities) into a
-///   [`SessionBatch`] — one private pass per distinct functional
-///   stream, replayed under each member's timing configuration.
+///   watchpoints, backend) into a [`PerturbGroup`] that loads one image,
+///   with one sub-batch — one private functional stream, replayed under
+///   each member's timing configuration — per DISE engine capacity.
 ///
 /// Kernel identity is the full workload (not just its name — two scales
 /// of the same kernel are different programs). Groups appear in
 /// first-appearance order and members keep cell order; grouping looks
 /// only at the jobs, so the partition — and with it the reassembled
 /// output — is identical for any worker count.
-///
-/// Perturbing cells group according to the `DISE_COW_FORK` environment
-/// knob (default on — see [`cow_fork_from_env`]): on, engine-divergent
-/// cells of one (kernel, watchpoints, backend) merge into a
-/// [`PerturbGroup`] and fork from one loaded image; off, each engine
-/// configuration loads its own image in a [`SessionBatch`], the
-/// pre-fork shape (the determinism suite pins both shapes
-/// byte-identical).
 pub fn batch_session_jobs(jobs: &[SessionJob]) -> Vec<CellGroup> {
-    batch_session_jobs_with(jobs, cow_fork_from_env())
-}
-
-/// Parse the `DISE_COW_FORK` knob: unset, empty, `1`, `true`, or `on`
-/// enable copy-on-write fork grouping for perturbing cells (the
-/// default); `0`, `false`, or `off` disable it.
-///
-/// # Panics
-///
-/// Panics on any other value — a typo must fail loudly, not silently
-/// change which economy the grid exercises ([`dise_env::env_flag`]).
-pub fn cow_fork_from_env() -> bool {
-    dise_env::env_flag("DISE_COW_FORK", true)
-}
-
-/// Parse the `DISE_TRACE_DIR` knob: the persistent trace-store
-/// directory, `None` (no store — every observer group executes its own
-/// pass) when unset or empty. With a store configured, the grid
-/// **records** each observer group's shared functional pass on first
-/// encounter and **replays** it from disk ever after — zero functional
-/// passes, zero image loads, byte-identical output, with stale or
-/// corrupt traces rejected loudly rather than silently re-run (see
-/// [`ObserverGroup::task_traced`]).
-///
-/// # Panics
-///
-/// Panics on a non-unicode value ([`dise_env::env_string`]).
-pub fn trace_dir_from_env() -> Option<PathBuf> {
-    dise_env::env_string("DISE_TRACE_DIR").map(PathBuf::from)
-}
-
-/// Parse the `DISE_SCHED` knob: unset, empty, `1`, `true`, or `on`
-/// (the default) run the grid's jobs as [`SessionTask`] continuations
-/// on the cooperative [`Scheduler`]; `0`, `false`, or `off` keep the
-/// pre-scheduler thread-per-group pool. Both paths are byte-identical
-/// (the scheduler determinism suite pins them against each other).
-///
-/// # Panics
-///
-/// Panics on any other value ([`dise_env::env_flag`]).
-pub fn sched_from_env() -> bool {
-    dise_env::env_flag("DISE_SCHED", true)
-}
-
-/// Default scheduler slice budget (dynamic instructions per grant):
-/// large enough that slicing overhead is noise, small enough that a
-/// full grid still preempts hundreds of times.
-pub const DEFAULT_SLICE: u64 = 65_536;
-
-/// Parse the `DISE_SLICE` knob: the scheduler's per-grant instruction
-/// budget, [`DEFAULT_SLICE`] when unset. Results are byte-identical
-/// for every value (the determinism suite sweeps it); the knob trades
-/// scheduling overhead against fairness granularity.
-///
-/// # Panics
-///
-/// Panics on an unparsable or zero value ([`dise_env::env_number`];
-/// the [`Scheduler`] rejects zero-instruction slices).
-pub fn slice_from_env() -> u64 {
-    env_number("DISE_SLICE", DEFAULT_SLICE)
-}
-
-/// [`batch_session_jobs`] with the copy-on-write fork knob passed
-/// explicitly instead of read from the environment, so tests can pin
-/// both partition shapes without racing the process-global environment.
-pub fn batch_session_jobs_with(jobs: &[SessionJob], cow_fork: bool) -> Vec<CellGroup> {
     let mut groups: Vec<CellGroup> = Vec::new();
     for (i, job) in jobs.iter().enumerate() {
         let (backend, cpu) = job.backend.split_timing(job.cpu);
@@ -660,7 +379,7 @@ pub fn batch_session_jobs_with(jobs: &[SessionJob], cow_fork: bool) -> Vec<CellG
                     cells: vec![i],
                 }),
             }
-        } else if cow_fork {
+        } else {
             let existing = groups.iter_mut().find_map(|g| match g {
                 CellGroup::Fork(p)
                     if p.backend == backend
@@ -693,157 +412,58 @@ pub fn batch_session_jobs_with(jobs: &[SessionJob], cow_fork: bool) -> Vec<CellG
                     group.batches.push(PerturbSubBatch { cpus: vec![cpu], cells: vec![i] });
                 }
             }
-        } else {
-            let existing = groups.iter_mut().find_map(|g| match g {
-                CellGroup::Replay(b)
-                    if b.backend == backend
-                        && b.workload == job.workload
-                        && b.watchpoints == job.watchpoints
-                        && b.cpus[0].engine == cpu.engine =>
-                {
-                    Some(b)
-                }
-                _ => None,
-            });
-            match existing {
-                Some(b) => {
-                    b.cpus.push(cpu);
-                    b.cells.push(i);
-                }
-                None => groups.push(CellGroup::Replay(SessionBatch {
-                    workload: job.workload.clone(),
-                    watchpoints: job.watchpoints.clone(),
-                    backend,
-                    cpus: vec![cpu],
-                    cells: vec![i],
-                })),
-            }
         }
     }
     groups
 }
 
-/// Run a whole overhead grid on `workers` threads, grouping cells into
-/// single functional passes wherever the lattice allows — across timing
-/// configurations for perturbing backends, and across backend × timing
-/// simultaneously for observing ones (`batching: false` runs every cell
-/// independently — the reference path the determinism suite compares
-/// against). Results come back in cell order either way, byte-identical
-/// to the serial unbatched map.
+/// Default scheduler slice budget (dynamic instructions per grant):
+/// large enough that slicing overhead is noise, small enough that a
+/// full grid still preempts hundreds of times.
+pub const DEFAULT_SLICE: u64 = 65_536;
+
+/// The machine's available parallelism (1 when unknown): the worker
+/// count an [`crate::Experiment`] starts with, and the default the
+/// binaries give `DISE_JOBS`.
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Run a whole overhead grid: group the cells into single functional
+/// passes ([`batch_session_jobs`]), spawn every group as one
+/// [`SessionTask`] on a [`Scheduler`] granting `slice` instructions per
+/// slice, drain it with `workers` threads, and scatter the results back
+/// to cell order. With `trace: Some(dir)`, observer groups record their
+/// shared pass into the trace store at `dir` on a miss and replay it on
+/// a hit.
+///
+/// Task ids are spawn order, so the output is byte-identical to the
+/// cell-by-cell `cells.iter().map(|c| c.overhead(baselines))` for every
+/// worker count, slice budget and store state.
+///
+/// # Panics
+///
+/// Panics when `workers` or `slice` is zero, and as the groups'
+/// `overheads_from` (including on a stale or corrupt stored trace).
 pub fn run_overhead_grid(
     cells: &[SessionJob],
     workers: usize,
     baselines: &BaselineCache,
-    batching: bool,
-) -> Vec<Option<f64>> {
-    let sched = sched_from_env().then(slice_from_env);
-    let trace = trace_dir_from_env();
-    run_overhead_grid_with(cells, workers, baselines, batching, sched, trace.as_deref())
-}
-
-/// [`run_overhead_grid`] with the scheduler and trace-store knobs
-/// passed explicitly: `sched: None` uses the pre-scheduler
-/// thread-per-group pool, `Some(slice)` multiplexes the grid's jobs as
-/// [`SessionTask`] continuations over `workers` scheduler threads with
-/// the given per-grant instruction budget; `trace: Some(dir)` routes
-/// every observer group through the persistent trace store at `dir`
-/// (record on miss, replay on hit — see [`trace_dir_from_env`]).
-/// Output is byte-identical for every combination — the determinism
-/// suite pins cold-vs-warm store runs against the traceless reference
-/// across both scheduler paths.
-pub fn run_overhead_grid_with(
-    cells: &[SessionJob],
-    workers: usize,
-    baselines: &BaselineCache,
-    batching: bool,
-    sched: Option<u64>,
+    slice: u64,
     trace: Option<&Path>,
 ) -> Vec<Option<f64>> {
-    let Some(slice) = sched else {
-        if !batching {
-            return run_grid_with(cells, workers, |job| job.overhead(baselines));
-        }
-        let groups = batch_session_jobs(cells);
-        let grouped = run_grid_with(&groups, workers, |g| g.overheads_traced(baselines, trace));
-        let mut out = vec![None; cells.len()];
-        for tagged in grouped {
-            for (cell, o) in tagged {
-                out[cell] = o;
-            }
-        }
-        return out;
-    };
-    // The scheduled path: every group (or bare cell when batching is
-    // off) becomes one continuation; task ids are spawn order, so the
-    // drained outputs scatter back deterministically regardless of
-    // worker count, slice budget, or completion order.
+    let groups = batch_session_jobs(cells);
+    let scheduler = Scheduler::new(slice);
+    for group in &groups {
+        scheduler.spawn(group.task_traced(trace));
+    }
     let mut out = vec![None; cells.len()];
-    if !batching {
-        let scheduler = Scheduler::new(slice);
-        for job in cells {
-            scheduler.spawn(job.task());
-        }
-        for (id, output) in scheduler.drain(workers) {
-            out[id] = cells[id].overhead_of(
-                output
-                    .into_batch()
-                    .map(|mut reports| reports.pop().expect("a session task is a batch of one")),
-                baselines,
-            );
-        }
-    } else {
-        let groups = batch_session_jobs(cells);
-        let scheduler = Scheduler::new(slice);
-        for group in &groups {
-            scheduler.spawn(group.task_traced(trace));
-        }
-        for (id, output) in scheduler.drain(workers) {
-            for (cell, o) in groups[id].overheads_from(output, baselines) {
-                out[cell] = o;
-            }
+    for (id, output) in scheduler.drain(workers) {
+        for (cell, o) in groups[id].overheads_from(output, baselines) {
+            out[cell] = o;
         }
     }
     out
-}
-
-/// Parse a numeric environment knob (`DISE_ITERS`, `DISE_JOBS`, …),
-/// `default` when unset — the loud-on-typo contract, shared with every
-/// crate through [`dise_env::env_number`] (re-exported here because the
-/// bench harness is where most knobs are read).
-///
-/// # Panics
-///
-/// Panics on an unparsable (or non-unicode) value.
-pub fn env_number<T: std::str::FromStr>(name: &str, default: T) -> T
-where
-    T::Err: std::fmt::Display,
-{
-    dise_env::env_number(name, default)
-}
-
-/// Worker-pool size from the `DISE_JOBS` environment variable, or the
-/// machine's available parallelism when unset.
-///
-/// # Panics
-///
-/// Panics on an unparsable or zero `DISE_JOBS` — a typo must fail
-/// loudly, not silently serialise the grid.
-pub fn configured_workers() -> usize {
-    let default = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let workers = env_number("DISE_JOBS", default);
-    assert!(workers > 0, "DISE_JOBS must be >= 1");
-    workers
-}
-
-/// Run `f` over every job on the configured worker pool (see
-/// [`configured_workers`]) and return the results in job order.
-pub fn run_grid<J, R, F>(jobs: &[J], f: F) -> Vec<R>
-where
-    J: Sync,
-    R: Send,
-    F: Fn(&J) -> R + Sync,
-{
-    run_grid_with(jobs, configured_workers(), f)
 }
 
 /// Run `f` over every job on a pool of exactly `workers` threads and
@@ -908,6 +528,18 @@ mod tests {
     use dise_debug::DiseStrategy;
     use dise_workloads::{all, transition_cost_sweep, WatchKind};
 
+    fn small_engine() -> CpuConfig {
+        CpuConfig {
+            engine: dise_engine::EngineConfig { pattern_entries: 8, replacement_entries: 64 },
+            ..CpuConfig::default()
+        }
+    }
+
+    /// The cell-by-cell reference: every cell run as its own session.
+    fn reference(jobs: &[SessionJob], baselines: &BaselineCache) -> Vec<Option<f64>> {
+        jobs.iter().map(|job| job.overhead(baselines)).collect()
+    }
+
     #[test]
     fn timing_only_cells_group_into_one_batch() {
         let w = &all(10)[0];
@@ -924,29 +556,21 @@ mod tests {
         .into_iter()
         .map(|(b, c)| SessionJob::new(w.clone(), wp.clone(), b, c))
         .collect();
-        let groups = batch_session_jobs_with(&jobs, false);
+        let groups = batch_session_jobs(&jobs);
         assert_eq!(groups.len(), 2, "the two DISE cells differ only in timing");
-        let CellGroup::Replay(dise) = &groups[0] else {
-            panic!("DISE perturbs: must be a private replay")
-        };
-        assert_eq!(dise.cells, vec![0, 1]);
-        assert!(dise.cpus[1].multithreaded_dise_calls, "mt knob folded into the config");
-        assert_eq!(groups[1].cells(), vec![2]);
-
-        // With copy-on-write forking the same cells form one perturbing
-        // group holding a single engine sub-batch.
-        let groups = batch_session_jobs_with(&jobs, true);
-        assert_eq!(groups.len(), 2);
         let CellGroup::Fork(dise) = &groups[0] else {
             panic!("DISE perturbs: must fork from a shared image")
         };
         assert_eq!(dise.batches.len(), 1, "identical engines share one functional stream");
         assert_eq!(dise.batches[0].cells, vec![0, 1]);
+        assert!(dise.batches[0].cpus[1].multithreaded_dise_calls, "mt knob folded into the config");
+        let CellGroup::Observe(hw) = &groups[1] else { panic!("hardware registers observe") };
+        assert_eq!(hw.members[0].cells, vec![2]);
     }
 
-    /// The lattice's new axis: cells that differ in *backend* — as long
-    /// as every backend observes — share one group, and therefore one
-    /// functional pass, alongside their timing spread.
+    /// The lattice's backend axis: cells that differ in *backend* — as
+    /// long as every backend observes — share one group, and therefore
+    /// one functional pass, alongside their timing spread.
     #[test]
     fn observing_backends_group_across_backend_and_timing() {
         let w = &all(10)[0];
@@ -958,7 +582,7 @@ mod tests {
                 jobs.push(SessionJob::new(w.clone(), wp.clone(), backend, cpu));
             }
         }
-        let groups = batch_session_jobs_with(&jobs, false);
+        let groups = batch_session_jobs(&jobs);
         assert_eq!(groups.len(), 2, "VM+HW share a pass; single-stepping replays privately");
         let CellGroup::Observe(o) = &groups[0] else { panic!("first group must observe") };
         assert_eq!(o.members.len(), 2);
@@ -966,8 +590,9 @@ mod tests {
         assert_eq!(o.members[0].cells, vec![0, 3, 6]);
         assert_eq!(o.members[1].backend, BackendKind::hw4());
         assert_eq!(o.members[1].cells, vec![1, 4, 7]);
-        let CellGroup::Replay(ss) = &groups[1] else { panic!("single-step must replay") };
-        assert_eq!(ss.cells, vec![2, 5, 8]);
+        let CellGroup::Fork(ss) = &groups[1] else { panic!("single-step must replay privately") };
+        assert_eq!(ss.batches.len(), 1);
+        assert_eq!(ss.batches[0].cells, vec![2, 5, 8]);
     }
 
     /// The lattice's final axis: observing cells that differ in
@@ -998,9 +623,9 @@ mod tests {
                 CpuConfig::default(),
             ));
         }
-        let groups = batch_session_jobs_with(&jobs, false);
+        let groups = batch_session_jobs(&jobs);
         // One observer group for the whole workload; DISE replays
-        // privately, one batch per watchpoint set.
+        // privately, one group per watchpoint set.
         assert_eq!(groups.len(), 1 + sets.len(), "{groups:#?}");
         let CellGroup::Observe(o) = &groups[0] else { panic!("first group must observe") };
         assert_eq!(o.members.len(), 9, "3 sets x 3 observing backends");
@@ -1009,22 +634,17 @@ mod tests {
         }
         assert!(sets.iter().all(|s| o.members.iter().any(|m| &m.watchpoints == s)));
         for g in &groups[1..] {
-            let CellGroup::Replay(b) = g else { panic!("DISE must replay privately") };
-            assert_eq!(b.backend, BackendKind::dise_default());
+            let CellGroup::Fork(p) = g else { panic!("DISE must replay privately") };
+            assert_eq!(p.backend, BackendKind::dise_default());
         }
     }
 
     /// Observer groups ignore DISE engine capacities (observers install
-    /// no productions), so engine-divergent cells still merge — while
-    /// the perturbing replay path keeps them apart.
+    /// no productions), so engine-divergent cells still merge.
     #[test]
     fn observer_groups_merge_across_engine_configs() {
         let w = &all(10)[0];
         let wp = vec![w.watchpoint(WatchKind::Warm1)];
-        let small_engine = CpuConfig {
-            engine: dise_engine::EngineConfig { pattern_entries: 8, replacement_entries: 64 },
-            ..CpuConfig::default()
-        };
         let jobs = [
             SessionJob::new(
                 w.clone(),
@@ -1032,11 +652,11 @@ mod tests {
                 BackendKind::VirtualMemory,
                 CpuConfig::default(),
             ),
-            SessionJob::new(w.clone(), wp.clone(), BackendKind::VirtualMemory, small_engine),
+            SessionJob::new(w.clone(), wp.clone(), BackendKind::VirtualMemory, small_engine()),
         ];
         let groups = batch_session_jobs(&jobs);
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].cells(), vec![0, 1]);
+        let [CellGroup::Observe(o)] = groups.as_slice() else { panic!("one observer group") };
+        assert_eq!(o.members[0].cells, vec![0, 1]);
     }
 
     #[test]
@@ -1060,10 +680,6 @@ mod tests {
     #[test]
     fn functionally_different_cells_stay_separate() {
         let w = &all(10)[0];
-        let small_engine = CpuConfig {
-            engine: dise_engine::EngineConfig { pattern_entries: 8, replacement_entries: 64 },
-            ..CpuConfig::default()
-        };
         let jobs = [
             SessionJob::new(
                 w.clone(),
@@ -1078,19 +694,19 @@ mod tests {
                 BackendKind::dise_default(),
                 CpuConfig::default(),
             ),
-            // Different engine capacity: functional, must not merge.
+            // Different engine capacity: functional, must not share a
+            // stream.
             SessionJob::new(
                 w.clone(),
                 vec![w.watchpoint(WatchKind::Hot)],
                 BackendKind::dise_default(),
-                small_engine,
+                small_engine(),
             ),
         ];
-        assert_eq!(batch_session_jobs_with(&jobs, false).len(), 3);
-        // With forking, the engine-divergent cells 0 and 2 share one
-        // image (one group, two sub-batches — two functional streams,
-        // one load); the different watchpoint still stands alone.
-        let groups = batch_session_jobs_with(&jobs, true);
+        // The engine-divergent cells 0 and 2 share one image (one group,
+        // two sub-batches — two functional streams, one load); the
+        // different watchpoint stands alone.
+        let groups = batch_session_jobs(&jobs);
         assert_eq!(groups.len(), 2);
         let CellGroup::Fork(p) = &groups[0] else { panic!("perturbing cells must fork") };
         assert_eq!(p.batches.len(), 2, "one sub-batch per engine configuration");
@@ -1100,8 +716,8 @@ mod tests {
 
     /// The acceptance bar: a grid containing batchable cells (a
     /// transition-cost sweep plus an unsupported combination) produces
-    /// byte-identical overheads batched and unbatched, serial and
-    /// pooled.
+    /// byte-identical overheads to the unbatched cell-by-cell reference,
+    /// serial and pooled, at the default and an odd slice budget.
     #[test]
     fn batched_overheads_match_unbatched_cell_for_cell() {
         let w = &all(10)[0];
@@ -1117,8 +733,8 @@ mod tests {
             }
         }
         // An unsupported cell: INDIRECT under virtual memory. It merges
-        // into the workload's observer group (the group key no longer
-        // carries watchpoints) and fails there per-member.
+        // into the workload's observer group (the group key carries no
+        // watchpoints) and fails there per member.
         jobs.push(SessionJob::new(
             w.clone(),
             vec![w.watchpoint(WatchKind::Indirect)],
@@ -1132,30 +748,26 @@ mod tests {
         );
 
         let baselines = BaselineCache::new();
-        let unbatched = run_overhead_grid(&jobs, 1, &baselines, false);
+        let unbatched = reference(&jobs, &baselines);
         for workers in [1, 4] {
-            let batched = run_overhead_grid(&jobs, workers, &baselines, true);
-            assert_eq!(batched, unbatched, "workers={workers}");
+            for slice in [DEFAULT_SLICE, 97] {
+                let batched = run_overhead_grid(&jobs, workers, &baselines, slice, None);
+                assert_eq!(batched, unbatched, "workers={workers} slice={slice}");
+            }
         }
         assert_eq!(unbatched[6], None, "unsupported cell renders the no-experiment bar");
     }
 
     /// The copy-on-write acceptance bar: a perturbing sweep spanning
     /// *engine capacities* (cells that can never share a functional
-    /// stream) produces byte-identical overheads whether each engine
-    /// configuration loads its own image (fork off) or every sub-batch
-    /// forks from one shared image (fork on) — and both match the
-    /// cell-by-cell unbatched reference.
+    /// stream) forks every sub-batch from one shared image and still
+    /// matches the unforked cell-by-cell reference.
     #[test]
     fn forked_overheads_match_unforked_cell_for_cell() {
         let w = &all(10)[0];
         let wp = vec![w.watchpoint(WatchKind::Warm1)];
-        let small_engine = CpuConfig {
-            engine: dise_engine::EngineConfig { pattern_entries: 8, replacement_entries: 64 },
-            ..CpuConfig::default()
-        };
         let mut jobs = Vec::new();
-        for engine_cpu in [CpuConfig::default(), small_engine] {
+        for engine_cpu in [CpuConfig::default(), small_engine()] {
             for (_, cpu) in transition_cost_sweep(engine_cpu).into_iter().take(2) {
                 for backend in [BackendKind::dise_default(), BackendKind::BinaryRewrite] {
                     jobs.push(SessionJob::new(w.clone(), wp.clone(), backend, cpu));
@@ -1172,43 +784,16 @@ mod tests {
             CpuConfig::default(),
         ));
 
-        let scatter = |groups: Vec<CellGroup>, baselines: &BaselineCache| {
-            let mut out = vec![None; jobs.len()];
-            for g in &groups {
-                for (cell, o) in g.overheads(baselines) {
-                    out[cell] = o;
-                }
-            }
-            out
-        };
+        let groups = batch_session_jobs(&jobs);
+        assert_eq!(groups.len(), 3, "one forked group per (backend, watchpoints)");
+        let CellGroup::Fork(dise) = &groups[0] else { panic!("DISE perturbs") };
+        assert_eq!(dise.batches.len(), 2, "two engine sub-batches share one image");
+
         let baselines = BaselineCache::new();
-        let unbatched: Vec<Option<f64>> = jobs.iter().map(|job| job.overhead(&baselines)).collect();
-        let forked = scatter(batch_session_jobs_with(&jobs, true), &baselines);
-        let unforked = scatter(batch_session_jobs_with(&jobs, false), &baselines);
-        assert_eq!(forked, unbatched, "forked grid diverged from cell-by-cell reference");
-        assert_eq!(unforked, unbatched, "unforked grid diverged from cell-by-cell reference");
-        assert_eq!(unbatched[8], None, "unsupported cell renders the no-experiment bar");
-    }
-
-    // Each env test owns a uniquely named variable: the process
-    // environment is shared across test threads, so reusing names would
-    // race.
-    #[test]
-    fn env_number_parses_and_defaults() {
-        assert_eq!(env_number("DISE_TEST_UNSET_KNOB", 42u32), 42);
-        std::env::set_var("DISE_TEST_SET_KNOB", "17");
-        assert_eq!(env_number("DISE_TEST_SET_KNOB", 42u32), 17);
-        std::env::set_var("DISE_TEST_PADDED_KNOB", " 8 ");
-        assert_eq!(env_number("DISE_TEST_PADDED_KNOB", 1usize), 8, "whitespace is trimmed");
-    }
-
-    #[test]
-    fn env_number_typo_fails_loudly() {
-        std::env::set_var("DISE_TEST_TYPO_KNOB", "4O0"); // letter O
-        let err = catch_unwind(|| env_number("DISE_TEST_TYPO_KNOB", 400u32)).unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("DISE_TEST_TYPO_KNOB"), "panic names the knob: {msg}");
-        assert!(msg.contains("4O0"), "panic shows the bad value: {msg}");
+        let unforked = reference(&jobs, &baselines);
+        let forked = run_overhead_grid(&jobs, 1, &baselines, DEFAULT_SLICE, None);
+        assert_eq!(forked, unforked, "forked grid diverged from cell-by-cell reference");
+        assert_eq!(unforked[8], None, "unsupported cell renders the no-experiment bar");
     }
 
     #[test]

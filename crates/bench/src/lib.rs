@@ -7,41 +7,36 @@
 //!
 //! Scale: the paper simulates full SPEC functions (up to 1.8 G
 //! instructions); we run the calibrated kernels for
-//! [`Experiment::default`]'s iteration count (override with the
-//! `DISE_ITERS` environment variable). Every reported quantity is a
+//! [`Experiment::from_env`]'s iteration count (the `DISE_ITERS`
+//! environment variable, default 400). Every reported quantity is a
 //! ratio, so the *shape* — who wins, by what order of magnitude, where
 //! the crossovers fall — is what these harnesses reproduce.
 //!
-//! Execution: each table/figure is decomposed into independent
-//! [`SessionJob`] grid cells and run on a [`grid`] worker pool sized by
-//! the `DISE_JOBS` environment variable (default: available
-//! parallelism), with results reassembled in cell order so output is
-//! byte-identical for any worker count. Cells are first grouped into
-//! single-functional-pass [`CellGroup`]s: a [`SessionBatch`] when they
-//! differ only in timing configuration
-//! ([`dise_debug::run_session_batch`]), or an [`ObserverGroup`] when
-//! their backends all *observe* without perturbing execution — one
-//! shared pass of the unmodified application across backend × timing
-//! simultaneously ([`dise_debug::ObserverBatch`]). Perturbing cells
-//! that differ in DISE engine capacities can never share a pass, but
-//! they can share an *image*: by default (`DISE_COW_FORK`, see
-//! [`grid::cow_fork_from_env`]) they merge into a [`PerturbGroup`]
-//! whose sub-batches all fork copy-on-write from one loaded template
-//! machine ([`dise_debug::run_perturbing_group`]) — K engine
-//! configurations cost 1 image load + K forks instead of K loads. All
-//! of these are byte-identical to the unbatched path, enforced by the
-//! grid determinism tests, and the pass/load savings are pinned by
-//! execution-count assertions (`tests/execution_counts.rs`).
+//! Execution has one path. Each table/figure is decomposed into
+//! independent [`SessionJob`] grid cells, and the cells are grouped
+//! into single-functional-pass [`CellGroup`]s ([`batch_session_jobs`]):
+//! an [`ObserverGroup`] when their backends all *observe* without
+//! perturbing execution — one shared pass of the unmodified application
+//! across watchpoint set × backend × timing
+//! ([`dise_debug::ObserverBatch`]) — or a [`PerturbGroup`] otherwise,
+//! whose engine-configuration sub-batches each run one private pass
+//! under all their timing configurations and fork copy-on-write from
+//! one loaded image (K engine configurations cost 1 image load + K
+//! forks). Every group becomes a resumable [`dise_debug::SessionTask`]
+//! on one cooperative [`dise_debug::Scheduler`], drained by
+//! [`Experiment::workers`] threads in [`Experiment::slice`]-instruction
+//! slices ([`run_overhead_grid`]); results scatter back in cell order,
+//! so output is byte-identical to the cell-by-cell
+//! [`SessionJob::report`] for every worker count and slice budget (the
+//! grid determinism and scheduler suites), and the pass/load savings
+//! are pinned by execution-count assertions
+//! (`tests/execution_counts.rs`).
 //!
-//! By default (`DISE_SCHED`, see [`grid::sched_from_env`]) the worker
-//! pool no longer pins one group to one thread: every group becomes a
-//! resumable [`dise_debug::SessionTask`] and `DISE_JOBS` threads drain
-//! one cooperative [`dise_debug::Scheduler`], each session granted
-//! `DISE_SLICE`-instruction slices with least-progress-first priority.
-//! Output stays byte-identical across `DISE_SCHED=0/1`, every worker
-//! count and every slice budget (`tests/scheduler.rs`), and the
-//! [`server`] module serves arbitrary job lists through the same
-//! machinery (`session_server` bin).
+//! Configuration is explicit: library code reads no environment
+//! variable. The binaries parse `DISE_ITERS`, `DISE_JOBS`, `DISE_SLICE`
+//! and `DISE_TRACE_DIR` once, through [`Experiment::from_env`] or
+//! `dise_env` directly, and the [`server`] module serves arbitrary job
+//! lists through the same scheduler (`session_server` bin).
 
 mod experiments;
 pub mod grid;
@@ -49,14 +44,13 @@ pub mod paper;
 pub mod server;
 
 pub use experiments::{
-    baseline_table, fig3, fig4, fig5, fig6, fig7, fig8, fig9, sensitivity, table1, table2,
-    watchpoint_sets, Experiment,
+    baseline_table, fig3, fig3_cells, fig4, fig4_cells, fig5, fig6, fig6_cells, fig7, fig7_cells,
+    fig8, fig8_cells, fig9, fig9_cells, sensitivity, sensitivity_cells, table1, table2,
+    watchpoint_set_cells, watchpoint_sets, Experiment,
 };
 pub use grid::{
-    batch_session_jobs, batch_session_jobs_with, configured_workers, cow_fork_from_env, env_number,
-    run_grid, run_grid_with, run_overhead_grid, run_overhead_grid_with, sched_from_env,
-    slice_from_env, trace_dir_from_env, CellGroup, ObserverGroup, ObserverMember, PerturbGroup,
-    PerturbSubBatch, SessionBatch, SessionJob, DEFAULT_SLICE,
+    batch_session_jobs, default_workers, run_grid_with, run_overhead_grid, CellGroup,
+    ObserverGroup, ObserverMember, PerturbGroup, PerturbSubBatch, SessionJob, DEFAULT_SLICE,
 };
 
 /// Render one figure/table section with a heading.

@@ -15,22 +15,21 @@
 //!
 //! And to the persistent trace store: `dise_debug::trace_records()` /
 //! `trace_replays()` count recordings and stored-stream replays — a
-//! grid run against a warm `DISE_TRACE_DIR` must perform **zero**
+//! grid run against a warm trace directory must perform **zero**
 //! functional passes and zero image loads, with byte-identical output.
 //!
-//! This file deliberately holds a single `#[test]`: the counters are
-//! process-global, and sibling tests in the same binary would race the
-//! deltas.
+//! Every grid's output is also checked against the cell-by-cell
+//! `SessionJob::overhead` reference, computed before the counters are
+//! read. This file deliberately holds a single `#[test]`: the counters
+//! are process-global, and sibling tests in the same binary would race
+//! the deltas.
 
-use dise_bench::{
-    batch_session_jobs_with, run_overhead_grid, run_overhead_grid_with, CellGroup, SessionJob,
-    DEFAULT_SLICE,
-};
+use dise_bench::{batch_session_jobs, run_overhead_grid, SessionJob, DEFAULT_SLICE};
 use dise_cpu::CpuConfig;
 use dise_debug::{
     checkpoint_forks, fanout_chunks, fanout_chunks_scanned, fanout_chunks_skipped,
     functional_passes, image_loads, trace_records, trace_replays, BackendKind, BaselineCache,
-    DiseStrategy,
+    DiseStrategy, Session,
 };
 use dise_workloads::{all, transition_cost_sweep, watchpoint_set_sweep, WatchKind};
 
@@ -38,6 +37,11 @@ use dise_workloads::{all, transition_cost_sweep, watchpoint_set_sweep, WatchKind
 fn grids_execute_once_per_functional_stream_not_once_per_cell() {
     let w = &all(10)[0];
     let wp = vec![w.watchpoint(WatchKind::Warm1)];
+    let baselines = BaselineCache::new();
+    let reference = |cells: &[SessionJob]| -> Vec<Option<f64>> {
+        cells.iter().map(|c| c.overhead(&baselines)).collect()
+    };
+    let grid = |cells: &[SessionJob]| run_overhead_grid(cells, 1, &baselines, DEFAULT_SLICE, None);
 
     // One scenario, the paper's four standard backends plus the
     // pure-observation DISE comparators, three transition costs:
@@ -56,31 +60,25 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
     }
     assert_eq!(cells.len(), 15);
 
-    // Unbatched reference: every cell replays the workload privately.
-    let baselines = BaselineCache::new();
+    // VM, HW and the DISE comparators share a single pass of the
+    // unmodified application across all three backends and all three
+    // timing configs; single-stepping and production-injecting DISE
+    // each keep one private replay. 15 cells, 3 functional executions —
+    // the comparator column is literally free.
+    let expect = reference(&cells);
     let before = functional_passes();
-    let unbatched = run_overhead_grid(&cells, 1, &baselines, false);
-    assert_eq!(functional_passes() - before, 15, "unbatched: one pass per cell");
-
-    // Batched: VM, HW and the DISE comparators share a single pass of
-    // the unmodified application across all three backends and all
-    // three timing configs; single-stepping and production-injecting
-    // DISE each keep one private replay. 15 cells, 3 functional
-    // executions — the comparator column is literally free.
-    let before = functional_passes();
-    let batched = run_overhead_grid(&cells, 1, &baselines, true);
+    let batched = grid(&cells);
     assert_eq!(
         functional_passes() - before,
         3,
         "batched: one observer pass (VM+HW+Cmp x 3 costs) + two private replays"
     );
-    assert_eq!(batched, unbatched, "sharing passes must not change a single byte");
+    assert_eq!(batched, expect, "sharing passes must not change a single byte");
 
-    // The tentpole: the watchpoint axis. Three watchpoint *sets* x two
-    // observing backends x two timing configs = 12 cells over one
-    // workload. Per-(workload, watchpoints) batching (the previous
-    // lattice) would pay one pass per set — 3; the per-workload batch
-    // pays exactly 1.
+    // The watchpoint axis. Three watchpoint *sets* x two observing
+    // backends x two timing configs = 12 cells over one workload.
+    // Per-(workload, watchpoints) batching would pay one pass per set —
+    // 3; the per-workload batch pays exactly 1.
     let sets = watchpoint_set_sweep(w);
     assert_eq!(sets.len(), 3);
     let costs: Vec<CpuConfig> =
@@ -94,18 +92,16 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
         }
     }
     assert_eq!(observer_cells.len(), 12);
-    let before = functional_passes();
-    let unbatched = run_overhead_grid(&observer_cells, 1, &baselines, false);
-    assert_eq!(functional_passes() - before, 12, "unbatched watchpoint axis: one pass per cell");
+    let expect = reference(&observer_cells);
     let before = functional_passes();
     let (fc0, fs0, fk0) = (fanout_chunks(), fanout_chunks_scanned(), fanout_chunks_skipped());
-    let batched = run_overhead_grid(&observer_cells, 1, &baselines, true);
+    let batched = grid(&observer_cells);
     assert_eq!(
         functional_passes() - before,
         1,
         "batched: ONE pass per workload across watchpoint sets x backends x timing"
     );
-    assert_eq!(batched, unbatched, "the watchpoint axis must not change a single byte");
+    assert_eq!(batched, expect, "the watchpoint axis must not change a single byte");
 
     // The chunked fan-out conservation bar: every (member, chunk) pair
     // is skipped wholesale or scanned record-by-record — never both,
@@ -122,16 +118,16 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
     let solo =
         [SessionJob::new(w.clone(), wp.clone(), BackendKind::VirtualMemory, CpuConfig::default())];
     let (fc0, fs0, fk0) = (fanout_chunks(), fanout_chunks_scanned(), fanout_chunks_skipped());
-    run_overhead_grid(&solo, 1, &baselines, true);
+    grid(&solo);
     assert_eq!(
         (fanout_chunks_scanned() - fs0) + (fanout_chunks_skipped() - fk0),
         fanout_chunks() - fc0,
         "solo member: skipped + scanned == chunks"
     );
 
-    // Perturbing cells are unchanged by the new axis: adding a DISE
-    // cell per watchpoint set costs exactly one private replay per set
-    // on top of the single observer pass (12 + 3 cells -> 1 + 3
+    // Perturbing cells are unchanged by the watchpoint axis: adding a
+    // DISE cell per watchpoint set costs exactly one private replay per
+    // set on top of the single observer pass (12 + 3 cells -> 1 + 3
     // passes), and an unsupported observing cell (RANGE under hardware
     // registers, in set 3) joins the group without costing anything.
     let mut mixed = observer_cells.clone();
@@ -150,7 +146,7 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
         CpuConfig::default(),
     ));
     let before = functional_passes();
-    let out = run_overhead_grid(&mixed, 1, &baselines, true);
+    let out = grid(&mixed);
     assert_eq!(
         functional_passes() - before,
         1 + sets.len() as u64,
@@ -167,7 +163,7 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
         SessionJob::new(w.clone(), wp.clone(), mt, CpuConfig::default()),
     ];
     let before = functional_passes();
-    run_overhead_grid(&pair, 1, &baselines, true);
+    grid(&pair);
     assert_eq!(functional_passes() - before, 1, "timing-only DISE pair shares one pass");
 
     // An unsupported observer member (INDIRECT under virtual memory)
@@ -179,16 +175,14 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
         CpuConfig::default(),
     )];
     let before = functional_passes();
-    let out = run_overhead_grid(&lone, 1, &baselines, true);
+    let out = grid(&lone);
     assert_eq!(out, vec![None], "the no-experiment bar");
     assert_eq!(functional_passes() - before, 0, "nothing observable, nothing executed");
 
     // The copy-on-write image economy. A perturbing sweep over K = 3
     // DISE engine capacities (x 2 timing configs each) can never share
     // a functional stream — every sub-batch rightly pays its own pass —
-    // but it can share its *image*. The partition shape is passed
-    // explicitly so the pins hold regardless of the `DISE_COW_FORK`
-    // environment (CI sweeps both settings over this binary).
+    // but it shares its *image*.
     let engines = [(32usize, 256usize), (16, 128), (8, 64)].map(|(p, r)| CpuConfig {
         engine: dise_engine::EngineConfig { pattern_entries: p, replacement_entries: r },
         ..CpuConfig::default()
@@ -205,67 +199,56 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
         }
     }
     assert_eq!(fork_cells.len(), 6);
-    let overheads_via = |groups: &[CellGroup]| {
-        let mut out = vec![None; fork_cells.len()];
-        for g in groups {
-            for (cell, o) in g.overheads(&baselines) {
-                out[cell] = o;
-            }
-        }
-        out
-    };
-
-    let unforked_groups = batch_session_jobs_with(&fork_cells, false);
-    assert_eq!(unforked_groups.len(), 3, "one private batch per engine configuration");
+    assert_eq!(batch_session_jobs(&fork_cells).len(), 1, "one group, one shared image");
+    let expect = reference(&fork_cells);
     let (p0, l0, f0) = (functional_passes(), image_loads(), checkpoint_forks());
-    let unforked = overheads_via(&unforked_groups);
-    assert_eq!(functional_passes() - p0, 3, "unforked: one pass per engine configuration");
-    assert_eq!(image_loads() - l0, 3, "unforked: every engine configuration loads its own image");
-    assert_eq!(checkpoint_forks() - f0, 0, "unforked: nothing forks");
-
-    let forked_groups = batch_session_jobs_with(&fork_cells, true);
-    assert_eq!(forked_groups.len(), 1, "one group, one shared image");
-    let (p0, l0, f0) = (functional_passes(), image_loads(), checkpoint_forks());
-    let forked = overheads_via(&forked_groups);
+    let forked = grid(&fork_cells);
     assert_eq!(functional_passes() - p0, 3, "forked: still one honest pass per engine config");
     assert_eq!(image_loads() - l0, 1, "forked: ONE image load for the whole group");
     assert_eq!(checkpoint_forks() - f0, 3, "forked: one copy-on-write fork per sub-batch");
-    assert_eq!(forked, unforked, "sharing the image must not change a single byte");
+    assert_eq!(forked, expect, "sharing the image must not change a single byte");
 
     // The persistent-trace economy: the 12-cell observer grid from
     // above, run through a trace store. Cold, the shared pass is
     // recorded as it executes (still exactly one pass, one load, plus
     // one trace record); warm, the grid performs **zero** functional
     // passes and zero image loads — the stream comes from the file —
-    // and renders byte-identical output, under both grid paths.
+    // and renders byte-identical output, serial and pooled.
+    let expect = reference(&observer_cells);
     let dir = std::env::temp_dir().join(format!("dise-exec-counts-{}", std::process::id()));
+    let traced = |workers: usize| {
+        run_overhead_grid(&observer_cells, workers, &baselines, DEFAULT_SLICE, Some(&dir))
+    };
     let (p0, l0, r0, y0) = (functional_passes(), image_loads(), trace_records(), trace_replays());
-    let cold = run_overhead_grid_with(&observer_cells, 1, &baselines, true, None, Some(&dir));
+    let cold = traced(1);
     assert_eq!(functional_passes() - p0, 1, "cold store: recording is the one honest pass");
     assert_eq!(image_loads() - l0, 1, "cold store: recording loads the image once");
     assert_eq!(trace_records() - r0, 1, "cold store: one trace recorded for the workload");
     assert_eq!(trace_replays() - y0, 0, "cold store: nothing to replay yet");
-    assert_eq!(cold, batched, "recording must not change a single byte");
+    assert_eq!(cold, expect, "recording must not change a single byte");
 
-    let (p0, l0, r0, y0) = (functional_passes(), image_loads(), trace_records(), trace_replays());
-    let warm = run_overhead_grid_with(&observer_cells, 1, &baselines, true, None, Some(&dir));
-    assert_eq!(functional_passes() - p0, 0, "warm store: ZERO functional passes");
-    assert_eq!(image_loads() - l0, 0, "warm store: ZERO image loads");
-    assert_eq!(trace_records() - r0, 0, "warm store: nothing re-recorded");
-    assert_eq!(trace_replays() - y0, 1, "warm store: the stored stream replayed once");
-    assert_eq!(warm, batched, "replaying must not change a single byte");
-
-    let (p0, y0) = (functional_passes(), trace_replays());
-    let warm_sched = run_overhead_grid_with(
-        &observer_cells,
-        2,
-        &baselines,
-        true,
-        Some(DEFAULT_SLICE),
-        Some(&dir),
-    );
-    assert_eq!(functional_passes() - p0, 0, "scheduled warm store: still zero passes");
-    assert_eq!(trace_replays() - y0, 1, "scheduled warm store: still one replay");
-    assert_eq!(warm_sched, batched, "the scheduled warm grid must not change a single byte");
+    for workers in [1, 4] {
+        let (p0, l0, r0, y0) =
+            (functional_passes(), image_loads(), trace_records(), trace_replays());
+        let warm = traced(workers);
+        assert_eq!(functional_passes() - p0, 0, "warm store: ZERO functional passes");
+        assert_eq!(image_loads() - l0, 0, "warm store: ZERO image loads");
+        assert_eq!(trace_records() - r0, 0, "warm store: nothing re-recorded");
+        assert_eq!(trace_replays() - y0, 1, "warm store: the stored stream replayed once");
+        assert_eq!(warm, expect, "replaying must not change a single byte (workers={workers})");
+    }
     let _ = std::fs::remove_dir_all(&dir);
+
+    // An interactive `Session` counts its one pass when first driven,
+    // not when built: one built only to inspect is free, and driving it
+    // in many budgets is still one pass.
+    let before = functional_passes();
+    let idle = Session::new(w.app(), wp.clone(), BackendKind::dise_default()).expect("admits");
+    assert!(!idle.executor().is_halted());
+    drop(idle);
+    assert_eq!(functional_passes() - before, 0, "a session never driven executes nothing");
+    let mut driven =
+        Session::new(w.app(), wp.clone(), BackendKind::dise_default()).expect("admits");
+    while driven.run_budget(5_000) {}
+    assert_eq!(functional_passes() - before, 1, "a session driven in budgets is one pass");
 }

@@ -1,47 +1,66 @@
-//! The grid runner's contract with the experiments: parallel execution
-//! must be invisible in the output. Tables/figures are rendered under a
-//! serial pool (`workers = 1`) and a parallel pool (`workers = 8`) and
-//! compared byte for byte.
+//! The grid runner's contract with the experiments: how a grid is run
+//! must be invisible in the output. Tables/figures render byte for byte
+//! the same under 1 and 4 workers and under two slice budgets, and
+//! every grouped grid — observer passes, copy-on-write perturbing
+//! groups, trace-store replays — equals the cell-by-cell
+//! [`SessionJob::report`] reference.
 //!
-//! The full ten-experiment sweep simulates a few hundred sessions
-//! (~3 min in the dev profile), so it is `#[ignore]`d by default and
-//! run explicitly by CI (`-- --include-ignored`); a light three-
-//! experiment variant keeps every `cargo test -q` on the parallel path.
+//! The full sweeps simulate a few hundred sessions (minutes in the dev
+//! profile), so they are `#[ignore]`d by default and run explicitly by
+//! CI (`-- --include-ignored`); light variants keep every `cargo test
+//! -q` on the pooled, sliced path.
 
-use dise_bench::{
-    batch_session_jobs_with, run_grid_with, run_overhead_grid_with, CellGroup, Experiment,
-    SessionJob, DEFAULT_SLICE,
-};
+use dise_bench::{run_grid_with, run_overhead_grid, Experiment, SessionJob, DEFAULT_SLICE};
 use dise_cpu::CpuConfig;
 use dise_debug::{BackendKind, BaselineCache};
 use dise_workloads::{all, transition_cost_sweep, WatchKind};
 
 type Render = fn(&Experiment) -> String;
+type Cells = fn(&Experiment) -> Vec<SessionJob>;
 
-fn ctx(workers: usize) -> Experiment {
-    Experiment::new(10, CpuConfig::default()).with_workers(workers)
+/// Worker counts and slice budgets every grid is run under: serial,
+/// pooled, the default slice and an odd one that forces mid-block
+/// yields.
+const RUNS: [(usize, u64); 3] = [(1, DEFAULT_SLICE), (4, DEFAULT_SLICE), (4, 777)];
+
+fn ctx(workers: usize, slice: u64) -> Experiment {
+    let mut ctx = Experiment::new(10, CpuConfig::default()).with_workers(workers);
+    ctx.slice = slice;
+    ctx
 }
 
 fn assert_deterministic(experiments: &[(&str, Render)]) {
-    let serial = ctx(1);
-    let parallel = ctx(8);
+    let serial = ctx(1, DEFAULT_SLICE);
+    let pooled = ctx(4, 777);
     for (name, render) in experiments {
-        assert_eq!(render(&serial), render(&parallel), "{name} output depends on worker count");
+        assert_eq!(render(&serial), render(&pooled), "{name} output depends on how the grid ran");
     }
 }
 
-fn assert_batching_invisible(experiments: &[(&str, Render)]) {
-    // Worker count intentionally comes from `DISE_JOBS` (CI runs this
-    // under both 1 and 4), so the batched/unbatched comparison covers
-    // the serial and pooled grid paths.
-    let batched = Experiment::new(10, CpuConfig::default());
-    let unbatched = Experiment::new(10, CpuConfig::default()).with_batching(false);
-    for (name, render) in experiments {
+/// Every grouped run of `cells` equals the cell-by-cell reference.
+fn assert_matches_cells(what: &str, cells: &[SessionJob]) {
+    let baselines = BaselineCache::new();
+    let reference: Vec<Option<f64>> = cells.iter().map(|c| c.overhead(&baselines)).collect();
+    for (workers, slice) in RUNS {
         assert_eq!(
-            render(&batched),
-            render(&unbatched),
-            "{name} output depends on multi-config batching"
+            run_overhead_grid(cells, workers, &baselines, slice, None),
+            reference,
+            "{what}: grouped grid diverged (workers={workers}, slice={slice})"
         );
+    }
+}
+
+/// Each experiment's own grid, as the experiment builds it, equals the
+/// cell-by-cell reference — restricted to the first `kernels` kernels
+/// (fewer cells, the same shapes).
+fn assert_grids_match_cells(kernels: usize, grids: &[(&str, Cells)]) {
+    let ctx = Experiment::new(10, CpuConfig::default());
+    let names: Vec<&str> = ctx.workloads().iter().take(kernels).map(|w| w.name()).collect();
+    for (name, cells) in grids {
+        let mut cells = cells(&ctx);
+        cells.retain(|c| names.contains(&c.workload.name()));
+        assert!(!cells.is_empty(), "{name} has cells on the chosen kernels");
+        assert_matches_cells(name, &cells);
     }
 }
 
@@ -56,27 +75,28 @@ fn light_experiments_are_deterministic_across_worker_counts() {
     ]);
 }
 
-/// Single-pass batching must be invisible in the output: the
-/// experiments with batchable cells (fig8's multithreading pair shares
-/// a functional pass; the sensitivity grid batches its transition
-/// costs, observing backends *and* — via the watchpoint-set sweep —
-/// whole watchpoint sets into one pass per kernel) render
-/// byte-identically with batching disabled. Cheap enough to stay on
-/// everywhere: batching itself removes the redundant functional passes
-/// this test re-adds.
+/// Single-pass batching must be invisible in the output: the grids
+/// with batchable cells (fig8's multithreading pair shares a functional
+/// pass; the sensitivity grid batches its transition costs, observing
+/// backends *and* — via the watchpoint-set sweep — whole watchpoint
+/// sets into one pass per kernel) equal the cell-by-cell reference on
+/// two kernels.
 #[test]
 fn batched_and_unbatched_experiments_are_byte_identical() {
-    assert_batching_invisible(&[
-        ("fig8", dise_bench::fig8),
-        ("sensitivity", dise_bench::sensitivity),
-        ("watchpoint_sets", dise_bench::watchpoint_sets),
-    ]);
+    assert_grids_match_cells(
+        2,
+        &[
+            ("fig8", dise_bench::fig8_cells),
+            ("sensitivity", dise_bench::sensitivity_cells),
+            ("watchpoint_sets", dise_bench::watchpoint_set_cells),
+        ],
+    );
 }
 
-/// Every experiment produces identical bytes under a 1-thread and an
-/// 8-thread pool (the `DISE_JOBS=1` vs `DISE_JOBS=8` acceptance bar).
+/// Every experiment produces identical bytes serial and pooled, at two
+/// slice budgets.
 #[test]
-#[ignore = "simulates every figure twice (~3 min dev profile); CI runs it with --include-ignored"]
+#[ignore = "simulates every figure twice (minutes in the dev profile); CI runs it with --include-ignored"]
 fn all_experiments_are_deterministic_across_worker_counts() {
     assert_deterministic(&[
         ("table1", dise_bench::table1),
@@ -94,36 +114,37 @@ fn all_experiments_are_deterministic_across_worker_counts() {
     ]);
 }
 
-/// The full batched-vs-unbatched sweep over every overhead experiment
-/// (tables have no session cells; they are covered by the worker-count
-/// sweep above). With per-workload observer batching, fig3/fig4's
-/// virtual-memory, hardware-register and DISE-comparator columns —
-/// across *all six watchpoint kinds* — now share one functional pass
-/// per kernel, as do the sensitivity and watchpoint-set grids' observing
-/// rows — this sweep is the byte-identity bar for that sharing across
-/// every table and figure.
+/// The full sweep over every overhead experiment's grid on all six
+/// kernels (tables have no session cells; the worker-count sweep above
+/// covers them): fig3/fig4's observing columns — across *all six watch
+/// kinds* — share one functional pass per kernel, fig6 batches up to 20
+/// watchpoints under the hybrid and Bloom organisations, fig7 runs the
+/// six DISE organisations, fig9 protects the debugger, and the
+/// sensitivity and watchpoint-set grids share their observing rows.
+/// Each equals the cell-by-cell reference.
 #[test]
-#[ignore = "simulates every figure twice (~3 min dev profile); CI runs it with --include-ignored"]
+#[ignore = "runs every grid cell by cell (minutes in the dev profile); CI runs it with --include-ignored"]
 fn all_experiments_are_batching_invariant() {
-    assert_batching_invisible(&[
-        ("fig3", dise_bench::fig3),
-        ("fig4", dise_bench::fig4),
-        ("fig6", dise_bench::fig6),
-        ("fig7", dise_bench::fig7),
-        ("fig8", dise_bench::fig8),
-        ("fig9", dise_bench::fig9),
-        ("sensitivity", dise_bench::sensitivity),
-        ("watchpoint_sets", dise_bench::watchpoint_sets),
-    ]);
+    assert_grids_match_cells(
+        6,
+        &[
+            ("fig3", dise_bench::fig3_cells),
+            ("fig4", dise_bench::fig4_cells),
+            ("fig6", dise_bench::fig6_cells),
+            ("fig7", dise_bench::fig7_cells),
+            ("fig8", dise_bench::fig8_cells),
+            ("fig9", dise_bench::fig9_cells),
+            ("sensitivity", dise_bench::sensitivity_cells),
+            ("watchpoint_sets", dise_bench::watchpoint_set_cells),
+        ],
+    );
 }
 
 /// The copy-on-write fork contract at grid level: a perturbing sweep
 /// spanning two workloads, two perturbing backends and two engine
-/// capacities renders byte-identical overheads with fork grouping on
-/// and off, under a serial and a pooled worker count alike. The
-/// partition shape is passed explicitly so both shapes are exercised in
-/// one process regardless of the `DISE_COW_FORK` environment (which CI
-/// additionally sweeps over the whole suite).
+/// capacities forks every engine sub-batch from one image per group,
+/// and renders the unforked cell-by-cell overheads under a serial and a
+/// pooled worker count alike.
 #[test]
 fn forked_and_unforked_grids_are_byte_identical_across_worker_counts() {
     let workloads = all(10);
@@ -146,38 +167,15 @@ fn forked_and_unforked_grids_are_byte_identical_across_worker_counts() {
             }
         }
     }
-
-    let render = |cow_fork: bool, workers: usize| -> Vec<Option<f64>> {
-        let baselines = BaselineCache::new();
-        let groups = batch_session_jobs_with(&jobs, cow_fork);
-        let grouped = run_grid_with(&groups, workers, |g: &CellGroup| g.overheads(&baselines));
-        let mut out = vec![None; jobs.len()];
-        for tagged in grouped {
-            for (cell, o) in tagged {
-                out[cell] = o;
-            }
-        }
-        out
-    };
-    let reference = render(false, 1);
-    for (cow_fork, workers) in [(false, 8), (true, 1), (true, 8)] {
-        assert_eq!(
-            render(cow_fork, workers),
-            reference,
-            "cow_fork={cow_fork} workers={workers} diverged"
-        );
-    }
+    assert_eq!(dise_bench::batch_session_jobs(&jobs).len(), 4, "one image per kernel x backend");
+    assert_matches_cells("perturbing sweep", &jobs);
 }
 
 /// The persistent trace store's contract at grid level: a grid run cold
 /// (observer groups *record* their shared passes into the store) and
 /// then warm (the same groups *replay* from the store, executing zero
-/// functional passes) renders byte-identical overheads — against the
-/// traceless reference, across both scheduler paths (thread-per-group
-/// and cooperative, at two slice budgets) and across worker counts 1
-/// and 4, the DISE_SCHED × DISE_JOBS matrix CI sweeps. The knobs are
-/// passed explicitly so one process pins every combination without
-/// racing the environment.
+/// functional passes) renders the cell-by-cell overheads, across worker
+/// counts 1 and 4 and two slice budgets.
 #[test]
 fn traced_grids_are_byte_identical_cold_and_warm() {
     let workloads = all(10);
@@ -204,19 +202,18 @@ fn traced_grids_are_byte_identical_cold_and_warm() {
 
     let dir = std::env::temp_dir().join(format!("dise-grid-determinism-{}", std::process::id()));
     let baselines = BaselineCache::new();
-    let reference = run_overhead_grid_with(&jobs, 1, &baselines, true, None, None);
+    let reference: Vec<Option<f64>> = jobs.iter().map(|c| c.overhead(&baselines)).collect();
 
     // Cold: first traced run records each workload's shared pass.
-    let cold = run_overhead_grid_with(&jobs, 1, &baselines, true, None, Some(&dir));
+    let cold = run_overhead_grid(&jobs, 1, &baselines, DEFAULT_SLICE, Some(&dir));
     assert_eq!(cold, reference, "recording must be invisible in the output");
     let stored = std::fs::read_dir(&dir).expect("store exists").count();
     assert_eq!(stored, 2, "one trace per workload, whatever the member count");
 
-    // Warm: every later run replays, across the scheduler × worker
-    // matrix.
-    for (sched, workers) in [(None, 1), (None, 4), (Some(DEFAULT_SLICE), 1), (Some(777), 4)] {
-        let warm = run_overhead_grid_with(&jobs, workers, &baselines, true, sched, Some(&dir));
-        assert_eq!(warm, reference, "sched={sched:?} workers={workers} warm replay diverged");
+    // Warm: every later run replays, however the grid is run.
+    for (workers, slice) in RUNS {
+        let warm = run_overhead_grid(&jobs, workers, &baselines, slice, Some(&dir));
+        assert_eq!(warm, reference, "workers={workers} slice={slice}: warm replay diverged");
     }
 
     // A damaged store fails the grid loudly — it never silently
@@ -231,7 +228,7 @@ fn traced_grids_are_byte_identical_cold_and_warm() {
     bytes[40] ^= 0x01;
     std::fs::write(&victim, &bytes).expect("rewrite");
     let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_overhead_grid_with(&jobs, 1, &baselines, true, None, Some(&dir))
+        run_overhead_grid(&jobs, 1, &baselines, DEFAULT_SLICE, Some(&dir))
     }))
     .expect_err("a corrupt stored trace must fail the grid, not be papered over");
     let msg = panic.downcast_ref::<String>().cloned().unwrap_or_else(|| {

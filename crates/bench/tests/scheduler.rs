@@ -6,7 +6,7 @@
 //! beyond the fairness pin).
 
 use dise_bench::server::{parse_jobs, serve};
-use dise_bench::{run_overhead_grid_with, SessionJob, DEFAULT_SLICE};
+use dise_bench::{run_overhead_grid, SessionJob, DEFAULT_SLICE};
 use dise_cpu::CpuConfig;
 use dise_debug::{BackendKind, BaselineCache, Scheduler, SessionTask};
 use dise_workloads::{all, transition_cost_sweep, WatchKind};
@@ -57,39 +57,25 @@ fn lcg_budgets(seed: u64, n: usize) -> Vec<u64> {
         .collect()
 }
 
-/// The acceptance bar: the grid is byte-identical with the scheduler
-/// off (`DISE_SCHED=0`'s path) and on, under serial and pooled workers,
-/// batched and unbatched, for random slice budgets and the default.
+/// The acceptance bar: the scheduled grid is byte-identical to the
+/// cell-by-cell reference run without any scheduler
+/// ([`SessionJob::overhead`] per cell), under serial and pooled
+/// workers, for random slice budgets, an odd one that forces mid-block
+/// yields, the default, and an unbounded one.
 #[test]
 fn grid_is_identical_with_and_without_the_scheduler() {
     let cells = mixed_cells(5);
     let baselines = BaselineCache::new();
+    let reference: Vec<Option<f64>> = cells.iter().map(|c| c.overhead(&baselines)).collect();
     let mut budgets = lcg_budgets(0x5EED, 3);
-    budgets.push(DEFAULT_SLICE);
-    budgets.push(u64::MAX);
-    for batching in [false, true] {
-        let reference = run_overhead_grid_with(&cells, 1, &baselines, batching, None, None);
-        for workers in [1, 4] {
-            let legacy = run_overhead_grid_with(&cells, workers, &baselines, batching, None, None);
+    budgets.extend([777, DEFAULT_SLICE, u64::MAX]);
+    for workers in [1, 4] {
+        for &slice in &budgets {
+            let sched = run_overhead_grid(&cells, workers, &baselines, slice, None);
             assert_eq!(
-                reference, legacy,
-                "pre-scheduler grid must not depend on workers (batching={batching})"
+                reference, sched,
+                "scheduler changed the grid (workers={workers}, slice={slice})"
             );
-            for &slice in &budgets {
-                let sched = run_overhead_grid_with(
-                    &cells,
-                    workers,
-                    &baselines,
-                    batching,
-                    Some(slice),
-                    None,
-                );
-                assert_eq!(
-                    reference, sched,
-                    "scheduler changed the grid (batching={batching}, workers={workers}, \
-                     slice={slice})"
-                );
-            }
         }
     }
 }

@@ -58,7 +58,7 @@ impl BackendKind {
 
     /// Split this backend into its *functional* core and the timing
     /// knobs folded into `cpu`, for single-pass multi-config replay
-    /// ([`crate::run_session_batch`]): two cells whose split backends
+    /// ([`crate::SessionTask::batch`]): two cells whose split backends
     /// are equal produce identical functional instruction streams and
     /// may share one functional pass.
     ///

@@ -77,9 +77,8 @@ pub use iwatcher::{Monitor, MonitoredRegion};
 pub use region::DebugRegion;
 pub use sched::{max_wait_slices, preemptions, slices_granted, SchedStats, Scheduler};
 pub use session::{
-    checkpoint_forks, functional_passes, image_loads, run_baseline, run_perturbing_group,
-    run_session, run_session_batch, BaselineCache, DebugError, MachineCheckpoint, ObserverBatch,
-    Session, SessionReport,
+    checkpoint_forks, functional_passes, image_loads, run_baseline, run_session, BaselineCache,
+    DebugError, MachineCheckpoint, ObserverBatch, Session, SessionReport,
 };
 pub use stats::{Transition, TransitionStats};
 pub use strategy::{CheckKind, DiseStrategy, MultiMatch};
@@ -87,7 +86,7 @@ pub use task::{
     fanout_chunks, fanout_chunks_scanned, fanout_chunks_skipped, SessionTask, Step, TaskOutput,
     TaskProgress,
 };
-pub use trace::{app_fingerprint, record_session, replay_from_trace, trace_records, trace_replays};
+pub use trace::{app_fingerprint, record_session, trace_records, trace_replays};
 pub use watch::{Condition, WatchExpr, WatchFilter, WatchState, WatchValue, Watchpoint};
 
 // Callers matching on `DebugError::Trace` need the nested error type.

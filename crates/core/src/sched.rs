@@ -451,10 +451,40 @@ mod tests {
         Application::new(parse_asm(&src).unwrap(), Layout::default())
     }
 
-    fn task(a: &Application) -> SessionTask {
+    fn wp(a: &Application) -> Watchpoint {
         let addr = a.program().unwrap().symbol("watched").unwrap();
-        let wp = Watchpoint::new(WatchExpr::Scalar { addr, width: Width::Q });
-        SessionTask::session(a, vec![wp], BackendKind::VirtualMemory, CpuConfig::default())
+        Watchpoint::new(WatchExpr::Scalar { addr, width: Width::Q })
+    }
+
+    fn task(a: &Application) -> SessionTask {
+        SessionTask::session(a, vec![wp(a)], BackendKind::VirtualMemory, CpuConfig::default())
+    }
+
+    /// A batch whose configurations disagree on the DISE engine settles
+    /// with a typed error at admission, on a worker thread next to a
+    /// healthy task, instead of killing its worker and leaving the
+    /// other waiting on the queue forever.
+    #[test]
+    fn mismatched_engine_batch_settles_without_stalling_the_drain() {
+        let a = app(40);
+        let mut small = CpuConfig::default();
+        small.engine.replacement_entries = 64;
+        let sched = Scheduler::new(16);
+        let bad = sched.spawn(SessionTask::batch(
+            &a,
+            vec![wp(&a)],
+            BackendKind::dise_default(),
+            &[CpuConfig::default(), small],
+        ));
+        let good = sched.spawn(task(&a));
+        let mut outs = sched.drain(2);
+        assert_eq!(outs.len(), 2, "both tasks complete");
+        let (_, good_out) = outs.pop().unwrap();
+        let (bad_id, bad_out) = outs.pop().unwrap();
+        assert_eq!(bad_id, bad);
+        assert_eq!(bad_out.into_batch(), Err(crate::DebugError::MismatchedEngines));
+        let want = task(&a).run_to_completion().into_batch();
+        assert_eq!(good_out.into_batch(), want, "the healthy task {good} is unaffected");
     }
 
     /// Scheduled results equal direct runs, ids line up with spawn

@@ -14,11 +14,10 @@
 //! worker threads without perturbing a single result (the grid
 //! determinism suites in `dise-bench` hold it to that).
 //!
-//! The legacy entry points ([`crate::run_session_batch`],
-//! [`crate::run_perturbing_group`], [`crate::ObserverBatch::run`]) are
-//! now thin wrappers over [`SessionTask::run_to_completion`], so the
-//! scheduled and unscheduled paths share one implementation and cannot
-//! drift apart.
+//! The run-to-completion entry points ([`crate::run_session`],
+//! [`crate::Session`], [`crate::ObserverBatch::run`]) are thin layers
+//! over the same admission and passes, so the scheduled and unscheduled
+//! paths share one implementation and cannot drift apart.
 //!
 //! ## Lifecycle
 //!
@@ -40,8 +39,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dise_asm::Program;
 use dise_cpu::{
-    chunk_capacity_from_env, program_fingerprint, CpuConfig, Event, Exec, ExecChunk, ExecError,
-    Executor, RunStats, TimingBatch, TraceReader, TraceWriter,
+    program_fingerprint, CpuConfig, Event, Exec, ExecChunk, ExecError, Executor, RunStats,
+    TimingBatch, TraceReader, TraceWriter, MAX_BLOCK_STEPS,
 };
 use dise_mem::Memory;
 
@@ -106,15 +105,14 @@ pub struct TaskProgress {
     pub instructions: u64,
 }
 
-/// The finished result of a [`SessionTask`], shaped exactly like the
-/// run-to-completion entry point the task wraps.
+/// The finished result of a [`SessionTask`], one shape per constructor.
 #[derive(Debug)]
 pub enum TaskOutput {
-    /// From [`SessionTask::batch`] / [`SessionTask::session`]: what
-    /// [`crate::run_session_batch`] returns.
+    /// From [`SessionTask::batch`] / [`SessionTask::session`]: one
+    /// report per timing configuration, in `cpus` order.
     Batch(Result<Vec<SessionReport>, DebugError>),
-    /// From [`SessionTask::perturbing_group`]: what
-    /// [`crate::run_perturbing_group`] returns.
+    /// From [`SessionTask::perturbing_group`]: one batch result per
+    /// engine-configuration sub-batch. The outer `Err` is group-wide.
     Group(Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError>),
     /// From [`SessionTask::observer`]: what
     /// [`crate::ObserverBatch::run`] returns.
@@ -171,10 +169,10 @@ impl TaskOutput {
     }
 }
 
-/// A resumable debugging-session continuation: one of the three
-/// run-to-completion shapes ([`crate::run_session_batch`],
-/// [`crate::run_perturbing_group`], [`crate::ObserverBatch`]) driven a
-/// bounded number of instructions per [`SessionTask::poll`].
+/// A resumable debugging-session continuation: a private batch, a
+/// copy-on-write perturbing group, or an observer batch (live, recorded
+/// or replayed), driven a bounded number of instructions per
+/// [`SessionTask::poll`].
 pub struct SessionTask {
     gate: Option<String>,
     progress: u64,
@@ -193,11 +191,11 @@ enum State {
     Finished,
 }
 
-struct BatchSpec {
-    app: Application,
-    watchpoints: Vec<Watchpoint>,
-    backend: BackendKind,
-    cpus: Vec<CpuConfig>,
+pub(crate) struct BatchSpec {
+    pub(crate) app: Application,
+    pub(crate) watchpoints: Vec<Watchpoint>,
+    pub(crate) backend: BackendKind,
+    pub(crate) cpus: Vec<CpuConfig>,
 }
 
 struct GroupSpec {
@@ -223,21 +221,22 @@ struct ReplaySpec {
 
 /// One live functional pass: the machine, its fanned-out timing models,
 /// the backend, and the debugger bookkeeping — everything
-/// [`crate::session::drive`] needs, owned so it survives between polls.
-struct Pass {
-    exec: Executor,
-    timings: TimingBatch,
-    backend: Box<dyn BackendImpl>,
-    watch: WatchState,
-    stats: TransitionStats,
-    error: Option<ExecError>,
-    text_bytes: u64,
+/// [`crate::session::drive`] needs, owned so it survives between polls
+/// (and, inside [`crate::Session`], between checkpoints).
+pub(crate) struct Pass {
+    pub(crate) exec: Executor,
+    pub(crate) timings: TimingBatch,
+    pub(crate) backend: Box<dyn BackendImpl>,
+    pub(crate) watch: WatchState,
+    pub(crate) stats: TransitionStats,
+    pub(crate) error: Option<ExecError>,
+    pub(crate) text_bytes: u64,
 }
 
 impl Pass {
     /// Drive at most `budget` further instructions; returns how many
     /// actually retired (the caller's progress/budget accounting).
-    fn drive_budget(&mut self, budget: u64) -> u64 {
+    pub(crate) fn drive_budget(&mut self, budget: u64) -> u64 {
         let before = self.exec.instructions();
         let error = drive(
             &mut self.exec,
@@ -271,9 +270,12 @@ impl Pass {
 
 /// The perturbing-group continuation: the built backend and program
 /// (static work, done once at admission), the warmed copy-on-write
-/// template, and the cursor over sub-batches. Exactly
-/// `run_perturbing_group`'s loop, with the current sub-batch's pass
-/// lifted into a resumable field.
+/// template, and the cursor over sub-batches, with the current
+/// sub-batch's pass lifted into a resumable field.
+///
+/// A group of K sub-batches costs 1 image load + K copy-on-write forks
+/// where K private batches would cost K loads; each sub-batch is
+/// byte-identical to its own [`SessionTask::batch`].
 struct GroupRun {
     built: Box<dyn BackendImpl>,
     prog: Program,
@@ -313,14 +315,17 @@ impl GroupRun {
             };
             self.next += 1;
             let cfgs: Vec<CpuConfig> = cpus.iter().map(|&c| self.built.cpu_config(c)).collect();
-            let Some((first, rest)) = cfgs.split_first() else {
-                self.out.push(Ok(Vec::new()));
-                continue;
+            let first = match shared_engine(&cfgs) {
+                Ok(Some(first)) => first,
+                Ok(None) => {
+                    self.out.push(Ok(Vec::new()));
+                    continue;
+                }
+                Err(e) => {
+                    self.out.push(Err(e));
+                    continue;
+                }
             };
-            assert!(
-                rest.iter().all(|c| c.engine == first.engine),
-                "batched sessions must agree on the functional (DISE engine) configuration"
-            );
             let template = match &mut self.template {
                 Some(t) => t,
                 None => {
@@ -382,8 +387,8 @@ struct LiveObserver {
 /// transition — so the fan-out consumes each chunk **once per group**
 /// instead of once per member, and a member forks its private copy of
 /// the group state (exactly as of the preceding chunk) at the moment it
-/// first needs to interleave a stall. `DISE_TIMING_SHARE=0` disables
-/// the sharing; every report is byte-identical either way.
+/// first needs to interleave a stall. Every report is byte-identical to
+/// the member's private [`SessionTask::session`].
 enum MemberTiming {
     Shared(usize),
     Private(TimingBatch),
@@ -457,7 +462,7 @@ struct FanOut {
 impl FanOut {
     fn new(groups: Vec<TimingGroup>) -> FanOut {
         FanOut {
-            chunk: ExecChunk::with_capacity(chunk_capacity_from_env()),
+            chunk: ExecChunk::with_capacity(MAX_BLOCK_STEPS),
             hits: Vec::new(),
             pending: vec![false; groups.len()],
             groups,
@@ -725,7 +730,9 @@ impl ReplayRun {
 
 impl SessionTask {
     /// A task for one session under one timing configuration — a batch
-    /// of one, exactly as [`crate::Session`] is internally.
+    /// of one, admitted exactly as [`crate::Session`] is. Driven by the
+    /// plain per-record session loop, this is also the reference every
+    /// shared pass is tested against.
     pub fn session(
         app: &Application,
         watchpoints: Vec<Watchpoint>,
@@ -735,8 +742,17 @@ impl SessionTask {
         SessionTask::batch(app, watchpoints, backend, &[cpu])
     }
 
-    /// A task that will perform [`crate::run_session_batch`]: one
-    /// functional pass under `backend`, accounted against all of `cpus`.
+    /// A task for one functional pass under `backend`, accounted against
+    /// all of `cpus` at once: report `i` is byte-identical to
+    /// [`SessionTask::session`] under `cpus[i]`.
+    ///
+    /// The functional stream depends only on the application, the
+    /// watchpoints, the backend and the DISE engine capacities, so the
+    /// configurations must agree on [`CpuConfig::engine`]; everything
+    /// else (widths, windows, caches, transition costs) may vary. A
+    /// batch that disagrees settles with
+    /// [`DebugError::MismatchedEngines`]. Timing-only backend knobs fold
+    /// into the configuration first with [`BackendKind::split_timing`].
     pub fn batch(
         app: &Application,
         watchpoints: Vec<Watchpoint>,
@@ -751,9 +767,18 @@ impl SessionTask {
         }))
     }
 
-    /// A task that will perform [`crate::run_perturbing_group`]: one
-    /// image load, one copy-on-write fork per engine-configuration
-    /// sub-batch.
+    /// A task for a whole *perturbing* cell group — one workload, one
+    /// watchpoint set, one backend, many engine-configuration
+    /// sub-batches — off one assembled-and-loaded image: validation and
+    /// `build_program` run once, and every sub-batch forks the loaded
+    /// template copy-on-write under its own engine capacities.
+    ///
+    /// The outer `Err` is group-wide (invalid or unsupported
+    /// watchpoints, assembly failure). Per-sub-batch failures — engine
+    /// capacities too small for the productions, or a sub-batch whose
+    /// own configurations disagree on the engine — land in that
+    /// sub-batch's slot, exactly as its private [`SessionTask::batch`]
+    /// would report them.
     pub fn perturbing_group(
         app: &Application,
         watchpoints: Vec<Watchpoint>,
@@ -888,7 +913,10 @@ impl SessionTask {
         }
         match std::mem::replace(&mut self.state, State::Finished) {
             State::PendingBatch(spec) => match admit_batch(spec) {
-                Ok(Some(pass)) => self.state = State::Batch(pass),
+                Ok(Some(pass)) => {
+                    FUNCTIONAL_PASSES.fetch_add(1, Ordering::Relaxed);
+                    self.state = State::Batch(pass);
+                }
                 Ok(None) => return Step::Done(TaskOutput::Batch(Ok(Vec::new()))),
                 Err(e) => return Step::Done(TaskOutput::Batch(Err(e))),
             },
@@ -961,8 +989,7 @@ impl SessionTask {
         Step::Yielded(TaskProgress { instructions: self.progress })
     }
 
-    /// Drive the task to completion in unbounded slices — the legacy
-    /// entry points' implementation.
+    /// Drive the task to completion in unbounded slices.
     ///
     /// # Panics
     ///
@@ -980,27 +1007,38 @@ impl SessionTask {
     }
 }
 
-/// Admission for a batch task: `run_session_batch` up to (and
-/// including) the `FUNCTIONAL_PASSES` tick, stopping short of driving.
-/// `Ok(None)` is the empty-configuration batch (no pass to run).
-fn admit_batch(spec: BatchSpec) -> Result<Option<Pass>, DebugError> {
+/// The configuration a batch's one functional stream runs under: `None`
+/// for an empty batch, and [`DebugError::MismatchedEngines`] when the
+/// configurations disagree on the DISE engine capacities — such cells
+/// execute different streams and can never share a pass.
+fn shared_engine(cfgs: &[CpuConfig]) -> Result<Option<&CpuConfig>, DebugError> {
+    let Some((first, rest)) = cfgs.split_first() else {
+        return Ok(None);
+    };
+    if rest.iter().any(|c| c.engine != first.engine) {
+        return Err(DebugError::MismatchedEngines);
+    }
+    Ok(Some(first))
+}
+
+/// Admission for a batch task (and for [`crate::Session`]): validation,
+/// backend build and the image load, stopping short of driving. The
+/// caller ticks `FUNCTIONAL_PASSES` — a task as it admits, a `Session`
+/// on its first drive. `Ok(None)` is the empty-configuration batch (no
+/// pass to run).
+pub(crate) fn admit_batch(spec: BatchSpec) -> Result<Option<Pass>, DebugError> {
     validate_watchpoints(&spec.watchpoints)?;
     let mut backend = spec.backend.instantiate();
     let prog = backend.build_program(&spec.app, &spec.watchpoints)?;
     let cfgs: Vec<CpuConfig> = spec.cpus.iter().map(|&c| backend.cpu_config(c)).collect();
-    let Some((first, rest)) = cfgs.split_first() else {
+    let Some(first) = shared_engine(&cfgs)? else {
         return Ok(None);
     };
-    assert!(
-        rest.iter().all(|c| c.engine == first.engine),
-        "batched sessions must agree on the functional (DISE engine) configuration"
-    );
     let mut exec = Executor::from_program(&prog, *first);
     IMAGE_LOADS.fetch_add(1, Ordering::Relaxed);
     backend.configure(&mut exec, &spec.watchpoints)?;
     let watch = WatchState::new(&spec.watchpoints, exec.mem());
     let timings = TimingBatch::new(&cfgs);
-    FUNCTIONAL_PASSES.fetch_add(1, Ordering::Relaxed);
     Ok(Some(Pass {
         exec,
         timings,
@@ -1050,7 +1088,7 @@ fn assert_observation_only(members: &[(BackendKind, Vec<Watchpoint>, Vec<CpuConf
         assert!(
             backend.observation_only(),
             "{backend:?} perturbs the functional stream and must replay privately \
-             (run_session_batch)"
+             (SessionTask::batch)"
         );
     }
 }
@@ -1065,7 +1103,6 @@ fn admit_members(
     members: &[(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)],
     mem: &Memory,
 ) -> (Vec<LiveObserver>, Vec<TimingGroup>, Vec<Result<Vec<SessionReport>, DebugError>>) {
-    let share = dise_env::env_flag("DISE_TIMING_SHARE", true);
     let mut results: Vec<Result<Vec<SessionReport>, DebugError>> =
         members.iter().map(|_| Ok(Vec::new())).collect();
     let mut live: Vec<LiveObserver> = Vec::new();
@@ -1077,24 +1114,17 @@ fn admit_members(
             Ok(observer) => {
                 let watch = WatchState::new(watchpoints, mem);
                 let filter = observer.filter(&watch, mem);
-                let timing = if share {
-                    let g = groups.iter().position(|g| g.cfgs == *cpus).unwrap_or_else(|| {
-                        groups.push(TimingGroup {
-                            timings: TimingBatch::new(cpus),
-                            cfgs: cpus.clone(),
-                        });
-                        groups.len() - 1
-                    });
-                    MemberTiming::Shared(g)
-                } else {
-                    MemberTiming::Private(TimingBatch::new(cpus))
-                };
+                let g = groups.iter().position(|g| g.cfgs == *cpus).unwrap_or_else(|| {
+                    groups
+                        .push(TimingGroup { timings: TimingBatch::new(cpus), cfgs: cpus.clone() });
+                    groups.len() - 1
+                });
                 live.push(LiveObserver {
                     member: i,
                     observer,
                     watch,
                     filter,
-                    timing,
+                    timing: MemberTiming::Shared(g),
                     stats: TransitionStats::default(),
                 });
             }
@@ -1174,7 +1204,7 @@ fn admit_replay(spec: ReplaySpec) -> Result<ReplayAdmitted, DebugError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_perturbing_group, run_session_batch, WatchExpr};
+    use crate::WatchExpr;
     use dise_asm::{parse_asm, Layout};
     use dise_isa::Width;
 
@@ -1217,10 +1247,16 @@ mod tests {
         let budgets = [1u64, 7, 23, 97, 512];
 
         let reference_batch =
-            run_session_batch(&a, vec![wp(&a)], BackendKind::dise_default(), &cpus).unwrap();
+            SessionTask::batch(&a, vec![wp(&a)], BackendKind::dise_default(), &cpus)
+                .run_to_completion()
+                .into_batch()
+                .unwrap();
         let batches = vec![cpus.to_vec(), cpus.to_vec()];
         let reference_group =
-            run_perturbing_group(&a, vec![wp(&a)], BackendKind::dise_default(), &batches).unwrap();
+            SessionTask::perturbing_group(&a, vec![wp(&a)], BackendKind::dise_default(), &batches)
+                .run_to_completion()
+                .into_group()
+                .unwrap();
         let members = vec![(BackendKind::VirtualMemory, vec![wp(&a)], cpus.to_vec())];
         let reference_obs =
             SessionTask::observer(&a, members.clone()).run_to_completion().into_observe().unwrap();

@@ -4,12 +4,14 @@
 //! The in-memory [`crate::ObserverBatch`] already shares one functional
 //! pass across watchpoint sets × observing backends × timing
 //! configurations *within* a process. This module extends the economy
-//! *across* processes and runs: [`record_session`] persists the shared
-//! `Exec` stream (delta + run-length compressed, CRC-protected — see
-//! `dise-trace`), and [`replay_from_trace`] runs a whole observer batch
-//! from the stored stream with **zero** functional passes and zero
-//! image loads — pinned by the [`trace_records`] / [`trace_replays`]
-//! counters next to the existing
+//! *across* processes and runs: [`record_session`] and
+//! [`SessionTask::observer_recorded`](crate::SessionTask::observer_recorded)
+//! persist the shared `Exec` stream (delta + run-length compressed,
+//! CRC-protected — see `dise-trace`), and
+//! [`SessionTask::observer_replay`](crate::SessionTask::observer_replay)
+//! runs a whole observer batch from the stored stream with **zero**
+//! functional passes and zero image loads — pinned by the
+//! [`trace_records`] / [`trace_replays`] counters next to the existing
 //! [`functional_passes`](crate::functional_passes) economy counters.
 //!
 //! Replay soundness rests on two facts the conformance suite enforces:
@@ -24,8 +26,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dise_cpu::{program_fingerprint, CpuConfig, Executor, TraceStats, TraceWriter};
 
-use crate::session::{DebugError, SessionReport, FUNCTIONAL_PASSES, IMAGE_LOADS};
-use crate::{Application, BackendKind, SessionTask, Watchpoint};
+use crate::session::{DebugError, FUNCTIONAL_PASSES, IMAGE_LOADS};
+use crate::Application;
 
 /// How many standalone trace recordings this process has performed
 /// ([`record_session`] and every recording observer pass).
@@ -77,29 +79,4 @@ pub fn record_session(app: &Application, trace: &Path) -> Result<TraceStats, Deb
         writer.record(&exec.step());
     }
     Ok(writer.finish()?)
-}
-
-/// Run an observer batch entirely from the stored trace at `trace`:
-/// the moral equivalent of [`crate::ObserverBatch::run`] with zero
-/// functional passes and zero image loads, bit-identical to the live
-/// run. See [`crate::ObserverBatch::run_from_trace`] for the builder
-/// form.
-///
-/// # Errors
-///
-/// The outer `Err` is scenario-wide, exactly as in
-/// [`crate::ObserverBatch::run`], plus [`DebugError::Trace`] when the
-/// trace is stale, corrupt, truncated, or unreadable. Per-member
-/// admission failures land in their own slots.
-///
-/// # Panics
-///
-/// Panics when a member backend is perturbing — perturbing backends
-/// change the functional stream and can never run from a shared trace.
-pub fn replay_from_trace(
-    app: &Application,
-    members: Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)>,
-    trace: &Path,
-) -> Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError> {
-    SessionTask::observer_replay(app, members, trace).run_to_completion().into_observe()
 }

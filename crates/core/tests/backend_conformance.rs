@@ -41,7 +41,7 @@
 //!   standalone error;
 //! * the persistent trace layer: a recorded trace reads back the live
 //!   `Exec` stream **record for record**, and the same batch run
-//!   entirely from the stored trace ([`ObserverBatch::run_from_trace`],
+//!   entirely from the stored trace ([`SessionTask::observer_replay`],
 //!   zero functional passes) equals the live batch bit for bit.
 //!
 //! Scenarios come from `dise_workloads::synthetic` — store scripts
@@ -56,7 +56,8 @@
 use dise_cpu::{CpuConfig, Executor, TraceReader};
 use dise_debug::{
     record_session, run_session, Application, BackendKind, CheckKind, DebugError, DiseStrategy,
-    ObserverBatch, Session, SessionReport, WatchExpr, WatchState, WatchValue, Watchpoint,
+    ObserverBatch, Session, SessionReport, SessionTask, WatchExpr, WatchState, WatchValue,
+    Watchpoint,
 };
 use dise_mem::Memory;
 use dise_workloads::synthetic::{scenario_sets, StoreOp, WatchSpec, SLOTS};
@@ -541,12 +542,10 @@ fn check_scenario(
         reader.next().map_err(|e| TestCaseError::fail(format!("trace end rejected: {e}")))?;
     prop_assert_eq!(trailing, None, "stored stream outlived the live machine");
 
-    let mut replayed = ObserverBatch::new(&app);
-    for (b, set) in &members {
-        replayed.member(*b, (*set).clone(), cpus.clone());
-    }
-    let replayed = replayed
-        .run_from_trace(&trace)
+    let specs = members.iter().map(|(b, set)| (*b, (*set).clone(), cpus.clone())).collect();
+    let replayed = SessionTask::observer_replay(&app, specs, &trace)
+        .run_to_completion()
+        .into_observe()
         .map_err(|e| TestCaseError::fail(format!("trace replay rejected: {e}")))?;
     prop_assert_eq!(
         &replayed,

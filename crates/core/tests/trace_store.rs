@@ -15,10 +15,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use dise_asm::{parse_asm, Layout};
 use dise_cpu::CpuConfig;
 use dise_debug::{
-    record_session, replay_from_trace, Application, BackendKind, DebugError, TraceError, WatchExpr,
-    Watchpoint,
+    record_session, Application, BackendKind, DebugError, SessionReport, SessionTask, TraceError,
+    WatchExpr, Watchpoint,
 };
 use dise_isa::Width;
+
+type Members = Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)>;
+
+/// Run an observer batch entirely from the stored trace at `path`.
+fn replay(
+    a: &Application,
+    members: Members,
+    path: &Path,
+) -> Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError> {
+    SessionTask::observer_replay(a, members, path).run_to_completion().into_observe()
+}
 
 /// Unique scratch path per test (tests share one process and may run
 /// concurrently).
@@ -59,14 +70,14 @@ fn good_trace(name: &str, a: &Application) -> PathBuf {
     let path = scratch(name);
     record_session(a, &path).expect("recording succeeds");
     let members = vec![(BackendKind::VirtualMemory, watch(a), vec![CpuConfig::default()])];
-    let replayed = replay_from_trace(a, members, &path).expect("pristine trace replays");
+    let replayed = replay(a, members, &path).expect("pristine trace replays");
     assert!(replayed[0].is_ok(), "pristine replay runs clean");
     path
 }
 
 fn replay_err(a: &Application, path: &Path) -> DebugError {
     let members = vec![(BackendKind::VirtualMemory, watch(a), vec![CpuConfig::default()])];
-    replay_from_trace(a, members, path).expect_err("damaged trace must be rejected")
+    replay(a, members, path).expect_err("damaged trace must be rejected")
 }
 
 #[test]
@@ -164,7 +175,7 @@ fn rejection_happens_before_any_member_runs() {
         (BackendKind::VirtualMemory, watch(&a), vec![CpuConfig::default()]),
         (BackendKind::hw4(), watch(&a), vec![CpuConfig::default()]),
     ];
-    let err = replay_from_trace(&a, members, &path).expect_err("rejected for every member at once");
+    let err = replay(&a, members, &path).expect_err("rejected for every member at once");
     assert!(matches!(err, DebugError::Trace(_)), "outer error carries the trace failure: {err}");
     let _ = std::fs::remove_file(&path);
 }

@@ -192,21 +192,6 @@ pub struct Exec {
     pub event: Option<Event>,
 }
 
-/// The fixed-capacity chunk size for slice-based `Exec` fan-out,
-/// from `DISE_CHUNK` (default 64, aligned with the decoded-trace
-/// block-cache boundary [`MAX_BLOCK_STEPS`]). Consumers read it once
-/// per run, so a test can vary it between runs with `set_var`.
-///
-/// # Panics
-///
-/// Panics on `DISE_CHUNK=0` (a chunk must hold at least one record)
-/// or an unparsable value — the loud-on-typo contract of `dise-env`.
-pub fn chunk_capacity_from_env() -> usize {
-    let cap: usize = dise_env::env_number("DISE_CHUNK", MAX_BLOCK_STEPS);
-    assert!(cap >= 1, "DISE_CHUNK must be at least 1, got {cap}");
-    cap
-}
-
 /// A cheap digest of one chunk's records, maintained incrementally by
 /// [`ExecChunk::push`]: the union of store footprints (min/max byte
 /// interval plus a 64-bit page-occupancy mask) and whether any record
@@ -426,8 +411,10 @@ enum Mode {
 /// Number of slots in the decoded-instruction cache (power of two).
 const DECODED_SLOTS: usize = 4096;
 
-/// Maximum decoded steps per cached block.
-const MAX_BLOCK_STEPS: usize = 64;
+/// Maximum decoded steps per cached block — and the record capacity of
+/// the `ExecChunk`s the observer fan-out and trace replay dispatch, so
+/// a chunk boundary never splits a replayed block it could have held.
+pub const MAX_BLOCK_STEPS: usize = 64;
 
 /// Granularity of the block invalidation index (power of two). A block
 /// covers at most `MAX_BLOCK_STEPS * 4` bytes, so it spans at most two
@@ -529,9 +516,8 @@ pub struct Executor {
     /// in at build time. Invalidated range-wise by overlapping stores
     /// and code patches, and flushed wholesale by [`Executor::mem_mut`]
     /// and [`Executor::engine_mut`] (production changes alter what a
-    /// block would fuse). The `DISE_BLOCK_CACHE` environment knob (or
-    /// [`Executor::set_block_cache`]) ablates it; the `Exec` stream is
-    /// byte-identical either way.
+    /// block would fuse). [`Executor::set_block_cache`] ablates it; the
+    /// `Exec` stream is byte-identical either way.
     block_cache: bool,
     /// Block arena: live blocks in `Some` slots, invalidated slots
     /// recycled through `free_blocks`. An arena rather than a map so
@@ -574,7 +560,7 @@ impl Executor {
             decoded: vec![None; DECODED_SLOTS],
             decode_hits: 0,
             decode_misses: 0,
-            block_cache: block_cache_from_env(),
+            block_cache: true,
             blocks: Vec::new(),
             block_index: PcMap::default(),
             free_blocks: Vec::new(),
@@ -689,16 +675,16 @@ impl Executor {
         self.block_stats
     }
 
-    /// Whether the block-level decoded-trace cache is enabled (the
-    /// `DISE_BLOCK_CACHE` environment knob, default on).
+    /// Whether the block-level decoded-trace cache is enabled (on for
+    /// every new machine).
     pub fn block_cache_enabled(&self) -> bool {
         self.block_cache
     }
 
-    /// Enable/disable the block cache (the programmatic form of the
-    /// `DISE_BLOCK_CACHE` knob), dropping any cached blocks. The `Exec`
-    /// stream is byte-identical in either state; only the counters and
-    /// the work per step differ.
+    /// Enable/disable the block cache, dropping any cached blocks — the
+    /// reference switch for tests and the block-cache ablation. The
+    /// `Exec` stream is byte-identical in either state; only the
+    /// counters and the work per step differ.
     pub fn set_block_cache(&mut self, enabled: bool) {
         self.block_cache = enabled;
         self.flush_blocks();
@@ -1361,9 +1347,6 @@ impl Executor {
     }
 }
 
-/// The `DISE_BLOCK_CACHE` ablation knob: on by default, `0`/`false`/
-/// `off` disables the block-level decoded-trace cache. Anything else is
-/// a loud error, matching the repo's env-knob conventions.
 /// A frozen snapshot of a whole [`Executor`] — architectural state,
 /// memory (pages shared copy-on-write with the live machine), DISE
 /// engine, replacement context, and decode/block caches. Taking and
@@ -1384,10 +1367,6 @@ impl ExecutorCheckpoint {
     pub fn pc(&self) -> u64 {
         self.state.pc
     }
-}
-
-fn block_cache_from_env() -> bool {
-    dise_env::env_flag("DISE_BLOCK_CACHE", true)
 }
 
 #[inline]

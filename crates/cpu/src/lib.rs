@@ -51,9 +51,8 @@ mod trace;
 
 pub use config::CpuConfig;
 pub use exec::{
-    chunk_capacity_from_env, BlockCacheStats, Branch, BranchKind, ChunkSummary, Event, Exec,
-    ExecChunk, ExecError, Executor, ExecutorCheckpoint, FlushKind, ForkConfigError, MemOp,
-    NUM_REGS,
+    BlockCacheStats, Branch, BranchKind, ChunkSummary, Event, Exec, ExecChunk, ExecError, Executor,
+    ExecutorCheckpoint, FlushKind, ForkConfigError, MemOp, MAX_BLOCK_STEPS, NUM_REGS,
 };
 pub use predictor::{BpredConfig, Predictor};
 pub use timing::{RunStats, Timing, TimingBatch};

@@ -49,7 +49,7 @@ use dise_trace::wire::{apply_delta, delta, read_uvarint, write_uvarint};
 use dise_trace::{read_chunk_file, ring, ChunkWriter, Consumer, TraceError};
 
 use crate::exec::{Branch, BranchKind, Event, Exec, ExecChunk, ExecError, FlushKind, MemOp};
-use crate::{chunk_capacity_from_env, CpuConfig, RunStats, TimingBatch};
+use crate::{CpuConfig, RunStats, TimingBatch, MAX_BLOCK_STEPS};
 
 /// In-flight capacity of the producer→writer ring: large enough that
 /// the session thread almost never stalls on the encoder, small enough
@@ -782,7 +782,7 @@ pub fn replay_timing(
     // Pure timing replay has no observers, so every record is clean:
     // decode whole chunks into one scratch buffer and account each as a
     // slice, models-outer / records-inner.
-    let mut chunk = ExecChunk::with_capacity(chunk_capacity_from_env());
+    let mut chunk = ExecChunk::with_capacity(MAX_BLOCK_STEPS);
     loop {
         let (read, dirty) = reader.next_chunk(&mut chunk, u64::MAX, |_| false)?;
         debug_assert!(dirty.is_none(), "the never-dirty closure returned a record");

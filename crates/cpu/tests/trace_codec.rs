@@ -61,7 +61,7 @@ fn tight_loop_encoding_matches_the_golden_fixture() {
     let path = scratch("tight_loop.dtrc");
     record(&prog, &path);
     let fresh = std::fs::read(&path).expect("recorded trace");
-    if std::env::var_os("DISE_BLESS_TRACE").is_some() {
+    if dise_env::env_flag("DISE_BLESS_TRACE", false) {
         let dest = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/tight_loop.dtrc");
         std::fs::write(&dest, &fresh).expect("bless fixture");
         return;

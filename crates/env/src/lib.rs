@@ -1,19 +1,20 @@
 //! # dise-env — the one parser for every `DISE_*` environment knob
 //!
-//! Every crate in the workspace reads ablation and tuning knobs from
-//! the environment (`DISE_JOBS`, `DISE_ITERS`, `DISE_BLOCK_CACHE`,
-//! `DISE_COW_FORK`, `DISE_CHECKPOINTS`, `DISE_SCHED`, `DISE_SLICE`, …).
-//! The contract is uniform: **a typo must fail loudly**, never silently
-//! fall back to a default the user did not ask for — a mistyped
-//! `DISE_SCHED=ture` that quietly kept the scheduler on would
-//! invalidate an ablation without anyone noticing. This crate holds the
-//! parsers ([`env_number`], [`env_flag`], [`env_string`]) so `dise-cpu`,
-//! `dise-debug` and `dise-bench` cannot drift apart on that contract
-//! (and so the core crates need no dependency on the bench harness,
-//! where the helper first lived).
+//! The `dise-bench` binaries read four knobs from the environment, once,
+//! at startup: `DISE_ITERS` (kernel scale), `DISE_JOBS` (worker
+//! threads), `DISE_SLICE` (scheduler slice budget) and `DISE_TRACE_DIR`
+//! (persistent trace store); a few ablation binaries add their own
+//! (`DISE_SESSIONS`), and the trace-codec golden test reads the
+//! `DISE_BLESS_TRACE` flag. Library code reads none of them —
+//! configuration is passed down explicitly. The contract is uniform:
+//! **a typo must fail loudly**, never silently fall back to a default
+//! the user did not ask for — a mistyped `DISE_ITERS=4O0` that quietly
+//! ran the default scale would invalidate an experiment without anyone
+//! noticing. This crate holds the parsers ([`env_number`],
+//! [`env_flag`], [`env_string`]) so every reader keeps that contract.
 //!
 //! Unset and empty/whitespace-only values mean "use the default" for
-//! both parsers: an empty variable is how shells and CI matrices spell
+//! every parser: an empty variable is how shells and CI matrices spell
 //! "not configured", not a typo.
 
 /// Parse a numeric environment knob, `default` when unset or empty.

@@ -4,7 +4,7 @@
 //! many machine configurations. A sweep declared here is a batch of
 //! [`CpuConfig`]s that differ only in timing parameters, so the grid
 //! runner in `dise-bench` can drive all of them from **one** functional
-//! pass per cell (`dise_debug::run_session_batch`) instead of paying
+//! pass per cell (`dise_debug::SessionTask::batch`) instead of paying
 //! functional replay per grid cell.
 
 use dise_cpu::CpuConfig;

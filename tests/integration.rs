@@ -3,14 +3,14 @@
 //! rests on.
 //!
 //! The session grid is shared across tests and run once, on the
-//! `dise-bench` job-grid worker pool (`DISE_JOBS` to override its
-//! size): the DISE column is needed by three tests, so computing it in
-//! each would triple the bill for the most expensive cells.
+//! `dise-bench` job-grid worker pool sized to the machine's available
+//! parallelism: the DISE column is needed by three tests, so computing
+//! it in each would triple the bill for the most expensive cells.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use dise_bench::run_grid;
+use dise_bench::{default_workers, run_grid_with};
 use dise_repro::cpu::{CpuConfig, RunStats};
 use dise_repro::debug::{
     run_baseline, run_session, BackendKind, DebugError, DiseStrategy, Session, SessionReport,
@@ -49,10 +49,12 @@ fn shared_grid() -> &'static SharedGrid {
                 cells.push((i, kind, "hw", BackendKind::hw4()));
             }
         }
-        let reports =
-            run_grid(&cells, |&(i, kind, _, backend)| run(&workloads[i], kind, backend).unwrap());
-        let baselines =
-            run_grid(&workloads, |w| run_baseline(w.app(), CpuConfig::default()).unwrap());
+        let reports = run_grid_with(&cells, default_workers(), |&(i, kind, _, backend)| {
+            run(&workloads[i], kind, backend).unwrap()
+        });
+        let baselines = run_grid_with(&workloads, default_workers(), |w| {
+            run_baseline(w.app(), CpuConfig::default()).unwrap()
+        });
         SharedGrid {
             baselines,
             reports: cells
@@ -172,7 +174,7 @@ fn spurious_transitions_are_charged() {
 fn sweep_fits_paper_engine_capacity() {
     let w = Workload::gcc(ITERS);
     let counts = [1usize, 4, 16];
-    let reports = run_grid(&counts, |&n| {
+    let reports = run_grid_with(&counts, default_workers(), |&n| {
         run_session(
             w.app(),
             w.sweep_watchpoints(n),
@@ -198,7 +200,7 @@ fn conditional_predicates_never_reach_user() {
             cells.push((i, w.conditional_watchpoint(WatchKind::Warm1), backend));
         }
     }
-    let reports = run_grid(&cells, |(i, wp, backend)| {
+    let reports = run_grid_with(&cells, default_workers(), |(i, wp, backend)| {
         run_session(workloads[*i].app(), vec![*wp], *backend, CpuConfig::default()).unwrap()
     });
     for ((i, _, backend), r) in cells.iter().zip(&reports) {
@@ -218,7 +220,7 @@ fn conditional_predicates_never_reach_user() {
 fn debugging_preserves_application_semantics() {
     let workloads = all(ITERS);
     let probes = ["hot", "warm1", "warm2", "cold"];
-    let expected = run_grid(&workloads, |w| {
+    let expected = run_grid_with(&workloads, default_workers(), |w| {
         let prog = w.app().program().unwrap();
         let mut m = dise_repro::cpu::Machine::from_program(&prog);
         m.run();
@@ -238,7 +240,7 @@ fn debugging_preserves_application_semantics() {
             cells.push((i, backend));
         }
     }
-    let finals = run_grid(&cells, |&(i, backend)| {
+    let finals = run_grid_with(&cells, default_workers(), |&(i, backend)| {
         let w = &workloads[i];
         let prog = w.app().program().unwrap();
         let session = Session::new(w.app(), vec![w.watchpoint(WatchKind::Hot)], backend).unwrap();

@@ -541,21 +541,23 @@ proptest! {
 
     /// Chunked fan-out byte-identity, on the filter's hardest case:
     /// random kernels whose indirect watchpoint's pointer cell is
-    /// retargeted mid-chunk. For every chunk size — including across
-    /// arbitrary poll-budget slicings and the trace record/replay path —
-    /// the three-member observer batch must report byte-identically to
-    /// `DISE_CHUNK=1` (the per-record fan-out), and the chunk-skip
-    /// counters must conserve: every (member, chunk) pair is skipped or
-    /// scanned, never both, never neither.
+    /// retargeted mid-chunk. Random poll budgets cut chunks at
+    /// arbitrary records, so every chunk size up to the capacity occurs.
+    /// Live, recorded and replayed from the trace, the three-member
+    /// observer batch must report byte-identically to the oracle — each
+    /// member's private per-record `SessionTask::session`, one per
+    /// config — and the chunk-skip counters must conserve: every
+    /// (member, chunk) pair is skipped or scanned, never both, never
+    /// neither.
     #[test]
     fn chunked_fanout_is_byte_identical_for_every_chunk_size(
         actions in prop::collection::vec(any_watch_action(), 1..40),
-        cap in 2u64..96,
         budget in 1u64..64,
+        replay_budget in 1u64..200,
     ) {
         use dise_repro::debug::{
             fanout_chunks, fanout_chunks_scanned, fanout_chunks_skipped, Application, BackendKind,
-            SessionTask, Step, WatchExpr, Watchpoint,
+            DebugError, SessionReport, SessionTask, Step, TaskOutput, WatchExpr, Watchpoint,
         };
 
         let app = Application::new(watched_pointer_asm(&actions), Layout::default());
@@ -579,39 +581,48 @@ proptest! {
                 cpus,
             ),
         ];
-        let run = |chunk: u64, budget: u64| {
-            std::env::set_var("DISE_CHUNK", chunk.to_string());
-            let mut task = SessionTask::observer(&app, members.clone());
-            let out = loop {
+        let drain = |mut task: SessionTask, budget: u64| -> TaskOutput {
+            loop {
                 match task.poll(budget) {
-                    Step::Done(out) => break out,
+                    Step::Done(out) => return out,
                     Step::Yielded(_) => {}
                     Step::Blocked(r) => panic!("ungated task blocked: {r}"),
                 }
-            };
-            out.into_observe().unwrap()
+            }
+        };
+
+        // The oracle: every member's private per-record session, per
+        // config.
+        let oracle: Vec<Result<Vec<SessionReport>, DebugError>> = members
+            .iter()
+            .map(|(backend, wps, cpus)| {
+                cpus.iter()
+                    .map(|&cpu| {
+                        SessionTask::session(&app, wps.clone(), *backend, cpu)
+                            .run_to_completion()
+                            .into_batch()
+                            .map(|mut reports| reports.remove(0))
+                    })
+                    .collect()
+            })
+            .collect();
+        let observe = |budget: u64| {
+            drain(SessionTask::observer(&app, members.clone()), budget).into_observe().unwrap()
         };
 
         let (c0, s0, k0) = (fanout_chunks(), fanout_chunks_scanned(), fanout_chunks_skipped());
-        let reference = run(1, u64::MAX);
+        let live = observe(u64::MAX);
         let (dc, ds, dk) = (
             fanout_chunks() - c0,
             fanout_chunks_scanned() - s0,
             fanout_chunks_skipped() - k0,
         );
         prop_assert_eq!(ds + dk, 3 * dc, "every (member, chunk) pair is scanned xor skipped");
+        prop_assert_eq!(&live, &oracle, "the live fan-out diverged from the private sessions");
+        prop_assert_eq!(&observe(budget), &oracle, "budget {} diverged", budget);
 
-        prop_assert_eq!(&run(cap, u64::MAX), &reference, "chunk size {} diverged", cap);
-        prop_assert_eq!(&run(cap, budget), &reference, "budget-sliced chunk {} diverged", cap);
-
-        // Copy-on-write timing groups must be invisible: disabling the
-        // sharing changes nothing but speed.
-        std::env::set_var("DISE_TIMING_SHARE", "0");
-        prop_assert_eq!(&run(cap, u64::MAX), &reference, "private timing diverged");
-        std::env::remove_var("DISE_TIMING_SHARE");
-
-        // The trace path: record at the large chunk size, replay at
-        // both extremes — all byte-identical to the per-record run.
+        // The trace path: record under one slicing, replay under another
+        // and unsliced — all byte-identical to the private sessions.
         let dir = std::env::temp_dir().join(format!("dise-fanout-prop-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         static UNIQUE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -619,21 +630,16 @@ proptest! {
             "{}.dtrc",
             UNIQUE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
-        std::env::set_var("DISE_CHUNK", cap.to_string());
-        let recorded = SessionTask::observer_recorded(&app, members.clone(), &trace)
-            .run_to_completion()
+        let recorded = drain(SessionTask::observer_recorded(&app, members.clone(), &trace), budget)
             .into_observe()
             .unwrap();
-        prop_assert_eq!(&recorded, &reference, "recording pass diverged");
-        for replay_chunk in [1, cap] {
-            std::env::set_var("DISE_CHUNK", replay_chunk.to_string());
-            let replayed = SessionTask::observer_replay(&app, members.clone(), &trace)
-                .run_to_completion()
+        prop_assert_eq!(&recorded, &oracle, "recording pass diverged");
+        for b in [replay_budget, u64::MAX] {
+            let replayed = drain(SessionTask::observer_replay(&app, members.clone(), &trace), b)
                 .into_observe()
                 .unwrap();
-            prop_assert_eq!(&replayed, &reference, "replay at chunk {} diverged", replay_chunk);
+            prop_assert_eq!(&replayed, &oracle, "replay at budget {} diverged", b);
         }
-        std::env::remove_var("DISE_CHUNK");
         let _ = std::fs::remove_file(&trace);
     }
 }

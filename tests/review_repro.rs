@@ -1,8 +1,12 @@
-//! Reviewer repro: clean-prefix flush after a dirty retargeting record.
+//! Regression: the clean prefix buffered before a dirty retargeting
+//! record must be flushed — and scanned against the filters as they
+//! stood — before the retarget is observed.
 
 use dise_repro::asm::{Asm, Layout};
 use dise_repro::cpu::CpuConfig;
-use dise_repro::debug::{Application, BackendKind, SessionTask, Step, WatchExpr, Watchpoint};
+use dise_repro::debug::{
+    Application, BackendKind, DebugError, SessionReport, SessionTask, Step, WatchExpr, Watchpoint,
+};
 use dise_repro::isa::{Instr, Reg, Width};
 
 fn kernel() -> Asm {
@@ -52,19 +56,26 @@ fn clean_prefix_scan_after_dirty_retarget() {
             cpus.clone(),
         ),
     ];
-    let run = |chunk: u64| {
-        std::env::set_var("DISE_CHUNK", chunk.to_string());
+    // The oracle: each member's private per-record session.
+    let oracle: Vec<Result<Vec<SessionReport>, DebugError>> = members
+        .iter()
+        .map(|(backend, wps, cpus)| {
+            SessionTask::session(&app, wps.clone(), *backend, cpus[0])
+                .run_to_completion()
+                .into_batch()
+        })
+        .collect();
+    // Unsliced, the whole kernel is one chunk around the dirty records;
+    // budgets of one and three cut it at every record and mid-prefix.
+    for budget in [u64::MAX, 1, 3] {
         let mut task = SessionTask::observer(&app, members.clone());
         let out = loop {
-            match task.poll(u64::MAX) {
+            match task.poll(budget) {
                 Step::Done(out) => break out,
                 Step::Yielded(_) => {}
                 Step::Blocked(r) => panic!("blocked: {r}"),
             }
         };
-        out.into_observe().unwrap()
-    };
-    let reference = run(1);
-    let chunked = run(64);
-    assert_eq!(chunked, reference, "chunked fan-out diverged from per-record");
+        assert_eq!(out.into_observe().unwrap(), oracle, "budget {budget}: fan-out diverged");
+    }
 }
