@@ -1,11 +1,12 @@
 //! Criterion microbenchmarks of the simulator's hot paths: DISE
 //! expansion, cache access, branch prediction, functional execution and
-//! the full timing pipeline.
+//! the timing model — its steady-state per-record cost and, apart from
+//! it, the cost of building one.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use dise_asm::{parse_asm, Layout};
-use dise_cpu::{CpuConfig, Executor, Machine, Predictor};
+use dise_cpu::{CpuConfig, Exec, Executor, Predictor, Timing};
 use dise_engine::{Engine, Pattern, Production, TemplateInst};
 use dise_isa::{decode, encode, Instr, OpClass, Reg, Width};
 use dise_mem::{Cache, CacheConfig, MemConfig, MemSystem};
@@ -69,6 +70,16 @@ fn bench_cache(c: &mut Criterion) {
             sys.data_access(black_box(addr), false)
         })
     });
+    // Consecutive quads of one line: every access after the first
+    // repeats the last line resolved.
+    g.bench_function("hierarchy_repeat_line", |b| {
+        let mut sys = MemSystem::new(MemConfig::default());
+        let mut addr = 0u64;
+        b.iter(|| {
+            addr = (addr + 8) & 0x3f;
+            sys.data_access(black_box(0x4000 + addr), false)
+        })
+    });
     g.finish();
 }
 
@@ -111,13 +122,25 @@ fn bench_pipeline(c: &mut Criterion) {
             n
         })
     });
-    g.bench_function("timed", |b| {
+    // The recorded stream, replayed through one long-lived model: the
+    // per-record cost of timing alone, with construction kept out.
+    let mut exec = Executor::from_program(&prog, CpuConfig::default());
+    let mut stream: Vec<Exec> = Vec::new();
+    while !exec.is_halted() {
+        stream.push(exec.step());
+    }
+    g.throughput(Throughput::Elements(stream.len() as u64));
+    g.bench_function("timed_stream", |b| {
+        let mut t = Timing::new(CpuConfig::default());
         b.iter(|| {
-            let mut m = Machine::from_program(&prog);
-            m.run().cycles
+            for e in &stream {
+                t.consume(e);
+            }
+            t.cycles()
         })
     });
     g.finish();
+    c.bench_function("cpu/timing_new", |b| b.iter(|| Timing::new(black_box(CpuConfig::default()))));
 }
 
 criterion_group! {

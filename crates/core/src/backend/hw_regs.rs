@@ -32,12 +32,8 @@ fn plan(registers: usize, wps: &[Watchpoint]) -> Result<(Vec<u64>, Vec<u64>), De
     for w in wps {
         match w.expr {
             WatchExpr::Scalar { addr, width } => {
-                let mut q = addr & !7;
-                let mut span = Vec::new();
-                while q < addr + width.bytes() {
-                    span.push(q);
-                    q += 8;
-                }
+                let (lo, hi) = quad_span(addr, width.bytes());
+                let span: &[u64] = if lo == hi { &[lo] } else { &[lo, hi] };
                 if quads.len() + span.len() <= registers {
                     quads.extend(span);
                 } else {
@@ -61,11 +57,18 @@ fn plan(registers: usize, wps: &[Watchpoint]) -> Result<(Vec<u64>, Vec<u64>), De
     Ok((quads, watched_pages(&overflow)?))
 }
 
+/// The first and last quad-aligned addresses an access of at most 8
+/// bytes covers (equal unless it straddles). Addresses wrap as the
+/// executor's do: an access at `u64::MAX - 3` covers the top quad and
+/// quad 0.
+fn quad_span(addr: u64, width: u64) -> (u64, u64) {
+    (addr & !7, addr.wrapping_add(width.max(1) - 1) & !7)
+}
+
 /// Does a store's quad-aligned footprint cover a loaded comparator?
 fn comparator_hit(quads: &[u64], m: &MemOp) -> bool {
-    let lo = m.addr & !7;
-    let hi = (m.addr + m.width - 1) & !7;
-    quads.iter().any(|&q| q >= lo && q <= hi)
+    let (lo, hi) = quad_span(m.addr, m.width);
+    quads.iter().any(|&q| q == lo || q == hi)
 }
 
 #[derive(Clone, Debug)]
@@ -172,5 +175,38 @@ impl ObserverImpl for HwObserver {
         let mut intervals: Vec<(u64, u64)> = self.quads.iter().map(|&q| (q, 8)).collect();
         intervals.extend(self.fallback_pages.iter().map(|&p| (p, dise_mem::PAGE_SIZE)));
         WatchFilter::new(intervals, false)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dise_isa::Width;
+
+    fn store(addr: u64, width: u64) -> MemOp {
+        MemOp { addr, width, is_store: true, old_value: 0, new_value: 1 }
+    }
+
+    /// `lda r1,-4(zero); stq r2,0(r1)` stores at `u64::MAX - 3`: the
+    /// last four bytes of memory and the first four.
+    #[test]
+    fn wrapping_store_hits_both_quads_it_covers() {
+        let wrapping = store(u64::MAX - 3, 8);
+        assert!(comparator_hit(&[u64::MAX - 7], &wrapping), "top quad");
+        assert!(comparator_hit(&[0], &wrapping), "quad 0, past the wrap");
+        assert!(!comparator_hit(&[8, u64::MAX - 15], &wrapping), "neighbours");
+        assert!(comparator_hit(&[0x108], &store(0x104, 8)), "straddling store, second quad");
+        assert!(!comparator_hit(&[0x108], &store(0x100, 8)));
+    }
+
+    #[test]
+    fn scalar_at_the_top_of_memory_plans_its_quads() {
+        let at = |addr, width| Watchpoint::new(WatchExpr::Scalar { addr, width });
+        let (quads, pages) = plan(4, &[at(u64::MAX - 7, Width::Q)]).unwrap();
+        assert_eq!((quads, pages), (vec![u64::MAX - 7], vec![]));
+        let (quads, _) = plan(4, &[at(u64::MAX - 3, Width::Q)]).unwrap();
+        assert_eq!(quads, vec![u64::MAX - 7, 0]);
+        let (quads, _) = plan(4, &[at(0x1004, Width::L)]).unwrap();
+        assert_eq!(quads, vec![0x1000]);
     }
 }

@@ -2,6 +2,7 @@
 
 /// Predictor geometry. Defaults are the paper's: an 8K-entry hybrid
 /// predictor and a 2K-entry BTB (plus a conventional 16-deep RAS).
+/// Table sizes must be powers of two.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BpredConfig {
     /// Entries in the bimodal table.
@@ -52,7 +53,12 @@ pub struct Predictor {
     chooser: Vec<u8>,
     history: u64,
     btb: Vec<Option<(u64, u64)>>, // (tag=pc, target)
+    /// Return-address ring: the next push writes `ras[ras_top]`, and the
+    /// `ras_len` slots below it (wrapping) hold the stack, so a push
+    /// onto a full stack overwrites the oldest entry.
     ras: Vec<u64>,
+    ras_top: usize,
+    ras_len: usize,
     /// Direction predictions made / direction mispredicts.
     pub dir_predictions: u64,
     /// Direction mispredicts.
@@ -61,7 +67,23 @@ pub struct Predictor {
 
 impl Predictor {
     /// Build an empty predictor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a table size (bimodal, gshare, chooser or BTB entries)
+    /// is not a power of two.
     pub fn new(config: BpredConfig) -> Predictor {
+        for (table, entries) in [
+            ("bimodal", config.bimodal_entries),
+            ("gshare", config.gshare_entries),
+            ("chooser", config.chooser_entries),
+            ("BTB", config.btb_entries),
+        ] {
+            assert!(
+                entries.is_power_of_two(),
+                "{table} entries must be a power of two, got {entries}"
+            );
+        }
         Predictor {
             config,
             bimodal: vec![1; config.bimodal_entries],
@@ -69,7 +91,9 @@ impl Predictor {
             chooser: vec![2; config.chooser_entries],
             history: 0,
             btb: vec![None; config.btb_entries],
-            ras: Vec::with_capacity(config.ras_depth),
+            ras: vec![0; config.ras_depth],
+            ras_top: 0,
+            ras_len: 0,
             dir_predictions: 0,
             dir_mispredicts: 0,
         }
@@ -77,17 +101,17 @@ impl Predictor {
 
     #[inline]
     fn bimodal_idx(&self, pc: u64) -> usize {
-        ((pc >> 2) as usize) % self.config.bimodal_entries
+        ((pc >> 2) as usize) & (self.config.bimodal_entries - 1)
     }
 
     #[inline]
     fn gshare_idx(&self, pc: u64) -> usize {
-        (((pc >> 2) ^ self.history) as usize) % self.config.gshare_entries
+        (((pc >> 2) ^ self.history) as usize) & (self.config.gshare_entries - 1)
     }
 
     #[inline]
     fn chooser_idx(&self, pc: u64) -> usize {
-        ((pc >> 2) as usize) % self.config.chooser_entries
+        ((pc >> 2) as usize) & (self.config.chooser_entries - 1)
     }
 
     /// Predict the direction of the conditional branch at `pc`, then
@@ -123,7 +147,7 @@ impl Predictor {
     /// Predict the target of the indirect jump at `pc`, then install the
     /// actual target. Returns `true` when the predicted target matched.
     pub fn predict_indirect(&mut self, pc: u64, actual: u64) -> bool {
-        let idx = ((pc >> 2) as usize) % self.config.btb_entries;
+        let idx = ((pc >> 2) as usize) & (self.config.btb_entries - 1);
         let hit = matches!(self.btb[idx], Some((tag, t)) if tag == pc && t == actual);
         self.btb[idx] = Some((pc, actual));
         hit
@@ -131,16 +155,20 @@ impl Predictor {
 
     /// Record a call: push the return address.
     pub fn push_return(&mut self, return_addr: u64) {
-        if self.ras.len() == self.config.ras_depth {
-            self.ras.remove(0);
-        }
-        self.ras.push(return_addr);
+        self.ras[self.ras_top] = return_addr;
+        self.ras_top = if self.ras_top + 1 == self.ras.len() { 0 } else { self.ras_top + 1 };
+        self.ras_len = (self.ras_len + 1).min(self.ras.len());
     }
 
     /// Predict a return: pop and compare. Returns `true` on a correct
     /// prediction.
     pub fn predict_return(&mut self, actual: u64) -> bool {
-        self.ras.pop() == Some(actual)
+        if self.ras_len == 0 {
+            return false;
+        }
+        self.ras_len -= 1;
+        self.ras_top = self.ras_top.checked_sub(1).unwrap_or(self.ras.len() - 1);
+        self.ras[self.ras_top] == actual
     }
 
     /// Direction-misprediction rate over the run.
@@ -214,5 +242,18 @@ mod tests {
         assert!(p.predict_return(3));
         assert!(p.predict_return(2));
         assert!(!p.predict_return(1));
+    }
+
+    #[test]
+    fn non_power_of_two_tables_are_rejected() {
+        for cfg in [
+            BpredConfig { bimodal_entries: 6000, ..BpredConfig::default() },
+            BpredConfig { gshare_entries: 0, ..BpredConfig::default() },
+            BpredConfig { chooser_entries: 3, ..BpredConfig::default() },
+            BpredConfig { btb_entries: 2000, ..BpredConfig::default() },
+        ] {
+            let built = std::panic::catch_unwind(|| Predictor::new(cfg));
+            assert!(built.is_err(), "{cfg:?} must be rejected");
+        }
     }
 }

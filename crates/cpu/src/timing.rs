@@ -22,77 +22,262 @@
 //!   and conventional branches inside replacement sequences all refill
 //!   the front end; debugger transitions stall it for
 //!   [`CpuConfig::debugger_transition_cost`] cycles.
+//!
+//! Every piece of per-model state has a size fixed by the
+//! [`CpuConfig`] at construction: the ROB and RS are one ring of the
+//! latest instructions' issue and commit cycles (see `Timing::recent`),
+//! the port-usage window is sized by the span bound on
+//! [`use_window_slots`], and the store table keeps only the entries
+//! that can still delay a load (see [`StoreTable`]). Nothing grows with
+//! the length of the run or the size of its store footprint.
+//!
+//! The accounting rests on one monotonic quantity, the front end's
+//! cycle `F`: it never moves backwards, and every instruction becomes
+//! ready no earlier than `F + 1` at its dispatch. State tagged at or
+//! below `F + 1` therefore can never influence a later instruction,
+//! which is what lets the windows and the store table forget it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use dise_isa::Instr;
+use dise_isa::{AluOp, Instr};
 use dise_mem::{AddrHasher, MemSystem};
 
-use crate::exec::{BranchKind, Exec, FlushKind};
+use crate::exec::{BranchKind, Exec, FlushKind, MemOp};
 use crate::{CpuConfig, Predictor};
 
-/// Store-dependence map keyed by quadword address, with `dise-mem`'s
-/// multiply-fold hasher — SipHash shows up at the top of session
-/// profiles and simulator addresses need spread, not DoS resistance.
+/// Spilled store-dependence entries keyed by quadword, with
+/// `dise-mem`'s multiply-fold hasher: simulator addresses need spread,
+/// not DoS resistance.
 type AddrMap = HashMap<u64, u64, BuildHasherDefault<AddrHasher>>;
 
-/// Slots in a [`UseTable`] window. Must exceed the widest possible span
-/// between the front end's current cycle and the farthest-out
-/// reservation, which is bounded by the in-flight window (ROB entries ×
-/// worst-case memory latency ≈ 13K cycles); 128K slots leave an order
-/// of magnitude of slack, enforced by an assert on slot reuse.
-const USE_SLOTS: usize = 1 << 17;
+/// The two per-cycle resources an instruction reserves.
+#[derive(Clone, Copy, Debug)]
+enum Port {
+    /// One of `width` issue slots.
+    Issue,
+    /// One of `mem_ports` data-cache ports.
+    Mem,
+}
 
-/// Per-cycle resource-usage counters, held in a direct-mapped,
-/// cycle-tagged sliding window instead of a `HashMap` — `reserve` is
-/// executed once or twice per instruction and dominated session
-/// profiles under hashing.
+/// One cycle's usage: issue slots and memory ports taken. The counts
+/// never exceed the window's instruction count, so `u32` holds them.
+#[derive(Clone, Copy, Debug, Default)]
+struct CycleUse {
+    cycle: u64,
+    issue: u32,
+    mem: u32,
+}
+
+impl CycleUse {
+    #[inline]
+    fn count(&mut self, port: Port) -> &mut u32 {
+        match port {
+            Port::Issue => &mut self.issue,
+            Port::Mem => &mut self.mem,
+        }
+    }
+}
+
+/// Per-cycle resource-usage counters for both ports, held in one
+/// direct-mapped, cycle-tagged sliding window of `(cycle, issue, mem)`
+/// slots: a memory operation's port is usually reserved in the cycle
+/// it issues, so both counters share a cache line.
 ///
 /// A slot whose tag differs from the probed cycle belongs to a cycle
 /// the pipeline has already drained past (every future probe starts at
 /// or after the front end's cycle, which only advances), so it is
-/// reclaimed by overwriting.
+/// reclaimed by overwriting, both counts at once. That holds only while
+/// every live reservation lies within one window's length of the front
+/// end, which [`use_window_slots`] guarantees and `reserve` asserts. No
+/// reservation is ever made at cycle 0 (every instruction is ready at
+/// dispatch + 1 at the earliest), so a zeroed slot is an unused one.
 #[derive(Clone, Debug)]
 struct UseTable {
-    /// Cycle owning each slot (`u64::MAX` = never used).
-    tags: Vec<u64>,
-    /// Reservations taken in the owning cycle.
-    counts: Vec<u64>,
+    slots: Box<[CycleUse]>,
 }
 
 impl UseTable {
-    fn new() -> UseTable {
-        UseTable { tags: vec![u64::MAX; USE_SLOTS], counts: vec![0; USE_SLOTS] }
+    /// A window of `slots` cycles (a power of two).
+    fn new(slots: usize) -> UseTable {
+        assert!(slots.is_power_of_two(), "usage window must be a power of two");
+        UseTable { slots: vec![CycleUse::default(); slots].into_boxed_slice() }
     }
 
-    /// Find the earliest cycle ≥ `ready` with a free slot (capacity
+    /// Find the earliest cycle ≥ `ready` with a free `port` (capacity
     /// `cap` per cycle) and reserve it. `live_floor` is a lower bound on
     /// every future `ready`; reclaiming a slot tagged at or above it
     /// would corrupt a reservation that can still be probed.
     #[inline]
-    fn reserve(&mut self, cap: u64, ready: u64, live_floor: u64) -> u64 {
+    fn reserve(&mut self, port: Port, cap: u64, ready: u64, live_floor: u64) -> u64 {
+        let mask = self.slots.len() - 1;
         let mut c = ready;
         loop {
-            let slot = (c as usize) & (USE_SLOTS - 1);
-            if self.tags[slot] == c {
-                if self.counts[slot] < cap {
-                    self.counts[slot] += 1;
-                    return c;
-                }
-                c += 1;
-                continue;
+            let slot = &mut self.slots[(c as usize) & mask];
+            if slot.cycle != c {
+                assert!(
+                    slot.cycle < live_floor,
+                    "usage window wrapped onto a live cycle: slot cycle {} vs floor {live_floor}",
+                    slot.cycle,
+                );
+                *slot = CycleUse { cycle: c, ..CycleUse::default() };
+                *slot.count(port) = 1;
+                return c;
             }
-            assert!(
-                self.tags[slot] == u64::MAX || self.tags[slot] < live_floor,
-                "usage window wrapped onto a live cycle: slot cycle {} vs floor {live_floor}",
-                self.tags[slot],
-            );
-            self.tags[slot] = c;
-            self.counts[slot] = 1;
-            return c;
+            let taken = slot.count(port);
+            if u64::from(*taken) < cap {
+                *taken += 1;
+                return c;
+            }
+            c += 1;
         }
     }
+}
+
+/// Slots in the [`UseTable`] window: a power of two at least 25%
+/// above the widest span a live reservation can have ahead of the front
+/// end's cycle `F`.
+///
+/// The span bound. Let `W = min(rob_entries, rs_entries)` and let `L`
+/// be the worst execution latency: an L1 + TLB miss + memory (or L2)
+/// data access, or the slowest ALU operation.
+///
+/// * An instruction dispatches only once the instruction `rs_entries`
+///   before it has issued and the one `rob_entries` before it has
+///   committed, and dispatch never passes `F`. So at most `W`
+///   instructions — the window — have issued, or will issue, after
+///   `F`, and only they hold reservations after `F`: one issue slot and
+///   at most one memory port each.
+/// * The latest reservation ends a dependence chain. Walk it back to
+///   the last link that became ready no later than `F + 1` (its
+///   dispatch bound); every later link waited for its predecessor, so
+///   issued after `F`, so sits in the window: the chain has at most
+///   `W + 1` links. Each link adds its latency (≤ `L`) plus the cycles
+///   it waited for a free port. Those waits cover disjoint cycle
+///   ranges, and each waited-on cycle after `F` is full of window
+///   reservations, so all the waits together add at most
+///   `W / width + W / mem_ports` cycles.
+///
+/// Every probe and every live reservation therefore lies in
+/// `[F + 1, F + 1 + (W + 1)·L + W/width + W/mem_ports]`. For
+/// `CpuConfig::default()` that is 10,834 cycles, so the window holds
+/// 16,384 slots (256 KB). `UseTable::reserve` still asserts that it
+/// never reclaims a live slot.
+fn use_window_slots(cfg: &CpuConfig) -> usize {
+    let m = &cfg.mem;
+    let data = m.l1_latency + m.tlb_miss_penalty + m.l2_latency.max(m.mem_latency);
+    let alu = AluOp::ALL.iter().map(|op| op.latency()).max().unwrap_or(1);
+    let worst = data.max(alu).max(1);
+    let window = cfg.rob_entries.min(cfg.rs_entries) as u64;
+    let span = 1
+        + (window + 1).saturating_mul(worst)
+        + window / cfg.width.max(1)
+        + window / cfg.mem_ports.max(1);
+    let slack = span.saturating_add(span / 4);
+    usize::try_from(slack).expect("usage window fits in memory").next_power_of_two()
+}
+
+/// Quad number of a [`StoreTable`] slot that holds no entry. Real quad
+/// numbers are addresses shifted right by 3, so they never reach it.
+const NO_QUAD: u64 = u64::MAX;
+
+/// Spill sizes below this never trigger a prune.
+const MIN_PRUNE: usize = 64;
+
+/// The ready cycle of the latest store to each quadword, kept only
+/// while it can still delay a load.
+///
+/// An entry whose ready cycle is at most `F + 1` can never raise a
+/// later load's ready cycle: every later load becomes ready no earlier
+/// than its dispatch + 1 ≥ `F + 1`, and `F` only grows. Such entries
+/// are dead and may be dropped. A live entry belongs to one of the
+/// last `rob_entries` instructions (every older one committed by `F`,
+/// and a store's ready cycle is its completion, which precedes its
+/// commit), so at most two quads per ROB entry are live.
+///
+/// Entries sit in a direct-mapped table of `(quad, ready)` slots. A
+/// store whose slot holds a dead entry (or none) takes it over; a
+/// store whose slot holds another live quad goes to a spill map
+/// instead. A quad is in at most one of the two places, so a lookup
+/// checks its slot, then the spill map when that is non-empty. The
+/// spill map is pruned of dead entries whenever it doubles past its
+/// last pruned size, which keeps it within a small multiple of the
+/// live count.
+#[derive(Clone, Debug)]
+struct StoreTable {
+    /// `(quad, ready cycle)`; `NO_QUAD` marks an empty slot.
+    slots: Box<[(u64, u64)]>,
+    /// `64 - log2(slots)`: the slot index is the top bits of a
+    /// Fibonacci hash of the quad number.
+    shift: u32,
+    /// Live entries whose slot holds another live quad.
+    spill: AddrMap,
+    /// Spill size that triggers the next prune.
+    prune_at: usize,
+}
+
+impl StoreTable {
+    /// Four slots per ROB entry: twice the most quads that can be live.
+    fn new(rob_entries: usize) -> StoreTable {
+        let slots = (4 * rob_entries).next_power_of_two().max(2);
+        StoreTable {
+            slots: vec![(NO_QUAD, 0); slots].into_boxed_slice(),
+            shift: 64 - slots.trailing_zeros(),
+            spill: AddrMap::default(),
+            prune_at: MIN_PRUNE,
+        }
+    }
+
+    #[inline]
+    fn index(&self, quad: u64) -> usize {
+        (quad.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// Ready cycle of the latest store to `quad`, or 0 when none can
+    /// still delay a load.
+    #[inline]
+    fn ready(&self, quad: u64) -> u64 {
+        let (q, ready) = self.slots[self.index(quad)];
+        if q == quad {
+            ready
+        } else if self.spill.is_empty() {
+            0
+        } else {
+            self.spill.get(&quad).copied().unwrap_or(0)
+        }
+    }
+
+    /// Record a store to `quad` completing at `ready`; entries at or
+    /// below `floor` (`F + 1`) are dead.
+    #[inline]
+    fn record(&mut self, quad: u64, ready: u64, floor: u64) {
+        let i = self.index(quad);
+        let slot = &mut self.slots[i];
+        if slot.0 == quad {
+            slot.1 = ready;
+        } else if slot.1 <= floor {
+            *slot = (quad, ready);
+            if !self.spill.is_empty() {
+                self.spill.remove(&quad);
+            }
+        } else {
+            self.spill.insert(quad, ready);
+            if self.spill.len() >= self.prune_at {
+                self.spill.retain(|_, r| *r > floor);
+                self.prune_at = (2 * self.spill.len()).max(MIN_PRUNE);
+            }
+        }
+    }
+}
+
+/// The quadwords an access touches: the first, and the last when it
+/// differs (an access is at most 8 bytes wide, so these are all of
+/// them). Addresses wrap, as the executor's address arithmetic does.
+#[inline]
+fn quads(m: &MemOp) -> (u64, Option<u64>) {
+    let first = m.addr >> 3;
+    let last = m.addr.wrapping_add(m.width.max(1) - 1) >> 3;
+    (first, (last != first).then_some(last))
 }
 
 /// Aggregate results of a timed run.
@@ -141,23 +326,28 @@ pub struct Timing {
     front_cycle: u64,
     /// Slots remaining in the current front-end cycle.
     front_slots: u64,
-    /// Current instruction-cache line address (fetch locality).
+    /// Current instruction-cache line number (fetch locality).
     cur_line: u64,
+    /// log2 of the L1I line size.
+    iline_shift: u32,
 
     /// Per-register ready cycle (latest in-flight definition).
     reg_ready: [u64; crate::NUM_REGS],
     /// Per-quadword ready cycle of the latest store (memory dependence).
-    store_ready: AddrMap,
+    store_ready: StoreTable,
 
-    /// Commit cycles of in-flight instructions (ROB occupancy).
-    rob: VecDeque<u64>,
-    /// Issue cycles of in-flight instructions (RS occupancy).
-    rs: VecDeque<u64>,
+    /// `(issue, commit)` cycles of the latest instructions, indexed by
+    /// sequence number modulo a power of two ≥ both window sizes.
+    ///
+    /// The ROB and RS fill and drain in program order, so instruction
+    /// `i` dispatches once instruction `i - rob_entries` has committed
+    /// and instruction `i - rs_entries` has issued; every older entry
+    /// drained at a cycle dispatch has already passed. Those two cycles
+    /// are all dispatch needs, so the queues keep no occupancy count.
+    recent: Box<[(u64, u64)]>,
 
-    /// Issue-port usage per cycle.
-    issue_use: UseTable,
-    /// Memory-port usage per cycle.
-    mem_use: UseTable,
+    /// Issue-slot and memory-port usage per cycle.
+    port_use: UseTable,
 
     /// In-order commit frontier.
     commit_cycle: u64,
@@ -169,7 +359,13 @@ pub struct Timing {
 
 impl Timing {
     /// A fresh timing model with cold caches and predictor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ROB or RS has no entries.
     pub fn new(cfg: CpuConfig) -> Timing {
+        assert!(cfg.rob_entries >= 1 && cfg.rs_entries >= 1, "ROB and RS need at least one entry");
+        let recent = cfg.rob_entries.max(cfg.rs_entries).next_power_of_two();
         Timing {
             cfg,
             mem: MemSystem::new(cfg.mem),
@@ -177,12 +373,11 @@ impl Timing {
             front_cycle: 0,
             front_slots: cfg.width,
             cur_line: u64::MAX,
+            iline_shift: cfg.mem.l1i.line.trailing_zeros(),
             reg_ready: [0; crate::NUM_REGS],
-            store_ready: AddrMap::default(),
-            rob: VecDeque::new(),
-            rs: VecDeque::new(),
-            issue_use: UseTable::new(),
-            mem_use: UseTable::new(),
+            store_ready: StoreTable::new(cfg.rob_entries),
+            recent: vec![(0, 0); recent].into_boxed_slice(),
+            port_use: UseTable::new(use_window_slots(&cfg)),
             commit_cycle: 0,
             commit_slots: cfg.commit_width,
             last_commit: 0,
@@ -213,12 +408,13 @@ impl Timing {
 
     /// Account one instruction; returns its commit cycle.
     pub fn consume(&mut self, e: &Exec) -> u64 {
+        let seq = self.stats.instructions;
         self.stats.instructions += 1;
 
         // ---- Front end --------------------------------------------------
         if e.fetched {
             self.stats.fetched_instructions += 1;
-            let line = e.pc / self.cfg.mem.l1i.line;
+            let line = e.pc >> self.iline_shift;
             if line != self.cur_line {
                 self.cur_line = line;
                 let lat = self.mem.inst_fetch(e.pc);
@@ -237,20 +433,12 @@ impl Timing {
         let mut dispatch = self.front_cycle;
 
         // ---- Window occupancy -------------------------------------------
-        while self.rob.len() >= self.cfg.rob_entries {
-            let freed = self.rob.pop_front().expect("rob nonempty");
-            dispatch = dispatch.max(freed);
+        let mask = self.recent.len() - 1;
+        if let Some(freed) = seq.checked_sub(self.cfg.rob_entries as u64) {
+            dispatch = dispatch.max(self.recent[freed as usize & mask].1);
         }
-        while self.rs.len() >= self.cfg.rs_entries {
-            let freed = self.rs.pop_front().expect("rs nonempty");
-            dispatch = dispatch.max(freed);
-        }
-        // Retire bookkeeping entries that are already done.
-        while self.rob.front().is_some_and(|&c| c < dispatch) {
-            self.rob.pop_front();
-        }
-        while self.rs.front().is_some_and(|&c| c < dispatch) {
-            self.rs.pop_front();
+        if let Some(freed) = seq.checked_sub(self.cfg.rs_entries as u64) {
+            dispatch = dispatch.max(self.recent[freed as usize & mask].0);
         }
         self.front_cycle = self.front_cycle.max(dispatch);
 
@@ -261,10 +449,10 @@ impl Timing {
         }
         if let Some(m) = e.mem {
             if !m.is_store {
-                for q in (m.addr / 8)..=((m.addr + m.width - 1) / 8) {
-                    if let Some(&r) = self.store_ready.get(&q) {
-                        ready = ready.max(r);
-                    }
+                let (first, second) = quads(&m);
+                ready = ready.max(self.store_ready.ready(first));
+                if let Some(q) = second {
+                    ready = ready.max(self.store_ready.ready(q));
                 }
             }
         }
@@ -275,14 +463,13 @@ impl Timing {
         // below it are reclaimable.
         let live_floor = self.front_cycle + 1;
         let issue = {
-            let c = self.issue_use.reserve(self.cfg.width, ready, live_floor);
+            let c = self.port_use.reserve(Port::Issue, self.cfg.width, ready, live_floor);
             if e.mem.is_some() {
-                self.mem_use.reserve(self.cfg.mem_ports, c, live_floor)
+                self.port_use.reserve(Port::Mem, self.cfg.mem_ports, c, live_floor)
             } else {
                 c
             }
         };
-        self.rs.push_back(issue);
 
         // ---- Execute -----------------------------------------------------
         let latency = match (&e.instr, e.mem) {
@@ -296,8 +483,10 @@ impl Timing {
         }
         if let Some(m) = e.mem {
             if m.is_store {
-                for q in (m.addr / 8)..=((m.addr + m.width - 1) / 8) {
-                    self.store_ready.insert(q, done);
+                let (first, second) = quads(&m);
+                self.store_ready.record(first, done, live_floor);
+                if let Some(q) = second {
+                    self.store_ready.record(q, done, live_floor);
                 }
             }
         }
@@ -315,7 +504,7 @@ impl Timing {
         }
         self.commit_slots -= 1;
         self.last_commit = commit;
-        self.rob.push_back(commit);
+        self.recent[seq as usize & mask] = (issue, commit);
 
         // ---- Redirects -----------------------------------------------------
         if let Some(b) = e.branch {
@@ -650,9 +839,10 @@ mod tests {
         assert_eq!(l1i.accesses, 0);
     }
 
-    /// The sliding-window reservation tables must reproduce the sparse
-    /// map they replaced: same earliest-free-cycle answers under a
-    /// pseudo-random mix of ready cycles, capacities and frontier jumps.
+    /// The sliding-window reservation table must reproduce the sparse
+    /// maps it replaced, one per port: same earliest-free-cycle answers
+    /// under a pseudo-random mix of ready cycles, capacities, ports and
+    /// frontier jumps.
     #[test]
     fn use_table_matches_sparse_reference() {
         use std::collections::HashMap;
@@ -667,8 +857,8 @@ mod tests {
                 c += 1;
             }
         }
-        let mut fast = UseTable::new();
-        let mut slow = HashMap::new();
+        let mut fast = UseTable::new(1024);
+        let mut slow = [HashMap::new(), HashMap::new()];
         let mut frontier = 0u64;
         let mut lcg = 1u64;
         for i in 0..200_000u64 {
@@ -679,12 +869,114 @@ mod tests {
             frontier += jump;
             let ready = frontier + 1 + (lcg >> 32) % 200;
             let cap = 1 + lcg % 4;
+            let (port, which) =
+                if (lcg >> 20) & 1 == 0 { (Port::Issue, 0) } else { (Port::Mem, 1) };
             assert_eq!(
-                fast.reserve(cap, ready, frontier + 1),
-                reference(&mut slow, cap, ready),
+                fast.reserve(port, cap, ready, frontier + 1),
+                reference(&mut slow[which], cap, ready),
                 "diverged at step {i}"
             );
         }
+    }
+
+    fn load(pc: u64, rd: u8, base: u8, addr: u64) -> Exec {
+        let mut e = plain_alu(pc, rd, base);
+        e.instr = Instr::Load {
+            width: dise_isa::Width::Q,
+            rd: Reg::gpr(rd),
+            base: Reg::gpr(base),
+            disp: 0,
+        };
+        e.mem = Some(MemOp { addr, width: 8, is_store: false, old_value: 0, new_value: 0 });
+        e
+    }
+
+    fn store(pc: u64, addr: u64, width: u64) -> Exec {
+        let mut e = plain_alu(pc, 1, 2);
+        e.instr =
+            Instr::Store { width: dise_isa::Width::Q, rs: Reg::gpr(1), base: Reg::gpr(2), disp: 0 };
+        e.mem = Some(MemOp { addr, width, is_store: true, old_value: 0, new_value: 1 });
+        e
+    }
+
+    /// A chain of dependent cold loads keeps the whole window waiting
+    /// on memory, the worst case the usage window is sized for: the
+    /// latest completion runs almost the full span bound ahead of the
+    /// front end, and never past it.
+    #[test]
+    fn pointer_chase_approaches_the_span_bound() {
+        let mut c = cfg();
+        c.mem.mem_latency = 400;
+        let slots = use_window_slots(&c) as u64;
+        let mut t = Timing::new(c);
+        let mut widest = 0;
+        for i in 0..4_000u64 {
+            t.consume(&load(0x10_0000 + (i % 8) * 4, 1, 1, 0x100_0000 + i * 0x1_0040));
+            widest = widest.max(t.reg_ready[1] - t.front_cycle);
+        }
+        assert!(widest <= slots, "span {widest} exceeds the {slots}-slot window");
+        // W = 80 links of 433 cycles each, against a bound of 81 links.
+        assert!(widest > 80 * 433 * 9 / 10, "span {widest} should near the bound");
+        assert_eq!(slots, 65_536, "bound 35,134 cycles plus slack");
+        assert_eq!(use_window_slots(&cfg()), 16_384);
+    }
+
+    /// Under the paper's machine the model's own tables take about a
+    /// quarter of a megabyte, against the 4 MB of fixed 128K-cycle
+    /// windows they replace; the caches and predictor add their
+    /// geometry's tag and counter arrays (about 0.2 MB).
+    #[test]
+    fn default_model_tables_are_small() {
+        let t = Timing::new(cfg());
+        let bytes = std::mem::size_of_val(&*t.port_use.slots)
+            + std::mem::size_of_val(&*t.store_ready.slots)
+            + std::mem::size_of_val(&*t.recent);
+        assert_eq!(bytes, 16_384 * 16 + 512 * 16 + 128 * 16);
+        assert!(bytes < 300 * 1024, "{bytes} bytes");
+    }
+
+    /// Wrapping accesses: `stq` at `u64::MAX - 3` writes the last 4
+    /// bytes of memory and the first 4. A load of either half must wait
+    /// for the store.
+    #[test]
+    fn wrapping_store_orders_a_later_load() {
+        for load_addr in [u64::MAX - 3, 0] {
+            let mut t = Timing::new(cfg());
+            // A cold store: its completion trails the load's dispatch.
+            let sc = t.consume(&store(0x10_0000, u64::MAX - 3, 8));
+            let mut l = load(0x10_0004, 3, 4, load_addr);
+            l.mem.as_mut().unwrap().width = 4;
+            let lc = t.consume(&l);
+            assert!(lc >= sc, "load at {load_addr:#x} commits no earlier than the store");
+            assert!(t.store_ready.ready(0) > 0 && t.store_ready.ready(u64::MAX >> 3) > 0);
+        }
+    }
+
+    /// A store stream over a million distinct quads, each a cold miss so
+    /// many stay live at once: the store table keeps its fixed slots and
+    /// a spill map bounded by the live count.
+    #[test]
+    fn store_table_stays_bounded() {
+        let mut c = cfg();
+        c.mem.mem_latency = 400;
+        let mut t = Timing::new(c);
+        let mut largest_spill = 0;
+        // A bijective mix of the low 32 bits: distinct, scattered quads.
+        let quad = |i: u64| {
+            let mut x = i as u32;
+            x ^= x >> 16;
+            x = x.wrapping_mul(0x7feb_352d);
+            x ^= x >> 15;
+            x = x.wrapping_mul(0x846c_a68b);
+            u64::from(x ^ (x >> 16))
+        };
+        for i in 0..1_000_000u64 {
+            t.consume(&store(0x10_0000 + (i % 16) * 4, quad(i) * 8, 8));
+            largest_spill = largest_spill.max(t.store_ready.spill.len());
+        }
+        assert_eq!(t.store_ready.slots.len(), 512, "four slots per ROB entry, never more");
+        assert!(largest_spill > 0, "colliding live stores must spill");
+        assert!(largest_spill <= 4 * c.rob_entries + MIN_PRUNE, "spill peaked at {largest_spill}");
     }
 
     #[test]

@@ -43,16 +43,33 @@ impl CacheStats {
     }
 }
 
+/// Marks a way holding a line: a way stores its tag with this bit set,
+/// and an empty way is 0. A tag is an address shifted right by the line
+/// and set bits, so its top bit is always clear: [`Cache::new`] rejects
+/// the one geometry (single set, 1-byte lines) where that shift is
+/// zero. Empty ways being zero lets the tag array come from zeroed
+/// memory, so a large cache costs nothing until its sets are touched.
+const VALID: u64 = 1 << 63;
+
 /// A set-associative cache with true-LRU replacement.
 ///
 /// Only tags are modeled (data lives in [`crate::Memory`]); the cache
 /// answers hit/miss and maintains its own state, which is all the timing
-/// model needs.
+/// model needs. The tags live in one flat `sets × assoc` array, each
+/// set's ways in MRU order with empty ways (0) filling the unused tail,
+/// so an access is a shift, a mask and a scan of `assoc` adjacent
+/// words.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    /// `sets[s]` holds up to `assoc` tags in LRU order (front = MRU).
-    sets: Vec<Vec<u64>>,
+    /// `ways[s * assoc..][..assoc]` holds set `s`'s tags, each with
+    /// [`VALID`] set, front = MRU.
+    ways: Box<[u64]>,
+    assoc: usize,
+    /// log2 of the line size.
+    line_shift: u32,
+    /// log2 of the set count.
+    set_bits: u32,
     stats: CacheStats,
 }
 
@@ -61,8 +78,10 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the line size is not a power of two or the geometry does
-    /// not divide evenly into sets.
+    /// Panics if the line size is not a power of two, the geometry does
+    /// not divide evenly into a power-of-two number of sets, or the
+    /// cache is a single set of 1-byte lines (which leaves no address
+    /// bit to tell an empty way from a full one).
     pub fn new(config: CacheConfig) -> Cache {
         assert!(config.line.is_power_of_two(), "line size must be a power of two");
         assert!(config.assoc >= 1, "associativity must be at least 1");
@@ -71,9 +90,13 @@ impl Cache {
             sets >= 1 && sets.is_power_of_two(),
             "set count must be a power of two (size/line/assoc mismatch)"
         );
+        assert!(sets > 1 || config.line > 1, "a single-set cache needs lines of at least 2 bytes");
         Cache {
             config,
-            sets: vec![Vec::with_capacity(config.assoc); sets as usize],
+            ways: vec![0; sets as usize * config.assoc].into_boxed_slice(),
+            assoc: config.assoc,
+            line_shift: config.line.trailing_zeros(),
+            set_bits: sets.trailing_zeros(),
             stats: CacheStats::default(),
         }
     }
@@ -83,44 +106,54 @@ impl Cache {
         self.config
     }
 
+    /// Index of the first way of `addr`'s set, and `addr`'s tag as a
+    /// way stores it (with [`VALID`] set).
     #[inline]
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line_addr = addr / self.config.line;
-        let set = (line_addr % self.config.sets()) as usize;
-        (set, line_addr)
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line = addr >> self.line_shift;
+        let set = (line & ((1 << self.set_bits) - 1)) as usize;
+        (set * self.assoc, (line >> self.set_bits) | VALID)
     }
 
     /// Access the line containing `addr`; returns `true` on hit.
     /// Misses allocate (write-allocate policy for stores too).
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
-        let (set, tag) = self.set_and_tag(addr);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&t| t == tag) {
-            let t = ways.remove(pos);
-            ways.insert(0, t);
-            true
-        } else {
-            self.stats.misses += 1;
-            if ways.len() == self.config.assoc {
-                ways.pop();
+        let (base, tag) = self.locate(addr);
+        let ways = &mut self.ways[base..base + self.assoc];
+        // A hit moves its way to the front; a miss evicts the last way
+        // (the LRU line, or an empty way) and fills the front.
+        let (pos, hit) = match ways.iter().position(|&t| t == tag) {
+            Some(pos) => (pos, true),
+            None => {
+                self.stats.misses += 1;
+                (ways.len() - 1, false)
             }
-            ways.insert(0, tag);
-            false
+        };
+        for i in (1..=pos).rev() {
+            ways[i] = ways[i - 1];
         }
+        ways[0] = tag;
+        hit
+    }
+
+    /// Count an access the caller knows hits the MRU way of its set,
+    /// which leaves the LRU order unchanged.
+    #[inline]
+    pub(crate) fn count_mru_hit(&mut self) {
+        self.stats.accesses += 1;
     }
 
     /// Probe without updating LRU state or statistics.
     pub fn contains(&self, addr: u64) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        self.sets[set].contains(&tag)
+        let (base, tag) = self.locate(addr);
+        self.ways[base..base + self.assoc].contains(&tag)
     }
 
     /// Drop every line (e.g. between experiment runs).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.ways.fill(0);
     }
 
     /// Accumulated statistics.
@@ -201,6 +234,17 @@ mod tests {
         c.access(0);
         c.access(0);
         assert!((c.stats().miss_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn single_set_byte_lines_are_rejected() {
+        let one_set =
+            std::panic::catch_unwind(|| Cache::new(CacheConfig { size: 4, assoc: 4, line: 1 }));
+        assert!(one_set.is_err(), "no address bit left to mark an empty way");
+        // Two sets of byte lines leave the set bit out of the tag.
+        let mut c = Cache::new(CacheConfig { size: 8, assoc: 4, line: 1 });
+        assert!(!c.access(u64::MAX), "an empty way never matches the top address");
+        assert!(c.access(u64::MAX));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The composed memory hierarchy and its latency model.
 
-use crate::{Cache, CacheConfig, CacheStats, Tlb};
+use crate::{Cache, CacheConfig, CacheStats, Tlb, PAGE_SIZE};
 
 /// Latency and geometry parameters for the whole hierarchy.
 ///
@@ -49,6 +49,14 @@ impl Default for MemConfig {
 ///
 /// [`MemSystem::inst_fetch`] and [`MemSystem::data_access`] return the
 /// access latency in cycles and update all structures.
+///
+/// Each side remembers the last block it resolved, where a block is
+/// the smaller of an L1 line and a page. After an access that block's
+/// line is MRU in its L1 set and its page is MRU in its TLB set, and
+/// only the same side's next access can touch that L1 or TLB (the
+/// sides share nothing but the L2, which an L1 hit never reaches). A
+/// repeat access to the block is therefore an L1 and TLB hit that
+/// leaves every LRU order as it is, so it only counts the two accesses.
 #[derive(Clone, Debug)]
 pub struct MemSystem {
     config: MemConfig,
@@ -57,6 +65,14 @@ pub struct MemSystem {
     l2: Cache,
     itlb: Tlb,
     dtlb: Tlb,
+    /// log2 of the instruction side's block size.
+    inst_shift: u32,
+    /// log2 of the data side's block size.
+    data_shift: u32,
+    /// Block number of the last instruction fetch.
+    last_inst: Option<u64>,
+    /// Block number of the last data access.
+    last_data: Option<u64>,
 }
 
 impl MemSystem {
@@ -69,6 +85,10 @@ impl MemSystem {
             l2: Cache::new(config.l2),
             itlb: Tlb::new(config.tlb_entries, config.tlb_assoc),
             dtlb: Tlb::new(config.tlb_entries, config.tlb_assoc),
+            inst_shift: config.l1i.line.min(PAGE_SIZE).trailing_zeros(),
+            data_shift: config.l1d.line.min(PAGE_SIZE).trailing_zeros(),
+            last_inst: None,
+            last_data: None,
         }
     }
 
@@ -79,7 +99,15 @@ impl MemSystem {
 
     /// Fetch the instruction line containing `addr`; returns the latency
     /// in cycles (1 on an L1I + ITLB hit).
+    #[inline]
     pub fn inst_fetch(&mut self, addr: u64) -> u64 {
+        let block = addr >> self.inst_shift;
+        if self.last_inst == Some(block) {
+            self.itlb.count_mru_hit();
+            self.l1i.count_mru_hit();
+            return 1;
+        }
+        self.last_inst = Some(block);
         let mut lat = 1; // L1I hit is pipelined into fetch
         if !self.itlb.access(addr) {
             lat += self.config.tlb_miss_penalty;
@@ -94,8 +122,16 @@ impl MemSystem {
     /// Access data at `addr`; returns the latency in cycles
     /// (`l1_latency` on an L1D + DTLB hit). `write` selects store
     /// accesses, which allocate like loads (write-allocate).
+    #[inline]
     pub fn data_access(&mut self, addr: u64, write: bool) -> u64 {
         let _ = write; // policy is identical; kept for interface clarity
+        let block = addr >> self.data_shift;
+        if self.last_data == Some(block) {
+            self.dtlb.count_mru_hit();
+            self.l1d.count_mru_hit();
+            return self.config.l1_latency;
+        }
+        self.last_data = Some(block);
         let mut lat = self.config.l1_latency;
         if !self.dtlb.access(addr) {
             lat += self.config.tlb_miss_penalty;
@@ -119,6 +155,8 @@ impl MemSystem {
         self.l2.flush();
         self.itlb.flush();
         self.dtlb.flush();
+        self.last_inst = None;
+        self.last_data = None;
     }
 }
 
@@ -166,6 +204,33 @@ mod tests {
         s.data_access(0x2000, false);
         s.flush_all();
         assert_eq!(s.inst_fetch(0x1000), 1 + 30 + 100);
+    }
+
+    /// A repeat access to the last block skips the lookups but must
+    /// leave exactly the state and counters a full lookup would.
+    #[test]
+    fn repeat_block_matches_full_lookup() {
+        let cfg = MemConfig::default();
+        let mut s = MemSystem::new(cfg);
+        let lats: Vec<u64> = [0x4000, 0x4008, 0x4038, 0x8000, 0x4010, 0x4010]
+            .iter()
+            .map(|&a| s.data_access(a, a == 0x4008))
+            .collect();
+        assert_eq!(lats, [3 + 30 + 100, 3, 3, 3 + 30 + 100, 3, 3]);
+        let (_, l1d, l2, _, dtlb) = s.stats();
+        assert_eq!((l1d.accesses, l1d.misses), (6, 2));
+        assert_eq!((dtlb.accesses, dtlb.misses), (6, 2));
+        assert_eq!((l2.accesses, l2.misses), (2, 2));
+        // Fetches keep their own block: data traffic in between leaves
+        // the fetched line resident and MRU.
+        assert_eq!(s.inst_fetch(0x4000), 1 + 30 + 12, "L2 holds the data line");
+        s.data_access(0x9000, false);
+        assert_eq!(s.inst_fetch(0x4004), 1);
+        let (l1i, ..) = s.stats();
+        assert_eq!((l1i.accesses, l1i.misses), (2, 1));
+        s.flush_all();
+        assert_eq!(s.inst_fetch(0x4004), 1 + 30 + 100, "flush forgets the block");
+        assert_eq!(s.data_access(0x9000, false), 3 + 30 + 100);
     }
 
     #[test]

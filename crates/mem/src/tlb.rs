@@ -21,9 +21,8 @@ impl Tlb {
     ///
     /// Panics if `entries` is not a power-of-two multiple of `assoc`.
     pub fn new(entries: u64, assoc: usize) -> Tlb {
-        // Reuse the cache structure with one "byte" per page: a line size
-        // of 1 over the page-number space.
-        Tlb { inner: Cache::new(CacheConfig { size: entries, assoc, line: 1 }) }
+        // Reuse the cache structure with one line per page.
+        Tlb { inner: Cache::new(CacheConfig { size: entries * PAGE_SIZE, assoc, line: PAGE_SIZE }) }
     }
 
     /// The paper's configuration: 64 entries, 4-way.
@@ -34,12 +33,18 @@ impl Tlb {
     /// Look up the page containing byte address `addr`; returns `true` on
     /// hit and fills on miss.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.inner.access(addr / PAGE_SIZE)
+        self.inner.access(addr)
+    }
+
+    /// Count a lookup the caller knows hits the MRU entry of its set.
+    #[inline]
+    pub(crate) fn count_mru_hit(&mut self) {
+        self.inner.count_mru_hit();
     }
 
     /// Probe without side effects.
     pub fn contains(&self, addr: u64) -> bool {
-        self.inner.contains(addr / PAGE_SIZE)
+        self.inner.contains(addr)
     }
 
     /// Invalidate all entries.
