@@ -1,12 +1,12 @@
 //! Criterion microbenchmarks of the simulator's hot paths: DISE
-//! expansion, cache access, branch prediction, functional execution and
+//! expansion, cache access, branch prediction, functional execution,
 //! the timing model — its steady-state per-record cost and, apart from
-//! it, the cost of building one.
+//! it, the cost of building one — and the trace codec and its CRC.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use dise_asm::{parse_asm, Layout};
-use dise_cpu::{CpuConfig, Exec, Executor, Predictor, Timing};
+use dise_cpu::{CpuConfig, Exec, ExecDecoder, ExecEncoder, Executor, Predictor, Timing};
 use dise_engine::{Engine, Pattern, Production, TemplateInst};
 use dise_isa::{decode, encode, Instr, OpClass, Reg, Width};
 use dise_mem::{Cache, CacheConfig, MemConfig, MemSystem};
@@ -143,10 +143,68 @@ fn bench_pipeline(c: &mut Criterion) {
     c.bench_function("cpu/timing_new", |b| b.iter(|| Timing::new(black_box(CpuConfig::default()))));
 }
 
+/// The trace codec in steady state, with no file I/O: every kernel's
+/// recorded stream encoded into (and decoded from) a reused buffer,
+/// reported per record; and the container's CRC over one full chunk.
+fn bench_trace(c: &mut Criterion) {
+    let streams: Vec<Vec<Exec>> = dise_workloads::all(20)
+        .iter()
+        .map(|w| {
+            let prog = w.app().program().unwrap();
+            let mut exec = Executor::from_program(&prog, CpuConfig::default());
+            let mut stream = Vec::new();
+            while !exec.is_halted() {
+                stream.push(exec.step());
+            }
+            stream
+        })
+        .collect();
+    let records: usize = streams.iter().map(Vec::len).sum();
+    let encode = |out: &mut Vec<Vec<u8>>| {
+        for (stream, bytes) in streams.iter().zip(out.iter_mut()) {
+            bytes.clear();
+            let mut enc = ExecEncoder::new();
+            for e in stream {
+                enc.encode(e, bytes);
+            }
+            enc.finish(bytes);
+        }
+    };
+    let mut encoded = vec![Vec::new(); streams.len()];
+    encode(&mut encoded);
+    let mut g = c.benchmark_group("trace");
+    g.throughput(Throughput::Elements(records as u64));
+    g.bench_function("encode", |b| {
+        let mut out = vec![Vec::new(); streams.len()];
+        b.iter(|| {
+            encode(&mut out);
+            out.iter().map(Vec::len).sum::<usize>()
+        })
+    });
+    g.bench_function("decode", |b| {
+        b.iter(|| {
+            let mut sum = 0u64;
+            for bytes in &encoded {
+                let mut dec = ExecDecoder::new();
+                let mut pos = 0;
+                while let Some(e) = dec.next(bytes, &mut pos).unwrap() {
+                    sum = sum.wrapping_add(e.pc);
+                }
+            }
+            sum
+        })
+    });
+    let chunk: Vec<u8> =
+        (0..64 * 1024u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+    g.throughput(Throughput::Bytes(chunk.len() as u64));
+    g.bench_function("crc32_64k", |b| b.iter(|| dise_trace::wire::crc32(black_box(&chunk))));
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_isa_codec, bench_engine_expansion, bench_cache, bench_predictor,
-              bench_pipeline
+              bench_pipeline, bench_trace
 }
 criterion_main!(benches);

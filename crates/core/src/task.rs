@@ -43,6 +43,7 @@ use dise_cpu::{
     TimingBatch, TraceReader, TraceWriter, MAX_BLOCK_STEPS,
 };
 use dise_mem::Memory;
+use dise_trace::TraceError;
 
 use crate::backend::{BackendImpl, ObserverImpl};
 use crate::session::{
@@ -586,7 +587,7 @@ struct ObserveRun {
     text_bytes: u64,
     /// When recording, the persistent-trace writer fed every stepped
     /// record — the "record on miss" half of the trace economy.
-    writer: Option<TraceWriter>,
+    writer: Option<Box<TraceWriter>>,
 }
 
 impl ObserveRun {
@@ -620,16 +621,19 @@ impl ObserveRun {
         self.exec.is_halted()
     }
 
-    fn finish(mut self) -> Vec<Result<Vec<SessionReport>, DebugError>> {
+    /// Seal the recording, if any, and scatter the members' reports.
+    ///
+    /// # Errors
+    ///
+    /// [`DebugError::Trace`] when the recording could not be persisted:
+    /// a recording the caller asked for must either be sealed or fail
+    /// typed — a silently missing trace would re-pay the functional
+    /// pass forever without anyone noticing.
+    fn finish(mut self) -> Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError> {
         if let Some(writer) = self.writer.take() {
-            // A recording the caller asked for must either be sealed or
-            // fail loudly — a silently missing trace would re-pay the
-            // functional pass forever without anyone noticing.
-            if let Err(e) = writer.finish() {
-                panic!("failed to persist the recorded session trace: {e}");
-            }
+            writer.finish()?;
         }
-        finish_members(self.live, self.fan.groups, self.results, self.error, self.text_bytes)
+        Ok(finish_members(self.live, self.fan.groups, self.results, self.error, self.text_bytes))
     }
 }
 
@@ -675,11 +679,13 @@ struct ReplayRun {
     error: Option<ExecError>,
     text_bytes: u64,
     exhausted: bool,
+    /// A mid-stream decode failure, which ends the replay.
+    failure: Option<TraceError>,
 }
 
 impl ReplayRun {
     fn drive_budget(&mut self, budget: u64) -> u64 {
-        let ReplayRun { reader, mem, live, fan, error, exhausted, .. } = self;
+        let ReplayRun { reader, mem, live, fan, error, exhausted, failure, .. } = self;
         let mut n = 0u64;
         while n < budget && !*exhausted {
             let step = reader.next_chunk(&mut fan.chunk, budget - n, |e| {
@@ -699,9 +705,13 @@ impl ReplayRun {
                 Ok(r) => r,
                 // `TraceReader::open` validated every CRC eagerly, so a
                 // mid-stream decode failure means hand-damaged bytes
-                // that still satisfied their checksum — reject loudly,
+                // that still satisfied their checksum — settle typed,
                 // never deliver a silently wrong replay.
-                Err(e) => panic!("trace replay failed mid-stream: {e}"),
+                Err(e) => {
+                    *failure = Some(e);
+                    *exhausted = true;
+                    break;
+                }
             };
             n += read;
             if let Some(e) = dirty {
@@ -723,8 +733,16 @@ impl ReplayRun {
         self.exhausted
     }
 
-    fn finish(self) -> Vec<Result<Vec<SessionReport>, DebugError>> {
-        finish_members(self.live, self.fan.groups, self.results, self.error, self.text_bytes)
+    /// Scatter the members' reports.
+    ///
+    /// # Errors
+    ///
+    /// [`DebugError::Trace`] when the stream failed to decode mid-way.
+    fn finish(self) -> Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError> {
+        if let Some(e) = self.failure {
+            return Err(e.into());
+        }
+        Ok(finish_members(self.live, self.fan.groups, self.results, self.error, self.text_bytes))
     }
 }
 
@@ -816,7 +834,9 @@ impl SessionTask {
     /// [`SessionTask::observer`], additionally persisting the shared
     /// functional pass to `trace` — the same single pass serves the
     /// members *and* every future replay. The trace appears atomically
-    /// when the pass completes; an abandoned task publishes nothing.
+    /// when the pass completes; an abandoned task publishes nothing,
+    /// and one whose trace cannot be persisted settles with
+    /// [`DebugError::Trace`].
     ///
     /// # Panics
     ///
@@ -840,7 +860,8 @@ impl SessionTask {
     /// bit-identical to [`SessionTask::observer`] on the live machine.
     /// Admission fingerprints `app` and rejects a stale, corrupt, or
     /// truncated trace with [`DebugError::Trace`] — loudly, never a
-    /// silently wrong replay.
+    /// silently wrong replay. A CRC-clean trace that fails to decode
+    /// mid-stream settles with the same error.
     ///
     /// # Panics
     ///
@@ -965,7 +986,7 @@ impl SessionTask {
                     else {
                         unreachable!("state checked above");
                     };
-                    return Step::Done(TaskOutput::Observe(Ok(run.finish())));
+                    return Step::Done(TaskOutput::Observe(run.finish()));
                 }
             }
             State::Replay(run) => {
@@ -975,7 +996,7 @@ impl SessionTask {
                     else {
                         unreachable!("state checked above");
                     };
-                    return Step::Done(TaskOutput::Observe(Ok(run.finish())));
+                    return Step::Done(TaskOutput::Observe(run.finish()));
                 }
             }
             State::PendingBatch(_)
@@ -1157,7 +1178,7 @@ fn admit_observe(spec: ObserveSpec) -> Result<Admitted, DebugError> {
         Some(path) => {
             let w = TraceWriter::create(path, program_fingerprint(&prog))?;
             TRACE_RECORDS.fetch_add(1, Ordering::Relaxed);
-            Some(w)
+            Some(Box::new(w))
         }
         None => None,
     };
@@ -1198,6 +1219,7 @@ fn admit_replay(spec: ReplaySpec) -> Result<ReplayAdmitted, DebugError> {
         error: None,
         text_bytes: prog.text_bytes(),
         exhausted: false,
+        failure: None,
     })))
 }
 

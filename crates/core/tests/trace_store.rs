@@ -8,15 +8,22 @@
 //! Every test damages a freshly recorded, provably good trace — the
 //! happy path is asserted first, so a failure here is the rejection
 //! logic, never the recording.
+//!
+//! Failures that surface only mid-run — a CRC-clean trace whose bytes
+//! do not decode, a recording that cannot be published — settle the
+//! task with the same typed error, on one worker or two, without a
+//! panic, a hang, or harm to the task running beside it.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
+use std::time::Duration;
 
 use dise_asm::{parse_asm, Layout};
-use dise_cpu::CpuConfig;
+use dise_cpu::{program_fingerprint, CpuConfig, Executor, TraceWriter};
 use dise_debug::{
-    record_session, Application, BackendKind, DebugError, SessionReport, SessionTask, TraceError,
-    WatchExpr, Watchpoint,
+    record_session, Application, BackendKind, DebugError, Scheduler, SessionReport, SessionTask,
+    Step, TaskOutput, TraceError, WatchExpr, Watchpoint,
 };
 use dise_isa::Width;
 
@@ -178,4 +185,94 @@ fn rejection_happens_before_any_member_runs() {
     let err = replay(&a, members, &path).expect_err("rejected for every member at once");
     assert!(matches!(err, DebugError::Trace(_)), "outer error carries the trace failure: {err}");
     let _ = std::fs::remove_file(&path);
+}
+
+/// Drain `tasks` on a fresh scheduler with `workers` workers, failing
+/// (rather than hanging the suite) if the drain does not return.
+fn drain_or_hang(tasks: Vec<SessionTask>, workers: usize) -> Vec<TaskOutput> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let sched = Scheduler::new(64);
+        for t in tasks {
+            sched.spawn(t);
+        }
+        let outs = sched.drain(workers);
+        let _ = tx.send(outs.into_iter().map(|(_, out)| out).collect::<Vec<_>>());
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("Scheduler::drain({workers}) hung or its worker panicked"))
+}
+
+fn healthy(a: &Application) -> SessionTask {
+    SessionTask::observer(
+        a,
+        vec![(BackendKind::VirtualMemory, watch(a), vec![CpuConfig::default()])],
+    )
+}
+
+/// A CRC-clean trace whose first store record claims a 3-byte access —
+/// a width the encoder never writes, written through the public
+/// recorder.
+fn width_three_trace(a: &Application) -> PathBuf {
+    let prog = a.program().expect("assembles");
+    let path = scratch("width3");
+    let mut writer = TraceWriter::create(&path, program_fingerprint(&prog)).expect("create");
+    let mut exec = Executor::from_program(&prog, CpuConfig::default());
+    let mut edited = false;
+    while !exec.is_halted() {
+        let mut e = exec.step();
+        if let Some(m) = e.mem.as_mut().filter(|m| m.is_store && !edited) {
+            m.width = 3;
+            edited = true;
+        }
+        writer.record(&e);
+    }
+    assert!(edited, "the kernel stores");
+    writer.finish().expect("the edited trace is sealed");
+    path
+}
+
+#[test]
+fn undecodable_record_settles_typed_beside_a_healthy_task() {
+    let a = app(50);
+    let path = width_three_trace(&a);
+    let want = healthy(&a).run_to_completion().into_observe();
+    for workers in [1, 2] {
+        let members = vec![(BackendKind::VirtualMemory, watch(&a), vec![CpuConfig::default()])];
+        let bad = SessionTask::observer_replay(&a, members, &path);
+        let mut outs = drain_or_hang(vec![healthy(&a), bad], workers);
+        let err = outs.pop().unwrap().into_observe().expect_err("width 3 never replays");
+        assert!(
+            matches!(&err, DebugError::Trace(TraceError::Malformed { reason, .. })
+                if reason.contains("width 3")),
+            "{workers} worker(s): {err}"
+        );
+        assert_eq!(outs.pop().unwrap().into_observe(), want, "{workers} worker(s): healthy task");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn failed_publish_settles_typed_and_publishes_nothing() {
+    let a = app(50);
+    let want = healthy(&a).run_to_completion().into_observe();
+    for workers in [1, 2] {
+        let dir = scratch("gone-dir");
+        std::fs::create_dir_all(&dir).expect("trace dir");
+        let path = dir.join("kernel.dtrc");
+        let members = vec![(BackendKind::VirtualMemory, watch(&a), vec![CpuConfig::default()])];
+        let mut task = SessionTask::observer_recorded(&a, members, &path);
+        // Admit (which opens the staged file) and run a little, then
+        // pull the directory out from under the recording.
+        assert!(matches!(task.poll(16), Step::Yielded(_)), "the recording is under way");
+        std::fs::remove_dir_all(&dir).expect("remove trace dir");
+        let mut outs = drain_or_hang(vec![healthy(&a), task], workers);
+        let err = outs.pop().unwrap().into_observe().expect_err("nothing can be published");
+        assert!(
+            matches!(err, DebugError::Trace(TraceError::Io { .. })),
+            "{workers} worker(s): {err}"
+        );
+        assert!(!path.exists() && !dir.exists(), "{workers} worker(s): nothing published");
+        assert_eq!(outs.pop().unwrap().into_observe(), want, "{workers} worker(s): healthy task");
+    }
 }

@@ -8,7 +8,7 @@
 //! same few instructions with the PC advancing predictably and only
 //! memory-operand values changing. The codec exploits that with three
 //! token kinds over a small amount of shared state (`prev`, the last
-//! record emitted, and `last`, the most recent record seen at each
+//! record coded, and the most recent record seen at each
 //! `(pc, disepc)` position):
 //!
 //! - `RUN n` — the next `n` records are each *exactly* the remembered
@@ -27,6 +27,31 @@
 //! every prediction without any side channel; round-trips are
 //! bit-identical by construction and the conformance suite pins it.
 //!
+//! ## The slot arena
+//!
+//! Both sides keep that state in a slot arena. Each position owns one
+//! dense slot holding its last record, found through an open-addressed
+//! index hashed with the multiply-fold [`AddrHasher`] (`dise-mem`'s
+//! page-table idiom): positions need spread, not the DoS resistance
+//! SipHash pays for, and SipHash was a third of the codec's cost.
+//! `prev` is a slot number, and each slot caches a *successor link* —
+//! the slot a RUN token moves to, the one at the position sequential
+//! flow predicts from its record. A link is resolved on first use and
+//! dropped only when a FULL record rewrites its slot (the prediction
+//! depends on the record; the successor's own contents may change
+//! freely, since a link names a position). So a RUN record decodes
+//! with no hashing and encodes with one compare, and
+//! [`TraceReader::next_chunk`] copies each record once, from its slot
+//! into the fan-out chunk. The hash is unkeyed: traces are this
+//! program's own recordings, checked by CRC and fingerprint, and a
+//! hand-made file whose positions collide can slow decoding but never
+//! change what it returns.
+//!
+//! The arena changes how the state is held, not what it is: the token
+//! stream, and with it every `.dtrc` byte, is the one the plain
+//! `HashMap` codec wrote (`tests/codec_oracle.rs` keeps that codec as
+//! the oracle, and `tests/data/tight_loop.dtrc` pins the format).
+//!
 //! ## Fingerprints
 //!
 //! A trace is only replayable against the exact program image that
@@ -37,25 +62,17 @@
 //! ([`TraceError::FingerprintMismatch`]) — a stale trace must never
 //! silently replay wrong.
 
-use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::hash::Hasher;
+use std::path::Path;
 
 use dise_asm::Program;
 use dise_isa::{decode as decode_instr, encode as encode_instr, INSTR_BYTES};
+use dise_mem::AddrHasher;
 use dise_trace::wire::{apply_delta, delta, read_uvarint, write_uvarint};
-use dise_trace::{read_chunk_file, ring, ChunkWriter, Consumer, TraceError};
+use dise_trace::{read_chunk_file, ChunkWriter, TraceError};
 
 use crate::exec::{Branch, BranchKind, Event, Exec, ExecChunk, ExecError, FlushKind, MemOp};
 use crate::{CpuConfig, RunStats, TimingBatch, MAX_BLOCK_STEPS};
-
-/// In-flight capacity of the producer→writer ring: large enough that
-/// the session thread almost never stalls on the encoder, small enough
-/// (~1.6 MiB of `Exec`) to stay a rounding error next to the simulated
-/// memory image.
-const RING_CAPACITY: usize = 16 * 1024;
 
 /// Target size of one compressed data chunk. Chunking is pure byte
 /// segmentation — the codec state runs straight across chunk seams —
@@ -168,14 +185,129 @@ fn exec_error_from(code: u8, pc: u64) -> Result<ExecError, String> {
     })
 }
 
+/// The slot number that names no slot: `prev` before the first record,
+/// and a successor link not yet resolved.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Initial size of the position index (a power of two).
+const INITIAL_INDEX: usize = 256;
+
+/// One `(pc, disepc)` position of the stream.
+struct Slot {
+    /// The most recent record seen at this position.
+    rec: Exec,
+    /// The slot a RUN token moves to from here — the slot of
+    /// `predicted_next(&rec)` — or [`NO_SLOT`] while unresolved.
+    succ: u32,
+}
+
 /// Codec state shared (by construction, not by channel) between the
-/// encoder and the decoder.
-#[derive(Default)]
+/// encoder and the decoder: the slot arena, its position index, and
+/// the slot of the last record coded.
 struct CodecState {
-    /// The last record coded, for PC deltas and run prediction.
-    prev: Option<Exec>,
-    /// The most recent record seen at each `(pc, disepc)` position.
-    last: HashMap<(u64, u16), Exec>,
+    slots: Vec<Slot>,
+    /// Open-addressed, linearly probed table of slot numbers keyed by
+    /// [`position_hash`]; [`NO_SLOT`] marks an empty entry. Its length
+    /// is a power of two kept at least twice the slot count.
+    index: Vec<u32>,
+    /// The slot holding the last record coded.
+    prev: u32,
+}
+
+impl Default for CodecState {
+    fn default() -> CodecState {
+        CodecState { slots: Vec::new(), index: vec![NO_SLOT; INITIAL_INDEX], prev: NO_SLOT }
+    }
+}
+
+/// Multiply-fold hash of a position (see [`AddrHasher`]): positions
+/// need spread, not DoS resistance.
+#[inline]
+fn position_hash(pc: u64, disepc: u16) -> usize {
+    let mut h = AddrHasher::default();
+    h.write_u64(pc);
+    h.write_u64(u64::from(disepc));
+    h.finish() as usize
+}
+
+impl CodecState {
+    /// The slot at `(pc, disepc)`, or [`NO_SLOT`] for a position never
+    /// seen.
+    #[inline]
+    fn find(&self, pc: u64, disepc: u16) -> u32 {
+        let mask = self.index.len() - 1;
+        let mut i = position_hash(pc, disepc) & mask;
+        loop {
+            let s = self.index[i];
+            if s == NO_SLOT {
+                return NO_SLOT;
+            }
+            let r = &self.slots[s as usize].rec;
+            if r.pc == pc && r.disepc == disepc {
+                return s;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The slot a RUN token reaches from `from`, resolving (and
+    /// caching) the successor link on first use. [`NO_SLOT`] when the
+    /// predicted position has not been seen yet.
+    #[inline]
+    fn successor(&mut self, from: u32) -> u32 {
+        let slot = &self.slots[from as usize];
+        if slot.succ != NO_SLOT {
+            return slot.succ;
+        }
+        let (pc, disepc) = predicted_next(&slot.rec);
+        let s = self.find(pc, disepc);
+        self.slots[from as usize].succ = s;
+        s
+    }
+
+    /// The PC of the last record coded (0 at stream start).
+    #[inline]
+    fn prev_pc(&self) -> u64 {
+        if self.prev == NO_SLOT {
+            0
+        } else {
+            self.slots[self.prev as usize].rec.pc
+        }
+    }
+
+    /// Make `e` the remembered record at its position and the last
+    /// record coded. `slot` is its position's slot, or [`NO_SLOT`] to
+    /// open a new one. Rewriting a slot drops its successor link: the
+    /// predicted position depends on the record.
+    fn remember(&mut self, slot: u32, e: &Exec) {
+        self.prev = if slot == NO_SLOT {
+            let new = u32::try_from(self.slots.len()).expect("fewer than 2^32 - 1 positions");
+            self.slots.push(Slot { rec: *e, succ: NO_SLOT });
+            if 2 * self.slots.len() > self.index.len() {
+                self.index = vec![NO_SLOT; 2 * self.index.len()];
+                for s in 0..new {
+                    self.insert(s);
+                }
+            }
+            self.insert(new);
+            new
+        } else {
+            let sl = &mut self.slots[slot as usize];
+            sl.rec = *e;
+            sl.succ = NO_SLOT;
+            slot
+        };
+    }
+
+    fn insert(&mut self, s: u32) {
+        let r = &self.slots[s as usize].rec;
+        let mask = self.index.len() - 1;
+        let mut i = position_hash(r.pc, r.disepc) & mask;
+        while self.index[i] != NO_SLOT {
+            i = (i + 1) & mask;
+        }
+        self.index[i] = s;
+    }
 }
 
 /// Streaming `Exec` → bytes encoder. Feed records with
@@ -196,25 +328,40 @@ impl ExecEncoder {
     /// Append the encoding of `e` to `out` (possibly zero bytes now:
     /// run tokens are emitted lazily when the run breaks or the stream
     /// finishes).
+    #[inline]
     pub fn encode(&mut self, e: &Exec, out: &mut Vec<u8>) {
-        let key = (e.pc, e.disepc);
-        let predicted = self.state.prev.as_ref().map(predicted_next);
-        let same = self.state.last.get(&key) == Some(e);
-        if same && predicted == Some(key) {
-            self.run += 1;
-        } else {
-            self.flush_run(out);
-            let prev_pc = self.state.prev.map_or(0, |p| p.pc);
-            if same {
-                out.push(OP_SAME);
-                write_uvarint(out, delta(prev_pc, e.pc));
-                write_uvarint(out, u64::from(e.disepc));
-            } else {
-                self.encode_full(e, prev_pc, out);
+        let st = &mut self.state;
+        let mut slot = NO_SLOT;
+        if st.prev != NO_SLOT {
+            let s = st.successor(st.prev);
+            if s != NO_SLOT {
+                let r = &st.slots[s as usize].rec;
+                if r == e {
+                    self.run += 1;
+                    st.prev = s;
+                    return;
+                }
+                if r.pc == e.pc && r.disepc == e.disepc {
+                    slot = s;
+                }
             }
         }
-        self.state.last.insert(key, *e);
-        self.state.prev = Some(*e);
+        if slot == NO_SLOT {
+            slot = st.find(e.pc, e.disepc);
+        }
+        self.flush_run(out);
+        let st = &mut self.state;
+        let prev_pc = st.prev_pc();
+        let base = (slot != NO_SLOT).then(|| &st.slots[slot as usize].rec);
+        if base == Some(e) {
+            out.push(OP_SAME);
+            write_uvarint(out, delta(prev_pc, e.pc));
+            write_uvarint(out, u64::from(e.disepc));
+            st.prev = slot;
+        } else {
+            encode_full(e, base, prev_pc, out);
+            st.remember(slot, e);
+        }
     }
 
     /// Flush the pending run token at end of stream.
@@ -229,61 +376,62 @@ impl ExecEncoder {
             self.run = 0;
         }
     }
+}
 
-    fn encode_full(&self, e: &Exec, prev_pc: u64, out: &mut Vec<u8>) {
-        let base = self.state.last.get(&(e.pc, e.disepc));
-        let instr_same = base.is_some_and(|b| b.instr == e.instr);
-        let mut flags = 0u8;
-        flags |= u8::from(e.fetched);
-        flags |= u8::from(e.in_dise_call) << 1;
-        flags |= u8::from(e.branch.is_some()) << 2;
-        flags |= u8::from(e.mem.is_some()) << 3;
-        flags |= u8::from(e.flush.is_some()) << 4;
-        flags |= u8::from(e.event.is_some()) << 5;
-        flags |= u8::from(instr_same) << 6;
-        out.push(OP_FULL);
-        out.push(flags);
-        write_uvarint(out, delta(prev_pc, e.pc));
-        write_uvarint(out, u64::from(e.disepc));
-        if !instr_same {
-            out.extend_from_slice(&encode_instr(&e.instr).to_le_bytes());
+/// A FULL token for `e`, delta-encoded against `base`, the remembered
+/// record at its position.
+fn encode_full(e: &Exec, base: Option<&Exec>, prev_pc: u64, out: &mut Vec<u8>) {
+    let instr_same = base.is_some_and(|b| b.instr == e.instr);
+    let mut flags = 0u8;
+    flags |= u8::from(e.fetched);
+    flags |= u8::from(e.in_dise_call) << 1;
+    flags |= u8::from(e.branch.is_some()) << 2;
+    flags |= u8::from(e.mem.is_some()) << 3;
+    flags |= u8::from(e.flush.is_some()) << 4;
+    flags |= u8::from(e.event.is_some()) << 5;
+    flags |= u8::from(instr_same) << 6;
+    out.push(OP_FULL);
+    out.push(flags);
+    write_uvarint(out, delta(prev_pc, e.pc));
+    write_uvarint(out, u64::from(e.disepc));
+    if !instr_same {
+        out.extend_from_slice(&encode_instr(&e.instr).to_le_bytes());
+    }
+    if let Some(b) = e.branch {
+        out.push(branch_kind_code(b.kind) | (u8::from(b.taken) << 3));
+        write_uvarint(out, delta(e.pc, b.target));
+    }
+    if let Some(m) = e.mem {
+        out.push(u8::from(m.is_store));
+        write_uvarint(out, m.width);
+        // Memory operands delta against the previous access at the
+        // same position: array walks and counters become one byte.
+        if let Some(lm) = base.and_then(|b| b.mem) {
+            write_uvarint(out, delta(lm.addr, m.addr));
+            write_uvarint(out, delta(lm.old_value, m.old_value));
+            write_uvarint(out, delta(lm.new_value, m.new_value));
+        } else {
+            write_uvarint(out, m.addr);
+            write_uvarint(out, m.old_value);
+            write_uvarint(out, m.new_value);
         }
-        if let Some(b) = e.branch {
-            out.push(branch_kind_code(b.kind) | (u8::from(b.taken) << 3));
-            write_uvarint(out, delta(e.pc, b.target));
-        }
-        if let Some(m) = e.mem {
-            out.push(u8::from(m.is_store));
-            write_uvarint(out, m.width);
-            // Memory operands delta against the previous access at the
-            // same position: array walks and counters become one byte.
-            if let Some(lm) = base.and_then(|b| b.mem) {
-                write_uvarint(out, delta(lm.addr, m.addr));
-                write_uvarint(out, delta(lm.old_value, m.old_value));
-                write_uvarint(out, delta(lm.new_value, m.new_value));
-            } else {
-                write_uvarint(out, m.addr);
-                write_uvarint(out, m.old_value);
-                write_uvarint(out, m.new_value);
+    }
+    if let Some(fl) = e.flush {
+        out.push(flush_code(fl));
+    }
+    if let Some(ev) = e.event {
+        match ev {
+            Event::Trap => out.push(0),
+            Event::ProtFault { addr } => {
+                out.push(1);
+                write_uvarint(out, addr);
             }
-        }
-        if let Some(fl) = e.flush {
-            out.push(flush_code(fl));
-        }
-        if let Some(ev) = e.event {
-            match ev {
-                Event::Trap => out.push(0),
-                Event::ProtFault { addr } => {
-                    out.push(1);
-                    write_uvarint(out, addr);
-                }
-                Event::Halted => out.push(2),
-                Event::Error(err) => {
-                    out.push(3);
-                    let (code, pc) = exec_error_parts(err);
-                    out.push(code);
-                    write_uvarint(out, pc);
-                }
+            Event::Halted => out.push(2),
+            Event::Error(err) => {
+                out.push(3);
+                let (code, pc) = exec_error_parts(err);
+                out.push(code);
+                write_uvarint(out, pc);
             }
         }
     }
@@ -292,6 +440,12 @@ impl ExecEncoder {
 /// Streaming bytes → `Exec` decoder — the exact mirror of
 /// [`ExecEncoder`]. Errors are returned as human-readable reasons; the
 /// caller wraps them in [`TraceError::Malformed`] with the file path.
+///
+/// Besides undecodable bytes, the decoder rejects every field value the
+/// encoder never writes — an access width outside {1, 2, 4, 8}, a
+/// memory byte above 1, FULL flag bit 7, branch-byte bits 4–7 — so a
+/// CRC-clean but hand-edited trace fails here, typed, instead of
+/// reaching a replayer that trusts the fields.
 #[derive(Default)]
 pub struct ExecDecoder {
     state: CodecState,
@@ -313,6 +467,17 @@ impl ExecDecoder {
     /// decode — possible only for hand-damaged input, since CRC
     /// validation happens before decoding.
     pub fn next(&mut self, buf: &[u8], pos: &mut usize) -> Result<Option<Exec>, String> {
+        Ok(self.next_ref(buf, pos)?.copied())
+    }
+
+    /// [`ExecDecoder::next`] without the copy: the record is borrowed
+    /// from the decoder's slot arena until the next call.
+    #[inline]
+    pub(crate) fn next_ref(
+        &mut self,
+        buf: &[u8],
+        pos: &mut usize,
+    ) -> Result<Option<&Exec>, String> {
         if self.run > 0 {
             self.run -= 1;
             return self.replay_predicted().map(Some);
@@ -332,41 +497,54 @@ impl ExecDecoder {
                 self.replay_predicted().map(Some)
             }
             OP_SAME => {
-                let prev_pc = self.state.prev.map_or(0, |p| p.pc);
-                let pc = apply_delta(prev_pc, read_uvarint(buf, pos).ok_or("truncated SAME pc")?);
-                let disepc = read_uvarint(buf, pos).ok_or("truncated SAME disepc")?;
-                let disepc =
-                    u16::try_from(disepc).map_err(|_| format!("disepc {disepc} out of range"))?;
-                let e = *self
-                    .state
-                    .last
-                    .get(&(pc, disepc))
-                    .ok_or("SAME token for a position never seen")?;
-                self.state.prev = Some(e);
-                Ok(Some(e))
+                let st = &mut self.state;
+                let pc =
+                    apply_delta(st.prev_pc(), read_uvarint(buf, pos).ok_or("truncated SAME pc")?);
+                let disepc = read_disepc(buf, pos, "truncated SAME disepc")?;
+                let s = st.find(pc, disepc);
+                if s == NO_SLOT {
+                    return Err("SAME token for a position never seen".to_string());
+                }
+                st.prev = s;
+                Ok(Some(&st.slots[s as usize].rec))
             }
-            OP_FULL => self.decode_full(buf, pos).map(Some),
+            OP_FULL => {
+                self.decode_full(buf, pos)?;
+                Ok(Some(&self.state.slots[self.state.prev as usize].rec))
+            }
             other => Err(format!("unknown opcode {other}")),
         }
     }
 
-    fn replay_predicted(&mut self) -> Result<Exec, String> {
-        let prev = self.state.prev.as_ref().ok_or("run token before any record")?;
-        let key = predicted_next(prev);
-        let e = *self.state.last.get(&key).ok_or("run token reached a position never seen")?;
-        self.state.prev = Some(e);
-        Ok(e)
+    #[inline]
+    fn replay_predicted(&mut self) -> Result<&Exec, String> {
+        let st = &mut self.state;
+        if st.prev == NO_SLOT {
+            return Err("run token before any record".to_string());
+        }
+        let s = st.successor(st.prev);
+        if s == NO_SLOT {
+            return Err("run token reached a position never seen".to_string());
+        }
+        st.prev = s;
+        Ok(&st.slots[s as usize].rec)
     }
 
+    /// Decode a FULL token into its slot, which becomes `prev`.
     #[allow(clippy::too_many_lines)]
-    fn decode_full(&mut self, buf: &[u8], pos: &mut usize) -> Result<Exec, String> {
-        let flags = *buf.get(*pos).ok_or("truncated FULL flags")?;
-        *pos += 1;
-        let prev_pc = self.state.prev.map_or(0, |p| p.pc);
-        let pc = apply_delta(prev_pc, read_uvarint(buf, pos).ok_or("truncated FULL pc")?);
-        let disepc = read_uvarint(buf, pos).ok_or("truncated FULL disepc")?;
-        let disepc = u16::try_from(disepc).map_err(|_| format!("disepc {disepc} out of range"))?;
-        let base = self.state.last.get(&(pc, disepc)).copied();
+    fn decode_full(&mut self, buf: &[u8], pos: &mut usize) -> Result<(), String> {
+        let flags = read_byte(buf, pos, "truncated FULL flags")?;
+        if flags & (1 << 7) != 0 {
+            return Err(format!("FULL flags {flags:#04x} set reserved bit 7"));
+        }
+        let st = &mut self.state;
+        let pc = apply_delta(st.prev_pc(), read_uvarint(buf, pos).ok_or("truncated FULL pc")?);
+        let disepc = read_disepc(buf, pos, "truncated FULL disepc")?;
+        let slot = st.find(pc, disepc);
+        if slot == NO_SLOT && st.slots.len() >= NO_SLOT as usize {
+            return Err("more distinct positions than the codec can index".to_string());
+        }
+        let base = (slot != NO_SLOT).then(|| st.slots[slot as usize].rec);
         let instr = if flags & (1 << 6) != 0 {
             base.ok_or("instr-same flag for a position never seen")?.instr
         } else {
@@ -378,17 +556,24 @@ impl ExecDecoder {
             decode_instr(word).map_err(|e| format!("undecodable instruction word: {e:?}"))?
         };
         let branch = if flags & (1 << 2) != 0 {
-            let b = *buf.get(*pos).ok_or("truncated branch byte")?;
-            *pos += 1;
+            let b = read_byte(buf, pos, "truncated branch byte")?;
+            if b & 0xF0 != 0 {
+                return Err(format!("branch byte {b:#04x} sets reserved bits 4-7"));
+            }
             let target = apply_delta(pc, read_uvarint(buf, pos).ok_or("truncated branch target")?);
             Some(Branch { kind: branch_kind_from(b & 0x7)?, taken: b & (1 << 3) != 0, target })
         } else {
             None
         };
         let mem = if flags & (1 << 3) != 0 {
-            let m = *buf.get(*pos).ok_or("truncated mem byte")?;
-            *pos += 1;
+            let m = read_byte(buf, pos, "truncated mem byte")?;
+            if m > 1 {
+                return Err(format!("mem byte {m} is neither load (0) nor store (1)"));
+            }
             let width = read_uvarint(buf, pos).ok_or("truncated mem width")?;
+            if !matches!(width, 1 | 2 | 4 | 8) {
+                return Err(format!("access width {width} is not 1, 2, 4 or 8"));
+            }
             let (addr, old_value, new_value) = if let Some(lm) = base.and_then(|b| b.mem) {
                 (
                     apply_delta(lm.addr, read_uvarint(buf, pos).ok_or("truncated mem addr")?),
@@ -408,29 +593,24 @@ impl ExecDecoder {
                     read_uvarint(buf, pos).ok_or("truncated mem new value")?,
                 )
             };
-            Some(MemOp { addr, width, is_store: m & 1 != 0, old_value, new_value })
+            Some(MemOp { addr, width, is_store: m == 1, old_value, new_value })
         } else {
             None
         };
         let flush = if flags & (1 << 4) != 0 {
-            let fl = *buf.get(*pos).ok_or("truncated flush byte")?;
-            *pos += 1;
-            Some(flush_from(fl)?)
+            Some(flush_from(read_byte(buf, pos, "truncated flush byte")?)?)
         } else {
             None
         };
         let event = if flags & (1 << 5) != 0 {
-            let tag = *buf.get(*pos).ok_or("truncated event tag")?;
-            *pos += 1;
-            Some(match tag {
+            Some(match read_byte(buf, pos, "truncated event tag")? {
                 0 => Event::Trap,
                 1 => Event::ProtFault {
                     addr: read_uvarint(buf, pos).ok_or("truncated fault address")?,
                 },
                 2 => Event::Halted,
                 3 => {
-                    let code = *buf.get(*pos).ok_or("truncated error code")?;
-                    *pos += 1;
+                    let code = read_byte(buf, pos, "truncated error code")?;
                     let pc = read_uvarint(buf, pos).ok_or("truncated error pc")?;
                     Event::Error(exec_error_from(code, pc)?)
                 }
@@ -450,10 +630,20 @@ impl ExecDecoder {
             flush,
             event,
         };
-        self.state.last.insert((pc, disepc), e);
-        self.state.prev = Some(e);
-        Ok(e)
+        st.remember(slot, &e);
+        Ok(())
     }
+}
+
+fn read_byte(buf: &[u8], pos: &mut usize, what: &str) -> Result<u8, String> {
+    let b = *buf.get(*pos).ok_or(what)?;
+    *pos += 1;
+    Ok(b)
+}
+
+fn read_disepc(buf: &[u8], pos: &mut usize, what: &str) -> Result<u16, String> {
+    let disepc = read_uvarint(buf, pos).ok_or(what)?;
+    u16::try_from(disepc).map_err(|_| format!("disepc {disepc} out of range"))
 }
 
 /// Size and throughput accounting for one recorded (or opened) trace.
@@ -482,145 +672,81 @@ fn raw_bytes(records: u64) -> u64 {
     records * std::mem::size_of::<Exec>() as u64
 }
 
-struct WriterOut {
-    records: u64,
-    file_bytes: u64,
-}
-
 /// Records an `Exec` stream to a trace file.
 ///
-/// The session thread calls [`TraceWriter::record`] per step; records
-/// cross a bounded SPSC ring to a dedicated writer thread that encodes
-/// and persists them, so the producer only ever waits when it is more
-/// than a full ring ahead of the disk (back-pressure, not unbounded
-/// buffering). Until [`TraceWriter::finish`] renames it into place the
-/// trace exists only as a staged temporary, so an abandoned or crashed
-/// recording publishes nothing.
+/// The session thread calls [`TraceWriter::record`] per step and pays
+/// the encoding inline — a run record costs one compare — and each
+/// 64 KiB chunk goes to the staged file as it fills. Until
+/// [`TraceWriter::finish`] renames it into place the trace exists only
+/// as a staged temporary, so an abandoned or failed recording publishes
+/// nothing.
 pub struct TraceWriter {
-    producer: Option<dise_trace::Producer<Exec>>,
-    worker: Option<JoinHandle<Result<WriterOut, TraceError>>>,
-    completed: Arc<AtomicBool>,
+    encoder: ExecEncoder,
+    /// Encoded bytes not yet written: under one chunk plus one record.
+    out: Vec<u8>,
+    /// The staged container, or the first I/O error — which dropped
+    /// (and so discarded) the staged file.
+    store: Result<ChunkWriter, TraceError>,
     records: u64,
-    path: PathBuf,
 }
 
 impl TraceWriter {
-    /// Open the staged file (surfacing an unwritable trace directory
-    /// immediately, before any simulation work) and start the writer
-    /// thread.
+    /// Open the staged file, surfacing an unwritable trace directory
+    /// immediately, before any simulation work.
     ///
     /// # Errors
     ///
-    /// [`TraceError::Io`] when the staged file or the thread cannot be
-    /// created.
+    /// [`TraceError::Io`] when the staged file cannot be created.
     pub fn create(path: &Path, fingerprint: u64) -> Result<TraceWriter, TraceError> {
-        let store = ChunkWriter::create(path, fingerprint)?;
-        let (producer, consumer) = ring::<Exec>(RING_CAPACITY);
-        let completed = Arc::new(AtomicBool::new(false));
-        let completed_for_worker = Arc::clone(&completed);
-        let worker = std::thread::Builder::new()
-            .name("dise-trace-writer".to_string())
-            .spawn(move || write_stream(store, consumer, &completed_for_worker))
-            .map_err(|e| TraceError::Io {
-                path: path.display().to_string(),
-                error: format!("spawning writer thread: {e}"),
-            })?;
         Ok(TraceWriter {
-            producer: Some(producer),
-            worker: Some(worker),
-            completed,
+            encoder: ExecEncoder::new(),
+            out: Vec::with_capacity(2 * CHUNK_BYTES),
+            store: Ok(ChunkWriter::create(path, fingerprint)?),
             records: 0,
-            path: path.to_path_buf(),
         })
     }
 
-    /// Enqueue one record for the writer thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics — loudly, with the writer thread's error — if that thread
-    /// died (e.g. the disk filled mid-recording). A recording the
-    /// caller asked for must never silently become a non-recording.
+    /// Encode one record, writing out the chunk it fills. After an I/O
+    /// error this does nothing: the error is kept for
+    /// [`TraceWriter::finish`], so a recording the caller asked for
+    /// never silently becomes a non-recording.
+    #[inline]
     pub fn record(&mut self, e: &Exec) {
+        if self.store.is_err() {
+            return;
+        }
         self.records += 1;
-        let producer = self.producer.as_mut().expect("record() before finish()");
-        if producer.push(*e).is_err() {
-            let reason = match self.worker.take().map(JoinHandle::join) {
-                Some(Ok(Err(err))) => err.to_string(),
-                Some(Err(panic)) => std::panic::resume_unwind(panic),
-                _ => "writer thread exited unexpectedly".to_string(),
-            };
-            panic!("trace recording to {} failed: {reason}", self.path.display());
+        self.encoder.encode(e, &mut self.out);
+        if self.out.len() >= CHUNK_BYTES {
+            self.write_chunk();
         }
     }
 
-    /// Seal the stream: drain the ring, write the terminal chunk, and
-    /// rename the staged file into place.
+    fn write_chunk(&mut self) {
+        if let Ok(store) = &mut self.store {
+            if let Err(e) = store.chunk(&self.out) {
+                self.store = Err(e);
+            }
+        }
+        self.out.clear();
+    }
+
+    /// Seal the stream: write the last chunk and the terminal record
+    /// count, and rename the staged file into place.
     ///
     /// # Errors
     ///
-    /// [`TraceError::Io`] when encoding or persisting failed; the
-    /// staged file is discarded and nothing is published.
+    /// [`TraceError::Io`] — the first one, if [`TraceWriter::record`]
+    /// already hit one — when persisting failed; the staged file is
+    /// discarded and nothing is published.
     pub fn finish(mut self) -> Result<TraceStats, TraceError> {
-        // Mark completion *before* hanging up, so the writer thread can
-        // distinguish a sealed stream from an abandoned one.
-        self.completed.store(true, Ordering::Release);
-        drop(self.producer.take());
-        let out = match self.worker.take().expect("finish() runs once").join() {
-            Ok(res) => res?,
-            Err(panic) => std::panic::resume_unwind(panic),
-        };
-        debug_assert_eq!(out.records, self.records, "ring must deliver every record");
-        Ok(TraceStats {
-            records: out.records,
-            raw_bytes: raw_bytes(out.records),
-            file_bytes: out.file_bytes,
-        })
-    }
-}
-
-impl Drop for TraceWriter {
-    fn drop(&mut self) {
-        // Abandonment path (a recording task dropped mid-run): hang up
-        // without marking completion; the writer thread discards the
-        // staged file, so no truncated trace is ever published.
-        drop(self.producer.take());
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
+        self.encoder.finish(&mut self.out);
+        if !self.out.is_empty() {
+            self.write_chunk();
         }
+        let file_bytes = self.store?.finish(self.records)?;
+        Ok(TraceStats { records: self.records, raw_bytes: raw_bytes(self.records), file_bytes })
     }
-}
-
-fn write_stream(
-    mut store: ChunkWriter,
-    mut consumer: Consumer<Exec>,
-    completed: &AtomicBool,
-) -> Result<WriterOut, TraceError> {
-    let mut encoder = ExecEncoder::new();
-    let mut out = Vec::with_capacity(2 * CHUNK_BYTES);
-    let mut records = 0u64;
-    while let Some(e) = consumer.pop() {
-        encoder.encode(&e, &mut out);
-        records += 1;
-        if out.len() >= CHUNK_BYTES {
-            store.chunk(&out)?;
-            out.clear();
-        }
-    }
-    if !completed.load(Ordering::Acquire) {
-        // Producer hung up without sealing: abandoned recording.
-        // Dropping `store` discards the staged file.
-        return Err(TraceError::Io {
-            path: "(unpublished)".to_string(),
-            error: "recording abandoned before completion".to_string(),
-        });
-    }
-    encoder.finish(&mut out);
-    if !out.is_empty() {
-        store.chunk(&out)?;
-    }
-    let file_bytes = store.finish(records)?;
-    Ok(WriterOut { records, file_bytes })
 }
 
 /// Replays an `Exec` stream from a trace file.
@@ -684,8 +810,15 @@ impl TraceReader {
     // able to skip a mid-stream error and keep iterating.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Exec>, TraceError> {
+        Ok(self.advance()?.copied())
+    }
+
+    /// Decode the next record in place: it is borrowed from the
+    /// decoder's slot arena, so delivering it costs no copy here.
+    #[inline]
+    fn advance(&mut self) -> Result<Option<&Exec>, TraceError> {
         let malformed = |reason: String| TraceError::Malformed { path: self.path.clone(), reason };
-        match self.decoder.next(&self.payload, &mut self.pos) {
+        match self.decoder.next_ref(&self.payload, &mut self.pos) {
             Ok(Some(e)) => {
                 self.delivered += 1;
                 if self.delivered > self.records {
@@ -712,7 +845,8 @@ impl TraceReader {
     /// Decode up to `max` records into `chunk` — the bulk-decode twin
     /// of [`TraceReader::next`] for slice-based fan-out. The chunk is a
     /// caller-owned scratch buffer reused across the whole replay, so
-    /// decoding a stream costs no per-record heap traffic.
+    /// decoding a stream costs no per-record heap traffic: each record
+    /// is copied once, from the decoder's slot straight into the chunk.
     ///
     /// `dirty` is consulted once per record, in decode order, and
     /// doubles as a per-record tee hook (the replay shadow memory rides
@@ -737,12 +871,12 @@ impl TraceReader {
     ) -> Result<(u64, Option<Exec>), TraceError> {
         let mut n = 0u64;
         while n < max && !chunk.is_full() {
-            let Some(e) = self.next()? else { break };
+            let Some(e) = self.advance()? else { break };
             n += 1;
-            if dirty(&e) {
-                return Ok((n, Some(e)));
+            if dirty(e) {
+                return Ok((n, Some(*e)));
             }
-            chunk.push(e);
+            chunk.push(*e);
         }
         Ok((n, None))
     }

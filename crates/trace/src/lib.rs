@@ -12,26 +12,26 @@
 //! `dise_cpu::trace` is built from:
 //!
 //! - [`wire`]: LEB128-style unsigned varints, zigzag deltas, and a
-//!   table-driven CRC-32 (IEEE) — the integer vocabulary of the format.
-//! - [`ring`]: a bounded lock-free single-producer/single-consumer ring,
-//!   so the hot producing session never blocks on a cold disk consumer
-//!   (and applies back-pressure instead of buffering unboundedly when
-//!   the consumer falls behind).
+//!   slicing-by-8 CRC-32 (IEEE) — the integer vocabulary of the format.
 //! - [`store`]: the versioned on-disk container — magic, format
 //!   version, kernel fingerprint, CRC-checked chunks, and a terminal
 //!   record-count chunk, written to a temporary sibling and renamed into
 //!   place so a crashed or concurrent recording can never publish a
 //!   half-written trace.
 //!
+//! The session thread encodes its records inline and writes each chunk
+//! as it fills. There is no writer thread: encoding a run record costs
+//! one compare, less than handing the record to another thread did, and
+//! that thread spun on an empty queue whenever the session was busy
+//! elsewhere — burning a core the scheduler's workers could use.
+//!
 //! Every way a stored trace can be unusable has its own [`TraceError`]
 //! variant: a stale or corrupt trace must be rejected loudly and
 //! distinguishably, never replayed silently wrong.
 
-pub mod ring;
 pub mod store;
 pub mod wire;
 
-pub use ring::{ring, Consumer, Disconnected, Producer, TryPopError, TryPushError};
 pub use store::{read_chunk_file, ChunkFile, ChunkWriter, MAGIC, VERSION};
 
 /// Everything that can make a persistent trace unusable.

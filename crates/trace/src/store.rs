@@ -173,7 +173,7 @@ pub struct ChunkFile {
 /// failure, and [`TraceError::Malformed`] on inconsistent framing.
 pub fn read_chunk_file(path: &Path) -> Result<ChunkFile, TraceError> {
     let display = path.display().to_string();
-    let bytes = fs::read(path).map_err(|e| io_error(path, &e))?;
+    let mut bytes = fs::read(path).map_err(|e| io_error(path, &e))?;
     let truncated =
         |offset: usize| TraceError::Truncated { path: display.clone(), offset: offset as u64 };
     if bytes.len() < HEADER_LEN {
@@ -191,7 +191,10 @@ pub fn read_chunk_file(path: &Path) -> Result<ChunkFile, TraceError> {
     }
     let fingerprint = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
 
-    let mut payload = Vec::new();
+    // Data payloads are compacted to the front of `bytes` as they
+    // validate, so the file buffer becomes the payload without a copy
+    // into a second one. Compaction only writes below `pos`.
+    let mut payload_len = 0;
     let mut pos = HEADER_LEN;
     let mut chunk_index = 0u64;
     loop {
@@ -209,13 +212,17 @@ pub fn read_chunk_file(path: &Path) -> Result<ChunkFile, TraceError> {
         if bytes.len() - pos < len {
             return Err(truncated(bytes.len()));
         }
-        let chunk = &bytes[pos..pos + len];
+        let start = pos;
         pos += len;
+        let chunk = &bytes[start..pos];
         if crc32(chunk) != crc {
             return Err(TraceError::CorruptChunk { path: display, chunk: chunk_index });
         }
         match tag {
-            TAG_DATA => payload.extend_from_slice(chunk),
+            TAG_DATA => {
+                bytes.copy_within(start..pos, payload_len);
+                payload_len += len;
+            }
             TAG_END => {
                 let count: [u8; 8] = chunk.try_into().map_err(|_| TraceError::Malformed {
                     path: display.clone(),
@@ -227,11 +234,13 @@ pub fn read_chunk_file(path: &Path) -> Result<ChunkFile, TraceError> {
                         reason: format!("{} trailing bytes after the end chunk", bytes.len() - pos),
                     });
                 }
+                let file_bytes = bytes.len() as u64;
+                bytes.truncate(payload_len);
                 return Ok(ChunkFile {
                     fingerprint,
                     record_count: u64::from_le_bytes(count),
-                    payload,
-                    file_bytes: bytes.len() as u64,
+                    payload: bytes,
+                    file_bytes,
                 });
             }
             other => {

@@ -60,10 +60,13 @@ pub fn apply_delta(from: u64, d: u64) -> u64 {
     from.wrapping_add(unzigzag(d) as u64)
 }
 
-/// The standard CRC-32 (IEEE 802.3, polynomial `0xEDB88320`) lookup
-/// table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables for CRC-32 (IEEE 802.3, reflected polynomial
+/// `0xEDB88320`), built at compile time. `CRC_TABLES[0]` is the classic
+/// bytewise table; `CRC_TABLES[k][b]` is the CRC of byte `b` followed
+/// by `k` zero bytes, so eight table lookups advance the CRC by eight
+/// input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -72,18 +75,42 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `bytes` — the per-chunk integrity check of the
-/// on-disk container.
+/// on-disk container. Eight bytes per step (slicing-by-8), then the
+/// tail bytewise; the values are those of the bytewise algorithm.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -152,5 +179,45 @@ mod tests {
         // The canonical CRC-32/IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The plain bytewise CRC-32 (IEEE): one bit-serial table per byte.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Deterministic pseudo-random bytes (an LCG's high bytes).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut s = seed;
+        (0..len)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (s >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slicing_crc32_equals_the_bytewise_reference() {
+        // Every length through several 8-byte steps plus every tail,
+        // at every alignment of the slice start.
+        let buf = noise(300 + 8, 0x5eed);
+        for start in 0..8 {
+            for len in 0..=300 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "start {start}, length {len}");
+            }
+        }
+        let chunk = noise(64 * 1024, 0xc0ffee);
+        assert_eq!(crc32(&chunk), crc32_bytewise(&chunk), "one 64 KiB chunk");
     }
 }
