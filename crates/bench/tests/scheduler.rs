@@ -141,10 +141,14 @@ fn server_transcript_matches_golden_for_any_workers_and_slice() {
             for (dependent, dep) in
                 jobs.iter().filter_map(|j| j.after.as_ref().map(|d| (&j.name, d)))
             {
+                // `done <name> …` or `error <name>: …`.
                 let pos = |name: &str| {
                     streamed
                         .iter()
-                        .position(|l| l.split_whitespace().nth(1) == Some(name))
+                        .position(|l| {
+                            l.split_whitespace().nth(1).map(|n| n.trim_end_matches(':'))
+                                == Some(name)
+                        })
                         .unwrap_or_else(|| panic!("no streamed line for {name}"))
                 };
                 assert!(

@@ -30,22 +30,18 @@
 //! resuming. All retargeting state lives on the debugger's side of the
 //! trap, so the mechanism remains observation-only. Because the pairs
 //! always mirror the watchpoints' *current* watched intervals, the trap
-//! predicate is exactly [`WatchState::store_overlaps`] — the live
-//! backend and the replayable observer share that one predicate and
-//! cannot drift apart. One semantic caveat: on a repointing store the
-//! comparators report the expression's value change (gdb's `watch *p`
-//! semantics, and the conformance oracle's), whereas DISE's generated
-//! function re-references silently — a pinned, documented divergence.
+//! predicate is exactly [`WatchState::store_overlaps`]. One semantic
+//! caveat: on a repointing store the comparators report the
+//! expression's value change (gdb's `watch *p` semantics, and the
+//! conformance oracle's), whereas DISE's generated function
+//! re-references silently — a pinned, documented divergence.
 
-use dise_asm::Program;
-use dise_cpu::{Exec, Executor};
+use dise_cpu::Exec;
 use dise_mem::Memory;
 
-use crate::backend::{classify, BackendImpl, ObserverImpl};
+use crate::backend::{classify, ObserverImpl};
 use crate::session::DebugError;
-use crate::{
-    Application, Transition, TransitionStats, WatchExpr, WatchFilter, WatchState, Watchpoint,
-};
+use crate::{Transition, TransitionStats, WatchExpr, WatchFilter, WatchState, Watchpoint};
 
 /// Bound-register pairs the organisation provides: the paper's engine
 /// tables are tens of entries, and each pair needs two address
@@ -55,8 +51,7 @@ use crate::{
 pub(crate) const COMPARATOR_PAIRS: usize = 16;
 
 /// How many bound-register pairs `wps` needs, or `Unsupported` when the
-/// set exceeds the file. Shared by the live backend and the observer so
-/// their admission decisions agree.
+/// set exceeds the file.
 fn pairs_needed(wps: &[Watchpoint]) -> Result<usize, DebugError> {
     let pairs: usize = wps
         .iter()
@@ -74,60 +69,9 @@ fn pairs_needed(wps: &[Watchpoint]) -> Result<usize, DebugError> {
     Ok(pairs)
 }
 
-/// The one trap-and-classify step both halves share: the comparator
-/// pairs mirror the watchpoints' current intervals, so a store traps
-/// iff it overlaps a watched byte, and every trap wrote a watched byte
-/// (`wrote_watched` is true by construction — no spurious address
-/// transitions).
-fn observe_store(e: &Exec, mem: &Memory, watch: &mut WatchState) -> Option<Transition> {
-    let m = e.mem?;
-    if !m.is_store || !watch.store_overlaps(mem, m.addr, m.width) {
-        return None;
-    }
-    let (changed, pred_ok) = watch.reevaluate(mem);
-    Some(classify(changed, pred_ok, true))
-}
-
-/// The live session backend: loads the bound pairs and classifies
-/// comparator traps. It never transforms the program, installs no
-/// productions and protects no pages, so the machine runs the
-/// unmodified application.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct DiseCmp;
-
-impl BackendImpl for DiseCmp {
-    fn boxed_clone(&self) -> Box<dyn BackendImpl> {
-        Box::new(self.clone())
-    }
-
-    fn build_program(
-        &mut self,
-        app: &Application,
-        wps: &[Watchpoint],
-    ) -> Result<Program, DebugError> {
-        pairs_needed(wps)?;
-        Ok(app.program()?)
-    }
-
-    fn configure(&mut self, _exec: &mut Executor, _wps: &[Watchpoint]) -> Result<(), DebugError> {
-        // The pairs track `WatchState`'s current intervals; nothing in
-        // the machine is touched.
-        Ok(())
-    }
-
-    fn observe(
-        &mut self,
-        e: &Exec,
-        exec: &mut Executor,
-        watch: &mut WatchState,
-        _stats: &mut TransitionStats,
-    ) -> Option<Transition> {
-        observe_store(e, exec.mem(), watch)
-    }
-}
-
-/// The replayable detector: byte-for-byte the same predicate as
-/// [`DiseCmp`], against the shared stream's read-only memory.
+/// The comparator detector: the bound pairs mirror the watchpoints'
+/// current intervals, so it holds no state of its own.
+#[derive(Clone)]
 pub(crate) struct CmpObserver;
 
 impl CmpObserver {
@@ -145,7 +89,15 @@ impl ObserverImpl for CmpObserver {
         watch: &mut WatchState,
         _stats: &mut TransitionStats,
     ) -> Option<Transition> {
-        observe_store(e, mem, watch)
+        // The pairs mirror the watchpoints' current intervals, so a
+        // store traps iff it overlaps a watched byte, and every trap
+        // wrote one: no spurious address transitions.
+        let m = e.mem?;
+        if !m.is_store || !watch.store_overlaps(mem, m.addr, m.width) {
+            return None;
+        }
+        let (changed, pred_ok) = watch.reevaluate(mem);
+        Some(classify(changed, pred_ok, true))
     }
 
     /// The bound pairs mirror the watchpoints' *current* intervals —
@@ -156,6 +108,10 @@ impl ObserverImpl for CmpObserver {
     fn filter(&self, watch: &WatchState, mem: &Memory) -> WatchFilter {
         let dynamic = watch.watchpoints().any(|w| !w.expr.statically_addressable());
         WatchFilter::new(watch.watched_intervals(mem), dynamic)
+    }
+
+    fn boxed_clone(&self) -> Box<dyn ObserverImpl> {
+        Box::new(self.clone())
     }
 }
 

@@ -1,28 +1,23 @@
 //! Hardware watchpoint registers (§2): a small number of
 //! quad-granularity address comparators; "the virtual memory system is
-//! harnessed" for watchpoints beyond the register count.
+//! harnessed" for watchpoints beyond the register count. The fallback's
+//! page-granularity traps are computed from each store's footprint, as
+//! the virtual-memory detector computes them.
 
-use dise_asm::Program;
-use dise_cpu::{Event, Exec, Executor, MemOp};
+use dise_cpu::{Exec, MemOp};
 use dise_mem::Memory;
 
 use crate::backend::{
     classify,
     virtual_mem::{store_would_fault, watched_pages},
-    BackendImpl, ObserverImpl,
+    ObserverImpl,
 };
 use crate::session::DebugError;
-use crate::{
-    Application, Transition, TransitionStats, WatchExpr, WatchFilter, WatchState, Watchpoint,
-};
+use crate::{Transition, TransitionStats, WatchExpr, WatchFilter, WatchState, Watchpoint};
 
 /// How a register budget covers a watchpoint set: the quad-aligned
-/// addresses loaded into the comparators, and the pages protected for
+/// addresses loaded into the comparators, and the pages trapped for
 /// the watchpoints that overflowed the registers (the Fig. 6 hybrid).
-///
-/// Both the live session backend ([`HwRegs`]) and the replayable
-/// observer ([`HwObserver`]) are built from this one plan, so their trap
-/// sets cannot drift apart.
 fn plan(registers: usize, wps: &[Watchpoint]) -> Result<(Vec<u64>, Vec<u64>), DebugError> {
     // Hardware registers watch scalars; indirect and non-scalar
     // expressions have no experiment in the paper ("real debuggers
@@ -71,69 +66,10 @@ fn comparator_hit(quads: &[u64], m: &MemOp) -> bool {
     quads.iter().any(|&q| q == lo || q == hi)
 }
 
-#[derive(Clone, Debug)]
-pub(crate) struct HwRegs {
-    registers: usize,
-    /// Quad-aligned addresses loaded into the comparators.
-    quads: Vec<u64>,
-}
-
-impl HwRegs {
-    pub fn new(registers: usize) -> HwRegs {
-        HwRegs { registers, quads: Vec::new() }
-    }
-}
-
-impl BackendImpl for HwRegs {
-    fn boxed_clone(&self) -> Box<dyn BackendImpl> {
-        Box::new(self.clone())
-    }
-
-    fn build_program(
-        &mut self,
-        app: &Application,
-        _wps: &[Watchpoint],
-    ) -> Result<Program, DebugError> {
-        Ok(app.program()?)
-    }
-
-    fn configure(&mut self, exec: &mut Executor, wps: &[Watchpoint]) -> Result<(), DebugError> {
-        let (quads, fallback_pages) = plan(self.registers, wps)?;
-        self.quads = quads;
-        for page in fallback_pages {
-            exec.mem_mut().protect_page(page, true);
-        }
-        Ok(())
-    }
-
-    fn observe(
-        &mut self,
-        e: &Exec,
-        exec: &mut Executor,
-        watch: &mut WatchState,
-        _stats: &mut TransitionStats,
-    ) -> Option<Transition> {
-        // The comparators trap any store whose quad-aligned footprint
-        // covers a watched quad.
-        if let Some(m) = e.mem {
-            if m.is_store {
-                let hw_hit = comparator_hit(&self.quads, &m);
-                let vm_hit = matches!(e.event, Some(Event::ProtFault { .. }));
-                if hw_hit || vm_hit {
-                    let wrote = watch.store_overlaps(exec.mem(), m.addr, m.width);
-                    let (changed, pred_ok) = watch.reevaluate(exec.mem());
-                    return Some(classify(changed, pred_ok, wrote));
-                }
-            }
-        }
-        None
-    }
-}
-
-/// The replayable detector for hardware watchpoint registers: the same
-/// comparator plan as the live backend, with the virtual-memory
-/// fallback's faults computed from the page set instead of raised by a
-/// protected machine.
+/// The hardware-register detector: a store traps when its quad-aligned
+/// footprint covers a loaded comparator, or when it would fault on a
+/// page of the virtual-memory fallback.
+#[derive(Clone)]
 pub(crate) struct HwObserver {
     quads: Vec<u64>,
     fallback_pages: Vec<u64>,
@@ -175,6 +111,10 @@ impl ObserverImpl for HwObserver {
         let mut intervals: Vec<(u64, u64)> = self.quads.iter().map(|&q| (q, 8)).collect();
         intervals.extend(self.fallback_pages.iter().map(|&p| (p, dise_mem::PAGE_SIZE)));
         WatchFilter::new(intervals, false)
+    }
+
+    fn boxed_clone(&self) -> Box<dyn ObserverImpl> {
+        Box::new(self.clone())
     }
 }
 

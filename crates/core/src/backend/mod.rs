@@ -23,11 +23,14 @@ pub enum BackendKind {
     /// Source-statement single-stepping: a debugger transition at every
     /// statement boundary (`.stmt` markers).
     SingleStep,
-    /// `mprotect`-based trapping on the watched pages.
+    /// Virtual-memory (`mprotect`) watchpoints: a store traps when it
+    /// touches a page holding watched data. The page-granularity trap
+    /// is computed from each store's footprint; the machine runs the
+    /// unmodified application.
     VirtualMemory,
     /// Hardware watchpoint registers, quad granularity; watchpoints
-    /// beyond `registers` fall back to virtual memory (the Fig. 6
-    /// hybrid).
+    /// beyond `registers` fall back to page-granularity traps (the
+    /// Fig. 6 hybrid).
     HardwareRegisters {
         /// Number of registers (4 on IA-32/IA-64 per §2).
         registers: usize,
@@ -66,8 +69,8 @@ impl BackendKind {
     /// `multithreaded_calls` flag (Fig. 8), which the timing model
     /// already consumes via
     /// [`CpuConfig::multithreaded_dise_calls`]; everything else a
-    /// backend does (productions, handlers, page protection, rewriting)
-    /// changes the executed stream.
+    /// backend does (productions, handlers, rewriting) changes the
+    /// executed stream or what the debugger reports.
     pub fn split_timing(self, mut cpu: CpuConfig) -> (BackendKind, CpuConfig) {
         match self {
             BackendKind::Dise(mut strategy) => {
@@ -82,10 +85,11 @@ impl BackendKind {
     /// The observing/perturbing taxonomy behind
     /// [`crate::ObserverBatch`]: an *observing* backend's watch logic
     /// reads architectural state but never changes what the application
-    /// fetches or executes — page protection and hardware address
-    /// comparators trap to the debugger without altering the
-    /// instruction stream, so any number of observing backends can
-    /// share one functional pass of the unmodified application.
+    /// fetches or executes — page-granularity traps and hardware
+    /// address comparators hand control to the debugger without
+    /// altering the instruction stream, so any number of observing
+    /// backends can share one functional pass of the unmodified
+    /// application.
     ///
     /// *Perturbing* backends keep a private replay: statement
     /// single-stepping (the debugger seizes control at every
@@ -105,9 +109,9 @@ impl BackendKind {
         }
     }
 
-    /// Build the replayable transition detector for an observing
-    /// backend — the piece of the backend that can run against a shared
-    /// functional stream instead of a private machine.
+    /// Build the transition detector of an observing backend — its one
+    /// implementation, fed a private machine's stream through
+    /// [`Observing`] or a shared one by the observer fan-out.
     ///
     /// # Panics
     ///
@@ -130,14 +134,63 @@ impl BackendKind {
     pub(crate) fn instantiate(self) -> Box<dyn BackendImpl> {
         match self {
             BackendKind::SingleStep => Box::new(single_step::SingleStep::default()),
-            BackendKind::VirtualMemory => Box::new(virtual_mem::VirtualMemory),
-            BackendKind::HardwareRegisters { registers } => {
-                Box::new(hw_regs::HwRegs::new(registers))
-            }
             BackendKind::BinaryRewrite => Box::new(rewrite::Rewrite),
             BackendKind::Dise(strategy) => Box::new(dise::DiseBackend::new(strategy)),
-            BackendKind::DiseComparators => Box::new(dise_cmp::DiseCmp),
+            BackendKind::VirtualMemory
+            | BackendKind::HardwareRegisters { .. }
+            | BackendKind::DiseComparators => Box::new(Observing { kind: self, detector: None }),
         }
+    }
+}
+
+/// A private session under an observing backend: the machine runs the
+/// unmodified application, and the backend's one detector
+/// ([`ObserverImpl`]) classifies its stream against the machine's
+/// memory — the same detector an observer batch fans a shared stream
+/// out to, so the two paths cannot drift apart.
+struct Observing {
+    kind: BackendKind,
+    /// Built at admission; `None` only before it.
+    detector: Option<Box<dyn ObserverImpl>>,
+}
+
+impl BackendImpl for Observing {
+    fn build_program(
+        &mut self,
+        app: &Application,
+        wps: &[Watchpoint],
+    ) -> Result<Program, DebugError> {
+        // The comparator file's budget is checked before the image
+        // loads; page and register plans are made in `configure`.
+        if self.kind == BackendKind::DiseComparators {
+            self.detector = Some(self.kind.instantiate_observer(wps)?);
+        }
+        Ok(app.program()?)
+    }
+
+    fn configure(&mut self, _exec: &mut Executor, wps: &[Watchpoint]) -> Result<(), DebugError> {
+        if self.detector.is_none() {
+            self.detector = Some(self.kind.instantiate_observer(wps)?);
+        }
+        Ok(())
+    }
+
+    fn observe(
+        &mut self,
+        e: &Exec,
+        exec: &mut Executor,
+        watch: &mut WatchState,
+        stats: &mut TransitionStats,
+    ) -> Option<Transition> {
+        let detector = self.detector.as_mut().expect("configured at admission");
+        detector.observe(e, exec.mem(), watch, stats)
+    }
+
+    fn boxed_clone(&self) -> Box<dyn BackendImpl> {
+        Box::new(Observing {
+            kind: self.kind,
+            detector: self.detector.as_ref().map(|d| d.boxed_clone()),
+        })
     }
 }
 
@@ -170,8 +223,8 @@ pub(crate) trait BackendImpl: Send {
         wps: &[Watchpoint],
     ) -> Result<Program, DebugError>;
 
-    /// Configure the loaded machine: install productions, load DISE/
-    /// hardware registers, protect pages.
+    /// Configure the loaded machine: install productions, load DISE
+    /// registers, build the detector.
     fn configure(&mut self, exec: &mut Executor, wps: &[Watchpoint]) -> Result<(), DebugError>;
 
     /// Inspect one executed instruction; return the debugger transition
@@ -198,15 +251,16 @@ pub(crate) trait BackendImpl: Send {
     fn boxed_clone(&self) -> Box<dyn BackendImpl>;
 }
 
-/// The replayable half of an *observing* backend: a transition detector
-/// fed the shared functional stream. Unlike [`BackendImpl::observe`] it
-/// sees memory read-only and no `Executor`, so it cannot perturb the
-/// pass it shares with other observers — the compiler enforces what
+/// The transition detector of an *observing* backend, fed either a
+/// private machine's stream ([`Observing`]) or a shared functional
+/// stream, live or replayed. Unlike [`BackendImpl::observe`] it sees
+/// memory read-only and no `Executor`, so it cannot perturb the pass it
+/// shares with other observers — the compiler enforces what
 /// [`BackendKind::observation_only`] promises.
 ///
-/// Implementations must report transitions bit-identically to their
-/// backend's private replay (the cross-backend conformance suite and
-/// the grid determinism tests hold them to it).
+/// The chunked fan-out must report transitions bit-identically to the
+/// per-record private loop (the cross-backend conformance suite and
+/// the grid determinism tests hold it to that).
 pub(crate) trait ObserverImpl: Send {
     /// Inspect one executed instruction of the shared stream; return
     /// the debugger transition it caused, if any.
@@ -250,6 +304,10 @@ pub(crate) trait ObserverImpl: Send {
             }
         }
     }
+
+    /// Clone the detector behind the trait object, so a checkpoint or
+    /// fork of a private session captures it mid-run.
+    fn boxed_clone(&self) -> Box<dyn ObserverImpl>;
 }
 
 #[cfg(test)]
@@ -281,7 +339,7 @@ mod tests {
         ]
     }
 
-    /// The taxonomy is exactly the paper's: page protection and address
+    /// The taxonomy is exactly the paper's: page traps and address
     /// comparators (including the pure-observation DISE comparator
     /// file) observe; statement stepping, rewriting and DISE production
     /// injection perturb.

@@ -11,8 +11,8 @@
 //! | backend | mechanism | spurious transitions |
 //! |---------|-----------|----------------------|
 //! | [`BackendKind::SingleStep`] | transition at every source statement | address, value, predicate |
-//! | [`BackendKind::VirtualMemory`] | `mprotect` the watched pages | address (page sharing), value, predicate |
-//! | [`BackendKind::HardwareRegisters`] | ≤4 quad-granularity watchpoint registers (VM fallback beyond) | value (silent stores), predicate, partial-quad address |
+//! | [`BackendKind::VirtualMemory`] | trap every store that touches a watched page (the page-granularity fault `mprotect` would raise, computed from the store's footprint) | address (page sharing), value, predicate |
+//! | [`BackendKind::HardwareRegisters`] | ≤4 quad-granularity watchpoint registers (page-trap fallback beyond) | value (silent stores), predicate, partial-quad address |
 //! | [`BackendKind::BinaryRewrite`] | statically inline the check at every store | none — cost is code bloat |
 //! | [`BackendKind::Dise`] | dynamically expand every store via DISE productions | none — cost is decode bandwidth |
 //! | [`BackendKind::DiseComparators`] | byte-exact DISE range comparators, no production injection | value (silent stores), predicate — never address |
@@ -30,9 +30,11 @@
 //! registers, and the DISE comparator organisation) can share **one
 //! functional pass** of the unmodified application per workload across
 //! any number of watchpoint sets, backends and timing configurations
-//! via [`ObserverBatch`] — bit-identical to their private replays,
-//! enforced by the cross-backend differential conformance suite
-//! (`tests/backend_conformance.rs`).
+//! via [`ObserverBatch`]. Each has one transition detector, which a
+//! private session feeds from its own machine and a batch feeds from
+//! the shared stream, so batched reports are bit-identical to private
+//! ones (enforced by the cross-backend differential conformance suite,
+//! `tests/backend_conformance.rs`).
 //!
 //! ```
 //! use dise_asm::{parse_asm, Layout};

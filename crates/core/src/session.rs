@@ -207,7 +207,8 @@ pub fn run_session(
 /// Reject watchpoint specifications that no backend can give meaning
 /// to, so they fail loudly at session setup instead of silently never
 /// firing (`Condition` compares scalars; a `Range` value is a byte
-/// snapshot).
+/// snapshot) or overflowing an address computation (a `Range` whose
+/// end lies past `u64::MAX`).
 pub(crate) fn validate_watchpoints(wps: &[Watchpoint]) -> Result<(), DebugError> {
     for w in wps {
         if w.condition.is_some() && matches!(w.expr, WatchExpr::Range { .. }) {
@@ -222,6 +223,11 @@ pub(crate) fn validate_watchpoints(wps: &[Watchpoint]) -> Result<(), DebugError>
             return Err(DebugError::InvalidWatchpoint {
                 reason: "a range watchpoint watches no bytes (len == 0) and could never fire"
                     .to_string(),
+            });
+        }
+        if matches!(w.expr, WatchExpr::Range { base, len } if base.checked_add(len).is_none()) {
+            return Err(DebugError::InvalidWatchpoint {
+                reason: "a range watchpoint runs past the top of the address space".to_string(),
             });
         }
     }
@@ -1264,8 +1270,8 @@ mod tests {
 
         // A watchable scalar keeps the supported members alive: a
         // four-register backend takes it, a zero-register backend's
-        // overflow falls back to page protection and agrees with its
-        // own private replay.
+        // overflow falls back to page traps and agrees with its own
+        // private replay.
         let mut batch = ObserverBatch::new(&a);
         batch.member(
             BackendKind::HardwareRegisters { registers: 0 },

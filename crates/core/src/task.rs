@@ -182,13 +182,11 @@ pub struct SessionTask {
 
 enum State {
     PendingBatch(BatchSpec),
-    Batch(Pass),
+    Batch(Box<Pass>),
     PendingGroup(GroupSpec),
     Group(Box<GroupRun>),
     PendingObserve(ObserveSpec),
-    Observe(ObserveRun),
-    PendingReplay(ReplaySpec),
-    Replay(Box<ReplayRun>),
+    Observe(Box<ObserveRun>),
     Finished,
 }
 
@@ -209,15 +207,19 @@ struct GroupSpec {
 struct ObserveSpec {
     app: Application,
     members: Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)>,
-    /// Record the shared functional pass to this trace file as a side
-    /// effect ([`SessionTask::observer_recorded`]).
-    record: Option<PathBuf>,
+    trace: Trace,
 }
 
-struct ReplaySpec {
-    app: Application,
-    members: Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)>,
-    trace: PathBuf,
+/// What an observer batch does with the persistent trace store.
+enum Trace {
+    /// Run the shared functional pass ([`SessionTask::observer`]).
+    Off,
+    /// Run it and record it to this file as a side effect
+    /// ([`SessionTask::observer_recorded`]).
+    Record(PathBuf),
+    /// Replay it from this file instead of running it
+    /// ([`SessionTask::observer_replay`]).
+    Replay(PathBuf),
 }
 
 /// One live functional pass: the machine, its fanned-out timing models,
@@ -235,6 +237,29 @@ pub(crate) struct Pass {
 }
 
 impl Pass {
+    /// The pass over a freshly loaded or forked machine: configure the
+    /// backend on it, snapshot the watched values, and build one timing
+    /// model per configuration.
+    fn on(
+        mut exec: Executor,
+        mut backend: Box<dyn BackendImpl>,
+        watchpoints: &[Watchpoint],
+        cfgs: &[CpuConfig],
+        text_bytes: u64,
+    ) -> Result<Pass, DebugError> {
+        backend.configure(&mut exec, watchpoints)?;
+        let watch = WatchState::new(watchpoints, exec.mem());
+        Ok(Pass {
+            exec,
+            timings: TimingBatch::new(cfgs),
+            backend,
+            watch,
+            stats: TransitionStats::default(),
+            error: None,
+            text_bytes,
+        })
+    }
+
     /// Drive at most `budget` further instructions; returns how many
     /// actually retired (the caller's progress/budget accounting).
     pub(crate) fn drive_budget(&mut self, budget: u64) -> u64 {
@@ -335,7 +360,7 @@ impl GroupRun {
                     self.template.insert(t)
                 }
             };
-            let mut exec = match template.fork_with_config(*first) {
+            let exec = match template.fork_with_config(*first) {
                 Ok(exec) => exec,
                 Err(e) => {
                     self.out.push(Err(e.into()));
@@ -343,29 +368,20 @@ impl GroupRun {
                 }
             };
             CHECKPOINT_FORKS.fetch_add(1, Ordering::Relaxed);
-            let mut backend = self.built.boxed_clone();
-            if let Err(e) = backend.configure(&mut exec, &self.watchpoints) {
-                self.out.push(Err(e));
-                continue;
+            let backend = self.built.boxed_clone();
+            match Pass::on(exec, backend, &self.watchpoints, &cfgs, self.text_bytes) {
+                Ok(pass) => {
+                    FUNCTIONAL_PASSES.fetch_add(1, Ordering::Relaxed);
+                    self.current = Some(pass);
+                }
+                Err(e) => self.out.push(Err(e)),
             }
-            let watch = WatchState::new(&self.watchpoints, exec.mem());
-            let timings = TimingBatch::new(&cfgs);
-            FUNCTIONAL_PASSES.fetch_add(1, Ordering::Relaxed);
-            self.current = Some(Pass {
-                exec,
-                timings,
-                backend,
-                watch,
-                stats: TransitionStats::default(),
-                error: None,
-                text_bytes: self.text_bytes,
-            });
         }
     }
 }
 
-/// One admitted member of an observer pass: its replayable detector and
-/// private accounting, fed the shared `Exec` stream. `filter` is the
+/// One admitted member of an observer pass: its detector and private
+/// accounting, fed the shared `Exec` stream. `filter` is the
 /// member's precomputed store-footprint prefilter; the fan-out rebuilds
 /// it (for dynamic filters only) after every forced scan.
 struct LiveObserver {
@@ -433,10 +449,9 @@ fn record_is_dirty(live: &[LiveObserver], e: &Exec) -> bool {
     }
 }
 
-/// The chunk-at-a-time fan-out shared verbatim by the live pass and the
-/// trace replay (the two loops previously duplicated this logic
-/// record-at-a-time). One scratch chunk and one scratch hit list live
-/// for the whole run — no per-record heap traffic.
+/// The chunk-at-a-time fan-out of an observer pass, live or replayed.
+/// One scratch chunk and one scratch hit list live for the whole run —
+/// no per-record heap traffic.
 ///
 /// The dispatch contract, per chunk and per member:
 ///
@@ -575,174 +590,153 @@ fn scan_member(
     consumed
 }
 
-/// The observer-batch continuation: one shared machine and every
+/// The observer-batch continuation: one shared record stream and every
 /// admitted member's detector — `ObserverBatch::run`'s loop with the
-/// instruction cursor lifted out.
+/// instruction cursor lifted out. The stream comes from a live machine
+/// or from a stored trace; dispatch, admission and scatter are the same
+/// code either way, so a replay cannot diverge from the live pass.
 struct ObserveRun {
-    exec: Executor,
+    source: Source,
     live: Vec<LiveObserver>,
     fan: FanOut,
     results: Vec<Result<Vec<SessionReport>, DebugError>>,
     error: Option<ExecError>,
     text_bytes: u64,
-    /// When recording, the persistent-trace writer fed every stepped
-    /// record — the "record on miss" half of the trace economy.
-    writer: Option<Box<TraceWriter>>,
+}
+
+/// Where an observer pass's records come from.
+enum Source {
+    /// The shared functional pass. When recording, `writer` is fed
+    /// every stepped record — the "record on miss" half of the trace
+    /// economy.
+    Live { exec: Box<Executor>, writer: Option<Box<TraceWriter>> },
+    /// A stored trace, with a shadow [`Memory`] kept exact by applying
+    /// each record's store effect — so `WatchState` re-evaluation reads
+    /// the same bytes it would have read live. No functional pass, no
+    /// image load; the counters prove it.
+    Replay {
+        reader: Box<TraceReader>,
+        mem: Memory,
+        exhausted: bool,
+        /// A mid-stream decode failure, which ends the replay.
+        failure: Option<TraceError>,
+    },
+}
+
+impl Source {
+    /// Memory exactly as of the last record read.
+    fn mem(&self) -> &Memory {
+        match self {
+            Source::Live { exec, .. } => exec.mem(),
+            Source::Replay { mem, .. } => mem,
+        }
+    }
+
+    fn done(&self) -> bool {
+        match self {
+            Source::Live { exec, .. } => exec.is_halted(),
+            Source::Replay { exhausted, .. } => *exhausted,
+        }
+    }
 }
 
 impl ObserveRun {
     fn drive_budget(&mut self, budget: u64) -> u64 {
-        let ObserveRun { exec, live, fan, error, writer, .. } = self;
+        let ObserveRun { source, live, fan, error, .. } = self;
         let mut n = 0u64;
-        while n < budget && !exec.is_halted() {
-            let (stepped, dirty) = exec.step_chunk(&mut fan.chunk, budget - n, |e| {
-                if let Some(w) = writer.as_mut() {
-                    w.record(e);
-                }
-                record_is_dirty(live, e)
-            });
-            n += stepped;
-            if let Some(e) = dirty {
-                fan.flush(live, exec.mem());
-                if let Some(err) = fan.dispatch_dirty(&e, live, exec.mem()) {
-                    *error = Some(err);
-                }
-            } else if fan.chunk.is_full() {
-                fan.flush(live, exec.mem());
-            }
-        }
-        // Nothing buffers across polls: a yielded task is exactly as
-        // dispatched as a run-to-completion one.
-        fan.flush(live, exec.mem());
-        n
-    }
-
-    fn done(&self) -> bool {
-        self.exec.is_halted()
-    }
-
-    /// Seal the recording, if any, and scatter the members' reports.
-    ///
-    /// # Errors
-    ///
-    /// [`DebugError::Trace`] when the recording could not be persisted:
-    /// a recording the caller asked for must either be sealed or fail
-    /// typed — a silently missing trace would re-pay the functional
-    /// pass forever without anyone noticing.
-    fn finish(mut self) -> Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError> {
-        if let Some(writer) = self.writer.take() {
-            writer.finish()?;
-        }
-        Ok(finish_members(self.live, self.fan.groups, self.results, self.error, self.text_bytes))
-    }
-}
-
-/// Scatter the finished members into their result slots — shared by the
-/// live-pass and replay continuations, which must agree bit-for-bit.
-/// Each group's timing models are finished **once**; every member still
-/// on the group reports those same stats — bit-identical to the private
-/// models it never needed (cloning the whole model state instead would
-/// cost thousands of cache-set allocations per member).
-fn finish_members(
-    live: Vec<LiveObserver>,
-    groups: Vec<TimingGroup>,
-    mut results: Vec<Result<Vec<SessionReport>, DebugError>>,
-    error: Option<ExecError>,
-    text_bytes: u64,
-) -> Vec<Result<Vec<SessionReport>, DebugError>> {
-    let group_runs: Vec<Vec<RunStats>> = groups.into_iter().map(|g| g.timings.finish()).collect();
-    for l in live {
-        let runs = match l.timing {
-            MemberTiming::Private(t) => t.finish(),
-            MemberTiming::Shared(g) => group_runs[g].clone(),
-        };
-        results[l.member] = Ok(runs
-            .into_iter()
-            .map(|run| SessionReport { run, transitions: l.stats, error, text_bytes })
-            .collect());
-    }
-    results
-}
-
-/// The observer-batch continuation running entirely from a stored
-/// trace: the `Exec` stream comes from a [`TraceReader`] instead of a
-/// machine, with a shadow [`Memory`] kept exact by applying each
-/// record's store effect — so `WatchState` re-evaluation reads the
-/// same bytes it would have read live. No functional pass, no image
-/// load; the counters prove it.
-struct ReplayRun {
-    reader: TraceReader,
-    mem: Memory,
-    live: Vec<LiveObserver>,
-    fan: FanOut,
-    results: Vec<Result<Vec<SessionReport>, DebugError>>,
-    error: Option<ExecError>,
-    text_bytes: u64,
-    exhausted: bool,
-    /// A mid-stream decode failure, which ends the replay.
-    failure: Option<TraceError>,
-}
-
-impl ReplayRun {
-    fn drive_budget(&mut self, budget: u64) -> u64 {
-        let ReplayRun { reader, mem, live, fan, error, exhausted, failure, .. } = self;
-        let mut n = 0u64;
-        while n < budget && !*exhausted {
-            let step = reader.next_chunk(&mut fan.chunk, budget - n, |e| {
-                // Mirror the live order: the machine performs a store
-                // before observers see its record. Applying it before
-                // the dirty verdict is safe — a clean record's store
-                // missed every filter, so no member observation can
-                // read the bytes it moved.
-                if let Some(m) = e.mem {
-                    if m.is_store {
-                        mem.write_u(m.addr, m.width, m.new_value);
+        while n < budget && !source.done() {
+            let (read, dirty) = match source {
+                Source::Live { exec, writer } => exec.step_chunk(&mut fan.chunk, budget - n, |e| {
+                    if let Some(w) = writer.as_mut() {
+                        w.record(e);
                     }
-                }
-                record_is_dirty(live, e)
-            });
-            let (read, dirty) = match step {
-                Ok(r) => r,
-                // `TraceReader::open` validated every CRC eagerly, so a
-                // mid-stream decode failure means hand-damaged bytes
-                // that still satisfied their checksum — settle typed,
-                // never deliver a silently wrong replay.
-                Err(e) => {
-                    *failure = Some(e);
-                    *exhausted = true;
-                    break;
+                    record_is_dirty(live, e)
+                }),
+                Source::Replay { reader, mem, exhausted, failure } => {
+                    let step = reader.next_chunk(&mut fan.chunk, budget - n, |e| {
+                        // Mirror the live order: the machine performs a
+                        // store before observers see its record.
+                        // Applying it before the dirty verdict is safe —
+                        // a clean record's store missed every filter, so
+                        // no member observation can read the bytes it
+                        // moved.
+                        if let Some(m) = e.mem {
+                            if m.is_store {
+                                mem.write_u(m.addr, m.width, m.new_value);
+                            }
+                        }
+                        record_is_dirty(live, e)
+                    });
+                    match step {
+                        Ok((read, dirty)) => {
+                            *exhausted = read == 0;
+                            (read, dirty)
+                        }
+                        // `TraceReader::open` validated every CRC
+                        // eagerly, so a mid-stream decode failure means
+                        // hand-damaged bytes that still satisfied their
+                        // checksum — settle typed, never deliver a
+                        // silently wrong replay.
+                        Err(e) => {
+                            *failure = Some(e);
+                            *exhausted = true;
+                            break;
+                        }
+                    }
                 }
             };
             n += read;
             if let Some(e) = dirty {
-                fan.flush(live, mem);
-                if let Some(err) = fan.dispatch_dirty(&e, live, mem) {
+                fan.flush(live, source.mem());
+                if let Some(err) = fan.dispatch_dirty(&e, live, source.mem()) {
                     *error = Some(err);
                 }
             } else if fan.chunk.is_full() {
-                fan.flush(live, mem);
-            } else if read == 0 {
-                *exhausted = true;
+                fan.flush(live, source.mem());
             }
         }
-        fan.flush(live, mem);
+        // Nothing buffers across polls: a yielded task is exactly as
+        // dispatched as a run-to-completion one.
+        fan.flush(live, source.mem());
         n
     }
 
-    fn done(&self) -> bool {
-        self.exhausted
-    }
-
-    /// Scatter the members' reports.
+    /// Seal the recording, if any, and scatter the members' reports.
+    /// Each group's timing models are finished **once**; every member
+    /// still on the group reports those same stats — bit-identical to
+    /// the private models it never needed (cloning the whole model
+    /// state instead would cost thousands of cache-set allocations per
+    /// member).
     ///
     /// # Errors
     ///
-    /// [`DebugError::Trace`] when the stream failed to decode mid-way.
+    /// [`DebugError::Trace`] when the recording could not be persisted
+    /// or the replayed stream failed to decode mid-way: a recording the
+    /// caller asked for must either be sealed or fail typed — a
+    /// silently missing trace would re-pay the functional pass forever
+    /// without anyone noticing.
     fn finish(self) -> Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError> {
-        if let Some(e) = self.failure {
-            return Err(e.into());
+        match self.source {
+            Source::Live { writer: Some(writer), .. } => {
+                writer.finish()?;
+            }
+            Source::Replay { failure: Some(e), .. } => return Err(e.into()),
+            Source::Live { writer: None, .. } | Source::Replay { failure: None, .. } => {}
         }
-        Ok(finish_members(self.live, self.fan.groups, self.results, self.error, self.text_bytes))
+        let ObserveRun { live, fan, mut results, error, text_bytes, .. } = self;
+        let group_runs: Vec<Vec<RunStats>> =
+            fan.groups.into_iter().map(|g| g.timings.finish()).collect();
+        for l in live {
+            let runs = match l.timing {
+                MemberTiming::Private(t) => t.finish(),
+                MemberTiming::Shared(g) => group_runs[g].clone(),
+            };
+            results[l.member] = Ok(runs
+                .into_iter()
+                .map(|run| SessionReport { run, transitions: l.stats, error, text_bytes })
+                .collect());
+        }
+        Ok(results)
     }
 }
 
@@ -823,12 +817,7 @@ impl SessionTask {
         app: &Application,
         members: Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)>,
     ) -> SessionTask {
-        assert_observation_only(&members);
-        SessionTask::pending(State::PendingObserve(ObserveSpec {
-            app: app.clone(),
-            members,
-            record: None,
-        }))
+        SessionTask::observe(app, members, Trace::Off)
     }
 
     /// [`SessionTask::observer`], additionally persisting the shared
@@ -847,12 +836,7 @@ impl SessionTask {
         members: Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)>,
         trace: &Path,
     ) -> SessionTask {
-        assert_observation_only(&members);
-        SessionTask::pending(State::PendingObserve(ObserveSpec {
-            app: app.clone(),
-            members,
-            record: Some(trace.to_path_buf()),
-        }))
+        SessionTask::observe(app, members, Trace::Record(trace.to_path_buf()))
     }
 
     /// An observer batch that runs entirely from the stored trace at
@@ -872,11 +856,25 @@ impl SessionTask {
         members: Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)>,
         trace: &Path,
     ) -> SessionTask {
-        assert_observation_only(&members);
-        SessionTask::pending(State::PendingReplay(ReplaySpec {
+        SessionTask::observe(app, members, Trace::Replay(trace.to_path_buf()))
+    }
+
+    fn observe(
+        app: &Application,
+        members: Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)>,
+        trace: Trace,
+    ) -> SessionTask {
+        for (backend, ..) in &members {
+            assert!(
+                backend.observation_only(),
+                "{backend:?} perturbs the functional stream and must replay privately \
+                 (SessionTask::batch)"
+            );
+        }
+        SessionTask::pending(State::PendingObserve(ObserveSpec {
             app: app.clone(),
             members,
-            trace: trace.to_path_buf(),
+            trace,
         }))
     }
 
@@ -936,7 +934,7 @@ impl SessionTask {
             State::PendingBatch(spec) => match admit_batch(spec) {
                 Ok(Some(pass)) => {
                     FUNCTIONAL_PASSES.fetch_add(1, Ordering::Relaxed);
-                    self.state = State::Batch(pass);
+                    self.state = State::Batch(Box::new(pass));
                 }
                 Ok(None) => return Step::Done(TaskOutput::Batch(Ok(Vec::new()))),
                 Err(e) => return Step::Done(TaskOutput::Batch(Err(e))),
@@ -946,15 +944,8 @@ impl SessionTask {
                 Err(e) => return Step::Done(TaskOutput::Group(Err(e))),
             },
             State::PendingObserve(spec) => match admit_observe(spec) {
-                Ok(Admitted::Live(run)) => self.state = State::Observe(*run),
+                Ok(Admitted::Live(run)) => self.state = State::Observe(run),
                 Ok(Admitted::Settled(results)) => {
-                    return Step::Done(TaskOutput::Observe(Ok(results)))
-                }
-                Err(e) => return Step::Done(TaskOutput::Observe(Err(e))),
-            },
-            State::PendingReplay(spec) => match admit_replay(spec) {
-                Ok(ReplayAdmitted::Live(run)) => self.state = State::Replay(run),
-                Ok(ReplayAdmitted::Settled(results)) => {
                     return Step::Done(TaskOutput::Observe(Ok(results)))
                 }
                 Err(e) => return Step::Done(TaskOutput::Observe(Err(e))),
@@ -981,18 +972,8 @@ impl SessionTask {
             }
             State::Observe(run) => {
                 self.progress += run.drive_budget(budget);
-                if run.done() {
+                if run.source.done() {
                     let State::Observe(run) = std::mem::replace(&mut self.state, State::Finished)
-                    else {
-                        unreachable!("state checked above");
-                    };
-                    return Step::Done(TaskOutput::Observe(run.finish()));
-                }
-            }
-            State::Replay(run) => {
-                self.progress += run.drive_budget(budget);
-                if run.done() {
-                    let State::Replay(run) = std::mem::replace(&mut self.state, State::Finished)
                     else {
                         unreachable!("state checked above");
                     };
@@ -1002,7 +983,6 @@ impl SessionTask {
             State::PendingBatch(_)
             | State::PendingGroup(_)
             | State::PendingObserve(_)
-            | State::PendingReplay(_)
             | State::Finished => {
                 unreachable!("pending states were admitted above")
             }
@@ -1055,20 +1035,9 @@ pub(crate) fn admit_batch(spec: BatchSpec) -> Result<Option<Pass>, DebugError> {
     let Some(first) = shared_engine(&cfgs)? else {
         return Ok(None);
     };
-    let mut exec = Executor::from_program(&prog, *first);
+    let exec = Executor::from_program(&prog, *first);
     IMAGE_LOADS.fetch_add(1, Ordering::Relaxed);
-    backend.configure(&mut exec, &spec.watchpoints)?;
-    let watch = WatchState::new(&spec.watchpoints, exec.mem());
-    let timings = TimingBatch::new(&cfgs);
-    Ok(Some(Pass {
-        exec,
-        timings,
-        backend,
-        watch,
-        stats: TransitionStats::default(),
-        error: None,
-        text_bytes: prog.text_bytes(),
-    }))
+    Pass::on(exec, backend, &spec.watchpoints, &cfgs, prog.text_bytes()).map(Some)
 }
 
 /// Admission for a perturbing group: the group-wide static work
@@ -1099,26 +1068,8 @@ enum Admitted {
     Settled(Vec<Result<Vec<SessionReport>, DebugError>>),
 }
 
-enum ReplayAdmitted {
-    Live(Box<ReplayRun>),
-    Settled(Vec<Result<Vec<SessionReport>, DebugError>>),
-}
-
-fn assert_observation_only(members: &[(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)]) {
-    for (backend, ..) in members {
-        assert!(
-            backend.observation_only(),
-            "{backend:?} perturbs the functional stream and must replay privately \
-             (SessionTask::batch)"
-        );
-    }
-}
-
-/// Per-member admission shared by the live and replay observer paths:
-/// validate and instantiate each member against the loaded memory
-/// image, settling failures into their result slots. The two paths
-/// must admit identically or replayed results could diverge from live
-/// ones in *shape*, not just content.
+/// Per-member admission: validate and instantiate each member against
+/// the loaded memory image, settling failures into their result slots.
 #[allow(clippy::type_complexity)]
 fn admit_members(
     members: &[(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)],
@@ -1155,71 +1106,64 @@ fn admit_members(
     (live, groups, results)
 }
 
-/// Admission for an observer batch: `ObserverBatch::run` up to the
-/// `FUNCTIONAL_PASSES` tick. Member admission failures settle into
-/// their slots exactly as before; the shared machine is loaded (and
-/// counted) even if every member then fails, as the eager path did.
+/// Admission for an observer batch, live or replayed. A live pass loads
+/// the shared machine (counted even if every member then fails) and
+/// ticks `FUNCTIONAL_PASSES` once some member is admitted, as does a
+/// recording's `TRACE_RECORDS`. A replay opens and fully validates the
+/// trace (magic, version, CRCs, fingerprint against the assembled
+/// program — every corruption class surfaces here as
+/// [`DebugError::Trace`]) and builds the shadow memory; it ticks only
+/// `TRACE_REPLAYS`, because nothing executes and no machine is loaded.
 fn admit_observe(spec: ObserveSpec) -> Result<Admitted, DebugError> {
     let prog = spec.app.program()?;
-    // The executor's configuration only matters functionally through
-    // its DISE engine capacities, and no observer installs productions;
-    // any member's configuration (or the default) loads the same
-    // machine.
-    let cfg = spec.members.iter().find_map(|(.., cpus)| cpus.first()).copied().unwrap_or_default();
-    let exec = Executor::from_program(&prog, cfg);
-    IMAGE_LOADS.fetch_add(1, Ordering::Relaxed);
-    let (live, groups, results) = admit_members(&spec.members, exec.mem());
+    let mut source = match &spec.trace {
+        Trace::Replay(path) => {
+            let reader = Box::new(TraceReader::open(path, Some(program_fingerprint(&prog)))?);
+            let mut mem = Memory::new();
+            prog.load(&mut mem);
+            Source::Replay { reader, mem, exhausted: false, failure: None }
+        }
+        Trace::Off | Trace::Record(_) => {
+            // The executor's configuration only matters functionally
+            // through its DISE engine capacities, and no observer
+            // installs productions; any member's configuration (or the
+            // default) loads the same machine.
+            let cfg = spec
+                .members
+                .iter()
+                .find_map(|(.., cpus)| cpus.first())
+                .copied()
+                .unwrap_or_default();
+            let exec = Executor::from_program(&prog, cfg);
+            IMAGE_LOADS.fetch_add(1, Ordering::Relaxed);
+            Source::Live { exec: Box::new(exec), writer: None }
+        }
+    };
+    let (live, groups, results) = admit_members(&spec.members, source.mem());
     if live.is_empty() {
         // No pass runs, so nothing is recorded either: a group that
         // settles at admission stays settled — and cold — forever.
         return Ok(Admitted::Settled(results));
     }
-    let writer = match &spec.record {
-        Some(path) => {
-            let w = TraceWriter::create(path, program_fingerprint(&prog))?;
-            TRACE_RECORDS.fetch_add(1, Ordering::Relaxed);
-            Some(Box::new(w))
+    match &mut source {
+        Source::Live { writer, .. } => {
+            if let Trace::Record(path) = &spec.trace {
+                *writer = Some(Box::new(TraceWriter::create(path, program_fingerprint(&prog))?));
+                TRACE_RECORDS.fetch_add(1, Ordering::Relaxed);
+            }
+            FUNCTIONAL_PASSES.fetch_add(1, Ordering::Relaxed);
         }
-        None => None,
-    };
-    FUNCTIONAL_PASSES.fetch_add(1, Ordering::Relaxed);
-    Ok(Admitted::Live(Box::new(ObserveRun {
-        exec,
-        live,
-        fan: FanOut::new(groups),
-        results,
-        error: None,
-        text_bytes: prog.text_bytes(),
-        writer,
-    })))
-}
-
-/// Admission for a replayed observer batch: open and fully validate
-/// the trace (magic, version, CRCs, fingerprint against the assembled
-/// program — every corruption class surfaces here as
-/// [`DebugError::Trace`]), build the shadow memory, and admit members
-/// exactly as the live path does. Ticks neither `FUNCTIONAL_PASSES`
-/// nor `IMAGE_LOADS`: nothing executes and no machine is loaded.
-fn admit_replay(spec: ReplaySpec) -> Result<ReplayAdmitted, DebugError> {
-    let prog = spec.app.program()?;
-    let reader = TraceReader::open(&spec.trace, Some(program_fingerprint(&prog)))?;
-    let mut mem = Memory::new();
-    prog.load(&mut mem);
-    let (live, groups, results) = admit_members(&spec.members, &mem);
-    if live.is_empty() {
-        return Ok(ReplayAdmitted::Settled(results));
+        Source::Replay { .. } => {
+            TRACE_REPLAYS.fetch_add(1, Ordering::Relaxed);
+        }
     }
-    TRACE_REPLAYS.fetch_add(1, Ordering::Relaxed);
-    Ok(ReplayAdmitted::Live(Box::new(ReplayRun {
-        reader,
-        mem,
+    Ok(Admitted::Live(Box::new(ObserveRun {
+        source,
         live,
         fan: FanOut::new(groups),
         results,
         error: None,
         text_bytes: prog.text_bytes(),
-        exhausted: false,
-        failure: None,
     })))
 }
 

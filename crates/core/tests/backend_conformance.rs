@@ -6,16 +6,16 @@
 //! overhead. This suite pits all applicable backends against each other
 //! (and against an omniscient per-store oracle) on randomized
 //! scenarios, and is the safety net for observer batching: a perturbing
-//! backend silently reusing a shared functional pass — or an observer
-//! drifting from its live-machine twin — would corrupt every table the
-//! repo produces.
+//! backend silently reusing a shared functional pass — or the chunked
+//! fan-out skipping a record its detector would have classified —
+//! would corrupt every table the repo produces.
 //!
 //! Invariants checked per scenario:
 //!
 //! * every applicable per-store backend reports **exactly its
 //!   granularity family's oracle count**: byte-accurate backends
-//!   (virtual memory, hardware registers incl. the page-protection
-//!   hybrid, the pure-observation DISE comparators, inline-evaluating
+//!   (virtual memory, hardware registers incl. the page-trap hybrid,
+//!   the pure-observation DISE comparators, inline-evaluating
 //!   DISE) match the omniscient per-store oracle, while base-address
 //!   matchers (serial and Bloom match-address DISE, binary rewriting)
 //!   match a stateful model of the paper's handler — which keys on the
@@ -36,9 +36,12 @@
 //! * [`ObserverBatch`] results — one functional pass per workload
 //!   fanned across **watchpoint sets × observing backends × timing
 //!   configs** (every member carries its own set and detector) — equal
-//!   each member's private replay **bit for bit** (cycles, transitions,
-//!   text bytes), and a member's `Unsupported` error matches its
-//!   standalone error;
+//!   each member's private `run_session` **bit for bit** (cycles,
+//!   transitions, text bytes), and a member's `Unsupported` error
+//!   matches its standalone error. Both run the same detector; the
+//!   private session feeds it record by record from its own machine,
+//!   the batch through the chunked fan-out, which skips every chunk
+//!   the member's filter proves it would not classify;
 //! * the persistent trace layer: a recorded trace reads back the live
 //!   `Exec` stream **record for record**, and the same batch run
 //!   entirely from the stored trace ([`SessionTask::observer_replay`],
@@ -53,12 +56,14 @@
 //! vendored proptest's shrinker — which now shrinks through
 //! `prop_map`/`prop_oneof!` too.
 
+use dise_asm::{parse_asm, Layout};
 use dise_cpu::{CpuConfig, Executor, TraceReader};
 use dise_debug::{
     record_session, run_session, Application, BackendKind, CheckKind, DebugError, DiseStrategy,
     ObserverBatch, Session, SessionReport, SessionTask, WatchExpr, WatchState, WatchValue,
     Watchpoint,
 };
+use dise_isa::Width;
 use dise_mem::Memory;
 use dise_workloads::synthetic::{scenario_sets, StoreOp, WatchSpec, SLOTS};
 use proptest::prelude::*;
@@ -357,7 +362,7 @@ fn check_scenario(
     }
     if heavy {
         // A register-starved hybrid: overflow falls back to page
-        // protection, which must classify identically.
+        // traps, which must classify identically.
         backends.push(BackendKind::HardwareRegisters { registers: 1 });
         if !has_indirect {
             backends.push(BackendKind::Dise(DiseStrategy::bloom(false)));
@@ -791,4 +796,69 @@ fn straddling_stores_split_the_granularity_families() {
         "base-address matching sees only the first 0→9; the straddle is invisible and \
          leaves the previous-value cell stale at 9, silencing later constant stores"
     );
+}
+
+/// A quad watched at `u64::MAX - 3` spans the top page and page 0, and
+/// the store `lda r3,-4(zero); stq r2,0(r3)` writes exactly it. Every
+/// observing backend must report the change, privately and in a shared
+/// batch, as DISE does.
+#[test]
+fn a_watchpoint_at_the_top_of_the_address_space_fires_everywhere() {
+    let app = Application::new(
+        parse_asm(
+            "start: lda r2, 5(zero)
+                    lda r3, -4(zero)
+                    stq r2, 0(r3)
+                    halt",
+        )
+        .expect("assembles"),
+        Layout::default(),
+    );
+    let wp = Watchpoint::new(WatchExpr::Scalar { addr: u64::MAX - 3, width: Width::Q });
+    let cpu = CpuConfig::default();
+    let observing = [BackendKind::VirtualMemory, BackendKind::hw4(), BackendKind::DiseComparators];
+    let mut batch = ObserverBatch::new(&app);
+    for kind in observing {
+        batch.member(kind, vec![wp], vec![cpu]);
+    }
+    let shared = batch.run().expect("the application assembles");
+    for (kind, shared) in observing.into_iter().zip(shared) {
+        let private = run_session(&app, vec![wp], kind, cpu).expect("a scalar is supported");
+        assert_eq!(private.transitions.user, 1, "{kind:?}: the watched quad changed");
+        assert_eq!(shared.expect("admitted"), vec![private], "{kind:?}: shared == private");
+    }
+    let dise = run_session(&app, vec![wp], BackendKind::dise_default(), cpu).expect("DISE runs");
+    assert_eq!(dise.transitions.user, 1);
+}
+
+/// A range whose end lies past `u64::MAX` is rejected up front as
+/// ill-formed by every backend, privately and as a batch member — no
+/// address computation downstream overflows.
+#[test]
+fn a_range_past_the_top_of_the_address_space_is_invalid_everywhere() {
+    let app = Application::new(parse_asm("start: halt").expect("assembles"), Layout::default());
+    let wp = Watchpoint::new(WatchExpr::Range { base: u64::MAX - 7, len: 16 });
+    let cpu = CpuConfig::default();
+    let every_kind = [
+        BackendKind::SingleStep,
+        BackendKind::VirtualMemory,
+        BackendKind::hw4(),
+        BackendKind::BinaryRewrite,
+        BackendKind::dise_default(),
+        BackendKind::Dise(DiseStrategy::bloom(true)),
+        BackendKind::DiseComparators,
+    ];
+    let mut batch = ObserverBatch::new(&app);
+    for kind in every_kind {
+        let private = run_session(&app, vec![wp], kind, cpu);
+        assert!(matches!(private, Err(DebugError::InvalidWatchpoint { .. })), "{kind:?}");
+        if kind.observation_only() {
+            batch.member(kind, vec![wp], vec![cpu]);
+        }
+    }
+    let members = batch.run().expect("the application assembles");
+    assert_eq!(members.len(), 3);
+    for member in members {
+        assert!(matches!(member, Err(DebugError::InvalidWatchpoint { .. })), "{member:?}");
+    }
 }

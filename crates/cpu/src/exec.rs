@@ -151,9 +151,10 @@ pub enum Event {
     /// `trap` (or a satisfied `ctrap`): control should pass to the
     /// debugger. The driver decides whether the transition is spurious.
     Trap,
-    /// A store hit a write-protected page (virtual-memory watchpoints).
-    /// The store is performed after the fault is recorded, as the
-    /// debugger would re-execute it.
+    /// A store hit a write-protected page. The simulator no longer
+    /// produces this event — virtual-memory watchpoints compute their
+    /// page traps from the store stream — but the variant and its
+    /// `.dtrc` tag stay because the trace format is pinned.
     ProtFault {
         /// The faulting address.
         addr: u64,
@@ -214,13 +215,10 @@ pub struct ChunkSummary {
     /// Bloom mask of touched pages: bit `(addr / PAGE_SIZE) % 64` is
     /// set for every page some store wrote.
     page_mask: u64,
-    /// Some record carries an [`Event`] (trap, protection fault, halt,
-    /// or error).
+    /// Some record carries an [`Event`] (trap, halt, or error).
     any_event: bool,
     /// Some record carries [`Event::Trap`].
     any_trap: bool,
-    /// Some record carries [`Event::ProtFault`].
-    any_prot_fault: bool,
 }
 
 impl ChunkSummary {
@@ -232,7 +230,6 @@ impl ChunkSummary {
             page_mask: 0,
             any_event: false,
             any_trap: false,
-            any_prot_fault: false,
         }
     }
 
@@ -241,7 +238,6 @@ impl ChunkSummary {
         if let Some(ev) = e.event {
             self.any_event = true;
             self.any_trap |= matches!(ev, Event::Trap);
-            self.any_prot_fault |= matches!(ev, Event::ProtFault { .. });
         }
         if let Some(m) = e.mem {
             if m.is_store {
@@ -293,11 +289,6 @@ impl ChunkSummary {
     /// True when some record carries [`Event::Trap`].
     pub fn any_trap(&self) -> bool {
         self.any_trap
-    }
-
-    /// True when some record carries [`Event::ProtFault`].
-    pub fn any_prot_fault(&self) -> bool {
-        self.any_prot_fault
     }
 
     /// Could a store in the chunk have touched `[base, base + len)`?
@@ -1231,12 +1222,7 @@ impl Executor {
                 let w = width.bytes();
                 let old = self.mem.read_u(addr, w);
                 let new = self.reg(rs) & width_mask(w);
-                if let Err(fault) = self.mem.write_checked(addr, w, new) {
-                    exec.event = Some(Event::ProtFault { addr: fault.addr });
-                    // The debugger services the fault and re-executes the
-                    // store on the application's behalf.
-                    self.mem.write_u(addr, w, new);
-                }
+                self.mem.write_u(addr, w, new);
                 self.invalidate_decoded(addr, w);
                 exec.mem =
                     Some(MemOp { addr, width: w, is_store: true, old_value: old, new_value: new });
@@ -1474,7 +1460,6 @@ mod tests {
         let s = *chunk.summary();
         assert!(s.any_event(), "the halt record is an event");
         assert!(!s.any_trap());
-        assert!(!s.any_prot_fault());
         let (lo, hi) = s.stores().expect("two stores buffered");
         for e in chunk.records() {
             let Some(mo) = e.mem.filter(|m| m.is_store) else { continue };
@@ -1584,24 +1569,6 @@ mod tests {
         let trace = run(&mut m, 10);
         assert!(matches!(trace[0].event, Some(Event::Trap)));
         assert_eq!(m.reg(Reg::gpr(1)), 1, "execution resumed after trap");
-    }
-
-    #[test]
-    fn prot_fault_reported_and_store_lands() {
-        let mut m = machine(
-            "start: la r1, v
-                    lda r2, 9(zero)
-                    stq r2, 0(r1)
-                    halt
-             .data
-             v: .quad 1",
-        );
-        let v = 0x0100_0000;
-        m.mem_mut().protect_page(v, true);
-        let trace = run(&mut m, 100);
-        let st = trace.iter().find(|e| e.mem.is_some_and(|m| m.is_store)).unwrap();
-        assert!(matches!(st.event, Some(Event::ProtFault { addr }) if addr == v));
-        assert_eq!(m.mem().read_u(v, 8), 9, "store performed after fault");
     }
 
     #[test]

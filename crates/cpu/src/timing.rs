@@ -1062,10 +1062,10 @@ mod tests {
 
     /// The invariant observer batching (`dise-debug`'s `ObserverBatch`)
     /// rests on: two streams identical except for their `event` fields
-    /// cost exactly the same cycles. A protected virtual-memory run and
-    /// the shared unprotected pass differ only in `ProtFault`
-    /// annotations, so their timing must be bit-identical — debugger
-    /// cost enters exclusively through [`Timing::debugger_stall`].
+    /// cost exactly the same cycles. Events (including the `ProtFault`
+    /// a stored trace may still carry) are functional annotations, so
+    /// debugger cost enters exclusively through
+    /// [`Timing::debugger_stall`].
     /// Since the batch composes one independent [`TimingBatch`] per
     /// member — each member carrying its own watchpoint set — this is
     /// also what lets one pass serve members whose *watchpoints*

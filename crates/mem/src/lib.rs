@@ -4,9 +4,9 @@
 //! depends on:
 //!
 //! * [`Memory`] — a sparse, paged, 64-bit physical/virtual memory with
-//!   per-page write protection. The `mprotect`-style interface
-//!   ([`Memory::protect_page`]) is what the **virtual-memory watchpoint
-//!   backend** uses to trap stores to watched pages.
+//!   copy-on-write forks and checkpoints. Its page size is the
+//!   granularity at which the **virtual-memory watchpoint backend**
+//!   traps stores to watched pages.
 //! * [`Cache`] — a parameterised set-associative cache with LRU
 //!   replacement, used for the L1 instruction/data caches and the unified
 //!   L2.
@@ -33,6 +33,6 @@ mod system;
 mod tlb;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use memory::{AddrHasher, Checkpoint, CowStats, Memory, ProtFault, PAGE_SIZE};
+pub use memory::{AddrHasher, Checkpoint, CowStats, Memory, PAGE_SIZE};
 pub use system::{MemConfig, MemSystem};
 pub use tlb::Tlb;

@@ -1,14 +1,11 @@
-//! Sparse paged memory with per-page write protection and
-//! copy-on-write forking.
+//! Sparse paged memory with copy-on-write forking.
 //!
 //! Pages are reference-counted (`Arc`) so cloning a [`Memory`] — or
 //! taking a [`Checkpoint`] — is O(page-table), not O(resident bytes):
 //! both sides share every page until one of them writes, at which point
-//! [`Arc::make_mut`] unshares just the written page. The protection set
-//! is a plain per-`Memory` page-number set, deep-copied on fork, so a
-//! forked child protecting a page never protects its parent's.
+//! [`Arc::make_mut`] unshares just the written page.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -40,30 +37,10 @@ impl Hasher for AddrHasher {
 
 type Page = [u8; PAGE_SIZE as usize];
 type PageMap = HashMap<u64, Arc<Page>, BuildHasherDefault<AddrHasher>>;
-type PageSet = HashSet<u64, BuildHasherDefault<AddrHasher>>;
 
 /// Page size in bytes (4 KB, "on the small end for real systems" per the
 /// paper's virtual-memory discussion).
 pub const PAGE_SIZE: u64 = 4096;
-
-/// A write hit a write-protected page.
-///
-/// Carries the faulting address so the debugger can decide whether the
-/// store touched watched data or merely shares the page with it (a
-/// *spurious address transition*).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ProtFault {
-    /// The faulting byte address.
-    pub addr: u64,
-}
-
-impl std::fmt::Display for ProtFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "write to protected page at {:#x}", self.addr)
-    }
-}
-
-impl std::error::Error for ProtFault {}
 
 /// Copy-on-write bookkeeping for one [`Memory`].
 ///
@@ -86,13 +63,12 @@ pub struct CowStats {
 
 /// An O(page-table) snapshot of a [`Memory`].
 ///
-/// Holds reference-counted pages and a deep copy of the protection
-/// set; restoring never copies page bytes — pages become shared again
-/// and unshare lazily on the next write to either side.
+/// Holds reference-counted pages; restoring never copies page bytes —
+/// pages become shared again and unshare lazily on the next write to
+/// either side.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
     pages: PageMap,
-    write_protected: PageSet,
 }
 
 impl Checkpoint {
@@ -104,14 +80,11 @@ impl Checkpoint {
 
 /// Sparse 64-bit byte-addressable memory.
 ///
-/// Pages are allocated on first touch and zero-filled. Reads never fault;
-/// checked writes ([`Memory::write_checked`]) fault on write-protected
-/// pages while plain writes ([`Memory::write_u`]) bypass protection (the
-/// debugger's own accesses use the latter).
+/// Pages are allocated on first touch and zero-filled. Accesses never
+/// fault, and addresses wrap at `u64::MAX`.
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
     pages: PageMap,
-    write_protected: PageSet,
     cow: CowStats,
 }
 
@@ -124,12 +97,6 @@ impl Memory {
     #[inline]
     fn page_of(addr: u64) -> u64 {
         addr / PAGE_SIZE
-    }
-
-    /// The page-aligned base address containing `addr`.
-    #[inline]
-    pub fn page_base(addr: u64) -> u64 {
-        addr & !(PAGE_SIZE - 1)
     }
 
     /// Read one byte (zero if the page was never written).
@@ -153,7 +120,7 @@ impl Memory {
         Arc::make_mut(page)
     }
 
-    /// Write one byte, ignoring protection.
+    /// Write one byte.
     #[inline]
     pub fn write_u8(&mut self, addr: u64, val: u8) {
         let page = self.page_mut(Self::page_of(addr));
@@ -188,8 +155,7 @@ impl Memory {
         v
     }
 
-    /// Write the low `width` bytes of `val` little-endian, ignoring
-    /// protection.
+    /// Write the low `width` bytes of `val` little-endian.
     ///
     /// # Panics
     ///
@@ -210,59 +176,7 @@ impl Memory {
         }
     }
 
-    /// Write with protection checking, as the application's stores do.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtFault`] — without performing any part of the write —
-    /// if any byte of the access lies on a write-protected page.
-    pub fn write_checked(&mut self, addr: u64, width: u64, val: u64) -> Result<(), ProtFault> {
-        // Protection is per-page and accesses are ≤ 8 bytes, so at most
-        // two pages need probing; the common no-protection case pays
-        // only the emptiness check.
-        if !self.write_protected.is_empty() {
-            if self.write_protected.contains(&Self::page_of(addr)) {
-                return Err(ProtFault { addr });
-            }
-            let last = addr.wrapping_add(width - 1);
-            if Self::page_of(last) != Self::page_of(addr)
-                && self.write_protected.contains(&Self::page_of(last))
-            {
-                return Err(ProtFault { addr: Self::page_base(last) });
-            }
-        }
-        self.write_u(addr, width, val);
-        Ok(())
-    }
-
-    /// True if a `width`-byte write at `addr` would fault.
-    pub fn write_would_fault(&self, addr: u64, width: u64) -> bool {
-        !self.write_protected.is_empty()
-            && (0..width)
-                .any(|i| self.write_protected.contains(&Self::page_of(addr.wrapping_add(i))))
-    }
-
-    /// Set or clear write protection on the page containing `addr`
-    /// (the debugger's `mprotect`).
-    pub fn protect_page(&mut self, addr: u64, protected: bool) {
-        if protected {
-            self.write_protected.insert(Self::page_of(addr));
-        } else {
-            self.write_protected.remove(&Self::page_of(addr));
-        }
-    }
-
-    /// True if the page containing `addr` is write-protected.
-    pub fn page_is_protected(&self, addr: u64) -> bool {
-        self.write_protected.contains(&Self::page_of(addr))
-    }
-
-    /// Remove all page protections.
-    pub fn clear_protections(&mut self) {
-        self.write_protected.clear();
-    }
-
-    /// Copy a byte slice into memory, ignoring protection (loader use).
+    /// Copy a byte slice into memory (loader use).
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         // Per-page chunks: one lookup (and at most one unshare) per
         // page instead of one per byte.
@@ -321,9 +235,7 @@ impl Memory {
     /// Fork a copy-on-write child in O(page-table) time.
     ///
     /// The child shares every resident page with `self`; either side
-    /// copies a page only when it first writes it. The protection set
-    /// is deep-copied: protections the child adds or removes after the
-    /// fork never affect the parent (and vice versa). The child starts
+    /// copies a page only when it first writes it. The child starts
     /// with fresh [`CowStats`] (`pages_shared` = resident pages now);
     /// the parent's `forks` counter is bumped and its `pages_shared`
     /// re-anchored to the same value.
@@ -333,18 +245,17 @@ impl Memory {
         self.cow.pages_shared = n;
         Memory {
             pages: self.pages.clone(),
-            write_protected: self.write_protected.clone(),
             cow: CowStats { pages_shared: n, pages_copied: 0, forks: 0 },
         }
     }
 
-    /// Snapshot the current contents (and protection set) in
-    /// O(page-table) time without copying page bytes.
+    /// Snapshot the current contents in O(page-table) time without
+    /// copying page bytes.
     pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint { pages: self.pages.clone(), write_protected: self.write_protected.clone() }
+        Checkpoint { pages: self.pages.clone() }
     }
 
-    /// Restore contents and protections from a checkpoint.
+    /// Restore contents from a checkpoint.
     ///
     /// O(page-table): pages become shared with the checkpoint again
     /// and unshare lazily on the next write. `pages_shared` is
@@ -352,7 +263,6 @@ impl Memory {
     /// `forks` remain lifetime counters.
     pub fn restore(&mut self, ck: &Checkpoint) {
         self.pages = ck.pages.clone();
-        self.write_protected = ck.write_protected.clone();
         self.cow.pages_shared = self.pages.len() as u64;
     }
 }
@@ -393,38 +303,6 @@ mod tests {
         m.write_u(addr, 8, 0x1122_3344_5566_7788);
         assert_eq!(m.read_u(addr, 8), 0x1122_3344_5566_7788);
         assert_eq!(m.resident_pages(), 2);
-    }
-
-    #[test]
-    fn protection_faults_checked_writes_only() {
-        let mut m = Memory::new();
-        m.write_u(0x2000, 8, 7);
-        m.protect_page(0x2000, true);
-        assert!(m.page_is_protected(0x2fff));
-        assert!(!m.page_is_protected(0x3000));
-
-        let err = m.write_checked(0x2008, 8, 9).unwrap_err();
-        assert_eq!(err.addr, 0x2008);
-        assert_eq!(m.read_u(0x2008, 8), 0, "faulting write must not land");
-
-        // Unchecked writes (debugger) bypass protection.
-        m.write_u(0x2008, 8, 9);
-        assert_eq!(m.read_u(0x2008, 8), 9);
-
-        m.protect_page(0x2000, false);
-        m.write_checked(0x2010, 8, 11).unwrap();
-        assert_eq!(m.read_u(0x2010, 8), 11);
-    }
-
-    #[test]
-    fn protection_catches_partial_overlap_from_prior_page() {
-        let mut m = Memory::new();
-        m.protect_page(PAGE_SIZE, true);
-        // A quad starting 4 bytes before the protected page spills into it.
-        let err = m.write_checked(PAGE_SIZE - 4, 8, 1).unwrap_err();
-        assert_eq!(err.addr, PAGE_SIZE);
-        assert!(m.write_would_fault(PAGE_SIZE - 1, 2));
-        assert!(!m.write_would_fault(PAGE_SIZE - 2, 2));
     }
 
     #[test]
@@ -479,46 +357,18 @@ mod tests {
     }
 
     #[test]
-    fn fork_protection_sets_are_independent() {
-        let mut parent = Memory::new();
-        parent.write_u(0x3000, 8, 3);
-        parent.protect_page(0x3000, true);
-        let mut child = parent.fork();
-
-        // Child inherits the protections that existed at the fork...
-        assert!(child.page_is_protected(0x3000));
-        // ...but later changes are fully isolated, both directions.
-        child.protect_page(0x7000, true);
-        assert!(!parent.page_is_protected(0x7000));
-        child.protect_page(0x3000, false);
-        assert!(parent.page_is_protected(0x3000));
-        parent.protect_page(0x8000, true);
-        assert!(!child.page_is_protected(0x8000));
-
-        // And protection stays per-memory even for still-shared pages.
-        child.write_checked(0x3000, 8, 4).unwrap();
-        assert!(parent.write_checked(0x3000, 8, 5).is_err());
-        // A faulted write never unshares: the check runs before the
-        // copy-on-write path touches the page.
-        assert_eq!(parent.cow_stats().pages_copied, 0);
-    }
-
-    #[test]
-    fn checkpoint_restore_round_trips_contents_and_protections() {
+    fn checkpoint_restore_round_trips_contents() {
         let mut m = Memory::new();
         m.write_u(0x1000, 8, 0xaa);
-        m.protect_page(0x1000, true);
         let ck = m.checkpoint();
         assert_eq!(ck.resident_pages(), 1);
 
-        m.protect_page(0x1000, false);
         m.write_u(0x1000, 8, 0xbb);
         m.write_u(0x4000, 8, 0xcc);
         m.restore(&ck);
 
         assert_eq!(m.read_u(0x1000, 8), 0xaa);
         assert_eq!(m.read_u(0x4000, 8), 0, "post-checkpoint page dropped");
-        assert!(m.page_is_protected(0x1000));
         assert_eq!(m.cow_stats().pages_shared, 1);
 
         // Restored pages are shared with the checkpoint; writing after
@@ -527,15 +377,5 @@ mod tests {
         let mut again = Memory::new();
         again.restore(&ck);
         assert_eq!(again.read_u(0x1000, 8), 0xaa);
-    }
-
-    #[test]
-    fn clear_protections() {
-        let mut m = Memory::new();
-        m.protect_page(0x1000, true);
-        m.protect_page(0x9000, true);
-        m.clear_protections();
-        assert!(!m.page_is_protected(0x1000));
-        assert!(!m.page_is_protected(0x9000));
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! * [`dise_isa`] — the Alpha-like instruction set
 //! * [`dise_asm`] — assembler and program images
-//! * [`dise_mem`] — memory, caches, TLBs, page protection
+//! * [`dise_mem`] — copy-on-write memory, caches, TLBs
 //! * [`dise_cpu`] — the cycle-level out-of-order core and functional simulator
 //! * [`dise_engine`] — the DISE pattern/replacement engine
 //! * [`dise_debug`] — the debugger (the paper's contribution)
