@@ -262,10 +262,12 @@ impl BackendImpl for DiseBackend {
                     cells[i].target = Some(rb.quad(target));
                 }
                 WatchExpr::Range { base, len } => {
+                    // `len > 0` (validated), so `last` is the final
+                    // watched byte, possibly `u64::MAX`.
+                    let last = base + (len - 1);
                     cells[i].prev = rb.quad(0); // unused; shadow carries state
-                    let end = base + len;
                     let lo_pad = base % 8;
-                    let hi_pad = ((end - 1) & !7) + 8 - end;
+                    let hi_pad = 7 - last % 8;
                     if lo_pad > 0 {
                         cells[i].mask_lo = Some(rb.quad(u64::MAX << (8 * lo_pad)));
                     }
@@ -386,8 +388,8 @@ impl BackendImpl for DiseBackend {
         for (i, w) in wps.iter().enumerate() {
             if let WatchExpr::Range { base, len } = w.expr {
                 let lo = base & !7;
-                let hi = (base + len + 7) & !7;
-                let snapshot = image.read_bytes(lo, (hi - lo) as usize);
+                let last_quad = (base + (len - 1)) & !7;
+                let snapshot = image.read_bytes(lo, (last_quad - lo + 8) as usize);
                 cells[i].shadow_abs = Some(rb.block(&snapshot, 8));
             }
         }
@@ -632,10 +634,11 @@ fn load_cell(rd: Reg, off: u64) -> Result<TemplateInst, DebugError> {
     })
 }
 
+/// The quad-aligned addresses covering `[addr, addr + len)`, wrapping
+/// past the top of the address space as memory accesses do.
 fn quad_span(addr: u64, len: u64) -> impl Iterator<Item = u64> {
-    let lo = addr & !7;
-    let hi = (addr + len.max(1) + 7) & !7;
-    (lo..hi).step_by(8)
+    let last = addr.wrapping_add(len.max(1) - 1) & !7;
+    std::iter::successors(Some(addr & !7), move |&q| (q != last).then(|| q.wrapping_add(8)))
 }
 
 fn bloom_set(filter: &mut [u8], quad_addr: u64, bitwise: bool) {
@@ -747,26 +750,29 @@ fn generate_handler(wps: &[Watchpoint], cells: &[Cells], base: u64) -> Asm {
                 a.load_const(r2, lo);
                 a.inst(alu(AluOp::CmpUlt, r2, r1, Operand::Reg(r2)));
                 a.cond_br(Cond::Ne, r2, &next); // below the range
-                a.load_const(r2, lo + len);
-                a.inst(alu(AluOp::CmpUlt, r2, r1, Operand::Reg(r2)));
-                a.cond_br(Cond::Eq, r2, &next); // at/above the range
-                                                // An in-range store of up to 8 bytes can touch the quad
-                                                // holding its first byte *and* the next one, and the
-                                                // first/last quads of an unaligned range also hold bytes
-                                                // outside [lo, lo+len). Check every watched quad the
-                                                // store can reach, clip each difference down to the
-                                                // watched bytes (boundary masks live in the debugger
-                                                // data region), update the shadows, and take a single
-                                                // conditional trap if any watched byte changed — so a
-                                                // store straddling the range end (or an interior quad
-                                                // boundary) neither raises a false transition nor
-                                                // escapes a real one. (A store *starting* below `lo`
-                                                // that overlaps in is not matched by the replacement
-                                                // sequence at all; the paper's sequences match the
-                                                // store's base address.)
+                if let Some(end) = lo.checked_add(len) {
+                    // (A range ending at the top of the address space
+                    // has nothing above it.)
+                    a.load_const(r2, end);
+                    a.inst(alu(AluOp::CmpUlt, r2, r1, Operand::Reg(r2)));
+                    a.cond_br(Cond::Eq, r2, &next); // at/above the range
+                }
+                // An in-range store of up to 8 bytes can touch the quad
+                // holding its first byte *and* the next one, and the
+                // first/last quads of an unaligned range also hold bytes
+                // outside [lo, lo+len). Check every watched quad the
+                // store can reach, clip each difference down to the
+                // watched bytes (boundary masks live in the debugger
+                // data region), update the shadows, and take a single
+                // conditional trap if any watched byte changed — so a
+                // store straddling the range end (or an interior quad
+                // boundary) neither raises a false transition nor
+                // escapes a real one. (A store *starting* below `lo`
+                // that overlaps in is not matched by the replacement
+                // sequence at all; the paper's sequences match the
+                // store's base address.)
                 let first_quad = lo & !7;
-                let end = lo + len;
-                let last_quad = (end - 1) & !7;
+                let last_quad = (lo + (len - 1)) & !7;
                 a.inst(alu(AluOp::Bic, r2, r1, Operand::Imm(7)));
                 a.inst(Instr::DMtr { dr: T_ACC, rs: Reg::ZERO }); // no pending trap
                 let check_quad = |a: &mut Asm, pass: usize| {
@@ -898,6 +904,8 @@ mod tests {
         assert_eq!(quad_span(0x100, 8).collect::<Vec<_>>(), vec![0x100]);
         assert_eq!(quad_span(0x104, 8).collect::<Vec<_>>(), vec![0x100, 0x108]);
         assert_eq!(quad_span(0x101, 1).collect::<Vec<_>>(), vec![0x100]);
+        assert_eq!(quad_span(u64::MAX, 1).collect::<Vec<_>>(), vec![u64::MAX - 7]);
+        assert_eq!(quad_span(u64::MAX - 3, 8).collect::<Vec<_>>(), vec![u64::MAX - 7, 0]);
     }
 
     #[test]

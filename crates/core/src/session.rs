@@ -225,7 +225,9 @@ pub(crate) fn validate_watchpoints(wps: &[Watchpoint]) -> Result<(), DebugError>
                     .to_string(),
             });
         }
-        if matches!(w.expr, WatchExpr::Range { base, len } if base.checked_add(len).is_none()) {
+        // `len > 0` here, so `base + len - 1` is the last watched byte: a
+        // range may end exactly at the top of the address space.
+        if matches!(w.expr, WatchExpr::Range { base, len } if base.checked_add(len - 1).is_none()) {
             return Err(DebugError::InvalidWatchpoint {
                 reason: "a range watchpoint runs past the top of the address space".to_string(),
             });
@@ -472,7 +474,7 @@ impl BaselineCache {
 }
 
 /// A point-in-time snapshot of a whole debugging session: the machine
-/// (registers, PC, copy-on-write memory, DISE engine, decode caches),
+/// (registers, PC, copy-on-write memory, DISE engine, block cache),
 /// the cycle-accounting models, the backend's runtime state, the
 /// watchpoint value snapshots, and the transition statistics.
 ///

@@ -1,6 +1,6 @@
 //! Watchpoint specifications and debugger-side expression evaluation.
 
-use dise_cpu::ChunkSummary;
+use dise_cpu::{byte_span, footprints_overlap, ChunkSummary};
 use dise_isa::Width;
 use dise_mem::Memory;
 
@@ -167,12 +167,13 @@ impl WatchState {
     }
 
     /// Does a store to `[addr, addr+width)` overlap any currently
-    /// watched byte?
+    /// watched byte? Addresses wrap past `u64::MAX` as memory does.
     pub fn store_overlaps(&self, mem: &Memory, addr: u64, width: u64) -> bool {
         self.entries.iter().any(|(w, _)| {
-            w.expr.watched_intervals(mem).iter().any(|&(base, len)| {
-                addr < base.saturating_add(len) && base < addr.saturating_add(width)
-            })
+            w.expr
+                .watched_intervals(mem)
+                .iter()
+                .any(|&(base, len)| footprints_overlap(addr, width, base, len))
         })
     }
 
@@ -235,8 +236,9 @@ pub struct WatchFilter {
     intervals: Vec<(u64, u64)>,
     /// Cached bounding box over `intervals` for the cheap first reject.
     lo: u64,
-    /// One past the last bounded byte (0 when `intervals` is empty).
-    hi: u64,
+    /// The last bounded byte, inclusive (0 when `intervals` is empty,
+    /// so `lo > last` means nothing is bounded).
+    last: u64,
     /// Union of the intervals' page-occupancy bits
     /// ([`ChunkSummary::page_bits`]).
     page_mask: u64,
@@ -252,15 +254,15 @@ impl WatchFilter {
     /// rebuilt after each forced scan.
     pub fn new(intervals: Vec<(u64, u64)>, dynamic: bool) -> WatchFilter {
         let mut lo = u64::MAX;
-        let mut hi = 0u64;
+        let mut last = 0u64;
         let mut page_mask = 0u64;
         for &(base, len) in &intervals {
-            let len = len.max(1);
-            lo = lo.min(base);
-            hi = hi.max(base.saturating_add(len));
+            let (first, end) = byte_span(base, len);
+            lo = lo.min(first);
+            last = last.max(end);
             page_mask |= ChunkSummary::page_bits(base, len);
         }
-        WatchFilter { intervals, lo, hi, page_mask, dynamic }
+        WatchFilter { intervals, lo, last, page_mask, dynamic }
     }
 
     /// True when the intervals follow run-time state and the filter
@@ -273,26 +275,24 @@ impl WatchFilter {
     /// Mirrors [`WatchState::store_overlaps`], against the precomputed
     /// intervals instead of live memory.
     pub fn hits_store(&self, addr: u64, width: u64) -> bool {
-        let width = width.max(1);
-        addr < self.hi
-            && self.lo < addr.saturating_add(width)
-            && self.intervals.iter().any(|&(base, len)| {
-                addr < base.saturating_add(len) && base < addr.saturating_add(width)
-            })
+        let (first, last) = byte_span(addr, width);
+        first <= self.last
+            && self.lo <= last
+            && self.intervals.iter().any(|&(base, len)| footprints_overlap(addr, width, base, len))
     }
 
     /// Could any store summarised in `chunk` overlap a watched
     /// interval? Conservative in the same direction as the summary:
     /// `false` proves no buffered store touched a watched byte.
     pub fn intersects(&self, chunk: &ChunkSummary) -> bool {
-        let Some((lo, hi)) = chunk.stores() else { return false };
-        self.lo < hi
-            && lo < self.hi
+        let Some((lo, last)) = chunk.stores() else { return false };
+        self.lo <= last
+            && lo <= self.last
             && self.page_mask & chunk.page_mask() != 0
-            && self
-                .intervals
-                .iter()
-                .any(|&(base, len)| base < hi && lo < base.saturating_add(len.max(1)))
+            && self.intervals.iter().any(|&(base, len)| {
+                let (first, end) = byte_span(base, len);
+                first <= last && lo <= end
+            })
     }
 }
 

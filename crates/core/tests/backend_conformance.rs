@@ -862,3 +862,69 @@ fn a_range_past_the_top_of_the_address_space_is_invalid_everywhere() {
         assert!(matches!(member, Err(DebugError::InvalidWatchpoint { .. })), "{member:?}");
     }
 }
+
+/// Byte stores at `u64::MAX` and at 0 — the two ends of the address
+/// space, adjacent modulo 2^64 — against a watch on each end byte and
+/// on a range ending exactly at the top. Each watch sees exactly one
+/// change under every backend that admits it, privately and in one
+/// shared [`ObserverBatch`]: no interval end may saturate at
+/// `u64::MAX` and drop the top byte, and no store may spill across the
+/// wrap into the other end.
+#[test]
+fn byte_stores_at_both_ends_of_the_address_space_agree_everywhere() {
+    let app = Application::new(
+        parse_asm(
+            "start: lda r2, 7(zero)
+                    lda r3, -1(zero)
+                    stb r2, 0(r3)
+                    stb r2, 0(zero)
+                    halt",
+        )
+        .expect("assembles"),
+        Layout::default(),
+    );
+    let cpu = CpuConfig::default();
+    let every_kind = [
+        BackendKind::SingleStep,
+        BackendKind::VirtualMemory,
+        BackendKind::hw4(),
+        BackendKind::HardwareRegisters { registers: 1 },
+        BackendKind::BinaryRewrite,
+        BackendKind::dise_default(),
+        BackendKind::Dise(DiseStrategy::bloom(false)),
+        BackendKind::Dise(DiseStrategy::bloom(true)),
+        BackendKind::Dise(DiseStrategy::evaluate_inline(true)),
+        BackendKind::Dise(DiseStrategy::evaluate_inline(false)),
+        BackendKind::Dise(DiseStrategy::match_address_value(true)),
+        BackendKind::Dise(DiseStrategy::match_address_call(true)),
+        BackendKind::DiseComparators,
+    ];
+    let watches = [
+        WatchExpr::Scalar { addr: u64::MAX, width: Width::B },
+        WatchExpr::Scalar { addr: 0, width: Width::B },
+        WatchExpr::Range { base: u64::MAX - 7, len: 8 },
+    ];
+    for expr in watches {
+        let wp = Watchpoint::new(expr);
+        let mut batch = ObserverBatch::new(&app);
+        let mut observed = Vec::new();
+        for kind in every_kind {
+            let private = match run_session(&app, vec![wp], kind, cpu) {
+                Ok(report) => report,
+                Err(DebugError::Unsupported { .. }) => continue,
+                Err(e) => panic!("{expr:?} under {kind:?}: {e}"),
+            };
+            assert_eq!(private.error, None, "{expr:?} under {kind:?}");
+            assert_eq!(private.transitions.user, 1, "{expr:?} under {kind:?}: one change");
+            if kind.observation_only() {
+                batch.member(kind, vec![wp], vec![cpu]);
+                observed.push((kind, private));
+            }
+        }
+        assert!(observed.len() >= 2, "{expr:?}: observing backends admit it");
+        let shared = batch.run().expect("the application assembles");
+        for ((kind, private), shared) in observed.into_iter().zip(shared) {
+            assert_eq!(shared.expect("admitted"), vec![private], "{expr:?} under {kind:?}");
+        }
+    }
+}

@@ -193,6 +193,27 @@ pub struct Exec {
     pub event: Option<Event>,
 }
 
+/// Do the byte footprints `[a, a + a_len)` and `[b, b + b_len)` share a
+/// byte? Addresses wrap past `u64::MAX` exactly as memory accesses do,
+/// and a zero length counts as one byte. Two footprints overlap iff one
+/// starts inside the other, so the test compares start offsets against
+/// lengths and never forms a one-past-the-end address — which does not
+/// exist for a footprint ending at the top of the address space.
+pub fn footprints_overlap(a: u64, a_len: u64, b: u64, b_len: u64) -> bool {
+    b.wrapping_sub(a) < a_len.max(1) || a.wrapping_sub(b) < b_len.max(1)
+}
+
+/// The inclusive `(first, last)` byte span of `[addr, addr + len)` (a
+/// zero length counts as one byte). A footprint that wraps past
+/// `u64::MAX` is widened to the whole address space — the conservative
+/// hull that summaries and bounding boxes need.
+pub fn byte_span(addr: u64, len: u64) -> (u64, u64) {
+    match addr.checked_add(len.max(1) - 1) {
+        Some(last) => (addr, last),
+        None => (0, u64::MAX),
+    }
+}
+
 /// A cheap digest of one chunk's records, maintained incrementally by
 /// [`ExecChunk::push`]: the union of store footprints (min/max byte
 /// interval plus a 64-bit page-occupancy mask) and whether any record
@@ -209,9 +230,9 @@ pub struct ChunkSummary {
     /// Lowest byte address any store in the chunk touched
     /// (`u64::MAX` when the chunk holds no stores).
     store_lo: u64,
-    /// One past the highest byte address any store touched (0 when the
-    /// chunk holds no stores).
-    store_hi: u64,
+    /// Highest byte address any store touched, inclusive (0 when the
+    /// chunk holds no stores, so `store_lo > store_last` means empty).
+    store_last: u64,
     /// Bloom mask of touched pages: bit `(addr / PAGE_SIZE) % 64` is
     /// set for every page some store wrote.
     page_mask: u64,
@@ -226,14 +247,15 @@ impl ChunkSummary {
     pub fn empty() -> ChunkSummary {
         ChunkSummary {
             store_lo: u64::MAX,
-            store_hi: 0,
+            store_last: 0,
             page_mask: 0,
             any_event: false,
             any_trap: false,
         }
     }
 
-    /// Fold one record into the summary.
+    /// Fold one record into the summary. A store wrapping past the top
+    /// of the address space widens the interval to everything.
     fn note(&mut self, e: &Exec) {
         if let Some(ev) = e.event {
             self.any_event = true;
@@ -241,11 +263,10 @@ impl ChunkSummary {
         }
         if let Some(m) = e.mem {
             if m.is_store {
-                let width = m.width.max(1);
-                let end = m.addr.saturating_add(width);
-                self.store_lo = self.store_lo.min(m.addr);
-                self.store_hi = self.store_hi.max(end);
-                self.page_mask |= Self::page_bits(m.addr, width);
+                let (first, last) = byte_span(m.addr, m.width);
+                self.store_lo = self.store_lo.min(first);
+                self.store_last = self.store_last.max(last);
+                self.page_mask |= Self::page_bits(m.addr, m.width);
             }
         }
     }
@@ -253,11 +274,11 @@ impl ChunkSummary {
     /// The page-occupancy bits of a `[addr, addr + len)` footprint. An
     /// access of at most 8 bytes spans at most two pages; long
     /// intervals (range watchpoints) walk page by page and saturate to
-    /// all-ones past 64 pages.
+    /// all-ones past 64 pages, as does a footprint that wraps past the
+    /// top of the address space.
     pub fn page_bits(addr: u64, len: u64) -> u64 {
-        let len = len.max(1);
-        let first = addr / dise_mem::PAGE_SIZE;
-        let last = addr.saturating_add(len - 1) / dise_mem::PAGE_SIZE;
+        let (first, last) = byte_span(addr, len);
+        let (first, last) = (first / dise_mem::PAGE_SIZE, last / dise_mem::PAGE_SIZE);
         if last - first >= 63 {
             return u64::MAX;
         }
@@ -269,10 +290,10 @@ impl ChunkSummary {
     }
 
     /// The union of the chunk's store footprints as one conservative
-    /// byte interval `[lo, hi)`, or `None` when the chunk stored
-    /// nothing.
+    /// inclusive byte span `(first, last)`, or `None` when the chunk
+    /// stored nothing.
     pub fn stores(&self) -> Option<(u64, u64)> {
-        (self.store_hi > 0).then_some((self.store_lo, self.store_hi))
+        (self.store_lo <= self.store_last).then_some((self.store_lo, self.store_last))
     }
 
     /// The page-occupancy Bloom mask of every store in the chunk.
@@ -295,9 +316,9 @@ impl ChunkSummary {
     /// Conservative: `false` proves no store overlapped the interval;
     /// `true` means the consumer must scan the records.
     pub fn may_touch(&self, base: u64, len: u64) -> bool {
-        let len = len.max(1);
-        base < self.store_hi
-            && self.store_lo < base.saturating_add(len)
+        let (first, last) = byte_span(base, len);
+        first <= self.store_last
+            && self.store_lo <= last
             && self.page_mask & Self::page_bits(base, len) != 0
     }
 }
@@ -399,9 +420,6 @@ enum Mode {
     InCall { ret: CallReturn },
 }
 
-/// Number of slots in the decoded-instruction cache (power of two).
-const DECODED_SLOTS: usize = 4096;
-
 /// Maximum decoded steps per cached block — and the record capacity of
 /// the `ExecChunk`s the observer fan-out and trace replay dispatch, so
 /// a chunk boundary never splits a replayed block it could have held.
@@ -425,7 +443,11 @@ impl Hasher for PcHasher {
     }
 
     fn write(&mut self, _: &[u8]) {
-        unreachable!("PcHasher is only used with u64 keys");
+        unreachable!("PcHasher is only used with integer keys");
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
     }
 
     fn write_u64(&mut self, v: u64) {
@@ -435,7 +457,16 @@ impl Hasher for PcHasher {
     }
 }
 
-type PcMap<V> = HashMap<u64, V, BuildHasherDefault<PcHasher>>;
+type PcMap<K, V> = HashMap<K, V, BuildHasherDefault<PcHasher>>;
+
+/// A block's cache key: its entry PC and the fetch mode it was built
+/// for. Application code (DISE armed) and DISE-called code (disarmed)
+/// never share a block, even when both enter at the same PC.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+struct BlockKey {
+    pc: u64,
+    in_call: bool,
+}
 
 /// One decoded step of a cached block.
 #[derive(Clone, Debug)]
@@ -456,18 +487,19 @@ impl BlockStep {
     }
 }
 
-/// A decoded straight-line trace; its entry PC is the cache key.
+/// A decoded straight-line trace; its entry PC and mode are the cache
+/// key.
 #[derive(Clone, Debug)]
 struct Block {
-    /// Exclusive end of the instruction words the block decodes
-    /// (`entry .. end` is the byte range store invalidation tests
-    /// against).
-    end: u64,
+    /// Inclusive last byte of the instruction words the block decodes
+    /// (`entry ..= last` is the byte range store invalidation tests
+    /// against). A cached block never wraps past the top of the
+    /// address space, so `entry <= last`.
+    last: u64,
     steps: Vec<BlockStep>,
 }
 
-/// Counters for the block-level decoded-trace cache
-/// ([`Executor::block_cache_stats`]).
+/// Counters for the block cache ([`Executor::block_cache_stats`]).
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub struct BlockCacheStats {
     /// Entry-PC lookups: one per block *entered*, not per replayed step
@@ -477,14 +509,22 @@ pub struct BlockCacheStats {
     pub hits: u64,
     /// Lookups that had to (re)build a block.
     pub misses: u64,
-    /// Blocks dropped by overlapping stores, code patches, or engine
-    /// reconfiguration (wholesale flushes via [`Executor::mem_mut`] or
-    /// [`Executor::set_block_cache`] are not counted per block).
+    /// Blocks dropped by overlapping stores or code patches (wholesale
+    /// flushes via [`Executor::mem_mut`] or [`Executor::engine_mut`]
+    /// are not counted per block).
     pub invalidations: u64,
 }
 
 /// The functional machine: register file (GPRs + DISE registers), PC,
 /// memory, the DISE engine, and the replacement-sequence context.
+///
+/// Every conventional fetch — application code and DISE-called
+/// functions alike — is served by one block cache: decoded
+/// straight-line runs keyed by entry PC and fetch mode, with DISE
+/// expansions fused in at build time for application code and none for
+/// DISE-called code (expansion is disabled inside calls). Replacement
+/// instructions are never fetched; they come from the replacement
+/// context.
 #[derive(Clone, Debug)]
 pub struct Executor {
     regs: [u64; NUM_REGS],
@@ -494,45 +534,34 @@ pub struct Executor {
     mode: Mode,
     halted: bool,
     instructions: u64,
-    /// Decoded-instruction cache: a direct-mapped, PC-tagged store of
-    /// `decode()` results, so warm fetches skip the memory read and the
-    /// decoder. Entries are invalidated by stores that overlap them
-    /// (self-modifying code) and the whole cache is dropped whenever a
-    /// caller takes [`Executor::mem_mut`] (breakpoint patching).
-    decoded: Vec<Option<(u64, Instr)>>,
-    decode_hits: u64,
-    decode_misses: u64,
-    /// Block-level decoded-trace cache layered over `decoded`: decoded
-    /// straight-line runs keyed by entry PC, with DISE expansions fused
-    /// in at build time. Invalidated range-wise by overlapping stores
-    /// and code patches, and flushed wholesale by [`Executor::mem_mut`]
-    /// and [`Executor::engine_mut`] (production changes alter what a
-    /// block would fuse). [`Executor::set_block_cache`] ablates it; the
-    /// `Exec` stream is byte-identical either way.
-    block_cache: bool,
     /// Block arena: live blocks in `Some` slots, invalidated slots
     /// recycled through `free_blocks`. An arena rather than a map so
     /// the cursor continuation — the per-instruction hot path — is a
-    /// bounds-checked index, not a hash probe.
+    /// bounds-checked index, not a hash probe. Blocks are invalidated
+    /// range-wise by overlapping stores and code patches, and flushed
+    /// wholesale by [`Executor::mem_mut`] and [`Executor::engine_mut`]
+    /// (production changes alter what a block would fuse).
     blocks: Vec<Option<Block>>,
-    /// Entry PC → arena slot, consulted once per block *entered*.
-    block_index: PcMap<u32>,
+    /// Entry key → arena slot, consulted once per block *entered*.
+    block_index: PcMap<BlockKey, u32>,
     free_blocks: Vec<u32>,
-    /// Conservative byte range covered by any block ever cached since
-    /// the last flush (`lo..hi`, never shrunk by invalidation), so the
-    /// common store — data, nowhere near decoded text — skips block
-    /// invalidation with two compares.
+    /// Conservative inclusive byte span covered by any block ever
+    /// cached since the last flush (`lo..=last`, never shrunk by
+    /// invalidation), so the common store — data, nowhere near decoded
+    /// text — skips block invalidation with two compares.
     block_bounds: (u64, u64),
-    /// Region base → entry PCs of blocks overlapping that region, so a
-    /// store invalidates by range without scanning every block. Stale
-    /// entries (blocks already dropped via another region) are cleaned
-    /// lazily.
-    block_regions: PcMap<Vec<u64>>,
+    /// Region base → keys of blocks overlapping that region, so a store
+    /// invalidates by range without scanning every block. Stale entries
+    /// (blocks already dropped via another region) are cleaned lazily.
+    block_regions: PcMap<u64, Vec<BlockKey>>,
     /// Replay position: arena slot and next step of the block being
     /// executed. Validated against slot liveness and the current PC
     /// every step, so jumps, invalidations, and rebuilds simply drop
     /// it. (The PC check alone makes validation robust to slot reuse:
-    /// any live step at the current PC decodes current memory.)
+    /// any live step at the current PC decodes current memory.) A block
+    /// never spans a mode change — DISE calls and returns end blocks —
+    /// so a continuation always runs in the mode its block was built
+    /// for.
     cursor: Option<(u32, usize)>,
     block_stats: BlockCacheStats,
 }
@@ -548,10 +577,6 @@ impl Executor {
             mode: Mode::Normal,
             halted: false,
             instructions: 0,
-            decoded: vec![None; DECODED_SLOTS],
-            decode_hits: 0,
-            decode_misses: 0,
-            block_cache: true,
             blocks: Vec::new(),
             block_index: PcMap::default(),
             free_blocks: Vec::new(),
@@ -605,25 +630,22 @@ impl Executor {
         &self.mem
     }
 
-    /// Mutable memory (loading, page protection).
+    /// Mutable memory (loading, debugger writes).
     ///
     /// The caller may rewrite code behind the executor's back, so the
-    /// decoded-instruction cache is dropped wholesale; use
-    /// [`Executor::patch_code`] for single-word code patches instead.
+    /// block cache is dropped wholesale; use [`Executor::patch_code`]
+    /// for single-word code patches instead.
     pub fn mem_mut(&mut self) -> &mut Memory {
-        for slot in &mut self.decoded {
-            *slot = None;
-        }
         self.flush_blocks();
         &mut self.mem
     }
 
     /// Overwrite one code word (breakpoint planting/restoring),
-    /// invalidating only the decoded-cache entries it overlaps — unlike
+    /// invalidating only the cached blocks it overlaps — unlike
     /// [`Executor::mem_mut`], the rest of the warm cache survives.
     pub fn patch_code(&mut self, addr: u64, word: u32) {
         self.mem.write_u(addr, 4, word as u64);
-        self.invalidate_decoded(addr, 4);
+        self.invalidate_blocks(addr, 4);
     }
 
     /// The DISE engine (production installation).
@@ -635,8 +657,7 @@ impl Executor {
     ///
     /// Cached blocks bake in the engine's matching and instantiation
     /// decisions, so handing out mutable engine access (production
-    /// installation, activation toggles) flushes them; the
-    /// per-instruction decode cache is engine-independent and survives.
+    /// installation, activation toggles) flushes them.
     pub fn engine_mut(&mut self) -> &mut Engine {
         self.flush_blocks();
         &mut self.engine
@@ -653,45 +674,23 @@ impl Executor {
         self.instructions
     }
 
-    /// `(hits, misses)` of the decoded-instruction cache since
-    /// construction. Replacement instructions never touch the cache
-    /// (they are generated at decode, not fetched).
-    pub fn decode_cache_stats(&self) -> (u64, u64) {
-        (self.decode_hits, self.decode_misses)
-    }
-
-    /// Counters of the block-level decoded-trace cache since
-    /// construction. All zero when the cache is disabled.
+    /// Counters of the block cache since construction. Replacement
+    /// instructions never touch the cache (they are generated at
+    /// decode, not fetched).
     pub fn block_cache_stats(&self) -> BlockCacheStats {
         self.block_stats
-    }
-
-    /// Whether the block-level decoded-trace cache is enabled (on for
-    /// every new machine).
-    pub fn block_cache_enabled(&self) -> bool {
-        self.block_cache
-    }
-
-    /// Enable/disable the block cache, dropping any cached blocks — the
-    /// reference switch for tests and the block-cache ablation. The
-    /// `Exec` stream is byte-identical in either state; only the
-    /// counters and the work per step differ.
-    pub fn set_block_cache(&mut self, enabled: bool) {
-        self.block_cache = enabled;
-        self.flush_blocks();
     }
 
     /// Fork a copy-on-write twin of this machine in O(page-table) time.
     ///
     /// The child is state-identical to `self` — registers, PC, DISE
     /// engine (productions and statistics), replacement context,
-    /// instruction counter, and both decode caches (they describe the
-    /// identical memory image and engine, so they remain valid as-is) —
+    /// instruction counter, and the block cache (it describes the
+    /// identical memory image and engine, so it remains valid as-is) —
     /// except that memory pages are shared copy-on-write and unshare on
-    /// first write by either side. Page protections are deep-copied:
-    /// the child protecting a page never protects the parent's, and
-    /// vice versa. Takes `&mut self` only to account the fork in the
-    /// parent's [`dise_mem::CowStats`]; no architectural state changes.
+    /// first write by either side. Takes `&mut self` only to account
+    /// the fork in the parent's [`dise_mem::CowStats`]; no
+    /// architectural state changes.
     pub fn fork(&mut self) -> Executor {
         let mem = self.mem.fork();
         let mut child = self.clone();
@@ -731,69 +730,57 @@ impl Executor {
         ExecutorCheckpoint { state: self.clone() }
     }
 
-    /// Restore the machine to a checkpoint. The restored decode and
-    /// block caches are the ones captured with it — they describe the
-    /// restored memory image and engine exactly, so they come back
-    /// revalidated rather than flushed, and re-running from the
-    /// checkpoint replays the original `Exec` stream byte for byte.
+    /// Restore the machine to a checkpoint. The restored block cache is
+    /// the one captured with it — it describes the restored memory
+    /// image and engine exactly, so it comes back revalidated rather
+    /// than flushed, and re-running from the checkpoint replays the
+    /// original `Exec` stream byte for byte.
     pub fn restore(&mut self, ck: &ExecutorCheckpoint) {
         *self = ck.state.clone();
     }
 
+    /// Drop every cached block whose byte range overlaps the
+    /// `width`-byte store at `addr`. Both store execution and
+    /// [`Executor::patch_code`] funnel through here. A patched
+    /// instruction anywhere inside a block kills the whole block —
+    /// replaying the untouched prefix would be correct, but the
+    /// cursor's PC validation cannot distinguish a stale suffix, so
+    /// invalidation is all-or-nothing per block.
     #[inline]
-    fn decoded_slot(pc: u64) -> usize {
-        ((pc >> 2) as usize) & (DECODED_SLOTS - 1)
-    }
-
-    /// Drop cached decodes for the (≤ 3) instruction words a
-    /// `width`-byte store at `addr` overlaps, plus every cached block
-    /// whose decoded range the store overlaps. Both store execution and
-    /// [`Executor::patch_code`] funnel through here.
-    #[inline]
-    fn invalidate_decoded(&mut self, addr: u64, width: u64) {
-        let mut word = addr & !(INSTR_BYTES - 1);
-        let last = addr.wrapping_add(width - 1) & !(INSTR_BYTES - 1);
-        for _ in 0..3 {
-            let slot = Self::decoded_slot(word);
-            if matches!(self.decoded[slot], Some((tag, _)) if tag == word) {
-                self.decoded[slot] = None;
-            }
-            if word == last {
-                break;
-            }
-            word = word.wrapping_add(INSTR_BYTES);
-        }
-        self.invalidate_blocks(addr, width);
-    }
-
-    /// Drop every cached block whose `entry..end` range overlaps the
-    /// `width`-byte store at `addr`. A patched instruction anywhere
-    /// inside a block kills the whole block — replaying the untouched
-    /// prefix would be correct, but the cursor's PC validation cannot
-    /// distinguish a stale suffix, so invalidation is all-or-nothing
-    /// per block.
     fn invalidate_blocks(&mut self, addr: u64, width: u64) {
-        let end = addr.wrapping_add(width.max(1));
-        if self.block_index.is_empty() || addr >= self.block_bounds.1 || end <= self.block_bounds.0
+        let last = addr.wrapping_add(width.max(1) - 1);
+        if last < addr {
+            // The store wraps past the top of the address space; no
+            // block does, so each half is checked on its own.
+            self.invalidate_span(addr, u64::MAX);
+            self.invalidate_span(0, last);
+        } else {
+            self.invalidate_span(addr, last);
+        }
+    }
+
+    /// Drop every cached block overlapping the inclusive byte span
+    /// `first..=last` (`first <= last`).
+    fn invalidate_span(&mut self, first: u64, last: u64) {
+        if self.block_index.is_empty() || first > self.block_bounds.1 || last < self.block_bounds.0
         {
             return;
         }
-        let first = addr & !(BLOCK_REGION_BYTES - 1);
-        let last = end.wrapping_sub(1) & !(BLOCK_REGION_BYTES - 1);
-        let mut region = first;
+        let mut region = first & !(BLOCK_REGION_BYTES - 1);
+        let last_region = last & !(BLOCK_REGION_BYTES - 1);
         loop {
-            if let Some(mut entries) = self.block_regions.remove(&region) {
-                entries.retain(|&entry| match self.block_index.get(&entry) {
+            if let Some(mut keys) = self.block_regions.remove(&region) {
+                keys.retain(|&key| match self.block_index.get(&key) {
                     // Already dropped through another region.
                     None => false,
                     Some(&slot) => {
                         let b = self.blocks[slot as usize]
                             .as_ref()
                             .expect("indexed block slot is live");
-                        if entry < end && addr < b.end {
+                        if key.pc <= last && first <= b.last {
                             self.blocks[slot as usize] = None;
                             self.free_blocks.push(slot);
-                            self.block_index.remove(&entry);
+                            self.block_index.remove(&key);
                             self.block_stats.invalidations += 1;
                             false
                         } else {
@@ -801,14 +788,14 @@ impl Executor {
                         }
                     }
                 });
-                if !entries.is_empty() {
-                    self.block_regions.insert(region, entries);
+                if !keys.is_empty() {
+                    self.block_regions.insert(region, keys);
                 }
             }
-            if region == last {
+            if region == last_region {
                 break;
             }
-            region = region.wrapping_add(BLOCK_REGION_BYTES);
+            region += BLOCK_REGION_BYTES;
         }
     }
 
@@ -822,18 +809,18 @@ impl Executor {
         self.cursor = None;
     }
 
-    /// Register a block's byte range in the region index.
-    fn index_block(&mut self, entry: u64, end: u64) {
-        self.block_bounds.0 = self.block_bounds.0.min(entry);
-        self.block_bounds.1 = self.block_bounds.1.max(end);
-        let mut region = entry & !(BLOCK_REGION_BYTES - 1);
-        let last = (end - 1) & !(BLOCK_REGION_BYTES - 1);
+    /// Register a block's inclusive byte span in the region index.
+    fn index_block(&mut self, key: BlockKey, last: u64) {
+        self.block_bounds.0 = self.block_bounds.0.min(key.pc);
+        self.block_bounds.1 = self.block_bounds.1.max(last);
+        let mut region = key.pc & !(BLOCK_REGION_BYTES - 1);
+        let last_region = last & !(BLOCK_REGION_BYTES - 1);
         loop {
             let list = self.block_regions.entry(region).or_default();
-            if !list.contains(&entry) {
-                list.push(entry);
+            if !list.contains(&key) {
+                list.push(key);
             }
-            if region == last {
+            if region == last_region {
                 break;
             }
             region += BLOCK_REGION_BYTES;
@@ -850,18 +837,18 @@ impl Executor {
     fn advance_replacement(&mut self, trigger_pc: u64, seq: Vec<Instr>, next_idx: usize) {
         if next_idx >= seq.len() {
             self.mode = Mode::Normal;
-            self.pc = trigger_pc + INSTR_BYTES;
+            self.pc = trigger_pc.wrapping_add(INSTR_BYTES);
         } else {
             self.mode = Mode::Replacing { trigger_pc, seq, idx: next_idx };
         }
     }
 
-    /// One block-cache step in `Normal` mode: continue the block under
-    /// the cursor, or look up / build a block at `pc` and execute its
-    /// first step. Returns `None` when the block machinery did not
-    /// handle the fetch (the word at `pc` is undecodable) — the caller
-    /// falls through to the plain fetch path with no decode counted.
-    fn try_block(&mut self, pc: u64) -> Option<Exec> {
+    /// One conventional fetch, served by the block cache: continue the
+    /// block under the cursor, or look up / build the block keyed by
+    /// `pc` and the fetch mode and execute its first step. An
+    /// undecodable word at `pc` halts with
+    /// [`ExecError::BadInstruction`].
+    fn block_step(&mut self, pc: u64, in_call: bool) -> Exec {
         if let Some((slot, idx)) = self.cursor.take() {
             // Continuation: valid only if the slot is still live and
             // its next step sits exactly at the current PC (branches
@@ -875,31 +862,50 @@ impl Executor {
                         if idx + 1 < b.steps.len() {
                             self.cursor = Some((slot, idx + 1));
                         }
-                        self.decode_hits += 1;
-                        return Some(self.execute(pc, 0, false, instr, true, None));
+                        return self.execute(pc, 0, in_call, instr, true, None);
                     }
                     Some(s @ BlockStep::Fused { .. }) if s.pc() == pc => {
                         let step = s.clone();
                         // A fused step is always a block's last; no
                         // continuation to record.
-                        return Some(self.replay(step, None, true));
+                        return self.replay(step, None, in_call);
                     }
                     _ => {}
                 }
             }
         }
         self.block_stats.lookups += 1;
-        if let Some(&slot) = self.block_index.get(&pc) {
+        let key = BlockKey { pc, in_call };
+        if let Some(&slot) = self.block_index.get(&key) {
             self.block_stats.hits += 1;
             let b = self.blocks[slot as usize].as_ref().expect("indexed block slot is live");
             let step = b.steps[0].clone();
             let next = (b.steps.len() > 1).then_some((slot, 1));
-            return Some(self.replay(step, next, true));
+            return self.replay(step, next, in_call);
         }
         self.block_stats.misses += 1;
-        let block = self.build_block(pc)?;
-        self.index_block(pc, block.end);
+        let Some(block) = self.build_block(pc, in_call) else {
+            let mut exec = Exec {
+                pc,
+                disepc: 0,
+                in_dise_call: in_call,
+                instr: Instr::Nop,
+                fetched: true,
+                branch: None,
+                mem: None,
+                flush: None,
+                event: None,
+            };
+            self.halt_with(&mut exec, ExecError::BadInstruction(pc));
+            return exec;
+        };
         let step = block.steps[0].clone();
+        if block.last < pc {
+            // The entry word itself wraps past the top of the address
+            // space (an unaligned PC): run it once, uncached.
+            return self.replay(step, None, in_call);
+        }
+        self.index_block(key, block.last);
         let next = (block.steps.len() > 1).then_some(1usize);
         let slot = match self.free_blocks.pop() {
             Some(s) => {
@@ -911,84 +917,66 @@ impl Executor {
                 (self.blocks.len() - 1) as u32
             }
         };
-        self.block_index.insert(pc, slot);
-        Some(self.replay(step, next.map(|i| (slot, i)), false))
+        self.block_index.insert(key, slot);
+        self.replay(step, next.map(|i| (slot, i)), in_call)
     }
 
     /// Decode a straight-line run starting at `entry` into a block.
-    /// Each word decodes through the per-instruction cache with normal
-    /// hit/miss accounting. The run ends at control transfers, `halt`,
-    /// `trap`, instructions that would fault under DISE protection, the
-    /// first fused DISE expansion, `MAX_BLOCK_STEPS`, or an undecodable
-    /// word. Returns `None` when even the first word is undecodable
-    /// (the plain fetch path reports the error, uncounted, exactly as
-    /// without the block cache).
-    fn build_block(&mut self, entry: u64) -> Option<Block> {
+    /// Application code (`in_call == false`) is built armed: a word
+    /// that triggers a DISE production is fused with its instantiated
+    /// sequence, because the paper expands at decode, before execution.
+    /// DISE-called code is built disarmed, since expansion is disabled
+    /// inside calls. The run ends at control transfers, `halt`, `trap`,
+    /// DISE-only instructions (which fault in application code and end
+    /// a call), the first fused expansion, `MAX_BLOCK_STEPS`, an
+    /// undecodable word, or the top of the address space. Returns
+    /// `None` when even the first word is undecodable.
+    fn build_block(&self, entry: u64, in_call: bool) -> Option<Block> {
         let mut steps = Vec::new();
         let mut at = entry;
-        while steps.len() < MAX_BLOCK_STEPS {
-            let slot = Self::decoded_slot(at);
-            let instr = match self.decoded[slot] {
-                Some((tag, i)) if tag == at => {
-                    self.decode_hits += 1;
-                    i
+        let mut last = entry;
+        while let Ok(instr) = decode(self.mem.read_u(at, 4) as u32) {
+            last = at.wrapping_add(INSTR_BYTES - 1);
+            let fused = if in_call { None } else { self.engine.peek_expand(at, &instr) };
+            let terminal = match fused {
+                Some(seq) => {
+                    steps.push(BlockStep::Fused { pc: at, seq });
+                    true
                 }
-                _ => match decode(self.mem.read_u(at, 4) as u32) {
-                    Ok(i) => {
-                        self.decode_misses += 1;
-                        self.decoded[slot] = Some((at, i));
-                        i
-                    }
-                    Err(_) => break,
-                },
+                None => {
+                    steps.push(BlockStep::Plain { pc: at, instr });
+                    matches!(
+                        instr,
+                        Instr::Br { .. }
+                            | Instr::CondBr { .. }
+                            | Instr::Jmp { .. }
+                            | Instr::Halt
+                            | Instr::Trap
+                    ) || instr.is_dise_only()
+                        || instr.touches_dise_regs()
+                }
             };
-            // Mirror the uncached step order: the expansion check comes
-            // before execution, so a matching trigger is fused (with
-            // its instantiated sequence) and ends the block.
-            if let Some(seq) = self.engine.peek_expand(at, &instr) {
-                steps.push(BlockStep::Fused { pc: at, seq });
-                at += INSTR_BYTES;
+            // Stop before a next word that would wrap past `u64::MAX`,
+            // so a block's byte span never crosses the top.
+            let next_fits = at.checked_add(2 * INSTR_BYTES - 1).is_some();
+            if terminal || steps.len() == MAX_BLOCK_STEPS || !next_fits {
                 break;
             }
-            // DISE-protected instructions are included (executing one
-            // in Normal mode faults, same as uncached) but terminate
-            // the run.
-            let terminal = matches!(
-                instr,
-                Instr::Br { .. }
-                    | Instr::CondBr { .. }
-                    | Instr::Jmp { .. }
-                    | Instr::Halt
-                    | Instr::Trap
-            ) || instr.is_dise_only()
-                || instr.touches_dise_regs();
-            steps.push(BlockStep::Plain { pc: at, instr });
             at += INSTR_BYTES;
-            if terminal {
-                break;
-            }
         }
-        if steps.is_empty() {
-            return None;
-        }
-        Some(Block { end: at, steps })
+        (!steps.is_empty()).then_some(Block { last, steps })
     }
 
     /// Execute an already-fetched block step, leaving the cursor at
-    /// `next`. `count_fetch` is false only for the step right after a
-    /// build, whose decode `build_block` already accounted; replayed
-    /// steps count as decode hits (the whole point of the cache).
-    fn replay(&mut self, step: BlockStep, next: Option<(u32, usize)>, count_fetch: bool) -> Exec {
+    /// `next`.
+    fn replay(&mut self, step: BlockStep, next: Option<(u32, usize)>, in_call: bool) -> Exec {
         self.cursor = next;
-        if count_fetch {
-            self.decode_hits += 1;
-        }
         match step {
-            BlockStep::Plain { pc, instr } => self.execute(pc, 0, false, instr, true, None),
+            BlockStep::Plain { pc, instr } => self.execute(pc, 0, in_call, instr, true, None),
             BlockStep::Fused { pc, seq } => {
                 // The fused sequence was instantiated statistics-free at
                 // build time; account for this replay so engine stats
-                // match the uncached `expand` path exactly.
+                // count one expansion per executed trigger.
                 self.engine.count_expansion(seq.len() as u64);
                 let i = seq[0];
                 self.execute(pc, 1, false, i, true, Some((pc, seq, 0)))
@@ -1037,86 +1025,20 @@ impl Executor {
         assert!(!self.halted, "step() on a halted machine");
         self.instructions += 1;
 
-        // Select the instruction: replacement sequence, called function,
-        // or conventional fetch (with expansion check).
-        #[allow(clippy::type_complexity)]
-        let (pc, disepc, in_call, instr, fetched, repl): (
-            u64,
-            u16,
-            bool,
-            Instr,
-            bool,
-            Option<(u64, Vec<Instr>, usize)>,
-        );
+        // The next replacement instruction, or a conventional fetch
+        // (application code or a DISE-called function) from a block.
         match std::mem::replace(&mut self.mode, Mode::Normal) {
             Mode::Replacing { trigger_pc, seq, idx } => {
                 let i = seq[idx];
-                pc = trigger_pc;
-                disepc = (idx + 1) as u16;
-                in_call = false;
-                instr = i;
-                fetched = false;
-                repl = Some((trigger_pc, seq, idx));
+                let repl = Some((trigger_pc, seq, idx));
+                self.execute(trigger_pc, (idx + 1) as u16, false, i, false, repl)
             }
-            m @ (Mode::Normal | Mode::InCall { .. }) => {
-                pc = self.pc;
-                in_call = matches!(m, Mode::InCall { .. });
+            m => {
+                let in_call = matches!(m, Mode::InCall { .. });
                 self.mode = m;
-                // The decoded-trace fast path (Normal mode only: DISE
-                // expansion is disabled inside called functions, and
-                // handler code is short and rarely revisited).
-                if self.block_cache && !in_call {
-                    if let Some(exec) = self.try_block(pc) {
-                        return exec;
-                    }
-                }
-                let slot = Self::decoded_slot(pc);
-                let decoded = match self.decoded[slot] {
-                    Some((tag, i)) if tag == pc => {
-                        self.decode_hits += 1;
-                        i
-                    }
-                    _ => {
-                        let word = self.mem.read_u(pc, 4) as u32;
-                        match decode(word) {
-                            Ok(i) => {
-                                self.decode_misses += 1;
-                                self.decoded[slot] = Some((pc, i));
-                                i
-                            }
-                            Err(_) => {
-                                let mut exec = Exec {
-                                    pc,
-                                    disepc: 0,
-                                    in_dise_call: in_call,
-                                    instr: Instr::Nop,
-                                    fetched: true,
-                                    branch: None,
-                                    mem: None,
-                                    flush: None,
-                                    event: None,
-                                };
-                                self.halt_with(&mut exec, ExecError::BadInstruction(pc));
-                                return exec;
-                            }
-                        }
-                    }
-                };
-                // DISE expansion is armed only in Normal mode.
-                if !in_call {
-                    if let Some(seq) = self.engine.expand(pc, &decoded) {
-                        // The trigger is *replaced*: begin the sequence.
-                        let i = seq[0];
-                        return self.execute(pc, 1, false, i, true, Some((pc, seq, 0)));
-                    }
-                }
-                instr = decoded;
-                disepc = 0;
-                fetched = true;
-                repl = None;
+                self.block_step(self.pc, in_call)
             }
         }
-        self.execute(pc, disepc, in_call, instr, fetched, repl)
     }
 
     /// Execute `instr` in the established context.
@@ -1161,7 +1083,7 @@ impl Executor {
         // Helper: where conventional execution resumes if no transfer.
         // (For replacement instructions the sequence index advances
         // instead; `self.pc` is only meaningful outside replacements.)
-        let next_pc = self.pc + INSTR_BYTES;
+        let next_pc = self.pc.wrapping_add(INSTR_BYTES);
 
         // `advance`: what to do after a non-transfer instruction.
         macro_rules! advance {
@@ -1223,14 +1145,14 @@ impl Executor {
                 let old = self.mem.read_u(addr, w);
                 let new = self.reg(rs) & width_mask(w);
                 self.mem.write_u(addr, w, new);
-                self.invalidate_decoded(addr, w);
+                self.invalidate_blocks(addr, w);
                 exec.mem =
                     Some(MemOp { addr, width: w, is_store: true, old_value: old, new_value: new });
                 advance!();
             }
             Instr::Br { rd, disp } => {
-                let ret = pc + INSTR_BYTES;
-                let target = (pc as i64 + 4 + 4 * disp as i64) as u64;
+                let ret = pc.wrapping_add(INSTR_BYTES);
+                let target = branch_target(pc, disp);
                 self.set_reg(rd, ret);
                 exec.branch = Some(Branch {
                     kind: if rd.is_zero() { BranchKind::Direct } else { BranchKind::Call },
@@ -1245,7 +1167,7 @@ impl Executor {
             }
             Instr::CondBr { cond, rs, disp } => {
                 let taken = cond.holds(self.reg(rs));
-                let target = (pc as i64 + 4 + 4 * disp as i64) as u64;
+                let target = branch_target(pc, disp);
                 exec.branch = Some(Branch { kind: BranchKind::Conditional, taken, target });
                 if taken {
                     if in_replacement {
@@ -1259,7 +1181,7 @@ impl Executor {
             }
             Instr::Jmp { rd, base } => {
                 let target = self.reg(base) & !3;
-                let ret = pc + INSTR_BYTES;
+                let ret = pc.wrapping_add(INSTR_BYTES);
                 let kind = if !rd.is_zero() {
                     BranchKind::Call
                 } else if base == Reg::RA {
@@ -1335,7 +1257,7 @@ impl Executor {
 
 /// A frozen snapshot of a whole [`Executor`] — architectural state,
 /// memory (pages shared copy-on-write with the live machine), DISE
-/// engine, replacement context, and decode/block caches. Taking and
+/// engine, replacement context, and block cache. Taking and
 /// restoring one is O(page-table); see [`Executor::checkpoint`] /
 /// [`Executor::restore`].
 #[derive(Clone, Debug)]
@@ -1353,6 +1275,13 @@ impl ExecutorCheckpoint {
     pub fn pc(&self) -> u64 {
         self.state.pc
     }
+}
+
+/// The target of a PC-relative branch at `pc`: `disp` instruction words
+/// past the next one, wrapping like every other PC computation.
+#[inline]
+fn branch_target(pc: u64, disp: i32) -> u64 {
+    pc.wrapping_add(INSTR_BYTES).wrapping_add((4 * disp as i64) as u64)
 }
 
 #[inline]
@@ -1460,16 +1389,58 @@ mod tests {
         let s = *chunk.summary();
         assert!(s.any_event(), "the halt record is an event");
         assert!(!s.any_trap());
-        let (lo, hi) = s.stores().expect("two stores buffered");
+        let (lo, last) = s.stores().expect("two stores buffered");
         for e in chunk.records() {
             let Some(mo) = e.mem.filter(|m| m.is_store) else { continue };
-            assert!(mo.addr >= lo && mo.addr + mo.width <= hi);
+            assert!(mo.addr >= lo && mo.addr + mo.width - 1 <= last, "inclusive span");
             assert!(s.may_touch(mo.addr, mo.width));
             assert!(s.may_touch(mo.addr + mo.width - 1, 1), "last byte covered");
         }
         assert!(!s.may_touch(0, 1), "address zero is far from the data segment");
         assert_eq!(ChunkSummary::empty().stores(), None);
         assert!(!ChunkSummary::empty().may_touch(0, u64::MAX));
+    }
+
+    /// Store footprints at the top of the address space: a byte at
+    /// `u64::MAX` stays in the summary (no exclusive end saturates onto
+    /// it), and a store wrapping past the top widens the summary to the
+    /// whole address space, so page 0 is covered too.
+    #[test]
+    fn chunk_summary_covers_the_top_of_the_address_space() {
+        let store = |addr, width| Exec {
+            pc: 0,
+            disepc: 0,
+            in_dise_call: false,
+            instr: Instr::Nop,
+            fetched: true,
+            branch: None,
+            mem: Some(MemOp { addr, width, is_store: true, old_value: 0, new_value: 1 }),
+            flush: None,
+            event: None,
+        };
+        let mut chunk = ExecChunk::with_capacity(4);
+        chunk.push(store(u64::MAX, 1));
+        let s = *chunk.summary();
+        assert_eq!(s.stores(), Some((u64::MAX, u64::MAX)));
+        assert!(s.may_touch(u64::MAX, 1));
+        assert!(s.may_touch(u64::MAX - 7, 8), "a quad ending at the top");
+        assert!(!s.may_touch(0, 1), "no spill across the wrap");
+        chunk.push(store(u64::MAX - 3, 8));
+        let s = *chunk.summary();
+        assert_eq!(s.stores(), Some((0, u64::MAX)));
+        assert!(s.may_touch(0, 1), "the wrapped bytes land in page 0");
+    }
+
+    #[test]
+    fn footprints_overlap_at_both_ends() {
+        assert!(footprints_overlap(u64::MAX, 1, u64::MAX, 1));
+        assert!(footprints_overlap(u64::MAX - 7, 8, u64::MAX, 1));
+        assert!(!footprints_overlap(u64::MAX, 1, 0, 1), "adjacent, not overlapping");
+        assert!(footprints_overlap(u64::MAX - 3, 8, 0, 1), "a wrapping store reaches byte 0");
+        assert!(footprints_overlap(0x100, 4, 0x103, 8));
+        assert!(!footprints_overlap(0x100, 4, 0x104, 8));
+        assert_eq!(byte_span(u64::MAX, 1), (u64::MAX, u64::MAX));
+        assert_eq!(byte_span(u64::MAX - 3, 8), (0, u64::MAX), "wrapping footprints widen");
     }
 
     /// The scratch-buffer contract: clearing keeps the allocation, so a
@@ -1798,23 +1769,18 @@ mod tests {
         assert!(trace.iter().all(|e| e.flush.is_none()));
     }
 
-    #[test]
-    fn decode_cache_hits_on_warm_loop() {
-        let mut m = machine(
-            "start: lda r1, 50(zero)
-             loop:  subq r1, 1, r1
-                    bgt r1, loop
-                    halt",
-        );
-        // With the block cache off, every fetch does exactly one
-        // per-instruction lookup, so hits + misses == instructions;
-        // block building breaks that identity by decoding ahead.
-        m.set_block_cache(false);
-        run(&mut m, 200);
-        let (hits, misses) = m.decode_cache_stats();
-        assert_eq!(misses, 4, "each static instruction decodes once");
-        assert_eq!(hits + misses, m.instructions());
-        assert_eq!(m.block_cache_stats(), BlockCacheStats::default(), "disabled cache is inert");
+    /// Run to halt with a cold block cache: `mem_mut` before every step
+    /// flushes every block, so each fetch builds a fresh block from
+    /// current memory — a plain read, decode and expansion check per
+    /// instruction, the reference the warm cache must reproduce.
+    fn run_cold(e: &mut Executor, max: u64) -> Vec<Exec> {
+        let mut out = Vec::new();
+        while !e.is_halted() {
+            e.mem_mut();
+            out.push(e.step());
+            assert!((out.len() as u64) < max, "did not halt in {max} steps");
+        }
+        out
     }
 
     #[test]
@@ -1825,24 +1791,22 @@ mod tests {
                     bgt r1, loop
                     halt",
         );
-        m.set_block_cache(true);
         run(&mut m, 200);
         let s = m.block_cache_stats();
         assert_eq!(s.hits + s.misses, s.lookups, "every lookup is a hit or a miss");
-        assert!(s.hits > s.misses, "warm loop must replay cached blocks: {s:?}");
+        // One build each for the blocks at `start` (which runs the
+        // first iteration), `loop` and `halt`; the other 48 iterations
+        // replay the `loop` block.
+        assert_eq!(s.misses, 3, "{s:?}");
+        assert_eq!(s.hits, 48, "{s:?}");
         assert_eq!(s.invalidations, 0, "nothing writes code here");
-        // The loop body replays from the block cache, so replayed
-        // fetches count as decode hits and each static instruction
-        // still decodes (misses) exactly once.
-        let (_, misses) = m.decode_cache_stats();
-        assert_eq!(misses, 4);
     }
 
     #[test]
-    fn exec_streams_identical_with_block_cache_on_and_off() {
+    fn exec_streams_identical_warm_and_cold() {
         // A DISE-expanding loop with a trap: the fused replay must
-        // reproduce the uncached stream byte for byte, including
-        // engine statistics and instruction counts.
+        // reproduce the cold stream byte for byte, including engine
+        // statistics and instruction counts.
         let src = "start: la r1, w
                     lda r9, 3(zero)
              loop:  stq r9, 0(r1)
@@ -1851,22 +1815,151 @@ mod tests {
                     halt
              .data
              w: .quad 0";
-        let mk = |enabled: bool| {
+        let mk = || {
             let mut m = machine(src);
             install_fig2a(&mut m);
             m.set_reg(Reg::DAR, 0x0100_0000);
             m.set_reg(Reg::DPV, 0);
-            m.set_block_cache(enabled);
             m
         };
-        let mut off = mk(false);
-        let mut on = mk(true);
-        let trace_off = run(&mut off, 200);
-        let trace_on = run(&mut on, 200);
-        assert_eq!(trace_off, trace_on, "Exec streams must be byte-identical");
-        assert_eq!(off.engine().stats(), on.engine().stats(), "fused replays count as triggers");
-        assert_eq!(off.instructions(), on.instructions());
-        assert!(on.block_cache_stats().lookups > 0, "the cache actually engaged");
+        let mut cold = mk();
+        let mut warm = mk();
+        let trace_cold = run_cold(&mut cold, 200);
+        let trace_warm = run(&mut warm, 200);
+        assert_eq!(trace_cold, trace_warm, "Exec streams must be byte-identical");
+        assert_eq!(cold.engine().stats(), warm.engine().stats(), "fused replays count as triggers");
+        assert_eq!(cold.instructions(), warm.instructions());
+        assert!(warm.block_cache_stats().hits > 0, "the warm run replayed cached blocks");
+    }
+
+    /// One subroutine, two ways in: a plain `bsr` (application code,
+    /// DISE armed) and the `d_call` of the production its own store
+    /// triggers (DISE-called code, disarmed). The two entries at `sub`
+    /// must get separate blocks: the store expands when reached by
+    /// `bsr` and runs plainly inside the call, warm or cold.
+    #[test]
+    fn dise_called_code_gets_its_own_disarmed_blocks() {
+        let src = "start:  la r1, v
+                            lda r2, 5(zero)
+                            lda r9, 2(zero)
+                    loop:   bsr ra, sub
+                            subq r9, 1, r9
+                            bgt r9, loop
+                            halt
+                    sub:    stq r2, 0(r1)
+                            bne r8, called
+                            ret
+                    called: lda r8, 0(zero)
+                            d_ret
+                    .data
+                    v: .quad 0";
+        let prog = parse_asm(src).unwrap().assemble(Layout::default()).unwrap();
+        let sub = prog.symbol("sub").unwrap();
+        let mk = || {
+            let mut m = Executor::from_program(&prog, CpuConfig::default());
+            m.engine_mut()
+                .install(Production::new(
+                    "call-on-store",
+                    Pattern::opclass(OpClass::Store),
+                    vec![
+                        TemplateInst::Trigger,
+                        // Tell `sub` it was entered by the call.
+                        TemplateInst::Fixed(Instr::Lda {
+                            rd: Reg::gpr(8),
+                            base: Reg::ZERO,
+                            disp: 1,
+                        }),
+                        TemplateInst::Fixed(Instr::DCall { target: Reg::DHDLR }),
+                    ],
+                ))
+                .unwrap();
+            m.set_reg(Reg::DHDLR, sub);
+            m
+        };
+        let mut cold = mk();
+        let mut warm = mk();
+        let reference = run_cold(&mut cold, 200);
+        let trace = run(&mut warm, 200);
+        assert_eq!(trace, reference, "warm stream == cold stream");
+        assert_eq!(warm.engine().stats(), cold.engine().stats());
+        assert_eq!(warm.engine().stats(), (2, 6), "one expansion per bsr entry, none in the call");
+        let stores: Vec<_> =
+            trace.iter().filter(|e| e.pc == sub && e.mem.is_some_and(|m| m.is_store)).collect();
+        assert_eq!(stores.len(), 4, "two entries by bsr, two by d_call");
+        for pair in stores.chunks(2) {
+            assert_eq!((pair[0].disepc, pair[0].in_dise_call), (1, false), "bsr: expanded");
+            assert_eq!((pair[1].disepc, pair[1].in_dise_call), (0, true), "d_call: plain");
+        }
+        let s = warm.block_cache_stats();
+        assert!(s.hits >= 2, "the second pass replays both blocks at `sub`: {s:?}");
+    }
+
+    /// An undecodable first word halts with `BadInstruction`, in
+    /// application code and inside a DISE-called function alike.
+    #[test]
+    fn undecodable_word_halts_with_bad_instruction() {
+        let mut m = machine("start: halt");
+        let pc = m.pc();
+        m.mem_mut().write_u(pc, 4, 0xFFFF_FFFF);
+        let e = m.step();
+        assert_eq!(e.event, Some(Event::Error(ExecError::BadInstruction(pc))));
+        assert_eq!((e.instr, e.fetched, e.in_dise_call), (Instr::Nop, true, false));
+        assert!(m.is_halted());
+
+        let prog = parse_asm("start: la r1, v\n stq r2, 0(r1)\n halt\n .data\n v: .quad 0")
+            .unwrap()
+            .assemble(Layout::default())
+            .unwrap();
+        let mut m = Executor::from_program(&prog, CpuConfig::default());
+        m.engine_mut()
+            .install(Production::new(
+                "call",
+                Pattern::opclass(OpClass::Store),
+                vec![
+                    TemplateInst::Trigger,
+                    TemplateInst::Fixed(Instr::DCall { target: Reg::DHDLR }),
+                ],
+            ))
+            .unwrap();
+        let handler = 0x4000;
+        m.mem_mut().write_u(handler, 4, 0xFFFF_FFFF);
+        m.set_reg(Reg::DHDLR, handler);
+        let trace = run(&mut m, 100);
+        let last = trace.last().unwrap();
+        assert_eq!(last.event, Some(Event::Error(ExecError::BadInstruction(handler))));
+        assert!(last.in_dise_call && last.fetched);
+    }
+
+    /// Jumping to the last word of the address space runs it and wraps
+    /// the PC to 0; a call from there links a wrapped return address.
+    #[test]
+    fn jump_to_the_last_word_wraps_the_pc() {
+        let top = u64::MAX - 3;
+        let mut m = machine("start: lda r1, -4(zero)\n jmp (r1)");
+        m.step();
+        assert_eq!(m.step().branch.map(|b| b.target), Some(top));
+        let e = m.step();
+        assert_eq!((e.pc, e.instr), (top, Instr::Nop), "the zero word at the top is a nop");
+        assert_eq!(m.pc(), 0, "the PC wraps past the top");
+        assert_eq!(m.step().pc, 0);
+
+        let mut m = machine("start: lda r1, -4(zero)\n jmp (r1)");
+        m.mem_mut().write_u(top, 4, dise_isa::encode(&Instr::Br { rd: Reg::RA, disp: 1 }) as u64);
+        m.step();
+        m.step();
+        let e = m.step();
+        assert_eq!(e.branch.map(|b| b.target), Some(4), "PC-relative target wraps");
+        assert_eq!(m.reg(Reg::RA), 0, "the return address wraps");
+        assert_eq!(m.pc(), 4);
+
+        // An unaligned PC whose word itself wraps (bytes `MAX - 1`,
+        // `MAX`, 0, 1) runs uncached; no block crosses the top.
+        let mut m = machine("start: halt");
+        m.set_pc(u64::MAX - 1);
+        assert_eq!(m.step().instr, Instr::Nop);
+        assert_eq!(m.step().instr, Instr::Nop);
+        assert_eq!(m.pc(), 6);
+        assert_eq!(m.block_cache_stats().hits, 0, "the wrapping word was never cached");
     }
 
     #[test]
@@ -1943,7 +2036,6 @@ mod tests {
         let prog = parse_asm(src).unwrap().assemble(Layout::default()).unwrap();
         let slot = prog.symbol("slot").unwrap();
         let mut m = Executor::from_program(&prog, CpuConfig::default());
-        m.set_block_cache(true);
         // Three loop iterations: the second builds a block keyed at
         // `loop` — with `slot` in its *middle* — and the third replays
         // it from cache.
@@ -1975,7 +2067,6 @@ mod tests {
              .data
              v: .quad 0",
         );
-        m.set_block_cache(true);
         // First iteration: the store's block caches it as a plain step
         // (no productions installed yet).
         for _ in 0..5 {
@@ -2131,12 +2222,12 @@ mod tests {
         assert_eq!(ck.instructions(), 9);
         assert_eq!(ck.pc(), m.pc());
         let first = run(&mut m, 1000);
-        let stats_first = (m.decode_cache_stats(), m.block_cache_stats(), m.engine().stats());
+        let stats_first = (m.block_cache_stats(), m.engine().stats());
         m.restore(&ck);
         assert_eq!(m.instructions(), 9);
         let second = run(&mut m, 1000);
         assert_eq!(second, first, "restored run must replay the stream byte for byte");
-        let stats_second = (m.decode_cache_stats(), m.block_cache_stats(), m.engine().stats());
+        let stats_second = (m.block_cache_stats(), m.engine().stats());
         assert_eq!(
             stats_second, stats_first,
             "counters rewind with the machine and re-accumulate identically"

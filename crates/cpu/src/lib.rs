@@ -51,8 +51,9 @@ mod trace;
 
 pub use config::CpuConfig;
 pub use exec::{
-    BlockCacheStats, Branch, BranchKind, ChunkSummary, Event, Exec, ExecChunk, ExecError, Executor,
-    ExecutorCheckpoint, FlushKind, ForkConfigError, MemOp, MAX_BLOCK_STEPS, NUM_REGS,
+    byte_span, footprints_overlap, BlockCacheStats, Branch, BranchKind, ChunkSummary, Event, Exec,
+    ExecChunk, ExecError, Executor, ExecutorCheckpoint, FlushKind, ForkConfigError, MemOp,
+    MAX_BLOCK_STEPS, NUM_REGS,
 };
 pub use predictor::{BpredConfig, Predictor};
 pub use timing::{RunStats, Timing, TimingBatch};

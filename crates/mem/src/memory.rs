@@ -195,16 +195,18 @@ impl Memory {
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
         let mut a = addr;
-        let end = addr + len as u64;
         // Per-page chunks: one lookup per page instead of one per byte.
-        while a < end {
+        // Counting bytes rather than comparing against an end address
+        // lets a read end exactly at the top of the address space (and
+        // wrap past it, as `read_u` does).
+        while out.len() < len {
             let off = (a % PAGE_SIZE) as usize;
-            let take = ((PAGE_SIZE as usize - off) as u64).min(end - a) as usize;
+            let take = (PAGE_SIZE as usize - off).min(len - out.len());
             match self.pages.get(&Self::page_of(a)) {
                 Some(p) => out.extend_from_slice(&p[off..off + take]),
                 None => out.resize(out.len() + take, 0),
             }
-            a += take as u64;
+            a = a.wrapping_add(take as u64);
         }
         out
     }

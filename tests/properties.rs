@@ -141,7 +141,7 @@ proptest! {
 }
 
 /// A two-pass self-modifying kernel: pass 1 executes `slot` (priming
-/// the decoded-instruction cache) and stores its result, then patches
+/// the block cache) and stores its result, then patches
 /// `slot` in place with the word at `patch`; pass 2 re-executes the
 /// rewritten slot and stores again.
 fn self_modifying_program(patch: &Instr) -> dise_repro::asm::Program {
@@ -163,6 +163,40 @@ fn self_modifying_program(patch: &Instr) -> dise_repro::asm::Program {
     a.inst(Instr::Halt);
     a.data_label("patch").long(encode(patch));
     a.data_label("out").space(16);
+    a.assemble(Layout::default()).unwrap()
+}
+
+/// [`self_modifying_program`] plus a handler for DISE calls (`d_call`
+/// through `DHDLR`) that overwrites its own `hslot` word with the same
+/// patch instruction on its second call: its disarmed blocks are
+/// replayed before that call and invalidated by it.
+fn self_modifying_call_program(patch: &Instr) -> dise_repro::asm::Program {
+    let mut a = Asm::new();
+    a.label("start");
+    a.load_addr(Reg::gpr(1), "slot", 0);
+    a.load_addr(Reg::gpr(3), "patch", 0);
+    a.load_addr(Reg::gpr(20), "out", 0);
+    a.load_addr(Reg::gpr(22), "hslot", 0);
+    a.inst(Instr::Load { width: Width::L, rd: Reg::gpr(2), base: Reg::gpr(3), disp: 0 });
+    a.inst(Instr::li(Reg::gpr(9), 3));
+    a.inst(Instr::li(Reg::gpr(24), 2));
+    a.label("slot");
+    a.inst(Instr::Lda { rd: Reg::gpr(5), base: Reg::ZERO, disp: 111 });
+    a.inst(Instr::Store { width: Width::Q, rs: Reg::gpr(5), base: Reg::gpr(20), disp: 0 });
+    a.inst(Instr::Alu { op: AluOp::Add, rd: Reg::gpr(20), ra: Reg::gpr(20), rb: Operand::Imm(8) });
+    a.inst(Instr::Store { width: Width::L, rs: Reg::gpr(2), base: Reg::gpr(1), disp: 0 });
+    a.inst(Instr::Alu { op: AluOp::Sub, rd: Reg::gpr(9), ra: Reg::gpr(9), rb: Operand::Imm(1) });
+    a.cond_br(Cond::Gt, Reg::gpr(9), "slot");
+    a.inst(Instr::Halt);
+    a.label("handler");
+    a.inst(Instr::Alu { op: AluOp::Sub, rd: Reg::gpr(24), ra: Reg::gpr(24), rb: Operand::Imm(1) });
+    a.cond_br(Cond::Ne, Reg::gpr(24), "hslot");
+    a.inst(Instr::Store { width: Width::L, rs: Reg::gpr(2), base: Reg::gpr(22), disp: 0 });
+    a.label("hslot");
+    a.inst(Instr::Lda { rd: Reg::gpr(6), base: Reg::ZERO, disp: 222 });
+    a.inst(Instr::DRet);
+    a.data_label("patch").long(encode(patch));
+    a.data_label("out").space(24);
     a.assemble(Layout::default()).unwrap()
 }
 
@@ -242,9 +276,9 @@ proptest! {
         prop_assert_eq!(run(false), run(true));
     }
 
-    /// The executor's decoded-instruction cache must never serve a
-    /// stale decode for a rewritten code word: a program that executes
-    /// an instruction slot (priming the cache), overwrites the slot
+    /// The executor's block cache must never serve a stale decode for a
+    /// rewritten code word: a program that executes an instruction slot
+    /// (priming the cache), overwrites the slot
     /// with an arbitrary patch instruction, and loops back must observe
     /// the patch on the second pass.
     #[test]
@@ -280,11 +314,15 @@ proptest! {
         );
     }
 
-    /// The block-level decoded-trace cache is transparent: a random
-    /// self-modifying kernel under a random set of observation-only
-    /// DISE productions yields the identical `Exec` stream with the
-    /// cache off and on, and the cache's counters stay coherent at
-    /// every step — monotone, with `hits + misses == lookups`.
+    /// The block cache is transparent: a random self-modifying kernel
+    /// under a random set of DISE productions — observation-only ALU
+    /// sequences plus, optionally, a `d_call` into a handler that
+    /// patches its own code, so disarmed blocks are built, replayed and
+    /// invalidated too — yields the `Exec` stream and engine
+    /// statistics of the cold reference (`mem_mut` before every step,
+    /// so each fetch builds a fresh block from current memory), and
+    /// the cache's counters stay coherent at every step — monotone,
+    /// with `hits + misses == lookups`.
     #[test]
     fn block_cache_is_transparent_over_self_modifying_code(
         op in any_aluop(),
@@ -292,6 +330,7 @@ proptest! {
         disp in 0i16..8192,
         use_lda: bool,
         class_picks in prop::collection::vec(0u8..3, 0..4),
+        call_pick in 0u8..4,
     ) {
         let r5 = Reg::gpr(5);
         let patch = if use_lda {
@@ -299,10 +338,13 @@ proptest! {
         } else {
             Instr::Alu { op, rd: r5, ra: Reg::ZERO, rb: Operand::Imm(imm) }
         };
-        let prog = self_modifying_program(&patch);
-        let classes: std::collections::BTreeSet<u8> = class_picks.iter().copied().collect();
+        let prog = self_modifying_call_program(&patch);
+        let mut classes: std::collections::BTreeSet<u8> = class_picks.iter().copied().collect();
+        // `call_pick == 3` installs no call production.
+        classes.insert(call_pick);
+        classes.remove(&3);
 
-        let run = |cache: bool| {
+        let run = |cold: bool| {
             let mut e = Executor::from_program(&prog, CpuConfig::default());
             for &c in &classes {
                 let class = match c {
@@ -310,27 +352,32 @@ proptest! {
                     1 => OpClass::Load,
                     _ => OpClass::Alu,
                 };
+                let action = if c == call_pick {
+                    TemplateInst::Fixed(Instr::DCall { target: Reg::DHDLR })
+                } else {
+                    TemplateInst::Alu {
+                        op: AluOp::Add,
+                        rd: dise_repro::engine::TReg::Lit(Reg::dise(1)),
+                        ra: dise_repro::engine::TReg::Lit(Reg::dise(1)),
+                        rb: dise_repro::engine::TOperand::Imm(1),
+                    }
+                };
                 e.engine_mut()
                     .install(Production::new(
-                        &format!("obs{c}"),
+                        &format!("prod{c}"),
                         Pattern::opclass(class),
-                        vec![
-                            TemplateInst::Trigger,
-                            TemplateInst::Alu {
-                                op: AluOp::Add,
-                                rd: dise_repro::engine::TReg::Lit(Reg::dise(1)),
-                                ra: dise_repro::engine::TReg::Lit(Reg::dise(1)),
-                                rb: dise_repro::engine::TOperand::Imm(1),
-                            },
-                        ],
+                        vec![TemplateInst::Trigger, action],
                     ))
                     .unwrap();
             }
-            e.set_block_cache(cache);
+            e.set_reg(Reg::DHDLR, prog.symbol("handler").unwrap());
             let mut stream = Vec::new();
             let mut prev = dise_repro::cpu::BlockCacheStats::default();
             let mut guard = 0;
             while !e.is_halted() {
+                if cold {
+                    e.mem_mut();
+                }
                 stream.push(e.step());
                 let s = e.block_cache_stats();
                 prop_assert!(
@@ -345,18 +392,15 @@ proptest! {
                 guard += 1;
                 assert!(guard < 10_000);
             }
-            Ok((stream, prev))
+            Ok((stream, e.engine().stats(), prev))
         };
 
-        let (off_stream, off_stats) = run(false)?;
-        let (on_stream, on_stats) = run(true)?;
-        prop_assert_eq!(
-            off_stats,
-            dise_repro::cpu::BlockCacheStats::default(),
-            "cache off must not move block counters"
-        );
-        prop_assert!(on_stats.lookups > 0, "cache on must actually be consulted");
-        prop_assert_eq!(off_stream, on_stream, "Exec streams must be byte-identical");
+        let (cold_stream, cold_engine, cold_stats) = run(true)?;
+        let (warm_stream, warm_engine, warm_stats) = run(false)?;
+        prop_assert_eq!(cold_stats.hits, 0, "the cold reference never replays a block");
+        prop_assert!(warm_stats.lookups > 0, "the warm run must consult the cache");
+        prop_assert_eq!(warm_engine, cold_engine, "engine statistics must match");
+        prop_assert_eq!(warm_stream, cold_stream, "Exec streams must be byte-identical");
     }
 
     /// Copy-on-write fork invisibility, at every fork point: forking an
