@@ -1,14 +1,18 @@
 //! Criterion microbenchmarks of the simulator's hot paths: DISE
-//! expansion, cache access, branch prediction, functional execution,
+//! expansion, cache access, branch prediction, functional execution
+//! (a tight loop, the six kernels, and the DISE replacement path),
 //! the timing model — its steady-state per-record cost and, apart from
 //! it, the cost of building one — and the trace codec and its CRC.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use dise_asm::{parse_asm, Layout};
-use dise_cpu::{CpuConfig, Exec, ExecDecoder, ExecEncoder, Executor, Predictor, Timing};
-use dise_engine::{Engine, Pattern, Production, TemplateInst};
-use dise_isa::{decode, encode, Instr, OpClass, Reg, Width};
+use dise_cpu::{
+    CpuConfig, Exec, ExecChunk, ExecDecoder, ExecEncoder, Executor, Predictor, Timing,
+    MAX_BLOCK_STEPS,
+};
+use dise_engine::{Engine, Pattern, Production, TDisp, TOperand, TReg, TemplateInst};
+use dise_isa::{decode, encode, AluOp, Cond, Instr, OpClass, Reg, Width};
 use dise_mem::{Cache, CacheConfig, MemConfig, MemSystem};
 
 fn bench_isa_codec(c: &mut Criterion) {
@@ -143,6 +147,105 @@ fn bench_pipeline(c: &mut Criterion) {
     c.bench_function("cpu/timing_new", |b| b.iter(|| Timing::new(black_box(CpuConfig::default()))));
 }
 
+/// Run `exec` to its halt a chunk at a time, the way the observer
+/// fan-out and perfbench's `cpu.exec` probe drive it; returns the
+/// records stepped.
+fn run_chunked(exec: &mut Executor, chunk: &mut ExecChunk) -> u64 {
+    let mut n = 0;
+    while !exec.is_halted() {
+        chunk.clear();
+        n += exec.step_chunk(chunk, u64::MAX, |_| false).0;
+    }
+    n
+}
+
+/// The functional step on real code: each of the six kernels at
+/// `iters = 100`, loaded and stepped to its halt through `step_chunk`
+/// with 64-record chunks. Reported per record; the image load is
+/// inside the timed routine.
+fn bench_kernels(c: &mut Criterion) {
+    let progs: Vec<_> =
+        dise_workloads::all(100).iter().map(|w| w.app().program().unwrap()).collect();
+    let mut chunk = ExecChunk::with_capacity(MAX_BLOCK_STEPS);
+    let records: u64 = progs
+        .iter()
+        .map(|p| run_chunked(&mut Executor::from_program(p, CpuConfig::default()), &mut chunk))
+        .sum();
+    let mut g = c.benchmark_group("cpu");
+    g.throughput(Throughput::Elements(records));
+    g.bench_function("kernels", |b| {
+        b.iter(|| {
+            progs
+                .iter()
+                .map(|p| {
+                    let mut exec = Executor::from_program(p, CpuConfig::default());
+                    run_chunked(&mut exec, &mut chunk)
+                })
+                .sum::<u64>()
+        })
+    });
+    g.finish();
+}
+
+/// The DISE replacement path on its own: a store loop whose every
+/// store expands into the paper's Fig. 2a check (load the watched
+/// quad, compare, DISE-branch over a trap). The stored value never
+/// changes the watched quad, so each trigger runs four replacement
+/// instructions and its `d_bne` is taken.
+fn bench_dise_replacement(c: &mut Criterion) {
+    const STORES: u32 = 2000;
+    let prog = parse_asm(&format!(
+        "start: la r2, v
+                lda r1, {STORES}(zero)
+         loop:  stq r1, 8(r2)
+                subq r1, 1, r1
+                bgt r1, loop
+                halt
+         .data
+         v: .quad 0
+            .quad 0"
+    ))
+    .unwrap()
+    .assemble(Layout::default())
+    .unwrap();
+    let watched = prog.symbol("v").unwrap();
+    let dr1 = TReg::Lit(Reg::dise(1));
+    let machine = || {
+        let mut e = Executor::from_program(&prog, CpuConfig::default());
+        e.engine_mut()
+            .install(Production::new(
+                "fig2a",
+                Pattern::opclass(OpClass::Store),
+                vec![
+                    TemplateInst::Trigger,
+                    TemplateInst::Load {
+                        width: Width::Q,
+                        rd: dr1,
+                        base: TReg::Lit(Reg::DAR),
+                        disp: TDisp::Lit(0),
+                    },
+                    TemplateInst::Alu {
+                        op: AluOp::CmpEq,
+                        rd: dr1,
+                        ra: dr1,
+                        rb: TOperand::Reg(TReg::Lit(Reg::DPV)),
+                    },
+                    TemplateInst::Fixed(Instr::DBr { cond: Cond::Ne, rs: Reg::dise(1), disp: 1 }),
+                    TemplateInst::Fixed(Instr::Trap),
+                ],
+            ))
+            .unwrap();
+        e.set_reg(Reg::DAR, watched);
+        e
+    };
+    let mut chunk = ExecChunk::with_capacity(MAX_BLOCK_STEPS);
+    let records = run_chunked(&mut machine(), &mut chunk);
+    let mut g = c.benchmark_group("cpu");
+    g.throughput(Throughput::Elements(records));
+    g.bench_function("dise_replacement", |b| b.iter(|| run_chunked(&mut machine(), &mut chunk)));
+    g.finish();
+}
+
 /// The trace codec in steady state, with no file I/O: every kernel's
 /// recorded stream encoded into (and decoded from) a reused buffer,
 /// reported per record; and the container's CRC over one full chunk.
@@ -205,6 +308,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_isa_codec, bench_engine_expansion, bench_cache, bench_predictor,
-              bench_pipeline, bench_trace
+              bench_pipeline, bench_kernels, bench_dise_replacement, bench_trace
 }
 criterion_main!(benches);

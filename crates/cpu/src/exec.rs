@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use dise_asm::Program;
 use dise_engine::Engine;
@@ -256,6 +257,7 @@ impl ChunkSummary {
 
     /// Fold one record into the summary. A store wrapping past the top
     /// of the address space widens the interval to everything.
+    #[inline]
     fn note(&mut self, e: &Exec) {
         if let Some(ev) = e.event {
             self.any_event = true;
@@ -276,17 +278,17 @@ impl ChunkSummary {
     /// intervals (range watchpoints) walk page by page and saturate to
     /// all-ones past 64 pages, as does a footprint that wraps past the
     /// top of the address space.
+    #[inline]
     pub fn page_bits(addr: u64, len: u64) -> u64 {
         let (first, last) = byte_span(addr, len);
         let (first, last) = (first / dise_mem::PAGE_SIZE, last / dise_mem::PAGE_SIZE);
         if last - first >= 63 {
             return u64::MAX;
         }
-        let mut bits = 0u64;
-        for page in first..=last {
-            bits |= 1 << (page & 63);
-        }
-        bits
+        // Pages `first..=last` set consecutive bits mod 64: a run of
+        // `last - first + 1` ones rotated to bit `first % 64`.
+        let run = (1u64 << (last - first + 1)) - 1;
+        run.rotate_left((first & 63) as u32)
     }
 
     /// The union of the chunk's store footprints as one conservative
@@ -347,6 +349,7 @@ impl ExecChunk {
     }
 
     /// Records currently buffered.
+    #[inline]
     pub fn len(&self) -> usize {
         self.records.len()
     }
@@ -358,6 +361,7 @@ impl ExecChunk {
 
     /// True when the chunk holds `capacity` records and must be flushed
     /// before another push.
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.records.len() >= self.cap
     }
@@ -379,6 +383,7 @@ impl ExecChunk {
     /// Panics when the chunk is full — the caller owns the flush
     /// cadence and a silent overflow would break its capacity
     /// accounting.
+    #[inline]
     pub fn push(&mut self, e: Exec) {
         assert!(!self.is_full(), "ExecChunk::push on a full chunk (capacity {})", self.cap);
         self.summary.note(&e);
@@ -399,12 +404,17 @@ impl ExecChunk {
     }
 }
 
+/// A replacement sequence. The block that fused it and every
+/// replacement context running it share one allocation, so executing
+/// a trigger copies a pointer, never the instructions.
+type Seq = Arc<[Instr]>;
+
 /// Saved resume point for a DISE call: the replacement sequence to
 /// re-enter at `⟨trigger_pc : idx⟩`.
 #[derive(Clone, Debug)]
 struct CallReturn {
     trigger_pc: u64,
-    seq: Vec<Instr>,
+    seq: Seq,
     idx: usize,
 }
 
@@ -413,8 +423,8 @@ enum Mode {
     /// Conventional fetch; DISE expansion armed.
     Normal,
     /// Inside a replacement sequence: executing `seq[idx]` for the
-    /// trigger at `trigger_pc`.
-    Replacing { trigger_pc: u64, seq: Vec<Instr>, idx: usize },
+    /// trigger at `trigger_pc`. Each step advances `idx` in place.
+    Replacing { trigger_pc: u64, seq: Seq, idx: usize },
     /// Inside a DISE-called function: conventional fetch at `pc`, DISE
     /// expansion disabled, with the replacement context saved.
     InCall { ret: CallReturn },
@@ -429,6 +439,10 @@ pub const MAX_BLOCK_STEPS: usize = 64;
 /// covers at most `MAX_BLOCK_STEPS * 4` bytes, so it spans at most two
 /// regions.
 const BLOCK_REGION_BYTES: u64 = 512;
+
+/// Slots of the direct-mapped entry table in front of `block_index`
+/// (power of two).
+const ENTRY_SLOTS: usize = 128;
 
 /// Multiply-xor hasher for the PC-keyed block maps. These maps sit on
 /// the per-instruction replay path, where SipHash alone would cost more
@@ -468,35 +482,74 @@ struct BlockKey {
     in_call: bool,
 }
 
-/// One decoded step of a cached block.
-#[derive(Clone, Debug)]
-enum BlockStep {
-    /// A conventionally decoded instruction.
-    Plain { pc: u64, instr: Instr },
-    /// A DISE trigger with its instantiated replacement sequence fused
-    /// in at build time (always a block's last step — a trigger is an
-    /// expansion boundary).
-    Fused { pc: u64, seq: Vec<Instr> },
-}
-
-impl BlockStep {
-    fn pc(&self) -> u64 {
-        match self {
-            BlockStep::Plain { pc, .. } | BlockStep::Fused { pc, .. } => *pc,
-        }
+impl BlockKey {
+    /// This key's slot in the entry table.
+    #[inline]
+    fn entry(self) -> usize {
+        ((self.pc >> 2) as usize ^ (usize::from(self.in_call) * (ENTRY_SLOTS / 2)))
+            & (ENTRY_SLOTS - 1)
     }
 }
 
-/// A decoded straight-line trace; its entry PC and mode are the cache
-/// key.
-#[derive(Clone, Debug)]
+/// A decoded straight-line trace: conventionally decoded instructions
+/// at consecutive PCs from the entry, optionally ended by a DISE
+/// trigger whose instantiated replacement sequence is fused in at
+/// build time (a trigger is an expansion boundary).
+#[derive(Debug)]
 struct Block {
+    /// Entry PC and fetch mode: the cache key, kept here so an
+    /// entry-table hit can be checked against the live block.
+    key: BlockKey,
     /// Inclusive last byte of the instruction words the block decodes
     /// (`entry ..= last` is the byte range store invalidation tests
     /// against). A cached block never wraps past the top of the
     /// address space, so `entry <= last`.
     last: u64,
-    steps: Vec<BlockStep>,
+    /// The conventional steps, at `entry`, `entry + 4`, ...
+    plain: Box<[Instr]>,
+    /// How many leading `plain` steps passed the DISE protection check
+    /// at build time and so run without it. Only a block's last step
+    /// can fail it (DISE-only instructions and DISE register operands
+    /// end a block), so this is `plain.len()` or one less.
+    vetted: usize,
+    /// The fused replacement sequence of a trigger after `plain`.
+    fused: Option<Seq>,
+}
+
+/// What one block step does, copied out of the block so the block can
+/// be borrowed again (or invalidated) while the step executes.
+enum StepOp {
+    /// A vetted conventional instruction.
+    Vetted(Instr),
+    /// A conventional instruction that must pass the protection check.
+    Checked(Instr),
+    /// A DISE trigger: run its fused replacement sequence.
+    Fused(Seq),
+}
+
+impl Block {
+    /// Steps in the block.
+    fn len(&self) -> usize {
+        self.plain.len() + usize::from(self.fused.is_some())
+    }
+
+    /// PC of step `idx`.
+    #[inline]
+    fn pc_of(&self, idx: usize) -> u64 {
+        self.key.pc.wrapping_add(idx as u64 * INSTR_BYTES)
+    }
+
+    /// Step `idx` (`idx < len()`).
+    #[inline]
+    fn op(&self, idx: usize) -> StepOp {
+        match self.plain.get(idx) {
+            Some(&i) if idx < self.vetted => StepOp::Vetted(i),
+            Some(&i) => StepOp::Checked(i),
+            None => {
+                StepOp::Fused(Arc::clone(self.fused.as_ref().expect("step past the plain run")))
+            }
+        }
+    }
 }
 
 /// Counters for the block cache ([`Executor::block_cache_stats`]).
@@ -537,13 +590,21 @@ pub struct Executor {
     /// Block arena: live blocks in `Some` slots, invalidated slots
     /// recycled through `free_blocks`. An arena rather than a map so
     /// the cursor continuation — the per-instruction hot path — is a
-    /// bounds-checked index, not a hash probe. Blocks are invalidated
-    /// range-wise by overlapping stores and code patches, and flushed
-    /// wholesale by [`Executor::mem_mut`] and [`Executor::engine_mut`]
-    /// (production changes alter what a block would fuse).
-    blocks: Vec<Option<Block>>,
+    /// bounds-checked index, not a hash probe. Blocks are immutable
+    /// once built and shared (`Arc`) with forks and checkpoints. They
+    /// are invalidated range-wise by overlapping stores and code
+    /// patches, and flushed wholesale by [`Executor::mem_mut`] and
+    /// [`Executor::engine_mut`] (production changes alter what a block
+    /// would fuse).
+    blocks: Vec<Option<Arc<Block>>>,
     /// Entry key → arena slot, consulted once per block *entered*.
     block_index: PcMap<BlockKey, u32>,
+    /// Direct-mapped memo of `block_index`: the slot last found for
+    /// keys hashing to each entry. Never invalidated — an entry counts
+    /// only while its slot holds a live block with the probed key, and
+    /// every live block is exactly the one `block_index` names for its
+    /// key, so the table answers every lookup as the index would.
+    entries: [u32; ENTRY_SLOTS],
     free_blocks: Vec<u32>,
     /// Conservative inclusive byte span covered by any block ever
     /// cached since the last flush (`lo..=last`, never shrunk by
@@ -555,8 +616,8 @@ pub struct Executor {
     /// (blocks already dropped via another region) are cleaned lazily.
     block_regions: PcMap<u64, Vec<BlockKey>>,
     /// Replay position: arena slot and next step of the block being
-    /// executed. Validated against slot liveness and the current PC
-    /// every step, so jumps, invalidations, and rebuilds simply drop
+    /// executed. `step` validates it against slot liveness and the
+    /// current PC, so jumps, invalidations, and rebuilds simply drop
     /// it. (The PC check alone makes validation robust to slot reuse:
     /// any live step at the current PC decodes current memory.) A block
     /// never spans a mode change — DISE calls and returns end blocks —
@@ -579,6 +640,7 @@ impl Executor {
             instructions: 0,
             blocks: Vec::new(),
             block_index: PcMap::default(),
+            entries: [u32::MAX; ENTRY_SLOTS],
             free_blocks: Vec::new(),
             block_bounds: (u64::MAX, 0),
             block_regions: PcMap::default(),
@@ -607,18 +669,17 @@ impl Executor {
         self.pc = pc;
     }
 
-    /// Read a register (the zero register reads 0).
+    /// Read a register (the zero register reads 0: nothing writes its
+    /// slot, since [`Executor::set_reg`] discards writes to it).
+    #[inline]
     pub fn reg(&self, r: Reg) -> u64 {
-        if r.is_zero() {
-            0
-        } else {
-            self.regs[r.index()]
-        }
+        self.regs[r.index()]
     }
 
     /// Write a register (writes to the zero register are discarded).
     /// The debugger uses this to load DISE registers like
     /// [`Reg::DAR`].
+    #[inline]
     pub fn set_reg(&mut self, r: Reg, v: u64) {
         if !r.is_zero() {
             self.regs[r.index()] = v;
@@ -832,93 +893,129 @@ impl Executor {
         self.halted = true;
     }
 
-    /// After finishing a replacement instruction at `idx`, advance the
-    /// sequence or fall back to conventional fetch at `trigger_pc + 4`.
-    fn advance_replacement(&mut self, trigger_pc: u64, seq: Vec<Instr>, next_idx: usize) {
-        if next_idx >= seq.len() {
-            self.mode = Mode::Normal;
-            self.pc = trigger_pc.wrapping_add(INSTR_BYTES);
-        } else {
-            self.mode = Mode::Replacing { trigger_pc, seq, idx: next_idx };
+    /// Move the replacement cursor to `next`, or — past the end of the
+    /// sequence — fall back to conventional fetch at `trigger_pc + 4`.
+    fn advance_replacement(&mut self, next: usize) {
+        if let Mode::Replacing { trigger_pc, seq, idx } = &mut self.mode {
+            if next >= seq.len() {
+                self.pc = trigger_pc.wrapping_add(INSTR_BYTES);
+                self.mode = Mode::Normal;
+            } else {
+                *idx = next;
+            }
         }
     }
 
-    /// One conventional fetch, served by the block cache: continue the
-    /// block under the cursor, or look up / build the block keyed by
-    /// `pc` and the fetch mode and execute its first step. An
-    /// undecodable word at `pc` halts with
-    /// [`ExecError::BadInstruction`].
-    fn block_step(&mut self, pc: u64, in_call: bool) -> Exec {
-        if let Some((slot, idx)) = self.cursor.take() {
-            // Continuation: valid only if the slot is still live and
-            // its next step sits exactly at the current PC (branches
-            // out, `set_pc`, and invalidations all fail this check).
-            // One arena index covers both the check and the fetch; the
-            // `Plain` case — the per-instruction hot path — copies the
-            // two words straight out and skips the generic replay.
-            if let Some(b) = self.blocks[slot as usize].as_ref() {
-                match b.steps.get(idx) {
-                    Some(&BlockStep::Plain { pc: step_pc, instr }) if step_pc == pc => {
-                        if idx + 1 < b.steps.len() {
-                            self.cursor = Some((slot, idx + 1));
-                        }
-                        return self.execute(pc, 0, in_call, instr, true, None);
-                    }
-                    Some(s @ BlockStep::Fused { .. }) if s.pc() == pc => {
-                        let step = s.clone();
-                        // A fused step is always a block's last; no
-                        // continuation to record.
-                        return self.replay(step, None, in_call);
-                    }
-                    _ => {}
-                }
-            }
+    /// The index of the replacement instruction executing now, and the
+    /// length of its sequence.
+    fn replacement_pos(&self) -> (usize, usize) {
+        match &self.mode {
+            Mode::Replacing { idx, seq, .. } => (*idx, seq.len()),
+            _ => unreachable!("DISE control transfer outside a replacement sequence"),
         }
+    }
+
+    /// One conventional fetch that does not continue the block under
+    /// the cursor: look up / build the block keyed by `pc` and the
+    /// fetch mode and execute its first step. An undecodable word at
+    /// `pc` halts with [`ExecError::BadInstruction`].
+    fn block_step(&mut self, pc: u64, in_call: bool) -> Exec {
         self.block_stats.lookups += 1;
         let key = BlockKey { pc, in_call };
-        if let Some(&slot) = self.block_index.get(&key) {
+        if let Some(slot) = self.lookup(key) {
             self.block_stats.hits += 1;
-            let b = self.blocks[slot as usize].as_ref().expect("indexed block slot is live");
-            let step = b.steps[0].clone();
-            let next = (b.steps.len() > 1).then_some((slot, 1));
-            return self.replay(step, next, in_call);
+            return self.run_step(slot, 0);
         }
         self.block_stats.misses += 1;
         let Some(block) = self.build_block(pc, in_call) else {
-            let mut exec = Exec {
-                pc,
-                disepc: 0,
-                in_dise_call: in_call,
-                instr: Instr::Nop,
-                fetched: true,
-                branch: None,
-                mem: None,
-                flush: None,
-                event: None,
-            };
+            let mut exec = Exec::blank(pc, 0, in_call, Instr::Nop, true);
             self.halt_with(&mut exec, ExecError::BadInstruction(pc));
             return exec;
         };
-        let step = block.steps[0].clone();
         if block.last < pc {
             // The entry word itself wraps past the top of the address
             // space (an unaligned PC): run it once, uncached.
-            return self.replay(step, None, in_call);
+            return self.exec_op(pc, block.op(0), in_call);
         }
         self.index_block(key, block.last);
-        let next = (block.steps.len() > 1).then_some(1usize);
+        let block = Some(Arc::new(block));
         let slot = match self.free_blocks.pop() {
             Some(s) => {
-                self.blocks[s as usize] = Some(block);
+                self.blocks[s as usize] = block;
                 s
             }
             None => {
-                self.blocks.push(Some(block));
+                self.blocks.push(block);
                 (self.blocks.len() - 1) as u32
             }
         };
         self.block_index.insert(key, slot);
-        self.replay(step, next.map(|i| (slot, i)), in_call)
+        self.entries[key.entry()] = slot;
+        self.run_step(slot, 0)
+    }
+
+    /// The arena slot of the live block keyed `key`: the entry table
+    /// first, then `block_index` (refilling the table's entry).
+    #[inline]
+    fn lookup(&mut self, key: BlockKey) -> Option<u32> {
+        let e = key.entry();
+        let slot = self.entries[e];
+        let live = self.blocks.get(slot as usize).and_then(Option::as_ref);
+        if live.is_some_and(|b| b.key == key) {
+            return Some(slot);
+        }
+        let slot = *self.block_index.get(&key)?;
+        self.entries[e] = slot;
+        Some(slot)
+    }
+
+    /// Execute step `idx` of the live block in `slot`, in the block's
+    /// fetch mode, leaving the cursor on the step after it.
+    #[inline]
+    fn run_step(&mut self, slot: u32, idx: usize) -> Exec {
+        let b = self.blocks[slot as usize].as_deref().expect("cursor and index name live blocks");
+        let (pc, op, in_call) = (b.pc_of(idx), b.op(idx), b.key.in_call);
+        self.cursor = (idx + 1 < b.len()).then_some((slot, idx + 1));
+        self.exec_op(pc, op, in_call)
+    }
+
+    /// Execute one block step fetched at `pc`.
+    #[inline]
+    fn exec_op(&mut self, pc: u64, op: StepOp, in_call: bool) -> Exec {
+        match op {
+            StepOp::Vetted(instr) => {
+                let mut exec = Exec::blank(pc, 0, in_call, instr, true);
+                self.execute::<false>(&mut exec);
+                exec
+            }
+            StepOp::Checked(instr) => {
+                // Protection: conventional application code may not use
+                // DISE resources; DISE-called functions access DISE
+                // registers only through d_mfr/d_mtr.
+                let legal_in_call = matches!(
+                    instr,
+                    Instr::DRet | Instr::DMfr { .. } | Instr::DMtr { .. } | Instr::CTrap { .. }
+                );
+                let mut exec = Exec::blank(pc, 0, in_call, instr, true);
+                if !(in_call && legal_in_call) && needs_dise_resources(&instr) {
+                    self.halt_with(&mut exec, ExecError::DiseProtection(pc));
+                } else {
+                    self.execute::<false>(&mut exec);
+                }
+                exec
+            }
+            StepOp::Fused(seq) => {
+                // The fused sequence was instantiated statistics-free at
+                // build time; account for this replay so engine stats
+                // count one expansion per executed trigger.
+                self.engine.count_expansion(seq.len() as u64);
+                let first = seq[0];
+                self.mode = Mode::Replacing { trigger_pc: pc, seq, idx: 0 };
+                let mut exec = Exec::blank(pc, 1, false, first, true);
+                self.execute::<true>(&mut exec);
+                exec
+            }
+        }
     }
 
     /// Decode a straight-line run starting at `entry` into a block.
@@ -932,19 +1029,20 @@ impl Executor {
     /// undecodable word, or the top of the address space. Returns
     /// `None` when even the first word is undecodable.
     fn build_block(&self, entry: u64, in_call: bool) -> Option<Block> {
-        let mut steps = Vec::new();
+        let mut plain = Vec::new();
+        let mut fused = None;
         let mut at = entry;
         let mut last = entry;
         while let Ok(instr) = decode(self.mem.read_u(at, 4) as u32) {
             last = at.wrapping_add(INSTR_BYTES - 1);
-            let fused = if in_call { None } else { self.engine.peek_expand(at, &instr) };
-            let terminal = match fused {
+            let expansion = if in_call { None } else { self.engine.peek_expand(at, &instr) };
+            let terminal = match expansion {
                 Some(seq) => {
-                    steps.push(BlockStep::Fused { pc: at, seq });
+                    fused = Some(Seq::from(seq));
                     true
                 }
                 None => {
-                    steps.push(BlockStep::Plain { pc: at, instr });
+                    plain.push(instr);
                     matches!(
                         instr,
                         Instr::Br { .. }
@@ -952,36 +1050,28 @@ impl Executor {
                             | Instr::Jmp { .. }
                             | Instr::Halt
                             | Instr::Trap
-                    ) || instr.is_dise_only()
-                        || instr.touches_dise_regs()
+                    ) || needs_dise_resources(&instr)
                 }
             };
             // Stop before a next word that would wrap past `u64::MAX`,
             // so a block's byte span never crosses the top.
             let next_fits = at.checked_add(2 * INSTR_BYTES - 1).is_some();
-            if terminal || steps.len() == MAX_BLOCK_STEPS || !next_fits {
+            if terminal || plain.len() == MAX_BLOCK_STEPS || !next_fits {
                 break;
             }
             at += INSTR_BYTES;
         }
-        (!steps.is_empty()).then_some(Block { last, steps })
-    }
-
-    /// Execute an already-fetched block step, leaving the cursor at
-    /// `next`.
-    fn replay(&mut self, step: BlockStep, next: Option<(u32, usize)>, in_call: bool) -> Exec {
-        self.cursor = next;
-        match step {
-            BlockStep::Plain { pc, instr } => self.execute(pc, 0, in_call, instr, true, None),
-            BlockStep::Fused { pc, seq } => {
-                // The fused sequence was instantiated statistics-free at
-                // build time; account for this replay so engine stats
-                // count one expansion per executed trigger.
-                self.engine.count_expansion(seq.len() as u64);
-                let i = seq[0];
-                self.execute(pc, 1, false, i, true, Some((pc, seq, 0)))
-            }
+        if plain.is_empty() && fused.is_none() {
+            return None;
         }
+        let vetted = plain.iter().take_while(|i| !needs_dise_resources(i)).count();
+        Some(Block {
+            key: BlockKey { pc: entry, in_call },
+            last,
+            plain: plain.into(),
+            vetted,
+            fused,
+        })
     }
 
     /// Execute up to `max` instructions, buffering *clean* records into
@@ -1005,13 +1095,46 @@ impl Executor {
         mut dirty: impl FnMut(&Exec) -> bool,
     ) -> (u64, Option<Exec>) {
         let mut n = 0u64;
-        while n < max && !chunk.is_full() && !self.is_halted() {
+        while n < max && !chunk.is_full() && !self.halted {
             let e = self.step();
             n += 1;
             if dirty(&e) {
                 return (n, Some(e));
             }
             chunk.push(e);
+            // Block at a time: when `step` entered or continued a cached
+            // block, run the block's remaining vetted steps here, with
+            // no per-step mode dispatch, PC check or cursor update. The
+            // cursor is set only while its block's mode is the current
+            // one, and only after a step that fell through to the
+            // cursor's PC (every transfer, halt, trap and unvetted
+            // instruction ends a block).
+            let Some((slot, mut idx)) = self.cursor else { continue };
+            // The block is looked up again for every step, so a store
+            // that rewrote it (self-modifying code) ends the run: `step`
+            // then finds the slot dead and rebuilds from current memory.
+            while let Some(b) = self.blocks[slot as usize].as_deref() {
+                if idx >= b.vetted || n >= max || chunk.is_full() {
+                    break;
+                }
+                debug_assert_eq!(b.pc_of(idx), self.pc);
+                // Execute straight into the chunk; the summary takes the
+                // record only once `dirty` has passed it.
+                chunk.records.push(Exec::blank(b.pc_of(idx), 0, b.key.in_call, b.plain[idx], true));
+                let e = chunk.records.last_mut().expect("just pushed");
+                idx += 1;
+                self.instructions += 1;
+                self.execute::<false>(e);
+                n += 1;
+                if dirty(e) {
+                    self.cursor = Some((slot, idx));
+                    return (n, chunk.records.pop());
+                }
+                chunk.summary.note(e);
+            }
+            // A cursor past its block's end, or on a dropped block, fails
+            // validation in `step`.
+            self.cursor = Some((slot, idx));
         }
         (n, None)
     }
@@ -1025,60 +1148,49 @@ impl Executor {
         assert!(!self.halted, "step() on a halted machine");
         self.instructions += 1;
 
+        // Continue the block under the cursor: valid only if the slot
+        // is still live and its next step sits exactly at the current
+        // PC (branches out, `set_pc`, and invalidations all fail this
+        // check). The cursor is never set inside a replacement
+        // sequence, since a fused trigger or a `d_ret` ends its block,
+        // and a block never spans a mode change.
+        if let Some((slot, idx)) = self.cursor {
+            if let Some(b) = self.blocks[slot as usize].as_deref() {
+                if idx < b.vetted && b.pc_of(idx) == self.pc {
+                    // The per-instruction hot path, inline.
+                    let mut exec = Exec::blank(self.pc, 0, b.key.in_call, b.plain[idx], true);
+                    self.cursor = (idx + 1 < b.len()).then_some((slot, idx + 1));
+                    self.execute::<false>(&mut exec);
+                    return exec;
+                }
+                if idx < b.len() && b.pc_of(idx) == self.pc {
+                    return self.run_step(slot, idx);
+                }
+            }
+            self.cursor = None;
+        }
+
         // The next replacement instruction, or a conventional fetch
         // (application code or a DISE-called function) from a block.
-        match std::mem::replace(&mut self.mode, Mode::Normal) {
-            Mode::Replacing { trigger_pc, seq, idx } => {
-                let i = seq[idx];
-                let repl = Some((trigger_pc, seq, idx));
-                self.execute(trigger_pc, (idx + 1) as u16, false, i, false, repl)
+        match self.mode {
+            Mode::Replacing { trigger_pc, ref seq, idx } => {
+                let mut exec = Exec::blank(trigger_pc, (idx + 1) as u16, false, seq[idx], false);
+                self.execute::<true>(&mut exec);
+                exec
             }
-            m => {
-                let in_call = matches!(m, Mode::InCall { .. });
-                self.mode = m;
-                self.block_step(self.pc, in_call)
-            }
+            Mode::Normal => self.block_step(self.pc, false),
+            Mode::InCall { .. } => self.block_step(self.pc, true),
         }
     }
 
-    /// Execute `instr` in the established context.
-    #[allow(clippy::too_many_lines)]
-    fn execute(
-        &mut self,
-        pc: u64,
-        disepc: u16,
-        in_call: bool,
-        instr: Instr,
-        fetched: bool,
-        repl: Option<(u64, Vec<Instr>, usize)>,
-    ) -> Exec {
-        let mut exec = Exec {
-            pc,
-            disepc,
-            in_dise_call: in_call,
-            instr,
-            fetched,
-            branch: None,
-            mem: None,
-            flush: None,
-            event: None,
-        };
-        let in_replacement = repl.is_some();
-
-        // Protection: conventional application code may not use DISE
-        // resources; DISE-called functions access DISE registers only
-        // through d_mfr/d_mtr.
-        if !in_replacement {
-            let legal_in_call = matches!(
-                instr,
-                Instr::DRet | Instr::DMfr { .. } | Instr::DMtr { .. } | Instr::CTrap { .. }
-            );
-            let allowed = in_call && legal_in_call;
-            if !allowed && (instr.is_dise_only() || instr.touches_dise_regs()) {
-                self.halt_with(&mut exec, ExecError::DiseProtection(pc));
-                return exec;
-            }
-        }
+    /// Execute the instruction of the blank record `exec` in the
+    /// established context, filling in what it did: a replacement
+    /// instruction (`REPL`, with the replacement cursor in
+    /// `self.mode`) or a conventional fetch that passed the protection
+    /// check.
+    #[inline]
+    fn execute<const REPL: bool>(&mut self, exec: &mut Exec) {
+        let Exec { pc, in_dise_call: in_call, instr, .. } = *exec;
 
         // Helper: where conventional execution resumes if no transfer.
         // (For replacement instructions the sequence index advances
@@ -1088,9 +1200,10 @@ impl Executor {
         // `advance`: what to do after a non-transfer instruction.
         macro_rules! advance {
             () => {
-                match repl {
-                    Some((tpc, seq, idx)) => self.advance_replacement(tpc, seq, idx + 1),
-                    None => self.pc = next_pc,
+                if REPL {
+                    self.advance_replacement(self.replacement_pos().0 + 1)
+                } else {
+                    self.pc = next_pc
                 }
             };
         }
@@ -1142,9 +1255,8 @@ impl Executor {
             Instr::Store { width, rs, base, disp } => {
                 let addr = self.reg(base).wrapping_add(disp as i64 as u64);
                 let w = width.bytes();
-                let old = self.mem.read_u(addr, w);
                 let new = self.reg(rs) & width_mask(w);
-                self.mem.write_u(addr, w, new);
+                let old = self.mem.swap_u(addr, w, new);
                 self.invalidate_blocks(addr, w);
                 exec.mem =
                     Some(MemOp { addr, width: w, is_store: true, old_value: old, new_value: new });
@@ -1159,7 +1271,7 @@ impl Executor {
                     taken: true,
                     target,
                 });
-                if in_replacement {
+                if REPL {
                     exec.flush = Some(FlushKind::ReplacementBranch);
                     self.mode = Mode::Normal;
                 }
@@ -1170,7 +1282,7 @@ impl Executor {
                 let target = branch_target(pc, disp);
                 exec.branch = Some(Branch { kind: BranchKind::Conditional, taken, target });
                 if taken {
-                    if in_replacement {
+                    if REPL {
                         exec.flush = Some(FlushKind::ReplacementBranch);
                         self.mode = Mode::Normal;
                     }
@@ -1191,24 +1303,24 @@ impl Executor {
                 };
                 self.set_reg(rd, ret);
                 exec.branch = Some(Branch { kind, taken: true, target });
-                if in_replacement {
+                if REPL {
                     exec.flush = Some(FlushKind::ReplacementBranch);
                     self.mode = Mode::Normal;
                 }
                 self.pc = target;
             }
             Instr::DBr { cond, rs, disp } => {
-                let (tpc, seq, idx) = repl.expect("DBr only in replacement");
+                let (idx, len) = self.replacement_pos();
                 if cond.holds(self.reg(rs)) {
                     exec.flush = Some(FlushKind::DiseBranch);
                     let next = idx as i64 + 1 + disp as i64;
-                    if next < 0 || next as usize > seq.len() {
-                        self.halt_with(&mut exec, ExecError::DiseBranchOutOfSequence(pc));
-                        return exec;
+                    if next < 0 || next as usize > len {
+                        self.halt_with(exec, ExecError::DiseBranchOutOfSequence(pc));
+                        return;
                     }
-                    self.advance_replacement(tpc, seq, next as usize);
+                    self.advance_replacement(next as usize);
                 } else {
-                    self.advance_replacement(tpc, seq, idx + 1);
+                    self.advance_replacement(idx + 1);
                 }
             }
             Instr::DCall { target } | Instr::DCCall { target, .. } => {
@@ -1216,28 +1328,34 @@ impl Executor {
                     Instr::DCCall { cond, rs, .. } => cond.holds(self.reg(rs)),
                     _ => true,
                 };
-                let (tpc, seq, idx) = repl.expect("DISE call only in replacement");
+                let (idx, _) = self.replacement_pos();
                 if taken {
                     if in_call {
-                        self.halt_with(&mut exec, ExecError::NestedDiseCall(pc));
-                        return exec;
+                        self.halt_with(exec, ExecError::NestedDiseCall(pc));
+                        return;
                     }
                     exec.flush = Some(FlushKind::DiseCall);
                     let callee = self.reg(target);
-                    self.mode =
-                        Mode::InCall { ret: CallReturn { trigger_pc: tpc, seq, idx: idx + 1 } };
+                    let Mode::Replacing { trigger_pc, seq, .. } =
+                        std::mem::replace(&mut self.mode, Mode::Normal)
+                    else {
+                        unreachable!("replacement_pos checked the mode")
+                    };
+                    self.mode = Mode::InCall { ret: CallReturn { trigger_pc, seq, idx: idx + 1 } };
                     self.pc = callee;
                 } else {
-                    self.advance_replacement(tpc, seq, idx + 1);
+                    self.advance_replacement(idx + 1);
                 }
             }
             Instr::DRet => match std::mem::replace(&mut self.mode, Mode::Normal) {
                 Mode::InCall { ret } => {
                     exec.flush = Some(FlushKind::DiseRet);
-                    self.advance_replacement(ret.trigger_pc, ret.seq, ret.idx);
+                    let CallReturn { trigger_pc, seq, idx } = ret;
+                    self.mode = Mode::Replacing { trigger_pc, seq, idx };
+                    self.advance_replacement(idx);
                 }
                 _ => {
-                    self.halt_with(&mut exec, ExecError::StrayDiseReturn(pc));
+                    self.halt_with(exec, ExecError::StrayDiseReturn(pc));
                 }
             },
             Instr::DMfr { rd, dr } => {
@@ -1251,8 +1369,32 @@ impl Executor {
                 advance!();
             }
         }
-        exec
     }
+}
+
+impl Exec {
+    /// A record of `instr` with no branch, access, flush or event yet.
+    #[inline]
+    fn blank(pc: u64, disepc: u16, in_dise_call: bool, instr: Instr, fetched: bool) -> Exec {
+        Exec {
+            pc,
+            disepc,
+            in_dise_call,
+            instr,
+            fetched,
+            branch: None,
+            mem: None,
+            flush: None,
+            event: None,
+        }
+    }
+}
+
+/// Does `instr` use a DISE-only opcode or name a DISE register — the
+/// resources conventional code may not touch (§3)?
+#[inline]
+fn needs_dise_resources(instr: &Instr) -> bool {
+    instr.is_dise_only() || instr.touches_dise_regs()
 }
 
 /// A frozen snapshot of a whole [`Executor`] — architectural state,

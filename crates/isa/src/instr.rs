@@ -216,6 +216,7 @@ impl Instr {
 
     /// True for instructions legal *only* within DISE replacement
     /// sequences or DISE-called functions.
+    #[inline]
     pub const fn is_dise_only(&self) -> bool {
         matches!(
             self,
@@ -231,6 +232,7 @@ impl Instr {
 
     /// The register written by this instruction, if any. The zero register
     /// is reported as `None` (writes to it are discarded).
+    #[inline]
     pub fn dest(&self) -> Option<Reg> {
         let d = match *self {
             Instr::Load { rd, .. }
@@ -251,6 +253,7 @@ impl Instr {
     }
 
     /// The registers read by this instruction (up to two).
+    #[inline]
     pub fn sources(&self) -> [Option<Reg>; 2] {
         match *self {
             Instr::Load { base, .. } | Instr::Lda { base, .. } | Instr::Ldah { base, .. } => {
@@ -274,6 +277,7 @@ impl Instr {
     }
 
     /// True if any operand (source or destination) names a DISE register.
+    #[inline]
     pub fn touches_dise_regs(&self) -> bool {
         let dest_uses = match *self {
             Instr::Load { rd, .. }

@@ -5,6 +5,7 @@
 //! both sides share every page until one of them writes, at which point
 //! [`Arc::make_mut`] unshares just the written page.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -36,11 +37,15 @@ impl Hasher for AddrHasher {
 }
 
 type Page = [u8; PAGE_SIZE as usize];
-type PageMap = HashMap<u64, Arc<Page>, BuildHasherDefault<AddrHasher>>;
+type PageIndex = HashMap<u64, u32, BuildHasherDefault<AddrHasher>>;
 
 /// Page size in bytes (4 KB, "on the small end for real systems" per the
 /// paper's virtual-memory discussion).
 pub const PAGE_SIZE: u64 = 4096;
+
+/// The page-number half of an empty last-page memo. Page numbers are
+/// addresses divided by [`PAGE_SIZE`], so none reaches `u64::MAX`.
+const NO_PAGE: u64 = u64::MAX;
 
 /// Copy-on-write bookkeeping for one [`Memory`].
 ///
@@ -61,6 +66,16 @@ pub struct CowStats {
     pub forks: u64,
 }
 
+/// The resident pages of a [`Memory`] or [`Checkpoint`]: page bytes in
+/// a slot vector (first-touch order) and a page-number → slot index.
+/// Pages are only ever added, so a slot keeps naming the same page
+/// until the whole table is replaced by [`Memory::restore`].
+#[derive(Clone, Debug, Default)]
+struct PageTable {
+    pages: Vec<Arc<Page>>,
+    slots: PageIndex,
+}
+
 /// An O(page-table) snapshot of a [`Memory`].
 ///
 /// Holds reference-counted pages; restoring never copies page bytes —
@@ -68,13 +83,13 @@ pub struct CowStats {
 /// either side.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
-    pages: PageMap,
+    table: PageTable,
 }
 
 impl Checkpoint {
     /// Number of pages captured by this checkpoint.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.table.pages.len()
     }
 }
 
@@ -82,10 +97,48 @@ impl Checkpoint {
 ///
 /// Pages are allocated on first touch and zero-filled. Accesses never
 /// fault, and addresses wrap at `u64::MAX`.
-#[derive(Clone, Debug, Default)]
+///
+/// A one-entry memo remembers the last page resolved, so runs of
+/// accesses to one page — the common case — skip the index probe. The
+/// memo maps a page number to its slot, and slots are stable until
+/// [`Memory::restore`] swaps the table (which empties the memo); a
+/// fork or checkpoint shares the same slots, so both keep it.
+#[derive(Clone, Debug)]
 pub struct Memory {
-    pages: PageMap,
+    table: PageTable,
+    /// `(page number, slot)` of the last resident page resolved, or
+    /// `(NO_PAGE, 0)`. A `Cell` so that reads through `&self` refresh
+    /// it too; it is why `Memory` is `Send` but not `Sync`.
+    memo: Cell<(u64, u32)>,
     cow: CowStats,
+}
+
+impl Default for Memory {
+    fn default() -> Memory {
+        Memory {
+            table: PageTable::default(),
+            memo: Cell::new((NO_PAGE, 0)),
+            cow: CowStats::default(),
+        }
+    }
+}
+
+/// Little-endian load of `width` (1, 2, 4 or 8) bytes at `off`.
+#[inline]
+fn get_le(p: &Page, off: usize, width: u64) -> u64 {
+    match width {
+        1 => u64::from(p[off]),
+        2 => u64::from(u16::from_le_bytes([p[off], p[off + 1]])),
+        4 => u64::from(u32::from_le_bytes(p[off..off + 4].try_into().expect("4 bytes"))),
+        _ => u64::from_le_bytes(p[off..off + 8].try_into().expect("8 bytes")),
+    }
+}
+
+/// Little-endian store of the low `width` (1, 2, 4 or 8) bytes of `val`.
+#[inline]
+fn put_le(p: &mut Page, off: usize, width: u64, val: u64) {
+    let w = width as usize;
+    p[off..off + w].copy_from_slice(&val.to_le_bytes()[..w]);
 }
 
 impl Memory {
@@ -99,13 +152,28 @@ impl Memory {
         addr / PAGE_SIZE
     }
 
-    /// Read one byte (zero if the page was never written).
+    /// True when a `width`-byte access at `addr` stays inside one page.
     #[inline]
-    pub fn read_u8(&self, addr: u64) -> u8 {
-        match self.pages.get(&Self::page_of(addr)) {
-            Some(p) => p[(addr % PAGE_SIZE) as usize],
-            None => 0,
+    fn within_page(addr: u64, width: u64) -> bool {
+        addr % PAGE_SIZE + width <= PAGE_SIZE
+    }
+
+    /// The slot of resident page `pn`, through the last-page memo.
+    #[inline]
+    fn slot(&self, pn: u64) -> Option<usize> {
+        let (memo_pn, slot) = self.memo.get();
+        if memo_pn == pn {
+            return Some(slot as usize);
         }
+        let slot = *self.table.slots.get(&pn)?;
+        self.memo.set((pn, slot));
+        Some(slot as usize)
+    }
+
+    /// Resident page `pn`, if it was ever written.
+    #[inline]
+    fn page(&self, pn: u64) -> Option<&Page> {
+        self.slot(pn).map(|s| &*self.table.pages[s])
     }
 
     /// Resolve page number `pn` for writing: allocate a zero page on
@@ -113,11 +181,35 @@ impl Memory {
     /// a fork or checkpoint.
     #[inline]
     fn page_mut(&mut self, pn: u64) -> &mut Page {
-        let page = self.pages.entry(pn).or_insert_with(|| Arc::new([0; PAGE_SIZE as usize]));
+        let slot = match self.slot(pn) {
+            Some(s) => s,
+            None => self.insert_page(pn),
+        };
+        let page = &mut self.table.pages[slot];
         if Arc::strong_count(page) > 1 {
             self.cow.pages_copied += 1;
         }
         Arc::make_mut(page)
+    }
+
+    /// Make `pn` resident as a zero page; returns its slot.
+    #[cold]
+    fn insert_page(&mut self, pn: u64) -> usize {
+        let slot = self.table.pages.len();
+        let id = u32::try_from(slot).expect("fewer than 2^32 resident pages");
+        self.table.pages.push(Arc::new([0; PAGE_SIZE as usize]));
+        self.table.slots.insert(pn, id);
+        self.memo.set((pn, id));
+        slot
+    }
+
+    /// Read one byte (zero if the page was never written).
+    #[inline]
+    pub fn read_u8(&self, addr: u64) -> u8 {
+        match self.page(Self::page_of(addr)) {
+            Some(p) => p[(addr % PAGE_SIZE) as usize],
+            None => 0,
+        }
     }
 
     /// Write one byte.
@@ -132,22 +224,23 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `width` is not 1, 2, 4 or 8.
+    #[inline]
     pub fn read_u(&self, addr: u64, width: u64) -> u64 {
         assert!(matches!(width, 1 | 2 | 4 | 8), "bad access width {width}");
-        let off = (addr % PAGE_SIZE) as usize;
         // Fast path: the access lies within one page, resolved once.
-        if off + width as usize <= PAGE_SIZE as usize {
-            return match self.pages.get(&Self::page_of(addr)) {
-                Some(p) => {
-                    let mut v = 0u64;
-                    for i in 0..width as usize {
-                        v |= (p[off + i] as u64) << (8 * i);
-                    }
-                    v
-                }
+        if Self::within_page(addr, width) {
+            return match self.page(Self::page_of(addr)) {
+                Some(p) => get_le(p, (addr % PAGE_SIZE) as usize, width),
                 None => 0,
             };
         }
+        self.read_straddling(addr, width)
+    }
+
+    /// [`Memory::read_u`] of an access that crosses a page boundary
+    /// (or wraps past `u64::MAX`): byte by byte.
+    #[cold]
+    fn read_straddling(&self, addr: u64, width: u64) -> u64 {
         let mut v = 0u64;
         for i in 0..width {
             v |= (self.read_u8(addr.wrapping_add(i)) as u64) << (8 * i);
@@ -160,29 +253,51 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `width` is not 1, 2, 4 or 8.
+    #[inline]
     pub fn write_u(&mut self, addr: u64, width: u64, val: u64) {
+        self.swap_u(addr, width, val);
+    }
+
+    /// Write the low `width` bytes of `val` little-endian and return
+    /// the `width` bytes that were there before, zero-extended — a
+    /// store and its old value (for silent-store detection) resolved
+    /// through one page lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is not 1, 2, 4 or 8.
+    #[inline]
+    pub fn swap_u(&mut self, addr: u64, width: u64, val: u64) -> u64 {
         assert!(matches!(width, 1 | 2 | 4 | 8), "bad access width {width}");
-        let off = (addr % PAGE_SIZE) as usize;
-        // Fast path: the access lies within one page, resolved once.
-        if off + width as usize <= PAGE_SIZE as usize {
+        if Self::within_page(addr, width) {
+            let off = (addr % PAGE_SIZE) as usize;
             let page = self.page_mut(Self::page_of(addr));
-            for i in 0..width as usize {
-                page[off + i] = (val >> (8 * i)) as u8;
-            }
-            return;
+            let old = get_le(page, off, width);
+            put_le(page, off, width, val);
+            return old;
         }
+        self.swap_straddling(addr, width, val)
+    }
+
+    /// [`Memory::swap_u`] of an access that crosses a page boundary
+    /// (or wraps past `u64::MAX`): byte by byte.
+    #[cold]
+    fn swap_straddling(&mut self, addr: u64, width: u64, val: u64) -> u64 {
+        let old = self.read_straddling(addr, width);
         for i in 0..width {
             self.write_u8(addr.wrapping_add(i), (val >> (8 * i)) as u8);
         }
+        old
     }
 
-    /// Copy a byte slice into memory (loader use).
+    /// Copy a byte slice into memory (loader use). Like every access, a
+    /// slice running past `u64::MAX` wraps to address 0.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         // Per-page chunks: one lookup (and at most one unshare) per
         // page instead of one per byte.
         let mut done = 0usize;
         while done < bytes.len() {
-            let a = addr + done as u64;
+            let a = addr.wrapping_add(done as u64);
             let off = (a % PAGE_SIZE) as usize;
             let take = (PAGE_SIZE as usize - off).min(bytes.len() - done);
             let page = self.page_mut(Self::page_of(a));
@@ -202,7 +317,7 @@ impl Memory {
         while out.len() < len {
             let off = (a % PAGE_SIZE) as usize;
             let take = (PAGE_SIZE as usize - off).min(len - out.len());
-            match self.pages.get(&Self::page_of(a)) {
+            match self.page(Self::page_of(a)) {
                 Some(p) => out.extend_from_slice(&p[off..off + take]),
                 None => out.resize(out.len() + take, 0),
             }
@@ -213,12 +328,12 @@ impl Memory {
 
     /// Number of distinct pages that have been touched by writes.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.table.pages.len()
     }
 
     /// Bytes backed by resident pages (`resident_pages * PAGE_SIZE`).
     pub fn resident_bytes(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_SIZE
+        self.table.pages.len() as u64 * PAGE_SIZE
     }
 
     /// Pages currently shared with at least one fork or checkpoint.
@@ -226,7 +341,7 @@ impl Memory {
     /// O(page-table); intended for tests and ablation reporting, not
     /// hot paths.
     pub fn shared_pages(&self) -> usize {
-        self.pages.values().filter(|p| Arc::strong_count(p) > 1).count()
+        self.table.pages.iter().filter(|p| Arc::strong_count(p) > 1).count()
     }
 
     /// Copy-on-write counters for this memory (see [`CowStats`]).
@@ -242,11 +357,13 @@ impl Memory {
     /// the parent's `forks` counter is bumped and its `pages_shared`
     /// re-anchored to the same value.
     pub fn fork(&mut self) -> Memory {
-        let n = self.pages.len() as u64;
+        let n = self.table.pages.len() as u64;
         self.cow.forks += 1;
         self.cow.pages_shared = n;
         Memory {
-            pages: self.pages.clone(),
+            table: self.table.clone(),
+            // Same slots on both sides, so the memo carries over.
+            memo: self.memo.clone(),
             cow: CowStats { pages_shared: n, pages_copied: 0, forks: 0 },
         }
     }
@@ -254,7 +371,7 @@ impl Memory {
     /// Snapshot the current contents in O(page-table) time without
     /// copying page bytes.
     pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint { pages: self.pages.clone() }
+        Checkpoint { table: self.table.clone() }
     }
 
     /// Restore contents from a checkpoint.
@@ -264,8 +381,10 @@ impl Memory {
     /// re-anchored to the restored page count; `pages_copied` and
     /// `forks` remain lifetime counters.
     pub fn restore(&mut self, ck: &Checkpoint) {
-        self.pages = ck.pages.clone();
-        self.cow.pages_shared = self.pages.len() as u64;
+        self.table = ck.table.clone();
+        // The restored slots may name other pages: forget the memo.
+        self.memo.set((NO_PAGE, 0));
+        self.cow.pages_shared = self.table.pages.len() as u64;
     }
 }
 
@@ -313,6 +432,49 @@ mod tests {
         m.write_bytes(0x500, &[1, 2, 3, 4]);
         assert_eq!(m.read_bytes(0x500, 4), vec![1, 2, 3, 4]);
         assert_eq!(m.read_bytes(0x4fe, 3), vec![0, 0, 1]);
+    }
+
+    /// A write across the top of the address space wraps to page 0,
+    /// like every other access, instead of overflowing.
+    #[test]
+    fn write_bytes_wraps_past_the_top() {
+        let mut m = Memory::new();
+        m.write_bytes(u64::MAX - 1, &[1, 2, 3, 4]);
+        assert_eq!(m.read_bytes(u64::MAX - 1, 2), vec![1, 2], "top page");
+        assert_eq!(m.read_bytes(0, 2), vec![3, 4], "page 0");
+        assert_eq!(m.read_u(u64::MAX - 1, 4), 0x0403_0201);
+        assert_eq!(m.resident_pages(), 2);
+    }
+
+    /// `swap_u` returns what `read_u` would have, then writes like
+    /// `write_u` — within a page, across pages and across the top.
+    #[test]
+    fn swap_returns_the_old_value() {
+        let mut m = Memory::new();
+        for addr in [0x100, PAGE_SIZE - 3, u64::MAX - 2] {
+            m.write_u(addr, 8, 0x1122_3344_5566_7788);
+            assert_eq!(m.swap_u(addr, 4, 0xdead_beef_0bad_f00d), 0x5566_7788, "{addr:#x}");
+            assert_eq!(m.read_u(addr, 8), 0x1122_3344_0bad_f00d, "{addr:#x}");
+        }
+    }
+
+    /// The last-page memo never outlives the table it indexes: after a
+    /// restore to a checkpoint with fewer pages, reads of a page that
+    /// only existed later see zero, and new pages land correctly.
+    #[test]
+    fn memo_is_forgotten_on_restore() {
+        let mut m = Memory::new();
+        m.write_u(0x1000, 8, 1);
+        let ck = m.checkpoint();
+        m.write_u(0x9000, 8, 9);
+        assert_eq!(m.read_u(0x9000, 8), 9, "memo now names 0x9000's page");
+        m.restore(&ck);
+        assert_eq!(m.read_u(0x9000, 8), 0, "page dropped by the restore");
+        m.write_u(0x5000, 8, 5);
+        assert_eq!((m.read_u(0x1000, 8), m.read_u(0x5000, 8)), (1, 5));
+        let mut child = m.fork();
+        child.write_u(0x5000, 8, 6);
+        assert_eq!((m.read_u(0x5000, 8), child.read_u(0x5000, 8)), (5, 6));
     }
 
     #[test]
