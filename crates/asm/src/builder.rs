@@ -172,7 +172,13 @@ impl Asm {
 
     /// Append raw bytes.
     pub fn bytes(&mut self, b: &[u8]) -> &mut Asm {
-        self.data.push(DataItem::Bytes(b.to_vec()));
+        self.bytes_vec(b.to_vec())
+    }
+
+    /// Append raw bytes already in a vector, without copying them (a
+    /// large initialiser, say).
+    pub fn bytes_vec(&mut self, b: Vec<u8>) -> &mut Asm {
+        self.data.push(DataItem::Bytes(b));
         self
     }
 

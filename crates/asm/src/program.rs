@@ -142,30 +142,29 @@ impl Asm {
             }
         };
 
-        // Pass 1a: data layout (so text can reference data symbols).
+        // Pass 1a: data layout (so text can reference data symbols), into
+        // a buffer sized up front: a large initialiser is copied once,
+        // never regrown.
         let mut data: Vec<u8> = Vec::new();
+        let len = self.lay_out_data(layout.data_base, |_, _| Ok(())).unwrap_or(0);
+        let _ = data.try_reserve_exact(usize::try_from(len).unwrap_or(0));
         let mut addr_fixups: Vec<(usize, String)> = Vec::new();
-        for item in self.data_items() {
+        let data_len = self.lay_out_data(layout.data_base, |item, off| {
+            // Alignment padding: zeros up to the item's offset.
+            data.resize(off as usize, 0);
             match item {
-                DataItem::Label(name) => {
-                    bind(name, layout.data_base + data.len() as u64, &mut symbols)?;
-                }
+                DataItem::Label(name) => bind(name, layout.data_base + off, &mut symbols)?,
                 DataItem::Bytes(b) => data.extend_from_slice(b),
-                DataItem::Space(n) => data.extend(std::iter::repeat_n(0, *n as usize)),
-                DataItem::Align(n) => {
-                    if !n.is_power_of_two() {
-                        return Err(AsmError::BadAlignment(*n));
-                    }
-                    while !(layout.data_base + data.len() as u64).is_multiple_of(*n) {
-                        data.push(0);
-                    }
-                }
+                DataItem::Space(n) => data.resize(data.len() + *n as usize, 0),
                 DataItem::AddrOf(sym) => {
                     addr_fixups.push((data.len(), sym.clone()));
                     data.extend_from_slice(&[0; 8]);
                 }
+                DataItem::Align(_) => {}
             }
-        }
+            Ok(())
+        })?;
+        data.resize(data_len as usize, 0);
 
         // Pass 1b: text label addresses and statement PCs.
         let mut pc = layout.text_base;
@@ -249,6 +248,69 @@ impl Asm {
             stmt_pcs,
         })
     }
+
+    /// Lay the data section out at `data_base` without copying a byte:
+    /// `visit` sees every item with its offset from `data_base` (after
+    /// any alignment padding it implies). Returns the section's length.
+    fn lay_out_data(
+        &self,
+        data_base: u64,
+        mut visit: impl FnMut(&DataItem, u64) -> Result<(), AsmError>,
+    ) -> Result<u64, AsmError> {
+        let mut len = 0u64;
+        for item in self.data_items() {
+            if let DataItem::Align(n) = item {
+                if !n.is_power_of_two() {
+                    return Err(AsmError::BadAlignment(*n));
+                }
+                len = (data_base + len).next_multiple_of(*n) - data_base;
+            }
+            visit(item, len)?;
+            len += match item {
+                DataItem::Bytes(b) => b.len() as u64,
+                DataItem::Space(n) => *n,
+                DataItem::AddrOf(_) => 8,
+                DataItem::Label(_) | DataItem::Align(_) => 0,
+            };
+        }
+        Ok(len)
+    }
+
+    /// Where [`Asm::assemble`] places the data section when it starts at
+    /// `data_base`, found without assembling or copying the data.
+    ///
+    /// # Errors
+    ///
+    /// As [`Asm::assemble`], for the data section alone: a duplicate
+    /// data label or a bad alignment.
+    pub fn data_layout(&self, data_base: u64) -> Result<DataLayout, AsmError> {
+        let mut symbols = HashMap::new();
+        let mut addr_cells = Vec::new();
+        let len = self.lay_out_data(data_base, |item, off| {
+            match item {
+                DataItem::Label(name)
+                    if symbols.insert(name.clone(), data_base + off).is_some() =>
+                {
+                    return Err(AsmError::DuplicateSymbol(name.clone()));
+                }
+                DataItem::AddrOf(sym) => addr_cells.push((data_base + off, sym.clone())),
+                _ => {}
+            }
+            Ok(())
+        })?;
+        Ok(DataLayout { symbols, addr_cells, end: data_base + len })
+    }
+}
+
+/// Where an assembly unit's data section lies ([`Asm::data_layout`]).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct DataLayout {
+    /// Data label addresses.
+    pub symbols: HashMap<String, u64>,
+    /// Each address-of quad's address, with the symbol it holds.
+    pub addr_cells: Vec<(u64, String)>,
+    /// First address past the initialised data.
+    pub end: u64,
 }
 
 impl Program {
@@ -412,6 +474,24 @@ mod tests {
             a.assemble(Layout::default()).unwrap_err(),
             AsmError::UndefinedSymbol("nowhere".into())
         );
+    }
+
+    #[test]
+    fn data_layout_is_where_assembly_puts_the_data() {
+        let mut a = Asm::new();
+        a.load_addr(r(1), "arr", 0).label("code").inst(Instr::Halt);
+        a.data_label("a").quad(1).long(2).align(64).data_label("arr").space(24);
+        a.data_label("p").addr_quad("code").align(16).data_label("end");
+        let p = a.assemble(Layout::default()).unwrap();
+        let d = a.data_layout(p.data_base).unwrap();
+        assert_eq!(d.end, p.data_end());
+        for (name, addr) in &d.symbols {
+            assert_eq!(p.symbol(name), Some(*addr), "{name}");
+        }
+        assert_eq!(d.symbols.len(), 4);
+        assert_eq!(d.addr_cells, vec![(p.symbol("p").unwrap(), "code".to_string())]);
+        a.data_label("a");
+        assert_eq!(a.data_layout(0).unwrap_err(), AsmError::DuplicateSymbol("a".into()));
     }
 
     #[test]

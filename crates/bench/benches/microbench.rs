@@ -2,7 +2,8 @@
 //! expansion, cache access, branch prediction, functional execution
 //! (a tight loop, the six kernels, and the DISE replacement path),
 //! the timing model — its steady-state per-record cost and, apart from
-//! it, the cost of building one — and the trace codec and its CRC.
+//! it, the cost of building one — the trace codec and its CRC, and
+//! session admission from a prepared kernel.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
@@ -11,9 +12,11 @@ use dise_cpu::{
     CpuConfig, Exec, ExecChunk, ExecDecoder, ExecEncoder, Executor, Predictor, Timing,
     MAX_BLOCK_STEPS,
 };
+use dise_debug::{BackendKind, SessionTask, Step};
 use dise_engine::{Engine, Pattern, Production, TDisp, TOperand, TReg, TemplateInst};
 use dise_isa::{decode, encode, AluOp, Cond, Instr, OpClass, Reg, Width};
 use dise_mem::{Cache, CacheConfig, MemConfig, MemSystem};
+use dise_workloads::WatchKind;
 
 fn bench_isa_codec(c: &mut Criterion) {
     let insts: Vec<Instr> = (0..64u8)
@@ -304,10 +307,44 @@ fn bench_trace(c: &mut Criterion) {
     g.finish();
 }
 
+/// Session admission: `poll(0)` of a fresh `SessionTask::session` on
+/// a shared, already prepared workload — the per-session cost of
+/// instantiating the image (and, under DISE, building the handler and
+/// data region), with no instruction run.
+fn bench_admit(c: &mut Criterion) {
+    let mut g = c.benchmark_group("core/admit");
+    for name in ["mcf", "bzip2"] {
+        let w = dise_workloads::by_name(name, 40).expect("a kernel");
+        let wps = vec![w.watchpoint(WatchKind::Hot)];
+        for (label, backend) in
+            [("vm", BackendKind::VirtualMemory), ("dise", BackendKind::dise_default())]
+        {
+            let admit = || {
+                let mut task =
+                    SessionTask::session(w.app(), wps.clone(), backend, CpuConfig::default());
+                matches!(task.poll(0), Step::Yielded(_))
+            };
+            assert!(admit(), "{name} admits under {label}");
+            g.bench_function(&format!("{name}_{label}"), |b| b.iter(admit));
+        }
+    }
+    g.finish();
+}
+
+/// Scaling a prepared kernel template: one patched quad, nothing built.
+fn bench_with_iters(c: &mut Criterion) {
+    let t = dise_workloads::template("mcf").expect("a kernel");
+    t.app().prepared().expect("kernel assembles");
+    c.bench_function("workloads/with_iters", |b| {
+        b.iter(|| t.with_iters(black_box(40)).app().prepared().map(|p| p.entry()))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_isa_codec, bench_engine_expansion, bench_cache, bench_predictor,
-              bench_pipeline, bench_kernels, bench_dise_replacement, bench_trace
+              bench_pipeline, bench_kernels, bench_dise_replacement, bench_trace, bench_admit,
+              bench_with_iters
 }
 criterion_main!(benches);

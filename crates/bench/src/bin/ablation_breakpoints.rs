@@ -19,10 +19,10 @@ fn main() {
         "benchmark", "kind", "TrapPatch", "DISE cw", "DISE pc", "hits", "spurious"
     );
     for w in all(iters) {
-        let prog = w.app().program().expect("kernel assembles");
+        let prog = w.app().prepared().expect("kernel assembles");
         // Break on the instruction after the first statement marker —
         // inside the main loop of every kernel.
-        let bp_pc = *prog.stmt_pcs.iter().min().expect("kernels have statements");
+        let bp_pc = *prog.stmt_pcs().iter().min().expect("kernels have statements");
         let hot = prog.symbol("hot").expect("hot exists");
         let base = run_baseline(w.app(), CpuConfig::default()).expect("baseline runs");
 

@@ -37,7 +37,7 @@ fn stack_heavy_app(iters: u32) -> Application {
 fn main() {
     let iters: u32 = dise_env::env_number("DISE_ITERS", 2000);
     let app = stack_heavy_app(iters);
-    let g = app.program().expect("assembles").symbol("g").unwrap();
+    let g = app.prepared().expect("assembles").symbol("g").unwrap();
     let wp = Watchpoint::new(WatchExpr::Scalar { addr: g, width: Width::Q });
     let base = run_baseline(&app, CpuConfig::default()).expect("baseline");
 

@@ -9,7 +9,7 @@
 
 use std::path::PathBuf;
 
-use dise_cpu::{CpuConfig, Executor, Machine, RunStats};
+use dise_cpu::{CpuConfig, RunStats};
 use dise_debug::{BackendKind, BaselineCache, DebugError, DiseStrategy, SessionReport};
 use dise_workloads::{all, transition_cost_sweep, watchpoint_set_sweep, WatchKind, Workload};
 
@@ -179,9 +179,8 @@ pub fn table1(ctx: &Experiment) -> String {
     let mut out =
         String::from("benchmark  function                 instructions      IPC   store density\n");
     let rows = ctx.per_workload(|w| {
-        let prog = w.app().program().expect("kernel assembles");
         // Functional pass for the store count; timed pass for IPC.
-        let mut exec = Executor::from_program(&prog, ctx.cpu);
+        let mut exec = w.app().prepared().expect("kernel assembles").executor(ctx.cpu);
         let mut stores = 0u64;
         while !exec.is_halted() {
             if exec.step().mem.is_some_and(|m| m.is_store) {
@@ -208,11 +207,10 @@ pub fn table2(ctx: &Experiment) -> String {
     let mut out =
         String::from("benchmark       HOT    WARM1    WARM2     COLD INDIRECT    RANGE\n");
     let rows = ctx.per_workload(|w| {
-        let prog = w.app().program().expect("kernel assembles");
         let exprs: Vec<_> = WatchKind::ALL.iter().map(|k| w.watch_expr(*k)).collect();
         let mut hits = [0u64; 6];
         let mut stores = 0u64;
-        let mut exec = Executor::from_program(&prog, ctx.cpu);
+        let mut exec = w.app().prepared().expect("kernel assembles").executor(ctx.cpu);
         while !exec.is_halted() {
             let e = exec.step();
             if let Some(m) = e.mem {
@@ -630,9 +628,7 @@ pub fn watchpoint_set_cells(ctx: &Experiment) -> Vec<SessionJob> {
 pub fn baseline_table(ctx: &Experiment) -> String {
     let mut out = String::from("benchmark   cycles  instructions   IPC\n");
     let rows = ctx.per_workload(|w| {
-        let prog = w.app().program().expect("kernel assembles");
-        let mut m = Machine::with_config(&prog, ctx.cpu);
-        let s = m.run();
+        let s = dise_debug::run_baseline(w.app(), ctx.cpu).expect("kernel assembles");
         format!("{:<10}{:>9}{:>13}{:>7.2}\n", w.name(), s.cycles, s.instructions, s.ipc())
     });
     out.extend(rows);

@@ -36,7 +36,7 @@ use std::fmt::Write as _;
 
 use dise_cpu::CpuConfig;
 use dise_debug::{BackendKind, DebugError, SchedStats, Scheduler, SessionReport, SessionTask};
-use dise_workloads::{by_name, WatchKind};
+use dise_workloads::{template, WatchKind, Workload};
 
 /// One parsed job line: a named debugging session request.
 #[derive(Clone, Debug, PartialEq)]
@@ -44,7 +44,7 @@ pub struct JobSpec {
     /// Unique session name (the grammar's first token).
     pub name: String,
     /// Kernel to debug (`kernel=`), validated against
-    /// [`dise_workloads::by_name`].
+    /// [`dise_workloads::template`].
     pub kernel: String,
     /// Kernel scale (`iters=`, default 40 — small enough that a
     /// thousand-session queue drains in seconds on one core).
@@ -57,6 +57,9 @@ pub struct JobSpec {
     pub cost: Option<u64>,
     /// Name of an earlier job this session must wait for (`after=`).
     pub after: Option<String>,
+    /// The kernel at `iters`, sharing one preparation with every job of
+    /// the list that names the same kernel.
+    workload: Workload,
 }
 
 /// Default `iters=` when a job line omits it.
@@ -98,6 +101,10 @@ fn parse_backend(s: &str) -> Result<BackendKind, String> {
 pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, String> {
     let mut jobs: Vec<JobSpec> = Vec::new();
     let mut seen: HashMap<String, usize> = HashMap::new();
+    // One template per kernel named in the list, and one scaling of it
+    // per distinct `iters=`: jobs share their program's preparation.
+    let mut kernels: HashMap<String, Workload> = HashMap::new();
+    let mut scaled: HashMap<(String, u32), Workload> = HashMap::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
@@ -121,10 +128,14 @@ pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, String> {
                 .ok_or_else(|| at(format!("expected key=value, got {tok:?}")))?;
             match key {
                 "kernel" => {
-                    if by_name(value, 1).is_none() {
-                        return Err(at(format!(
-                            "unknown kernel {value:?} (expected bzip2/crafty/gcc/mcf/twolf/vortex)"
-                        )));
+                    if !kernels.contains_key(value) {
+                        let t = template(value).ok_or_else(|| {
+                            at(format!(
+                                "unknown kernel {value:?} \
+                                 (expected bzip2/crafty/gcc/mcf/twolf/vortex)"
+                            ))
+                        })?;
+                        kernels.insert(value.to_string(), t);
                     }
                     kernel = Some(value.to_string());
                 }
@@ -155,15 +166,32 @@ pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, String> {
         let watch = watch.ok_or_else(|| at("missing watch=".into()))?;
         let backend = backend.ok_or_else(|| at("missing backend=".into()))?;
         seen.insert(name.clone(), jobs.len());
-        jobs.push(JobSpec { name, kernel, iters, watch, backend, cost, after });
+        let workload = scaled
+            .entry((kernel.clone(), iters))
+            .or_insert_with(|| {
+                let w = kernels[&kernel].with_iters(iters);
+                // Prepare here, so that no session's `task()` or
+                // admission does it; a kernel that failed to assemble
+                // would report the error from every session.
+                let _ = w.app().prepared();
+                w
+            })
+            .clone();
+        jobs.push(JobSpec { name, kernel, iters, watch, backend, cost, after, workload });
     }
     Ok(jobs)
 }
 
 impl JobSpec {
-    /// The session task this job describes.
+    /// The kernel at this job's scale.
+    pub fn workload(&self) -> &Workload {
+        &self.workload
+    }
+
+    /// The session task this job describes. It builds and assembles
+    /// nothing: the kernel was prepared when the list was parsed.
     pub fn task(&self) -> SessionTask {
-        let w = by_name(&self.kernel, self.iters).expect("parse_jobs validated the kernel");
+        let w = &self.workload;
         let cpu = match self.cost {
             Some(c) => CpuConfig { debugger_transition_cost: c, ..CpuConfig::default() },
             None => CpuConfig::default(),

@@ -21,11 +21,12 @@
 //! | `dr14` | debugger data region base |
 //! | `dr15` | handler's register stash |
 
-use dise_asm::{Asm, Layout, Program};
+use dise_asm::{Asm, Layout};
 use dise_cpu::{Event, Exec, Executor, FlushKind, MemOp};
 use dise_engine::{Pattern, Production, TDisp, TOperand, TReg, TemplateInst};
 use dise_isa::{AluOp, Cond, Instr, OpClass, Operand, Reg, Width};
 
+use crate::app::Edits;
 use crate::backend::BackendImpl;
 use crate::region::{RegionBuilder, SAVE_BYTES};
 use crate::session::DebugError;
@@ -126,6 +127,13 @@ fn call_tail(conditional_ops: bool, flag: Reg) -> Vec<TemplateInst> {
     }
 }
 
+/// Append the debugger's data region, placed at `base`, past the
+/// application's data (which ends at `data_end`), zero padding included.
+fn append_region(edits: &mut Edits, data_end: u64, base: u64, bytes: &[u8]) {
+    edits.data.resize((base - data_end) as usize, 0);
+    edits.data.extend_from_slice(bytes);
+}
+
 /// Terminal: conditionally trap on `flag` satisfying `cond`.
 fn trap_tail(conditional_ops: bool, cond: Cond, flag: Reg) -> Vec<TemplateInst> {
     if conditional_ops {
@@ -148,14 +156,16 @@ impl BackendImpl for DiseBackend {
         &mut self,
         app: &Application,
         wps: &[Watchpoint],
-    ) -> Result<Program, DebugError> {
-        let mut prog = app.program()?;
+    ) -> Result<Option<Edits>, DebugError> {
+        let prepared = app.prepared()?;
         self.wps = wps.to_vec();
         let s = self.strategy;
 
         // The image as initially loaded, for initial values.
-        let mut image = dise_mem::Memory::new();
-        prog.load(&mut image);
+        let image = prepared.memory();
+        // What this backend writes past the application's text and data.
+        let mut edits =
+            Edits { text_at: prepared.text_end(), entry: prepared.entry(), ..Edits::default() };
 
         // ---- Inline organisations: single scalar only -----------------
         if matches!(s.check, CheckKind::EvaluateInline | CheckKind::MatchAddressValue) {
@@ -183,10 +193,9 @@ impl BackendImpl for DiseBackend {
                 // symmetry.
                 let builder = RegionBuilder::new();
                 let align = builder.required_align();
-                let base = prog.data_end().div_ceil(align) * align;
+                let base = prepared.data_end().div_ceil(align) * align;
                 let (bytes, region) = builder.finish(base);
-                let got = prog.append_data("__dbg_area", &bytes, align);
-                debug_assert_eq!(got, base);
+                append_region(&mut edits, prepared.data_end(), base, &bytes);
                 self.reg_values.push((Reg::DSEG, region.seg_tag()));
                 protection = protection_prefix(region.prot_shift);
                 self.protection_pos = Some(protection.len() as u16);
@@ -244,7 +253,7 @@ impl BackendImpl for DiseBackend {
             self.productions =
                 vec![Production::new("watch-inline", Pattern::opclass(OpClass::Store), seq)];
             self.add_specialization();
-            return Ok(prog);
+            return Ok(Some(edits));
         }
 
         // ---- Match-address + handler organisation ---------------------
@@ -396,10 +405,9 @@ impl BackendImpl for DiseBackend {
 
         // 5. Append the region.
         let align = rb.required_align();
-        let base = prog.data_end().div_ceil(align) * align;
+        let base = prepared.data_end().div_ceil(align) * align;
         let (bytes, region) = rb.finish(base);
-        let got = prog.append_data("__dbg_area", &bytes, align);
-        debug_assert_eq!(got, base, "append alignment matches planned base");
+        append_region(&mut edits, prepared.data_end(), base, &bytes);
         self.region = Some(region);
 
         // Resolve region-relative placeholders to absolute addresses.
@@ -419,17 +427,18 @@ impl BackendImpl for DiseBackend {
 
         // 6. The debugger-generated function (Fig. 2e, generalised).
         let handler = generate_handler(wps, &cells, base);
+        let hbase = edits.text_at;
         let handler_prog = handler
             .assemble_with(
                 Layout {
-                    text_base: prog.text_end(),
-                    data_base: prog.data_end(),
-                    stack_top: prog.stack_top,
+                    text_base: hbase,
+                    data_base: prepared.data_end() + edits.data.len() as u64,
+                    stack_top: prepared.stack_top(),
                 },
-                &prog.symbols,
+                prepared.symbols(),
             )
             .map_err(DebugError::Asm)?;
-        let hbase = prog.append_text_words("__dbg_handler", &handler_prog.text);
+        edits.text = handler_prog.text;
         reg_values.push((Reg::DHDLR, hbase));
 
         // 7. The store production.
@@ -527,7 +536,7 @@ impl BackendImpl for DiseBackend {
             vec![Production::new("watch-match", Pattern::opclass(OpClass::Store), seq)];
         self.add_specialization();
         self.reg_values = reg_values;
-        Ok(prog)
+        Ok(Some(edits))
     }
 
     fn configure(&mut self, exec: &mut Executor, _wps: &[Watchpoint]) -> Result<(), DebugError> {

@@ -8,10 +8,13 @@ mod rewrite;
 mod single_step;
 mod virtual_mem;
 
+use std::sync::Arc;
+
 use dise_asm::Program;
 use dise_cpu::{CpuConfig, Exec, Executor};
 use dise_mem::Memory;
 
+use crate::app::{Edits, Image};
 use crate::session::DebugError;
 use crate::{
     Application, DiseStrategy, Transition, TransitionStats, WatchFilter, WatchState, Watchpoint,
@@ -131,6 +134,31 @@ impl BackendKind {
         }
     }
 
+    /// The whole program this backend runs for `app` under
+    /// `watchpoints`, built on `prog` — `app` as
+    /// [`Application::program`] assembles it: binary rewriting's
+    /// rewritten text and `__bw_prev` cell, DISE's data region and
+    /// handler; the observing backends and single-stepping run `prog`
+    /// unchanged. Sessions never build it: they write the same bytes
+    /// over the application's prepared image, copy-on-write. It is here
+    /// to inspect that image, and to check it against a fresh load.
+    /// Its symbols stay the application's.
+    ///
+    /// # Errors
+    ///
+    /// As session admission under this backend.
+    pub fn instrument(
+        self,
+        app: &Application,
+        watchpoints: &[Watchpoint],
+        mut prog: Program,
+    ) -> Result<Program, DebugError> {
+        if let Some(edits) = self.instantiate().build_program(app, watchpoints)? {
+            edits.apply(&mut prog);
+        }
+        Ok(prog)
+    }
+
     pub(crate) fn instantiate(self) -> Box<dyn BackendImpl> {
         match self {
             BackendKind::SingleStep => Box::new(single_step::SingleStep::default()),
@@ -159,13 +187,14 @@ impl BackendImpl for Observing {
         &mut self,
         app: &Application,
         wps: &[Watchpoint],
-    ) -> Result<Program, DebugError> {
+    ) -> Result<Option<Edits>, DebugError> {
         // The comparator file's budget is checked before the image
         // loads; page and register plans are made in `configure`.
         if self.kind == BackendKind::DiseComparators {
             self.detector = Some(self.kind.instantiate_observer(wps)?);
         }
-        Ok(app.program()?)
+        app.prepared()?;
+        Ok(None)
     }
 
     fn configure(&mut self, _exec: &mut Executor, wps: &[Watchpoint]) -> Result<(), DebugError> {
@@ -194,6 +223,17 @@ impl BackendImpl for Observing {
     }
 }
 
+/// Build `backend`'s program for `app`: the image every machine of the
+/// session is instantiated from.
+pub(crate) fn build_image(
+    backend: &mut dyn BackendImpl,
+    app: &Application,
+    wps: &[Watchpoint],
+) -> Result<Arc<Image>, DebugError> {
+    let edits = backend.build_program(app, wps)?;
+    Ok(app.prepared()?.image(edits.as_ref()))
+}
+
 /// Classify a transition after the debugger inspects memory: `changed` /
 /// `pred_ok` come from [`WatchState::reevaluate`], `wrote_watched` from
 /// overlap analysis.
@@ -215,13 +255,15 @@ pub(crate) fn classify(changed: bool, pred_ok: bool, wrote_watched: bool) -> Tra
 /// [`crate::SessionTask`] (which owns one mid-run) migrates between
 /// scheduler worker threads across slices.
 pub(crate) trait BackendImpl: Send {
-    /// Produce the program image the session will run: assemble the
-    /// application and apply any static transformation or appendices.
+    /// The static work before the machine exists: check the
+    /// watchpoints against this backend and say how the program it runs
+    /// differs from the application's prepared one — `None` when it runs
+    /// it unchanged — reading (never loading) the prepared image.
     fn build_program(
         &mut self,
         app: &Application,
         wps: &[Watchpoint],
-    ) -> Result<Program, DebugError>;
+    ) -> Result<Option<Edits>, DebugError>;
 
     /// Configure the loaded machine: install productions, load DISE
     /// registers, build the detector.

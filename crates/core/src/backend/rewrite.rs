@@ -8,13 +8,17 @@
 //! calibrated workloads leave unused — a real implementation would
 //! re-allocate registers instead.
 
-use dise_asm::{Asm, Program, TextItem};
+use dise_asm::{Asm, AsmError, Layout, TextItem};
 use dise_cpu::{Event, Exec, Executor};
 use dise_isa::{AluOp, Cond, Instr, Operand, Reg, Width};
 
+use crate::app::Edits;
 use crate::backend::{classify, BackendImpl};
 use crate::session::DebugError;
 use crate::{Application, Transition, TransitionStats, WatchExpr, WatchState, Watchpoint};
+
+/// The previous-value cell the inlined check compares against.
+const PREV: &str = "__bw_prev";
 
 /// Registers scavenged from the application.
 const S1: Reg = Reg::gpr(25);
@@ -33,7 +37,7 @@ impl BackendImpl for Rewrite {
         &mut self,
         app: &Application,
         wps: &[Watchpoint],
-    ) -> Result<Program, DebugError> {
+    ) -> Result<Option<Edits>, DebugError> {
         let (addr, width) = match wps {
             [Watchpoint { expr: WatchExpr::Scalar { addr, width }, condition: None }] => {
                 (*addr, *width)
@@ -50,17 +54,25 @@ impl BackendImpl for Rewrite {
 
         // The watched address is known from the *unmodified* layout; the
         // transformation only grows text and appends data, so data
-        // addresses are unchanged.
-        let mut out = app.asm().clone();
-        let mut items = Vec::with_capacity(out.text_items().len() * 4);
-        let mut n = 0usize;
-        for item in out.text_items() {
+        // addresses are unchanged. Only the text is reassembled, against
+        // the application's symbols: the initialised data (quads patched
+        // in included) carries over from the prepared image.
+        let mut items = Vec::with_capacity(app.asm().text_items().len() * 4);
+        let mut skips = Vec::new();
+        for item in app.asm().text_items() {
             match item {
                 TextItem::Inst(i @ Instr::Store { base, disp, .. }) => {
-                    assert!(![S1, S2, S3].contains(base), "store base uses a scavenged register");
+                    if [S1, S2, S3].contains(base) {
+                        return Err(DebugError::Unsupported {
+                            backend: "binary-rewrite",
+                            reason: format!(
+                                "a store addresses through {base}, a register the inlined \
+                                 check scavenges (r25, r27, r28)"
+                            ),
+                        });
+                    }
                     items.push(TextItem::Inst(*i));
-                    let skip = format!("__bw_skip_{n}");
-                    n += 1;
+                    let skip = format!("__bw_skip_{}", skips.len());
                     let mut frag = Asm::new();
                     // Reconstruct and align the store address.
                     frag.inst(Instr::Lda { rd: S2, base: *base, disp: *disp });
@@ -71,7 +83,7 @@ impl BackendImpl for Rewrite {
                     // Match: evaluate the expression.
                     frag.load_const(S3, addr);
                     frag.inst(Instr::Load { width, rd: S2, base: S3, disp: 0 });
-                    frag.load_addr(S3, "__bw_prev", 0);
+                    frag.load_addr(S3, PREV, 0);
                     frag.inst(Instr::Load { width: Width::Q, rd: S1, base: S3, disp: 0 });
                     frag.inst(alu(AluOp::CmpEq, S1, S1, Operand::Reg(S2)));
                     frag.cond_br(Cond::Ne, S1, &skip); // silent store
@@ -79,25 +91,49 @@ impl BackendImpl for Rewrite {
                     frag.inst(Instr::Trap);
                     frag.label(&skip);
                     items.extend(frag.text_items().iter().cloned());
+                    skips.push(skip);
                 }
                 other => items.push(other.clone()),
             }
         }
+
+        let prepared = app.prepared()?;
+        // A label the rewrite adds must be new: assembling the whole
+        // rewritten unit would report it bound twice.
+        if let Some(dup) = std::iter::once(PREV)
+            .chain(skips.iter().map(String::as_str))
+            .find(|l| prepared.symbol(l).is_some())
+        {
+            return Err(AsmError::DuplicateSymbol(dup.to_string()).into());
+        }
+        // The rewritten text, and the previous-value cell past the data.
+        let mut out = Asm::new();
         out.set_text_items(items);
+        out.align(8).data_label(PREV).quad(0);
+        let layout = Layout { data_base: prepared.data_end(), ..app.layout() };
+        let prog = out.assemble_with(layout, prepared.symbols())?;
 
-        // The previous-value cell, initialised at configure time.
-        out.align(8).data_label("__bw_prev").quad(0);
-
-        let mut prog = out.assemble(app.layout())?;
+        // Address-of quads naming a text label follow it to its new place.
+        let relocations = app
+            .asm()
+            .data_layout(app.layout().data_base)?
+            .addr_cells
+            .into_iter()
+            .filter_map(|(cell, sym)| prog.symbol(&sym).map(|a| (cell, a)))
+            .collect();
         // Initialise the prev cell with the watched variable's initial
         // value from the image.
-        let mut mem = dise_mem::Memory::new();
-        prog.load(&mut mem);
-        let init = mem.read_u(addr, width.bytes());
-        let cell = prog.symbol("__bw_prev").expect("cell exists");
-        let off = (cell - prog.data_base) as usize;
-        prog.data[off..off + 8].copy_from_slice(&init.to_le_bytes());
-        Ok(prog)
+        let init = prepared.memory().read_u(addr, width.bytes());
+        let off = (prog.symbol(PREV).expect("cell exists") - prog.data_base) as usize;
+        let mut data = prog.data;
+        data[off..off + 8].copy_from_slice(&init.to_le_bytes());
+        Ok(Some(Edits {
+            text_at: prog.text_base,
+            text: prog.text,
+            relocations,
+            data,
+            entry: prog.entry,
+        }))
     }
 
     fn configure(&mut self, _exec: &mut Executor, _wps: &[Watchpoint]) -> Result<(), DebugError> {

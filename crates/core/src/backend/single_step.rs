@@ -2,17 +2,18 @@
 //! transitions to the debugger at every statement.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
-use dise_asm::Program;
 use dise_cpu::{Exec, Executor};
 
+use crate::app::Edits;
 use crate::backend::{classify, BackendImpl};
 use crate::session::DebugError;
 use crate::{Application, Transition, TransitionStats, WatchState, Watchpoint};
 
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SingleStep {
-    stmt_pcs: HashSet<u64>,
+    stmt_pcs: Arc<HashSet<u64>>,
 }
 
 impl BackendImpl for SingleStep {
@@ -24,16 +25,15 @@ impl BackendImpl for SingleStep {
         &mut self,
         app: &Application,
         _wps: &[Watchpoint],
-    ) -> Result<Program, DebugError> {
-        let prog = app.program()?;
-        self.stmt_pcs = prog.stmt_pcs.clone();
+    ) -> Result<Option<Edits>, DebugError> {
+        self.stmt_pcs = app.prepared()?.shared_stmt_pcs();
         if self.stmt_pcs.is_empty() {
             return Err(DebugError::Unsupported {
                 backend: "single-step",
                 reason: "application has no statement markers".to_string(),
             });
         }
-        Ok(prog)
+        Ok(None)
     }
 
     fn configure(&mut self, _exec: &mut Executor, _wps: &[Watchpoint]) -> Result<(), DebugError> {

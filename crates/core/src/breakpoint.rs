@@ -107,17 +107,17 @@ impl BreakpointSession {
         backend: BreakpointBackend,
         cpu: CpuConfig,
     ) -> Result<BreakpointSession, DebugError> {
-        let prog = app.program()?;
+        let prepared = app.prepared()?;
         let mut with_originals = Vec::with_capacity(breakpoints.len());
         for bp in &breakpoints {
-            let original = prog.decode_at(bp.pc).ok_or_else(|| DebugError::Unsupported {
+            let original = prepared.decode_at(bp.pc).ok_or_else(|| DebugError::Unsupported {
                 backend: "breakpoint",
                 reason: format!("no instruction at {:#x}", bp.pc),
             })?;
             with_originals.push((*bp, original));
         }
 
-        let mut exec = Executor::from_program(&prog, cpu);
+        let mut exec = prepared.executor(cpu);
         match backend {
             BreakpointBackend::TrapPatch => {
                 // Static transformation: plant traps.

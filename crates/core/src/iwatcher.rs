@@ -72,8 +72,7 @@ impl Monitor {
                 ),
             });
         }
-        let prog = app.program()?;
-        let mut machine = Machine::with_config(&prog, cpu);
+        let mut machine = app.prepared()?.machine(cpu);
         let exec = &mut machine.exec;
 
         // One production chains every region's check: several

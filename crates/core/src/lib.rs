@@ -51,7 +51,7 @@
 //!     x: .quad 0
 //! ").unwrap(), Layout::default());
 //!
-//! let x = app.program()?.symbol("x").unwrap();
+//! let x = app.prepared()?.symbol("x").unwrap();
 //! let wp = Watchpoint::new(WatchExpr::Scalar { addr: x, width: Width::Q });
 //! let report = Session::new(&app, vec![wp], BackendKind::dise_default())?.run();
 //! assert_eq!(report.transitions.user, 1, "the store changed x");
@@ -72,7 +72,7 @@ mod task;
 mod trace;
 mod watch;
 
-pub use app::Application;
+pub use app::{Application, Prepared};
 pub use backend::BackendKind;
 pub use breakpoint::{Breakpoint, BreakpointBackend, BreakpointReport, BreakpointSession};
 pub use iwatcher::{Monitor, MonitoredRegion};

@@ -8,7 +8,7 @@ use std::sync::Mutex;
 
 use dise_asm::AsmError;
 use dise_cpu::{
-    CpuConfig, Event, ExecError, Executor, ExecutorCheckpoint, ForkConfigError, Machine, RunStats,
+    CpuConfig, Event, ExecError, Executor, ExecutorCheckpoint, ForkConfigError, RunStats,
     TimingBatch,
 };
 use dise_engine::EngineError;
@@ -39,21 +39,23 @@ pub fn functional_passes() -> u64 {
     FUNCTIONAL_PASSES.load(Ordering::Relaxed)
 }
 
-/// Program images assembled-and-loaded into a machine since process
-/// start (one per session established through any entry point; the
-/// denominator the checkpoint/fork economy shrinks). See
-/// [`image_loads`].
+/// Program images instantiated into a machine since process start (one
+/// per session established through any entry point; the denominator the
+/// checkpoint/fork economy shrinks). See [`image_loads`].
 pub(crate) static IMAGE_LOADS: AtomicU64 = AtomicU64::new(0);
 
 /// Copy-on-write machine forks taken since process start (one per
 /// perturbing sub-batch). See [`checkpoint_forks`].
 pub(crate) static CHECKPOINT_FORKS: AtomicU64 = AtomicU64::new(0);
 
-/// Total program images assembled and loaded into a fresh machine by
-/// this process — one per [`Session`], [`SessionTask::batch`] and
+/// Total program images instantiated into a fresh machine by this
+/// process — one per [`Session`], [`SessionTask::batch`] and
 /// [`ObserverBatch`], and exactly **one** per
 /// [`SessionTask::perturbing_group`] however many sub-batches fork from
-/// it. Undebugged baselines are not counted. Like
+/// it. Instantiation restores the application's prepared image
+/// copy-on-write; preparing it (assembling and loading, once per
+/// application — see [`Application::prepared`]) is not counted, and
+/// neither are undebugged baselines. Like
 /// [`functional_passes`], this is instrumentation for execution-count
 /// pins; compare deltas.
 pub fn image_loads() -> u64 {
@@ -179,9 +181,7 @@ impl SessionReport {
 ///
 /// Propagates assembly failures.
 pub fn run_baseline(app: &Application, cpu: CpuConfig) -> Result<RunStats, DebugError> {
-    let prog = app.program()?;
-    let mut m = Machine::with_config(&prog, cpu);
-    Ok(m.run())
+    Ok(app.prepared()?.machine(cpu).run())
 }
 
 /// Run one complete debugging session and return its report — the
@@ -280,8 +280,8 @@ pub(crate) fn validate_watchpoints(wps: &[Watchpoint]) -> Result<(), DebugError>
 ///     x: .quad 0
 ///     y: .quad 7
 /// ").unwrap(), Layout::default());
-/// let x = app.program()?.symbol("x").unwrap();
-/// let y = app.program()?.symbol("y").unwrap();
+/// let x = app.prepared()?.symbol("x").unwrap();
+/// let y = app.prepared()?.symbol("y").unwrap();
 /// let wx = Watchpoint::new(WatchExpr::Scalar { addr: x, width: Width::Q });
 /// let wy = Watchpoint::new(WatchExpr::Scalar { addr: y, width: Width::Q });
 ///

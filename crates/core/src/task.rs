@@ -28,24 +28,25 @@
 //! ```
 //!
 //! Admission — watchpoint validation, backend instantiation,
-//! `build_program`, the image load — is *lazy*: it happens at the first
-//! granted slice, not at construction. A spawned-but-unstarted task is
-//! just plain data (an [`Application`] and some configurations), which
-//! is how a scheduler holds >1000 concurrently in-flight sessions
-//! cheaply on a single core.
+//! `build_program`, instantiating the application's prepared image — is
+//! *lazy*: it happens at the first granted slice, not at construction.
+//! A spawned-but-unstarted task is just plain data (an [`Application`]
+//! and some configurations), which is how a scheduler holds >1000
+//! concurrently in-flight sessions cheaply on a single core.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use dise_asm::Program;
 use dise_cpu::{
-    program_fingerprint, CpuConfig, Event, Exec, ExecChunk, ExecError, Executor, RunStats,
-    TimingBatch, TraceReader, TraceWriter, MAX_BLOCK_STEPS,
+    CpuConfig, Event, Exec, ExecChunk, ExecError, Executor, RunStats, TimingBatch, TraceReader,
+    TraceWriter, MAX_BLOCK_STEPS,
 };
 use dise_mem::Memory;
 use dise_trace::TraceError;
 
-use crate::backend::{BackendImpl, ObserverImpl};
+use crate::app::Image;
+use crate::backend::{build_image, BackendImpl, ObserverImpl};
 use crate::session::{
     drive, validate_watchpoints, DebugError, SessionReport, CHECKPOINT_FORKS, FUNCTIONAL_PASSES,
     IMAGE_LOADS,
@@ -304,8 +305,7 @@ impl Pass {
 /// byte-identical to its own [`SessionTask::batch`].
 struct GroupRun {
     built: Box<dyn BackendImpl>,
-    prog: Program,
-    text_bytes: u64,
+    image: Arc<Image>,
     watchpoints: Vec<Watchpoint>,
     batches: Vec<Vec<CpuConfig>>,
     /// The warmed template: image loaded, PC at entry, SP set, never
@@ -355,7 +355,7 @@ impl GroupRun {
             let template = match &mut self.template {
                 Some(t) => t,
                 None => {
-                    let t = Executor::from_program(&self.prog, *first);
+                    let t = self.image.executor(*first);
                     IMAGE_LOADS.fetch_add(1, Ordering::Relaxed);
                     self.template.insert(t)
                 }
@@ -369,7 +369,7 @@ impl GroupRun {
             };
             CHECKPOINT_FORKS.fetch_add(1, Ordering::Relaxed);
             let backend = self.built.boxed_clone();
-            match Pass::on(exec, backend, &self.watchpoints, &cfgs, self.text_bytes) {
+            match Pass::on(exec, backend, &self.watchpoints, &cfgs, self.image.text_bytes) {
                 Ok(pass) => {
                     FUNCTIONAL_PASSES.fetch_add(1, Ordering::Relaxed);
                     self.current = Some(pass);
@@ -1023,35 +1023,33 @@ fn shared_engine(cfgs: &[CpuConfig]) -> Result<Option<&CpuConfig>, DebugError> {
 }
 
 /// Admission for a batch task (and for [`crate::Session`]): validation,
-/// backend build and the image load, stopping short of driving. The
+/// backend build and the image instantiation, stopping short of driving. The
 /// caller ticks `FUNCTIONAL_PASSES` — a task as it admits, a `Session`
 /// on its first drive. `Ok(None)` is the empty-configuration batch (no
 /// pass to run).
 pub(crate) fn admit_batch(spec: BatchSpec) -> Result<Option<Pass>, DebugError> {
     validate_watchpoints(&spec.watchpoints)?;
     let mut backend = spec.backend.instantiate();
-    let prog = backend.build_program(&spec.app, &spec.watchpoints)?;
+    let image = build_image(backend.as_mut(), &spec.app, &spec.watchpoints)?;
     let cfgs: Vec<CpuConfig> = spec.cpus.iter().map(|&c| backend.cpu_config(c)).collect();
     let Some(first) = shared_engine(&cfgs)? else {
         return Ok(None);
     };
-    let exec = Executor::from_program(&prog, *first);
+    let exec = image.executor(*first);
     IMAGE_LOADS.fetch_add(1, Ordering::Relaxed);
-    Pass::on(exec, backend, &spec.watchpoints, &cfgs, prog.text_bytes()).map(Some)
+    Pass::on(exec, backend, &spec.watchpoints, &cfgs, image.text_bytes).map(Some)
 }
 
 /// Admission for a perturbing group: the group-wide static work
-/// (validation, instantiation, `build_program`). The image load and
-/// per-sub-batch forks happen as the run reaches them.
+/// (validation, instantiation, `build_program`). The image
+/// instantiation and per-sub-batch forks happen as the run reaches them.
 fn admit_group(spec: GroupSpec) -> Result<GroupRun, DebugError> {
     validate_watchpoints(&spec.watchpoints)?;
     let mut built = spec.backend.instantiate();
-    let prog = built.build_program(&spec.app, &spec.watchpoints)?;
-    let text_bytes = prog.text_bytes();
+    let image = build_image(built.as_mut(), &spec.app, &spec.watchpoints)?;
     Ok(GroupRun {
         built,
-        prog,
-        text_bytes,
+        image,
         watchpoints: spec.watchpoints,
         batches: spec.batches,
         template: None,
@@ -1110,17 +1108,17 @@ fn admit_members(
 /// the shared machine (counted even if every member then fails) and
 /// ticks `FUNCTIONAL_PASSES` once some member is admitted, as does a
 /// recording's `TRACE_RECORDS`. A replay opens and fully validates the
-/// trace (magic, version, CRCs, fingerprint against the assembled
+/// trace (magic, version, CRCs, fingerprint against the prepared
 /// program — every corruption class surfaces here as
-/// [`DebugError::Trace`]) and builds the shadow memory; it ticks only
-/// `TRACE_REPLAYS`, because nothing executes and no machine is loaded.
+/// [`DebugError::Trace`]) and restores the shadow memory from the
+/// prepared image; it ticks only `TRACE_REPLAYS`, because nothing
+/// executes and no machine is loaded.
 fn admit_observe(spec: ObserveSpec) -> Result<Admitted, DebugError> {
-    let prog = spec.app.program()?;
+    let prepared = spec.app.prepared()?;
     let mut source = match &spec.trace {
         Trace::Replay(path) => {
-            let reader = Box::new(TraceReader::open(path, Some(program_fingerprint(&prog)))?);
-            let mut mem = Memory::new();
-            prog.load(&mut mem);
+            let reader = Box::new(TraceReader::open(path, Some(prepared.fingerprint()))?);
+            let mem = prepared.memory();
             Source::Replay { reader, mem, exhausted: false, failure: None }
         }
         Trace::Off | Trace::Record(_) => {
@@ -1134,7 +1132,7 @@ fn admit_observe(spec: ObserveSpec) -> Result<Admitted, DebugError> {
                 .find_map(|(.., cpus)| cpus.first())
                 .copied()
                 .unwrap_or_default();
-            let exec = Executor::from_program(&prog, cfg);
+            let exec = prepared.executor(cfg);
             IMAGE_LOADS.fetch_add(1, Ordering::Relaxed);
             Source::Live { exec: Box::new(exec), writer: None }
         }
@@ -1148,7 +1146,7 @@ fn admit_observe(spec: ObserveSpec) -> Result<Admitted, DebugError> {
     match &mut source {
         Source::Live { writer, .. } => {
             if let Trace::Record(path) = &spec.trace {
-                *writer = Some(Box::new(TraceWriter::create(path, program_fingerprint(&prog))?));
+                *writer = Some(Box::new(TraceWriter::create(path, prepared.fingerprint())?));
                 TRACE_RECORDS.fetch_add(1, Ordering::Relaxed);
             }
             FUNCTIONAL_PASSES.fetch_add(1, Ordering::Relaxed);
@@ -1163,7 +1161,7 @@ fn admit_observe(spec: ObserveSpec) -> Result<Admitted, DebugError> {
         fan: FanOut::new(groups),
         results,
         error: None,
-        text_bytes: prog.text_bytes(),
+        text_bytes: prepared.text_bytes(),
     })))
 }
 

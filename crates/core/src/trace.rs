@@ -24,7 +24,7 @@
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dise_cpu::{program_fingerprint, CpuConfig, Executor, TraceStats, TraceWriter};
+use dise_cpu::{CpuConfig, TraceStats, TraceWriter};
 
 use crate::session::{DebugError, FUNCTIONAL_PASSES, IMAGE_LOADS};
 use crate::Application;
@@ -57,7 +57,7 @@ pub fn trace_replays() -> u64 {
 ///
 /// [`DebugError::Asm`] when the application fails to assemble.
 pub fn app_fingerprint(app: &Application) -> Result<u64, DebugError> {
-    Ok(program_fingerprint(&app.program()?))
+    Ok(app.prepared()?.fingerprint())
 }
 
 /// Record `app`'s full functional stream to `trace` — one honest,
@@ -69,9 +69,9 @@ pub fn app_fingerprint(app: &Application) -> Result<u64, DebugError> {
 /// [`DebugError::Asm`] when `app` fails to assemble;
 /// [`DebugError::Trace`] when the trace cannot be persisted.
 pub fn record_session(app: &Application, trace: &Path) -> Result<TraceStats, DebugError> {
-    let prog = app.program()?;
-    let mut writer = TraceWriter::create(trace, program_fingerprint(&prog))?;
-    let mut exec = Executor::from_program(&prog, CpuConfig::default());
+    let prepared = app.prepared()?;
+    let mut writer = TraceWriter::create(trace, prepared.fingerprint())?;
+    let mut exec = prepared.executor(CpuConfig::default());
     IMAGE_LOADS.fetch_add(1, Ordering::Relaxed);
     FUNCTIONAL_PASSES.fetch_add(1, Ordering::Relaxed);
     TRACE_RECORDS.fetch_add(1, Ordering::Relaxed);

@@ -89,23 +89,49 @@ const OP_FULL: u8 = 2;
 /// are debugger-side metadata and deliberately excluded.) FNV-1a, 64
 /// bits.
 pub fn program_fingerprint(prog: &Program) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-    };
-    eat(&prog.text_base.to_le_bytes());
+    let mut h = Fingerprint::new();
+    h.eat(&prog.text_base.to_le_bytes());
     for w in &prog.text {
-        eat(&w.to_le_bytes());
+        h.eat(&w.to_le_bytes());
     }
-    eat(&prog.data_base.to_le_bytes());
-    eat(&prog.data);
-    eat(&prog.entry.to_le_bytes());
-    eat(&prog.stack_top.to_le_bytes());
-    h
+    h.eat(&prog.data_base.to_le_bytes());
+    h.eat(&prog.data);
+    h.eat(&prog.entry.to_le_bytes());
+    h.eat(&prog.stack_top.to_le_bytes());
+    h.finish()
+}
+
+/// The running state of a [`program_fingerprint`], for a program held
+/// in pieces rather than as one [`Program`] (a loaded image, say): feed
+/// it the same bytes in the same order and it finishes to the same
+/// value.
+#[derive(Clone, Copy, Debug)]
+pub struct Fingerprint(u64);
+
+impl Default for Fingerprint {
+    fn default() -> Fingerprint {
+        Fingerprint::new()
+    }
+}
+
+impl Fingerprint {
+    /// The FNV-1a offset basis.
+    pub fn new() -> Fingerprint {
+        Fingerprint(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Hash `bytes` on.
+    pub fn eat(&mut self, bytes: &[u8]) {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(PRIME);
+        }
+    }
+
+    /// The fingerprint of everything eaten so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 /// The position sequential flow predicts after `e`: the taken-branch

@@ -54,13 +54,93 @@ fn watch_footer(range_quads: usize, cold_isolated: bool) -> String {
     s
 }
 
+/// The iteration count every kernel template is built at;
+/// [`Workload::with_iters`] patches the real count in.
+pub(crate) const TEMPLATE_ITERS: u32 = 1;
+
+/// A kernel's full construction from source at a scale.
+pub(crate) type Build = fn(u32) -> Workload;
+
+/// The six kernels in the paper's order, by name, with their full
+/// construction.
+pub(crate) const KERNELS: [(&str, Build); 6] = [
+    ("bzip2", Workload::bzip2_at),
+    ("crafty", Workload::crafty_at),
+    ("gcc", Workload::gcc_at),
+    ("mcf", Workload::mcf_at),
+    ("twolf", Workload::twolf_at),
+    ("vortex", Workload::vortex_at),
+];
+
 impl Workload {
     /// `bzip2` / `generateMTFValues`: a move-to-front transform over a
     /// skewed byte stream. Dense byte stores from table shifting; HOT is
     /// a run-length counter written per symbol with a *changing* value
     /// (bzip2 is the paper's one benchmark whose HOT stores are mostly
     /// non-silent).
+    ///
+    /// The kernel's template scaled with [`Workload::with_iters`].
     pub fn bzip2(iters: u32) -> Workload {
+        Workload::bzip2_at(TEMPLATE_ITERS).with_iters(iters)
+    }
+
+    /// `crafty` / `InitializeAttackBoards`: bitboard ray masks via
+    /// shift/or chains. HOT is the per-direction accumulator — half its
+    /// stores rewrite an unchanged value (the paper's ≥50% silent
+    /// stores).
+    ///
+    /// The kernel's template scaled with [`Workload::with_iters`].
+    pub fn crafty(iters: u32) -> Workload {
+        Workload::crafty_at(TEMPLATE_ITERS).with_iters(iters)
+    }
+
+    /// `gcc` / `regclass`: per-instruction register-class cost scans.
+    /// The scan over the eight classes is fully unrolled, giving gcc the
+    /// large static footprint that makes it instruction-cache-sensitive
+    /// (Fig. 5); RANGE (the per-class counter array) is written once per
+    /// instruction, by far the paper's hottest RANGE.
+    ///
+    /// The kernel's template scaled with [`Workload::with_iters`].
+    pub fn gcc(iters: u32) -> Workload {
+        Workload::gcc_at(TEMPLATE_ITERS).with_iters(iters)
+    }
+
+    /// `mcf` / `write_circs`: a pointer-chasing walk over a 2 MB node
+    /// pool in pseudo-random order — dependent loads that miss the L2,
+    /// reproducing mcf's memory-bound IPC (0.33 in Table 1). HOT is a
+    /// checksum whose XOR update is zero (silent) half the time.
+    ///
+    /// The kernel's template scaled with [`Workload::with_iters`].
+    pub fn mcf(iters: u32) -> Workload {
+        Workload::mcf_at(TEMPLATE_ITERS).with_iters(iters)
+    }
+
+    /// `twolf` / `uloop`: a cell-swap annealing loop. Swaps become rarer
+    /// as the placement converges, so the HOT cost updates are
+    /// frequently silent; COLD is written comparatively often for a
+    /// "cold" variable, as in Table 2 (80.8 per 100K stores).
+    ///
+    /// The kernel's template scaled with [`Workload::with_iters`].
+    pub fn twolf(iters: u32) -> Workload {
+        Workload::twolf_at(TEMPLATE_ITERS).with_iters(iters)
+    }
+
+    /// `vortex` / `BMT_TraverseSets`: traverse object sets via index
+    /// arrays, rewriting status fields. The status rewrites and the HOT
+    /// visit stamp are overwhelmingly silent — vortex is the paper's
+    /// showcase for silent-store-induced spurious value transitions.
+    ///
+    /// The kernel's template scaled with [`Workload::with_iters`].
+    pub fn vortex(iters: u32) -> Workload {
+        Workload::vortex_at(TEMPLATE_ITERS).with_iters(iters)
+    }
+}
+
+impl Workload {
+    /// The `bzip2` kernel built from its source at `iters`: the one full
+    /// construction, which [`crate::template`] runs once per kernel.
+    fn bzip2_at(iters: u32) -> Workload {
+        const SCALE: u64 = 16;
         let mut rng = StdRng::seed_from_u64(SEED);
         // Skewed alphabet-32 input: mostly small symbols, so MTF shifts
         // stay short and store density lands near Table 1's 19.8%.
@@ -132,7 +212,7 @@ impl Workload {
             .data
             n_iters: .quad {n}
             ",
-            n = iters as u64 * 16,
+            n = u64::from(iters) * SCALE,
         );
         let mut asm = parse_asm(&src).expect("bzip2 kernel parses");
         asm.data_label("input").bytes(&input);
@@ -141,14 +221,13 @@ impl Workload {
         for line in watch_footer(8, true).lines() {
             push_data_line(&mut asm, line);
         }
-        Workload::from_asm("bzip2", "generateMTFValues", asm, 64)
+        Workload::from_asm("bzip2", "generateMTFValues", asm, 64, SCALE)
     }
 
-    /// `crafty` / `InitializeAttackBoards`: bitboard ray masks via
-    /// shift/or chains. HOT is the per-direction accumulator — half its
-    /// stores rewrite an unchanged value (the paper's ≥50% silent
-    /// stores).
-    pub fn crafty(iters: u32) -> Workload {
+    /// The `crafty` kernel built from its source at `iters`: the one full
+    /// construction, which [`crate::template`] runs once per kernel.
+    fn crafty_at(iters: u32) -> Workload {
+        const SCALE: u64 = 12;
         let src = format!(
             "start:
                 la r1, attacks
@@ -218,21 +297,19 @@ impl Workload {
             mask14:  .quad 4095
             attacks: .space 512
             ",
-            n = iters as u64 * 12,
+            n = u64::from(iters) * SCALE,
         );
         let mut asm = parse_asm(&src).expect("crafty kernel parses");
         for line in watch_footer(8, false).lines() {
             push_data_line(&mut asm, line);
         }
-        Workload::from_asm("crafty", "InitializeAttackBoards", asm, 64)
+        Workload::from_asm("crafty", "InitializeAttackBoards", asm, 64, SCALE)
     }
 
-    /// `gcc` / `regclass`: per-instruction register-class cost scans.
-    /// The scan over the eight classes is fully unrolled, giving gcc the
-    /// large static footprint that makes it instruction-cache-sensitive
-    /// (Fig. 5); RANGE (the per-class counter array) is written once per
-    /// instruction, by far the paper's hottest RANGE.
-    pub fn gcc(iters: u32) -> Workload {
+    /// The `gcc` kernel built from its source at `iters`: the one full
+    /// construction, which [`crate::template`] runs once per kernel.
+    fn gcc_at(iters: u32) -> Workload {
+        const SCALE: u64 = 10;
         let mut rng = StdRng::seed_from_u64(SEED ^ 1);
         let ops: Vec<u8> = (0..256).map(|_| rng.gen_range(0..8u8)).collect();
         let table: Vec<u8> = (0..64).map(|_| rng.gen_range(1..200u8)).collect();
@@ -316,7 +393,7 @@ impl Workload {
             .data
             n_iters: .quad {n}
             ",
-            n = iters as u64 * 10,
+            n = u64::from(iters) * SCALE,
         );
         let mut asm = parse_asm(&src).expect("gcc kernel parses");
         asm.data_label("ops").bytes(&ops);
@@ -325,14 +402,13 @@ impl Workload {
         for line in watch_footer(8, false).lines() {
             push_data_line(&mut asm, line);
         }
-        Workload::from_asm("gcc", "regclass", asm, 64)
+        Workload::from_asm("gcc", "regclass", asm, 64, SCALE)
     }
 
-    /// `mcf` / `write_circs`: a pointer-chasing walk over a 2 MB node
-    /// pool in pseudo-random order — dependent loads that miss the L2,
-    /// reproducing mcf's memory-bound IPC (0.33 in Table 1). HOT is a
-    /// checksum whose XOR update is zero (silent) half the time.
-    pub fn mcf(iters: u32) -> Workload {
+    /// The `mcf` kernel built from its source at `iters`: the one full
+    /// construction, which [`crate::template`] runs once per kernel.
+    fn mcf_at(iters: u32) -> Workload {
+        const SCALE: u64 = 14;
         const NODES: u64 = 65_536;
         const NODE_BYTES: u64 = 32;
         let nodes_base = dise_asm::Layout::default().data_base + 16; // after n_iters + pad
@@ -394,28 +470,27 @@ impl Workload {
             n_iters: .quad {n}
             pad:     .quad 0
             ",
-            n = iters as u64 * 14,
+            n = u64::from(iters) * SCALE,
         );
         let mut asm = parse_asm(&src).expect("mcf kernel parses");
-        asm.data_label("nodes").bytes(&nodes);
+        asm.data_label("nodes").bytes_vec(nodes);
         // COLD and RANGE are never written: Table 2 reports 0 for both.
         for line in watch_footer(8, false).lines() {
             push_data_line(&mut asm, line);
         }
-        let w = Workload::from_asm("mcf", "write_circs", asm, 64);
+        let w = Workload::from_asm("mcf", "write_circs", asm, 64, SCALE);
         debug_assert_eq!(
-            w.app().program().unwrap().symbol("nodes"),
-            Some(nodes_base),
+            w.app().prepared().map(|p| p.symbol("nodes")),
+            Ok(Some(nodes_base)),
             "node pool base must match the precomputed link addresses"
         );
         w
     }
 
-    /// `twolf` / `uloop`: a cell-swap annealing loop. Swaps become rarer
-    /// as the placement converges, so the HOT cost updates are
-    /// frequently silent; COLD is written comparatively often for a
-    /// "cold" variable, as in Table 2 (80.8 per 100K stores).
-    pub fn twolf(iters: u32) -> Workload {
+    /// The `twolf` kernel built from its source at `iters`: the one full
+    /// construction, which [`crate::template`] runs once per kernel.
+    fn twolf_at(iters: u32) -> Workload {
+        const SCALE: u64 = 8;
         let mut rng = StdRng::seed_from_u64(SEED ^ 3);
         let mut cells = Vec::new();
         for _ in 0..256 {
@@ -502,21 +577,20 @@ impl Workload {
             lcg_a:   .quad 25173
             lcg_c:   .quad 13849
             ",
-            n = iters as u64 * 8,
+            n = u64::from(iters) * SCALE,
         );
         let mut asm = parse_asm(&src).expect("twolf kernel parses");
         asm.data_label("cells").bytes(&cells);
         for line in watch_footer(8, false).lines() {
             push_data_line(&mut asm, line);
         }
-        Workload::from_asm("twolf", "uloop", asm, 64)
+        Workload::from_asm("twolf", "uloop", asm, 64, SCALE)
     }
 
-    /// `vortex` / `BMT_TraverseSets`: traverse object sets via index
-    /// arrays, rewriting status fields. The status rewrites and the HOT
-    /// visit stamp are overwhelmingly silent — vortex is the paper's
-    /// showcase for silent-store-induced spurious value transitions.
-    pub fn vortex(iters: u32) -> Workload {
+    /// The `vortex` kernel built from its source at `iters`: the one full
+    /// construction, which [`crate::template`] runs once per kernel.
+    fn vortex_at(iters: u32) -> Workload {
+        const SCALE: u64 = 14;
         let mut rng = StdRng::seed_from_u64(SEED ^ 4);
         const RECORDS: usize = 512;
         let mut records = vec![0u8; RECORDS * 32];
@@ -587,7 +661,7 @@ impl Workload {
             n_iters: .quad {n}
             mask13:  .quad 8191
             ",
-            n = iters as u64 * 14,
+            n = u64::from(iters) * SCALE,
         );
         let mut asm = parse_asm(&src).expect("vortex kernel parses");
         asm.data_label("records").bytes(&records);
@@ -598,7 +672,7 @@ impl Workload {
         for line in watch_footer(8, false).lines() {
             push_data_line(&mut asm, line);
         }
-        Workload::from_asm("vortex", "BMT_TraverseSets", asm, 64)
+        Workload::from_asm("vortex", "BMT_TraverseSets", asm, 64, SCALE)
     }
 }
 
@@ -642,7 +716,39 @@ fn push_data_line(asm: &mut dise_asm::Asm, line: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dise_cpu::Machine;
+    use dise_cpu::{program_fingerprint, Machine};
+
+    /// A template scaled by one patched quad is the kernel built from
+    /// source at that scale, in every assembled field, in its prepared
+    /// image and in its fingerprint.
+    #[test]
+    fn scaled_templates_are_the_kernels_built_at_each_scale() {
+        for (name, build) in KERNELS {
+            let template = build(TEMPLATE_ITERS);
+            for iters in [1, 3, 40, 120, 400] {
+                let (built, scaled) = (build(iters), template.with_iters(iters));
+                let want = built.app().program().expect("kernel assembles");
+                let got = scaled.app().program().expect("kernel assembles");
+                assert_eq!(
+                    (got.text_base, &got.text, got.data_base, got.entry, got.stack_top),
+                    (want.text_base, &want.text, want.data_base, want.entry, want.stack_top),
+                    "{name} × {iters}: layout"
+                );
+                assert!(got.data == want.data, "{name} × {iters}: data");
+                assert_eq!(got.symbols, want.symbols, "{name} × {iters}: symbols");
+                assert_eq!(got.stmt_pcs, want.stmt_pcs, "{name} × {iters}: statement PCs");
+                let (p, q) = (built.app().prepared().unwrap(), scaled.app().prepared().unwrap());
+                assert_eq!(p.fingerprint(), program_fingerprint(&want), "{name} × {iters}");
+                assert_eq!(q.fingerprint(), program_fingerprint(&want), "{name} × {iters}");
+                let len = (want.data_end() - want.data_base) as usize;
+                assert!(
+                    p.memory().read_bytes(want.data_base, len)
+                        == q.memory().read_bytes(want.data_base, len),
+                    "{name} × {iters}: loaded data"
+                );
+            }
+        }
+    }
 
     #[test]
     fn bzip2_mtf_is_correct() {

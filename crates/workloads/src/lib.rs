@@ -40,6 +40,7 @@ mod sweeps;
 pub mod synthetic;
 mod workload;
 
+use kernels::{KERNELS, TEMPLATE_ITERS};
 pub use sweeps::{transition_cost_sweep, watchpoint_set_sweep};
 pub use workload::{WatchKind, Workload};
 
@@ -50,25 +51,17 @@ pub const DEFAULT_ITERS: u32 = 1500;
 
 /// Build all six kernels at the given scale.
 pub fn all(iters: u32) -> Vec<Workload> {
-    vec![
-        Workload::bzip2(iters),
-        Workload::crafty(iters),
-        Workload::gcc(iters),
-        Workload::mcf(iters),
-        Workload::twolf(iters),
-        Workload::vortex(iters),
-    ]
+    KERNELS.iter().map(|(_, build)| build(TEMPLATE_ITERS).with_iters(iters)).collect()
 }
 
-/// Look up a kernel by benchmark name.
+/// A kernel by benchmark name, built and ready to scale: hold one
+/// template and every [`Workload::with_iters`] of it shares its
+/// preparation, so no scale is ever built, assembled or loaded again.
+pub fn template(name: &str) -> Option<Workload> {
+    KERNELS.iter().find(|(n, _)| *n == name).map(|(_, build)| build(TEMPLATE_ITERS))
+}
+
+/// Look up a kernel by benchmark name: its [`template`] at `iters`.
 pub fn by_name(name: &str, iters: u32) -> Option<Workload> {
-    match name {
-        "bzip2" => Some(Workload::bzip2(iters)),
-        "crafty" => Some(Workload::crafty(iters)),
-        "gcc" => Some(Workload::gcc(iters)),
-        "mcf" => Some(Workload::mcf(iters)),
-        "twolf" => Some(Workload::twolf(iters)),
-        "vortex" => Some(Workload::vortex(iters)),
-        _ => None,
-    }
+    template(name).map(|t| t.with_iters(iters))
 }

@@ -246,13 +246,13 @@ pub fn scenario_sets(
     // placeholder, read the symbol, and regenerate. Assembly is
     // deterministic, so the second image's layout equals the first's.
     let probe = Application::new(parse_asm(&source(iters, ops, 0)).expect("parses"), layout());
-    let slots = probe.program().expect("assembles").symbol("slots").expect("slots exists");
+    let slots = probe.prepared().expect("assembles").symbol("slots").expect("slots exists");
     let indirect_target = indirect_slots.first().map(|slot| slots + 8 * u64::from(*slot));
     let app = Application::new(
         parse_asm(&source(iters, ops, indirect_target.unwrap_or(0))).expect("parses"),
         layout(),
     );
-    let prog = app.program().expect("assembles");
+    let prog = app.prepared().expect("assembles");
     assert_eq!(prog.symbol("slots"), Some(slots), "two-pass layout must agree");
 
     let ptr = prog.symbol("ptr").expect("ptr exists");

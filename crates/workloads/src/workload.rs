@@ -55,6 +55,10 @@ pub struct Workload {
     pub(crate) function: &'static str,
     pub(crate) app: Application,
     pub(crate) range_len: u64,
+    /// Address of the kernel's `n_iters` quad.
+    pub(crate) n_iters: u64,
+    /// Loop trips per kernel iteration: `n_iters = iters × iters_scale`.
+    pub(crate) iters_scale: u64,
 }
 
 impl Workload {
@@ -63,9 +67,24 @@ impl Workload {
         function: &'static str,
         asm: Asm,
         range_len: u64,
+        iters_scale: u64,
     ) -> Workload {
-        let app = Application::new(asm, dise_asm::Layout::default());
-        Workload { name, function, app, range_len }
+        let layout = dise_asm::Layout::default();
+        let data = asm.data_layout(layout.data_base).expect("kernel data lays out");
+        let n_iters = data.symbols["n_iters"];
+        let app = Application::new(asm, layout);
+        Workload { name, function, app, range_len, n_iters, iters_scale }
+    }
+
+    /// This kernel at `iters` iterations. The count enters a kernel only
+    /// as its `n_iters` data quad, so the result is this workload's
+    /// application with that one quad patched
+    /// ([`Application::with_quad`]): it shares the preparation, and
+    /// nothing is built, assembled or loaded again.
+    #[must_use]
+    pub fn with_iters(&self, iters: u32) -> Workload {
+        let app = self.app.with_quad(self.n_iters, u64::from(iters) * self.iters_scale);
+        Workload { app, ..self.clone() }
     }
 
     /// Benchmark name (`bzip2`, `crafty`, …).
@@ -83,10 +102,10 @@ impl Workload {
         &self.app
     }
 
-    /// Address of a watch symbol in the assembled image.
+    /// Address of a symbol in the prepared image.
     fn sym(&self, name: &str) -> u64 {
         self.app
-            .program()
+            .prepared()
             .expect("kernel assembles")
             .symbol(name)
             .unwrap_or_else(|| panic!("kernel {} lacks symbol {name}", self.name))

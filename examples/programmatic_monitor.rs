@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?,
         Layout::default(),
     );
-    let prog = app.program()?;
+    let prog = app.prepared()?;
     let buf = prog.symbol("buf").unwrap();
 
     // Monitor a window that includes the canary: writes past the buffer

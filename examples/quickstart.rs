@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Layout::default(),
     );
 
-    let counter = app.program()?.symbol("counter").expect("symbol exists");
+    let counter = app.prepared()?.symbol("counter").expect("symbol exists");
     let wp = Watchpoint::new(WatchExpr::Scalar { addr: counter, width: Width::Q });
 
     // Undebugged baseline.
