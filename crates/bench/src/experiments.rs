@@ -9,7 +9,7 @@
 
 use std::path::PathBuf;
 
-use dise_cpu::{CpuConfig, RunStats};
+use dise_cpu::{footprints_overlap, CpuConfig, RunStats};
 use dise_debug::{BackendKind, BaselineCache, DebugError, DiseStrategy, SessionReport};
 use dise_workloads::{all, transition_cost_sweep, watchpoint_set_sweep, WatchKind, Workload};
 
@@ -220,7 +220,7 @@ pub fn table2(ctx: &Experiment) -> String {
                         let overlap = expr
                             .watched_intervals(exec.mem())
                             .iter()
-                            .any(|&(base, len)| m.addr < base + len && base < m.addr + m.width);
+                            .any(|&(base, len)| footprints_overlap(m.addr, m.width, base, len));
                         if overlap {
                             hits[i] += 1;
                         }

@@ -220,10 +220,10 @@ pub struct PerturbSubBatch {
 /// A group of perturbing grid cells that share one *image*: same
 /// kernel, same watchpoints, same perturbing backend — the cells differ
 /// in engine capacities (one functional stream per sub-batch) and
-/// timing configuration. [`SessionTask::perturbing_group`] assembles
-/// and loads the backend-transformed program once and forks every
-/// sub-batch's machine from it copy-on-write: K sub-batches cost 1
-/// image load + K forks instead of K loads.
+/// timing configuration. [`SessionTask::perturbing_group`] builds the
+/// backend and its program image once, and every sub-batch restores the
+/// image copy-on-write into a machine with its own engine capacities:
+/// K sub-batches cost one backend build and K image loads.
 #[derive(Clone, Debug)]
 pub struct PerturbGroup {
     /// The kernel to debug.
@@ -278,14 +278,14 @@ impl PerturbGroup {
 
 /// A grid group sharing functional work: many observing backends fanned
 /// off one pass of the unmodified application ([`ObserverGroup`]), or a
-/// perturbing backend's engine-configuration sub-batches forked
-/// copy-on-write from one loaded image ([`PerturbGroup`]).
+/// perturbing backend's engine-configuration sub-batches restored
+/// copy-on-write from one built image ([`PerturbGroup`]).
 #[derive(Clone, Debug)]
 pub enum CellGroup {
     /// Observing backends sharing the application's own pass.
     Observe(ObserverGroup),
-    /// A perturbing backend's sub-batches forked from one shared image.
-    Fork(PerturbGroup),
+    /// A perturbing backend's sub-batches off one shared image.
+    Perturb(PerturbGroup),
 }
 
 impl CellGroup {
@@ -296,7 +296,7 @@ impl CellGroup {
     pub fn task_traced(&self, trace: Option<&Path>) -> SessionTask {
         match self {
             CellGroup::Observe(g) => g.task_traced(trace),
-            CellGroup::Fork(g) => g.task(),
+            CellGroup::Perturb(g) => g.task(),
         }
     }
 
@@ -315,7 +315,7 @@ impl CellGroup {
     ) -> Vec<(usize, Option<f64>)> {
         match self {
             CellGroup::Observe(g) => g.overheads_from(output, baselines),
-            CellGroup::Fork(g) => g.overheads_from(output, baselines),
+            CellGroup::Perturb(g) => g.overheads_from(output, baselines),
         }
     }
 }
@@ -334,7 +334,7 @@ impl CellGroup {
 ///   (backend, watchpoints) pair share one member (and one detector);
 /// * cells whose functional core **perturbs** (single-stepping,
 ///   rewriting, DISE production injection) group by (kernel,
-///   watchpoints, backend) into a [`PerturbGroup`] that loads one image,
+///   watchpoints, backend) into a [`PerturbGroup`] that builds one image,
 ///   with one sub-batch — one private functional stream, replayed under
 ///   each member's timing configuration — per DISE engine capacity.
 ///
@@ -381,7 +381,7 @@ pub fn batch_session_jobs(jobs: &[SessionJob]) -> Vec<CellGroup> {
             }
         } else {
             let existing = groups.iter_mut().find_map(|g| match g {
-                CellGroup::Fork(p)
+                CellGroup::Perturb(p)
                     if p.backend == backend
                         && p.workload == job.workload
                         && p.watchpoints == job.watchpoints =>
@@ -393,13 +393,13 @@ pub fn batch_session_jobs(jobs: &[SessionJob]) -> Vec<CellGroup> {
             let group = match existing {
                 Some(p) => p,
                 None => {
-                    groups.push(CellGroup::Fork(PerturbGroup {
+                    groups.push(CellGroup::Perturb(PerturbGroup {
                         workload: job.workload.clone(),
                         watchpoints: job.watchpoints.clone(),
                         backend,
                         batches: Vec::new(),
                     }));
-                    let Some(CellGroup::Fork(p)) = groups.last_mut() else { unreachable!() };
+                    let Some(CellGroup::Perturb(p)) = groups.last_mut() else { unreachable!() };
                     p
                 }
             };
@@ -558,8 +558,8 @@ mod tests {
         .collect();
         let groups = batch_session_jobs(&jobs);
         assert_eq!(groups.len(), 2, "the two DISE cells differ only in timing");
-        let CellGroup::Fork(dise) = &groups[0] else {
-            panic!("DISE perturbs: must fork from a shared image")
+        let CellGroup::Perturb(dise) = &groups[0] else {
+            panic!("DISE perturbs: must run off a shared image")
         };
         assert_eq!(dise.batches.len(), 1, "identical engines share one functional stream");
         assert_eq!(dise.batches[0].cells, vec![0, 1]);
@@ -590,7 +590,9 @@ mod tests {
         assert_eq!(o.members[0].cells, vec![0, 3, 6]);
         assert_eq!(o.members[1].backend, BackendKind::hw4());
         assert_eq!(o.members[1].cells, vec![1, 4, 7]);
-        let CellGroup::Fork(ss) = &groups[1] else { panic!("single-step must replay privately") };
+        let CellGroup::Perturb(ss) = &groups[1] else {
+            panic!("single-step must replay privately")
+        };
         assert_eq!(ss.batches.len(), 1);
         assert_eq!(ss.batches[0].cells, vec![2, 5, 8]);
     }
@@ -634,7 +636,7 @@ mod tests {
         }
         assert!(sets.iter().all(|s| o.members.iter().any(|m| &m.watchpoints == s)));
         for g in &groups[1..] {
-            let CellGroup::Fork(p) = g else { panic!("DISE must replay privately") };
+            let CellGroup::Perturb(p) = g else { panic!("DISE must replay privately") };
             assert_eq!(p.backend, BackendKind::dise_default());
         }
     }
@@ -708,7 +710,7 @@ mod tests {
         // different watchpoint stands alone.
         let groups = batch_session_jobs(&jobs);
         assert_eq!(groups.len(), 2);
-        let CellGroup::Fork(p) = &groups[0] else { panic!("perturbing cells must fork") };
+        let CellGroup::Perturb(p) = &groups[0] else { panic!("perturbing cells must group") };
         assert_eq!(p.batches.len(), 2, "one sub-batch per engine configuration");
         assert_eq!(p.batches[0].cells, vec![0]);
         assert_eq!(p.batches[1].cells, vec![2]);
@@ -760,8 +762,8 @@ mod tests {
 
     /// The copy-on-write acceptance bar: a perturbing sweep spanning
     /// *engine capacities* (cells that can never share a functional
-    /// stream) forks every sub-batch from one shared image and still
-    /// matches the unforked cell-by-cell reference.
+    /// stream) restores every sub-batch from one shared image and still
+    /// matches the cell-by-cell reference.
     #[test]
     fn forked_overheads_match_unforked_cell_for_cell() {
         let w = &all(10)[0];
@@ -776,7 +778,7 @@ mod tests {
         }
         // An unsupported perturbing cell: a multi-watchpoint set under
         // inline evaluation renders the no-experiment bar through the
-        // fork path too.
+        // group path too.
         jobs.push(SessionJob::new(
             w.clone(),
             vec![w.watchpoint(WatchKind::Hot), w.watchpoint(WatchKind::Cold)],
@@ -785,15 +787,15 @@ mod tests {
         ));
 
         let groups = batch_session_jobs(&jobs);
-        assert_eq!(groups.len(), 3, "one forked group per (backend, watchpoints)");
-        let CellGroup::Fork(dise) = &groups[0] else { panic!("DISE perturbs") };
+        assert_eq!(groups.len(), 3, "one group per (backend, watchpoints)");
+        let CellGroup::Perturb(dise) = &groups[0] else { panic!("DISE perturbs") };
         assert_eq!(dise.batches.len(), 2, "two engine sub-batches share one image");
 
         let baselines = BaselineCache::new();
-        let unforked = reference(&jobs, &baselines);
-        let forked = run_overhead_grid(&jobs, 1, &baselines, DEFAULT_SLICE, None);
-        assert_eq!(forked, unforked, "forked grid diverged from cell-by-cell reference");
-        assert_eq!(unforked[8], None, "unsupported cell renders the no-experiment bar");
+        let cell_by_cell = reference(&jobs, &baselines);
+        let grouped = run_overhead_grid(&jobs, 1, &baselines, DEFAULT_SLICE, None);
+        assert_eq!(grouped, cell_by_cell, "grouped grid diverged from cell-by-cell reference");
+        assert_eq!(cell_by_cell[8], None, "unsupported cell renders the no-experiment bar");
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! across watchpoint set × backend × timing
 //! ([`dise_debug::ObserverBatch`]) — or a [`PerturbGroup`] otherwise,
 //! whose engine-configuration sub-batches each run one private pass
-//! under all their timing configurations and fork copy-on-write from
-//! one loaded image (K engine configurations cost 1 image load + K
-//! forks). Every group becomes a resumable [`dise_debug::SessionTask`]
+//! under all their timing configurations, each restoring one built
+//! image copy-on-write (K engine configurations cost one backend build
+//! and K image loads). Every group becomes a resumable [`dise_debug::SessionTask`]
 //! on one cooperative [`dise_debug::Scheduler`], drained by
 //! [`Experiment::workers`] threads in [`Experiment::slice`]-instruction
 //! slices ([`run_overhead_grid`]); results scatter back in cell order,

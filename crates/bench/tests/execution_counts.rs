@@ -8,10 +8,11 @@
 //! — not one per cell.
 //!
 //! The same bar extends to the copy-on-write image economy:
-//! `dise_debug::image_loads()` counts every assemble-and-load of a
-//! program image and `dise_debug::checkpoint_forks()` every
-//! copy-on-write fork off a loaded template — a perturbing group over K
-//! engine configurations must pay 1 load + K forks, not K loads.
+//! `dise_debug::image_loads()` counts every machine instantiated by
+//! restoring a program image — a perturbing group over K engine
+//! configurations builds its backend and image once and pays K loads,
+//! one per machine — and `dise_debug::checkpoint_forks()` stays 0,
+//! because no machine is forked off a template any more.
 //!
 //! And to the persistent trace store: `dise_debug::trace_records()` /
 //! `trace_replays()` count recordings and stored-stream replays — a
@@ -29,7 +30,7 @@ use dise_cpu::CpuConfig;
 use dise_debug::{
     checkpoint_forks, fanout_chunks, fanout_chunks_scanned, fanout_chunks_skipped,
     functional_passes, image_loads, trace_records, trace_replays, BackendKind, BaselineCache,
-    DiseStrategy, Session,
+    DiseStrategy, Session, SessionTask,
 };
 use dise_workloads::{all, transition_cost_sweep, watchpoint_set_sweep, WatchKind};
 
@@ -182,7 +183,8 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
     // The copy-on-write image economy. A perturbing sweep over K = 3
     // DISE engine capacities (x 2 timing configs each) can never share
     // a functional stream — every sub-batch rightly pays its own pass —
-    // but it shares its *image*.
+    // but it shares its backend build and its *image*: each sub-batch's
+    // machine is one copy-on-write restore of it.
     let engines = [(32usize, 256usize), (16, 128), (8, 64)].map(|(p, r)| CpuConfig {
         engine: dise_engine::EngineConfig { pattern_entries: p, replacement_entries: r },
         ..CpuConfig::default()
@@ -202,11 +204,31 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
     assert_eq!(batch_session_jobs(&fork_cells).len(), 1, "one group, one shared image");
     let expect = reference(&fork_cells);
     let (p0, l0, f0) = (functional_passes(), image_loads(), checkpoint_forks());
-    let forked = grid(&fork_cells);
-    assert_eq!(functional_passes() - p0, 3, "forked: still one honest pass per engine config");
-    assert_eq!(image_loads() - l0, 1, "forked: ONE image load for the whole group");
-    assert_eq!(checkpoint_forks() - f0, 3, "forked: one copy-on-write fork per sub-batch");
-    assert_eq!(forked, expect, "sharing the image must not change a single byte");
+    let grouped = grid(&fork_cells);
+    assert_eq!(functional_passes() - p0, 3, "grouped: still one honest pass per engine config");
+    assert_eq!(image_loads() - l0, 3, "grouped: one image load per machine");
+    assert_eq!(checkpoint_forks() - f0, 0, "grouped: no machine is forked");
+    assert_eq!(grouped, expect, "sharing the image must not change a single byte");
+
+    // A group of one sub-batch — every `paper_grid` group is one — costs
+    // exactly what the batch it equals costs: one load, one pass, no
+    // fork.
+    let cpus = [CpuConfig::default()];
+    let app = w.app();
+    for backend in [BackendKind::VirtualMemory, BackendKind::dise_default()] {
+        let (p0, l0, f0) = (functional_passes(), image_loads(), checkpoint_forks());
+        let batch =
+            SessionTask::batch(app, wp.clone(), backend, &cpus).run_to_completion().into_batch();
+        let batch_cost = (functional_passes() - p0, image_loads() - l0, checkpoint_forks() - f0);
+        let (p0, l0, f0) = (functional_passes(), image_loads(), checkpoint_forks());
+        let group = SessionTask::perturbing_group(app, wp.clone(), backend, &[cpus.to_vec()])
+            .run_to_completion()
+            .into_group();
+        let group_cost = (functional_passes() - p0, image_loads() - l0, checkpoint_forks() - f0);
+        assert_eq!(group_cost, (1, 1, 0), "{backend:?}: one pass, one load, no fork");
+        assert_eq!(batch_cost, group_cost, "{backend:?}: a batch is a group of one");
+        assert_eq!(group, Ok(vec![batch]), "{backend:?}: and reports the same");
+    }
 
     // The persistent-trace economy: the 12-cell observer grid from
     // above, run through a trace store. Cold, the shared pass is

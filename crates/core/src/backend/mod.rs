@@ -287,9 +287,10 @@ pub(crate) trait BackendImpl: Send {
     }
 
     /// Clone the backend behind the trait object, state and all — how
-    /// checkpoint/fork captures a backend mid-session (a backend
-    /// carries state from `build_program` into `configure` and
-    /// `observe`, so a fresh instantiation would not do).
+    /// each sub-batch of a private group gets its own copy of the
+    /// backend the group built once (a backend carries state from
+    /// `build_program` into `configure` and `observe`, so a fresh
+    /// instantiation would not do).
     fn boxed_clone(&self) -> Box<dyn BackendImpl>;
 }
 
@@ -347,8 +348,9 @@ pub(crate) trait ObserverImpl: Send {
         }
     }
 
-    /// Clone the detector behind the trait object, so a checkpoint or
-    /// fork of a private session captures it mid-run.
+    /// Clone the detector behind the trait object, so cloning the
+    /// private-session adapter that owns it ([`BackendImpl::boxed_clone`])
+    /// clones it too.
     fn boxed_clone(&self) -> Box<dyn ObserverImpl>;
 }
 

@@ -84,6 +84,11 @@ impl BreakpointReport {
     }
 }
 
+/// Conditional DISE breakpoints that fit the register budget: each
+/// holds its variable's address and its value in a pair of DISE
+/// registers, `dr4`/`dr5` through `dr12`/`dr13`.
+const CONDITION_PAIRS: usize = 5;
+
 /// A breakpoint debugging session.
 pub struct BreakpointSession {
     exec: Executor,
@@ -99,14 +104,26 @@ impl BreakpointSession {
     ///
     /// # Errors
     ///
-    /// Fails when a breakpoint PC holds no decodable instruction or
-    /// production installation exceeds engine capacity.
+    /// Fails when a breakpoint PC holds no decodable instruction, when a
+    /// DISE implementation is given more conditional breakpoints than
+    /// its register budget holds (five), or when production installation
+    /// exceeds engine capacity.
     pub fn new(
         app: &Application,
         breakpoints: Vec<Breakpoint>,
         backend: BreakpointBackend,
         cpu: CpuConfig,
     ) -> Result<BreakpointSession, DebugError> {
+        let conditional = breakpoints.iter().filter(|bp| bp.condition.is_some()).count();
+        if backend != BreakpointBackend::TrapPatch && conditional > CONDITION_PAIRS {
+            return Err(DebugError::Unsupported {
+                backend: "breakpoint",
+                reason: format!(
+                    "{conditional} conditional breakpoints exceed the DISE register budget of \
+                     {CONDITION_PAIRS}"
+                ),
+            });
+        }
         let prepared = app.prepared()?;
         let mut with_originals = Vec::with_capacity(breakpoints.len());
         for bp in &breakpoints {
@@ -118,6 +135,8 @@ impl BreakpointSession {
         }
 
         let mut exec = prepared.executor(cpu);
+        // Register pairs are numbered over conditional breakpoints only.
+        let mut pairs = 0u8;
         match backend {
             BreakpointBackend::TrapPatch => {
                 // Static transformation: plant traps.
@@ -129,7 +148,7 @@ impl BreakpointSession {
                 for (i, (bp, original)) in with_originals.iter().enumerate() {
                     let idx = i as u16;
                     exec.patch_code(bp.pc, encode(&Instr::Codeword(idx)));
-                    let seq = breakpoint_sequence(i, bp, *original, &mut exec);
+                    let seq = breakpoint_sequence(bp, *original, &mut pairs, &mut exec);
                     exec.engine_mut()
                         .install(Production::new(
                             &format!("bp-codeword-{i}"),
@@ -143,7 +162,7 @@ impl BreakpointSession {
                 for (i, (bp, original)) in with_originals.iter().enumerate() {
                     // The trigger is the unmodified instruction; the
                     // production re-emits it via `Trigger`.
-                    let mut seq = breakpoint_sequence(i, bp, *original, &mut exec);
+                    let mut seq = breakpoint_sequence(bp, *original, &mut pairs, &mut exec);
                     *seq.last_mut().expect("sequence nonempty") = TemplateInst::Trigger;
                     exec.engine_mut()
                         .install(Production::new(&format!("bp-pc-{i}"), Pattern::at_pc(bp.pc), seq))
@@ -217,12 +236,14 @@ impl BreakpointSession {
 
 /// Build the replacement sequence for a DISE breakpoint: condition
 /// evaluation (if any), trap, then the original instruction (replaced by
-/// `Trigger` for PC-pattern productions). Loads the condition operands
-/// into DISE registers `dr5 + 2i` / `dr6 + 2i`.
+/// `Trigger` for PC-pattern productions). A conditional breakpoint loads
+/// its operands into the next free register pair, `dr4 + 2k` /
+/// `dr5 + 2k` for the `k`-th conditional breakpoint (`pairs` counts the
+/// pairs taken; [`BreakpointSession::new`] checks the budget).
 fn breakpoint_sequence(
-    index: usize,
     bp: &Breakpoint,
     original: Instr,
+    pairs: &mut u8,
     exec: &mut Executor,
 ) -> Vec<TemplateInst> {
     let mut seq = Vec::new();
@@ -230,10 +251,11 @@ fn breakpoint_sequence(
         None => seq.push(TemplateInst::Fixed(Instr::Trap)),
         Some((var, val)) => {
             // One address register and one constant register per
-            // breakpoint (§4.3: "one or two dedicated DISE registers are
-            // used as temporaries").
-            let addr_reg = Reg::dise(4 + (2 * index as u8) % 10);
-            let val_reg = Reg::dise(5 + (2 * index as u8) % 10);
+            // conditional breakpoint (§4.3: "one or two dedicated DISE
+            // registers are used as temporaries").
+            let addr_reg = Reg::dise(4 + 2 * *pairs);
+            let val_reg = Reg::dise(5 + 2 * *pairs);
+            *pairs += 1;
             exec.set_reg(addr_reg, var);
             exec.set_reg(val_reg, val);
             seq.push(TemplateInst::Load {
@@ -362,6 +384,84 @@ mod tests {
             assert_eq!(r.transitions.user, 1, "{backend:?}");
             assert_eq!(r.transitions.spurious_total(), 0, "{backend:?}");
             assert!(r.run.cycles < tp.run.cycles / 10, "{backend:?}");
+        }
+    }
+
+    /// Conditional breakpoints that never hold, one on each of five
+    /// instructions other than `bp_here`: the rest of the loop body and
+    /// the `halt` (20 + 20 + 20 + 20 + 1 executions).
+    fn never_true(a: &Application) -> Vec<Breakpoint> {
+        let prog = a.program().unwrap();
+        let (lp, bp) = (prog.symbol("loop").unwrap(), prog.symbol("bp_here").unwrap());
+        let v = prog.symbol("v").unwrap();
+        [lp, lp + 4, bp + 4, bp + 8, bp + 12]
+            .into_iter()
+            .map(|pc| Breakpoint::conditional(pc, v, 1000))
+            .collect()
+    }
+
+    const BACKENDS: [BreakpointBackend; 3] = [
+        BreakpointBackend::TrapPatch,
+        BreakpointBackend::DiseCodeword,
+        BreakpointBackend::DisePcPattern,
+    ];
+
+    /// Regression: register pairs used to be chosen by breakpoint index
+    /// modulo five, so a sixth conditional breakpoint overwrote the
+    /// first one's variable and value and DISE silently reported
+    /// `user = 0`. A sixth conditional DISE breakpoint is now refused;
+    /// trap patching, which needs no registers, still reports the hit.
+    #[test]
+    fn a_sixth_conditional_dise_breakpoint_is_unsupported() {
+        let a = app();
+        let v = a.program().unwrap().symbol("v").unwrap();
+        let mut bps = vec![Breakpoint::conditional(bp_pc(&a), v, 10)];
+        bps.extend(never_true(&a));
+        assert_eq!(bps.len(), 6);
+        for backend in BACKENDS {
+            let session = BreakpointSession::new(&a, bps.clone(), backend, CpuConfig::default());
+            if backend == BreakpointBackend::TrapPatch {
+                let r = session.unwrap().run();
+                assert_eq!(r.transitions.user, 1);
+                assert_eq!(r.transitions.spurious_predicate, 19 + 4 * 20 + 1);
+            } else {
+                assert!(
+                    matches!(session, Err(DebugError::Unsupported { backend: "breakpoint", .. })),
+                    "{backend:?}"
+                );
+            }
+        }
+    }
+
+    /// Five conditional breakpoints fill the register budget, and
+    /// unconditional ones among them take no register pair: the
+    /// conditional ones before and after an unconditional one keep
+    /// distinct registers, so every implementation reports every hit.
+    #[test]
+    fn five_conditional_breakpoints_among_unconditional_ones_all_report() {
+        let a = app();
+        let prog = a.program().unwrap();
+        let (start, lp) = (prog.symbol("start").unwrap(), prog.symbol("loop").unwrap());
+        let v = prog.symbol("v").unwrap();
+        let never = never_true(&a);
+        // Index-based numbering paired the `v == 10` breakpoint (index
+        // 1) with the last never-true one (index 6).
+        let bps = vec![
+            Breakpoint::new(start),
+            Breakpoint::conditional(bp_pc(&a), v, 10),
+            Breakpoint::new(lp - 4),
+            never[0],
+            never[1],
+            never[2],
+            never[3],
+        ];
+        for backend in BACKENDS {
+            let r = BreakpointSession::new(&a, bps.clone(), backend, CpuConfig::default())
+                .unwrap()
+                .run();
+            assert_eq!(r.transitions.user, 3, "{backend:?}: two one-shot hits and v == 10");
+            let spurious = if backend == BreakpointBackend::TrapPatch { 19 + 4 * 20 } else { 0 };
+            assert_eq!(r.transitions.spurious_predicate, spurious, "{backend:?}");
         }
     }
 

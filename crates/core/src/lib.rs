@@ -80,7 +80,7 @@ pub use region::DebugRegion;
 pub use sched::{max_wait_slices, preemptions, slices_granted, SchedStats, Scheduler};
 pub use session::{
     checkpoint_forks, functional_passes, image_loads, run_baseline, run_session, BaselineCache,
-    DebugError, MachineCheckpoint, ObserverBatch, Session, SessionReport,
+    DebugError, ObserverBatch, Session, SessionReport,
 };
 pub use stats::{Transition, TransitionStats};
 pub use strategy::{CheckKind, DiseStrategy, MultiMatch};

@@ -9,9 +9,9 @@
 //! single core. Two queues implement the policy:
 //!
 //! * an **admission deque** (FIFO) for tasks that have never run or
-//!   were just unblocked — new sessions reach their first slice in
-//!   arrival order, which is also what pushes the in-flight high-water
-//!   mark to the full queue depth;
+//!   whose dependency just completed — new sessions reach their first
+//!   slice in arrival order, which is also what pushes the in-flight
+//!   high-water mark to the full queue depth;
 //! * a **priority heap keyed by virtual progress** (instructions
 //!   retired, ties broken by spawn id) for yielded tasks — the
 //!   least-progressed session runs next, so a million-instruction
@@ -71,10 +71,10 @@ pub fn preemptions() -> u64 {
 /// The worst wait any session has seen in this process: the maximum
 /// number of slices granted to *other* sessions while one session sat
 /// *runnable* in the queue (spawn→first grant, yield→next grant,
-/// unblock→grant). Time checked out on a worker is not waiting — on a
-/// single core the OS may sit on a worker thread arbitrarily long, and
-/// that is not the scheduler's queue being unfair. The starvation
-/// metric the fairness pin bounds.
+/// dependency done→grant). Time checked out on a worker is not
+/// waiting — on a single core the OS may sit on a worker thread
+/// arbitrarily long, and that is not the scheduler's queue being
+/// unfair. The starvation metric the fairness pin bounds.
 pub fn max_wait_slices() -> u64 {
     MAX_WAIT_SLICES.load(Ordering::Relaxed)
 }
@@ -104,20 +104,20 @@ struct Slot {
     /// Granted at least one slice (counts toward in-flight).
     started: bool,
     done: bool,
-    /// Parked: runnable only after [`Scheduler::unblock`] (or its
-    /// dependency completing).
+    /// Parked: runnable only once its dependency completes
+    /// ([`Scheduler::spawn_after`]).
     parked: bool,
     /// Value of `slice_no` when this task last became runnable (spawn,
-    /// yield, unblock) — the wait-accounting anchor.
+    /// yield, dependency done) — the wait-accounting anchor.
     enqueued_at: u64,
 }
 
 struct Inner {
     slots: Vec<Slot>,
-    /// Per-task list of tasks gated on its completion
+    /// Per-task list of tasks parked until its completion
     /// ([`Scheduler::spawn_after`]).
     dependents: Vec<Vec<usize>>,
-    /// Never-run or just-unblocked tasks, FIFO.
+    /// Never-run tasks and tasks whose dependency just completed, FIFO.
     admit: VecDeque<usize>,
     /// Yielded tasks, min-(progress, id) first.
     ready: BinaryHeap<Reverse<(u64, usize)>>,
@@ -171,61 +171,35 @@ impl Scheduler {
     }
 
     /// Enqueue a task; returns its id (dense, in spawn order — the
-    /// deterministic scatter-back key). A task spawned already gated
-    /// ([`SessionTask::gated`]) parks until [`Scheduler::unblock`].
+    /// deterministic scatter-back key).
     pub fn spawn(&self, task: SessionTask) -> usize {
         let mut inner = self.lock();
-        let id = inner.admit_slot(task);
+        let id = inner.admit_slot(task, false);
         drop(inner);
         self.wake.notify_one();
         id
     }
 
     /// Enqueue a task that must not run until task `dep` has completed
-    /// — the scheduler gates it and opens the gate when `dep` finishes
-    /// (immediately, if it already has).
+    /// — the scheduler parks it and makes it runnable when `dep`
+    /// finishes (immediately, if it already has).
     ///
     /// # Panics
     ///
     /// Panics when `dep` is not a previously spawned id. Dependencies
     /// therefore always point backwards, which makes dependency cycles
     /// unrepresentable.
-    pub fn spawn_after(&self, mut task: SessionTask, dep: usize) -> usize {
+    pub fn spawn_after(&self, task: SessionTask, dep: usize) -> usize {
         let mut inner = self.lock();
         assert!(dep < inner.slots.len(), "spawn_after on unknown task id {dep}");
-        if !inner.slots[dep].done {
-            task.block(format!("waiting for session {dep}"));
-        }
-        let id = inner.admit_slot(task);
-        if !inner.slots[id].parked {
-            // dep already completed; runnable immediately
-        } else {
+        let parked = !inner.slots[dep].done;
+        let id = inner.admit_slot(task, parked);
+        if parked {
             inner.dependents[dep].push(id);
         }
         drop(inner);
         self.wake.notify_one();
         id
-    }
-
-    /// Open the gate of a parked task and make it runnable.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown id.
-    pub fn unblock(&self, id: usize) {
-        let mut inner = self.lock();
-        assert!(id < inner.slots.len(), "unblock on unknown task id {id}");
-        if inner.slots[id].parked {
-            if let Some(task) = inner.slots[id].task.as_mut() {
-                task.unblock();
-            }
-            inner.slots[id].parked = false;
-            let now = inner.slice_no;
-            inner.slots[id].enqueued_at = now;
-            inner.admit.push_back(id);
-            drop(inner);
-            self.wake.notify_all();
-        }
     }
 
     /// Tasks spawned but not yet completed.
@@ -247,8 +221,8 @@ impl Scheduler {
     ///
     /// Panics when `workers == 0`, when a worker panics (propagated),
     /// or when the queue stalls — tasks remain but every one of them is
-    /// parked with no runner left to unblock them (an unbreakable
-    /// deadlock, e.g. a gate nothing ever opens).
+    /// parked with no runner left to complete its dependency (an
+    /// unbreakable deadlock).
     pub fn drain(&self, workers: usize) -> Vec<(usize, TaskOutput)> {
         self.drain_with(workers, |_, _| {})
     }
@@ -311,7 +285,7 @@ impl Scheduler {
                             .collect();
                         panic!(
                             "scheduler stalled: {} session(s) outstanding but every one is \
-                             parked with no runner to unblock it (ids {parked:?})",
+                             parked with no runner to complete its dependency (ids {parked:?})",
                             inner.outstanding
                         );
                     }
@@ -331,17 +305,6 @@ impl Scheduler {
                     drop(inner);
                     self.wake.notify_one();
                 }
-                Step::Blocked(_) => {
-                    // The task was gated after being queued (or an
-                    // external gate raced the grant); park it until
-                    // someone unblocks it.
-                    let mut inner = self.lock();
-                    inner.checked_out -= 1;
-                    inner.slots[id].task = Some(task);
-                    inner.slots[id].parked = true;
-                    drop(inner);
-                    self.wake.notify_all();
-                }
                 Step::Done(output) => {
                     on_complete(id, &output);
                     let mut inner = self.lock();
@@ -360,9 +323,8 @@ impl Scheduler {
 }
 
 impl Inner {
-    fn admit_slot(&mut self, task: SessionTask) -> usize {
+    fn admit_slot(&mut self, task: SessionTask, parked: bool) -> usize {
         let id = self.slots.len();
-        let parked = task.is_blocked();
         self.slots.push(Slot {
             task: Some(task),
             output: None,
@@ -414,14 +376,9 @@ impl Inner {
         self.in_flight -= 1;
         self.stats.completed += 1;
         for dep in std::mem::take(&mut self.dependents[id]) {
-            if self.slots[dep].parked {
-                if let Some(task) = self.slots[dep].task.as_mut() {
-                    task.unblock();
-                }
-                self.slots[dep].parked = false;
-                self.slots[dep].enqueued_at = self.slice_no;
-                self.admit.push_back(dep);
-            }
+            self.slots[dep].parked = false;
+            self.slots[dep].enqueued_at = self.slice_no;
+            self.admit.push_back(dep);
         }
     }
 }
@@ -529,7 +486,7 @@ mod tests {
         assert!(max_wait_slices() >= stats.max_wait_slices);
     }
 
-    /// spawn_after gates the dependent until its dependency completes.
+    /// spawn_after parks the dependent until its dependency completes.
     #[test]
     fn spawn_after_orders_completions() {
         let a = app(20);
@@ -550,11 +507,13 @@ mod tests {
         assert_eq!(outs[0].0, third);
     }
 
-    /// A gate nothing will ever open is a loud stall, not a hang.
+    /// A parked task nothing will ever make runnable is a loud stall,
+    /// not a hang. `spawn_after` only parks behind an earlier task, so
+    /// the public API cannot build this; the slot is parked directly.
     #[test]
-    fn unopenable_gate_panics_loudly() {
+    fn a_task_parked_forever_panics_loudly() {
         let sched = Scheduler::new(16);
-        sched.spawn(task(&app(2)).gated("a gate nothing opens"));
+        sched.lock().admit_slot(task(&app(2)), true);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sched.drain(1)))
             .expect_err("stall must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();

@@ -7,15 +7,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use dise_asm::AsmError;
-use dise_cpu::{
-    CpuConfig, Event, ExecError, Executor, ExecutorCheckpoint, ForkConfigError, RunStats,
-    TimingBatch,
-};
+use dise_cpu::{CpuConfig, Event, ExecError, Executor, RunStats, TimingBatch};
 use dise_engine::EngineError;
 use dise_trace::TraceError;
 
 use crate::backend::BackendImpl;
-use crate::task::{admit_batch, BatchSpec, Pass, SessionTask};
+use crate::task::{admit_group, Pass, SessionTask};
 use crate::{Application, BackendKind, TransitionStats, WatchExpr, WatchState, Watchpoint};
 
 /// Functional session passes driven since process start (one per
@@ -40,33 +37,30 @@ pub fn functional_passes() -> u64 {
 }
 
 /// Program images instantiated into a machine since process start (one
-/// per session established through any entry point; the denominator the
-/// checkpoint/fork economy shrinks). See [`image_loads`].
+/// per session machine made through any entry point). See
+/// [`image_loads`].
 pub(crate) static IMAGE_LOADS: AtomicU64 = AtomicU64::new(0);
 
-/// Copy-on-write machine forks taken since process start (one per
-/// perturbing sub-batch). See [`checkpoint_forks`].
-pub(crate) static CHECKPOINT_FORKS: AtomicU64 = AtomicU64::new(0);
-
 /// Total program images instantiated into a fresh machine by this
-/// process — one per [`Session`], [`SessionTask::batch`] and
-/// [`ObserverBatch`], and exactly **one** per
-/// [`SessionTask::perturbing_group`] however many sub-batches fork from
-/// it. Instantiation restores the application's prepared image
-/// copy-on-write; preparing it (assembling and loading, once per
+/// process — one per machine: per [`Session`], per
+/// [`SessionTask::batch`], per sub-batch of a
+/// [`SessionTask::perturbing_group`] (a K-sub-batch group counts K) and
+/// per live [`ObserverBatch`] pass. Instantiation restores the
+/// application's prepared image, or the backend's image built once per
+/// group, copy-on-write; preparing it (assembling and loading, once per
 /// application — see [`Application::prepared`]) is not counted, and
-/// neither are undebugged baselines. Like
-/// [`functional_passes`], this is instrumentation for execution-count
-/// pins; compare deltas.
+/// neither are undebugged baselines. Like [`functional_passes`], this
+/// is instrumentation for execution-count pins; compare deltas.
 pub fn image_loads() -> u64 {
     IMAGE_LOADS.load(Ordering::Relaxed)
 }
 
-/// Total copy-on-write machine forks taken by this process — one per
-/// perturbing sub-batch (a K-sub-batch group costs 1 image load + K
-/// forks where K private batches would cost K loads). Compare deltas.
+/// Always 0. Session machines are made one way only — by restoring an
+/// image copy-on-write, counted by [`image_loads`] — so no machine is
+/// forked off a template any more. Kept because the benchmark harness
+/// reports this counter.
 pub fn checkpoint_forks() -> u64 {
-    CHECKPOINT_FORKS.load(Ordering::Relaxed)
+    0
 }
 
 /// Errors establishing or running a debugging session.
@@ -93,10 +87,6 @@ pub enum DebugError {
         /// Why.
         reason: String,
     },
-    /// A cross-configuration fork was requested from a template that had
-    /// already run ([`Executor::fork_with_config`] shares pre-run
-    /// templates only — see [`ForkConfigError`]).
-    Fork(ForkConfigError),
     /// The configurations of one batch (or perturbing sub-batch)
     /// disagree on the DISE engine capacities, so they would execute
     /// different functional streams and cannot share one pass. Settles
@@ -121,7 +111,6 @@ impl fmt::Display for DebugError {
             DebugError::InvalidWatchpoint { reason } => {
                 write!(f, "invalid watchpoint: {reason}")
             }
-            DebugError::Fork(e) => write!(f, "cross-configuration fork failed: {e}"),
             DebugError::MismatchedEngines => write!(
                 f,
                 "batched configurations disagree on the DISE engine capacities and cannot \
@@ -143,12 +132,6 @@ impl From<AsmError> for DebugError {
 impl From<TraceError> for DebugError {
     fn from(e: TraceError) -> DebugError {
         DebugError::Trace(e)
-    }
-}
-
-impl From<ForkConfigError> for DebugError {
-    fn from(e: ForkConfigError) -> DebugError {
-        DebugError::Fork(e)
     }
 }
 
@@ -383,7 +366,7 @@ impl<'a> ObserverBatch<'a> {
 ///
 /// Callers count one functional pass per admitted run themselves
 /// ([`FUNCTIONAL_PASSES`]) — `drive` may legally be called many times
-/// on one session (budgeted stepping, checkpoints) without the session
+/// on one session (budgeted stepping) without the session
 /// executing more than one pass.
 pub(crate) fn drive(
     exec: &mut Executor,
@@ -473,49 +456,6 @@ impl BaselineCache {
     }
 }
 
-/// A point-in-time snapshot of a whole debugging session: the machine
-/// (registers, PC, copy-on-write memory, DISE engine, block cache),
-/// the cycle-accounting models, the backend's runtime state, the
-/// watchpoint value snapshots, and the transition statistics.
-///
-/// Capturing is cheap — machine memory is shared copy-on-write with the
-/// live session, so a checkpoint costs O(page-table), not O(footprint).
-/// Resuming from a checkpoint ([`Session::resume_from`]) rewinds *all*
-/// of that state together, so a resumed session re-executes
-/// byte-identically: the same [`Exec`](dise_cpu::Exec) stream, the same
-/// statistics, the same report.
-pub struct MachineCheckpoint {
-    exec: ExecutorCheckpoint,
-    timings: TimingBatch,
-    backend: Box<dyn BackendImpl>,
-    watch: WatchState,
-    stats: TransitionStats,
-}
-
-impl Clone for MachineCheckpoint {
-    fn clone(&self) -> MachineCheckpoint {
-        MachineCheckpoint {
-            exec: self.exec.clone(),
-            timings: self.timings.clone(),
-            backend: self.backend.boxed_clone(),
-            watch: self.watch.clone(),
-            stats: self.stats,
-        }
-    }
-}
-
-impl MachineCheckpoint {
-    /// Dynamic instruction count at which this checkpoint was taken.
-    pub fn instructions(&self) -> u64 {
-        self.exec.instructions()
-    }
-
-    /// PC at which this checkpoint was taken.
-    pub fn pc(&self) -> u64 {
-        self.exec.pc()
-    }
-}
-
 /// An interactive debugging session: an application, a set of
 /// watchpoints, and a backend implementing them.
 ///
@@ -523,10 +463,6 @@ impl MachineCheckpoint {
 /// admission builds the same [`Pass`] — the functional machine and a
 /// [`TimingBatch`] holding a single model — and the same loop drives
 /// it, so interactive and scheduled runs cannot drift apart.
-///
-/// Sessions are also the repository's time-travel primitive:
-/// [`Session::checkpoint`] captures the whole machine copy-on-write and
-/// [`Session::resume_from`] rewinds to a capture.
 pub struct Session {
     pass: Pass,
     /// One functional pass is counted per session, on its first drive,
@@ -561,8 +497,10 @@ impl Session {
         backend: BackendKind,
         cpu: CpuConfig,
     ) -> Result<Session, DebugError> {
-        let spec = BatchSpec { app: app.clone(), watchpoints, backend, cpus: vec![cpu] };
-        let pass = admit_batch(spec)?.expect("a one-configuration batch always admits a pass");
+        // The session is its group's only pass, started here.
+        let pass = admit_group(app, watchpoints, backend, Vec::new())?
+            .start(&[cpu])?
+            .expect("a one-configuration batch always admits a pass");
         Ok(Session { pass, counted: false })
     }
 
@@ -574,35 +512,6 @@ impl Session {
     /// True once the machine has halted (or faulted).
     pub fn is_halted(&self) -> bool {
         self.pass.exec.is_halted() || self.pass.error.is_some()
-    }
-
-    /// Capture the whole session copy-on-write: machine, timing models,
-    /// backend state, watchpoint snapshots, statistics. O(page-table),
-    /// not O(footprint) — memory pages are shared with the live session
-    /// until either side writes them.
-    pub fn checkpoint(&self) -> MachineCheckpoint {
-        let p = &self.pass;
-        MachineCheckpoint {
-            exec: p.exec.checkpoint(),
-            timings: p.timings.clone(),
-            backend: p.backend.boxed_clone(),
-            watch: p.watch.clone(),
-            stats: p.stats,
-        }
-    }
-
-    /// Rewind the session to a checkpoint. Every piece of state —
-    /// machine, cycle accounting, backend, watch snapshots, transition
-    /// statistics — rolls back together, so continuing from here
-    /// re-executes byte-identically to the first pass.
-    pub fn resume_from(&mut self, ck: &MachineCheckpoint) {
-        let p = &mut self.pass;
-        p.exec.restore(&ck.exec);
-        p.timings = ck.timings.clone();
-        p.backend = ck.backend.boxed_clone();
-        p.watch = ck.watch.clone();
-        p.stats = ck.stats;
-        p.error = None;
     }
 
     /// Drive the session by at most `budget` further dynamic
@@ -1497,8 +1406,8 @@ mod tests {
         ));
     }
 
-    /// The copy-on-write tentpole contract: a perturbing group forking
-    /// every sub-batch from one loaded template is bit-identical to the
+    /// The copy-on-write contract: a perturbing group restoring every
+    /// sub-batch's machine from one built image is bit-identical to the
     /// sub-batches' private `SessionTask::batch` runs — across all three
     /// perturbing backends, including binary rewriting, whose *image*
     /// itself is the product of the shared `build_program`.
@@ -1525,7 +1434,7 @@ mod tests {
                 let got = got.unwrap();
                 assert_eq!(got.len(), private.len(), "{backend:?}");
                 for (g, p) in got.iter().zip(&private) {
-                    assert_eq!(g.run, p.run, "{backend:?} forked run diverged");
+                    assert_eq!(g.run, p.run, "{backend:?} grouped run diverged");
                     assert_eq!(g.transitions, p.transitions, "{backend:?}");
                     assert_eq!(g.error, p.error, "{backend:?}");
                     assert_eq!(g.text_bytes, p.text_bytes, "{backend:?}");
@@ -1537,7 +1446,7 @@ mod tests {
     /// Engine-capacity failures are per sub-batch: the sub-batch whose
     /// configuration cannot hold the productions errs in its own slot
     /// (exactly as its private batch would), while its siblings off the
-    /// same template still run and still match.
+    /// same image still run and still match.
     #[test]
     fn perturbing_group_isolates_sub_batch_errors() {
         let a = app(6);
@@ -1553,37 +1462,6 @@ mod tests {
         let got = &grouped[0].as_ref().unwrap()[0];
         assert_eq!(got.run, lone.run, "the healthy sibling still matches its private run");
         assert_eq!(got.transitions, lone.transitions);
-    }
-
-    /// Time travel: capture mid-run, finish, rewind, finish again — the
-    /// two futures are byte-identical, and both equal a never-rewound
-    /// run. All state (machine, cycle accounting, backend, watch
-    /// snapshots, transition counts) rolls back together.
-    #[test]
-    fn session_resumes_from_checkpoint_byte_identically() {
-        let a = app(10);
-        let wp = scalar_wp(&a, "watched");
-        for backend in [BackendKind::dise_default(), BackendKind::VirtualMemory] {
-            let reference = run_session(&a, vec![wp], backend, CpuConfig::default()).unwrap();
-            let mut s = Session::with_config(&a, vec![wp], backend, CpuConfig::default()).unwrap();
-            assert!(s.run_budget(40), "machine must still be live at the capture point");
-            let ck = s.checkpoint();
-            assert_eq!(ck.instructions(), 40);
-            s.run_budget(u64::MAX);
-            assert!(s.is_halted());
-            let first = s.report();
-            assert_eq!(first.run, reference.run, "{backend:?} chunked run diverged");
-            assert_eq!(first.transitions, reference.transitions, "{backend:?}");
-
-            s.resume_from(&ck);
-            assert!(!s.is_halted(), "rewound below the halt");
-            assert_eq!(s.executor().instructions(), 40);
-            s.run_budget(u64::MAX);
-            let second = s.report();
-            assert_eq!(second.run, first.run, "{backend:?} replay diverged after rewind");
-            assert_eq!(second.transitions, first.transitions, "{backend:?}");
-            assert_eq!(second.error, first.error, "{backend:?}");
-        }
     }
 
     fn run_batch(

@@ -3,9 +3,8 @@
 //! that can be driven one bounded slice at a time.
 //!
 //! A task is a *continuation*: [`SessionTask::poll`] advances it by at
-//! most `budget` dynamic instructions and reports
-//! [`Step::Yielded`] (more to do), [`Step::Blocked`] (parked on an
-//! external gate), or [`Step::Done`] (the finished [`TaskOutput`]).
+//! most `budget` dynamic instructions and reports [`Step::Yielded`]
+//! (more to do) or [`Step::Done`] (the finished [`TaskOutput`]).
 //! Because the simulator is deterministic and PR 7 proved budgeted
 //! stepping slicing-invariant, a task polled under *any* sequence of
 //! budgets produces the byte-identical `Exec` stream, reports, and
@@ -19,12 +18,19 @@
 //! over the same admission and passes, so the scheduled and unscheduled
 //! paths share one implementation and cannot drift apart.
 //!
+//! There are two continuations. Every *private* pass — a
+//! [`SessionTask::batch`] or [`SessionTask::session`], each sub-batch of
+//! a [`SessionTask::perturbing_group`], and [`crate::Session`] — runs
+//! in a group: one admission validates the watchpoints and builds the
+//! backend and its image once, and each sub-batch restores that image
+//! copy-on-write into a machine with its own engine capacities. A batch
+//! is a group of one. Observer batches share one pass, live or
+//! replayed, across many members.
+//!
 //! ## Lifecycle
 //!
 //! ```text
 //! spawn ──▶ Pending ──(first poll: admission)──▶ Running ──▶ Done
-//!              │                                    ▲
-//!              └── gate set ──▶ Blocked ──unblock───┘
 //! ```
 //!
 //! Admission — watchpoint validation, backend instantiation,
@@ -48,8 +54,7 @@ use dise_trace::TraceError;
 use crate::app::Image;
 use crate::backend::{build_image, BackendImpl, ObserverImpl};
 use crate::session::{
-    drive, validate_watchpoints, DebugError, SessionReport, CHECKPOINT_FORKS, FUNCTIONAL_PASSES,
-    IMAGE_LOADS,
+    drive, validate_watchpoints, DebugError, SessionReport, FUNCTIONAL_PASSES, IMAGE_LOADS,
 };
 use crate::trace::{TRACE_RECORDS, TRACE_REPLAYS};
 use crate::{
@@ -89,10 +94,6 @@ pub fn fanout_chunks_scanned() -> u64 {
 pub enum Step {
     /// The budget ran out with work remaining; poll again to continue.
     Yielded(TaskProgress),
-    /// The task is parked behind a gate ([`SessionTask::block`] /
-    /// `Scheduler::spawn_after`) and consumed none of the budget; it
-    /// must be unblocked before it can run.
-    Blocked(String),
     /// The task finished; it must not be polled again.
     Done(TaskOutput),
 }
@@ -103,7 +104,7 @@ pub enum Step {
 pub struct TaskProgress {
     /// Dynamic instructions this task has retired so far, across every
     /// machine it has driven (a perturbing group accumulates over its
-    /// sub-batch forks).
+    /// sub-batches).
     pub instructions: u64,
 }
 
@@ -171,31 +172,21 @@ impl TaskOutput {
     }
 }
 
-/// A resumable debugging-session continuation: a private batch, a
-/// copy-on-write perturbing group, or an observer batch (live, recorded
-/// or replayed), driven a bounded number of instructions per
+/// A resumable debugging-session continuation: a private group (a
+/// batch is a group of one) or an observer batch (live, recorded or
+/// replayed), driven a bounded number of instructions per
 /// [`SessionTask::poll`].
 pub struct SessionTask {
-    gate: Option<String>,
     progress: u64,
     state: State,
 }
 
 enum State {
-    PendingBatch(BatchSpec),
-    Batch(Box<Pass>),
     PendingGroup(GroupSpec),
-    Group(Box<GroupRun>),
+    Group(Box<GroupRun>, Shape),
     PendingObserve(ObserveSpec),
     Observe(Box<ObserveRun>),
     Finished,
-}
-
-pub(crate) struct BatchSpec {
-    pub(crate) app: Application,
-    pub(crate) watchpoints: Vec<Watchpoint>,
-    pub(crate) backend: BackendKind,
-    pub(crate) cpus: Vec<CpuConfig>,
 }
 
 struct GroupSpec {
@@ -203,6 +194,30 @@ struct GroupSpec {
     watchpoints: Vec<Watchpoint>,
     backend: BackendKind,
     batches: Vec<Vec<CpuConfig>>,
+    shape: Shape,
+}
+
+/// How a private group reports: as its one sub-batch's result
+/// ([`SessionTask::batch`], [`SessionTask::session`]) or per sub-batch
+/// ([`SessionTask::perturbing_group`]).
+#[derive(Clone, Copy)]
+enum Shape {
+    Batch,
+    Group,
+}
+
+impl Shape {
+    fn output(
+        self,
+        out: Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError>,
+    ) -> TaskOutput {
+        match self {
+            Shape::Batch => TaskOutput::Batch(
+                out.and_then(|mut subs| subs.pop().expect("a batch is a group of one")),
+            ),
+            Shape::Group => TaskOutput::Group(out),
+        }
+    }
 }
 
 struct ObserveSpec {
@@ -226,7 +241,7 @@ enum Trace {
 /// One live functional pass: the machine, its fanned-out timing models,
 /// the backend, and the debugger bookkeeping — everything
 /// [`crate::session::drive`] needs, owned so it survives between polls
-/// (and, inside [`crate::Session`], between checkpoints).
+/// (and, inside [`crate::Session`], between calls).
 pub(crate) struct Pass {
     pub(crate) exec: Executor,
     pub(crate) timings: TimingBatch,
@@ -238,9 +253,9 @@ pub(crate) struct Pass {
 }
 
 impl Pass {
-    /// The pass over a freshly loaded or forked machine: configure the
-    /// backend on it, snapshot the watched values, and build one timing
-    /// model per configuration.
+    /// The pass over a machine freshly restored from an image: configure
+    /// the backend on it, snapshot the watched values, and build one
+    /// timing model per configuration.
     fn on(
         mut exec: Executor,
         mut backend: Box<dyn BackendImpl>,
@@ -295,24 +310,23 @@ impl Pass {
     }
 }
 
-/// The perturbing-group continuation: the built backend and program
-/// (static work, done once at admission), the warmed copy-on-write
-/// template, and the cursor over sub-batches, with the current
-/// sub-batch's pass lifted into a resumable field.
+/// The private-group continuation: the built backend and its image
+/// (static work, done once at admission), the sub-batches still to
+/// start, and the current sub-batch's pass lifted into a resumable
+/// field.
 ///
-/// A group of K sub-batches costs 1 image load + K copy-on-write forks
-/// where K private batches would cost K loads; each sub-batch is
+/// Each sub-batch restores the image copy-on-write into a machine with
+/// its own engine capacities — one image load per sub-batch, the same
+/// O(page-table) work whichever way a session machine is made — and is
 /// byte-identical to its own [`SessionTask::batch`].
-struct GroupRun {
-    built: Box<dyn BackendImpl>,
+pub(crate) struct GroupRun {
+    /// The backend as `build_program` left it, never configured: each
+    /// sub-batch's pass configures its own copy. `None` once the last
+    /// sub-batch has taken it.
+    built: Option<Box<dyn BackendImpl>>,
     image: Arc<Image>,
     watchpoints: Vec<Watchpoint>,
-    batches: Vec<Vec<CpuConfig>>,
-    /// The warmed template: image loaded, PC at entry, SP set, never
-    /// stepped. Its engine configuration is irrelevant — every
-    /// sub-batch forks with its own capacities.
-    template: Option<Executor>,
-    next: usize,
+    batches: std::vec::IntoIter<Vec<CpuConfig>>,
     current: Option<Pass>,
     out: Vec<Result<Vec<SessionReport>, DebugError>>,
 }
@@ -336,47 +350,45 @@ impl GroupRun {
                 let pass = self.current.take().expect("current pass present");
                 self.out.push(Ok(pass.finish()));
             }
-            let Some(cpus) = self.batches.get(self.next) else {
+            let Some(cpus) = self.batches.next() else {
                 return Some(std::mem::take(&mut self.out));
             };
-            self.next += 1;
-            let cfgs: Vec<CpuConfig> = cpus.iter().map(|&c| self.built.cpu_config(c)).collect();
-            let first = match shared_engine(&cfgs) {
-                Ok(Some(first)) => first,
-                Ok(None) => {
-                    self.out.push(Ok(Vec::new()));
-                    continue;
-                }
-                Err(e) => {
-                    self.out.push(Err(e));
-                    continue;
-                }
-            };
-            let template = match &mut self.template {
-                Some(t) => t,
-                None => {
-                    let t = self.image.executor(*first);
-                    IMAGE_LOADS.fetch_add(1, Ordering::Relaxed);
-                    self.template.insert(t)
-                }
-            };
-            let exec = match template.fork_with_config(*first) {
-                Ok(exec) => exec,
-                Err(e) => {
-                    self.out.push(Err(e.into()));
-                    continue;
-                }
-            };
-            CHECKPOINT_FORKS.fetch_add(1, Ordering::Relaxed);
-            let backend = self.built.boxed_clone();
-            match Pass::on(exec, backend, &self.watchpoints, &cfgs, self.image.text_bytes) {
-                Ok(pass) => {
+            match self.start(&cpus) {
+                Ok(Some(pass)) => {
                     FUNCTIONAL_PASSES.fetch_add(1, Ordering::Relaxed);
                     self.current = Some(pass);
                 }
+                Ok(None) => self.out.push(Ok(Vec::new())),
                 Err(e) => self.out.push(Err(e)),
             }
         }
+    }
+
+    /// The pass of sub-batch `cpus`: restore the image into a machine
+    /// with the sub-batch's engine capacities (one image load) and
+    /// configure a copy of the built backend on it. `Ok(None)` for an
+    /// empty sub-batch. The last sub-batch takes the built backend
+    /// itself; earlier ones clone it.
+    ///
+    /// # Errors
+    ///
+    /// [`DebugError::MismatchedEngines`] when the configurations
+    /// disagree on the engine, and whatever configuring the backend
+    /// fails with (productions too large for the engine).
+    pub(crate) fn start(&mut self, cpus: &[CpuConfig]) -> Result<Option<Pass>, DebugError> {
+        let built = self.built.as_ref().expect("only the last sub-batch takes the backend");
+        let cfgs: Vec<CpuConfig> = cpus.iter().map(|&c| built.cpu_config(c)).collect();
+        let Some(first) = shared_engine(&cfgs)? else {
+            return Ok(None);
+        };
+        let exec = self.image.executor(*first);
+        IMAGE_LOADS.fetch_add(1, Ordering::Relaxed);
+        let backend = if self.batches.as_slice().is_empty() {
+            self.built.take().expect("checked above")
+        } else {
+            built.boxed_clone()
+        };
+        Pass::on(exec, backend, &self.watchpoints, &cfgs, self.image.text_bytes).map(Some)
     }
 }
 
@@ -765,25 +777,23 @@ impl SessionTask {
     /// batch that disagrees settles with
     /// [`DebugError::MismatchedEngines`]. Timing-only backend knobs fold
     /// into the configuration first with [`BackendKind::split_timing`].
+    ///
+    /// The task is a [`SessionTask::perturbing_group`] of one sub-batch
+    /// that reports that sub-batch's result.
     pub fn batch(
         app: &Application,
         watchpoints: Vec<Watchpoint>,
         backend: BackendKind,
         cpus: &[CpuConfig],
     ) -> SessionTask {
-        SessionTask::pending(State::PendingBatch(BatchSpec {
-            app: app.clone(),
-            watchpoints,
-            backend,
-            cpus: cpus.to_vec(),
-        }))
+        SessionTask::group(app, watchpoints, backend, vec![cpus.to_vec()], Shape::Batch)
     }
 
     /// A task for a whole *perturbing* cell group — one workload, one
     /// watchpoint set, one backend, many engine-configuration
-    /// sub-batches — off one assembled-and-loaded image: validation and
-    /// `build_program` run once, and every sub-batch forks the loaded
-    /// template copy-on-write under its own engine capacities.
+    /// sub-batches — off one backend-built image: validation and
+    /// `build_program` run once, and every sub-batch restores the image
+    /// copy-on-write into a machine with its own engine capacities.
     ///
     /// The outer `Err` is group-wide (invalid or unsupported
     /// watchpoints, assembly failure). Per-sub-batch failures — engine
@@ -797,11 +807,22 @@ impl SessionTask {
         backend: BackendKind,
         batches: &[Vec<CpuConfig>],
     ) -> SessionTask {
+        SessionTask::group(app, watchpoints, backend, batches.to_vec(), Shape::Group)
+    }
+
+    fn group(
+        app: &Application,
+        watchpoints: Vec<Watchpoint>,
+        backend: BackendKind,
+        batches: Vec<Vec<CpuConfig>>,
+        shape: Shape,
+    ) -> SessionTask {
         SessionTask::pending(State::PendingGroup(GroupSpec {
             app: app.clone(),
             watchpoints,
             backend,
-            batches: batches.to_vec(),
+            batches,
+            shape,
         }))
     }
 
@@ -879,32 +900,7 @@ impl SessionTask {
     }
 
     fn pending(state: State) -> SessionTask {
-        SessionTask { gate: None, progress: 0, state }
-    }
-
-    /// Builder form of [`SessionTask::block`]: the task starts parked.
-    #[must_use]
-    pub fn gated(mut self, reason: impl Into<String>) -> SessionTask {
-        self.block(reason);
-        self
-    }
-
-    /// Park the task: until [`SessionTask::unblock`], every poll
-    /// reports [`Step::Blocked`] without consuming budget. How a
-    /// scheduler expresses "run session B only after session A" without
-    /// burning slices on B.
-    pub fn block(&mut self, reason: impl Into<String>) {
-        self.gate = Some(reason.into());
-    }
-
-    /// Open the gate set by [`SessionTask::block`].
-    pub fn unblock(&mut self) {
-        self.gate = None;
-    }
-
-    /// True while the task is parked behind a gate.
-    pub fn is_blocked(&self) -> bool {
-        self.gate.is_some()
+        SessionTask { progress: 0, state }
     }
 
     /// Dynamic instructions retired so far — the virtual-progress
@@ -916,7 +912,7 @@ impl SessionTask {
     /// Advance by at most `budget` dynamic instructions.
     ///
     /// Admission (validation, backend build, image load) happens lazily
-    /// at the first unblocked poll and is not charged against the
+    /// at the first poll and is not charged against the
     /// budget; instrumentation counters tick at exactly the points the
     /// wrapped run-to-completion path would tick them. Any slicing of
     /// budgets yields byte-identical results and counters to a single
@@ -927,22 +923,13 @@ impl SessionTask {
     /// Panics when called again after [`Step::Done`] — a completed
     /// continuation has no state left to run.
     pub fn poll(&mut self, budget: u64) -> Step {
-        if let Some(reason) = &self.gate {
-            return Step::Blocked(reason.clone());
-        }
         match std::mem::replace(&mut self.state, State::Finished) {
-            State::PendingBatch(spec) => match admit_batch(spec) {
-                Ok(Some(pass)) => {
-                    FUNCTIONAL_PASSES.fetch_add(1, Ordering::Relaxed);
-                    self.state = State::Batch(Box::new(pass));
+            State::PendingGroup(spec) => {
+                match admit_group(&spec.app, spec.watchpoints, spec.backend, spec.batches) {
+                    Ok(run) => self.state = State::Group(Box::new(run), spec.shape),
+                    Err(e) => return Step::Done(spec.shape.output(Err(e))),
                 }
-                Ok(None) => return Step::Done(TaskOutput::Batch(Ok(Vec::new()))),
-                Err(e) => return Step::Done(TaskOutput::Batch(Err(e))),
-            },
-            State::PendingGroup(spec) => match admit_group(spec) {
-                Ok(run) => self.state = State::Group(Box::new(run)),
-                Err(e) => return Step::Done(TaskOutput::Group(Err(e))),
-            },
+            }
             State::PendingObserve(spec) => match admit_observe(spec) {
                 Ok(Admitted::Live(run)) => self.state = State::Observe(run),
                 Ok(Admitted::Settled(results)) => {
@@ -954,20 +941,11 @@ impl SessionTask {
             running => self.state = running,
         }
         match &mut self.state {
-            State::Batch(pass) => {
-                self.progress += pass.drive_budget(budget);
-                if pass.done() {
-                    let State::Batch(pass) = std::mem::replace(&mut self.state, State::Finished)
-                    else {
-                        unreachable!("state checked above");
-                    };
-                    return Step::Done(TaskOutput::Batch(Ok(pass.finish())));
-                }
-            }
-            State::Group(run) => {
+            State::Group(run, shape) => {
                 if let Some(out) = run.advance(budget, &mut self.progress) {
+                    let out = shape.output(Ok(out));
                     self.state = State::Finished;
-                    return Step::Done(TaskOutput::Group(Ok(out)));
+                    return Step::Done(out);
                 }
             }
             State::Observe(run) => {
@@ -980,10 +958,7 @@ impl SessionTask {
                     return Step::Done(TaskOutput::Observe(run.finish()));
                 }
             }
-            State::PendingBatch(_)
-            | State::PendingGroup(_)
-            | State::PendingObserve(_)
-            | State::Finished => {
+            State::PendingGroup(_) | State::PendingObserve(_) | State::Finished => {
                 unreachable!("pending states were admitted above")
             }
         }
@@ -991,18 +966,10 @@ impl SessionTask {
     }
 
     /// Drive the task to completion in unbounded slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the task is gated: nothing here can unblock it.
     pub fn run_to_completion(mut self) -> TaskOutput {
         loop {
-            match self.poll(u64::MAX) {
-                Step::Done(out) => return out,
-                Step::Yielded(_) => {}
-                Step::Blocked(reason) => {
-                    panic!("cannot run a gated task to completion: blocked on {reason}")
-                }
+            if let Step::Done(out) = self.poll(u64::MAX) {
+                return out;
             }
         }
     }
@@ -1022,38 +989,26 @@ fn shared_engine(cfgs: &[CpuConfig]) -> Result<Option<&CpuConfig>, DebugError> {
     Ok(Some(first))
 }
 
-/// Admission for a batch task (and for [`crate::Session`]): validation,
-/// backend build and the image instantiation, stopping short of driving. The
-/// caller ticks `FUNCTIONAL_PASSES` — a task as it admits, a `Session`
-/// on its first drive. `Ok(None)` is the empty-configuration batch (no
-/// pass to run).
-pub(crate) fn admit_batch(spec: BatchSpec) -> Result<Option<Pass>, DebugError> {
-    validate_watchpoints(&spec.watchpoints)?;
-    let mut backend = spec.backend.instantiate();
-    let image = build_image(backend.as_mut(), &spec.app, &spec.watchpoints)?;
-    let cfgs: Vec<CpuConfig> = spec.cpus.iter().map(|&c| backend.cpu_config(c)).collect();
-    let Some(first) = shared_engine(&cfgs)? else {
-        return Ok(None);
-    };
-    let exec = image.executor(*first);
-    IMAGE_LOADS.fetch_add(1, Ordering::Relaxed);
-    Pass::on(exec, backend, &spec.watchpoints, &cfgs, image.text_bytes).map(Some)
-}
-
-/// Admission for a perturbing group: the group-wide static work
-/// (validation, instantiation, `build_program`). The image
-/// instantiation and per-sub-batch forks happen as the run reaches them.
-fn admit_group(spec: GroupSpec) -> Result<GroupRun, DebugError> {
-    validate_watchpoints(&spec.watchpoints)?;
-    let mut built = spec.backend.instantiate();
-    let image = build_image(built.as_mut(), &spec.app, &spec.watchpoints)?;
+/// Admission for every private pass — [`SessionTask::batch`],
+/// [`SessionTask::perturbing_group`] and [`crate::Session`]: the
+/// group-wide static work (validation, instantiation, `build_program`).
+/// Each sub-batch's image load happens as the run reaches it
+/// ([`GroupRun::start`]); the caller ticks `FUNCTIONAL_PASSES` — a
+/// task as each sub-batch starts, a `Session` on its first drive.
+pub(crate) fn admit_group(
+    app: &Application,
+    watchpoints: Vec<Watchpoint>,
+    backend: BackendKind,
+    batches: Vec<Vec<CpuConfig>>,
+) -> Result<GroupRun, DebugError> {
+    validate_watchpoints(&watchpoints)?;
+    let mut built = backend.instantiate();
+    let image = build_image(built.as_mut(), app, &watchpoints)?;
     Ok(GroupRun {
-        built,
+        built: Some(built),
         image,
-        watchpoints: spec.watchpoints,
-        batches: spec.batches,
-        template: None,
-        next: 0,
+        watchpoints,
+        batches: batches.into_iter(),
         current: None,
         out: Vec::new(),
     })
@@ -1257,7 +1212,6 @@ mod tests {
                     yields += 1;
                     assert_eq!(p.instructions, task.progress());
                 }
-                Step::Blocked(reason) => panic!("ungated task reported blocked: {reason}"),
             }
         }
     }
@@ -1285,33 +1239,8 @@ mod tests {
                     assert_eq!(reports[0].run.instructions, task.progress());
                     break;
                 }
-                Step::Blocked(reason) => panic!("ungated task reported blocked: {reason}"),
             }
         }
-    }
-
-    /// A gated task consumes no budget and does no admission work until
-    /// unblocked.
-    #[test]
-    fn gated_tasks_block_without_progress() {
-        let a = app(5);
-        let mut task = SessionTask::session(
-            &a,
-            vec![wp(&a)],
-            BackendKind::VirtualMemory,
-            CpuConfig::default(),
-        )
-        .gated("after warmup");
-        assert!(task.is_blocked());
-        let passes_before = crate::functional_passes();
-        match task.poll(u64::MAX) {
-            Step::Blocked(reason) => assert_eq!(reason, "after warmup"),
-            _ => panic!("gated task must report Blocked"),
-        }
-        assert_eq!(task.progress(), 0);
-        assert_eq!(crate::functional_passes(), passes_before, "no admission while gated");
-        task.unblock();
-        assert!(matches!(task.poll(u64::MAX), Step::Done(_)));
     }
 
     #[test]
@@ -1328,14 +1257,55 @@ mod tests {
         let _ = task.poll(1);
     }
 
-    /// Satellite regression: the `ForkConfigError` → `DebugError`
-    /// conversion both exists and renders usefully.
+    /// A batch is a perturbing group of one sub-batch: its result is the
+    /// group's only entry, for reports and for every error, whether the
+    /// error settles the whole group at admission (invalid watchpoints,
+    /// a perturbing backend that cannot implement them) or just its
+    /// sub-batch (mismatched engines, an observing backend that cannot).
     #[test]
-    fn fork_config_error_converts_to_debug_error() {
-        let err: DebugError = dise_cpu::ForkConfigError { instructions: 7 }.into();
-        assert_eq!(err, DebugError::Fork(dise_cpu::ForkConfigError { instructions: 7 }));
-        let msg = err.to_string();
-        assert!(msg.contains("retired 7 instructions"), "{msg}");
+    fn a_batch_is_a_group_of_one() {
+        let a = app(12);
+        let addr = a.program().unwrap().symbol("watched").unwrap();
+        let scalar = wp(&a);
+        let empty_range = Watchpoint::new(WatchExpr::Range { base: addr, len: 0 });
+        let range = Watchpoint::new(WatchExpr::Range { base: addr, len: 16 });
+        let indirect = Watchpoint::new(WatchExpr::Indirect { ptr: addr, width: Width::Q });
+        let cheap = CpuConfig { debugger_transition_cost: 5_000, ..CpuConfig::default() };
+        let mut small = CpuConfig::default();
+        small.engine.replacement_entries = 64;
+        let inline = BackendKind::Dise(crate::DiseStrategy::evaluate_inline(true));
+        let cases = [
+            (BackendKind::VirtualMemory, scalar, vec![CpuConfig::default(), cheap], "reports"),
+            (inline, scalar, vec![CpuConfig::default(), cheap], "reports"),
+            (BackendKind::VirtualMemory, scalar, vec![], "empty"),
+            (inline, scalar, vec![], "empty"),
+            (BackendKind::VirtualMemory, scalar, vec![CpuConfig::default(), small], "mismatch"),
+            (inline, scalar, vec![CpuConfig::default(), small], "mismatch"),
+            (BackendKind::VirtualMemory, empty_range, vec![CpuConfig::default()], "invalid"),
+            (inline, empty_range, vec![CpuConfig::default()], "invalid"),
+            (BackendKind::VirtualMemory, indirect, vec![CpuConfig::default()], "unsupported"),
+            (inline, range, vec![CpuConfig::default()], "unsupported"),
+        ];
+        for (backend, w, cpus, what) in cases {
+            let batch =
+                SessionTask::batch(&a, vec![w], backend, &cpus).run_to_completion().into_batch();
+            let group =
+                SessionTask::perturbing_group(&a, vec![w], backend, std::slice::from_ref(&cpus))
+                    .run_to_completion()
+                    .into_group()
+                    .and_then(|mut subs| {
+                        assert_eq!(subs.len(), 1, "{what} under {backend:?}");
+                        subs.pop().unwrap()
+                    });
+            assert_eq!(batch, group, "{what} under {backend:?}");
+            match what {
+                "reports" => assert_eq!(batch.unwrap().len(), cpus.len(), "{backend:?}"),
+                "empty" => assert_eq!(batch, Ok(Vec::new()), "{backend:?}"),
+                "mismatch" => assert_eq!(batch, Err(DebugError::MismatchedEngines)),
+                "invalid" => assert!(matches!(batch, Err(DebugError::InvalidWatchpoint { .. }))),
+                _ => assert!(matches!(batch, Err(DebugError::Unsupported { .. })), "{batch:?}"),
+            }
+        }
     }
 
     /// An invalid watchpoint settles a task at admission, identically

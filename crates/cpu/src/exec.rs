@@ -122,30 +122,6 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// The error [`Executor::fork_with_config`] returns when handed a
-/// template that has already run: a mid-run machine's replacement
-/// context and caches are tied to its own engine capacities and cannot
-/// be re-capacitied, so sharing it cross-configuration would corrupt
-/// the child. Callers that want a mid-run twin use [`Executor::fork`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ForkConfigError {
-    /// Dynamic instructions the would-be template had already retired.
-    pub instructions: u64,
-}
-
-impl fmt::Display for ForkConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "fork_with_config shares pre-run templates only, but the parent has retired {} \
-             instructions (use fork() for mid-run, same-configuration twins)",
-            self.instructions
-        )
-    }
-}
-
-impl std::error::Error for ForkConfigError {}
-
 /// Notable outcomes of one instruction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Event {
@@ -591,7 +567,7 @@ pub struct Executor {
     /// recycled through `free_blocks`. An arena rather than a map so
     /// the cursor continuation — the per-instruction hot path — is a
     /// bounds-checked index, not a hash probe. Blocks are immutable
-    /// once built and shared (`Arc`) with forks and checkpoints. They
+    /// once built and shared (`Arc`) with forks and clones. They
     /// are invalidated range-wise by overlapping stores and code
     /// patches, and flushed wholesale by [`Executor::mem_mut`] and
     /// [`Executor::engine_mut`] (production changes alter what a block
@@ -757,47 +733,6 @@ impl Executor {
         let mut child = self.clone();
         child.mem = mem;
         child
-    }
-
-    /// Fork a machine that has not started running under a different
-    /// configuration: copy-on-write memory, registers and PC from
-    /// `self`; a fresh DISE engine with `config`'s capacities; cold
-    /// caches. This is how one loaded image is shared across grid
-    /// cells that disagree on [`CpuConfig::engine`] — a warmed engine
-    /// or block cache would bake in the wrong capacities.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ForkConfigError`] if `self` has already executed
-    /// instructions: a mid-run machine's replacement context and caches
-    /// are tied to its own engine and cannot be re-capacitied. Use
-    /// [`Executor::fork`] for same-configuration forks at any point of
-    /// a run. (This used to be a debug-adjacent `assert!`; it is a
-    /// recoverable error so misuse fails loudly on every build.)
-    pub fn fork_with_config(&mut self, config: CpuConfig) -> Result<Executor, ForkConfigError> {
-        if self.instructions != 0 {
-            return Err(ForkConfigError { instructions: self.instructions });
-        }
-        let mut child = Executor::new(config);
-        child.mem = self.mem.fork();
-        child.regs = self.regs;
-        child.pc = self.pc;
-        Ok(child)
-    }
-
-    /// Snapshot the whole machine — O(page-table), not O(resident
-    /// bytes), thanks to copy-on-write pages.
-    pub fn checkpoint(&self) -> ExecutorCheckpoint {
-        ExecutorCheckpoint { state: self.clone() }
-    }
-
-    /// Restore the machine to a checkpoint. The restored block cache is
-    /// the one captured with it — it describes the restored memory
-    /// image and engine exactly, so it comes back revalidated rather
-    /// than flushed, and re-running from the checkpoint replays the
-    /// original `Exec` stream byte for byte.
-    pub fn restore(&mut self, ck: &ExecutorCheckpoint) {
-        *self = ck.state.clone();
     }
 
     /// Drop every cached block whose byte range overlaps the
@@ -1395,28 +1330,6 @@ impl Exec {
 #[inline]
 fn needs_dise_resources(instr: &Instr) -> bool {
     instr.is_dise_only() || instr.touches_dise_regs()
-}
-
-/// A frozen snapshot of a whole [`Executor`] — architectural state,
-/// memory (pages shared copy-on-write with the live machine), DISE
-/// engine, replacement context, and block cache. Taking and
-/// restoring one is O(page-table); see [`Executor::checkpoint`] /
-/// [`Executor::restore`].
-#[derive(Clone, Debug)]
-pub struct ExecutorCheckpoint {
-    state: Executor,
-}
-
-impl ExecutorCheckpoint {
-    /// Dynamic instructions the machine had executed when captured.
-    pub fn instructions(&self) -> u64 {
-        self.state.instructions
-    }
-
-    /// The captured PC.
-    pub fn pc(&self) -> u64 {
-        self.state.pc
-    }
 }
 
 /// The target of a PC-relative branch at `pc`: `disp` instruction words
@@ -2350,67 +2263,5 @@ mod tests {
             "copied + still-shared == shared-at-fork while the parent is idle"
         );
         assert_eq!(parent.mem().cow_stats().pages_copied, 0, "parent never wrote");
-    }
-
-    /// Checkpoint → run → restore → run replays the identical stream,
-    /// with the warm caches revalidated rather than rebuilt.
-    #[test]
-    fn checkpoint_restore_replays_identically() {
-        let mut m = machine(self_modifying_src());
-        for _ in 0..9 {
-            m.step();
-        }
-        let ck = m.checkpoint();
-        assert_eq!(ck.instructions(), 9);
-        assert_eq!(ck.pc(), m.pc());
-        let first = run(&mut m, 1000);
-        let stats_first = (m.block_cache_stats(), m.engine().stats());
-        m.restore(&ck);
-        assert_eq!(m.instructions(), 9);
-        let second = run(&mut m, 1000);
-        assert_eq!(second, first, "restored run must replay the stream byte for byte");
-        let stats_second = (m.block_cache_stats(), m.engine().stats());
-        assert_eq!(
-            stats_second, stats_first,
-            "counters rewind with the machine and re-accumulate identically"
-        );
-    }
-
-    /// Cross-configuration forks share the loaded image but get fresh
-    /// engine capacities, and refuse mid-run templates.
-    #[test]
-    fn fork_with_config_shares_image_with_fresh_engine() {
-        let mut template = machine(
-            "start: la r1, v
-                    stq r2, 0(r1)
-                    halt
-             .data
-             v: .quad 0",
-        );
-        let mut small = CpuConfig::default();
-        small.engine.replacement_entries = 2;
-        let mut child = template.fork_with_config(small).expect("pre-run template forks");
-        assert_eq!(child.pc(), template.pc());
-        assert_eq!(child.reg(Reg::SP), template.reg(Reg::SP));
-        assert_eq!(child.mem().read_u(child.pc(), 4), template.mem().read_u(template.pc(), 4));
-        assert_eq!(child.engine().config().replacement_entries, 2);
-        let err = Production::new(
-            "pad",
-            Pattern::opclass(OpClass::Store),
-            vec![
-                TemplateInst::Trigger,
-                TemplateInst::Fixed(Instr::Nop),
-                TemplateInst::Fixed(Instr::Nop),
-            ],
-        );
-        assert!(child.engine_mut().install(err).is_err(), "small capacity is really in force");
-        run(&mut child, 100);
-
-        // Regression: a mid-run template is refused with a recoverable
-        // error naming how far the parent had run, not a debug assert.
-        template.step();
-        let err = template.fork_with_config(small).unwrap_err();
-        assert_eq!(err, ForkConfigError { instructions: 1 });
-        assert!(err.to_string().contains("retired 1 instructions"), "{err}");
     }
 }

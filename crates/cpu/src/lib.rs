@@ -52,8 +52,7 @@ mod trace;
 pub use config::CpuConfig;
 pub use exec::{
     byte_span, footprints_overlap, BlockCacheStats, Branch, BranchKind, ChunkSummary, Event, Exec,
-    ExecChunk, ExecError, Executor, ExecutorCheckpoint, FlushKind, ForkConfigError, MemOp,
-    MAX_BLOCK_STEPS, NUM_REGS,
+    ExecChunk, ExecError, Executor, FlushKind, MemOp, MAX_BLOCK_STEPS, NUM_REGS,
 };
 pub use predictor::{BpredConfig, Predictor};
 pub use timing::{RunStats, Timing, TimingBatch};

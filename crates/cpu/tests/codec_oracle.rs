@@ -807,9 +807,7 @@ fn kernel_and_dise_session_streams_match_the_oracle() {
     let session =
         Session::new(w.app(), vec![w.watchpoint(WatchKind::Hot)], BackendKind::dise_default())
             .expect("DISE session admits");
-    let mut exec = Executor::new(CpuConfig::default());
-    exec.restore(&session.executor().checkpoint());
-    let stream = functional_stream(exec, 1 << 20);
+    let stream = functional_stream(session.executor().clone(), 1 << 20);
     assert!(stream.iter().any(|e| e.disepc > 0), "the session's productions expand");
     check_stream(&stream, 64, u64::MAX, 9).unwrap();
 }

@@ -21,9 +21,9 @@
 //! address space so fetch wraps to address 0. A random script drives
 //! both machines identically: `step`, `step_chunk` with random
 //! capacities, budgets and dirty records, `patch_code` breakpoints,
-//! debugger writes through `mem_mut`, `set_pc`, production toggles, and
-//! mid-run `fork`, `checkpoint` and `restore`. The `Exec` streams, chunk
-//! summaries, `instructions()`, `block_cache_stats()`,
+//! debugger writes through `mem_mut`, `set_pc`, production toggles,
+//! mid-run `fork`, and resuming from a saved `clone`. The `Exec`
+//! streams, chunk summaries, `instructions()`, `block_cache_stats()`,
 //! `engine().stats()`, registers, memory images and `cow_stats()` must
 //! be identical for every machine, forked parents included. Tier-1
 //! runs a small case count; the `#[ignore]`d sweep runs many more:
@@ -42,7 +42,7 @@ use std::sync::Arc;
 use dise_asm::Program;
 use dise_cpu::{
     BlockCacheStats, Branch, BranchKind, CpuConfig, Event, Exec, ExecChunk, ExecError, FlushKind,
-    ForkConfigError, MemOp, MAX_BLOCK_STEPS, NUM_REGS,
+    MemOp, MAX_BLOCK_STEPS, NUM_REGS,
 };
 use dise_engine::{Engine, Pattern, Production, ProductionId, TDisp, TOperand, TReg, TemplateInst};
 use dise_isa::{decode, encode, AluOp, Cond, Instr, OpClass, Operand, Reg, Width, INSTR_BYTES};
@@ -554,47 +554,6 @@ impl Executor {
         let mut child = self.clone();
         child.mem = mem;
         child
-    }
-
-    /// Fork a machine that has not started running under a different
-    /// configuration: copy-on-write memory, registers and PC from
-    /// `self`; a fresh DISE engine with `config`'s capacities; cold
-    /// caches. This is how one loaded image is shared across grid
-    /// cells that disagree on [`CpuConfig::engine`] — a warmed engine
-    /// or block cache would bake in the wrong capacities.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ForkConfigError`] if `self` has already executed
-    /// instructions: a mid-run machine's replacement context and caches
-    /// are tied to its own engine and cannot be re-capacitied. Use
-    /// [`Executor::fork`] for same-configuration forks at any point of
-    /// a run. (This used to be a debug-adjacent `assert!`; it is a
-    /// recoverable error so misuse fails loudly on every build.)
-    pub fn fork_with_config(&mut self, config: CpuConfig) -> Result<Executor, ForkConfigError> {
-        if self.instructions != 0 {
-            return Err(ForkConfigError { instructions: self.instructions });
-        }
-        let mut child = Executor::new(config);
-        child.mem = self.mem.fork();
-        child.regs = self.regs;
-        child.pc = self.pc;
-        Ok(child)
-    }
-
-    /// Snapshot the whole machine — O(page-table), not O(resident
-    /// bytes), thanks to copy-on-write pages.
-    pub fn checkpoint(&self) -> ExecutorCheckpoint {
-        ExecutorCheckpoint { state: self.clone() }
-    }
-
-    /// Restore the machine to a checkpoint. The restored block cache is
-    /// the one captured with it — it describes the restored memory
-    /// image and engine exactly, so it comes back revalidated rather
-    /// than flushed, and re-running from the checkpoint replays the
-    /// original `Exec` stream byte for byte.
-    pub fn restore(&mut self, ck: &ExecutorCheckpoint) {
-        *self = ck.state.clone();
     }
 
     /// Drop every cached block whose byte range overlaps the
@@ -1113,28 +1072,6 @@ impl Executor {
     }
 }
 
-/// A frozen snapshot of a whole [`Executor`] — architectural state,
-/// memory (pages shared copy-on-write with the live machine), DISE
-/// engine, replacement context, and block cache. Taking and
-/// restoring one is O(page-table); see [`Executor::checkpoint`] /
-/// [`Executor::restore`].
-#[derive(Clone, Debug)]
-pub struct ExecutorCheckpoint {
-    state: Executor,
-}
-
-impl ExecutorCheckpoint {
-    /// Dynamic instructions the machine had executed when captured.
-    pub fn instructions(&self) -> u64 {
-        self.state.instructions
-    }
-
-    /// The captured PC.
-    pub fn pc(&self) -> u64 {
-        self.state.pc
-    }
-}
-
 /// The target of a PC-relative branch at `pc`: `disp` instruction words
 /// past the next one, wrapping like every other PC computation.
 #[inline]
@@ -1388,32 +1325,21 @@ enum Op {
     Steps(u32),
     /// One `step_chunk` call; every `dirty_every`-th record is claimed
     /// dirty (0: none).
-    Chunk {
-        cap: usize,
-        max: u64,
-        dirty_every: u64,
-    },
+    Chunk { cap: usize, max: u64, dirty_every: u64 },
     /// `patch_code` (a breakpoint planted or lifted).
-    Patch {
-        addr: u64,
-        word: u32,
-    },
+    Patch { addr: u64, word: u32 },
     /// A debugger write through `mem_mut`.
-    Poke {
-        addr: u64,
-        width: u64,
-        val: u64,
-    },
+    Poke { addr: u64, width: u64, val: u64 },
     /// A debugger jump.
     SetPc(u64),
     /// `engine_mut().set_active` on one installed production.
-    Toggle {
-        production: usize,
-        active: bool,
-    },
+    Toggle { production: usize, active: bool },
     /// Continue with a `fork`ed child; the parent runs to the end later.
     Fork,
+    /// Save a `clone` of both machines.
     Checkpoint,
+    /// Resume both machines from the saved clones, which must re-execute
+    /// byte-identically.
     Restore,
 }
 
@@ -1706,11 +1632,11 @@ fn check_case(case: &Case) -> Result<(), TestCaseError> {
                 let child = Pair { new: p.new.fork(), old: p.old.fork(), budget: p.budget };
                 parents.push(std::mem::replace(&mut p, child));
             }
-            Op::Checkpoint => saved = Some((p.new.checkpoint(), p.old.checkpoint(), p.budget)),
+            Op::Checkpoint => saved = Some((p.new.clone(), p.old.clone(), p.budget)),
             Op::Restore => {
                 if let Some((n, o, budget)) = &saved {
-                    p.new.restore(n);
-                    p.old.restore(o);
+                    p.new = n.clone();
+                    p.old = o.clone();
                     p.budget = *budget;
                 }
             }

@@ -627,10 +627,8 @@ proptest! {
         ];
         let drain = |mut task: SessionTask, budget: u64| -> TaskOutput {
             loop {
-                match task.poll(budget) {
-                    Step::Done(out) => return out,
-                    Step::Yielded(_) => {}
-                    Step::Blocked(r) => panic!("ungated task blocked: {r}"),
+                if let Step::Done(out) = task.poll(budget) {
+                    return out;
                 }
             }
         };

