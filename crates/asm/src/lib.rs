@@ -38,4 +38,4 @@ mod program;
 
 pub use builder::{Asm, DataItem, TextItem};
 pub use parse::{parse_asm, ParseError};
-pub use program::{AsmError, DataLayout, Layout, Program};
+pub use program::{AsmError, DataLayout, Layout, Program, MAX_DATA_BYTES};

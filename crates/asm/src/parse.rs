@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use dise_isa::{AluOp, Cond, Instr, Operand, Reg, Width};
+use dise_isa::{AluOp, Cond, Instr, Operand, Reg, Width, MEM_DISP_MAX, MEM_DISP_MIN};
 
 use crate::Asm;
 
@@ -91,11 +91,19 @@ fn parse_mem_operand(s: &str, line: usize) -> Result<(i16, Reg), ParseError> {
     }
     let disp_str = &s[..open];
     let disp = if disp_str.trim().is_empty() { 0 } else { parse_int(disp_str, line)? };
-    if !(i16::MIN as i64..=i16::MAX as i64).contains(&disp) {
-        return err(line, format!("displacement {disp} out of range"));
+    if !(i64::from(MEM_DISP_MIN)..=i64::from(MEM_DISP_MAX)).contains(&disp) {
+        return err(line, format!("displacement {disp} out of 14-bit range"));
     }
     let base = parse_reg(&s[open + 1..s.len() - 1], line)?;
     Ok((disp as i16, base))
+}
+
+/// A numeric branch displacement, checked against its 20-bit field.
+fn branch_disp(disp: i64, line: usize) -> Result<i32, ParseError> {
+    if !(-(1 << 19)..(1 << 19)).contains(&disp) {
+        return err(line, format!("branch displacement {disp} out of 20-bit range"));
+    }
+    Ok(disp as i32)
 }
 
 fn split_operands(rest: &str) -> Vec<String> {
@@ -283,7 +291,7 @@ pub fn parse_asm(src: &str) -> Result<Asm, ParseError> {
             need(2)?;
             let rs = parse_reg(&ops[0], line)?;
             if let Ok(disp) = parse_int(&ops[1], line) {
-                asm.inst(Instr::CondBr { cond, rs, disp: disp as i32 });
+                asm.inst(Instr::CondBr { cond, rs, disp: branch_disp(disp, line)? });
             } else {
                 asm.cond_br(cond, rs, &ops[1]);
             }
@@ -314,7 +322,7 @@ pub fn parse_asm(src: &str) -> Result<Asm, ParseError> {
             "br" => {
                 need(1)?;
                 if let Ok(disp) = parse_int(&ops[0], line) {
-                    asm.inst(Instr::Br { rd: Reg::ZERO, disp: disp as i32 });
+                    asm.inst(Instr::Br { rd: Reg::ZERO, disp: branch_disp(disp, line)? });
                 } else {
                     asm.br(&ops[0]);
                 }
@@ -323,7 +331,7 @@ pub fn parse_asm(src: &str) -> Result<Asm, ParseError> {
                 need(2)?;
                 let link = parse_reg(&ops[0], line)?;
                 if let Ok(disp) = parse_int(&ops[1], line) {
-                    asm.inst(Instr::Br { rd: link, disp: disp as i32 });
+                    asm.inst(Instr::Br { rd: link, disp: branch_disp(disp, line)? });
                 } else {
                     asm.bsr(link, &ops[1]);
                 }
@@ -353,8 +361,8 @@ pub fn parse_asm(src: &str) -> Result<Asm, ParseError> {
                 need(2)?;
                 let rd = parse_reg(&ops[0], line)?;
                 let v = parse_int(&ops[1], line)?;
-                if !(i16::MIN as i64..=i16::MAX as i64).contains(&v) {
-                    return err(line, format!("li immediate {v} out of 16-bit range"));
+                if !(i64::from(MEM_DISP_MIN)..=i64::from(MEM_DISP_MAX)).contains(&v) {
+                    return err(line, format!("li immediate {v} out of 14-bit range"));
                 }
                 asm.inst(Instr::li(rd, v as i16));
             }

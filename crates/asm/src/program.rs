@@ -51,7 +51,15 @@ pub enum AsmError {
     },
     /// A data alignment was not a power of two.
     BadAlignment(u64),
+    /// The data section would exceed [`MAX_DATA_BYTES`] (or run past
+    /// the top of the address space).
+    DataTooLarge,
 }
+
+/// The largest data section [`Asm::assemble`] lays out: 1 GiB, far
+/// above any workload's and far below what would exhaust the host when
+/// a `.space` or `.align` asks for more.
+pub const MAX_DATA_BYTES: u64 = 1 << 30;
 
 impl fmt::Display for AsmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -65,6 +73,9 @@ impl fmt::Display for AsmError {
                 write!(f, "address {addr:#x} of `{symbol}` not materialisable")
             }
             AsmError::BadAlignment(a) => write!(f, "alignment {a} is not a power of two"),
+            AsmError::DataTooLarge => {
+                write!(f, "data section exceeds {MAX_DATA_BYTES} bytes")
+            }
         }
     }
 }
@@ -114,8 +125,8 @@ impl Asm {
     /// # Errors
     ///
     /// Returns an [`AsmError`] for undefined or duplicate labels,
-    /// unreachable branch targets, unmaterialisable addresses, or bad
-    /// alignments.
+    /// unreachable branch targets, unmaterialisable addresses, bad
+    /// alignments, or a data section over [`MAX_DATA_BYTES`].
     pub fn assemble(&self, layout: Layout) -> Result<Program, AsmError> {
         self.assemble_with(layout, &HashMap::new())
     }
@@ -257,21 +268,29 @@ impl Asm {
         data_base: u64,
         mut visit: impl FnMut(&DataItem, u64) -> Result<(), AsmError>,
     ) -> Result<u64, AsmError> {
+        // Every length stays within `MAX_DATA_BYTES` of `data_base`, so
+        // checked arithmetic covers a hostile size or alignment.
+        let bounded = |len: Option<u64>| {
+            len.filter(|&l| l <= MAX_DATA_BYTES && data_base.checked_add(l).is_some())
+                .ok_or(AsmError::DataTooLarge)
+        };
         let mut len = 0u64;
         for item in self.data_items() {
             if let DataItem::Align(n) = item {
                 if !n.is_power_of_two() {
                     return Err(AsmError::BadAlignment(*n));
                 }
-                len = (data_base + len).next_multiple_of(*n) - data_base;
+                len =
+                    bounded((data_base + len).checked_next_multiple_of(*n).map(|a| a - data_base))?;
             }
-            visit(item, len)?;
-            len += match item {
+            let end = bounded(len.checked_add(match item {
                 DataItem::Bytes(b) => b.len() as u64,
                 DataItem::Space(n) => *n,
                 DataItem::AddrOf(_) => 8,
                 DataItem::Label(_) | DataItem::Align(_) => 0,
-            };
+            }))?;
+            visit(item, len)?;
+            len = end;
         }
         Ok(len)
     }
@@ -282,7 +301,7 @@ impl Asm {
     /// # Errors
     ///
     /// As [`Asm::assemble`], for the data section alone: a duplicate
-    /// data label or a bad alignment.
+    /// data label, a bad alignment or an oversized section.
     pub fn data_layout(&self, data_base: u64) -> Result<DataLayout, AsmError> {
         let mut symbols = HashMap::new();
         let mut addr_cells = Vec::new();

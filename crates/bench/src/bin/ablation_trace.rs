@@ -1,11 +1,10 @@
 //! Persistent-trace ablation: what recording a kernel's functional
 //! `Exec` stream costs, how hard the delta + run-length codec squeezes
-//! it, how fast a stored stream replays, and what the record-once /
-//! replay-forever economy saves an observer grid in functional passes.
-//! Replays are byte-identical to live runs (the conformance and
-//! determinism suites prove that); this harness shows the ratios,
-//! throughputs and counters, honestly — the compression column is the
-//! codec's doing, the pass-economy columns are the grid's.
+//! it, how fast a stored stream replays, and whether an observer batch
+//! replayed from the store beats the same batch run live. Replays are
+//! byte-identical to live runs (the conformance and determinism suites
+//! prove that, and this harness asserts it for every set it times);
+//! this harness shows the ratios and wall times.
 
 use std::time::Instant;
 
@@ -13,7 +12,7 @@ use dise_asm::{parse_asm, Layout};
 use dise_cpu::{replay_timing, CpuConfig, TraceReader};
 use dise_debug::{
     functional_passes, record_session, run_baseline, trace_records, trace_replays, Application,
-    BackendKind, SessionTask,
+    BackendKind, DebugError, SessionReport, SessionTask,
 };
 use dise_workloads::{all, transition_cost_sweep, WatchKind};
 
@@ -23,6 +22,22 @@ fn scratch_dir() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("dise-trace-ablation-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch trace dir");
     dir
+}
+
+/// Run `task` `reps` times; its reports and the fastest wall time.
+fn best_of(
+    reps: usize,
+    task: impl Fn() -> SessionTask,
+) -> (Vec<Result<Vec<SessionReport>, DebugError>>, f64) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..reps {
+        let t = Instant::now();
+        let reports = task().run_to_completion().into_observe().expect("observer batch runs");
+        best = best.min(t.elapsed().as_secs_f64());
+        out = Some(reports);
+    }
+    (out.expect("at least one run"), best)
 }
 
 fn main() {
@@ -99,71 +114,104 @@ fn main() {
         );
     }
 
-    // 3. The pass economy: one observer group (3 watchpoint sets x 2
-    //    observing backends x 3 timing configs) run cold (recording)
-    //    and warm (replaying). The warm run performs zero functional
-    //    passes; the reports are identical.
-    let w = &all(iters)[0];
-    let sets = [
-        vec![w.watchpoint(WatchKind::Hot)],
-        vec![w.watchpoint(WatchKind::Warm1)],
-        vec![w.watchpoint(WatchKind::Cold)],
-    ];
+    // 3. Replay against a live pass, per kernel, on two member sets:
+    //    one virtual-memory member under one configuration, and 3
+    //    watchpoint sets x 2 observing backends under the 3 transition
+    //    costs. Each kernel's stream is recorded once (cold, with the
+    //    large set); then each set runs live and from the store, best of
+    //    `REPS` wall times each, and the reports must be identical.
+    const REPS: usize = 3;
     let cpus: Vec<CpuConfig> =
         transition_cost_sweep(CpuConfig::default()).into_iter().map(|(_, c)| c).collect();
-    let mut specs = Vec::new();
-    for set in &sets {
-        for backend in [BackendKind::VirtualMemory, BackendKind::hw4()] {
-            specs.push((backend, set.clone(), cpus.clone()));
-        }
-    }
-    let members = specs.len();
-    let path = dir.join(format!("observer-{}.dtrc", w.name()));
-
-    let (p0, r0) = (functional_passes(), trace_records());
-    let t = Instant::now();
-    let cold = SessionTask::observer_recorded(w.app(), specs.clone(), &path)
-        .run_to_completion()
-        .into_observe()
-        .expect("cold observer batch runs");
-    let cold_secs = t.elapsed().as_secs_f64();
-    let (cold_passes, cold_records) = (functional_passes() - p0, trace_records() - r0);
-
-    let (p0, r0) = (functional_passes(), trace_replays());
-    let t = Instant::now();
-    let warm = SessionTask::observer_replay(w.app(), specs, &path)
-        .run_to_completion()
-        .into_observe()
-        .expect("warm observer batch replays");
-    let warm_secs = t.elapsed().as_secs_f64();
-    let (warm_passes, warm_replays) = (functional_passes() - p0, trace_replays() - r0);
-
-    assert_eq!(cold, warm, "{}: warm replay must be byte-identical to the cold run", w.name());
-    assert_eq!(warm_passes, 0, "a warm grid performs zero functional passes");
     println!(
-        "\nObserver-batch economy on {} ({} members x {} timing configs):",
-        w.name(),
-        members,
+        "\nLive pass against replay, best of {REPS} (ms): a 1-member set \
+         (VM, HOT, one config) and a 6-member set (HOT/WARM1/COLD x VM/HW4, \
+         {} configs)",
         cpus.len()
     );
-    println!("{:<14}{:>10}{:>8}{:>9}{:>9}", "shape", "seconds", "passes", "records", "replays");
     println!(
-        "{:<14}{:>10.3}{:>8}{:>9}{:>9}",
-        "cold (record)", cold_secs, cold_passes, cold_records, 0
+        "{:<10}{:>10}{:>10}{:>10}{:>8}{:>10}{:>10}{:>8}",
+        "kernel", "records", "1: live", "replay", "ratio", "6: live", "replay", "ratio"
     );
+    let (p0, r0, q0) = (functional_passes(), trace_records(), trace_replays());
+    let mut ratios = (Vec::new(), Vec::new());
+    for w in &all(iters) {
+        let one = vec![(
+            BackendKind::VirtualMemory,
+            vec![w.watchpoint(WatchKind::Hot)],
+            vec![CpuConfig::default()],
+        )];
+        let mut six = Vec::new();
+        for kind in [WatchKind::Hot, WatchKind::Warm1, WatchKind::Cold] {
+            for backend in [BackendKind::VirtualMemory, BackendKind::hw4()] {
+                six.push((backend, vec![w.watchpoint(kind)], cpus.clone()));
+            }
+        }
+        let path = dir.join(format!("observer-{}.dtrc", w.name()));
+        let cold = SessionTask::observer_recorded(w.app(), six.clone(), &path)
+            .run_to_completion()
+            .into_observe()
+            .expect("cold observer batch records");
+        let records = TraceReader::open(&path, None).expect("recorded trace opens").records();
+
+        let mut row = Vec::new();
+        for (set, recorded) in [(&one, None), (&six, Some(&cold))] {
+            let (live, live_secs) = best_of(REPS, || SessionTask::observer(w.app(), set.clone()));
+            let (replay, replay_secs) =
+                best_of(REPS, || SessionTask::observer_replay(w.app(), set.clone(), &path));
+            assert_eq!(live, replay, "{}: replay must be byte-identical to live", w.name());
+            if let Some(cold) = recorded {
+                assert_eq!(&live, cold, "{}: the recording pass is a live pass", w.name());
+            }
+            row.push((live_secs, replay_secs));
+        }
+        let [(l1, r1), (l6, r6)] = row[..] else { unreachable!("two member sets") };
+        ratios.0.push(r1 / l1);
+        ratios.1.push(r6 / l6);
+        println!(
+            "{:<10}{:>10}{:>10.2}{:>10.2}{:>8.2}{:>10.2}{:>10.2}{:>8.2}",
+            w.name(),
+            records,
+            l1 * 1e3,
+            r1 * 1e3,
+            r1 / l1,
+            l6 * 1e3,
+            r6 * 1e3,
+            r6 / l6,
+        );
+    }
+    let kernels = all(iters).len() as u64;
+    let runs = kernels * 2 * REPS as u64;
+    assert_eq!(
+        (functional_passes() - p0, trace_records() - r0, trace_replays() - q0),
+        (kernels + runs, kernels, runs),
+        "one pass per recording and per live run; none per replay"
+    );
+    let summary = |r: &[f64]| {
+        let lo = r.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = r.iter().copied().fold(0.0, f64::max);
+        let wins = r.iter().filter(|&&x| x < 1.0).count();
+        format!("{lo:.2}-{hi:.2}, replay faster on {wins} of {}", r.len())
+    };
     println!(
-        "{:<14}{:>10.3}{:>8}{:>9}{:>9}",
-        "warm (replay)", warm_secs, warm_passes, 0, warm_replays
+        "\nreplay/live: {} kernels for one member; {} for six members x {} \
+         configs. The {runs} replays ran no functional pass.",
+        summary(&ratios.0),
+        summary(&ratios.1),
+        cpus.len(),
     );
 
     println!(
-        "\nThe passes column is the tentpole: a warm store serves every \
-         watchpoint set, observing backend and timing configuration from \
-         one stored stream without executing the application at all — the \
-         record-once pass is the last functional pass that kernel ever \
-         needs. The ratio column is the codec: straight-line re-execution \
-         collapses into run tokens, so file size tracks the kernel's \
-         *control structure*, not its dynamic instruction count."
+        "\nA replay skips the functional step but decodes every record \
+         instead. A live pass is an O(page-table) image restore plus a few \
+         tens of ns per instruction, which is about what decoding a record \
+         costs, so replay/live sits near 1 and the store saves functional \
+         passes, not wall time; host noise of tens of percent decides which \
+         side of 1 a single row lands on. Members and configurations cost \
+         the same from either source, so adding them dilutes the ratio \
+         towards 1. The ratio column is the codec: straight-line \
+         re-execution collapses into run tokens, so file size tracks the \
+         kernel's *control structure*, not its dynamic instruction count."
     );
 
     let _ = std::fs::remove_dir_all(&dir);

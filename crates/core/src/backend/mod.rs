@@ -116,21 +116,31 @@ impl BackendKind {
     /// implementation, fed a private machine's stream through
     /// [`Observing`] or a shared one by the observer fan-out.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `self` is a perturbing backend (see
-    /// [`BackendKind::observation_only`]).
+    /// [`DebugError::Unsupported`] when `self` is a perturbing backend
+    /// (see [`BackendKind::observation_only`]): it has no detector that
+    /// could read a shared stream; or when the backend cannot watch
+    /// `wps`.
     pub(crate) fn instantiate_observer(
         self,
         wps: &[Watchpoint],
     ) -> Result<Box<dyn ObserverImpl>, DebugError> {
+        let perturbs = |backend| DebugError::Unsupported {
+            backend,
+            reason: "it perturbs the functional stream, so it cannot share an observer pass; \
+                     run it privately (SessionTask::batch)"
+                .into(),
+        };
         match self {
             BackendKind::VirtualMemory => Ok(Box::new(virtual_mem::VmObserver::new(wps)?)),
             BackendKind::HardwareRegisters { registers } => {
                 Ok(Box::new(hw_regs::HwObserver::new(registers, wps)?))
             }
             BackendKind::DiseComparators => Ok(Box::new(dise_cmp::CmpObserver::new(wps)?)),
-            other => panic!("{other:?} perturbs execution and cannot join an observer batch"),
+            BackendKind::SingleStep => Err(perturbs("single-step")),
+            BackendKind::BinaryRewrite => Err(perturbs("binary-rewrite")),
+            BackendKind::Dise(_) => Err(perturbs("dise")),
         }
     }
 

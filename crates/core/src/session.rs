@@ -304,24 +304,16 @@ impl<'a> ObserverBatch<'a> {
     /// configurations need not agree on [`CpuConfig::engine`].
     /// Watchpoint validation and backend admission are per-member and
     /// happen at [`ObserverBatch::run`], so one member's ill-formed or
-    /// unsupported set never blocks the others.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `backend` is perturbing: sharing a pass with a
-    /// backend that changes the executed stream would corrupt every
-    /// member's results.
+    /// unsupported set never blocks the others. A perturbing `backend`
+    /// (see [`BackendKind::observation_only`]) would change the stream
+    /// every member reads, so it never joins the pass: its member
+    /// settles as [`DebugError::Unsupported`].
     pub fn member(
         &mut self,
         backend: BackendKind,
         watchpoints: Vec<Watchpoint>,
         cpus: Vec<CpuConfig>,
     ) -> &mut ObserverBatch<'a> {
-        assert!(
-            backend.observation_only(),
-            "{backend:?} perturbs the functional stream and must replay privately \
-             (SessionTask::batch)"
-        );
         self.members.push(ObserverMember { backend, watchpoints, cpus });
         self
     }
@@ -346,7 +338,8 @@ impl<'a> ObserverBatch<'a> {
     /// assemble, so no member could run. Everything watchpoint-shaped is
     /// per-member: an ill-formed set ([`DebugError::InvalidWatchpoint`])
     /// or an unimplementable one ([`DebugError::Unsupported`], e.g.
-    /// INDIRECT under virtual memory) fails that member alone, exactly
+    /// INDIRECT under virtual memory, or any set under a perturbing
+    /// backend) fails that member alone, exactly
     /// as if each had been run on its own, and the rest still share the
     /// pass.
     pub fn run(self) -> Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError> {
@@ -1268,13 +1261,35 @@ mod tests {
         assert_eq!(silent.transitions.spurious_address, 0);
     }
 
+    /// A perturbing backend cannot share the pass: its member settles
+    /// as `Unsupported` in its own slot, and the observing co-members
+    /// still run and match their private runs exactly.
     #[test]
-    #[should_panic(expected = "perturbs the functional stream")]
-    fn observer_batch_refuses_perturbing_backends() {
+    fn observer_batch_settles_perturbing_members_as_unsupported() {
         let a = app(5);
         let wp = scalar_wp(&a, "watched");
+        let cpus = vec![CpuConfig::default()];
         let mut batch = ObserverBatch::new(&a);
-        batch.member(BackendKind::dise_default(), vec![wp], vec![CpuConfig::default()]);
+        batch.member(BackendKind::dise_default(), vec![wp], cpus.clone());
+        batch.member(BackendKind::VirtualMemory, vec![wp], cpus.clone());
+        batch.member(BackendKind::SingleStep, vec![wp], cpus.clone());
+        batch.member(BackendKind::BinaryRewrite, vec![wp], cpus.clone());
+        let results = batch.run().unwrap();
+        for (i, backend) in [(0, "dise"), (2, "single-step"), (3, "binary-rewrite")] {
+            assert!(
+                matches!(&results[i], Err(DebugError::Unsupported { backend: b, .. }) if *b == backend),
+                "member {i}: {:?}",
+                results[i]
+            );
+        }
+        let lone = run_session(&a, vec![wp], BackendKind::VirtualMemory, cpus[0]).unwrap();
+        assert_eq!(results[1].as_ref().unwrap(), &vec![lone], "the observing co-member");
+
+        // With no observing member, nothing runs and every slot settles.
+        let mut batch = ObserverBatch::new(&a);
+        batch.member(BackendKind::dise_default(), vec![wp], cpus);
+        let results = batch.run().unwrap();
+        assert!(matches!(results[..], [Err(DebugError::Unsupported { .. })]));
     }
 
     #[test]

@@ -828,12 +828,9 @@ impl SessionTask {
 
     /// A task that will perform [`crate::ObserverBatch::run`]: one
     /// shared functional pass fanned out to every `(backend,
-    /// watchpoints, cpus)` member.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a member backend is perturbing, as
-    /// [`crate::ObserverBatch::member`] does.
+    /// watchpoints, cpus)` member. A member whose backend is perturbing
+    /// settles as [`DebugError::Unsupported`] in its own slot, as
+    /// [`crate::ObserverBatch::member`] describes.
     pub fn observer(
         app: &Application,
         members: Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)>,
@@ -847,11 +844,6 @@ impl SessionTask {
     /// when the pass completes; an abandoned task publishes nothing,
     /// and one whose trace cannot be persisted settles with
     /// [`DebugError::Trace`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when a member backend is perturbing, as
-    /// [`SessionTask::observer`] does.
     pub fn observer_recorded(
         app: &Application,
         members: Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)>,
@@ -867,11 +859,6 @@ impl SessionTask {
     /// truncated trace with [`DebugError::Trace`] — loudly, never a
     /// silently wrong replay. A CRC-clean trace that fails to decode
     /// mid-stream settles with the same error.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a member backend is perturbing, as
-    /// [`SessionTask::observer`] does.
     pub fn observer_replay(
         app: &Application,
         members: Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)>,
@@ -885,13 +872,6 @@ impl SessionTask {
         members: Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)>,
         trace: Trace,
     ) -> SessionTask {
-        for (backend, ..) in &members {
-            assert!(
-                backend.observation_only(),
-                "{backend:?} perturbs the functional stream and must replay privately \
-                 (SessionTask::batch)"
-            );
-        }
         SessionTask::pending(State::PendingObserve(ObserveSpec {
             app: app.clone(),
             members,

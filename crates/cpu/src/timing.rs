@@ -36,6 +36,21 @@
 //! ready no earlier than `F + 1` at its dispatch. State tagged at or
 //! below `F + 1` therefore can never influence a later instruction,
 //! which is what lets the windows and the store table forget it.
+//!
+//! A spurious debugger stall drains the pipeline, so its cost only
+//! shifts time. After any record, every live cycle value — the front
+//! end and the commit frontier, register and store ready times, port
+//! reservations and the ROB/RS ring — is at most
+//! `last_commit + max(mispredict_penalty, dise_flush_penalty)`: each is
+//! bounded by a commit cycle, except a redirect, which adds at most one
+//! penalty to one. A stall of cost `C` resumes the front end and the
+//! commit frontier at `last_commit + C`, so when `C` clears that bound
+//! every earlier value is dead: no later instruction can be ready
+//! before `last_commit + C + 1`. The caches, TLBs and predictor never
+//! see cycles. Two models fed the same records and stalls that differ
+//! only in a cost `C` at or above the bound therefore stay one model
+//! shifted by a constant number of cycles, which is what lets a
+//! [`TimingBatch`] run such configurations on one model.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -567,40 +582,113 @@ impl Timing {
 /// A batch of timing models replaying one functional record stream —
 /// the single-pass multi-config engine behind the sensitivity sweeps:
 /// the [`Executor`](crate::Executor) produces its program-order
-/// [`Exec`] stream once, and every model in the batch accounts it under
-/// its own [`CpuConfig`].
+/// [`Exec`] stream once, and the batch accounts it under every
+/// configuration it was built with.
 ///
-/// Per-model state (memory hierarchy, branch predictor, windows) is
-/// fully isolated; only the *functional* stream is shared, so a batch
-/// of one is cycle-identical to driving a lone [`Timing`].
+/// Configurations that differ only in
+/// [`CpuConfig::debugger_transition_cost`], with every such cost at or
+/// above `max(mispredict_penalty, dise_flush_penalty)`, form one
+/// *class* and share one [`Timing`]: by the drain invariant (module
+/// docs) their models stay the same model shifted by a cycle offset, so
+/// the batch runs the class's cheapest configuration (its *lead*) and
+/// keeps each configuration's offset over it. Exact duplicates always share; a cost below the
+/// bound keeps its own model. Models of different classes are fully
+/// isolated — only the functional stream is shared — so a batch of
+/// one is cycle-identical to driving a lone [`Timing`].
 #[derive(Clone, Debug)]
 pub struct TimingBatch {
+    /// One model per class, in order of each class's first
+    /// configuration, each configured with its lead's cost.
     models: Vec<Timing>,
+    /// One slot per configuration, in construction order.
+    slots: Vec<Slot>,
+    /// Some configuration's cost differs from its lead's, so stalls
+    /// move offsets. False for a batch of one and for exact
+    /// duplicates, which then do no per-stall slot work.
+    shifted: bool,
+    /// A record was consumed since the last stall (or since the start).
+    fresh: bool,
+}
+
+/// One configuration's place in a [`TimingBatch`].
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    /// Index of its class's model.
+    model: usize,
+    /// Its own spurious-transition cost.
+    cost: u64,
+    /// Cycles its live state (front end, commit frontier, ready times,
+    /// reservations) runs ahead of the lead's since the last stall.
+    front: u64,
+    /// Cycles its last commit runs ahead of the lead's until a record
+    /// follows the last stall; from then on it equals `front`.
+    commit: u64,
+}
+
+/// The least transition cost that drains a model built from `cfg`:
+/// after any record, every live cycle value is at most
+/// `last_commit + max(mispredict_penalty, dise_flush_penalty)` (module
+/// docs), so a stall of at least that many cycles leaves none of them
+/// able to delay the resumed stream.
+fn drain_bound(cfg: &CpuConfig) -> u64 {
+    cfg.mispredict_penalty.max(cfg.dise_flush_penalty)
 }
 
 impl TimingBatch {
-    /// One fresh model per configuration, in the given order.
+    /// Models for the given configurations, in the given order: one per
+    /// class (see [`TimingBatch`]), led by its cheapest configuration.
     pub fn new(cfgs: &[CpuConfig]) -> TimingBatch {
-        TimingBatch { models: cfgs.iter().map(|c| Timing::new(*c)).collect() }
+        let drains = |c: &CpuConfig| c.debugger_transition_cost >= drain_bound(c);
+        let key = |c: &CpuConfig| CpuConfig { debugger_transition_cost: 0, ..*c };
+        let mut leads: Vec<CpuConfig> = Vec::new();
+        let mut slots = Vec::with_capacity(cfgs.len());
+        for c in cfgs {
+            let model = leads
+                .iter()
+                .position(|l| l == c || (drains(l) && drains(c) && key(l) == key(c)))
+                .unwrap_or_else(|| {
+                    leads.push(*c);
+                    leads.len() - 1
+                });
+            let lead = &mut leads[model];
+            lead.debugger_transition_cost =
+                lead.debugger_transition_cost.min(c.debugger_transition_cost);
+            slots.push(Slot { model, cost: c.debugger_transition_cost, front: 0, commit: 0 });
+        }
+        let shifted = slots.iter().any(|s| s.cost != leads[s.model].debugger_transition_cost);
+        TimingBatch {
+            models: leads.into_iter().map(Timing::new).collect(),
+            slots,
+            shifted,
+            fresh: false,
+        }
     }
 
-    /// Number of models in the batch.
+    /// Number of configurations in the batch.
     pub fn len(&self) -> usize {
-        self.models.len()
+        self.slots.len()
     }
 
-    /// True when the batch holds no models.
+    /// True when the batch holds no configurations.
     pub fn is_empty(&self) -> bool {
-        self.models.is_empty()
+        self.slots.is_empty()
     }
 
-    /// The models, in construction order.
-    pub fn models(&self) -> &[Timing] {
-        &self.models
+    /// The memory hierarchy of configuration `i` (for inspecting cache
+    /// statistics). Configurations in one class share it.
+    pub fn mem_system(&self, i: usize) -> &MemSystem {
+        self.models[self.slots[i].model].mem_system()
+    }
+
+    /// The branch predictor of configuration `i`. Configurations in one
+    /// class share it.
+    pub fn predictor(&self, i: usize) -> &Predictor {
+        self.models[self.slots[i].model].predictor()
     }
 
     /// Account one instruction in every model.
     pub fn consume(&mut self, e: &Exec) {
+        self.fresh = true;
         for t in &mut self.models {
             t.consume(e);
         }
@@ -614,6 +702,7 @@ impl TimingBatch {
     /// record — valid only while no per-record side channel (a debugger
     /// stall) interleaves with the slice.
     pub fn consume_slice(&mut self, slice: &[Exec]) {
+        self.fresh |= !slice.is_empty();
         for t in &mut self.models {
             for e in slice {
                 t.consume(e);
@@ -621,17 +710,44 @@ impl TimingBatch {
         }
     }
 
-    /// Charge every model a spurious debugger transition at its own
-    /// configured [`CpuConfig::debugger_transition_cost`].
+    /// Charge every configuration a spurious debugger transition at its
+    /// own [`CpuConfig::debugger_transition_cost`]: each model stalls
+    /// for its lead's cost, and each configuration's offset grows by
+    /// the difference. A stall does not move the commit frontier, so a
+    /// second stall with no record between charges no further cycles
+    /// (as in [`Timing::debugger_stall`]): the offset restarts from the
+    /// last commit's, not from the previous stall's.
     pub fn debugger_stall(&mut self) {
         for t in &mut self.models {
             t.debugger_stall(t.cfg.debugger_transition_cost);
         }
+        if self.shifted {
+            for s in &mut self.slots {
+                if self.fresh {
+                    s.commit = s.front;
+                }
+                s.front = s.commit + (s.cost - self.models[s.model].cfg.debugger_transition_cost);
+            }
+        }
+        self.fresh = false;
     }
 
-    /// Close out the run: per-model statistics in construction order.
+    /// Close out the run: per-configuration statistics in construction
+    /// order.
     pub fn finish(mut self) -> Vec<RunStats> {
-        self.models.iter_mut().map(Timing::finish).collect()
+        let lead: Vec<RunStats> = self.models.iter_mut().map(Timing::finish).collect();
+        self.slots
+            .iter()
+            .map(|s| {
+                let stats = lead[s.model];
+                let offset = if self.fresh { s.front } else { s.commit };
+                RunStats {
+                    cycles: stats.cycles + offset,
+                    debugger_stall_cycles: stats.debugger_stalls * s.cost,
+                    ..stats
+                }
+            })
+            .collect()
     }
 }
 
@@ -1046,6 +1162,106 @@ mod tests {
         assert!(all[1].cycles < all[0].cycles, "cheaper transitions finish sooner");
         assert_eq!(all[1].debugger_stall_cycles, 1_000 * all[1].debugger_stalls);
         assert!(all[2].cycles > all[0].cycles, "slower memory finishes later");
+    }
+
+    fn with_cost(cost: u64) -> CpuConfig {
+        CpuConfig { debugger_transition_cost: cost, ..cfg() }
+    }
+
+    /// Lone models, one per configuration, driven through `steps`
+    /// (`None` is a stall), against one batch of them.
+    fn batch_matches_lone_models(cfgs: &[CpuConfig], steps: &[Option<Exec>]) {
+        let mut lone: Vec<Timing> = cfgs.iter().map(|c| Timing::new(*c)).collect();
+        let mut batch = TimingBatch::new(cfgs);
+        for step in steps {
+            match step {
+                Some(e) => {
+                    batch.consume(e);
+                    lone.iter_mut().for_each(|t| _ = t.consume(e));
+                }
+                None => {
+                    batch.debugger_stall();
+                    lone.iter_mut().for_each(|t| t.debugger_stall(t.cfg.debugger_transition_cost));
+                }
+            }
+        }
+        let lone: Vec<RunStats> = lone.iter_mut().map(Timing::finish).collect();
+        assert_eq!(batch.finish(), lone);
+    }
+
+    /// The transition-cost sweep's three configurations are one class:
+    /// one model, whatever order the costs come in.
+    #[test]
+    fn sweep_costs_share_one_model() {
+        let sweep = [with_cost(290_000), with_cost(100_000), with_cost(513_000)];
+        let batch = TimingBatch::new(&sweep);
+        assert_eq!((batch.len(), batch.models.len()), (3, 1));
+        assert_eq!(batch.models[0].cfg.debugger_transition_cost, 100_000);
+        assert!(batch.shifted);
+        assert!(!TimingBatch::new(&[cfg()]).shifted, "a batch of one moves no offsets");
+        let dup = TimingBatch::new(&[with_cost(5), with_cost(5)]);
+        assert_eq!(dup.models.len(), 1, "exact duplicates share even below the bound");
+        assert!(!dup.shifted);
+    }
+
+    /// A cost below `max(mispredict_penalty, dise_flush_penalty)` may
+    /// not drain the pipeline, so it keeps its own model; costs at or
+    /// above the bound still share theirs, and another machine never
+    /// shares.
+    #[test]
+    fn below_the_bound_cost_builds_its_own_model() {
+        let bound = drain_bound(&cfg());
+        assert!(bound > 1);
+        let mut slow_mem = cfg();
+        slow_mem.mem.mem_latency = 400;
+        let cfgs =
+            [with_cost(bound), with_cost(bound - 1), with_cost(100_000), slow_mem, with_cost(0)];
+        let batch = TimingBatch::new(&cfgs);
+        assert_eq!(
+            batch.slots.iter().map(|s| s.model).collect::<Vec<_>>(),
+            [0, 1, 0, 2, 3],
+            "bound and 100K share; bound - 1, another machine and 0 do not"
+        );
+        let lead_costs: Vec<u64> =
+            batch.models.iter().map(|t| t.cfg.debugger_transition_cost).collect();
+        assert_eq!(lead_costs, [bound, bound - 1, 100_000, 0]);
+    }
+
+    /// Stalls at every awkward place: before the first record, two and
+    /// three with no record between them, and right before `finish`.
+    #[test]
+    fn shared_models_match_lone_models_around_stalls() {
+        let bound = drain_bound(&cfg());
+        let cfgs = [
+            with_cost(513_000),
+            with_cost(bound),
+            with_cost(bound - 1),
+            with_cost(100_000),
+            with_cost(100_000),
+            with_cost(7),
+        ];
+        let record = |i: u64| {
+            let mut e = plain_alu(0x10_0000 + (i % 64) * 4, (i % 8) as u8, (i % 3) as u8);
+            if i.is_multiple_of(9) {
+                e.flush = Some(FlushKind::DiseBranch);
+            }
+            Some(e)
+        };
+        let records = |from: u64, n: u64| (from..from + n).map(record);
+        let mut steps: Vec<Option<Exec>> = vec![None];
+        steps.extend(records(0, 50));
+        steps.extend([None, None]);
+        steps.extend(records(50, 50));
+        steps.extend([None, None, None]);
+        steps.extend(records(100, 1));
+        steps.push(None);
+        steps.extend(records(101, 30));
+        steps.push(None);
+        batch_matches_lone_models(&cfgs, &steps);
+        batch_matches_lone_models(&cfgs, &[None]);
+        batch_matches_lone_models(&cfgs, &[None, None]);
+        batch_matches_lone_models(&cfgs, &[]);
+        batch_matches_lone_models(&cfgs, &steps[1..steps.len() - 1]);
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! interleaved debugger stalls) through the library model and the
 //! oracle under random `CpuConfig`s, and require bit-identical commit
 //! cycles, `RunStats`, cache/TLB statistics and predictor counters,
-//! including for a `TimingBatch` cloned mid-stream. Tier-1 runs a small
+//! including for a `TimingBatch` cloned mid-stream and for batches
+//! whose configurations differ only in their transition cost, on both
+//! sides of the bound above which such configurations share one model.
+//! Tier-1 runs a small
 //! case count; the `#[ignore]`d sweep runs many more:
 //!
 //! ```text
@@ -1008,10 +1011,11 @@ fn check_forked_batch(
     stalls_then_feed(&mut branch, &mut branch_oracle, &forked);
 
     for (batch, oracle) in [(batch, trunk), (branch, branch_oracle)] {
-        for (fast, slow) in batch.models().iter().zip(&oracle) {
-            prop_assert_eq!(mem_stats(fast), oracle_mem_stats(slow));
+        for (i, slow) in oracle.iter().enumerate() {
+            let (a, b, c, d, e) = batch.mem_system(i).stats();
+            prop_assert_eq!([a, b, c, d, e], oracle_mem_stats(slow));
             prop_assert_eq!(
-                (fast.predictor().dir_predictions, fast.predictor().dir_mispredicts),
+                (batch.predictor(i).dir_predictions, batch.predictor(i).dir_mispredicts),
                 (slow.predictor().dir_predictions, slow.predictor().dir_mispredicts)
             );
         }
@@ -1021,8 +1025,42 @@ fn check_forked_batch(
     Ok(())
 }
 
+/// A machine and 2–5 transition costs for it, each picked to sit just
+/// below, at or just above `max(mispredict_penalty,
+/// dise_flush_penalty)`, or far above it: the batch shares one model
+/// among the costs that clear the bound and must still match one oracle
+/// model per configuration.
+fn cost_class_strategy() -> impl Strategy<Value = Vec<CpuConfig>> {
+    (config_strategy(), prop::collection::vec((0u8..4, 0u64..100_000), 2..6)).prop_map(
+        |(base, picks)| {
+            let bound = base.mispredict_penalty.max(base.dise_flush_penalty);
+            picks
+                .into_iter()
+                .map(|(side, r)| {
+                    let cost = match side {
+                        0 => bound.saturating_sub(1 + r % 3),
+                        1 => bound + r % 3,
+                        2 => bound + r,
+                        _ => bound + 1000 * (r % 600),
+                    };
+                    CpuConfig { debugger_transition_cost: cost, ..base }
+                })
+                .collect()
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn cost_classes_match_oracle(
+        cfgs in cost_class_strategy(),
+        ops in stream_strategy(400),
+        fork: usize,
+    ) {
+        check_forked_batch(&cfgs, &build_stream(&ops), fork)?;
+    }
 
     #[test]
     fn timing_matches_oracle(cfg in config_strategy(), ops in stream_strategy(600)) {
@@ -1037,6 +1075,20 @@ proptest! {
         fork: usize,
     ) {
         check_forked_batch(&[a, b], &build_stream(&ops), fork)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3000))]
+
+    #[test]
+    #[ignore = "large sweep; run with --include-ignored"]
+    fn cost_classes_match_oracle_sweep(
+        cfgs in cost_class_strategy(),
+        ops in stream_strategy(1000),
+        fork: usize,
+    ) {
+        check_forked_batch(&cfgs, &build_stream(&ops), fork)?;
     }
 }
 
