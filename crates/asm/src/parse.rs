@@ -5,6 +5,12 @@
 //! directives `.quad`/`.long`/`.byte`/`.space`/`.align`, the
 //! statement-boundary marker `.stmt`, and the address pseudo-instruction
 //! `la rd, symbol` / `la rd, symbol+off`.
+//!
+//! Each instruction field and each `.byte`/`.long`/`.quad` datum is
+//! checked against its width: a value that does not fit (`.byte 300`,
+//! `codeword 70000`, `ldq r1, 8192(r2)`) is a [`ParseError`], never
+//! silently truncated. An `n`-bit datum may be written signed or
+//! unsigned, `-2^(n-1)..=2^n-1`.
 
 use std::fmt;
 
@@ -62,21 +68,45 @@ fn parse_reg(s: &str, line: usize) -> Result<Reg, ParseError> {
     err(line, format!("bad register `{s}`"))
 }
 
-fn parse_int(s: &str, line: usize) -> Result<i64, ParseError> {
+/// An integer literal (decimal or `0x` hex, optionally signed), wide
+/// enough for every field: a 64-bit datum may be written signed or
+/// unsigned.
+fn parse_wide(s: &str, line: usize) -> Result<i128, ParseError> {
     let s = s.trim();
     let (neg, body) = match s.strip_prefix('-') {
         Some(b) => (true, b),
         None => (false, s.strip_prefix('+').unwrap_or(s)),
     };
     let v = if let Some(hex) = body.strip_prefix("0x") {
-        i64::from_str_radix(hex, 16)
+        i128::from_str_radix(hex, 16)
     } else {
-        body.parse::<i64>()
+        body.parse::<i128>()
     };
-    match v {
-        Ok(v) => Ok(if neg { -v } else { v }),
-        Err(_) => err(line, format!("bad integer `{s}`")),
+    match v.ok().and_then(|v| if neg { v.checked_neg() } else { Some(v) }) {
+        Some(v) => Ok(v),
+        None => err(line, format!("bad integer `{s}`")),
     }
+}
+
+fn parse_int(s: &str, line: usize) -> Result<i64, ParseError> {
+    let v = parse_wide(s, line)?;
+    i64::try_from(v).or_else(|_| err(line, format!("bad integer `{}`", s.trim())))
+}
+
+/// An integer checked against a field's inclusive range `lo..=hi`.
+fn parse_field(s: &str, what: &str, lo: i128, hi: i128, line: usize) -> Result<i128, ParseError> {
+    let v = parse_wide(s, line)?;
+    if !(lo..=hi).contains(&v) {
+        return err(line, format!("{what} {v} out of range {lo}..={hi}"));
+    }
+    Ok(v)
+}
+
+/// A `bits`-wide datum, written signed or unsigned
+/// (`-2^(bits-1)..=2^bits-1`), as its two's-complement bit pattern.
+fn parse_datum(s: &str, directive: &str, bits: u32, line: usize) -> Result<u64, ParseError> {
+    let v = parse_field(s, directive, -(1 << (bits - 1)), (1 << bits) - 1, line)?;
+    Ok(v as u64)
 }
 
 /// Parse `disp(base)` into `(disp, base)`.
@@ -198,11 +228,10 @@ pub fn parse_asm(src: &str) -> Result<Asm, ParseError> {
             }
             ".quad" | ".long" | ".byte" => {
                 for p in split_operands(rest) {
-                    let v = parse_int(&p, line)?;
                     match mnemonic {
-                        ".quad" => asm.quad(v as u64),
-                        ".long" => asm.long(v as u32),
-                        _ => asm.bytes(&[v as u8]),
+                        ".quad" => asm.quad(parse_datum(&p, mnemonic, 64, line)?),
+                        ".long" => asm.long(parse_datum(&p, mnemonic, 32, line)? as u32),
+                        _ => asm.bytes(&[parse_datum(&p, mnemonic, 8, line)? as u8]),
                     };
                 }
                 continue;
@@ -380,7 +409,8 @@ pub fn parse_asm(src: &str) -> Result<Asm, ParseError> {
             }
             "codeword" => {
                 need(1)?;
-                asm.inst(Instr::Codeword(parse_int(&ops[0], line)? as u16));
+                let v = parse_field(&ops[0], "codeword", 0, u16::MAX.into(), line)?;
+                asm.inst(Instr::Codeword(v as u16));
             }
             "d_ret" => {
                 need(0)?;
@@ -413,7 +443,7 @@ pub fn parse_asm(src: &str) -> Result<Asm, ParseError> {
                 } else if let Some(cond) = mnemonic.strip_prefix("d_b").and_then(cond_from_suffix) {
                     need(2)?;
                     let rs = parse_reg(&ops[0], line)?;
-                    let disp = parse_int(&ops[1], line)?;
+                    let disp = parse_field(&ops[1], "DISE branch displacement", -128, 127, line)?;
                     asm.inst(Instr::DBr { cond, rs, disp: disp as i8 });
                 } else if let Some(cond) =
                     mnemonic.strip_prefix("d_ccall").and_then(cond_from_suffix)

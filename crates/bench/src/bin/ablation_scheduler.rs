@@ -17,12 +17,26 @@
 //! earlier session — about the fleet size in slices, within the
 //! `2 × grants` bound the harness asserts. The wall-clock column is
 //! printed so the overhead of slicing is visible, not hidden.
+//!
+//! A second section serves the same fleet as a closed loop of
+//! [`CLIENTS`] clients, each submitting its next session from the
+//! completion callback (the shape of perfbench's `session_service`).
+//! Arrivals then never pause, so admission-first alone would hold a
+//! running session back until the fleet ran out. It prints the worst
+//! queue wait and the longest session's spawn-to-completion latency,
+//! both in slices, and asserts that no running session was passed over
+//! beyond the scheduler's bypass bound ([`MAX_BYPASS`] plus one grant
+//! per session in flight).
 
+use std::sync::Mutex;
 use std::time::Instant;
 
 use dise_cpu::CpuConfig;
-use dise_debug::{BackendKind, Scheduler, SessionTask, TaskOutput};
-use dise_workloads::{all, WatchKind};
+use dise_debug::{BackendKind, Scheduler, SessionTask, TaskOutput, MAX_BYPASS};
+use dise_workloads::{all, WatchKind, Workload};
+
+/// Clients in the closed-loop section, each with one session out.
+const CLIENTS: usize = 4;
 
 fn main() {
     let sessions: usize = dise_env::env_number("DISE_SESSIONS", 1_000);
@@ -44,7 +58,13 @@ fn main() {
         (BackendKind::DiseComparators, &WatchKind::ALL),
         (BackendKind::BinaryRewrite, scalar),
     ];
-    let workloads: Vec<_> = scales.iter().map(|&it| all(it)).collect();
+    let workloads: Vec<Vec<Workload>> = scales.iter().map(|&it| all(it)).collect();
+    let fleet_session = |i: usize| {
+        let w = &workloads[i % scales.len()][(i / scales.len()) % 6];
+        let (backend, watches) = backends[i % backends.len()];
+        let watch = watches[i % watches.len()];
+        SessionTask::session(w.app(), vec![w.watchpoint(watch)], backend, CpuConfig::default())
+    };
 
     println!(
         "Cooperative scheduler ablation: {sessions} sessions, {workers} worker(s), slice {slice}\n"
@@ -53,15 +73,7 @@ fn main() {
     let sched = Scheduler::new(slice);
     let t = Instant::now();
     for i in 0..sessions {
-        let w = &workloads[i % scales.len()][(i / scales.len()) % 6];
-        let (backend, watches) = backends[i % backends.len()];
-        let watch = watches[i % watches.len()];
-        sched.spawn(SessionTask::session(
-            w.app(),
-            vec![w.watchpoint(watch)],
-            backend,
-            CpuConfig::default(),
-        ));
+        sched.spawn(fleet_session(i));
     }
     let spawn_ms = t.elapsed().as_secs_f64() * 1e3;
 
@@ -105,5 +117,65 @@ fn main() {
          were in flight at once. The worst queue wait any session saw was {} slices,\n\
          within the 2 x grants bound.",
         stats.preemptions, stats.slices_granted, stats.max_in_flight, stats.max_wait_slices
+    );
+    closed_loop(sessions, workers, slice, &fleet_session);
+}
+
+/// Serve `sessions` fleet sessions to [`CLIENTS`] closed-loop clients
+/// and report the worst wait and the longest latency, in slices.
+fn closed_loop(
+    sessions: usize,
+    workers: usize,
+    slice: u64,
+    fleet_session: &(dyn Fn(usize) -> SessionTask + Sync),
+) {
+    println!("\nClosed loop: {CLIENTS} clients, each submitting its next session on completion\n");
+    let sched = Scheduler::new(slice);
+    // Slices granted when each session was spawned, in spawn order.
+    let spawned_at = Mutex::new(Vec::with_capacity(sessions));
+    let submit = |spawned_at: &mut Vec<u64>| {
+        if spawned_at.len() < sessions {
+            let at = sched.stats().slices_granted;
+            sched.spawn(fleet_session(spawned_at.len()));
+            spawned_at.push(at);
+        }
+    };
+    for _ in 0..CLIENTS {
+        submit(&mut spawned_at.lock().expect("spawn log"));
+    }
+    let longest = Mutex::new((0_u64, 0_usize));
+    let t = Instant::now();
+    let outputs = sched.drain_with(workers, |id, _| {
+        let mut log = spawned_at.lock().expect("spawn log");
+        let latency = sched.stats().slices_granted - log[id];
+        let mut longest = longest.lock().expect("longest latency");
+        *longest = (*longest).max((latency, id));
+        submit(&mut log);
+    });
+    let drain_s = t.elapsed().as_secs_f64();
+    let stats = sched.stats();
+    let (latency, id) = longest.into_inner().expect("longest latency");
+
+    println!("{:<26}{:>14}", "sessions completed", stats.completed);
+    println!("{:<26}{:>14}", "slices granted", stats.slices_granted);
+    println!("{:<26}{:>14}", "preemptions", stats.preemptions);
+    println!("{:<26}{:>14}", "max wait (slices)", stats.max_wait_slices);
+    println!("{:<26}{:>14}", "longest latency (slices)", latency);
+    println!("{:<26}{:>14}", "longest latency session", id);
+    println!("{:<26}{:>14}", "in-flight high-water", stats.max_in_flight);
+    println!("{:<26}{:>14.2}", "drain s", drain_s);
+
+    assert_eq!(outputs.len(), sessions, "every submitted session must complete");
+    let bound = MAX_BYPASS + stats.max_in_flight as u64;
+    assert!(
+        stats.max_wait_slices <= bound,
+        "a session waited {} slices, past the bypass bound {bound}",
+        stats.max_wait_slices
+    );
+    println!(
+        "\nWith arrivals that never pause, no session waited more than {} slices\n\
+         (bound: {MAX_BYPASS} bypasses + {} in flight), and the slowest session\n\
+         completed {latency} slices after it was submitted.",
+        stats.max_wait_slices, stats.max_in_flight
     );
 }

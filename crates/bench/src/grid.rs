@@ -85,7 +85,9 @@ fn baseline(w: &Workload, cpu: CpuConfig, baselines: &BaselineCache) -> RunStats
 /// # Panics
 ///
 /// Panics on any other error, and on a report carrying an execution
-/// error: the calibrated kernels must run clean.
+/// error: the calibrated kernels must run clean. A task whose poll
+/// panicked ([`DebugError::Panicked`]) re-raises here with its message,
+/// so a figure never renders it as a "no experiment" cell.
 fn overheads(
     w: &Workload,
     result: Result<Vec<SessionReport>, DebugError>,
@@ -538,6 +540,33 @@ mod tests {
     /// The cell-by-cell reference: every cell run as its own session.
     fn reference(jobs: &[SessionJob], baselines: &BaselineCache) -> Vec<Option<f64>> {
         jobs.iter().map(|job| job.overhead(baselines)).collect()
+    }
+
+    /// A group whose task panicked re-raises the panic's message
+    /// instead of rendering its cells as "no experiment", whichever
+    /// group shape settled with it.
+    #[test]
+    fn a_panicked_group_is_re_raised() {
+        let w = &all(10)[0];
+        let jobs = [
+            (BackendKind::dise_default(), WatchKind::Hot),
+            (BackendKind::VirtualMemory, WatchKind::Cold),
+        ]
+        .map(|(b, k)| SessionJob::new(w.clone(), vec![w.watchpoint(k)], b, CpuConfig::default()));
+        let baselines = BaselineCache::new();
+        let groups = batch_session_jobs(&jobs);
+        assert_eq!(groups.len(), 2, "one perturbing and one observing group");
+        for group in groups {
+            let err = Err(DebugError::Panicked("boom".into()));
+            let output = match &group {
+                CellGroup::Observe(_) => TaskOutput::Observe(err),
+                CellGroup::Perturb(_) => TaskOutput::Group(err),
+            };
+            let cause = catch_unwind(AssertUnwindSafe(|| group.overheads_from(output, &baselines)))
+                .expect_err("a panicked group must re-raise");
+            let msg = cause.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("session panicked: boom"), "{msg}");
+        }
     }
 
     #[test]

@@ -200,7 +200,8 @@ impl JobSpec {
     }
 }
 
-/// One line summarising a finished session.
+/// One line summarising a finished session: `done …`, or `error
+/// <name>: …` for any [`DebugError`], a panicked poll included.
 fn report_line(job: &JobSpec, report: &Result<SessionReport, DebugError>) -> String {
     match report {
         Ok(r) => format!(
@@ -320,6 +321,15 @@ c kernel=mcf watch=range backend=cmp iters=3 after=a
             assert!(err.contains(needle), "{err:?} should mention {needle:?}");
             assert!(err.starts_with("line "), "{err:?} should carry a line number");
         }
+    }
+
+    /// A session whose poll panicked is that job's `error` line, not
+    /// a lost session.
+    #[test]
+    fn a_panicked_session_is_an_error_line() {
+        let jobs = parse_jobs(SMOKE).expect("smoke list parses");
+        let line = report_line(&jobs[0], &Err(DebugError::Panicked("boom".into())));
+        assert_eq!(line, "error a: session panicked: boom");
     }
 
     #[test]

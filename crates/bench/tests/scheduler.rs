@@ -3,12 +3,20 @@
 //! be invisible in every output byte, for every worker count and every
 //! slice budget — and it must buy the liveness it promises (≥1000
 //! sessions concurrently in flight on one core, no session starved
-//! beyond the fairness pin).
+//! beyond the fairness pin, a running session passed over by arrivals
+//! at most a bounded number of grants).
 
+use std::sync::Mutex;
+
+use dise_asm::{parse_asm, Layout};
 use dise_bench::server::{parse_jobs, serve};
 use dise_bench::{run_overhead_grid, SessionJob, DEFAULT_SLICE};
 use dise_cpu::CpuConfig;
-use dise_debug::{BackendKind, BaselineCache, Scheduler, SessionTask};
+use dise_debug::{
+    Application, BackendKind, BaselineCache, Scheduler, SessionTask, WatchExpr, Watchpoint,
+    MAX_BYPASS,
+};
+use dise_isa::Width;
 use dise_workloads::{all, transition_cost_sweep, WatchKind};
 
 /// A mixed grid: perturbing cells that group into copy-on-write forks
@@ -113,6 +121,73 @@ fn a_thousand_sessions_are_concurrently_in_flight_on_one_worker() {
         let reports = out.into_batch().unwrap_or_else(|e| panic!("session {id} failed: {e}"));
         assert_eq!(reports.len(), 1, "a session task is a batch of one");
     }
+}
+
+/// A watched countdown loop of `iters` turns: at 2, a session that
+/// finishes within its first 64-instruction slice.
+fn countdown(iters: u32) -> (Application, Watchpoint) {
+    let src = format!(
+        "start:  la r1, watched
+                 lda r4, {iters}(zero)
+         loop:   .stmt
+                 stq r4, 0(r1)
+                 subq r4, 1, r4
+                 bgt r4, loop
+                 halt
+         .data
+         watched: .quad 0
+        "
+    );
+    let app = Application::new(parse_asm(&src).expect("countdown parses"), Layout::default());
+    let addr = app.program().expect("countdown assembles").symbol("watched").expect("symbol");
+    (app, Watchpoint::new(WatchExpr::Scalar { addr, width: Width::Q }))
+}
+
+/// Continuous arrivals, as perfbench's closed loop makes them: one
+/// long session beside a client that submits its next short session
+/// from the completion callback, so admissions never pause. Admission
+/// runs first, so the running session is passed over up to
+/// [`MAX_BYPASS`] grants at a time, and never more than that plus one
+/// per yielded task queued ahead of it. Without the bound it waited for
+/// every arrival (about 3,000 slices) and finished last.
+#[test]
+fn continuous_arrivals_cannot_starve_a_running_session() {
+    let arrivals = 3_000;
+    let (short, short_wp) = countdown(2);
+    let (long, long_wp) = countdown(100);
+    let session = |app: &Application, wp: &Watchpoint| {
+        SessionTask::session(app, vec![*wp], BackendKind::VirtualMemory, CpuConfig::default())
+    };
+    let sched = Scheduler::new(64);
+    let long_id = sched.spawn(session(&long, &long_wp));
+    sched.spawn(session(&short, &short_wp));
+    let submitted = Mutex::new(1);
+    let shorts_before_long = Mutex::new(None);
+    sched.drain_with(1, |id, _| {
+        let mut n = submitted.lock().unwrap();
+        if id == long_id {
+            *shorts_before_long.lock().unwrap() = Some(*n);
+        }
+        if *n < arrivals {
+            *n += 1;
+            sched.spawn(session(&short, &short_wp));
+        }
+    });
+    let stats = sched.stats();
+    assert_eq!(stats.completed, arrivals + 1);
+    assert!(stats.preemptions >= 4, "the long session ran in several slices: {stats:?}");
+    assert!(
+        shorts_before_long.into_inner().unwrap().is_some_and(|n| n < arrivals),
+        "the long session must finish while arrivals continue: {stats:?}"
+    );
+    assert!(
+        stats.max_wait_slices >= MAX_BYPASS,
+        "admission runs first, up to the bound: {stats:?}"
+    );
+    assert!(
+        stats.max_wait_slices <= MAX_BYPASS + stats.max_in_flight as u64,
+        "a running session waited past the bypass bound: {stats:?}"
+    );
 }
 
 const SERVER_JOBS: &str = include_str!("data/server_smoke.jobs");

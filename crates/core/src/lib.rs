@@ -77,7 +77,7 @@ pub use backend::BackendKind;
 pub use breakpoint::{Breakpoint, BreakpointBackend, BreakpointReport, BreakpointSession};
 pub use iwatcher::{Monitor, MonitoredRegion};
 pub use region::DebugRegion;
-pub use sched::{max_wait_slices, preemptions, slices_granted, SchedStats, Scheduler};
+pub use sched::{max_wait_slices, preemptions, slices_granted, SchedStats, Scheduler, MAX_BYPASS};
 pub use session::{
     checkpoint_forks, functional_passes, image_loads, run_baseline, run_session, BaselineCache,
     DebugError, ObserverBatch, Session, SessionReport,

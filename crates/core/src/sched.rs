@@ -6,23 +6,34 @@
 //! renacer's decoupled producer/consumer split (see PAPERS.md): the
 //! unit of scheduling is a *resumable continuation*, not a thread, so
 //! thousands of debugging sessions can be concurrently in flight on a
-//! single core. Two queues implement the policy:
+//! single core. Two FIFO queues implement the policy:
 //!
-//! * an **admission deque** (FIFO) for tasks that have never run or
-//!   whose dependency just completed — new sessions reach their first
-//!   slice in arrival order, which is also what pushes the in-flight
+//! * an **admission deque** for tasks that have never run or whose
+//!   dependency just completed — new sessions reach their first slice
+//!   in arrival order, which is also what pushes the in-flight
 //!   high-water mark to the full queue depth;
-//! * a **priority heap keyed by virtual progress** (instructions
-//!   retired, ties broken by spawn id) for yielded tasks — the
-//!   least-progressed session runs next, so a million-instruction
-//!   session cannot starve a thousand-instruction one no matter how
-//!   the wall-clock interleaves.
+//! * a **ready deque** of yielded tasks, in yield order — round-robin
+//!   among sessions already running, so the one nearest completion is
+//!   never the one held back longest.
 //!
-//! With equal slice budgets this is deficit-round-robin-like: between
-//! two consecutive slices of any runnable session, every other runnable
-//! session is granted at most a bounded number of slices, so
-//! `max_wait_slices` stays O(number of sessions) (the fairness pin in
-//! `dise-bench/tests/scheduler.rs` enforces `≤ 2 × tasks`).
+//! `next_runnable` applies one rule. When the oldest yielded task has
+//! waited at least `max(MAX_BYPASS, outstanding)` grants, it runs
+//! next; otherwise admission runs first; otherwise the oldest yielded
+//! task does.
+//!
+//! Admission-first stays because it keeps the median low: a short
+//! session usually finishes within its first slice. Pure round-robin,
+//! where a yield joins the back of the admission queue, cut
+//! `session_service`'s mean latency beyond p99 to about 16 ms but
+//! raised its median 2.7× (0.8 → 2.1–2.3 ms). The ready deque alone
+//! cuts that tail about 3× (≈150 → ≈54 ms) at an unchanged median.
+//!
+//! The bound ([`MAX_BYPASS`]) keeps admission-first from starving a
+//! running session while arrivals never pause. A yielded task waits at
+//! most the bound plus one grant per yielded task queued ahead of it
+//! (on one worker), however tasks arrive. The `outstanding` term lets a
+//! batch spawned all at once reach every first slice before any
+//! yielded task is promoted.
 //!
 //! Determinism: with one worker the grant order is a pure function of
 //! the spawn order, budgets, and task behaviour — nothing reads clocks
@@ -31,18 +42,32 @@
 //! byte-identical across `workers × slice-budget` choices (the grid
 //! determinism suite holds the whole bench harness to this).
 //!
+//! A panic inside [`SessionTask::poll`] is caught on the worker and
+//! settles that task alone with [`crate::DebugError::Panicked`], in its
+//! own [`TaskOutput`] shape: the other workers keep draining instead of
+//! waiting for a task that will never be checked back in.
+//!
 //! Fairness counters ([`slices_granted`], [`preemptions`],
 //! [`max_wait_slices`]) are exposed both per-scheduler
 //! ([`Scheduler::stats`]) and process-global, mirroring
 //! [`crate::functional_passes`]-style instrumentation: wins are argued
 //! with counters and determinism tests, not wall-clock.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use crate::task::{SessionTask, Step, TaskOutput};
+
+/// How many grants the oldest yielded task may be passed over by
+/// admissions before it runs next, when fewer than this many tasks are
+/// outstanding (otherwise the outstanding count is the bound). It
+/// bounds a running session's wait while arrivals never pause. On the
+/// `session_service` benchmark the ready deque's own worst wait (about
+/// 60–70 slices) stays below it, so it never fires there.
+pub const MAX_BYPASS: u64 = 256;
 
 /// Scheduler slices granted since process start. See [`slices_granted`].
 static SLICES_GRANTED: AtomicU64 = AtomicU64::new(0);
@@ -119,8 +144,8 @@ struct Inner {
     dependents: Vec<Vec<usize>>,
     /// Never-run tasks and tasks whose dependency just completed, FIFO.
     admit: VecDeque<usize>,
-    /// Yielded tasks, min-(progress, id) first.
-    ready: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Yielded tasks, in yield order.
+    ready: VecDeque<usize>,
     /// Tasks currently checked out by workers.
     checked_out: usize,
     /// Spawned but not yet completed.
@@ -154,7 +179,7 @@ impl Scheduler {
                 slots: Vec::new(),
                 dependents: Vec::new(),
                 admit: VecDeque::new(),
-                ready: BinaryHeap::new(),
+                ready: VecDeque::new(),
                 checked_out: 0,
                 outstanding: 0,
                 in_flight: 0,
@@ -219,10 +244,12 @@ impl Scheduler {
     ///
     /// # Panics
     ///
-    /// Panics when `workers == 0`, when a worker panics (propagated),
-    /// or when the queue stalls — tasks remain but every one of them is
-    /// parked with no runner left to complete its dependency (an
-    /// unbreakable deadlock).
+    /// Panics when `workers == 0`, or when the queue stalls — tasks
+    /// remain but every one of them is parked with no runner left to
+    /// complete its dependency (an unbreakable deadlock). A panic
+    /// inside a task's poll does not propagate: it settles that task
+    /// with [`crate::DebugError::Panicked`] in the task's own output
+    /// shape.
     pub fn drain(&self, workers: usize) -> Vec<(usize, TaskOutput)> {
         self.drain_with(workers, |_, _| {})
     }
@@ -292,16 +319,17 @@ impl Scheduler {
                     inner = self.wake.wait(inner).expect("scheduler poisoned");
                 }
             };
-            let step = task.poll(self.slice);
+            let step = catch_unwind(AssertUnwindSafe(|| task.poll(self.slice)))
+                .unwrap_or_else(|cause| Step::Done(task.panicked(panic_message(&*cause))));
             match step {
-                Step::Yielded(progress) => {
+                Step::Yielded(_) => {
                     let mut inner = self.lock();
                     inner.checked_out -= 1;
                     inner.stats.preemptions += 1;
                     PREEMPTIONS.fetch_add(1, Ordering::Relaxed);
                     inner.slots[id].task = Some(task);
                     inner.slots[id].enqueued_at = inner.slice_no;
-                    inner.ready.push(Reverse((progress.instructions, id)));
+                    inner.ready.push_back(id);
                     drop(inner);
                     self.wake.notify_one();
                 }
@@ -319,6 +347,15 @@ impl Scheduler {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().expect("scheduler poisoned")
+    }
+}
+
+/// The message a panic carried: its `&str` or `String` payload.
+fn panic_message(cause: &(dyn Any + Send)) -> String {
+    match (cause.downcast_ref::<&str>(), cause.downcast_ref::<String>()) {
+        (Some(s), _) => (*s).to_string(),
+        (_, Some(s)) => s.clone(),
+        _ => "a panic with a non-string payload".to_string(),
     }
 }
 
@@ -341,13 +378,20 @@ impl Inner {
         id
     }
 
-    /// Admission first (FIFO — new arrivals reach a first slice in
-    /// order), then the least-progressed yielded task.
+    /// The oldest yielded task once it has waited
+    /// `max(MAX_BYPASS, outstanding)` grants; otherwise admission first
+    /// (FIFO — new arrivals reach a first slice in order), then the
+    /// oldest yielded task.
     fn next_runnable(&mut self) -> Option<usize> {
-        if let Some(id) = self.admit.pop_front() {
-            return Some(id);
+        let bound = MAX_BYPASS.max(self.outstanding as u64);
+        let overdue = self
+            .ready
+            .front()
+            .is_some_and(|&id| self.slice_no - self.slots[id].enqueued_at >= bound);
+        if overdue {
+            return self.ready.pop_front();
         }
-        self.ready.pop().map(|Reverse((_, id))| id)
+        self.admit.pop_front().or_else(|| self.ready.pop_front())
     }
 
     /// Check `id` out to a worker and account the grant.
@@ -520,8 +564,9 @@ mod tests {
         assert!(msg.contains("scheduler stalled"), "{msg}");
     }
 
-    /// Least-progress scheduling: a short session spawned behind a long
-    /// one overtakes it and finishes first.
+    /// Round-robin among running sessions: a short session spawned
+    /// behind a long one takes its turns between the long one's slices
+    /// and finishes first.
     #[test]
     fn short_sessions_are_not_starved_by_long_ones() {
         let sched = Scheduler::new(32);
@@ -530,5 +575,34 @@ mod tests {
         let order = StdMutex::new(Vec::new());
         sched.drain_with(1, |id, _| order.lock().unwrap().push(id));
         assert_eq!(order.into_inner().unwrap(), vec![short, long]);
+    }
+
+    /// A poll that panics settles its own task with a typed error in
+    /// the task's shape, while the healthy tasks around it complete
+    /// with their direct-run reports — at any worker count. Before, the
+    /// panicking worker left its task checked out, and with two or more
+    /// workers the others waited for it forever.
+    #[test]
+    fn a_panicking_poll_settles_its_task_without_hanging_the_drain() {
+        let healthy = [9u32, 40, 3];
+        let want: Vec<_> =
+            healthy.iter().map(|&i| task(&app(i)).run_to_completion().into_batch()).collect();
+        for workers in [1, 2, 4] {
+            let sched = Scheduler::new(16);
+            sched.spawn(task(&app(healthy[0])));
+            let panicked = sched.spawn(SessionTask::panicking());
+            for &i in &healthy[1..] {
+                sched.spawn(task(&app(i)));
+            }
+            let mut outs = sched.drain(workers);
+            assert_eq!(outs.len(), 4, "{workers} worker(s): every task settles");
+            let (id, out) = outs.remove(1);
+            assert_eq!(id, panicked);
+            let err = out.into_batch().expect_err("the panicking task fails");
+            assert_eq!(err, crate::DebugError::Panicked("a deliberately panicking task".into()));
+            for ((id, out), want) in outs.into_iter().zip(&want) {
+                assert_eq!(&out.into_batch(), want, "healthy task {id}, {workers} worker(s)");
+            }
+        }
     }
 }

@@ -98,6 +98,11 @@ pub enum DebugError {
     /// replaying silently wrong — see [`dise_trace::TraceError`] for
     /// the per-class breakdown.
     Trace(TraceError),
+    /// The task's pass panicked — a simulator bug, never a property of
+    /// the session's data. The scheduler catches the panic on its
+    /// worker and settles the task with its message, so the rest of
+    /// the drain carries on.
+    Panicked(String),
 }
 
 impl fmt::Display for DebugError {
@@ -117,6 +122,7 @@ impl fmt::Display for DebugError {
                  share one functional pass"
             ),
             DebugError::Trace(e) => write!(f, "trace store rejected: {e}"),
+            DebugError::Panicked(msg) => write!(f, "session panicked: {msg}"),
         }
     }
 }

@@ -98,8 +98,10 @@ pub enum Step {
     Done(TaskOutput),
 }
 
-/// Virtual progress of a yielded task — the scheduler's priority key
-/// (least-progressed first, so long sessions cannot starve short ones).
+/// Virtual progress of a yielded task, for callers that poll directly.
+/// The scheduler does not read it: it serves yielded tasks in yield
+/// order, with a bounded bypass for admissions (see
+/// [`crate::Scheduler`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TaskProgress {
     /// Dynamic instructions this task has retired so far, across every
@@ -178,14 +180,18 @@ impl TaskOutput {
 /// [`SessionTask::poll`].
 pub struct SessionTask {
     progress: u64,
+    shape: Shape,
     state: State,
 }
 
 enum State {
     PendingGroup(GroupSpec),
-    Group(Box<GroupRun>, Shape),
+    Group(Box<GroupRun>),
     PendingObserve(ObserveSpec),
     Observe(Box<ObserveRun>),
+    /// Stands in for a bug inside a pass: the first poll panics.
+    #[cfg(test)]
+    Panics,
     Finished,
 }
 
@@ -194,16 +200,17 @@ struct GroupSpec {
     watchpoints: Vec<Watchpoint>,
     backend: BackendKind,
     batches: Vec<Vec<CpuConfig>>,
-    shape: Shape,
 }
 
-/// How a private group reports: as its one sub-batch's result
-/// ([`SessionTask::batch`], [`SessionTask::session`]) or per sub-batch
-/// ([`SessionTask::perturbing_group`]).
+/// Which [`TaskOutput`] a task settles as: a private group's one
+/// sub-batch result ([`SessionTask::batch`], [`SessionTask::session`]),
+/// its per-sub-batch results ([`SessionTask::perturbing_group`]), or an
+/// observer batch's per-member results.
 #[derive(Clone, Copy)]
 enum Shape {
     Batch,
     Group,
+    Observe,
 }
 
 impl Shape {
@@ -216,6 +223,7 @@ impl Shape {
                 out.and_then(|mut subs| subs.pop().expect("a batch is a group of one")),
             ),
             Shape::Group => TaskOutput::Group(out),
+            Shape::Observe => TaskOutput::Observe(out),
         }
     }
 }
@@ -817,13 +825,10 @@ impl SessionTask {
         batches: Vec<Vec<CpuConfig>>,
         shape: Shape,
     ) -> SessionTask {
-        SessionTask::pending(State::PendingGroup(GroupSpec {
-            app: app.clone(),
-            watchpoints,
-            backend,
-            batches,
+        SessionTask::pending(
             shape,
-        }))
+            State::PendingGroup(GroupSpec { app: app.clone(), watchpoints, backend, batches }),
+        )
     }
 
     /// A task that will perform [`crate::ObserverBatch::run`]: one
@@ -872,21 +877,32 @@ impl SessionTask {
         members: Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)>,
         trace: Trace,
     ) -> SessionTask {
-        SessionTask::pending(State::PendingObserve(ObserveSpec {
-            app: app.clone(),
-            members,
-            trace,
-        }))
+        SessionTask::pending(
+            Shape::Observe,
+            State::PendingObserve(ObserveSpec { app: app.clone(), members, trace }),
+        )
     }
 
-    fn pending(state: State) -> SessionTask {
-        SessionTask { progress: 0, state }
+    fn pending(shape: Shape, state: State) -> SessionTask {
+        SessionTask { progress: 0, shape, state }
     }
 
-    /// Dynamic instructions retired so far — the virtual-progress
-    /// priority key.
+    /// A batch-shaped task whose first poll panics.
+    #[cfg(test)]
+    pub(crate) fn panicking() -> SessionTask {
+        SessionTask::pending(Shape::Batch, State::Panics)
+    }
+
+    /// Dynamic instructions retired so far.
     pub fn progress(&self) -> u64 {
         self.progress
+    }
+
+    /// What this task settles as when a poll panicked: the panic's
+    /// message as [`DebugError::Panicked`], in the task's own output
+    /// shape (the whole batch, group or observer batch fails).
+    pub(crate) fn panicked(&self, message: String) -> TaskOutput {
+        self.shape.output(Err(DebugError::Panicked(message)))
     }
 
     /// Advance by at most `budget` dynamic instructions.
@@ -906,8 +922,8 @@ impl SessionTask {
         match std::mem::replace(&mut self.state, State::Finished) {
             State::PendingGroup(spec) => {
                 match admit_group(&spec.app, spec.watchpoints, spec.backend, spec.batches) {
-                    Ok(run) => self.state = State::Group(Box::new(run), spec.shape),
-                    Err(e) => return Step::Done(spec.shape.output(Err(e))),
+                    Ok(run) => self.state = State::Group(Box::new(run)),
+                    Err(e) => return Step::Done(self.shape.output(Err(e))),
                 }
             }
             State::PendingObserve(spec) => match admit_observe(spec) {
@@ -917,13 +933,15 @@ impl SessionTask {
                 }
                 Err(e) => return Step::Done(TaskOutput::Observe(Err(e))),
             },
+            #[cfg(test)]
+            State::Panics => panic!("a deliberately panicking task"),
             State::Finished => panic!("SessionTask polled after completion"),
             running => self.state = running,
         }
         match &mut self.state {
-            State::Group(run, shape) => {
+            State::Group(run) => {
                 if let Some(out) = run.advance(budget, &mut self.progress) {
-                    let out = shape.output(Ok(out));
+                    let out = self.shape.output(Ok(out));
                     self.state = State::Finished;
                     return Step::Done(out);
                 }
@@ -941,6 +959,8 @@ impl SessionTask {
             State::PendingGroup(_) | State::PendingObserve(_) | State::Finished => {
                 unreachable!("pending states were admitted above")
             }
+            #[cfg(test)]
+            State::Panics => unreachable!("the first poll panicked"),
         }
         Step::Yielded(TaskProgress { instructions: self.progress })
     }
