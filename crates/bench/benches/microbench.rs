@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks of the simulator's hot paths: DISE
 //! expansion, cache access, branch prediction, functional execution
 //! (a tight loop, the six kernels, and the DISE replacement path),
-//! the timing model — its steady-state per-record cost and, apart from
-//! it, the cost of building one — the trace codec and its CRC, and
+//! the timing model — its steady-state per-record cost on a tight loop
+//! and on a DISE-expanded kernel pass and, apart from it, the cost of
+//! building one — the trace codec and its CRC, and
 //! session admission from a prepared kernel.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
@@ -12,7 +13,7 @@ use dise_cpu::{
     CpuConfig, Exec, ExecChunk, ExecDecoder, ExecEncoder, Executor, Predictor, Timing,
     MAX_BLOCK_STEPS,
 };
-use dise_debug::{BackendKind, SessionTask, Step};
+use dise_debug::{BackendKind, Session, SessionTask, Step};
 use dise_engine::{Engine, Pattern, Production, TDisp, TOperand, TReg, TemplateInst};
 use dise_isa::{decode, encode, AluOp, Cond, Instr, OpClass, Reg, Width};
 use dise_mem::{Cache, CacheConfig, MemConfig, MemSystem};
@@ -148,6 +149,41 @@ fn bench_pipeline(c: &mut Criterion) {
     });
     g.finish();
     c.bench_function("cpu/timing_new", |b| b.iter(|| Timing::new(black_box(CpuConfig::default()))));
+}
+
+/// The timing model on the records a figure's private pass feeds it:
+/// crafty under DISE with serial matching over eight watchpoints, so
+/// about half the records are replacement instructions. The stream is
+/// recorded once from the admitted machine and replayed through one
+/// long-lived model, reported per record.
+fn bench_timed_dise_stream(c: &mut Criterion) {
+    let w = dise_workloads::by_name("crafty", 20).expect("a kernel");
+    let session = Session::with_config(
+        w.app(),
+        w.sweep_watchpoints(8),
+        BackendKind::dise_default(),
+        CpuConfig::default(),
+    )
+    .expect("crafty admits under DISE");
+    let mut exec = session.executor().clone();
+    let mut stream: Vec<Exec> = Vec::new();
+    while !exec.is_halted() {
+        stream.push(exec.step());
+    }
+    let replacements = stream.iter().filter(|e| e.disepc != 0).count();
+    assert!(5 * replacements > 2 * stream.len(), "{replacements} of {} replace", stream.len());
+    let mut g = c.benchmark_group("cpu");
+    g.throughput(Throughput::Elements(stream.len() as u64));
+    g.bench_function("timed_dise_stream", |b| {
+        let mut t = Timing::new(CpuConfig::default());
+        b.iter(|| {
+            for e in &stream {
+                t.consume(e);
+            }
+            t.cycles()
+        })
+    });
+    g.finish();
 }
 
 /// Run `exec` to its halt a chunk at a time, the way the observer
@@ -344,7 +380,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_isa_codec, bench_engine_expansion, bench_cache, bench_predictor,
-              bench_pipeline, bench_kernels, bench_dise_replacement, bench_trace, bench_admit,
+              bench_pipeline, bench_timed_dise_stream, bench_kernels, bench_dise_replacement, bench_trace, bench_admit,
               bench_with_iters
 }
 criterion_main!(benches);

@@ -210,7 +210,7 @@ struct Facts {
     data_base: u64,
     data_len: u64,
     symbols: HashMap<String, u64>,
-    stmt_pcs: Arc<HashSet<u64>>,
+    stmt_pcs: HashSet<u64>,
 }
 
 impl Prepared {
@@ -225,14 +225,8 @@ impl Prepared {
             text_bytes: prog.text_bytes(),
         };
         let Program { text_base, text, data_base, data, symbols, stmt_pcs, .. } = prog;
-        let facts = Facts {
-            text_base,
-            text,
-            data_base,
-            data_len: data.len() as u64,
-            symbols,
-            stmt_pcs: Arc::new(stmt_pcs),
-        };
+        let facts =
+            Facts { text_base, text, data_base, data_len: data.len() as u64, symbols, stmt_pcs };
         Prepared { facts: Arc::new(facts), image: Arc::new(image), fingerprint: OnceLock::new() }
     }
 
@@ -249,10 +243,6 @@ impl Prepared {
     /// PCs of source-statement boundaries.
     pub fn stmt_pcs(&self) -> &HashSet<u64> {
         &self.facts.stmt_pcs
-    }
-
-    pub(crate) fn shared_stmt_pcs(&self) -> Arc<HashSet<u64>> {
-        Arc::clone(&self.facts.stmt_pcs)
     }
 
     /// Entry PC.

@@ -55,7 +55,7 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
@@ -154,6 +154,9 @@ struct Inner {
     in_flight: usize,
     slice_no: u64,
     stats: SchedStats,
+    /// The first panic a `drain_with` completion callback raised, held
+    /// until the drain has settled every task.
+    callback_panic: Option<Box<dyn Any + Send>>,
 }
 
 /// A cooperative scheduler over [`SessionTask`] continuations. See the
@@ -185,6 +188,7 @@ impl Scheduler {
                 in_flight: 0,
                 slice_no: 0,
                 stats: SchedStats::default(),
+                callback_panic: None,
             }),
             wake: Condvar::new(),
         }
@@ -258,6 +262,12 @@ impl Scheduler {
     /// `on_complete(id, &output)` as it happens (called from worker
     /// threads, completion order — the deterministic record is the
     /// returned id-ordered vec).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panic of `on_complete`, once every task has
+    /// completed: a panicking callback ends neither its task nor the
+    /// other workers' drain.
     pub fn drain_with<F>(&self, workers: usize, on_complete: F) -> Vec<(usize, TaskOutput)>
     where
         F: Fn(usize, &TaskOutput) + Sync,
@@ -273,6 +283,10 @@ impl Scheduler {
             });
         }
         let mut inner = self.lock();
+        if let Some(payload) = inner.callback_panic.take() {
+            drop(inner);
+            resume_unwind(payload);
+        }
         let mut out = Vec::new();
         for (id, slot) in inner.slots.iter_mut().enumerate() {
             if let Some(output) = slot.output.take() {
@@ -334,10 +348,19 @@ impl Scheduler {
                     self.wake.notify_one();
                 }
                 Step::Done(output) => {
-                    on_complete(id, &output);
+                    // The callback runs before `complete`, so a closed-loop
+                    // client can spawn its next session while this one still
+                    // counts as outstanding. A panic in it must not leave the
+                    // task checked out, or the other workers wait forever:
+                    // the task completes regardless, and `drain_with`
+                    // re-raises the first panic once every task has settled.
+                    let called = catch_unwind(AssertUnwindSafe(|| on_complete(id, &output)));
                     let mut inner = self.lock();
                     inner.checked_out -= 1;
                     inner.complete(id, output);
+                    if let Err(payload) = called {
+                        inner.callback_panic.get_or_insert(payload);
+                    }
                     drop(inner);
                     self.wake.notify_all();
                 }
@@ -604,5 +627,44 @@ mod tests {
                 assert_eq!(&out.into_batch(), want, "healthy task {id}, {workers} worker(s)");
             }
         }
+    }
+
+    /// A completion callback that panics — here the first one — does not
+    /// hang a multi-worker drain: its task still completes, the other
+    /// workers finish theirs, and the drain re-raises the first panic.
+    /// The drain runs on its own thread under a watchdog, so a
+    /// regression fails this test instead of hanging the suite.
+    #[test]
+    fn a_panicking_completion_callback_does_not_hang_the_drain() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::{mpsc, Arc};
+        let sched = Arc::new(Scheduler::new(16));
+        for iters in [9, 40, 3, 20] {
+            sched.spawn(task(&app(iters)));
+        }
+        let (tx, rx) = mpsc::channel();
+        let drained = Arc::clone(&sched);
+        let drain = std::thread::spawn(move || {
+            let first = AtomicBool::new(true);
+            let calls = AtomicU64::new(0);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                drained.drain_with(2, |_, _| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    if first.swap(false, Ordering::Relaxed) {
+                        panic!("a deliberately panicking callback");
+                    }
+                })
+            }));
+            let message = outcome.err().map(|p| panic_message(&*p));
+            tx.send((message, calls.into_inner())).expect("the test waits for the drain");
+        });
+        let (message, calls) = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the drain hung after a panicking completion callback");
+        drain.join().expect("the drain thread catches the re-raised panic");
+        assert_eq!(message.as_deref(), Some("a deliberately panicking callback"));
+        assert_eq!(calls, 4, "every completion reaches the callback");
+        assert_eq!(sched.stats().completed, 4, "every task completes");
+        assert_eq!(sched.outstanding(), 0);
     }
 }

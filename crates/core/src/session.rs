@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use dise_asm::AsmError;
-use dise_cpu::{CpuConfig, Event, ExecError, Executor, RunStats, TimingBatch};
+use dise_cpu::{CpuConfig, Event, Exec, ExecError, Executor, RunStats, TimingBatch};
 use dise_engine::EngineError;
 use dise_trace::TraceError;
 
@@ -377,8 +377,9 @@ pub(crate) fn drive(
 ) -> Option<ExecError> {
     let mut error = None;
     let mut n = 0u64;
+    let mut e = Exec::default();
     while !exec.is_halted() && n < max_instructions {
-        let e = exec.step();
+        exec.step_into(&mut e);
         n += 1;
         timings.consume(&e);
         if let Some(t) = backend.observe(&e, exec, watch, stats) {

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use dise_asm::Program;
 use dise_engine::Engine;
-use dise_isa::{decode, Instr, Reg, INSTR_BYTES};
+use dise_isa::{decode, AluOp, Instr, Reg, INSTR_BYTES};
 use dise_mem::Memory;
 
 use crate::CpuConfig;
@@ -168,6 +168,99 @@ pub struct Exec {
     pub flush: Option<FlushKind>,
     /// Debugger-visible event, if any.
     pub event: Option<Event>,
+    /// The timing facts of `instr`, resolved once per static
+    /// instruction: always `InstrFacts::of(&instr)`.
+    pub facts: InstrFacts,
+}
+
+/// What the timing model needs to know of a static instruction — its
+/// two source registers, its destination and its ALU latency — resolved
+/// once when the executor decodes a block or fuses a replacement
+/// sequence (and once per position by the trace decoder), so
+/// [`Timing::consume`](crate::Timing::consume) never matches on
+/// [`Instr`].
+///
+/// Packed into three bytes, which fit in [`Exec`]'s padding: bits 0–5
+/// and 6–11 hold the source-register indices, bits 12–17 the
+/// destination's, bits 18–22 the latency and bit 23 marks a `jmp`. A
+/// missing source reads register slot [`NO_SOURCE`], which never holds
+/// a ready time; a missing destination (or the zero register) writes
+/// slot [`NO_DEST`], which is never read.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct InstrFacts([u8; 3]);
+
+/// Register slot an absent source reads (always ready at cycle 0).
+pub(crate) const NO_SOURCE: usize = NUM_REGS;
+/// Register slot an absent destination writes (never read).
+pub(crate) const NO_DEST: usize = NUM_REGS + 1;
+
+const _: () = {
+    assert!(NO_DEST < 64, "register slots fit in six bits");
+    let mut i = 0;
+    while i < AluOp::ALL.len() {
+        assert!(AluOp::ALL[i].latency() < 32, "ALU latencies fit in five bits");
+        i += 1;
+    }
+    // The facts ride in padding: the record stays 96 bytes.
+    assert!(std::mem::size_of::<Exec>() == 96);
+};
+
+impl InstrFacts {
+    /// The facts of `nop`.
+    const NOP: InstrFacts = InstrFacts::pack([NO_SOURCE, NO_SOURCE], NO_DEST, 1, false);
+
+    /// The facts of `instr`.
+    pub fn of(instr: &Instr) -> InstrFacts {
+        let sources = instr.sources().map(|r| r.map_or(NO_SOURCE, Reg::index));
+        let latency = match instr {
+            Instr::Alu { op, .. } => op.latency(),
+            _ => 1,
+        };
+        let dest = instr.dest().map_or(NO_DEST, Reg::index);
+        InstrFacts::pack(sources, dest, latency, matches!(instr, Instr::Jmp { .. }))
+    }
+
+    const fn pack(sources: [usize; 2], dest: usize, latency: u64, jmp: bool) -> InstrFacts {
+        let bits = sources[0] as u32
+            | (sources[1] as u32) << 6
+            | (dest as u32) << 12
+            | (latency as u32) << 18
+            | (jmp as u32) << 23;
+        let [b0, b1, b2, _] = bits.to_le_bytes();
+        InstrFacts([b0, b1, b2])
+    }
+
+    #[inline]
+    fn bits(self) -> u32 {
+        let [b0, b1, b2] = self.0;
+        u32::from_le_bytes([b0, b1, b2, 0])
+    }
+
+    /// Register slots of the two sources ([`NO_SOURCE`] when absent).
+    #[inline]
+    pub(crate) fn sources(self) -> [usize; 2] {
+        let bits = self.bits();
+        [(bits & 63) as usize, (bits >> 6 & 63) as usize]
+    }
+
+    /// Register slot of the destination ([`NO_DEST`] when absent).
+    #[inline]
+    pub(crate) fn dest(self) -> usize {
+        (self.bits() >> 12 & 63) as usize
+    }
+
+    /// Execution latency when the instruction accesses no memory: the
+    /// ALU operation's, else 1.
+    #[inline]
+    pub(crate) fn latency(self) -> u64 {
+        u64::from(self.bits() >> 18 & 31)
+    }
+
+    /// True for `jmp`: a call through it predicts its target.
+    #[inline]
+    pub(crate) fn is_jmp(self) -> bool {
+        self.bits() >> 23 != 0
+    }
 }
 
 /// Do the byte footprints `[a, a + a_len)` and `[b, b + b_len)` share a
@@ -380,10 +473,26 @@ impl ExecChunk {
     }
 }
 
+/// A static instruction and its timing facts, resolved together when a
+/// block is decoded or a replacement sequence fused.
+#[derive(Clone, Copy, Debug)]
+struct Decoded {
+    instr: Instr,
+    facts: InstrFacts,
+}
+
+impl Decoded {
+    const NOP: Decoded = Decoded { instr: Instr::Nop, facts: InstrFacts::NOP };
+
+    fn new(instr: Instr) -> Decoded {
+        Decoded { instr, facts: InstrFacts::of(&instr) }
+    }
+}
+
 /// A replacement sequence. The block that fused it and every
 /// replacement context running it share one allocation, so executing
 /// a trigger copies a pointer, never the instructions.
-type Seq = Arc<[Instr]>;
+type Seq = Arc<[Decoded]>;
 
 /// Saved resume point for a DISE call: the replacement sequence to
 /// re-enter at `⟨trigger_pc : idx⟩`.
@@ -482,7 +591,7 @@ struct Block {
     /// address space, so `entry <= last`.
     last: u64,
     /// The conventional steps, at `entry`, `entry + 4`, ...
-    plain: Box<[Instr]>,
+    plain: Box<[Decoded]>,
     /// How many leading `plain` steps passed the DISE protection check
     /// at build time and so run without it. Only a block's last step
     /// can fail it (DISE-only instructions and DISE register operands
@@ -496,9 +605,9 @@ struct Block {
 /// be borrowed again (or invalidated) while the step executes.
 enum StepOp {
     /// A vetted conventional instruction.
-    Vetted(Instr),
+    Vetted(Decoded),
     /// A conventional instruction that must pass the protection check.
-    Checked(Instr),
+    Checked(Decoded),
     /// A DISE trigger: run its fused replacement sequence.
     Fused(Seq),
 }
@@ -854,23 +963,22 @@ impl Executor {
     /// the cursor: look up / build the block keyed by `pc` and the
     /// fetch mode and execute its first step. An undecodable word at
     /// `pc` halts with [`ExecError::BadInstruction`].
-    fn block_step(&mut self, pc: u64, in_call: bool) -> Exec {
+    fn block_step(&mut self, pc: u64, in_call: bool, out: &mut Exec) {
         self.block_stats.lookups += 1;
         let key = BlockKey { pc, in_call };
         if let Some(slot) = self.lookup(key) {
             self.block_stats.hits += 1;
-            return self.run_step(slot, 0);
+            return self.run_step(slot, 0, out);
         }
         self.block_stats.misses += 1;
         let Some(block) = self.build_block(pc, in_call) else {
-            let mut exec = Exec::blank(pc, 0, in_call, Instr::Nop, true);
-            self.halt_with(&mut exec, ExecError::BadInstruction(pc));
-            return exec;
+            *out = Exec::blank(pc, 0, in_call, Decoded::NOP, true);
+            return self.halt_with(out, ExecError::BadInstruction(pc));
         };
         if block.last < pc {
             // The entry word itself wraps past the top of the address
             // space (an unaligned PC): run it once, uncached.
-            return self.exec_op(pc, block.op(0), in_call);
+            return self.exec_op(pc, block.op(0), in_call, out);
         }
         self.index_block(key, block.last);
         let block = Some(Arc::new(block));
@@ -886,7 +994,7 @@ impl Executor {
         };
         self.block_index.insert(key, slot);
         self.entries[key.entry()] = slot;
-        self.run_step(slot, 0)
+        self.run_step(slot, 0, out);
     }
 
     /// The arena slot of the live block keyed `key`: the entry table
@@ -907,37 +1015,35 @@ impl Executor {
     /// Execute step `idx` of the live block in `slot`, in the block's
     /// fetch mode, leaving the cursor on the step after it.
     #[inline]
-    fn run_step(&mut self, slot: u32, idx: usize) -> Exec {
+    fn run_step(&mut self, slot: u32, idx: usize, out: &mut Exec) {
         let b = self.blocks[slot as usize].as_deref().expect("cursor and index name live blocks");
         let (pc, op, in_call) = (b.pc_of(idx), b.op(idx), b.key.in_call);
         self.cursor = (idx + 1 < b.len()).then_some((slot, idx + 1));
-        self.exec_op(pc, op, in_call)
+        self.exec_op(pc, op, in_call, out);
     }
 
     /// Execute one block step fetched at `pc`.
     #[inline]
-    fn exec_op(&mut self, pc: u64, op: StepOp, in_call: bool) -> Exec {
+    fn exec_op(&mut self, pc: u64, op: StepOp, in_call: bool, out: &mut Exec) {
         match op {
-            StepOp::Vetted(instr) => {
-                let mut exec = Exec::blank(pc, 0, in_call, instr, true);
-                self.execute::<false>(&mut exec);
-                exec
+            StepOp::Vetted(step) => {
+                *out = Exec::blank(pc, 0, in_call, step, true);
+                self.execute::<false>(out);
             }
-            StepOp::Checked(instr) => {
+            StepOp::Checked(step) => {
                 // Protection: conventional application code may not use
                 // DISE resources; DISE-called functions access DISE
                 // registers only through d_mfr/d_mtr.
                 let legal_in_call = matches!(
-                    instr,
+                    step.instr,
                     Instr::DRet | Instr::DMfr { .. } | Instr::DMtr { .. } | Instr::CTrap { .. }
                 );
-                let mut exec = Exec::blank(pc, 0, in_call, instr, true);
-                if !(in_call && legal_in_call) && needs_dise_resources(&instr) {
-                    self.halt_with(&mut exec, ExecError::DiseProtection(pc));
+                *out = Exec::blank(pc, 0, in_call, step, true);
+                if !(in_call && legal_in_call) && needs_dise_resources(&step.instr) {
+                    self.halt_with(out, ExecError::DiseProtection(pc));
                 } else {
-                    self.execute::<false>(&mut exec);
+                    self.execute::<false>(out);
                 }
-                exec
             }
             StepOp::Fused(seq) => {
                 // The fused sequence was instantiated statistics-free at
@@ -946,9 +1052,8 @@ impl Executor {
                 self.engine.count_expansion(seq.len() as u64);
                 let first = seq[0];
                 self.mode = Mode::Replacing { trigger_pc: pc, seq, idx: 0 };
-                let mut exec = Exec::blank(pc, 1, false, first, true);
-                self.execute::<true>(&mut exec);
-                exec
+                *out = Exec::blank(pc, 1, false, first, true);
+                self.execute::<true>(out);
             }
         }
     }
@@ -973,11 +1078,11 @@ impl Executor {
             let expansion = if in_call { None } else { self.engine.peek_expand(at, &instr) };
             let terminal = match expansion {
                 Some(seq) => {
-                    fused = Some(Seq::from(seq));
+                    fused = Some(seq.into_iter().map(Decoded::new).collect::<Seq>());
                     true
                 }
                 None => {
-                    plain.push(instr);
+                    plain.push(Decoded::new(instr));
                     matches!(
                         instr,
                         Instr::Br { .. }
@@ -999,7 +1104,7 @@ impl Executor {
         if plain.is_empty() && fused.is_none() {
             return None;
         }
-        let vetted = plain.iter().take_while(|i| !needs_dise_resources(i)).count();
+        let vetted = plain.iter().take_while(|d| !needs_dise_resources(&d.instr)).count();
         Some(Block {
             key: BlockKey { pc: entry, in_call },
             last,
@@ -1031,12 +1136,16 @@ impl Executor {
     ) -> (u64, Option<Exec>) {
         let mut n = 0u64;
         while n < max && !chunk.is_full() && !self.halted {
-            let e = self.step();
+            // Step straight into the chunk; the summary takes the record
+            // only once `dirty` has passed it.
+            chunk.records.push(Exec::default());
+            let e = chunk.records.last_mut().expect("just pushed");
+            self.step_into(e);
             n += 1;
-            if dirty(&e) {
-                return (n, Some(e));
+            if dirty(e) {
+                return (n, chunk.records.pop());
             }
-            chunk.push(e);
+            chunk.summary.note(e);
             // Block at a time: when `step` entered or continued a cached
             // block, run the block's remaining vetted steps here, with
             // no per-step mode dispatch, PC check or cursor update. The
@@ -1080,6 +1189,19 @@ impl Executor {
     ///
     /// Panics if called after the machine halted.
     pub fn step(&mut self) -> Exec {
+        let mut e = Exec::default();
+        self.step_into(&mut e);
+        e
+    }
+
+    /// [`Executor::step`], writing the record over `out`. A loop that
+    /// reuses one record this way never copies it: the record is built
+    /// where the caller reads it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called after the machine halted.
+    pub fn step_into(&mut self, out: &mut Exec) {
         assert!(!self.halted, "step() on a halted machine");
         self.instructions += 1;
 
@@ -1093,13 +1215,12 @@ impl Executor {
             if let Some(b) = self.blocks[slot as usize].as_deref() {
                 if idx < b.vetted && b.pc_of(idx) == self.pc {
                     // The per-instruction hot path, inline.
-                    let mut exec = Exec::blank(self.pc, 0, b.key.in_call, b.plain[idx], true);
+                    *out = Exec::blank(self.pc, 0, b.key.in_call, b.plain[idx], true);
                     self.cursor = (idx + 1 < b.len()).then_some((slot, idx + 1));
-                    self.execute::<false>(&mut exec);
-                    return exec;
+                    return self.execute::<false>(out);
                 }
                 if idx < b.len() && b.pc_of(idx) == self.pc {
-                    return self.run_step(slot, idx);
+                    return self.run_step(slot, idx, out);
                 }
             }
             self.cursor = None;
@@ -1109,12 +1230,11 @@ impl Executor {
         // (application code or a DISE-called function) from a block.
         match self.mode {
             Mode::Replacing { trigger_pc, ref seq, idx } => {
-                let mut exec = Exec::blank(trigger_pc, (idx + 1) as u16, false, seq[idx], false);
-                self.execute::<true>(&mut exec);
-                exec
+                *out = Exec::blank(trigger_pc, (idx + 1) as u16, false, seq[idx], false);
+                self.execute::<true>(out);
             }
-            Mode::Normal => self.block_step(self.pc, false),
-            Mode::InCall { .. } => self.block_step(self.pc, true),
+            Mode::Normal => self.block_step(self.pc, false, out),
+            Mode::InCall { .. } => self.block_step(self.pc, true, out),
         }
     }
 
@@ -1307,20 +1427,29 @@ impl Executor {
     }
 }
 
+impl Default for Exec {
+    /// A `nop` at PC 0 that did nothing: a buffer for
+    /// [`Executor::step_into`].
+    fn default() -> Exec {
+        Exec::blank(0, 0, false, Decoded::NOP, false)
+    }
+}
+
 impl Exec {
-    /// A record of `instr` with no branch, access, flush or event yet.
+    /// A record of `step` with no branch, access, flush or event yet.
     #[inline]
-    fn blank(pc: u64, disepc: u16, in_dise_call: bool, instr: Instr, fetched: bool) -> Exec {
+    fn blank(pc: u64, disepc: u16, in_dise_call: bool, step: Decoded, fetched: bool) -> Exec {
         Exec {
             pc,
             disepc,
             in_dise_call,
-            instr,
+            instr: step.instr,
             fetched,
             branch: None,
             mem: None,
             flush: None,
             event: None,
+            facts: step.facts,
         }
     }
 }
@@ -1354,7 +1483,70 @@ mod tests {
     use dise_asm::{parse_asm, Layout};
     use dise_engine::{Pattern, Production, TemplateInst};
     use dise_isa::Cond;
-    use dise_isa::{AluOp, OpClass, Width};
+    use dise_isa::{OpClass, Width};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    /// The facts of a decodable word agree with the instruction they
+    /// summarise: sources, destination and latency as `Instr` reports
+    /// them, absent ones mapped to the slots nothing writes or reads.
+    fn facts_agree(word: u32) -> Result<(), TestCaseError> {
+        let Ok(instr) = decode(word) else { return Ok(()) };
+        let f = InstrFacts::of(&instr);
+        let slot = |r: Option<Reg>, absent: usize| r.map_or(absent, Reg::index);
+        let [a, b] = instr.sources();
+        prop_assert_eq!(f.sources(), [slot(a, NO_SOURCE), slot(b, NO_SOURCE)], "{:?}", instr);
+        prop_assert_eq!(f.dest(), slot(instr.dest(), NO_DEST), "{:?}", instr);
+        let latency = match instr {
+            Instr::Alu { op, .. } => op.latency(),
+            _ => 1,
+        };
+        prop_assert_eq!(f.latency(), latency, "{:?}", instr);
+        prop_assert_eq!(f.is_jmp(), matches!(instr, Instr::Jmp { .. }), "{:?}", instr);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn facts_match_the_instruction(word: u32) {
+            facts_agree(word)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_000_000))]
+
+        #[test]
+        #[ignore = "large sweep; run with --include-ignored"]
+        fn facts_match_the_instruction_sweep(word: u32) {
+            facts_agree(word)?;
+        }
+    }
+
+    /// Every record the executor emits carries its instruction's facts.
+    #[test]
+    fn executed_records_carry_their_facts() {
+        let prog = parse_asm(
+            "start: lda r1, 50(zero)
+             loop:  mulq r1, r1, r2
+                    stq r2, 0(sp)
+                    ldq r3, 0(sp)
+                    subq r1, 1, r1
+                    bgt r1, loop
+                    halt",
+        )
+        .unwrap()
+        .assemble(Layout::default())
+        .unwrap();
+        let mut exec = Executor::from_program(&prog, CpuConfig::default());
+        while !exec.is_halted() {
+            let e = exec.step();
+            assert_eq!(e.facts, InstrFacts::of(&e.instr), "{e:?}");
+        }
+        assert_eq!(Exec::default().facts, InstrFacts::of(&Instr::Nop));
+    }
 
     fn machine(src: &str) -> Executor {
         let prog = parse_asm(src).unwrap().assemble(Layout::default()).unwrap();
@@ -1472,6 +1664,7 @@ mod tests {
             mem: Some(MemOp { addr, width, is_store: true, old_value: 0, new_value: 1 }),
             flush: None,
             event: None,
+            facts: InstrFacts::of(&Instr::Nop),
         };
         let mut chunk = ExecChunk::with_capacity(4);
         chunk.push(store(u64::MAX, 1));
@@ -1534,6 +1727,7 @@ mod tests {
             mem: None,
             flush: None,
             event: None,
+            facts: InstrFacts::of(&Instr::Nop),
         };
         chunk.push(e);
         chunk.push(e);

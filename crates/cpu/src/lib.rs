@@ -52,7 +52,7 @@ mod trace;
 pub use config::CpuConfig;
 pub use exec::{
     byte_span, footprints_overlap, BlockCacheStats, Branch, BranchKind, ChunkSummary, Event, Exec,
-    ExecChunk, ExecError, Executor, FlushKind, MemOp, MAX_BLOCK_STEPS, NUM_REGS,
+    ExecChunk, ExecError, Executor, FlushKind, InstrFacts, MemOp, MAX_BLOCK_STEPS, NUM_REGS,
 };
 pub use predictor::{BpredConfig, Predictor};
 pub use timing::{RunStats, Timing, TimingBatch};
@@ -97,8 +97,9 @@ impl Machine {
     /// Run at most `max_instructions`.
     pub fn run_limit(&mut self, max_instructions: u64) -> RunStats {
         let mut n = 0;
+        let mut e = Exec::default();
         while !self.exec.is_halted() && n < max_instructions {
-            let e = self.exec.step();
+            self.exec.step_into(&mut e);
             self.timing.consume(&e);
             n += 1;
         }

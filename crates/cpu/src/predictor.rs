@@ -117,6 +117,7 @@ impl Predictor {
     /// Predict the direction of the conditional branch at `pc`, then
     /// update all tables with the actual outcome. Returns `true` when the
     /// prediction was correct.
+    #[inline]
     pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
         self.dir_predictions += 1;
         let bi = self.bimodal_idx(pc);
@@ -146,6 +147,7 @@ impl Predictor {
 
     /// Predict the target of the indirect jump at `pc`, then install the
     /// actual target. Returns `true` when the predicted target matched.
+    #[inline]
     pub fn predict_indirect(&mut self, pc: u64, actual: u64) -> bool {
         let idx = ((pc >> 2) as usize) & (self.config.btb_entries - 1);
         let hit = matches!(self.btb[idx], Some((tag, t)) if tag == pc && t == actual);
@@ -154,6 +156,7 @@ impl Predictor {
     }
 
     /// Record a call: push the return address.
+    #[inline]
     pub fn push_return(&mut self, return_addr: u64) {
         self.ras[self.ras_top] = return_addr;
         self.ras_top = if self.ras_top + 1 == self.ras.len() { 0 } else { self.ras_top + 1 };
@@ -162,6 +165,7 @@ impl Predictor {
 
     /// Predict a return: pop and compare. Returns `true` on a correct
     /// prediction.
+    #[inline]
     pub fn predict_return(&mut self, actual: u64) -> bool {
         if self.ras_len == 0 {
             return false;

@@ -71,7 +71,9 @@ use dise_mem::AddrHasher;
 use dise_trace::wire::{apply_delta, delta, read_uvarint, write_uvarint};
 use dise_trace::{read_chunk_file, ChunkWriter, TraceError};
 
-use crate::exec::{Branch, BranchKind, Event, Exec, ExecChunk, ExecError, FlushKind, MemOp};
+use crate::exec::{
+    Branch, BranchKind, Event, Exec, ExecChunk, ExecError, FlushKind, InstrFacts, MemOp,
+};
 use crate::{CpuConfig, RunStats, TimingBatch, MAX_BLOCK_STEPS};
 
 /// Target size of one compressed data chunk. Chunking is pure byte
@@ -571,15 +573,20 @@ impl ExecDecoder {
             return Err("more distinct positions than the codec can index".to_string());
         }
         let base = (slot != NO_SLOT).then(|| st.slots[slot as usize].rec);
-        let instr = if flags & (1 << 6) != 0 {
-            base.ok_or("instr-same flag for a position never seen")?.instr
+        // The slot's facts serve every later record at its position
+        // that repeats its instruction; a new word resolves them anew.
+        let (instr, facts) = if flags & (1 << 6) != 0 {
+            let b = base.ok_or("instr-same flag for a position never seen")?;
+            (b.instr, b.facts)
         } else {
             if buf.len() - *pos < 4 {
                 return Err("truncated FULL instruction word".to_string());
             }
             let word = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("4 bytes"));
             *pos += 4;
-            decode_instr(word).map_err(|e| format!("undecodable instruction word: {e:?}"))?
+            let instr =
+                decode_instr(word).map_err(|e| format!("undecodable instruction word: {e:?}"))?;
+            (instr, InstrFacts::of(&instr))
         };
         let branch = if flags & (1 << 2) != 0 {
             let b = read_byte(buf, pos, "truncated branch byte")?;
@@ -655,6 +662,7 @@ impl ExecDecoder {
             mem,
             flush,
             event,
+            facts,
         };
         st.remember(slot, &e);
         Ok(())
@@ -971,7 +979,14 @@ mod tests {
             mem: None,
             flush: None,
             event: None,
+            facts: InstrFacts::of(&Instr::Nop),
         }
+    }
+
+    /// Give `e` a new instruction, with its facts.
+    fn set_instr(e: &mut Exec, instr: Instr) {
+        e.instr = instr;
+        e.facts = InstrFacts::of(&instr);
     }
 
     fn roundtrip(stream: &[Exec]) -> Vec<u8> {
@@ -1083,8 +1098,10 @@ mod tests {
         let mut stream = Vec::new();
         for i in 0..1000u64 {
             let mut st = nop(0x1000);
-            st.instr =
-                Instr::Store { width: Width::Q, rs: Reg::gpr(1), base: Reg::gpr(2), disp: 0 };
+            set_instr(
+                &mut st,
+                Instr::Store { width: Width::Q, rs: Reg::gpr(1), base: Reg::gpr(2), disp: 0 },
+            );
             st.mem = Some(MemOp {
                 addr: 0x8000,
                 width: 8,

@@ -31,8 +31,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dise_cpu::{
-    Branch, BranchKind, CpuConfig, Event, Exec, ExecChunk, ExecError, Executor, FlushKind, MemOp,
-    TraceReader, TraceWriter,
+    Branch, BranchKind, CpuConfig, Event, Exec, ExecChunk, ExecError, Executor, FlushKind,
+    InstrFacts, MemOp, TraceReader, TraceWriter,
 };
 use dise_debug::{BackendKind, Session};
 use dise_isa::{decode as decode_instr, encode as encode_instr, AluOp, Cond, Instr, Operand, Reg};
@@ -404,6 +404,7 @@ impl ExecDecoder {
             mem,
             flush,
             event,
+            facts: InstrFacts::of(&instr),
         };
         self.state.last.insert((pc, disepc), e);
         self.state.prev = Some(e);
@@ -467,6 +468,7 @@ fn fresh(pc: u64, disepc: u16, bits: u64) -> Exec {
         mem: None,
         flush: None,
         event: None,
+        facts: InstrFacts::of(&Instr::Nop),
     };
     let width = [1u64, 2, 4, 8][(bits >> 5) as usize % 4];
     let w = Width::ALL[(bits >> 5) as usize % 4];
@@ -515,6 +517,7 @@ fn fresh(pc: u64, disepc: u16, bits: u64) -> Exec {
         }
         _ => {}
     }
+    e.facts = InstrFacts::of(&e.instr);
     if (bits >> 51).is_multiple_of(6) {
         e.flush = Some(FLUSHES[(bits >> 54) as usize % 4]);
     }

@@ -42,7 +42,7 @@ use std::sync::Arc;
 use dise_asm::Program;
 use dise_cpu::{
     BlockCacheStats, Branch, BranchKind, CpuConfig, Event, Exec, ExecChunk, ExecError, FlushKind,
-    MemOp, MAX_BLOCK_STEPS, NUM_REGS,
+    InstrFacts, MemOp, MAX_BLOCK_STEPS, NUM_REGS,
 };
 use dise_engine::{Engine, Pattern, Production, ProductionId, TDisp, TOperand, TReg, TemplateInst};
 use dise_isa::{decode, encode, AluOp, Cond, Instr, OpClass, Operand, Reg, Width, INSTR_BYTES};
@@ -712,6 +712,7 @@ impl Executor {
                 mem: None,
                 flush: None,
                 event: None,
+                facts: InstrFacts::of(&Instr::Nop),
             };
             self.halt_with(&mut exec, ExecError::BadInstruction(pc));
             return exec;
@@ -879,6 +880,7 @@ impl Executor {
             mem: None,
             flush: None,
             event: None,
+            facts: InstrFacts::of(&instr),
         };
         let in_replacement = repl.is_some();
 

@@ -31,8 +31,8 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 
 use dise_cpu::{
-    BpredConfig, Branch, BranchKind, CpuConfig, Exec, FlushKind, MemOp, RunStats, TimingBatch,
-    NUM_REGS,
+    BpredConfig, Branch, BranchKind, CpuConfig, Exec, FlushKind, InstrFacts, MemOp, RunStats,
+    TimingBatch, NUM_REGS,
 };
 use dise_isa::{AluOp, Cond, Instr, Operand, Reg, Width};
 use dise_mem::{AddrHasher, CacheConfig, CacheStats, MemConfig, PAGE_SIZE};
@@ -753,6 +753,7 @@ fn build_stream(ops: &[(u8, u64)]) -> Vec<Step> {
             mem: None,
             flush: None,
             event: None,
+            facts: InstrFacts::of(&Instr::Nop),
         };
         let width = [1u64, 2, 4, 8][(bits >> 5) as usize % 4];
         match kind {
@@ -844,6 +845,7 @@ fn build_stream(ops: &[(u8, u64)]) -> Vec<Step> {
                 ][(bits >> 54) as usize % 4],
             );
         }
+        e.facts = InstrFacts::of(&e.instr);
         pc = match e.branch {
             Some(b) if b.taken => b.target,
             _ => pc + 4,

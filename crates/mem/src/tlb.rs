@@ -32,6 +32,7 @@ impl Tlb {
 
     /// Look up the page containing byte address `addr`; returns `true` on
     /// hit and fills on miss.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.inner.access(addr)
     }
