@@ -2,7 +2,7 @@
 //! `Exec` stream costs, how hard the delta + run-length codec squeezes
 //! it, how fast a stored stream replays, and whether an observer batch
 //! replayed from the store beats the same batch run live. Replays are
-//! byte-identical to live runs (the conformance and determinism suites
+//! byte-identical to live runs (the conformance and property suites
 //! prove that, and this harness asserts it for every set it times);
 //! this harness shows the ratios and wall times.
 

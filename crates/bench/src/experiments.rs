@@ -7,8 +7,6 @@
 //! function, so tests check the very grid the experiment runs against
 //! the cell-by-cell reference.
 
-use std::path::PathBuf;
-
 use dise_cpu::{footprints_overlap, CpuConfig, RunStats};
 use dise_debug::{BackendKind, BaselineCache, DebugError, DiseStrategy, SessionReport};
 use dise_workloads::{all, transition_cost_sweep, watchpoint_set_sweep, WatchKind, Workload};
@@ -16,7 +14,7 @@ use dise_workloads::{all, transition_cost_sweep, watchpoint_set_sweep, WatchKind
 use crate::grid::{default_workers, run_grid_with, run_overhead_grid, SessionJob, DEFAULT_SLICE};
 
 /// Shared experiment context: workload scale, machine configuration,
-/// how grids run (workers, slice budget, trace store), and a baseline
+/// how grids run (workers, slice budget), and a baseline
 /// cache (the undebugged run of each kernel).
 pub struct Experiment {
     /// Kernel iteration count.
@@ -27,23 +25,20 @@ pub struct Experiment {
     pub workers: usize,
     /// Scheduler slice budget (instructions per grant) for grids.
     pub slice: u64,
-    /// Persistent trace store for observer groups, if any.
-    pub trace_dir: Option<PathBuf>,
     workloads: Vec<Workload>,
     baselines: BaselineCache,
 }
 
 impl Experiment {
     /// Build a context at the given scale, on [`default_workers`]
-    /// threads with [`DEFAULT_SLICE`] slices and no trace store. Reads
-    /// nothing from the environment.
+    /// threads with [`DEFAULT_SLICE`] slices. Reads nothing from the
+    /// environment.
     pub fn new(iters: u32, cpu: CpuConfig) -> Experiment {
         Experiment {
             iters,
             cpu,
             workers: default_workers(),
             slice: DEFAULT_SLICE,
-            trace_dir: None,
             workloads: all(iters),
             baselines: BaselineCache::new(),
         }
@@ -52,8 +47,7 @@ impl Experiment {
     /// The binaries' context: [`Experiment::new`] under the paper's
     /// default machine, configured once from the environment —
     /// `DISE_ITERS` (default 400), `DISE_JOBS` (default
-    /// [`default_workers`]), `DISE_SLICE` (default [`DEFAULT_SLICE`])
-    /// and `DISE_TRACE_DIR` (default: no store).
+    /// [`default_workers`]) and `DISE_SLICE` (default [`DEFAULT_SLICE`]).
     ///
     /// # Panics
     ///
@@ -66,7 +60,6 @@ impl Experiment {
                 .with_workers(dise_env::env_number("DISE_JOBS", default_workers()));
         ctx.slice = dise_env::env_number("DISE_SLICE", DEFAULT_SLICE);
         assert!(ctx.slice > 0, "DISE_SLICE must be at least one instruction");
-        ctx.trace_dir = dise_env::env_string("DISE_TRACE_DIR").map(PathBuf::from);
         ctx
     }
 
@@ -135,13 +128,7 @@ impl Experiment {
         run_grid_with(&distinct, self.workers, |w| {
             self.baseline(w);
         });
-        run_overhead_grid(
-            cells,
-            self.workers,
-            &self.baselines,
-            self.slice,
-            self.trace_dir.as_deref(),
-        )
+        run_overhead_grid(cells, self.workers, &self.baselines, self.slice)
     }
 
     /// One result per workload, computed on the worker pool, in

@@ -6,19 +6,18 @@
 //! scatters the per-cell results back in cell order — so output is
 //! byte-identical for any worker count and any slice budget.
 //!
-//! Worker count, slice budget and trace directory are plain arguments
-//! here; only the binaries read them from the environment (see
+//! Worker count and slice budget are plain arguments here; only the
+//! binaries read them from the environment (see
 //! [`crate::Experiment::from_env`]).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use dise_cpu::{CpuConfig, RunStats};
 use dise_debug::{
-    app_fingerprint, run_session, BackendKind, BaselineCache, DebugError, Scheduler, SessionReport,
-    SessionTask, TaskOutput, Watchpoint,
+    run_session, BackendKind, BaselineCache, DebugError, Scheduler, SessionReport, SessionTask,
+    TaskOutput, Watchpoint,
 };
 use dise_workloads::Workload;
 
@@ -145,39 +144,15 @@ pub struct ObserverGroup {
 }
 
 impl ObserverGroup {
-    /// The group's shared pass as a task. With a trace directory the
-    /// pass is **replayed** from the store when a trace for this kernel
-    /// (keyed by name + program fingerprint) already exists — zero
-    /// functional passes — and recorded into the store on a miss, so
-    /// the next run replays. A stale or corrupt stored trace fails the
-    /// task loudly ([`DebugError::Trace`]); it is never silently
-    /// re-recorded.
-    pub fn task_traced(&self, trace: Option<&Path>) -> SessionTask {
-        let app = self.workload.app();
+    /// The group's shared pass as a task: one live pass of the
+    /// unmodified application fanned out to every member.
+    pub fn task(&self) -> SessionTask {
         let members = self
             .members
             .iter()
             .map(|m| (m.backend, m.watchpoints.clone(), m.cpus.clone()))
             .collect();
-        match trace.and_then(|dir| self.trace_path(dir)) {
-            None => SessionTask::observer(app, members),
-            Some(path) if path.exists() => SessionTask::observer_replay(app, members, &path),
-            Some(path) => SessionTask::observer_recorded(app, members, &path),
-        }
-    }
-
-    /// Where this group's shared pass lives inside the trace store at
-    /// `dir`: keyed by kernel name *and* program fingerprint, so two
-    /// scales of one kernel — or any edit to it — never collide, and a
-    /// recorded trace is valid forever. `None` when the kernel fails to
-    /// assemble (the traceless path reports that error in the shape
-    /// callers expect). Creates `dir` on first use.
-    fn trace_path(&self, dir: &Path) -> Option<PathBuf> {
-        let fp = app_fingerprint(self.workload.app()).ok()?;
-        // A missing store directory is "first recording", not an error;
-        // if creation truly failed, recording into it fails loudly.
-        let _ = std::fs::create_dir_all(dir);
-        Some(dir.join(format!("{}-{fp:016x}.dtrc", self.workload.name())))
+        SessionTask::observer(self.workload.app(), members)
     }
 
     /// Scatter the finished task's output to per-cell overheads, tagged
@@ -240,8 +215,8 @@ pub struct PerturbGroup {
 }
 
 impl PerturbGroup {
-    /// The group as a task. Perturbing groups change the functional
-    /// stream, so they always execute: a trace store never serves them.
+    /// The group as a task: one private pass per engine-configuration
+    /// sub-batch, each restored copy-on-write from one built image.
     pub fn task(&self) -> SessionTask {
         let cpus: Vec<Vec<CpuConfig>> = self.batches.iter().map(|b| b.cpus.clone()).collect();
         SessionTask::perturbing_group(
@@ -291,13 +266,10 @@ pub enum CellGroup {
 }
 
 impl CellGroup {
-    /// The group as a task — what the grid spawns. Observer groups go
-    /// through the trace store at `trace` when one is configured
-    /// ([`ObserverGroup::task_traced`]); perturbing groups always
-    /// execute.
-    pub fn task_traced(&self, trace: Option<&Path>) -> SessionTask {
+    /// The group as a task — what the grid spawns.
+    pub fn task(&self) -> SessionTask {
         match self {
-            CellGroup::Observe(g) => g.task_traced(trace),
+            CellGroup::Observe(g) => g.task(),
             CellGroup::Perturb(g) => g.task(),
         }
     }
@@ -309,7 +281,7 @@ impl CellGroup {
     ///
     /// Panics when `output`'s shape does not match this group (a caller
     /// bug: the output must come from this group's
-    /// [`CellGroup::task_traced`]), and as [`SessionJob::overhead`].
+    /// [`CellGroup::task`]), and as [`SessionJob::overhead`].
     pub fn overheads_from(
         &self,
         output: TaskOutput,
@@ -435,29 +407,26 @@ pub fn default_workers() -> usize {
 /// passes ([`batch_session_jobs`]), spawn every group as one
 /// [`SessionTask`] on a [`Scheduler`] granting `slice` instructions per
 /// slice, drain it with `workers` threads, and scatter the results back
-/// to cell order. With `trace: Some(dir)`, observer groups record their
-/// shared pass into the trace store at `dir` on a miss and replay it on
-/// a hit.
+/// to cell order.
 ///
 /// Task ids are spawn order, so the output is byte-identical to the
 /// cell-by-cell `cells.iter().map(|c| c.overhead(baselines))` for every
-/// worker count, slice budget and store state.
+/// worker count and slice budget.
 ///
 /// # Panics
 ///
 /// Panics when `workers` or `slice` is zero, and as the groups'
-/// `overheads_from` (including on a stale or corrupt stored trace).
+/// `overheads_from`.
 pub fn run_overhead_grid(
     cells: &[SessionJob],
     workers: usize,
     baselines: &BaselineCache,
     slice: u64,
-    trace: Option<&Path>,
 ) -> Vec<Option<f64>> {
     let groups = batch_session_jobs(cells);
     let scheduler = Scheduler::new(slice);
     for group in &groups {
-        scheduler.spawn(group.task_traced(trace));
+        scheduler.spawn(group.task());
     }
     let mut out = vec![None; cells.len()];
     for (id, output) in scheduler.drain(workers) {
@@ -782,7 +751,7 @@ mod tests {
         let unbatched = reference(&jobs, &baselines);
         for workers in [1, 4] {
             for slice in [DEFAULT_SLICE, 97] {
-                let batched = run_overhead_grid(&jobs, workers, &baselines, slice, None);
+                let batched = run_overhead_grid(&jobs, workers, &baselines, slice);
                 assert_eq!(batched, unbatched, "workers={workers} slice={slice}");
             }
         }
@@ -822,7 +791,7 @@ mod tests {
 
         let baselines = BaselineCache::new();
         let cell_by_cell = reference(&jobs, &baselines);
-        let grouped = run_overhead_grid(&jobs, 1, &baselines, DEFAULT_SLICE, None);
+        let grouped = run_overhead_grid(&jobs, 1, &baselines, DEFAULT_SLICE);
         assert_eq!(grouped, cell_by_cell, "grouped grid diverged from cell-by-cell reference");
         assert_eq!(cell_by_cell[8], None, "unsupported cell renders the no-experiment bar");
     }

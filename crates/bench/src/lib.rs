@@ -33,8 +33,8 @@
 //! (`tests/execution_counts.rs`).
 //!
 //! Configuration is explicit: library code reads no environment
-//! variable. The binaries parse `DISE_ITERS`, `DISE_JOBS`, `DISE_SLICE`
-//! and `DISE_TRACE_DIR` once, through [`Experiment::from_env`] or
+//! variable. The binaries parse `DISE_ITERS`, `DISE_JOBS` and
+//! `DISE_SLICE` once, through [`Experiment::from_env`] or
 //! `dise_env` directly, and the [`server`] module serves arbitrary job
 //! lists through the same scheduler (`session_server` bin).
 

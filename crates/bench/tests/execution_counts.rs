@@ -15,8 +15,8 @@
 //! because no machine is forked off a template any more.
 //!
 //! And to the persistent trace store: `dise_debug::trace_records()` /
-//! `trace_replays()` count recordings and stored-stream replays — a
-//! grid run against a warm trace directory must perform **zero**
+//! `trace_replays()` count recordings and stored-stream replays — an
+//! observer group replayed from its stored trace must perform **zero**
 //! functional passes and zero image loads, with byte-identical output.
 //!
 //! Every grid's output is also checked against the cell-by-cell
@@ -25,12 +25,12 @@
 //! are process-global, and sibling tests in the same binary would race
 //! the deltas.
 
-use dise_bench::{batch_session_jobs, run_overhead_grid, SessionJob, DEFAULT_SLICE};
+use dise_bench::{batch_session_jobs, run_overhead_grid, CellGroup, SessionJob, DEFAULT_SLICE};
 use dise_cpu::CpuConfig;
 use dise_debug::{
     checkpoint_forks, fanout_chunks, fanout_chunks_scanned, fanout_chunks_skipped,
     functional_passes, image_loads, trace_records, trace_replays, BackendKind, BaselineCache,
-    DiseStrategy, Session, SessionTask,
+    DiseStrategy, Scheduler, Session, SessionTask,
 };
 use dise_workloads::{all, transition_cost_sweep, watchpoint_set_sweep, WatchKind};
 
@@ -42,7 +42,7 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
     let reference = |cells: &[SessionJob]| -> Vec<Option<f64>> {
         cells.iter().map(|c| c.overhead(&baselines)).collect()
     };
-    let grid = |cells: &[SessionJob]| run_overhead_grid(cells, 1, &baselines, DEFAULT_SLICE, None);
+    let grid = |cells: &[SessionJob]| run_overhead_grid(cells, 1, &baselines, DEFAULT_SLICE);
 
     // One scenario, the paper's four standard backends plus the
     // pure-observation DISE comparators, three transition costs:
@@ -230,36 +230,47 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
         assert_eq!(group, Ok(vec![batch]), "{backend:?}: and reports the same");
     }
 
-    // The persistent-trace economy: the 12-cell observer grid from
-    // above, run through a trace store. Cold, the shared pass is
-    // recorded as it executes (still exactly one pass, one load, plus
-    // one trace record); warm, the grid performs **zero** functional
-    // passes and zero image loads — the stream comes from the file —
-    // and renders byte-identical output, serial and pooled.
-    let expect = reference(&observer_cells);
-    let dir = std::env::temp_dir().join(format!("dise-exec-counts-{}", std::process::id()));
-    let traced = |workers: usize| {
-        run_overhead_grid(&observer_cells, workers, &baselines, DEFAULT_SLICE, Some(&dir))
+    // The persistent-trace economy, on the 12-cell observer group from
+    // above. Recording its shared pass is still exactly one pass and one
+    // load, plus one trace record; replaying the stored stream performs
+    // **zero** functional passes and zero image loads — the stream comes
+    // from the file. Both report exactly what the live group does,
+    // serial and pooled.
+    let groups = batch_session_jobs(&observer_cells);
+    let [CellGroup::Observe(group)] = &groups[..] else {
+        panic!("the 12 observer cells form one observer group");
     };
+    let members = || {
+        group.members.iter().map(|m| (m.backend, m.watchpoints.clone(), m.cpus.clone())).collect()
+    };
+    let drain = |task: SessionTask, workers: usize| {
+        let scheduler = Scheduler::new(DEFAULT_SLICE);
+        scheduler.spawn(task);
+        let mut outputs = scheduler.drain(workers);
+        assert_eq!(outputs.len(), 1, "one task spawned, one output");
+        outputs.pop().expect("one output").1.into_observe()
+    };
+    let live = drain(group.task(), 1);
+    let path = std::env::temp_dir().join(format!("dise-exec-counts-{}.dtrc", std::process::id()));
     let (p0, l0, r0, y0) = (functional_passes(), image_loads(), trace_records(), trace_replays());
-    let cold = traced(1);
-    assert_eq!(functional_passes() - p0, 1, "cold store: recording is the one honest pass");
-    assert_eq!(image_loads() - l0, 1, "cold store: recording loads the image once");
-    assert_eq!(trace_records() - r0, 1, "cold store: one trace recorded for the workload");
-    assert_eq!(trace_replays() - y0, 0, "cold store: nothing to replay yet");
-    assert_eq!(cold, expect, "recording must not change a single byte");
+    let cold = drain(SessionTask::observer_recorded(w.app(), members(), &path), 1);
+    assert_eq!(functional_passes() - p0, 1, "recording: the one honest pass");
+    assert_eq!(image_loads() - l0, 1, "recording: the image is loaded once");
+    assert_eq!(trace_records() - r0, 1, "recording: one trace recorded for the group");
+    assert_eq!(trace_replays() - y0, 0, "recording: nothing replayed");
+    assert_eq!(cold, live, "recording must not change a single byte");
 
     for workers in [1, 4] {
         let (p0, l0, r0, y0) =
             (functional_passes(), image_loads(), trace_records(), trace_replays());
-        let warm = traced(workers);
-        assert_eq!(functional_passes() - p0, 0, "warm store: ZERO functional passes");
-        assert_eq!(image_loads() - l0, 0, "warm store: ZERO image loads");
-        assert_eq!(trace_records() - r0, 0, "warm store: nothing re-recorded");
-        assert_eq!(trace_replays() - y0, 1, "warm store: the stored stream replayed once");
-        assert_eq!(warm, expect, "replaying must not change a single byte (workers={workers})");
+        let warm = drain(SessionTask::observer_replay(w.app(), members(), &path), workers);
+        assert_eq!(functional_passes() - p0, 0, "replay: ZERO functional passes");
+        assert_eq!(image_loads() - l0, 0, "replay: ZERO image loads");
+        assert_eq!(trace_records() - r0, 0, "replay: nothing re-recorded");
+        assert_eq!(trace_replays() - y0, 1, "replay: the stored stream replayed once");
+        assert_eq!(warm, live, "replaying must not change a single byte (workers={workers})");
     }
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&path);
 
     // An interactive `Session` counts its one pass when first driven,
     // not when built: one built only to inspect is free, and driving it

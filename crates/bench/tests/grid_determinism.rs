@@ -1,8 +1,8 @@
 //! The grid runner's contract with the experiments: how a grid is run
 //! must be invisible in the output. Tables/figures render byte for byte
 //! the same under 1 and 4 workers and under two slice budgets, and
-//! every grouped grid — observer passes, copy-on-write perturbing
-//! groups, trace-store replays — equals the cell-by-cell
+//! every grouped grid — observer passes and copy-on-write perturbing
+//! groups — equals the cell-by-cell
 //! [`SessionJob::report`] reference.
 //!
 //! The full sweeps simulate a few hundred sessions (minutes in the dev
@@ -43,7 +43,7 @@ fn assert_matches_cells(what: &str, cells: &[SessionJob]) {
     let reference: Vec<Option<f64>> = cells.iter().map(|c| c.overhead(&baselines)).collect();
     for (workers, slice) in RUNS {
         assert_eq!(
-            run_overhead_grid(cells, workers, &baselines, slice, None),
+            run_overhead_grid(cells, workers, &baselines, slice),
             reference,
             "{what}: grouped grid diverged (workers={workers}, slice={slice})"
         );
@@ -169,74 +169,6 @@ fn forked_and_unforked_grids_are_byte_identical_across_worker_counts() {
     }
     assert_eq!(dise_bench::batch_session_jobs(&jobs).len(), 4, "one image per kernel x backend");
     assert_matches_cells("perturbing sweep", &jobs);
-}
-
-/// The persistent trace store's contract at grid level: a grid run cold
-/// (observer groups *record* their shared passes into the store) and
-/// then warm (the same groups *replay* from the store, executing zero
-/// functional passes) renders the cell-by-cell overheads, across worker
-/// counts 1 and 4 and two slice budgets.
-#[test]
-fn traced_grids_are_byte_identical_cold_and_warm() {
-    let workloads = all(10);
-    let mut jobs = Vec::new();
-    for w in workloads.iter().take(2) {
-        // Observing cells route through the store; the perturbing DISE
-        // cells prove traced and untraced groups coexist in one grid.
-        for backend in [
-            BackendKind::VirtualMemory,
-            BackendKind::hw4(),
-            BackendKind::DiseComparators,
-            BackendKind::dise_default(),
-        ] {
-            for (_, cpu) in transition_cost_sweep(CpuConfig::default()).into_iter().take(2) {
-                jobs.push(SessionJob::new(
-                    w.clone(),
-                    vec![w.watchpoint(WatchKind::Hot)],
-                    backend,
-                    cpu,
-                ));
-            }
-        }
-    }
-
-    let dir = std::env::temp_dir().join(format!("dise-grid-determinism-{}", std::process::id()));
-    let baselines = BaselineCache::new();
-    let reference: Vec<Option<f64>> = jobs.iter().map(|c| c.overhead(&baselines)).collect();
-
-    // Cold: first traced run records each workload's shared pass.
-    let cold = run_overhead_grid(&jobs, 1, &baselines, DEFAULT_SLICE, Some(&dir));
-    assert_eq!(cold, reference, "recording must be invisible in the output");
-    let stored = std::fs::read_dir(&dir).expect("store exists").count();
-    assert_eq!(stored, 2, "one trace per workload, whatever the member count");
-
-    // Warm: every later run replays, however the grid is run.
-    for (workers, slice) in RUNS {
-        let warm = run_overhead_grid(&jobs, workers, &baselines, slice, Some(&dir));
-        assert_eq!(warm, reference, "workers={workers} slice={slice}: warm replay diverged");
-    }
-
-    // A damaged store fails the grid loudly — it never silently
-    // re-records or replays wrong bytes.
-    let victim = std::fs::read_dir(&dir)
-        .expect("store exists")
-        .next()
-        .expect("a stored trace")
-        .expect("dir entry")
-        .path();
-    let mut bytes = std::fs::read(&victim).expect("trace readable");
-    bytes[40] ^= 0x01;
-    std::fs::write(&victim, &bytes).expect("rewrite");
-    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_overhead_grid(&jobs, 1, &baselines, DEFAULT_SLICE, Some(&dir))
-    }))
-    .expect_err("a corrupt stored trace must fail the grid, not be papered over");
-    let msg = panic.downcast_ref::<String>().cloned().unwrap_or_else(|| {
-        panic.downcast_ref::<&str>().map(ToString::to_string).unwrap_or_default()
-    });
-    assert!(msg.contains("trace"), "the panic names the trace store: {msg}");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `run_grid_with(.., 1, ..)` is exactly the serial map, including for

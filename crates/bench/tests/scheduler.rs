@@ -79,7 +79,7 @@ fn grid_is_identical_with_and_without_the_scheduler() {
     budgets.extend([777, DEFAULT_SLICE, u64::MAX]);
     for workers in [1, 4] {
         for &slice in &budgets {
-            let sched = run_overhead_grid(&cells, workers, &baselines, slice, None);
+            let sched = run_overhead_grid(&cells, workers, &baselines, slice);
             assert_eq!(
                 reference, sched,
                 "scheduler changed the grid (workers={workers}, slice={slice})"

@@ -49,17 +49,6 @@ pub fn trace_replays() -> u64 {
     TRACE_REPLAYS.load(Ordering::Relaxed)
 }
 
-/// The kernel fingerprint a trace of `app` carries: everything that
-/// determines its functional `Exec` stream. Replays are only admitted
-/// against a matching fingerprint.
-///
-/// # Errors
-///
-/// [`DebugError::Asm`] when the application fails to assemble.
-pub fn app_fingerprint(app: &Application) -> Result<u64, DebugError> {
-    Ok(app.prepared()?.fingerprint())
-}
-
 /// Record `app`'s full functional stream to `trace` — one honest,
 /// counted functional pass of the unmodified application, with no
 /// debugger attached. The file appears atomically on success.

@@ -18,8 +18,8 @@ use std::path::PathBuf;
 use dise_asm::{parse_asm, Asm, DataItem, Layout, Program};
 use dise_cpu::{program_fingerprint, CpuConfig, Executor};
 use dise_debug::{
-    app_fingerprint, run_baseline, run_session, Application, BackendKind, DebugError, DiseStrategy,
-    Scheduler, Session, SessionTask, WatchExpr, Watchpoint,
+    run_baseline, run_session, Application, BackendKind, DebugError, DiseStrategy, Scheduler,
+    Session, SessionTask, WatchExpr, Watchpoint,
 };
 use dise_isa::{Reg, Width};
 use dise_workloads::{by_name, template, WatchKind, Workload};
@@ -95,7 +95,6 @@ fn assert_prepared_is(what: &str, app: &Application, prog: &Program) {
     assert_eq!(p.symbols(), &prog.symbols, "{what}: prepared symbols");
     assert_eq!(p.stmt_pcs(), &prog.stmt_pcs, "{what}: prepared statement PCs");
     assert_eq!(p.fingerprint(), program_fingerprint(prog), "{what}: fingerprint");
-    assert_eq!(app_fingerprint(app), Ok(program_fingerprint(prog)), "{what}: app_fingerprint");
     let mut loaded = dise_mem::Memory::new();
     prog.load(&mut loaded);
     assert_same_bytes(what, &p.memory(), &loaded, prog);
@@ -269,7 +268,6 @@ fn an_application_that_does_not_assemble_settles_as_asm_everywhere() {
         SessionTask::observer_replay(&app, members(), &path).run_to_completion().into_observe(),
         "observer_replay",
     );
-    asm(app_fingerprint(&app), "app_fingerprint");
     asm(run_baseline(&app, cpu), "run_baseline");
     assert!(app.program().is_err() && app.prepared().is_err(), "the error is kept, not a panic");
 }

@@ -1,17 +1,16 @@
 //! # dise-env — the one parser for every `DISE_*` environment knob
 //!
-//! The `dise-bench` binaries read four knobs from the environment, once,
+//! The `dise-bench` binaries read three knobs from the environment, once,
 //! at startup: `DISE_ITERS` (kernel scale), `DISE_JOBS` (worker
-//! threads), `DISE_SLICE` (scheduler slice budget) and `DISE_TRACE_DIR`
-//! (persistent trace store); a few ablation binaries add their own
-//! (`DISE_SESSIONS`), and the trace-codec golden test reads the
-//! `DISE_BLESS_TRACE` flag. Library code reads none of them —
+//! threads) and `DISE_SLICE` (scheduler slice budget); a few ablation
+//! binaries add their own (`DISE_SESSIONS`), and the trace-codec golden
+//! test reads the `DISE_BLESS_TRACE` flag. Library code reads none of them —
 //! configuration is passed down explicitly. The contract is uniform:
 //! **a typo must fail loudly**, never silently fall back to a default
 //! the user did not ask for — a mistyped `DISE_ITERS=4O0` that quietly
 //! ran the default scale would invalidate an experiment without anyone
-//! noticing. This crate holds the parsers ([`env_number`],
-//! [`env_flag`], [`env_string`]) so every reader keeps that contract.
+//! noticing. This crate holds the parsers ([`env_number`] and
+//! [`env_flag`]) so every reader keeps that contract.
 //!
 //! Unset and empty/whitespace-only values mean "use the default" for
 //! every parser: an empty variable is how shells and CI matrices spell
@@ -59,35 +58,6 @@ pub fn env_flag(name: &str, default: bool) -> bool {
             "0" | "false" | "off" => false,
             other => panic!("{name} must be 0/1/true/false/on/off, got {other:?}"),
         },
-    }
-}
-
-/// Read a free-form string knob (e.g. `DISE_TRACE_DIR`), `None` when
-/// unset or empty/whitespace-only.
-///
-/// The value is trimmed: shells and CI matrices routinely pass
-/// `DISE_FOO=` or pad values, and a path knob of pure whitespace is
-/// "not configured", not a directory name.
-///
-/// # Panics
-///
-/// Panics on a non-unicode value — the loud-on-typo contract. (There
-/// is no further validation here: what makes a *valid* string is knob
-/// specific, so consumers fail loudly themselves.)
-pub fn env_string(name: &str) -> Option<String> {
-    match std::env::var(name) {
-        Err(std::env::VarError::NotPresent) => None,
-        Err(std::env::VarError::NotUnicode(s)) => {
-            panic!("invalid {name} value {s:?}: not unicode")
-        }
-        Ok(v) => {
-            let v = v.trim();
-            if v.is_empty() {
-                None
-            } else {
-                Some(v.to_string())
-            }
-        }
     }
 }
 
@@ -160,23 +130,6 @@ mod tests {
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("DISE_ENV_TEST_FLAG_TYPO"), "panic names the knob: {msg}");
         assert!(msg.contains("ture"), "panic shows the bad value: {msg}");
-    }
-
-    #[test]
-    fn strings_trim_and_treat_empty_as_unset() {
-        assert_eq!(env_string("DISE_ENV_TEST_STR_UNSET"), None);
-        std::env::set_var("DISE_ENV_TEST_STR_SET", "/tmp/traces");
-        assert_eq!(env_string("DISE_ENV_TEST_STR_SET").as_deref(), Some("/tmp/traces"));
-        std::env::set_var("DISE_ENV_TEST_STR_PADDED", "  relative/dir ");
-        assert_eq!(
-            env_string("DISE_ENV_TEST_STR_PADDED").as_deref(),
-            Some("relative/dir"),
-            "whitespace is trimmed"
-        );
-        std::env::set_var("DISE_ENV_TEST_STR_EMPTY", "");
-        assert_eq!(env_string("DISE_ENV_TEST_STR_EMPTY"), None, "empty means unset");
-        std::env::set_var("DISE_ENV_TEST_STR_BLANK", "   ");
-        assert_eq!(env_string("DISE_ENV_TEST_STR_BLANK"), None, "blank means unset");
     }
 
     #[test]
