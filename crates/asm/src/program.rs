@@ -378,15 +378,6 @@ impl Program {
         base
     }
 
-    /// Append pre-encoded instruction words to the text segment,
-    /// returning their base address and recording `name` as a symbol.
-    pub fn append_text_words(&mut self, name: &str, words: &[u32]) -> u64 {
-        let base = self.text_end();
-        self.symbols.insert(name.to_string(), base);
-        self.text.extend_from_slice(words);
-        base
-    }
-
     /// Append `bytes` to the data segment at the given power-of-two
     /// alignment (the debugger's data region), returning its address and
     /// recording `name` as a symbol.

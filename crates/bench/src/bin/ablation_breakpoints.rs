@@ -8,7 +8,7 @@
 //! true on ~1/64 of hits).
 
 use dise_cpu::CpuConfig;
-use dise_debug::{run_baseline, Breakpoint, BreakpointBackend, BreakpointSession};
+use dise_debug::{run_baseline, Breakpoint, BreakpointBackend, Session};
 use dise_workloads::all;
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
                 BreakpointBackend::DiseCodeword,
                 BreakpointBackend::DisePcPattern,
             ] {
-                let r = BreakpointSession::new(w.app(), vec![bp], backend, CpuConfig::default())
+                let r = Session::breakpoints(w.app(), vec![bp], backend, CpuConfig::default())
                     .expect("session")
                     .run();
                 row.push_str(&format!("{:>11.2}", r.overhead_vs(&base)));

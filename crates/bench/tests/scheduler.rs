@@ -13,8 +13,9 @@ use dise_bench::server::{parse_jobs, serve};
 use dise_bench::{run_overhead_grid, SessionJob, DEFAULT_SLICE};
 use dise_cpu::CpuConfig;
 use dise_debug::{
-    Application, BackendKind, BaselineCache, Scheduler, SessionTask, WatchExpr, Watchpoint,
-    MAX_BYPASS,
+    Application, BackendKind, BaselineCache, Breakpoint, BreakpointBackend, DebugError,
+    MonitoredRegion, Scheduler, Session, SessionReport, SessionTask, TaskOutput, WatchExpr,
+    Watchpoint, MAX_BYPASS,
 };
 use dise_isa::Width;
 use dise_workloads::{all, transition_cost_sweep, WatchKind};
@@ -229,6 +230,117 @@ fn server_transcript_matches_golden_for_any_workers_and_slice() {
                 assert!(
                     pos(dep) < pos(dependent),
                     "{dependent} streamed before its dependency {dep}"
+                );
+            }
+        }
+    }
+}
+
+/// A loop storing into an eight-quad buffer, with an
+/// application-resident callback that counts the stores into it.
+fn monitored_loop() -> (Application, MonitoredRegion) {
+    let app = Application::new(
+        parse_asm(
+            "start:  la r1, buf
+                     lda r3, 40(zero)
+             loop:   and r3, 7, r4
+                     s8addq r4, r1, r4
+                     stq r3, 0(r4)
+                     subq r3, 1, r3
+                     bgt r3, loop
+                     halt
+             count:  stq r5, -8(sp)
+                     stq r6, -16(sp)
+                     la r5, hits
+                     ldq r6, 0(r5)
+                     addq r6, 1, r6
+                     stq r6, 0(r5)
+                     ldq r6, -16(sp)
+                     ldq r5, -8(sp)
+                     d_ret
+             .data
+             buf:    .space 64
+             hits:   .quad 0",
+        )
+        .unwrap(),
+        Layout::default(),
+    );
+    let prog = app.prepared().unwrap();
+    let region = MonitoredRegion {
+        base: prog.symbol("buf").unwrap(),
+        len: 64,
+        callback: prog.symbol("count").unwrap(),
+    };
+    (app, region)
+}
+
+/// Breakpoint and monitor sessions are private passes like any other:
+/// spawned on a scheduler at 1, 2 and 4 workers, sliced down to one
+/// instruction — which puts a slice boundary between every patched
+/// trap and its restored original — each report equals the eager
+/// `Session`'s. Admission failures settle the task typed, in batch
+/// shape.
+#[test]
+fn breakpoint_and_monitor_sessions_schedule_and_slice_invisibly() {
+    let w = &all(20)[0];
+    let prog = w.app().prepared().unwrap();
+    let pc = *prog.stmt_pcs().iter().min().unwrap();
+    let hot = prog.symbol("hot").unwrap();
+    let cond = Breakpoint::conditional(pc, hot, 3);
+    let cpu = CpuConfig::default();
+    let (mon_app, region) = monitored_loop();
+
+    let reference: Vec<SessionReport> = vec![
+        Session::breakpoints(w.app(), vec![cond], BreakpointBackend::TrapPatch, cpu).unwrap().run(),
+        Session::breakpoints(w.app(), vec![cond], BreakpointBackend::DiseCodeword, cpu)
+            .unwrap()
+            .run(),
+        Session::monitor(&mon_app, &[region], cpu).unwrap().run(),
+    ];
+    assert!(reference[0].transitions.user > 0 && reference[0].transitions.spurious_predicate > 0);
+    assert_eq!(reference[0].transitions.user, reference[1].transitions.user);
+    assert!(reference[2].run.instructions > 40 * 5, "the callback ran");
+
+    let six = (0..6).map(|k| Breakpoint::conditional(pc + 4 * k, hot, 3)).collect::<Vec<_>>();
+    for workers in [1, 2, 4] {
+        for slice in [1, 97] {
+            let sched = Scheduler::new(slice);
+            for backend in [BreakpointBackend::TrapPatch, BreakpointBackend::DiseCodeword] {
+                sched.spawn(SessionTask::breakpoints(w.app(), vec![cond], backend, cpu));
+            }
+            sched.spawn(SessionTask::monitor(&mon_app, &[region], cpu));
+            sched.spawn(SessionTask::breakpoints(
+                w.app(),
+                six.clone(),
+                BreakpointBackend::DiseCodeword,
+                cpu,
+            ));
+            sched.spawn(SessionTask::breakpoints(
+                w.app(),
+                vec![Breakpoint::new(hot)],
+                BreakpointBackend::TrapPatch,
+                cpu,
+            ));
+            let mut outputs = sched.drain(workers).into_iter().map(|(_, out)| out);
+            for (i, want) in reference.iter().enumerate() {
+                let got = outputs.next().unwrap().into_batch().unwrap();
+                assert_eq!(
+                    got,
+                    std::slice::from_ref(want),
+                    "session {i}, workers={workers}, slice={slice}"
+                );
+            }
+            for what in ["a sixth conditional DISE breakpoint", "no instruction at the PC"] {
+                let out = outputs.next().unwrap();
+                assert!(
+                    matches!(
+                        out,
+                        TaskOutput::Batch(Err(DebugError::Unsupported {
+                            backend: "breakpoint",
+                            ..
+                        }))
+                    ),
+                    "{what}: {out:?}"
                 );
             }
         }

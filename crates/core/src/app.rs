@@ -15,7 +15,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use dise_asm::{Asm, AsmError, Layout, Program};
-use dise_cpu::{CpuConfig, Executor, Fingerprint, Machine, Timing};
+use dise_cpu::{CpuConfig, Executor, Fingerprint};
 use dise_isa::{decode, Instr, Reg, INSTR_BYTES};
 use dise_mem::{Checkpoint, Memory};
 
@@ -305,12 +305,6 @@ impl Prepared {
     /// [`Application::program`], in O(page-table).
     pub fn executor(&self, cpu: CpuConfig) -> Executor {
         self.image.executor(cpu)
-    }
-
-    /// [`Prepared::executor`] with a timing model: what
-    /// [`Machine::with_config`] builds from [`Application::program`].
-    pub fn machine(&self, cpu: CpuConfig) -> Machine {
-        Machine { exec: self.executor(cpu), timing: Timing::new(cpu) }
     }
 
     /// [`dise_cpu::program_fingerprint`] of [`Application::program`],

@@ -147,10 +147,6 @@ fn trap_tail(conditional_ops: bool, cond: Cond, flag: Reg) -> Vec<TemplateInst> 
 }
 
 impl BackendImpl for DiseBackend {
-    fn boxed_clone(&self) -> Box<dyn BackendImpl> {
-        Box::new(self.clone())
-    }
-
     #[allow(clippy::too_many_lines)]
     fn build_program(
         &mut self,

@@ -109,10 +109,6 @@ impl ObserverImpl for CmpObserver {
         let dynamic = watch.watchpoints().any(|w| !w.expr.statically_addressable());
         WatchFilter::new(watch.watched_intervals(mem), dynamic)
     }
-
-    fn boxed_clone(&self) -> Box<dyn ObserverImpl> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

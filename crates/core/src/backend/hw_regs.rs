@@ -112,10 +112,6 @@ impl ObserverImpl for HwObserver {
         intervals.extend(self.fallback_pages.iter().map(|&p| (p, dise_mem::PAGE_SIZE)));
         WatchFilter::new(intervals, false)
     }
-
-    fn boxed_clone(&self) -> Box<dyn ObserverImpl> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

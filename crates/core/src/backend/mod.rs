@@ -186,6 +186,7 @@ impl BackendKind {
 /// ([`ObserverImpl`]) classifies its stream against the machine's
 /// memory — the same detector an observer batch fans a shared stream
 /// out to, so the two paths cannot drift apart.
+#[derive(Clone)]
 struct Observing {
     kind: BackendKind,
     /// Built at admission; `None` only before it.
@@ -224,13 +225,6 @@ impl BackendImpl for Observing {
         let detector = self.detector.as_mut().expect("configured at admission");
         detector.observe(e, exec.mem(), watch, stats)
     }
-
-    fn boxed_clone(&self) -> Box<dyn BackendImpl> {
-        Box::new(Observing {
-            kind: self.kind,
-            detector: self.detector.as_ref().map(|d| d.boxed_clone()),
-        })
-    }
 }
 
 /// Build `backend`'s program for `app`: the image every machine of the
@@ -264,7 +258,7 @@ pub(crate) fn classify(changed: bool, pred_ok: bool, wrote_watched: bool) -> Tra
 /// Internal interface every backend implements. `Send` because a
 /// [`crate::SessionTask`] (which owns one mid-run) migrates between
 /// scheduler worker threads across slices.
-pub(crate) trait BackendImpl: Send {
+pub(crate) trait BackendImpl: Send + CloneBackend {
     /// The static work before the machine exists: check the
     /// watchpoints against this backend and say how the program it runs
     /// differs from the application's prepared one — `None` when it runs
@@ -276,32 +270,42 @@ pub(crate) trait BackendImpl: Send {
     ) -> Result<Option<Edits>, DebugError>;
 
     /// Configure the loaded machine: install productions, load DISE
-    /// registers, build the detector.
-    fn configure(&mut self, exec: &mut Executor, wps: &[Watchpoint]) -> Result<(), DebugError>;
+    /// registers, build the detector. The default leaves it as loaded.
+    fn configure(&mut self, _exec: &mut Executor, _wps: &[Watchpoint]) -> Result<(), DebugError> {
+        Ok(())
+    }
 
     /// Inspect one executed instruction; return the debugger transition
     /// it caused, if any. `watch` is the debugger's value bookkeeping;
     /// `stats` may be updated for non-transition counters (handler
-    /// calls).
+    /// calls). The default never transitions.
     fn observe(
         &mut self,
-        e: &Exec,
-        exec: &mut Executor,
-        watch: &mut WatchState,
-        stats: &mut TransitionStats,
-    ) -> Option<Transition>;
+        _e: &Exec,
+        _exec: &mut Executor,
+        _watch: &mut WatchState,
+        _stats: &mut TransitionStats,
+    ) -> Option<Transition> {
+        None
+    }
 
     /// Adjust the CPU configuration (e.g. multithreaded DISE calls).
     fn cpu_config(&self, base: CpuConfig) -> CpuConfig {
         base
     }
+}
 
-    /// Clone the backend behind the trait object, state and all — how
-    /// each sub-batch of a private group gets its own copy of the
-    /// backend the group built once (a backend carries state from
-    /// `build_program` into `configure` and `observe`, so a fresh
-    /// instantiation would not do).
+/// Clone a backend behind the trait object, state and all: each
+/// sub-batch of a private group configures its own copy of the backend
+/// the group built once, as `build_program` left it.
+pub(crate) trait CloneBackend {
     fn boxed_clone(&self) -> Box<dyn BackendImpl>;
+}
+
+impl<T: BackendImpl + Clone + 'static> CloneBackend for T {
+    fn boxed_clone(&self) -> Box<dyn BackendImpl> {
+        Box::new(self.clone())
+    }
 }
 
 /// The transition detector of an *observing* backend, fed either a
@@ -314,7 +318,7 @@ pub(crate) trait BackendImpl: Send {
 /// The chunked fan-out must report transitions bit-identically to the
 /// per-record private loop (the cross-backend conformance suite and
 /// the grid determinism tests hold it to that).
-pub(crate) trait ObserverImpl: Send {
+pub(crate) trait ObserverImpl: Send + CloneObserver {
     /// Inspect one executed instruction of the shared stream; return
     /// the debugger transition it caused, if any.
     fn observe(
@@ -357,11 +361,24 @@ pub(crate) trait ObserverImpl: Send {
             }
         }
     }
+}
 
-    /// Clone the detector behind the trait object, so cloning the
-    /// private-session adapter that owns it ([`BackendImpl::boxed_clone`])
-    /// clones it too.
+/// Clone a detector behind the trait object, so the private-session
+/// adapter that owns one ([`Observing`]) clones it too.
+pub(crate) trait CloneObserver {
     fn boxed_clone(&self) -> Box<dyn ObserverImpl>;
+}
+
+impl<T: ObserverImpl + Clone + 'static> CloneObserver for T {
+    fn boxed_clone(&self) -> Box<dyn ObserverImpl> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn ObserverImpl> {
+    fn clone(&self) -> Self {
+        (**self).boxed_clone()
+    }
 }
 
 #[cfg(test)]

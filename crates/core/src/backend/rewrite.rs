@@ -29,10 +29,6 @@ const S3: Reg = Reg::gpr(28);
 pub(crate) struct Rewrite;
 
 impl BackendImpl for Rewrite {
-    fn boxed_clone(&self) -> Box<dyn BackendImpl> {
-        Box::new(self.clone())
-    }
-
     fn build_program(
         &mut self,
         app: &Application,
@@ -134,10 +130,6 @@ impl BackendImpl for Rewrite {
             data,
             entry: prog.entry,
         }))
-    }
-
-    fn configure(&mut self, _exec: &mut Executor, _wps: &[Watchpoint]) -> Result<(), DebugError> {
-        Ok(())
     }
 
     fn observe(

@@ -70,10 +70,6 @@ impl StmtSet {
 }
 
 impl BackendImpl for SingleStep {
-    fn boxed_clone(&self) -> Box<dyn BackendImpl> {
-        Box::new(self.clone())
-    }
-
     fn build_program(
         &mut self,
         app: &Application,
@@ -87,10 +83,6 @@ impl BackendImpl for SingleStep {
             });
         }
         Ok(None)
-    }
-
-    fn configure(&mut self, _exec: &mut Executor, _wps: &[Watchpoint]) -> Result<(), DebugError> {
-        Ok(())
     }
 
     fn observe(

@@ -101,10 +101,6 @@ impl ObserverImpl for VmObserver {
     fn filter(&self, _watch: &WatchState, _mem: &Memory) -> WatchFilter {
         WatchFilter::new(self.pages.iter().map(|&p| (p, PAGE_SIZE)).collect(), false)
     }
-
-    fn boxed_clone(&self) -> Box<dyn ObserverImpl> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -22,13 +22,22 @@
 //! predicate never leaves the application. The trap-patching
 //! implementation must take a debugger transition to evaluate it —
 //! the spurious predicate transitions of §2.
+//!
+//! Each implementation is a backend of the watchpoint sessions' private
+//! pass ([`Session::breakpoints`], [`SessionTask::breakpoints`]), so it
+//! is sliced, scheduled and panic-contained like any other.
 
-use dise_cpu::{CpuConfig, Event, Executor, RunStats, Timing};
+use dise_cpu::{CpuConfig, Event, Exec, Executor};
 use dise_engine::{Pattern, Production, TOperand, TReg, TemplateInst};
 use dise_isa::{encode, AluOp, Cond, Instr, Reg, Width};
 
+use crate::app::Edits;
+use crate::backend::BackendImpl;
 use crate::session::DebugError;
-use crate::{Application, Transition, TransitionStats};
+use crate::task::Shape;
+use crate::{
+    Application, Session, SessionTask, Transition, TransitionStats, WatchState, Watchpoint,
+};
 
 /// How breakpoints are implemented.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -67,55 +76,73 @@ impl Breakpoint {
     }
 }
 
-/// Results of a breakpoint session.
-#[derive(Clone, Debug)]
-pub struct BreakpointReport {
-    /// Machine statistics (cycles include debugger stalls).
-    pub run: RunStats,
-    /// Transition counts: `user` are breakpoint hits delivered to the
-    /// user; `spurious_predicate` are hits whose condition failed.
-    pub transitions: TransitionStats,
-}
-
-impl BreakpointReport {
-    /// Execution time normalised to a baseline.
-    pub fn overhead_vs(&self, baseline: &RunStats) -> f64 {
-        self.run.cycles as f64 / baseline.cycles.max(1) as f64
-    }
-}
-
 /// Conditional DISE breakpoints that fit the register budget: each
 /// holds its variable's address and its value in a pair of DISE
 /// registers, `dr4`/`dr5` through `dr12`/`dr13`.
 const CONDITION_PAIRS: usize = 5;
 
-/// A breakpoint debugging session.
-pub struct BreakpointSession {
-    exec: Executor,
-    timing: Timing,
-    backend: BreakpointBackend,
-    breakpoints: Vec<(Breakpoint, Instr)>,
-    cost: u64,
-}
-
-impl BreakpointSession {
-    /// Establish the session: validate the breakpoints, transform the
-    /// image or install productions per the chosen backend.
+impl Session {
+    /// [`SessionTask::breakpoints`], admitted now.
     ///
     /// # Errors
     ///
-    /// Fails when a breakpoint PC holds no decodable instruction, when a
-    /// DISE implementation is given more conditional breakpoints than
-    /// its register budget holds (five), or when production installation
-    /// exceeds engine capacity.
-    pub fn new(
+    /// As that task settles: no instruction at a PC, a sixth conditional
+    /// DISE breakpoint, or productions too large for the engine.
+    pub fn breakpoints(
         app: &Application,
         breakpoints: Vec<Breakpoint>,
         backend: BreakpointBackend,
         cpu: CpuConfig,
-    ) -> Result<BreakpointSession, DebugError> {
-        let conditional = breakpoints.iter().filter(|bp| bp.condition.is_some()).count();
-        if backend != BreakpointBackend::TrapPatch && conditional > CONDITION_PAIRS {
+    ) -> Result<Session, DebugError> {
+        Session::admit(app, Vec::new(), Box::new(Breakpoints::new(backend, breakpoints)), cpu)
+    }
+}
+
+impl SessionTask {
+    /// A control-breakpoint session (§4.1), batch-shaped. Trap-patched
+    /// hits whose condition fails count as `spurious_predicate`; every
+    /// other hit is a `user` transition. A PC holding no instruction, or
+    /// a sixth conditional DISE breakpoint, settles it as
+    /// [`DebugError::Unsupported`].
+    pub fn breakpoints(
+        app: &Application,
+        breakpoints: Vec<Breakpoint>,
+        backend: BreakpointBackend,
+        cpu: CpuConfig,
+    ) -> SessionTask {
+        let backend = Box::new(Breakpoints::new(backend, breakpoints));
+        SessionTask::group(app, Vec::new(), backend, vec![vec![cpu]], Shape::Batch)
+    }
+}
+
+/// A breakpoint set under one implementation: the backend of a private
+/// pass with no watchpoints.
+#[derive(Clone)]
+struct Breakpoints {
+    backend: BreakpointBackend,
+    breakpoints: Vec<Breakpoint>,
+    /// Each breakpoint's original instruction, decoded at admission.
+    originals: Vec<Instr>,
+    /// Trap patching: the breakpoint whose original instruction is
+    /// stepping, so its trap goes back in after the next record.
+    replant: Option<u64>,
+}
+
+impl Breakpoints {
+    fn new(backend: BreakpointBackend, breakpoints: Vec<Breakpoint>) -> Breakpoints {
+        Breakpoints { backend, breakpoints, originals: Vec::new(), replant: None }
+    }
+}
+
+impl BackendImpl for Breakpoints {
+    /// Validate the breakpoints; the image runs unchanged.
+    fn build_program(
+        &mut self,
+        app: &Application,
+        _wps: &[Watchpoint],
+    ) -> Result<Option<Edits>, DebugError> {
+        let conditional = self.breakpoints.iter().filter(|bp| bp.condition.is_some()).count();
+        if self.backend != BreakpointBackend::TrapPatch && conditional > CONDITION_PAIRS {
             return Err(DebugError::Unsupported {
                 backend: "breakpoint",
                 reason: format!(
@@ -125,112 +152,86 @@ impl BreakpointSession {
             });
         }
         let prepared = app.prepared()?;
-        let mut with_originals = Vec::with_capacity(breakpoints.len());
-        for bp in &breakpoints {
-            let original = prepared.decode_at(bp.pc).ok_or_else(|| DebugError::Unsupported {
-                backend: "breakpoint",
-                reason: format!("no instruction at {:#x}", bp.pc),
-            })?;
-            with_originals.push((*bp, original));
-        }
+        self.originals = self
+            .breakpoints
+            .iter()
+            .map(|bp| {
+                prepared.decode_at(bp.pc).ok_or_else(|| DebugError::Unsupported {
+                    backend: "breakpoint",
+                    reason: format!("no instruction at {:#x}", bp.pc),
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(None)
+    }
 
-        let mut exec = prepared.executor(cpu);
+    fn configure(&mut self, exec: &mut Executor, _wps: &[Watchpoint]) -> Result<(), DebugError> {
         // Register pairs are numbered over conditional breakpoints only.
         let mut pairs = 0u8;
-        match backend {
-            BreakpointBackend::TrapPatch => {
-                // Static transformation: plant traps.
-                for (bp, _) in &with_originals {
+        for (i, (bp, &original)) in self.breakpoints.iter().zip(&self.originals).enumerate() {
+            let production = match self.backend {
+                BreakpointBackend::TrapPatch => {
                     exec.patch_code(bp.pc, encode(&Instr::Trap));
+                    continue;
                 }
-            }
-            BreakpointBackend::DiseCodeword => {
-                for (i, (bp, original)) in with_originals.iter().enumerate() {
+                BreakpointBackend::DiseCodeword => {
                     let idx = i as u16;
                     exec.patch_code(bp.pc, encode(&Instr::Codeword(idx)));
-                    let seq = breakpoint_sequence(bp, *original, &mut pairs, &mut exec);
-                    exec.engine_mut()
-                        .install(Production::new(
-                            &format!("bp-codeword-{i}"),
-                            Pattern::codeword(idx),
-                            seq,
-                        ))
-                        .map_err(DebugError::Engine)?;
+                    let seq = breakpoint_sequence(bp, original, &mut pairs, exec);
+                    Production::new(&format!("bp-codeword-{i}"), Pattern::codeword(idx), seq)
                 }
-            }
-            BreakpointBackend::DisePcPattern => {
-                for (i, (bp, original)) in with_originals.iter().enumerate() {
+                BreakpointBackend::DisePcPattern => {
                     // The trigger is the unmodified instruction; the
                     // production re-emits it via `Trigger`.
-                    let mut seq = breakpoint_sequence(bp, *original, &mut pairs, &mut exec);
+                    let mut seq = breakpoint_sequence(bp, original, &mut pairs, exec);
                     *seq.last_mut().expect("sequence nonempty") = TemplateInst::Trigger;
-                    exec.engine_mut()
-                        .install(Production::new(&format!("bp-pc-{i}"), Pattern::at_pc(bp.pc), seq))
-                        .map_err(DebugError::Engine)?;
+                    Production::new(&format!("bp-pc-{i}"), Pattern::at_pc(bp.pc), seq)
                 }
+            };
+            exec.engine_mut().install(production).map_err(DebugError::Engine)?;
+        }
+        Ok(())
+    }
+
+    /// Classify a breakpoint trap. Trap patching resumes with the
+    /// paper's three-step restart, performed literally across two
+    /// records: at the trap the debugger evaluates any condition,
+    /// restores the original instruction and points the PC back at it;
+    /// the pass steps the original; its record re-installs the trap.
+    fn observe(
+        &mut self,
+        e: &Exec,
+        exec: &mut Executor,
+        _watch: &mut WatchState,
+        _stats: &mut TransitionStats,
+    ) -> Option<Transition> {
+        if let Some(pc) = self.replant.take() {
+            exec.patch_code(pc, encode(&Instr::Trap));
+            return None;
+        }
+        if !matches!(e.event, Some(Event::Trap)) {
+            return None;
+        }
+        let i = self.breakpoints.iter().position(|bp| bp.pc == e.pc)?;
+        let bp = self.breakpoints[i];
+        match self.backend {
+            BreakpointBackend::TrapPatch => {
+                let pred_ok =
+                    bp.condition.is_none_or(|(var, val)| exec.mem().read_u(var, 8) == val);
+                exec.patch_code(bp.pc, encode(&self.originals[i]));
+                exec.set_pc(bp.pc);
+                self.replant = Some(bp.pc);
+                // A user transition is masked; a false predicate is a
+                // spurious round trip, charged by the pass.
+                Some(if pred_ok { Transition::User } else { Transition::SpuriousPredicate })
+            }
+            // The replacement sequence already evaluated any condition:
+            // every trap is a user transition, and the original
+            // instruction follows within the expansion.
+            BreakpointBackend::DiseCodeword | BreakpointBackend::DisePcPattern => {
+                Some(Transition::User)
             }
         }
-
-        Ok(BreakpointSession {
-            exec,
-            timing: Timing::new(cpu),
-            backend,
-            breakpoints: with_originals,
-            cost: cpu.debugger_transition_cost,
-        })
-    }
-
-    /// Run to completion, also returning the final machine state.
-    pub fn run_with_state(mut self) -> (BreakpointReport, Executor) {
-        let report = self.drive();
-        (report, self.exec)
-    }
-
-    /// Run to completion.
-    pub fn run(mut self) -> BreakpointReport {
-        self.drive()
-    }
-
-    fn drive(&mut self) -> BreakpointReport {
-        let mut stats = TransitionStats::default();
-        while !self.exec.is_halted() {
-            let e = self.exec.step();
-            self.timing.consume(&e);
-            if !matches!(e.event, Some(Event::Trap)) {
-                continue;
-            }
-            let hit = self.breakpoints.iter().find(|(bp, _)| bp.pc == e.pc).copied();
-            let Some((bp, original)) = hit else { continue };
-            match self.backend {
-                BreakpointBackend::TrapPatch => {
-                    // The debugger evaluates the condition.
-                    let pred_ok = match bp.condition {
-                        None => true,
-                        Some((var, val)) => self.exec.mem().read_u(var, 8) == val,
-                    };
-                    if pred_ok {
-                        stats.count(Transition::User); // masked
-                    } else {
-                        stats.count(Transition::SpuriousPredicate);
-                        self.timing.debugger_stall(self.cost);
-                    }
-                    // Restore original / single-step / re-install — the
-                    // paper's three-step restart, performed literally.
-                    self.exec.patch_code(bp.pc, encode(&original));
-                    self.exec.set_pc(bp.pc);
-                    let orig = self.exec.step();
-                    self.timing.consume(&orig);
-                    self.exec.patch_code(bp.pc, encode(&Instr::Trap));
-                }
-                BreakpointBackend::DiseCodeword | BreakpointBackend::DisePcPattern => {
-                    // The replacement sequence already evaluated any
-                    // condition: every trap is a user transition, and the
-                    // original instruction follows within the expansion.
-                    stats.count(Transition::User);
-                }
-            }
-        }
-        BreakpointReport { run: self.timing.finish(), transitions: stats }
     }
 }
 
@@ -239,7 +240,7 @@ impl BreakpointSession {
 /// `Trigger` for PC-pattern productions). A conditional breakpoint loads
 /// its operands into the next free register pair, `dr4 + 2k` /
 /// `dr5 + 2k` for the `k`-th conditional breakpoint (`pairs` counts the
-/// pairs taken; [`BreakpointSession::new`] checks the budget).
+/// pairs taken; admission checks the budget).
 fn breakpoint_sequence(
     bp: &Breakpoint,
     original: Instr,
@@ -280,8 +281,9 @@ fn breakpoint_sequence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Application;
+    use crate::{Application, Session};
     use dise_asm::{parse_asm, Layout};
+    use dise_cpu::CpuConfig;
 
     fn app() -> Application {
         Application::new(
@@ -315,14 +317,10 @@ mod tests {
             BreakpointBackend::DiseCodeword,
             BreakpointBackend::DisePcPattern,
         ] {
-            let r = BreakpointSession::new(
-                &a,
-                vec![Breakpoint::new(pc)],
-                backend,
-                CpuConfig::default(),
-            )
-            .unwrap()
-            .run();
+            let r =
+                Session::breakpoints(&a, vec![Breakpoint::new(pc)], backend, CpuConfig::default())
+                    .unwrap()
+                    .run();
             assert_eq!(r.transitions.user, 20, "{backend:?}");
             assert_eq!(r.transitions.spurious_total(), 0, "{backend:?}");
         }
@@ -341,13 +339,9 @@ mod tests {
             BreakpointBackend::DiseCodeword,
             BreakpointBackend::DisePcPattern,
         ] {
-            let s = BreakpointSession::new(
-                &a,
-                vec![Breakpoint::new(pc)],
-                backend,
-                CpuConfig::default(),
-            )
-            .unwrap();
+            let s =
+                Session::breakpoints(&a, vec![Breakpoint::new(pc)], backend, CpuConfig::default())
+                    .unwrap();
             let (report, exec) = s.run_with_state();
             assert_eq!(report.transitions.user, 20, "{backend:?}");
             assert_eq!(exec.mem().read_u(v, 8), 20, "{backend:?}");
@@ -364,14 +358,10 @@ mod tests {
         let bp = Breakpoint::conditional(pc, v, 10);
 
         // Trap patching transitions on every pass; 19 are spurious.
-        let tp = BreakpointSession::new(
-            &a,
-            vec![bp],
-            BreakpointBackend::TrapPatch,
-            CpuConfig::default(),
-        )
-        .unwrap()
-        .run();
+        let tp =
+            Session::breakpoints(&a, vec![bp], BreakpointBackend::TrapPatch, CpuConfig::default())
+                .unwrap()
+                .run();
         assert_eq!(tp.transitions.user, 1);
         assert_eq!(tp.transitions.spurious_predicate, 19);
         assert!(tp.run.cycles > 19 * 100_000);
@@ -380,7 +370,7 @@ mod tests {
         // exactly one (masked) transition, no stalls.
         for backend in [BreakpointBackend::DiseCodeword, BreakpointBackend::DisePcPattern] {
             let r =
-                BreakpointSession::new(&a, vec![bp], backend, CpuConfig::default()).unwrap().run();
+                Session::breakpoints(&a, vec![bp], backend, CpuConfig::default()).unwrap().run();
             assert_eq!(r.transitions.user, 1, "{backend:?}");
             assert_eq!(r.transitions.spurious_total(), 0, "{backend:?}");
             assert!(r.run.cycles < tp.run.cycles / 10, "{backend:?}");
@@ -419,7 +409,7 @@ mod tests {
         bps.extend(never_true(&a));
         assert_eq!(bps.len(), 6);
         for backend in BACKENDS {
-            let session = BreakpointSession::new(&a, bps.clone(), backend, CpuConfig::default());
+            let session = Session::breakpoints(&a, bps.clone(), backend, CpuConfig::default());
             if backend == BreakpointBackend::TrapPatch {
                 let r = session.unwrap().run();
                 assert_eq!(r.transitions.user, 1);
@@ -456,9 +446,8 @@ mod tests {
             never[3],
         ];
         for backend in BACKENDS {
-            let r = BreakpointSession::new(&a, bps.clone(), backend, CpuConfig::default())
-                .unwrap()
-                .run();
+            let r =
+                Session::breakpoints(&a, bps.clone(), backend, CpuConfig::default()).unwrap().run();
             assert_eq!(r.transitions.user, 3, "{backend:?}: two one-shot hits and v == 10");
             let spurious = if backend == BreakpointBackend::TrapPatch { 19 + 4 * 20 } else { 0 };
             assert_eq!(r.transitions.spurious_predicate, spurious, "{backend:?}");
@@ -471,7 +460,7 @@ mod tests {
         let prog = a.program().unwrap();
         let pc1 = prog.symbol("bp_here").unwrap();
         let pc2 = prog.symbol("loop").unwrap();
-        let r = BreakpointSession::new(
+        let r = Session::breakpoints(
             &a,
             vec![Breakpoint::new(pc1), Breakpoint::new(pc2)],
             BreakpointBackend::DiseCodeword,

@@ -19,13 +19,20 @@
 //!
 //! Callbacks observe the *post-store* memory state, mirroring the
 //! watchpoint handler's position after `T.INST`.
+//!
+//! The monitor is a backend of the debugger sessions' private pass
+//! ([`Session::monitor`], [`SessionTask::monitor`]) that never reports a
+//! transition.
 
-use dise_cpu::{CpuConfig, Executor, Machine, RunStats};
+use dise_cpu::{CpuConfig, Executor};
 use dise_engine::{Pattern, Production, TOperand, TReg, TemplateInst};
 use dise_isa::{AluOp, Cond, OpClass, Reg};
 
+use crate::app::Edits;
+use crate::backend::BackendImpl;
 use crate::session::DebugError;
-use crate::Application;
+use crate::task::Shape;
+use crate::{Application, Session, SessionTask, Watchpoint};
 
 /// A registered watch: a byte region and the application-resident
 /// callback invoked on stores into it.
@@ -40,51 +47,69 @@ pub struct MonitoredRegion {
     pub callback: u64,
 }
 
-/// The programmatic monitor: owns the machine with the monitoring
-/// productions installed.
-pub struct Monitor {
-    machine: Machine,
-}
-
-impl Monitor {
-    /// Load `app` and arm monitoring for the given regions.
-    ///
-    /// Each region consumes one production and two DISE registers
-    /// (bounds), taken from `dr5` upward; at most three regions fit the
-    /// register budget (iWatcher's hierarchy would spill to memory —
-    /// register-resident checks are the fast path both there and here).
+impl Session {
+    /// [`SessionTask::monitor`], admitted now.
     ///
     /// # Errors
     ///
-    /// Fails if more than three regions are registered or production
-    /// installation exceeds engine capacity.
-    pub fn new(
+    /// As that task settles: more than three regions, or a production
+    /// too large for the engine.
+    pub fn monitor(
         app: &Application,
         regions: &[MonitoredRegion],
         cpu: CpuConfig,
-    ) -> Result<Monitor, DebugError> {
-        if regions.len() > 3 {
+    ) -> Result<Session, DebugError> {
+        Session::admit(app, Vec::new(), Box::new(IWatcher(regions.to_vec())), cpu)
+    }
+}
+
+impl SessionTask {
+    /// An iWatcher-style monitor (§6), batch-shaped: stores into
+    /// `regions` call their callbacks, and nothing transitions. More
+    /// than three regions settle it as [`DebugError::Unsupported`].
+    pub fn monitor(app: &Application, regions: &[MonitoredRegion], cpu: CpuConfig) -> SessionTask {
+        let backend = Box::new(IWatcher(regions.to_vec()));
+        SessionTask::group(app, Vec::new(), backend, vec![vec![cpu]], Shape::Batch)
+    }
+}
+
+/// The monitor as the backend of a private pass. Each region consumes
+/// two DISE registers (bounds), taken from `dr5` upward, and one for
+/// its callback, from `dr12`; at most three regions fit the register
+/// budget (iWatcher's hierarchy would spill to memory —
+/// register-resident checks are the fast path both there and here).
+#[derive(Clone)]
+struct IWatcher(Vec<MonitoredRegion>);
+
+impl BackendImpl for IWatcher {
+    fn build_program(
+        &mut self,
+        app: &Application,
+        _wps: &[Watchpoint],
+    ) -> Result<Option<Edits>, DebugError> {
+        let n = self.0.len();
+        if n > 3 {
             return Err(DebugError::Unsupported {
                 backend: "iwatcher",
-                reason: format!(
-                    "{} regions exceed the register-resident budget of 3",
-                    regions.len()
-                ),
+                reason: format!("{n} regions exceed the register-resident budget of 3"),
             });
         }
-        let mut machine = app.prepared()?.machine(cpu);
-        let exec = &mut machine.exec;
+        app.prepared()?;
+        Ok(None)
+    }
 
-        // One production chains every region's check: several
-        // productions with the same store pattern would shadow each
-        // other under most-specific-wins arbitration.
+    /// Load the region registers and install one production chaining
+    /// every region's check: several productions with the same store
+    /// pattern would shadow each other under most-specific-wins
+    /// arbitration.
+    fn configure(&mut self, exec: &mut Executor, _wps: &[Watchpoint]) -> Result<(), DebugError> {
         let t1 = Reg::dise(1);
         let t2 = Reg::dise(2);
         let mut seq = vec![
             TemplateInst::Trigger,
             TemplateInst::Lda { rd: TReg::Lit(t1), base: TReg::Rs1, disp: dise_engine::TDisp::Imm },
         ];
-        for (i, r) in regions.iter().enumerate() {
+        for (i, r) in self.0.iter().enumerate() {
             let lo = Reg::dise(5 + 2 * i as u8);
             let len = Reg::dise(6 + 2 * i as u8);
             let target = Reg::dise(12 + i as u8);
@@ -112,24 +137,16 @@ impl Monitor {
         exec.engine_mut()
             .install(Production::new("monitor", Pattern::opclass(OpClass::Store), seq))
             .map_err(DebugError::Engine)?;
-        Ok(Monitor { machine })
-    }
-
-    /// Run the monitored application to completion.
-    pub fn run(&mut self) -> RunStats {
-        self.machine.run()
-    }
-
-    /// The machine, for inspecting state the callbacks produced.
-    pub fn executor(&self) -> &Executor {
-        &self.machine.exec
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
     use dise_asm::{parse_asm, Layout};
+    use dise_cpu::{CpuConfig, Machine};
 
     /// Application with a monitored buffer and a callback that counts
     /// writes into it (the count lives in `hits`).
@@ -176,10 +193,10 @@ mod tests {
             len: 32,
             callback: prog.symbol("monitor_fn").unwrap(),
         };
-        let mut mon = Monitor::new(&a, &[region], CpuConfig::default()).unwrap();
-        mon.run();
+        let (_, exec) =
+            Session::monitor(&a, &[region], CpuConfig::default()).unwrap().run_with_state();
         let hits = prog.symbol("hits").unwrap();
-        assert_eq!(mon.executor().mem().read_u(hits, 8), 10, "one callback per monitored store");
+        assert_eq!(exec.mem().read_u(hits, 8), 10, "one callback per monitored store");
     }
 
     #[test]
@@ -192,10 +209,10 @@ mod tests {
             len: 8,
             callback: prog.symbol("monitor_fn").unwrap(),
         };
-        let mut mon = Monitor::new(&a, &[region], CpuConfig::default()).unwrap();
-        mon.run();
+        let (_, exec) =
+            Session::monitor(&a, &[region], CpuConfig::default()).unwrap().run_with_state();
         let hits = prog.symbol("hits").unwrap();
-        assert_eq!(mon.executor().mem().read_u(hits, 8), 10);
+        assert_eq!(exec.mem().read_u(hits, 8), 10);
     }
 
     #[test]
@@ -207,10 +224,10 @@ mod tests {
             MonitoredRegion { base: prog.symbol("buf").unwrap(), len: 32, callback: cb },
             MonitoredRegion { base: prog.symbol("elsewhere").unwrap(), len: 8, callback: cb },
         ];
-        let mut mon = Monitor::new(&a, &regions, CpuConfig::default()).unwrap();
-        mon.run();
+        let (_, exec) =
+            Session::monitor(&a, &regions, CpuConfig::default()).unwrap().run_with_state();
         let hits = prog.symbol("hits").unwrap();
-        assert_eq!(mon.executor().mem().read_u(hits, 8), 20, "both regions trigger the callback");
+        assert_eq!(exec.mem().read_u(hits, 8), 20, "both regions trigger the callback");
     }
 
     #[test]
@@ -218,7 +235,7 @@ mod tests {
         let a = app();
         let r = MonitoredRegion { base: 0, len: 8, callback: 0 };
         assert!(matches!(
-            Monitor::new(&a, &[r; 4], CpuConfig::default()),
+            Session::monitor(&a, &[r; 4], CpuConfig::default()),
             Err(DebugError::Unsupported { .. })
         ));
     }
@@ -236,8 +253,7 @@ mod tests {
             len: 32,
             callback: prog.symbol("monitor_fn").unwrap(),
         };
-        let mut mon = Monitor::new(&a, &[region], CpuConfig::default()).unwrap();
-        let stats = mon.run();
+        let stats = Session::monitor(&a, &[region], CpuConfig::default()).unwrap().run().run;
         // No 100K-cycle debugger transitions anywhere: the callback runs
         // in-application.
         assert!(stats.debugger_stalls == 0);

@@ -74,8 +74,8 @@ mod watch;
 
 pub use app::{Application, Prepared};
 pub use backend::BackendKind;
-pub use breakpoint::{Breakpoint, BreakpointBackend, BreakpointReport, BreakpointSession};
-pub use iwatcher::{Monitor, MonitoredRegion};
+pub use breakpoint::{Breakpoint, BreakpointBackend};
+pub use iwatcher::MonitoredRegion;
 pub use region::DebugRegion;
 pub use sched::{max_wait_slices, preemptions, slices_granted, SchedStats, Scheduler, MAX_BYPASS};
 pub use session::{

@@ -1,5 +1,8 @@
 //! Debugging sessions: drive the machine under a backend, classify and
 //! charge debugger transitions.
+//!
+//! Watchpoint, breakpoint and monitor sessions alike are backends of
+//! one private pass, stepped by [`drive`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -7,7 +10,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use dise_asm::AsmError;
-use dise_cpu::{CpuConfig, Event, Exec, ExecError, Executor, RunStats, TimingBatch};
+use dise_cpu::{
+    CpuConfig, Event, Exec, ExecError, Executor, Machine, RunStats, Timing, TimingBatch,
+};
 use dise_engine::EngineError;
 use dise_trace::TraceError;
 
@@ -170,7 +175,8 @@ impl SessionReport {
 ///
 /// Propagates assembly failures.
 pub fn run_baseline(app: &Application, cpu: CpuConfig) -> Result<RunStats, DebugError> {
-    Ok(app.prepared()?.machine(cpu).run())
+    let exec = app.prepared()?.executor(cpu);
+    Ok(Machine { exec, timing: Timing::new(cpu) }.run())
 }
 
 /// Run one complete debugging session and return its report — the
@@ -247,8 +253,9 @@ pub(crate) fn validate_watchpoints(wps: &[Watchpoint]) -> Result<(), DebugError>
 /// grid determinism tests).
 ///
 /// Perturbing backends (single-stepping, binary rewriting, DISE
-/// production injection) are refused at [`ObserverBatch::member`]; they
-/// keep their private replay through [`SessionTask::batch`]. To record
+/// production injection) never join the pass: their members settle as
+/// [`DebugError::Unsupported`] at [`ObserverBatch::run`], and they keep
+/// their private replay through [`SessionTask::batch`]. To record
 /// the shared pass to a trace, or replay it from one, use
 /// [`SessionTask::observer_recorded`] / [`SessionTask::observer_replay`].
 ///
@@ -285,15 +292,9 @@ pub(crate) fn validate_watchpoints(wps: &[Watchpoint]) -> Result<(), DebugError>
 /// ```
 pub struct ObserverBatch<'a> {
     app: &'a Application,
-    members: Vec<ObserverMember>,
-}
-
-/// One member of an [`ObserverBatch`]: an observing backend, its own
-/// watchpoint set, and the timing configurations to account it under.
-struct ObserverMember {
-    backend: BackendKind,
-    watchpoints: Vec<Watchpoint>,
-    cpus: Vec<CpuConfig>,
+    /// Each member's observing backend, its own watchpoint set, and the
+    /// timing configurations to account it under.
+    members: Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)>,
 }
 
 impl<'a> ObserverBatch<'a> {
@@ -320,7 +321,7 @@ impl<'a> ObserverBatch<'a> {
         watchpoints: Vec<Watchpoint>,
         cpus: Vec<CpuConfig>,
     ) -> &mut ObserverBatch<'a> {
-        self.members.push(ObserverMember { backend, watchpoints, cpus });
+        self.members.push((backend, watchpoints, cpus));
         self
     }
 
@@ -349,19 +350,17 @@ impl<'a> ObserverBatch<'a> {
     /// as if each had been run on its own, and the rest still share the
     /// pass.
     pub fn run(self) -> Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError> {
-        let members =
-            self.members.into_iter().map(|m| (m.backend, m.watchpoints, m.cpus)).collect();
-        SessionTask::observer(self.app, members).run_to_completion().into_observe()
+        SessionTask::observer(self.app, self.members).run_to_completion().into_observe()
     }
 }
 
 /// The per-record session loop behind every private pass ([`Session`],
-/// [`SessionTask::batch`], perturbing sub-batches): one functional pass
-/// through `exec` and `backend`, fanned out to every timing model in
-/// `timings`, one record at a time. Returns the terminal execution
-/// error, if any. Because it dispatches each record as it retires, it
-/// is also the plain reference the chunked observer fan-out is tested
-/// against.
+/// [`SessionTask::batch`], perturbing sub-batches, breakpoint and
+/// monitor sessions): one functional pass through `exec` and `backend`,
+/// fanned out to every timing model in `timings`, one record at a time.
+/// Returns the terminal execution error, if any. Because it dispatches
+/// each record as it retires, it is also the plain reference the
+/// chunked observer fan-out is tested against.
 ///
 /// Callers count one functional pass per admitted run themselves
 /// ([`FUNCTIONAL_PASSES`]) — `drive` may legally be called many times
@@ -457,10 +456,11 @@ impl BaselineCache {
 }
 
 /// An interactive debugging session: an application, a set of
-/// watchpoints, and a backend implementing them.
+/// watchpoints, and a backend implementing them — or breakpoints
+/// ([`Session::breakpoints`]) or a monitor ([`Session::monitor`]).
 ///
 /// Internally this is exactly a [`SessionTask::session`]: the same
-/// admission builds the same [`Pass`] — the functional machine and a
+/// admission builds the same pass — the functional machine and a
 /// [`TimingBatch`] holding a single model — and the same loop drives
 /// it, so interactive and scheduled runs cannot drift apart.
 pub struct Session {
@@ -495,6 +495,15 @@ impl Session {
         app: &Application,
         watchpoints: Vec<Watchpoint>,
         backend: BackendKind,
+        cpu: CpuConfig,
+    ) -> Result<Session, DebugError> {
+        Session::admit(app, watchpoints, backend.instantiate(), cpu)
+    }
+
+    pub(crate) fn admit(
+        app: &Application,
+        watchpoints: Vec<Watchpoint>,
+        backend: Box<dyn BackendImpl>,
         cpu: CpuConfig,
     ) -> Result<Session, DebugError> {
         // The session is its group's only pass, started here.
@@ -540,23 +549,14 @@ impl Session {
 
     /// Run to completion.
     pub fn run(self) -> SessionReport {
-        self.run_limit(u64::MAX)
+        self.run_with_state().0
     }
 
     /// Run to completion and also hand back the final machine, so
     /// callers can inspect architectural state (used to verify that
     /// debugging does not perturb the application).
-    pub fn run_with_state(self) -> (SessionReport, Executor) {
-        self.finish(u64::MAX)
-    }
-
-    /// Run at most `max_instructions` dynamic instructions.
-    pub fn run_limit(self, max_instructions: u64) -> SessionReport {
-        self.finish(max_instructions).0
-    }
-
-    fn finish(mut self, max_instructions: u64) -> (SessionReport, Executor) {
-        self.run_budget(max_instructions);
+    pub fn run_with_state(mut self) -> (SessionReport, Executor) {
+        self.run_budget(u64::MAX);
         (self.report(), self.pass.exec)
     }
 }

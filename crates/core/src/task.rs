@@ -20,12 +20,12 @@
 //!
 //! There are two continuations. Every *private* pass — a
 //! [`SessionTask::batch`] or [`SessionTask::session`], each sub-batch of
-//! a [`SessionTask::perturbing_group`], and [`crate::Session`] — runs
-//! in a group: one admission validates the watchpoints and builds the
-//! backend and its image once, and each sub-batch restores that image
-//! copy-on-write into a machine with its own engine capacities. A batch
-//! is a group of one. Observer batches share one pass, live or
-//! replayed, across many members.
+//! a [`SessionTask::perturbing_group`], breakpoint and monitor tasks,
+//! and [`crate::Session`] — runs in a group: one admission validates the
+//! watchpoints and builds the backend and its image once, and each
+//! sub-batch restores that image copy-on-write into a machine with its
+//! own engine capacities. A batch is a group of one. Observer batches
+//! share one pass, live or replayed, across many members.
 //!
 //! ## Lifecycle
 //!
@@ -113,8 +113,8 @@ pub struct TaskProgress {
 /// The finished result of a [`SessionTask`], one shape per constructor.
 #[derive(Debug)]
 pub enum TaskOutput {
-    /// From [`SessionTask::batch`] / [`SessionTask::session`]: one
-    /// report per timing configuration, in `cpus` order.
+    /// From a batch, session, breakpoint or monitor task: one report
+    /// per timing configuration, in `cpus` order.
     Batch(Result<Vec<SessionReport>, DebugError>),
     /// From [`SessionTask::perturbing_group`]: one batch result per
     /// engine-configuration sub-batch. The outer `Err` is group-wide.
@@ -129,9 +129,8 @@ impl TaskOutput {
     ///
     /// # Panics
     ///
-    /// Panics when the task was not constructed by
-    /// [`SessionTask::batch`] or [`SessionTask::session`] — a shape
-    /// mismatch is a caller bug, never data-dependent.
+    /// Panics when the task is not batch-shaped ([`TaskOutput::Batch`])
+    /// — a shape mismatch is a caller bug, never data-dependent.
     pub fn into_batch(self) -> Result<Vec<SessionReport>, DebugError> {
         match self {
             TaskOutput::Batch(r) => r,
@@ -198,7 +197,7 @@ enum State {
 struct GroupSpec {
     app: Application,
     watchpoints: Vec<Watchpoint>,
-    backend: BackendKind,
+    backend: Box<dyn BackendImpl>,
     batches: Vec<Vec<CpuConfig>>,
 }
 
@@ -207,7 +206,7 @@ struct GroupSpec {
 /// its per-sub-batch results ([`SessionTask::perturbing_group`]), or an
 /// observer batch's per-member results.
 #[derive(Clone, Copy)]
-enum Shape {
+pub(crate) enum Shape {
     Batch,
     Group,
     Observe,
@@ -304,10 +303,6 @@ impl Pass {
         self.exec.instructions() - before
     }
 
-    fn done(&self) -> bool {
-        self.exec.is_halted()
-    }
-
     fn finish(self) -> Vec<SessionReport> {
         let (stats, error, text_bytes) = (self.stats, self.error, self.text_bytes);
         self.timings
@@ -352,7 +347,7 @@ impl GroupRun {
                 let ran = pass.drive_budget(budget);
                 *progress += ran;
                 budget -= ran;
-                if !pass.done() {
+                if !pass.exec.is_halted() {
                     return None; // budget exhausted mid-sub-batch
                 }
                 let pass = self.current.take().expect("current pass present");
@@ -493,6 +488,10 @@ struct FanOut {
     groups: Vec<TimingGroup>,
     /// Per-chunk scratch: which groups still owe this chunk a consume.
     pending: Vec<bool>,
+    /// Not yet published: chunks, member skips, member scans.
+    chunks: u64,
+    skipped: u64,
+    scanned: u64,
 }
 
 impl FanOut {
@@ -502,7 +501,17 @@ impl FanOut {
             hits: Vec::new(),
             pending: vec![false; groups.len()],
             groups,
+            chunks: 0,
+            skipped: 0,
+            scanned: 0,
         }
+    }
+
+    /// Add the tallies to the process-wide counters, once per drive.
+    fn publish(&mut self) {
+        FANOUT_CHUNKS.fetch_add(std::mem::take(&mut self.chunks), Ordering::Relaxed);
+        FANOUT_CHUNKS_SKIPPED.fetch_add(std::mem::take(&mut self.skipped), Ordering::Relaxed);
+        FANOUT_CHUNKS_SCANNED.fetch_add(std::mem::take(&mut self.scanned), Ordering::Relaxed);
     }
 
     /// Dispatch the buffered records to every member and reset the
@@ -517,7 +526,7 @@ impl FanOut {
         if self.chunk.is_empty() {
             return;
         }
-        FANOUT_CHUNKS.fetch_add(1, Ordering::Relaxed);
+        self.chunks += 1;
         let summary = *self.chunk.summary();
         let records = self.chunk.records();
         for p in &mut self.pending {
@@ -525,9 +534,10 @@ impl FanOut {
         }
         for l in live.iter_mut() {
             let consumed = if summary.any_event() || l.filter.intersects(&summary) {
+                self.scanned += 1;
                 scan_member(l, &self.groups, records, &mut self.hits, mem)
             } else {
-                FANOUT_CHUNKS_SKIPPED.fetch_add(1, Ordering::Relaxed);
+                self.skipped += 1;
                 false
             };
             if !consumed {
@@ -581,7 +591,6 @@ fn scan_member(
     hits: &mut Vec<(u32, Transition)>,
     mem: &Memory,
 ) -> bool {
-    FANOUT_CHUNKS_SCANNED.fetch_add(1, Ordering::Relaxed);
     hits.clear();
     l.observer.observe_slice(records, mem, &mut l.watch, &mut l.stats, hits);
     let consumed = if hits.iter().any(|&(_, t)| t.is_spurious()) {
@@ -716,8 +725,9 @@ impl ObserveRun {
             }
         }
         // Nothing buffers across polls: a yielded task is exactly as
-        // dispatched as a run-to-completion one.
+        // dispatched, and counted, as a run-to-completion one.
         fan.flush(live, source.mem());
+        fan.publish();
         n
     }
 
@@ -794,6 +804,7 @@ impl SessionTask {
         backend: BackendKind,
         cpus: &[CpuConfig],
     ) -> SessionTask {
+        let backend = backend.instantiate();
         SessionTask::group(app, watchpoints, backend, vec![cpus.to_vec()], Shape::Batch)
     }
 
@@ -815,13 +826,13 @@ impl SessionTask {
         backend: BackendKind,
         batches: &[Vec<CpuConfig>],
     ) -> SessionTask {
-        SessionTask::group(app, watchpoints, backend, batches.to_vec(), Shape::Group)
+        SessionTask::group(app, watchpoints, backend.instantiate(), batches.to_vec(), Shape::Group)
     }
 
-    fn group(
+    pub(crate) fn group(
         app: &Application,
         watchpoints: Vec<Watchpoint>,
-        backend: BackendKind,
+        backend: Box<dyn BackendImpl>,
         batches: Vec<Vec<CpuConfig>>,
         shape: Shape,
     ) -> SessionTask {
@@ -990,19 +1001,19 @@ fn shared_engine(cfgs: &[CpuConfig]) -> Result<Option<&CpuConfig>, DebugError> {
 }
 
 /// Admission for every private pass — [`SessionTask::batch`],
-/// [`SessionTask::perturbing_group`] and [`crate::Session`]: the
-/// group-wide static work (validation, instantiation, `build_program`).
+/// [`SessionTask::perturbing_group`], breakpoint and monitor tasks and
+/// [`crate::Session`]: the group-wide static work (validation,
+/// `build_program`).
 /// Each sub-batch's image load happens as the run reaches it
 /// ([`GroupRun::start`]); the caller ticks `FUNCTIONAL_PASSES` — a
 /// task as each sub-batch starts, a `Session` on its first drive.
 pub(crate) fn admit_group(
     app: &Application,
     watchpoints: Vec<Watchpoint>,
-    backend: BackendKind,
+    mut built: Box<dyn BackendImpl>,
     batches: Vec<Vec<CpuConfig>>,
 ) -> Result<GroupRun, DebugError> {
     validate_watchpoints(&watchpoints)?;
-    let mut built = backend.instantiate();
     let image = build_image(built.as_mut(), app, &watchpoints)?;
     Ok(GroupRun {
         built: Some(built),

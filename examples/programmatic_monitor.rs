@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example programmatic_monitor`
 
 use dise_repro::asm::{parse_asm, Layout};
-use dise_repro::debug::{Application, Monitor, MonitoredRegion};
+use dise_repro::debug::{Application, MonitoredRegion, Session};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let app = Application::new(
@@ -57,11 +57,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // end land on it.
     let region =
         MonitoredRegion { base: buf, len: 64 + 8, callback: prog.symbol("check_canary").unwrap() };
-    let mut mon = Monitor::new(&app, &[region], Default::default())?;
-    let stats = mon.run();
+    let (report, exec) = Session::monitor(&app, &[region], Default::default())?.run_with_state();
+    let stats = report.run;
 
-    let corrupted = mon.executor().mem().read_u(prog.symbol("corrupted").unwrap(), 8);
-    let canary = mon.executor().mem().read_u(prog.symbol("canary").unwrap(), 8);
+    let corrupted = exec.mem().read_u(prog.symbol("corrupted").unwrap(), 8);
+    let canary = exec.mem().read_u(prog.symbol("canary").unwrap(), 8);
     println!("canary value after run: {canary} (magic was 193)");
     if corrupted != 0 {
         println!(
