@@ -7,15 +7,17 @@
 //! function, so tests check the very grid the experiment runs against
 //! the cell-by-cell reference.
 
+use std::sync::OnceLock;
+
 use dise_cpu::{footprints_overlap, CpuConfig, RunStats};
-use dise_debug::{BackendKind, BaselineCache, DebugError, DiseStrategy, SessionReport};
+use dise_debug::{run_baseline, BackendKind, DebugError, DiseStrategy, SessionReport};
 use dise_workloads::{all, transition_cost_sweep, watchpoint_set_sweep, WatchKind, Workload};
 
-use crate::grid::{default_workers, run_grid_with, run_overhead_grid, SessionJob, DEFAULT_SLICE};
+use crate::grid::{default_workers, run_grid_with, run_session_grid, SessionJob, DEFAULT_SLICE};
 
 /// Shared experiment context: workload scale, machine configuration,
-/// how grids run (workers, slice budget), and a baseline
-/// cache (the undebugged run of each kernel).
+/// how grids run (workers, slice budget), and each kernel's undebugged
+/// baseline run, computed once.
 pub struct Experiment {
     /// Kernel iteration count.
     pub iters: u32,
@@ -26,7 +28,8 @@ pub struct Experiment {
     /// Scheduler slice budget (instructions per grant) for grids.
     pub slice: u64,
     workloads: Vec<Workload>,
-    baselines: BaselineCache,
+    /// Each workload's baseline, parallel to `workloads`.
+    baselines: Vec<OnceLock<RunStats>>,
 }
 
 impl Experiment {
@@ -34,13 +37,15 @@ impl Experiment {
     /// threads with [`DEFAULT_SLICE`] slices. Reads nothing from the
     /// environment.
     pub fn new(iters: u32, cpu: CpuConfig) -> Experiment {
+        let workloads = all(iters);
+        let baselines = workloads.iter().map(|_| OnceLock::new()).collect();
         Experiment {
             iters,
             cpu,
             workers: default_workers(),
             slice: DEFAULT_SLICE,
-            workloads: all(iters),
-            baselines: BaselineCache::new(),
+            workloads,
+            baselines,
         }
     }
 
@@ -76,9 +81,19 @@ impl Experiment {
         &self.workloads
     }
 
-    /// Baseline (undebugged) statistics for a kernel, cached.
+    /// Baseline (undebugged) statistics for a kernel under this
+    /// experiment's machine: computed once for each of
+    /// [`Experiment::workloads`], afresh for any other kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel fails to assemble.
     pub fn baseline(&self, w: &Workload) -> RunStats {
-        self.baselines.get_or_run(w.name(), w.app(), self.cpu).expect("kernel assembles")
+        let run = || run_baseline(w.app(), self.cpu).expect("kernel assembles");
+        match self.workloads.iter().position(|x| x == w) {
+            Some(i) => *self.baselines[i].get_or_init(run),
+            None => run(),
+        }
     }
 
     /// One grid cell under this experiment's machine configuration.
@@ -91,44 +106,39 @@ impl Experiment {
         SessionJob::new(w.clone(), wps, backend, self.cpu)
     }
 
-    /// Run one debugging session; `Err` carries the paper's
-    /// "no experiment" bars.
-    pub fn session(
+    /// One cell's overhead: its execution time normalised to its
+    /// kernel's [`Experiment::baseline`], or `None` — the paper's "no
+    /// experiment" bar — when the backend cannot implement the
+    /// watchpoints or they are ill-formed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other error, naming the kernel — a poll that
+    /// panicked ([`DebugError::Panicked`]) re-raises here, so a figure
+    /// never renders it as a "no experiment" cell — and on a report
+    /// carrying an execution error: the calibrated kernels must run
+    /// clean.
+    fn overhead_of(
         &self,
-        w: &Workload,
-        wps: Vec<dise_debug::Watchpoint>,
-        backend: BackendKind,
-    ) -> Result<SessionReport, DebugError> {
-        self.job(w, wps, backend).report()
-    }
-
-    /// Overhead (normalised execution time) of one session, or `None`
-    /// when the backend cannot implement the watchpoint.
-    pub fn overhead(
-        &self,
-        w: &Workload,
-        wps: Vec<dise_debug::Watchpoint>,
-        backend: BackendKind,
+        cell: &SessionJob,
+        result: &Result<SessionReport, DebugError>,
     ) -> Option<f64> {
-        self.job(w, wps, backend).overhead(&self.baselines)
+        let w = &cell.workload;
+        match result {
+            Ok(report) => {
+                assert_eq!(report.error, None, "{}: session must run clean", w.name());
+                Some(report.overhead_vs(&self.baseline(w)))
+            }
+            Err(DebugError::Unsupported { .. } | DebugError::InvalidWatchpoint { .. }) => None,
+            Err(e) => panic!("{}: {e}", w.name()),
+        }
     }
 
     /// Overheads of a whole cell grid, on the worker pool, in cell
     /// order.
     fn grid_overheads(&self, cells: &[SessionJob]) -> Vec<Option<f64>> {
-        // Warm the cache first — one baseline run per distinct kernel —
-        // so parallel cells of the same kernel don't all stampede on
-        // the same missing entry and run it redundantly.
-        let mut distinct: Vec<&Workload> = Vec::new();
-        for job in cells {
-            if !distinct.iter().any(|w| w.name() == job.workload.name()) {
-                distinct.push(&job.workload);
-            }
-        }
-        run_grid_with(&distinct, self.workers, |w| {
-            self.baseline(w);
-        });
-        run_overhead_grid(cells, self.workers, &self.baselines, self.slice)
+        let reports = run_session_grid(cells, self.workers, self.slice);
+        cells.iter().zip(&reports).map(|(cell, r)| self.overhead_of(cell, r)).collect()
     }
 
     /// One result per workload, computed on the worker pool, in
@@ -282,28 +292,41 @@ fn watchpoint_grid(ctx: &Experiment, conditional: bool) -> String {
     out
 }
 
+/// Fig. 5's cells: every kernel × DISE and binary rewriting, on a COLD
+/// watchpoint.
+pub fn fig5_cells(ctx: &Experiment) -> Vec<SessionJob> {
+    let mut cells = Vec::new();
+    for w in ctx.workloads() {
+        for backend in [BackendKind::dise_default(), BackendKind::BinaryRewrite] {
+            cells.push(ctx.job(w, vec![w.watchpoint(WatchKind::Cold)], backend));
+        }
+    }
+    cells
+}
+
 /// **Figure 5** — DISE vs. static binary rewriting on a COLD
 /// watchpoint, plus the static code growth that causes the difference.
 pub fn fig5(ctx: &Experiment) -> String {
+    let cells = fig5_cells(ctx);
+    let reports = run_session_grid(&cells, ctx.workers, ctx.slice);
+
     let mut out =
         format!("{:<10}{:>10}{:>12}{:>14}\n", "benchmark", "DISE", "Rewriting", "text growth");
-    let rows = ctx.per_workload(|w| {
-        let wp = w.watchpoint(WatchKind::Cold);
-        let base = ctx.baseline(w);
-        let dise =
-            ctx.session(w, vec![wp], BackendKind::dise_default()).expect("dise supports COLD");
-        let bw = ctx
-            .session(w, vec![wp], BackendKind::BinaryRewrite)
-            .expect("rewrite supports a single scalar");
-        format!(
+    for (w, (cells, reports)) in ctx.workloads().iter().zip(cells.chunks(2).zip(reports.chunks(2)))
+    {
+        // Cell 0 is DISE, cell 1 binary rewriting.
+        let overhead = |i: usize| {
+            ctx.overhead_of(&cells[i], &reports[i]).expect("both support a single COLD scalar")
+        };
+        let text = |i: usize| reports[i].as_ref().map_or(0, |r| r.text_bytes);
+        out.push_str(&format!(
             "{:<10}{:>10.2}{:>12.2}{:>13.2}x\n",
             w.name(),
-            dise.overhead_vs(&base),
-            bw.overhead_vs(&base),
-            bw.text_bytes as f64 / dise.text_bytes.max(1) as f64,
-        )
-    });
-    out.extend(rows);
+            overhead(0),
+            overhead(1),
+            text(1) as f64 / text(0).max(1) as f64,
+        ));
+    }
     out
 }
 
@@ -615,7 +638,7 @@ pub fn watchpoint_set_cells(ctx: &Experiment) -> Vec<SessionJob> {
 pub fn baseline_table(ctx: &Experiment) -> String {
     let mut out = String::from("benchmark   cycles  instructions   IPC\n");
     let rows = ctx.per_workload(|w| {
-        let s = dise_debug::run_baseline(w.app(), ctx.cpu).expect("kernel assembles");
+        let s = ctx.baseline(w);
         format!("{:<10}{:>9}{:>13}{:>7.2}\n", w.name(), s.cycles, s.instructions, s.ipc())
     });
     out.extend(rows);
@@ -662,16 +685,54 @@ mod tests {
     #[test]
     fn fig3_row_for_one_cell_behaves() {
         let ctx = tiny();
-        let w = ctx.workloads()[0].clone(); // bzip2
-        let hot = w.watchpoint(WatchKind::Hot);
-        let ss = ctx.overhead(&w, vec![hot], BackendKind::SingleStep).unwrap();
-        let dise = ctx.overhead(&w, vec![hot], BackendKind::dise_default()).unwrap();
+        let w = &ctx.workloads()[0]; // bzip2
+        let (hot, ind) = (w.watchpoint(WatchKind::Hot), w.watchpoint(WatchKind::Indirect));
+        let cells = [
+            (hot, BackendKind::SingleStep),
+            (hot, BackendKind::dise_default()),
+            (ind, BackendKind::VirtualMemory),
+            (ind, BackendKind::hw4()),
+            (ind, BackendKind::dise_default()),
+        ]
+        .map(|(wp, backend)| ctx.job(w, vec![wp], backend));
+        let [ss, dise, ind_vm, ind_hw, ind_dise] =
+            <[Option<f64>; 5]>::try_from(ctx.grid_overheads(&cells)).expect("five cells");
+        let (ss, dise) = (ss.unwrap(), dise.unwrap());
         assert!(ss > 100.0, "single-stepping catastrophically slow: {ss}");
         assert!(dise < 5.0, "DISE stays modest: {dise}");
         // INDIRECT has no VM/HW experiment.
-        let ind = w.watchpoint(WatchKind::Indirect);
-        assert!(ctx.overhead(&w, vec![ind], BackendKind::VirtualMemory).is_none());
-        assert!(ctx.overhead(&w, vec![ind], BackendKind::hw4()).is_none());
-        assert!(ctx.overhead(&w, vec![ind], BackendKind::dise_default()).is_some());
+        assert!(ind_vm.is_none());
+        assert!(ind_hw.is_none());
+        assert!(ind_dise.is_some());
+    }
+
+    /// A cell whose poll panicked re-raises the panic's message,
+    /// naming the kernel, instead of rendering as "no experiment".
+    #[test]
+    fn a_panicked_group_is_re_raised() {
+        let ctx = tiny();
+        let w = &ctx.workloads()[0];
+        let cell = ctx.job(w, vec![w.watchpoint(WatchKind::Hot)], BackendKind::dise_default());
+        let panicked = Err(DebugError::Panicked("boom".into()));
+        let cause = std::panic::catch_unwind(|| ctx.overhead_of(&cell, &panicked))
+            .expect_err("a panicked cell must re-raise");
+        let msg = cause.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("session panicked: boom"), "{msg}");
+        assert!(msg.starts_with(w.name()), "{msg}");
+    }
+
+    /// Baselines are keyed by the workload itself, not its name: a
+    /// kernel at another scale gets its own run, and the experiment's
+    /// cached one is untouched by it.
+    #[test]
+    fn baselines_are_per_workload_not_per_name() {
+        let ctx = tiny();
+        let ours = &ctx.workloads()[0];
+        let other = &all(10)[0];
+        assert_eq!(ours.name(), other.name());
+        let run = |w: &Workload| run_baseline(w.app(), ctx.cpu).unwrap();
+        assert_eq!(ctx.baseline(ours), run(ours));
+        assert_eq!(ctx.baseline(other), run(other));
+        assert_ne!(ctx.baseline(other), ctx.baseline(ours));
     }
 }

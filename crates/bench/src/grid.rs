@@ -3,8 +3,10 @@
 //! This module decomposes a grid into [`SessionJob`] cells, groups the
 //! cells into single-functional-pass [`CellGroup`]s, runs every group as
 //! a resumable [`SessionTask`] on one cooperative [`Scheduler`], and
-//! scatters the per-cell results back in cell order — so output is
-//! byte-identical for any worker count and any slice budget.
+//! scatters each cell's [`SessionReport`] back in cell order — so output
+//! is byte-identical for any worker count and any slice budget.
+//! Normalising a report to a baseline is the caller's business (see
+//! [`crate::Experiment`]).
 //!
 //! Worker count and slice budget are plain arguments here; only the
 //! binaries read them from the environment (see
@@ -14,10 +16,10 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use dise_cpu::{CpuConfig, RunStats};
+use dise_cpu::CpuConfig;
 use dise_debug::{
-    run_session, BackendKind, BaselineCache, DebugError, Scheduler, SessionReport, SessionTask,
-    TaskOutput, Watchpoint,
+    run_session, BackendKind, DebugError, Scheduler, SessionReport, SessionTask, TaskOutput,
+    Watchpoint,
 };
 use dise_workloads::Workload;
 
@@ -56,336 +58,150 @@ impl SessionJob {
     pub fn report(&self) -> Result<SessionReport, DebugError> {
         run_session(self.workload.app(), self.watchpoints.clone(), self.backend, self.cpu)
     }
-
-    /// Overhead (normalised execution time) of [`SessionJob::report`]
-    /// against the kernel's baseline from the shared cache, or `None`
-    /// when the backend cannot implement the watchpoints (or the
-    /// watchpoint is ill-formed) — the paper's "no experiment" bars.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session reports an execution error (the calibrated
-    /// kernels must run clean).
-    pub fn overhead(&self, baselines: &BaselineCache) -> Option<f64> {
-        let base = baseline(&self.workload, self.cpu, baselines);
-        overheads(&self.workload, self.report().map(|r| vec![r]), 1, &base)[0]
-    }
 }
 
-/// The kernel's undebugged baseline from the shared cache.
-fn baseline(w: &Workload, cpu: CpuConfig, baselines: &BaselineCache) -> RunStats {
-    baselines.get_or_run(w.name(), w.app(), cpu).expect("kernel assembles")
-}
-
-/// Convert one batch result — one report per timing configuration, for
-/// `cells` cells — into overheads against `base`. Unsupported and
-/// ill-formed watchpoints become the "no experiment" bar (`None`).
-///
-/// # Panics
-///
-/// Panics on any other error, and on a report carrying an execution
-/// error: the calibrated kernels must run clean. A task whose poll
-/// panicked ([`DebugError::Panicked`]) re-raises here with its message,
-/// so a figure never renders it as a "no experiment" cell.
-fn overheads(
-    w: &Workload,
-    result: Result<Vec<SessionReport>, DebugError>,
-    cells: usize,
-    base: &RunStats,
-) -> Vec<Option<f64>> {
-    match result {
-        Ok(reports) => reports
-            .iter()
-            .map(|r| {
-                assert_eq!(r.error, None, "{}: session must run clean", w.name());
-                Some(r.overhead_vs(base))
-            })
-            .collect(),
-        Err(DebugError::Unsupported { .. } | DebugError::InvalidWatchpoint { .. }) => {
-            vec![None; cells]
-        }
-        Err(e) => panic!("{}: {e}", w.name()),
-    }
-}
-
-/// One member of an [`ObserverGroup`]: an observing backend with its
-/// own watchpoint set, the effective timing configurations of its
-/// cells, and the original cell indices they scatter back to.
+/// One result slot of a [`CellGroup`]: an observing member (its own
+/// backend and watchpoints) or a perturbing engine-configuration
+/// sub-batch (the group's backend and watchpoints, its own engine
+/// capacities). Its task output is one report per configuration.
 #[derive(Clone, Debug)]
-pub struct ObserverMember {
-    /// The observing backend (see [`BackendKind::observation_only`]).
+pub struct Slot {
+    /// The backend, timing-only knobs folded into `cpus` by
+    /// [`BackendKind::split_timing`].
     pub backend: BackendKind,
-    /// The member's own watchpoints — members of one group may watch
-    /// entirely different things.
-    pub watchpoints: Vec<Watchpoint>,
-    /// Per-cell effective machine configurations, in member order.
-    pub cpus: Vec<CpuConfig>,
-    /// Original grid-cell index of each configuration, parallel to
-    /// `cpus`.
-    pub cells: Vec<usize>,
-}
-
-/// A group of grid cells that share one functional execution **across
-/// watchpoint sets and backends**: same kernel, every backend observing
-/// (never perturbing) — so a single pass of the unmodified application
-/// feeds all members' transition detectors and timing models. The group
-/// key is the *workload alone*: observers' watchpoints steer only what
-/// the debugger traps on, never what the application executes, so cells
-/// that differ in watchpoint set still merge. Members need not agree on
-/// DISE engine capacities either: observers install no productions, so
-/// the engine is functionally inert.
-#[derive(Clone, Debug)]
-pub struct ObserverGroup {
-    /// The kernel to debug.
-    pub workload: Workload,
-    /// The observing (backend, watchpoint-set) members sharing the
-    /// pass, in first-appearance order.
-    pub members: Vec<ObserverMember>,
-}
-
-impl ObserverGroup {
-    /// The group's shared pass as a task: one live pass of the
-    /// unmodified application fanned out to every member.
-    pub fn task(&self) -> SessionTask {
-        let members = self
-            .members
-            .iter()
-            .map(|m| (m.backend, m.watchpoints.clone(), m.cpus.clone()))
-            .collect();
-        SessionTask::observer(self.workload.app(), members)
-    }
-
-    /// Scatter the finished task's output to per-cell overheads, tagged
-    /// with their original cell index — entry for cell `c` is
-    /// byte-identical to `jobs[c].overhead(baselines)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `output` is not an observer output, when the kernel
-    /// fails to assemble, and as [`SessionJob::overhead`].
-    pub fn overheads_from(
-        &self,
-        output: TaskOutput,
-        baselines: &BaselineCache,
-    ) -> Vec<(usize, Option<f64>)> {
-        let w = &self.workload;
-        let base = baseline(w, self.members[0].cpus[0], baselines);
-        // The outer error is an assembly failure; watchpoint problems
-        // (ill-formed, unsupported) come back per member, exactly as
-        // when each cell runs alone.
-        let results = output.into_observe().unwrap_or_else(|e| panic!("{}: {e}", w.name()));
-        self.members
-            .iter()
-            .zip(results)
-            .flat_map(|(m, r)| m.cells.iter().copied().zip(overheads(w, r, m.cells.len(), &base)))
-            .collect()
-    }
-}
-
-/// One engine-configuration sub-batch of a [`PerturbGroup`]: the cells
-/// sharing a functional stream (their configurations agree on DISE
-/// engine capacities), each with its own timing configuration.
-#[derive(Clone, Debug)]
-pub struct PerturbSubBatch {
-    /// Per-cell effective machine configurations, in member order.
-    pub cpus: Vec<CpuConfig>,
-    /// Original grid-cell index of each configuration, parallel to
-    /// `cpus`.
-    pub cells: Vec<usize>,
-}
-
-/// A group of perturbing grid cells that share one *image*: same
-/// kernel, same watchpoints, same perturbing backend — the cells differ
-/// in engine capacities (one functional stream per sub-batch) and
-/// timing configuration. [`SessionTask::perturbing_group`] builds the
-/// backend and its program image once, and every sub-batch restores the
-/// image copy-on-write into a machine with its own engine capacities:
-/// K sub-batches cost one backend build and K image loads.
-#[derive(Clone, Debug)]
-pub struct PerturbGroup {
-    /// The kernel to debug.
-    pub workload: Workload,
     /// The watchpoints to plant.
     pub watchpoints: Vec<Watchpoint>,
-    /// The perturbing backend (timing-only knobs already folded into
-    /// the sub-batch configurations by [`BackendKind::split_timing`]).
-    pub backend: BackendKind,
-    /// Engine-configuration sub-batches, in first-appearance order.
-    pub batches: Vec<PerturbSubBatch>,
+    /// Per-cell effective machine configurations, in cell order.
+    pub cpus: Vec<CpuConfig>,
+    /// Original grid-cell index of each configuration, parallel to
+    /// `cpus`.
+    pub cells: Vec<usize>,
 }
 
-impl PerturbGroup {
-    /// The group as a task: one private pass per engine-configuration
-    /// sub-batch, each restored copy-on-write from one built image.
-    pub fn task(&self) -> SessionTask {
-        let cpus: Vec<Vec<CpuConfig>> = self.batches.iter().map(|b| b.cpus.clone()).collect();
-        SessionTask::perturbing_group(
-            self.workload.app(),
-            self.watchpoints.clone(),
-            self.backend,
-            &cpus,
-        )
-    }
-
-    /// Scatter the finished task's output to per-cell overheads, tagged
-    /// with their original cell index — entry for cell `c` is
-    /// byte-identical to `jobs[c].overhead(baselines)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `output` is not a perturbing-group output, and as
-    /// [`SessionJob::overhead`].
-    pub fn overheads_from(
-        &self,
-        output: TaskOutput,
-        baselines: &BaselineCache,
-    ) -> Vec<(usize, Option<f64>)> {
-        let w = &self.workload;
-        let base = baseline(w, self.batches[0].cpus[0], baselines);
-        // A group-wide error (invalid or unsupported watchpoints) is
-        // every sub-batch's error.
-        let per_batch = output.into_group().unwrap_or_else(|e| vec![Err(e); self.batches.len()]);
-        self.batches
-            .iter()
-            .zip(per_batch)
-            .flat_map(|(b, r)| b.cells.iter().copied().zip(overheads(w, r, b.cells.len(), &base)))
-            .collect()
-    }
-}
-
-/// A grid group sharing functional work: many observing backends fanned
-/// off one pass of the unmodified application ([`ObserverGroup`]), or a
-/// perturbing backend's engine-configuration sub-batches restored
-/// copy-on-write from one built image ([`PerturbGroup`]).
+/// A group of grid cells that share functional work, on one kernel.
+///
+/// * **Observing** slots ([`BackendKind::observation_only`]) share one
+///   pass of the unmodified application
+///   ([`SessionTask::observer`]): watchpoints steer only what the
+///   debugger traps on, and observers install no productions, so cells
+///   that differ in watchpoint set, backend, engine capacities or timing
+///   all merge.
+/// * **Perturbing** slots all hold the group's one backend and
+///   watchpoint set, one slot per DISE engine capacity
+///   ([`SessionTask::perturbing_group`]): the backend and its image are
+///   built once, and each slot restores the image copy-on-write into a
+///   machine of its own — K slots cost one build and K image loads.
 #[derive(Clone, Debug)]
-pub enum CellGroup {
-    /// Observing backends sharing the application's own pass.
-    Observe(ObserverGroup),
-    /// A perturbing backend's sub-batches off one shared image.
-    Perturb(PerturbGroup),
+pub struct CellGroup {
+    /// The kernel to debug.
+    pub workload: Workload,
+    /// The result slots, in first-appearance order; never empty.
+    pub slots: Vec<Slot>,
 }
 
 impl CellGroup {
+    /// True when the slots share one observer pass, false when they are
+    /// a perturbing backend's engine sub-batches.
+    fn observing(&self) -> bool {
+        self.slots[0].backend.observation_only()
+    }
+
     /// The group as a task — what the grid spawns.
     pub fn task(&self) -> SessionTask {
-        match self {
-            CellGroup::Observe(g) => g.task(),
-            CellGroup::Perturb(g) => g.task(),
+        let app = self.workload.app();
+        if self.observing() {
+            let members =
+                self.slots.iter().map(|s| (s.backend, s.watchpoints.clone(), s.cpus.clone()));
+            SessionTask::observer(app, members.collect())
+        } else {
+            let cpus: Vec<Vec<CpuConfig>> = self.slots.iter().map(|s| s.cpus.clone()).collect();
+            let slot = &self.slots[0];
+            SessionTask::perturbing_group(app, slot.watchpoints.clone(), slot.backend, &cpus)
         }
     }
 
-    /// Scatter a drained task's output back to per-cell overheads,
-    /// tagged with their original cell indices.
+    /// Scatter the output of this group's [`CellGroup::task`] to
+    /// per-cell reports, tagged with their original cell index. A
+    /// group-wide error (an assembly failure, a panicked poll, watchpoints
+    /// the perturbing backend rejects) is every cell's error.
     ///
     /// # Panics
     ///
-    /// Panics when `output`'s shape does not match this group (a caller
-    /// bug: the output must come from this group's
-    /// [`CellGroup::task`]), and as [`SessionJob::overhead`].
-    pub fn overheads_from(
+    /// Panics on a batch-shaped output: a caller bug, since a group's
+    /// task is never batch-shaped.
+    pub fn reports_from(
         &self,
         output: TaskOutput,
-        baselines: &BaselineCache,
-    ) -> Vec<(usize, Option<f64>)> {
-        match self {
-            CellGroup::Observe(g) => g.overheads_from(output, baselines),
-            CellGroup::Perturb(g) => g.overheads_from(output, baselines),
+    ) -> Vec<(usize, Result<SessionReport, DebugError>)> {
+        let (TaskOutput::Group(result) | TaskOutput::Observe(result)) = output else {
+            panic!("a cell group's task is never batch-shaped");
+        };
+        let per_slot = result.unwrap_or_else(|e| vec![Err(e); self.slots.len()]);
+        let mut out = Vec::new();
+        for (slot, result) in self.slots.iter().zip(per_slot) {
+            match result {
+                Ok(reports) => {
+                    out.extend(slot.cells.iter().copied().zip(reports.into_iter().map(Ok)))
+                }
+                Err(e) => out.extend(slot.cells.iter().map(|&c| (c, Err(e.clone())))),
+            }
         }
+        out
     }
 }
 
 /// Group grid cells for single-pass execution — the cell-key lattice
 /// generalising [`BackendKind::split_timing`] across watchpoint sets
-/// and backends:
+/// and backends. Every cell's backend is first split into its
+/// functional core and folded timing knobs; then one find-or-push rule
+/// places it:
 ///
-/// * every cell's backend is first split into its functional core and
-///   folded timing knobs;
-/// * cells whose functional core **observes** (virtual memory, hardware
-///   registers, DISE comparators) group by (kernel) alone into an
-///   [`ObserverGroup`] — one pass of the unmodified application serves
-///   every watchpoint set, every observing backend and every timing
-///   configuration at once; within a group, cells sharing a
-///   (backend, watchpoints) pair share one member (and one detector);
-/// * cells whose functional core **perturbs** (single-stepping,
-///   rewriting, DISE production injection) group by (kernel,
-///   watchpoints, backend) into a [`PerturbGroup`] that builds one image,
-///   with one sub-batch — one private functional stream, replayed under
-///   each member's timing configuration — per DISE engine capacity.
+/// * an **observing** core groups by kernel alone, and its slot keys on
+///   (backend, watchpoints) — one pass of the unmodified application
+///   serves every watchpoint set, observing backend and timing
+///   configuration at once;
+/// * a **perturbing** core (single-stepping, rewriting, DISE production
+///   injection) groups by (kernel, watchpoints, backend), and its slot
+///   keys on the DISE engine capacities — one private functional stream
+///   per slot, replayed under each cell's timing configuration.
 ///
 /// Kernel identity is the full workload (not just its name — two scales
 /// of the same kernel are different programs). Groups appear in
-/// first-appearance order and members keep cell order; grouping looks
+/// first-appearance order and slots keep cell order; grouping looks
 /// only at the jobs, so the partition — and with it the reassembled
 /// output — is identical for any worker count.
 pub fn batch_session_jobs(jobs: &[SessionJob]) -> Vec<CellGroup> {
     let mut groups: Vec<CellGroup> = Vec::new();
     for (i, job) in jobs.iter().enumerate() {
         let (backend, cpu) = job.backend.split_timing(job.cpu);
-        if backend.observation_only() {
-            let existing = groups.iter_mut().find_map(|g| match g {
-                CellGroup::Observe(o) if o.workload == job.workload => Some(o),
-                _ => None,
-            });
-            let group = match existing {
-                Some(o) => o,
-                None => {
-                    groups.push(CellGroup::Observe(ObserverGroup {
-                        workload: job.workload.clone(),
-                        members: Vec::new(),
-                    }));
-                    let Some(CellGroup::Observe(o)) = groups.last_mut() else { unreachable!() };
-                    o
-                }
-            };
-            match group
-                .members
-                .iter_mut()
-                .find(|m| m.backend == backend && m.watchpoints == job.watchpoints)
-            {
-                Some(m) => {
-                    m.cpus.push(cpu);
-                    m.cells.push(i);
-                }
-                None => group.members.push(ObserverMember {
-                    backend,
-                    watchpoints: job.watchpoints.clone(),
-                    cpus: vec![cpu],
-                    cells: vec![i],
-                }),
+        let observing = backend.observation_only();
+        let same_pass = |s: &Slot| s.backend == backend && s.watchpoints == job.watchpoints;
+        let group = match groups.iter().position(|g| {
+            g.workload == job.workload
+                && g.observing() == observing
+                && (observing || same_pass(&g.slots[0]))
+        }) {
+            Some(g) => &mut groups[g],
+            None => {
+                groups.push(CellGroup { workload: job.workload.clone(), slots: Vec::new() });
+                groups.last_mut().expect("just pushed")
             }
-        } else {
-            let existing = groups.iter_mut().find_map(|g| match g {
-                CellGroup::Perturb(p)
-                    if p.backend == backend
-                        && p.workload == job.workload
-                        && p.watchpoints == job.watchpoints =>
-                {
-                    Some(p)
-                }
-                _ => None,
-            });
-            let group = match existing {
-                Some(p) => p,
-                None => {
-                    groups.push(CellGroup::Perturb(PerturbGroup {
-                        workload: job.workload.clone(),
-                        watchpoints: job.watchpoints.clone(),
-                        backend,
-                        batches: Vec::new(),
-                    }));
-                    let Some(CellGroup::Perturb(p)) = groups.last_mut() else { unreachable!() };
-                    p
-                }
-            };
-            match group.batches.iter_mut().find(|b| b.cpus[0].engine == cpu.engine) {
-                Some(b) => {
-                    b.cpus.push(cpu);
-                    b.cells.push(i);
-                }
-                None => {
-                    group.batches.push(PerturbSubBatch { cpus: vec![cpu], cells: vec![i] });
-                }
+        };
+        match group
+            .slots
+            .iter_mut()
+            .find(|s| same_pass(s) && (observing || s.cpus[0].engine == cpu.engine))
+        {
+            Some(s) => {
+                s.cpus.push(cpu);
+                s.cells.push(i);
             }
+            None => group.slots.push(Slot {
+                backend,
+                watchpoints: job.watchpoints.clone(),
+                cpus: vec![cpu],
+                cells: vec![i],
+            }),
         }
     }
     groups
@@ -403,26 +219,24 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Run a whole overhead grid: group the cells into single functional
-/// passes ([`batch_session_jobs`]), spawn every group as one
-/// [`SessionTask`] on a [`Scheduler`] granting `slice` instructions per
-/// slice, drain it with `workers` threads, and scatter the results back
-/// to cell order.
+/// Run a whole grid: group the cells into single functional passes
+/// ([`batch_session_jobs`]), spawn every group as one [`SessionTask`]
+/// on a [`Scheduler`] granting `slice` instructions per slice, drain it
+/// with `workers` threads, and scatter the reports back to cell order.
 ///
-/// Task ids are spawn order, so the output is byte-identical to the
-/// cell-by-cell `cells.iter().map(|c| c.overhead(baselines))` for every
-/// worker count and slice budget.
+/// Task ids are spawn order, so entry `c` is byte-identical to
+/// `cells[c].report()` for every worker count and slice budget. A
+/// group whose poll panicked settles every cell with
+/// [`DebugError::Panicked`].
 ///
 /// # Panics
 ///
-/// Panics when `workers` or `slice` is zero, and as the groups'
-/// `overheads_from`.
-pub fn run_overhead_grid(
+/// Panics when `workers` or `slice` is zero.
+pub fn run_session_grid(
     cells: &[SessionJob],
     workers: usize,
-    baselines: &BaselineCache,
     slice: u64,
-) -> Vec<Option<f64>> {
+) -> Vec<Result<SessionReport, DebugError>> {
     let groups = batch_session_jobs(cells);
     let scheduler = Scheduler::new(slice);
     for group in &groups {
@@ -430,11 +244,11 @@ pub fn run_overhead_grid(
     }
     let mut out = vec![None; cells.len()];
     for (id, output) in scheduler.drain(workers) {
-        for (cell, o) in groups[id].overheads_from(output, baselines) {
-            out[cell] = o;
+        for (cell, report) in groups[id].reports_from(output) {
+            out[cell] = Some(report);
         }
     }
-    out
+    out.into_iter().map(|r| r.expect("every cell belongs to one group")).collect()
 }
 
 /// Run `f` over every job on a pool of exactly `workers` threads and
@@ -507,34 +321,33 @@ mod tests {
     }
 
     /// The cell-by-cell reference: every cell run as its own session.
-    fn reference(jobs: &[SessionJob], baselines: &BaselineCache) -> Vec<Option<f64>> {
-        jobs.iter().map(|job| job.overhead(baselines)).collect()
+    fn reference(jobs: &[SessionJob]) -> Vec<Result<SessionReport, DebugError>> {
+        jobs.iter().map(SessionJob::report).collect()
     }
 
-    /// A group whose task panicked re-raises the panic's message
-    /// instead of rendering its cells as "no experiment", whichever
-    /// group shape settled with it.
+    /// A group's output scatters to its cells, whichever shape the task
+    /// settled in; a group-wide error is every cell's error.
     #[test]
-    fn a_panicked_group_is_re_raised() {
+    fn a_group_wide_error_reaches_every_cell() {
         let w = &all(10)[0];
         let jobs = [
             (BackendKind::dise_default(), WatchKind::Hot),
             (BackendKind::VirtualMemory, WatchKind::Cold),
+            (BackendKind::hw4(), WatchKind::Cold),
         ]
         .map(|(b, k)| SessionJob::new(w.clone(), vec![w.watchpoint(k)], b, CpuConfig::default()));
-        let baselines = BaselineCache::new();
         let groups = batch_session_jobs(&jobs);
         assert_eq!(groups.len(), 2, "one perturbing and one observing group");
         for group in groups {
             let err = Err(DebugError::Panicked("boom".into()));
-            let output = match &group {
-                CellGroup::Observe(_) => TaskOutput::Observe(err),
-                CellGroup::Perturb(_) => TaskOutput::Group(err),
-            };
-            let cause = catch_unwind(AssertUnwindSafe(|| group.overheads_from(output, &baselines)))
-                .expect_err("a panicked group must re-raise");
-            let msg = cause.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("session panicked: boom"), "{msg}");
+            let output =
+                if group.observing() { TaskOutput::Observe(err) } else { TaskOutput::Group(err) };
+            let cells: Vec<usize> = group.slots.iter().flat_map(|s| s.cells.clone()).collect();
+            let scattered = group.reports_from(output);
+            assert_eq!(scattered.iter().map(|(c, _)| *c).collect::<Vec<_>>(), cells);
+            for (_, r) in scattered {
+                assert_eq!(r, Err(DebugError::Panicked("boom".into())));
+            }
         }
     }
 
@@ -556,14 +369,13 @@ mod tests {
         .collect();
         let groups = batch_session_jobs(&jobs);
         assert_eq!(groups.len(), 2, "the two DISE cells differ only in timing");
-        let CellGroup::Perturb(dise) = &groups[0] else {
-            panic!("DISE perturbs: must run off a shared image")
-        };
-        assert_eq!(dise.batches.len(), 1, "identical engines share one functional stream");
-        assert_eq!(dise.batches[0].cells, vec![0, 1]);
-        assert!(dise.batches[0].cpus[1].multithreaded_dise_calls, "mt knob folded into the config");
-        let CellGroup::Observe(hw) = &groups[1] else { panic!("hardware registers observe") };
-        assert_eq!(hw.members[0].cells, vec![2]);
+        let dise = &groups[0];
+        assert!(!dise.observing(), "DISE perturbs: must run off a shared image");
+        assert_eq!(dise.slots.len(), 1, "identical engines share one functional stream");
+        assert_eq!(dise.slots[0].cells, vec![0, 1]);
+        assert!(dise.slots[0].cpus[1].multithreaded_dise_calls, "mt knob folded into the config");
+        assert!(groups[1].observing(), "hardware registers observe");
+        assert_eq!(groups[1].slots[0].cells, vec![2]);
     }
 
     /// The lattice's backend axis: cells that differ in *backend* — as
@@ -582,22 +394,22 @@ mod tests {
         }
         let groups = batch_session_jobs(&jobs);
         assert_eq!(groups.len(), 2, "VM+HW share a pass; single-stepping replays privately");
-        let CellGroup::Observe(o) = &groups[0] else { panic!("first group must observe") };
-        assert_eq!(o.members.len(), 2);
-        assert_eq!(o.members[0].backend, BackendKind::VirtualMemory);
-        assert_eq!(o.members[0].cells, vec![0, 3, 6]);
-        assert_eq!(o.members[1].backend, BackendKind::hw4());
-        assert_eq!(o.members[1].cells, vec![1, 4, 7]);
-        let CellGroup::Perturb(ss) = &groups[1] else {
-            panic!("single-step must replay privately")
-        };
-        assert_eq!(ss.batches.len(), 1);
-        assert_eq!(ss.batches[0].cells, vec![2, 5, 8]);
+        let o = &groups[0];
+        assert!(o.observing(), "first group must observe");
+        assert_eq!(o.slots.len(), 2);
+        assert_eq!(o.slots[0].backend, BackendKind::VirtualMemory);
+        assert_eq!(o.slots[0].cells, vec![0, 3, 6]);
+        assert_eq!(o.slots[1].backend, BackendKind::hw4());
+        assert_eq!(o.slots[1].cells, vec![1, 4, 7]);
+        let ss = &groups[1];
+        assert!(!ss.observing(), "single-step must replay privately");
+        assert_eq!(ss.slots.len(), 1);
+        assert_eq!(ss.slots[0].cells, vec![2, 5, 8]);
     }
 
     /// The lattice's final axis: observing cells that differ in
     /// *watchpoint set* — and in backend, and in timing — all collapse
-    /// into one per-workload group, one member per distinct
+    /// into one per-workload group, one slot per distinct
     /// (backend, watchpoints) pair. A perturbing cell never joins.
     #[test]
     fn observing_backends_group_across_watchpoint_sets() {
@@ -627,15 +439,16 @@ mod tests {
         // One observer group for the whole workload; DISE replays
         // privately, one group per watchpoint set.
         assert_eq!(groups.len(), 1 + sets.len(), "{groups:#?}");
-        let CellGroup::Observe(o) = &groups[0] else { panic!("first group must observe") };
-        assert_eq!(o.members.len(), 9, "3 sets x 3 observing backends");
-        for m in &o.members {
-            assert_eq!(m.cpus.len(), 2, "each member carries its two timing configs");
+        let o = &groups[0];
+        assert!(o.observing(), "first group must observe");
+        assert_eq!(o.slots.len(), 9, "3 sets x 3 observing backends");
+        for s in &o.slots {
+            assert_eq!(s.cpus.len(), 2, "each slot carries its two timing configs");
         }
-        assert!(sets.iter().all(|s| o.members.iter().any(|m| &m.watchpoints == s)));
+        assert!(sets.iter().all(|set| o.slots.iter().any(|s| &s.watchpoints == set)));
         for g in &groups[1..] {
-            let CellGroup::Perturb(p) = g else { panic!("DISE must replay privately") };
-            assert_eq!(p.backend, BackendKind::dise_default());
+            assert!(!g.observing(), "DISE must replay privately");
+            assert_eq!(g.slots[0].backend, BackendKind::dise_default());
         }
     }
 
@@ -655,8 +468,10 @@ mod tests {
             SessionJob::new(w.clone(), wp.clone(), BackendKind::VirtualMemory, small_engine()),
         ];
         let groups = batch_session_jobs(&jobs);
-        let [CellGroup::Observe(o)] = groups.as_slice() else { panic!("one observer group") };
-        assert_eq!(o.members[0].cells, vec![0, 1]);
+        let [o] = groups.as_slice() else { panic!("one observer group") };
+        assert!(o.observing());
+        assert_eq!(o.slots.len(), 1);
+        assert_eq!(o.slots[0].cells, vec![0, 1]);
     }
 
     #[test]
@@ -704,19 +519,20 @@ mod tests {
             ),
         ];
         // The engine-divergent cells 0 and 2 share one image (one group,
-        // two sub-batches — two functional streams, one load); the
-        // different watchpoint stands alone.
+        // two slots — two functional streams, one load); the different
+        // watchpoint stands alone.
         let groups = batch_session_jobs(&jobs);
         assert_eq!(groups.len(), 2);
-        let CellGroup::Perturb(p) = &groups[0] else { panic!("perturbing cells must group") };
-        assert_eq!(p.batches.len(), 2, "one sub-batch per engine configuration");
-        assert_eq!(p.batches[0].cells, vec![0]);
-        assert_eq!(p.batches[1].cells, vec![2]);
+        let p = &groups[0];
+        assert!(!p.observing(), "perturbing cells must group");
+        assert_eq!(p.slots.len(), 2, "one slot per engine configuration");
+        assert_eq!(p.slots[0].cells, vec![0]);
+        assert_eq!(p.slots[1].cells, vec![2]);
     }
 
     /// The acceptance bar: a grid containing batchable cells (a
     /// transition-cost sweep plus an unsupported combination) produces
-    /// byte-identical overheads to the unbatched cell-by-cell reference,
+    /// byte-identical reports to the unbatched cell-by-cell reference,
     /// serial and pooled, at the default and an odd slice budget.
     #[test]
     fn batched_overheads_match_unbatched_cell_for_cell() {
@@ -734,7 +550,7 @@ mod tests {
         }
         // An unsupported cell: INDIRECT under virtual memory. It merges
         // into the workload's observer group (the group key carries no
-        // watchpoints) and fails there per member.
+        // watchpoints) and fails there per slot.
         jobs.push(SessionJob::new(
             w.clone(),
             vec![w.watchpoint(WatchKind::Indirect)],
@@ -744,23 +560,25 @@ mod tests {
         assert_eq!(
             batch_session_jobs(&jobs).len(),
             2,
-            "one per-workload observer group (incl. the unsupported member), one DISE sweep"
+            "one per-workload observer group (incl. the unsupported slot), one DISE sweep"
         );
 
-        let baselines = BaselineCache::new();
-        let unbatched = reference(&jobs, &baselines);
+        let unbatched = reference(&jobs);
         for workers in [1, 4] {
             for slice in [DEFAULT_SLICE, 97] {
-                let batched = run_overhead_grid(&jobs, workers, &baselines, slice);
+                let batched = run_session_grid(&jobs, workers, slice);
                 assert_eq!(batched, unbatched, "workers={workers} slice={slice}");
             }
         }
-        assert_eq!(unbatched[6], None, "unsupported cell renders the no-experiment bar");
+        assert!(
+            matches!(unbatched[6], Err(DebugError::Unsupported { .. })),
+            "unsupported cell settles as the no-experiment bar"
+        );
     }
 
     /// The copy-on-write acceptance bar: a perturbing sweep spanning
     /// *engine capacities* (cells that can never share a functional
-    /// stream) restores every sub-batch from one shared image and still
+    /// stream) restores every slot from one shared image and still
     /// matches the cell-by-cell reference.
     #[test]
     fn forked_overheads_match_unforked_cell_for_cell() {
@@ -775,7 +593,7 @@ mod tests {
             }
         }
         // An unsupported perturbing cell: a multi-watchpoint set under
-        // inline evaluation renders the no-experiment bar through the
+        // inline evaluation settles as the no-experiment bar through the
         // group path too.
         jobs.push(SessionJob::new(
             w.clone(),
@@ -786,14 +604,16 @@ mod tests {
 
         let groups = batch_session_jobs(&jobs);
         assert_eq!(groups.len(), 3, "one group per (backend, watchpoints)");
-        let CellGroup::Perturb(dise) = &groups[0] else { panic!("DISE perturbs") };
-        assert_eq!(dise.batches.len(), 2, "two engine sub-batches share one image");
+        assert!(!groups[0].observing(), "DISE perturbs");
+        assert_eq!(groups[0].slots.len(), 2, "two engine slots share one image");
 
-        let baselines = BaselineCache::new();
-        let cell_by_cell = reference(&jobs, &baselines);
-        let grouped = run_overhead_grid(&jobs, 1, &baselines, DEFAULT_SLICE);
+        let cell_by_cell = reference(&jobs);
+        let grouped = run_session_grid(&jobs, 1, DEFAULT_SLICE);
         assert_eq!(grouped, cell_by_cell, "grouped grid diverged from cell-by-cell reference");
-        assert_eq!(cell_by_cell[8], None, "unsupported cell renders the no-experiment bar");
+        assert!(
+            matches!(cell_by_cell[8], Err(DebugError::Unsupported { .. })),
+            "unsupported cell settles as the no-experiment bar"
+        );
     }
 
     #[test]

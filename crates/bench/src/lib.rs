@@ -13,24 +13,23 @@
 //! the crossovers fall — is what these harnesses reproduce.
 //!
 //! Execution has one path. Each table/figure is decomposed into
-//! independent [`SessionJob`] grid cells, and the cells are grouped
-//! into single-functional-pass [`CellGroup`]s ([`batch_session_jobs`]):
-//! an [`ObserverGroup`] when their backends all *observe* without
-//! perturbing execution — one shared pass of the unmodified application
+//! independent [`SessionJob`] grid cells, and [`batch_session_jobs`]
+//! groups the cells into [`CellGroup`]s that each share functional
+//! work. Observing backends share one pass of the unmodified application
 //! across watchpoint set × backend × timing
-//! ([`dise_debug::ObserverBatch`]) — or a [`PerturbGroup`] otherwise,
-//! whose engine-configuration sub-batches each run one private pass
-//! under all their timing configurations, each restoring one built
-//! image copy-on-write (K engine configurations cost one backend build
-//! and K image loads). Every group becomes a resumable [`dise_debug::SessionTask`]
-//! on one cooperative [`dise_debug::Scheduler`], drained by
-//! [`Experiment::workers`] threads in [`Experiment::slice`]-instruction
-//! slices ([`run_overhead_grid`]); results scatter back in cell order,
-//! so output is byte-identical to the cell-by-cell
-//! [`SessionJob::report`] for every worker count and slice budget (the
-//! grid determinism and scheduler suites), and the pass/load savings
-//! are pinned by execution-count assertions
-//! (`tests/execution_counts.rs`).
+//! ([`dise_debug::ObserverBatch`]). A perturbing backend builds its
+//! image once and runs one private pass per DISE engine configuration,
+//! each restoring the image copy-on-write. Every group becomes a
+//! resumable [`dise_debug::SessionTask`] on one cooperative
+//! [`dise_debug::Scheduler`], drained by [`Experiment::workers`]
+//! threads in [`Experiment::slice`]-instruction slices
+//! ([`run_session_grid`]). Each cell's report scatters back in cell
+//! order, byte-identical to its own [`SessionJob::report`] for every
+//! worker count and slice budget (the grid determinism and scheduler
+//! suites); the pass/load savings are pinned by execution-count
+//! assertions (`tests/execution_counts.rs`). The [`Experiment`]
+//! normalises reports against each kernel's baseline run, which it
+//! computes once.
 //!
 //! Configuration is explicit: library code reads no environment
 //! variable. The binaries parse `DISE_ITERS`, `DISE_JOBS` and
@@ -44,13 +43,13 @@ pub mod paper;
 pub mod server;
 
 pub use experiments::{
-    baseline_table, fig3, fig3_cells, fig4, fig4_cells, fig5, fig6, fig6_cells, fig7, fig7_cells,
-    fig8, fig8_cells, fig9, fig9_cells, sensitivity, sensitivity_cells, table1, table2,
+    baseline_table, fig3, fig3_cells, fig4, fig4_cells, fig5, fig5_cells, fig6, fig6_cells, fig7,
+    fig7_cells, fig8, fig8_cells, fig9, fig9_cells, sensitivity, sensitivity_cells, table1, table2,
     watchpoint_set_cells, watchpoint_sets, Experiment,
 };
 pub use grid::{
-    batch_session_jobs, default_workers, run_grid_with, run_overhead_grid, CellGroup,
-    ObserverGroup, ObserverMember, PerturbGroup, PerturbSubBatch, SessionJob, DEFAULT_SLICE,
+    batch_session_jobs, default_workers, run_grid_with, run_session_grid, CellGroup, SessionJob,
+    DEFAULT_SLICE,
 };
 
 /// Render one figure/table section with a heading.

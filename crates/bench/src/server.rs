@@ -235,8 +235,8 @@ pub struct ServeOutcome {
 
 /// Run every job on one cooperative scheduler.
 ///
-/// `on_event` receives one [`report_line`] per session *in completion
-/// order* as sessions finish (called from worker threads, outside the
+/// `on_event` receives one report line (`done …` or `error …`) per
+/// session *in completion order* as sessions finish (called from worker threads, outside the
 /// scheduler lock). The returned [`ServeOutcome::transcript`] holds the
 /// same lines re-assembled in submission order.
 pub fn serve<F>(jobs: &[JobSpec], workers: usize, slice: u64, on_event: F) -> ServeOutcome

@@ -20,17 +20,17 @@
 //! functional passes and zero image loads, with byte-identical output.
 //!
 //! Every grid's output is also checked against the cell-by-cell
-//! `SessionJob::overhead` reference, computed before the counters are
+//! `SessionJob::report` reference, computed before the counters are
 //! read. This file deliberately holds a single `#[test]`: the counters
 //! are process-global, and sibling tests in the same binary would race
 //! the deltas.
 
-use dise_bench::{batch_session_jobs, run_overhead_grid, CellGroup, SessionJob, DEFAULT_SLICE};
+use dise_bench::{batch_session_jobs, run_session_grid, SessionJob, DEFAULT_SLICE};
 use dise_cpu::CpuConfig;
 use dise_debug::{
     checkpoint_forks, fanout_chunks, fanout_chunks_scanned, fanout_chunks_skipped,
-    functional_passes, image_loads, trace_records, trace_replays, BackendKind, BaselineCache,
-    DiseStrategy, Scheduler, Session, SessionTask,
+    functional_passes, image_loads, trace_records, trace_replays, BackendKind, DebugError,
+    DiseStrategy, Scheduler, Session, SessionReport, SessionTask,
 };
 use dise_workloads::{all, transition_cost_sweep, watchpoint_set_sweep, WatchKind};
 
@@ -38,11 +38,10 @@ use dise_workloads::{all, transition_cost_sweep, watchpoint_set_sweep, WatchKind
 fn grids_execute_once_per_functional_stream_not_once_per_cell() {
     let w = &all(10)[0];
     let wp = vec![w.watchpoint(WatchKind::Warm1)];
-    let baselines = BaselineCache::new();
-    let reference = |cells: &[SessionJob]| -> Vec<Option<f64>> {
-        cells.iter().map(|c| c.overhead(&baselines)).collect()
+    let reference = |cells: &[SessionJob]| -> Vec<Result<SessionReport, DebugError>> {
+        cells.iter().map(SessionJob::report).collect()
     };
-    let grid = |cells: &[SessionJob]| run_overhead_grid(cells, 1, &baselines, DEFAULT_SLICE);
+    let grid = |cells: &[SessionJob]| run_session_grid(cells, 1, DEFAULT_SLICE);
 
     // One scenario, the paper's four standard backends plus the
     // pure-observation DISE comparators, three transition costs:
@@ -153,8 +152,11 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
         1 + sets.len() as u64,
         "one observer pass + one private DISE replay per watchpoint set"
     );
-    assert_eq!(out[mixed.len() - 1], None, "the unsupported member renders the no-experiment bar");
-    assert!(out[..observer_cells.len()].iter().all(Option::is_some));
+    assert!(
+        matches!(out[mixed.len() - 1], Err(DebugError::Unsupported { .. })),
+        "the unsupported member settles as the no-experiment bar"
+    );
+    assert!(out[..observer_cells.len()].iter().all(Result::is_ok));
 
     // The fig8 shape: two DISE cells differing only in the
     // multithreading timing knob still collapse to one pass.
@@ -177,7 +179,7 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
     )];
     let before = functional_passes();
     let out = grid(&lone);
-    assert_eq!(out, vec![None], "the no-experiment bar");
+    assert!(matches!(out[..], [Err(DebugError::Unsupported { .. })]), "the no-experiment bar");
     assert_eq!(functional_passes() - before, 0, "nothing observable, nothing executed");
 
     // The copy-on-write image economy. A perturbing sweep over K = 3
@@ -237,12 +239,11 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
     // from the file. Both report exactly what the live group does,
     // serial and pooled.
     let groups = batch_session_jobs(&observer_cells);
-    let [CellGroup::Observe(group)] = &groups[..] else {
+    let [group] = &groups[..] else {
         panic!("the 12 observer cells form one observer group");
     };
-    let members = || {
-        group.members.iter().map(|m| (m.backend, m.watchpoints.clone(), m.cpus.clone())).collect()
-    };
+    let members =
+        || group.slots.iter().map(|s| (s.backend, s.watchpoints.clone(), s.cpus.clone())).collect();
     let drain = |task: SessionTask, workers: usize| {
         let scheduler = Scheduler::new(DEFAULT_SLICE);
         scheduler.spawn(task);

@@ -10,9 +10,9 @@
 //! CI (`-- --include-ignored`); light variants keep every `cargo test
 //! -q` on the pooled, sliced path.
 
-use dise_bench::{run_grid_with, run_overhead_grid, Experiment, SessionJob, DEFAULT_SLICE};
+use dise_bench::{run_grid_with, run_session_grid, Experiment, SessionJob, DEFAULT_SLICE};
 use dise_cpu::CpuConfig;
-use dise_debug::{BackendKind, BaselineCache};
+use dise_debug::{BackendKind, DebugError, SessionReport};
 use dise_workloads::{all, transition_cost_sweep, WatchKind};
 
 type Render = fn(&Experiment) -> String;
@@ -37,13 +37,18 @@ fn assert_deterministic(experiments: &[(&str, Render)]) {
     }
 }
 
-/// Every grouped run of `cells` equals the cell-by-cell reference.
+/// The cell-by-cell reference: every cell run as its own session.
+fn reference(cells: &[SessionJob]) -> Vec<Result<SessionReport, DebugError>> {
+    cells.iter().map(SessionJob::report).collect()
+}
+
+/// Every grouped run of `cells` equals the cell-by-cell reference,
+/// report for report: cycles, transitions, text bytes and errors.
 fn assert_matches_cells(what: &str, cells: &[SessionJob]) {
-    let baselines = BaselineCache::new();
-    let reference: Vec<Option<f64>> = cells.iter().map(|c| c.overhead(&baselines)).collect();
+    let reference = reference(cells);
     for (workers, slice) in RUNS {
         assert_eq!(
-            run_overhead_grid(cells, workers, &baselines, slice),
+            run_session_grid(cells, workers, slice),
             reference,
             "{what}: grouped grid diverged (workers={workers}, slice={slice})"
         );
@@ -117,7 +122,8 @@ fn all_experiments_are_deterministic_across_worker_counts() {
 /// The full sweep over every overhead experiment's grid on all six
 /// kernels (tables have no session cells; the worker-count sweep above
 /// covers them): fig3/fig4's observing columns — across *all six watch
-/// kinds* — share one functional pass per kernel, fig6 batches up to 20
+/// kinds* — share one functional pass per kernel, fig5 reads its text
+/// growth from the reports, fig6 batches up to 20
 /// watchpoints under the hybrid and Bloom organisations, fig7 runs the
 /// six DISE organisations, fig9 protects the debugger, and the
 /// sensitivity and watchpoint-set grids share their observing rows.
@@ -130,6 +136,7 @@ fn all_experiments_are_batching_invariant() {
         &[
             ("fig3", dise_bench::fig3_cells),
             ("fig4", dise_bench::fig4_cells),
+            ("fig5", dise_bench::fig5_cells),
             ("fig6", dise_bench::fig6_cells),
             ("fig7", dise_bench::fig7_cells),
             ("fig8", dise_bench::fig8_cells),
@@ -142,8 +149,8 @@ fn all_experiments_are_batching_invariant() {
 
 /// The copy-on-write fork contract at grid level: a perturbing sweep
 /// spanning two workloads, two perturbing backends and two engine
-/// capacities forks every engine sub-batch from one image per group,
-/// and renders the unforked cell-by-cell overheads under a serial and a
+/// capacities forks every engine slot from one image per group, and
+/// returns the unforked cell-by-cell reports under a serial and a
 /// pooled worker count alike.
 #[test]
 fn forked_and_unforked_grids_are_byte_identical_across_worker_counts() {
@@ -171,8 +178,28 @@ fn forked_and_unforked_grids_are_byte_identical_across_worker_counts() {
     assert_matches_cells("perturbing sweep", &jobs);
 }
 
+/// Two scales of one kernel share a name but are different programs:
+/// in one grid, each cell's report equals that cell run alone.
+#[test]
+fn same_name_different_scale_cells_report_as_run_alone() {
+    let mut cells = Vec::new();
+    for w in [&all(10)[0], &all(40)[0]] {
+        for backend in [BackendKind::dise_default(), BackendKind::VirtualMemory] {
+            cells.push(SessionJob::new(
+                w.clone(),
+                vec![w.watchpoint(WatchKind::Cold)],
+                backend,
+                CpuConfig::default(),
+            ));
+        }
+    }
+    assert_eq!(cells[0].workload.name(), cells[2].workload.name());
+    assert_eq!(dise_bench::batch_session_jobs(&cells).len(), 4, "two groups per scale");
+    assert_matches_cells("bzip2 at iters 10 and 40", &cells);
+}
+
 /// `run_grid_with(.., 1, ..)` is exactly the serial map, including for
-/// real session jobs against a shared baseline cache.
+/// real session jobs.
 #[test]
 fn single_worker_matches_serial_session_runs() {
     let w = &all(25)[0];
@@ -182,10 +209,5 @@ fn single_worker_matches_serial_session_runs() {
             SessionJob::new(w.clone(), vec![w.watchpoint(WatchKind::Hot)], b, CpuConfig::default())
         })
         .collect();
-
-    let baselines = BaselineCache::new();
-    let pooled = run_grid_with(&cells, 1, |job| job.overhead(&baselines));
-    let serial: Vec<Option<f64>> = cells.iter().map(|job| job.overhead(&baselines)).collect();
-    assert_eq!(pooled, serial);
-    assert_eq!(baselines.len(), 1, "one kernel, one cached baseline");
+    assert_eq!(run_grid_with(&cells, 1, SessionJob::report), reference(&cells));
 }

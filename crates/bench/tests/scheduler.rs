@@ -10,12 +10,11 @@ use std::sync::Mutex;
 
 use dise_asm::{parse_asm, Layout};
 use dise_bench::server::{parse_jobs, serve};
-use dise_bench::{run_overhead_grid, SessionJob, DEFAULT_SLICE};
+use dise_bench::{run_session_grid, SessionJob, DEFAULT_SLICE};
 use dise_cpu::CpuConfig;
 use dise_debug::{
-    Application, BackendKind, BaselineCache, Breakpoint, BreakpointBackend, DebugError,
-    MonitoredRegion, Scheduler, Session, SessionReport, SessionTask, TaskOutput, WatchExpr,
-    Watchpoint, MAX_BYPASS,
+    Application, BackendKind, Breakpoint, BreakpointBackend, DebugError, MonitoredRegion,
+    Scheduler, Session, SessionReport, SessionTask, TaskOutput, WatchExpr, Watchpoint, MAX_BYPASS,
 };
 use dise_isa::Width;
 use dise_workloads::{all, transition_cost_sweep, WatchKind};
@@ -66,21 +65,21 @@ fn lcg_budgets(seed: u64, n: usize) -> Vec<u64> {
         .collect()
 }
 
-/// The acceptance bar: the scheduled grid is byte-identical to the
-/// cell-by-cell reference run without any scheduler
-/// ([`SessionJob::overhead`] per cell), under serial and pooled
-/// workers, for random slice budgets, an odd one that forces mid-block
-/// yields, the default, and an unbounded one.
+/// The acceptance bar: the scheduled grid is byte-identical, report
+/// for report, to the cell-by-cell reference run without any scheduler
+/// ([`SessionJob::report`] per cell), under serial and pooled workers,
+/// for random slice budgets, an odd one that forces mid-block yields,
+/// the default, and an unbounded one.
 #[test]
 fn grid_is_identical_with_and_without_the_scheduler() {
     let cells = mixed_cells(5);
-    let baselines = BaselineCache::new();
-    let reference: Vec<Option<f64>> = cells.iter().map(|c| c.overhead(&baselines)).collect();
+    let reference: Vec<Result<SessionReport, DebugError>> =
+        cells.iter().map(SessionJob::report).collect();
     let mut budgets = lcg_budgets(0x5EED, 3);
     budgets.extend([777, DEFAULT_SLICE, u64::MAX]);
     for workers in [1, 4] {
         for &slice in &budgets {
-            let sched = run_overhead_grid(&cells, workers, &baselines, slice);
+            let sched = run_session_grid(&cells, workers, slice);
             assert_eq!(
                 reference, sched,
                 "scheduler changed the grid (workers={workers}, slice={slice})"

@@ -86,8 +86,9 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// As that task settles: no instruction at a PC, a sixth conditional
-    /// DISE breakpoint, or productions too large for the engine.
+    /// As that task settles: no instruction at a PC, two breakpoints at
+    /// one PC, a sixth conditional DISE breakpoint, or productions too
+    /// large for the engine.
     pub fn breakpoints(
         app: &Application,
         breakpoints: Vec<Breakpoint>,
@@ -101,9 +102,9 @@ impl Session {
 impl SessionTask {
     /// A control-breakpoint session (§4.1), batch-shaped. Trap-patched
     /// hits whose condition fails count as `spurious_predicate`; every
-    /// other hit is a `user` transition. A PC holding no instruction, or
-    /// a sixth conditional DISE breakpoint, settles it as
-    /// [`DebugError::Unsupported`].
+    /// other hit is a `user` transition. A PC holding no instruction, a
+    /// PC named twice, or a sixth conditional DISE breakpoint settles it
+    /// as [`DebugError::Unsupported`].
     pub fn breakpoints(
         app: &Application,
         breakpoints: Vec<Breakpoint>,
@@ -150,6 +151,16 @@ impl BackendImpl for Breakpoints {
                      {CONDITION_PAIRS}"
                 ),
             });
+        }
+        // The implementations would disagree on which of two breakpoints
+        // at one PC decides a hit, so a repeated PC is refused.
+        for (i, bp) in self.breakpoints.iter().enumerate() {
+            if self.breakpoints[..i].iter().any(|b| b.pc == bp.pc) {
+                return Err(DebugError::Unsupported {
+                    backend: "breakpoint",
+                    reason: format!("two breakpoints at {:#x}", bp.pc),
+                });
+            }
         }
         let prepared = app.prepared()?;
         self.originals = self
@@ -420,6 +431,24 @@ mod tests {
                     "{backend:?}"
                 );
             }
+        }
+    }
+
+    /// Two breakpoints on one PC used to mean different things per
+    /// implementation: trap patching obeyed the first one's condition,
+    /// both DISE implementations the last one's. A set that names a PC
+    /// twice is now refused by every implementation.
+    #[test]
+    fn a_repeated_breakpoint_pc_is_unsupported() {
+        let a = app();
+        let (pc, v) = (bp_pc(&a), a.program().unwrap().symbol("v").unwrap());
+        let bps = vec![Breakpoint::conditional(pc, v, 3), Breakpoint::new(pc)];
+        for backend in BACKENDS {
+            let session = Session::breakpoints(&a, bps.clone(), backend, CpuConfig::default());
+            assert!(
+                matches!(session, Err(DebugError::Unsupported { backend: "breakpoint", .. })),
+                "{backend:?}"
+            );
         }
     }
 

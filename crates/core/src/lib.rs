@@ -79,8 +79,8 @@ pub use iwatcher::MonitoredRegion;
 pub use region::DebugRegion;
 pub use sched::{max_wait_slices, preemptions, slices_granted, SchedStats, Scheduler, MAX_BYPASS};
 pub use session::{
-    checkpoint_forks, functional_passes, image_loads, run_baseline, run_session, BaselineCache,
-    DebugError, ObserverBatch, Session, SessionReport,
+    checkpoint_forks, functional_passes, image_loads, run_baseline, run_session, DebugError,
+    ObserverBatch, Session, SessionReport,
 };
 pub use stats::{Transition, TransitionStats};
 pub use strategy::{CheckKind, DiseStrategy, MultiMatch};

@@ -4,10 +4,8 @@
 //! Watchpoint, breakpoint and monitor sessions alike are backends of
 //! one private pass, stepped by [`drive`].
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use dise_asm::AsmError;
 use dise_cpu::{
@@ -398,63 +396,6 @@ pub(crate) fn drive(
     error
 }
 
-/// A shared, lock-guarded cache of undebugged baseline runs, so
-/// concurrent experiment jobs can all normalise against the same
-/// denominator without re-running it or serialising on `&mut self`.
-///
-/// Keys are caller-chosen (kernel names); a baseline is computed at most
-/// once per key, outside the lock, so a slow baseline never blocks
-/// lookups of other kernels.
-#[derive(Debug, Default)]
-pub struct BaselineCache {
-    runs: Mutex<HashMap<String, RunStats>>,
-}
-
-impl BaselineCache {
-    /// An empty cache.
-    pub fn new() -> BaselineCache {
-        BaselineCache::default()
-    }
-
-    /// The baseline statistics for `key`, computing them from `app`
-    /// under `cpu` on first use.
-    ///
-    /// Two threads racing on the same missing key may both compute the
-    /// run; the first insertion wins, and both runs are identical (the
-    /// simulator is deterministic).
-    ///
-    /// # Errors
-    ///
-    /// Propagates assembly failures from the baseline run.
-    pub fn get_or_run(
-        &self,
-        key: &str,
-        app: &Application,
-        cpu: CpuConfig,
-    ) -> Result<RunStats, DebugError> {
-        if let Some(stats) = self.runs.lock().expect("baseline cache poisoned").get(key) {
-            return Ok(*stats);
-        }
-        let stats = run_baseline(app, cpu)?;
-        Ok(*self
-            .runs
-            .lock()
-            .expect("baseline cache poisoned")
-            .entry(key.to_string())
-            .or_insert(stats))
-    }
-
-    /// Number of distinct baselines cached.
-    pub fn len(&self) -> usize {
-        self.runs.lock().expect("baseline cache poisoned").len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// An interactive debugging session: an application, a set of
 /// watchpoints, and a backend implementing them — or breakpoints
 /// ([`Session::breakpoints`]) or a monitor ([`Session::monitor`]).
@@ -599,8 +540,8 @@ mod tests {
     }
 
     /// The grid runners in `dise-bench` ship sessions to worker
-    /// threads: everything [`run_session`] consumes or produces, plus
-    /// the shared baseline cache, must stay `Send + Sync`.
+    /// threads: everything [`run_session`] consumes or produces must
+    /// stay `Send + Sync`.
     #[test]
     fn session_grid_surface_is_send_and_sync() {
         fn send_sync<T: Send + Sync>() {}
@@ -610,21 +551,6 @@ mod tests {
         send_sync::<CpuConfig>();
         send_sync::<SessionReport>();
         send_sync::<DebugError>();
-        send_sync::<BaselineCache>();
-    }
-
-    #[test]
-    fn baseline_cache_computes_each_key_once_across_threads() {
-        let a = app(5);
-        let cache = BaselineCache::new();
-        let runs: Vec<RunStats> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| scope.spawn(|| cache.get_or_run("app", &a, CpuConfig::default()).unwrap()))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(cache.len(), 1);
-        assert!(runs.windows(2).all(|w| w[0] == w[1]), "deterministic baseline");
     }
 
     #[test]

@@ -183,9 +183,9 @@ pub struct Exec {
 /// Packed into three bytes, which fit in [`Exec`]'s padding: bits 0–5
 /// and 6–11 hold the source-register indices, bits 12–17 the
 /// destination's, bits 18–22 the latency and bit 23 marks a `jmp`. A
-/// missing source reads register slot [`NO_SOURCE`], which never holds
+/// missing source reads register slot `NO_SOURCE`, which never holds
 /// a ready time; a missing destination (or the zero register) writes
-/// slot [`NO_DEST`], which is never read.
+/// slot `NO_DEST`, which is never read.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct InstrFacts([u8; 3]);
 
