@@ -101,9 +101,9 @@ fn main() {
         "**Expected shape:** every observing column (VirtMem, HwRegs, DISE-Cmp) \
          of one kernel — across all three watchpoint sets — is produced from a \
          single functional pass of the unmodified application; only the DISE \
-         column replays per set. DISE-Cmp tracks DISE closely (no spurious \
-         address transitions) while HwRegs shows `--` on RANGE (non-scalar) \
-         and VirtMem pays page-sharing costs.\n"
+         column replays per set. DISE-Cmp reads the same as HwRegs wherever \
+         HwRegs runs; it differs only by also running RANGE, where HwRegs \
+         shows `--` (non-scalar). VirtMem pays page-sharing costs.\n"
     )
     .unwrap();
 
@@ -115,8 +115,9 @@ fn main() {
            HOT ordering and the silent-store property (bzip2 mostly \
            non-silent, all others ≥50% silent) are preserved, which is what \
            drives the hardware-register and DISE comparisons.\n\
-         * Store densities land at 5–14% vs. the paper's 10–20%; IPCs sit in \
-           the paper's band with mcf clearly memory-bound at the bottom.\n\
+         * Store densities land at 5–14% vs. the paper's 10–20%. IPCs spread \
+           wider than the paper's 0.33–2.45 band: mcf is memory-bound below \
+           it, and crafty and vortex run above it.\n\
          * Fig. 5: our gcc kernel's loop footprint still fits the 32 KB L1I \
            even after rewriting, so its rewriting penalty is milder than the \
            paper's 2.83x; crafty and vortex show the instruction-cache \

@@ -3,14 +3,16 @@
 //! Each table/figure is decomposed into independent grid cells (see
 //! [`crate::grid`]), run on the experiment's worker pool, and
 //! reassembled in cell order, so output is identical for any worker
-//! count. Each grid experiment's cells come from a public `*_cells`
-//! function, so tests check the very grid the experiment runs against
-//! the cell-by-cell reference.
+//! count. Each overhead figure is declared once, by a public
+//! `*_figure` function returning its [`Figure`]: a header and rows of
+//! labelled cells. The figure renders from that one declaration, and
+//! tests check the very grid it runs ([`Figure::cells`]) against the
+//! cell-by-cell reference.
 
 use std::sync::OnceLock;
 
 use dise_cpu::{footprints_overlap, CpuConfig, RunStats};
-use dise_debug::{run_baseline, BackendKind, DebugError, DiseStrategy, SessionReport};
+use dise_debug::{run_baseline, BackendKind, DebugError, DiseStrategy, SessionReport, Watchpoint};
 use dise_workloads::{all, transition_cost_sweep, watchpoint_set_sweep, WatchKind, Workload};
 
 use crate::grid::{default_workers, run_grid_with, run_session_grid, SessionJob, DEFAULT_SLICE};
@@ -156,20 +158,6 @@ fn fmt_over(o: Option<f64>) -> String {
     }
 }
 
-/// The four implementations compared in Figs. 3 and 4, plus the
-/// pure-observation DISE comparator organisation as a fifth column (it
-/// joins the per-workload observer batch, so the extra column costs no
-/// extra functional execution).
-fn standard_backends() -> [(&'static str, BackendKind); 5] {
-    [
-        ("Single-Stepping", BackendKind::SingleStep),
-        ("Virtual-Memory", BackendKind::VirtualMemory),
-        ("Hardware", BackendKind::hw4()),
-        ("DISE", BackendKind::dise_default()),
-        ("DISE-Cmp", BackendKind::DiseComparators),
-    ]
-}
-
 /// **Table 1** — benchmark summary: dynamic instructions, IPC, store
 /// density, per kernel.
 pub fn table1(ctx: &Experiment) -> String {
@@ -236,92 +224,142 @@ pub fn table2(ctx: &Experiment) -> String {
     out
 }
 
+/// One overhead figure, declared once: a header line and rows of
+/// labelled grid cells. [`Figure::cells`] is the grid the figure runs;
+/// each row renders as its label followed by, per cell, the separator
+/// and the cell's overhead ([`fig5`] alone prints its own rows).
+pub struct Figure {
+    header: String,
+    sep: &'static str,
+    rows: Vec<(String, Vec<SessionJob>)>,
+}
+
+impl Figure {
+    fn new(header: String, sep: &'static str) -> Figure {
+        Figure { header, sep, rows: Vec::new() }
+    }
+
+    /// Append a row: one cell per backend, each watching `wps` on `w`.
+    fn row(
+        &mut self,
+        ctx: &Experiment,
+        label: String,
+        w: &Workload,
+        wps: &[Watchpoint],
+        backends: &[BackendKind],
+    ) {
+        self.rows.push((label, backends.iter().map(|&b| ctx.job(w, wps.to_vec(), b)).collect()));
+    }
+
+    /// Every row's cells, flattened in row order: the figure's grid.
+    pub fn cells(&self) -> Vec<SessionJob> {
+        self.rows.iter().flat_map(|(_, cells)| cells.iter().cloned()).collect()
+    }
+
+    /// Run the grid on `ctx`'s worker pool and print the header, then
+    /// every row.
+    fn render(&self, ctx: &Experiment) -> String {
+        let mut next = ctx.grid_overheads(&self.cells()).into_iter();
+        let mut out = format!("{}\n", self.header);
+        for (label, cells) in &self.rows {
+            out.push_str(label);
+            for _ in cells {
+                out.push_str(self.sep);
+                out.push_str(&fmt_over(next.next().expect("one overhead per cell")));
+            }
+            out.push('\n');
+        }
+        out
+    }
+}
+
+/// Right-aligned column headings.
+fn columns<'a>(labels: impl IntoIterator<Item = &'a str>, width: usize) -> String {
+    labels.into_iter().map(|l| format!("{l:>width$}")).collect()
+}
+
+/// The named kernels, in the experiment's order.
+fn kernels<'a>(ctx: &'a Experiment, names: &'a [&str]) -> impl Iterator<Item = &'a Workload> {
+    ctx.workloads().iter().filter(|w| names.contains(&w.name()))
+}
+
 /// **Figure 3** — execution time (normalised to undebugged) of four
 /// unconditional-watchpoint implementations, 6 kernels × 6 watchpoints.
 pub fn fig3(ctx: &Experiment) -> String {
-    watchpoint_grid(ctx, false)
+    fig3_figure(ctx).render(ctx)
 }
 
 /// **Figure 4** — the same grid with conditional watchpoints whose
 /// predicate never holds.
 pub fn fig4(ctx: &Experiment) -> String {
+    fig4_figure(ctx).render(ctx)
+}
+
+/// Fig. 3: every kernel × watch kind × standard backend.
+pub fn fig3_figure(ctx: &Experiment) -> Figure {
+    watchpoint_grid(ctx, false)
+}
+
+/// Fig. 4: Fig. 3's grid with never-true conditional watchpoints.
+pub fn fig4_figure(ctx: &Experiment) -> Figure {
     watchpoint_grid(ctx, true)
 }
 
-/// Fig. 3's cells: every kernel × watch kind × standard backend.
-pub fn fig3_cells(ctx: &Experiment) -> Vec<SessionJob> {
-    watchpoint_grid_cells(ctx, false)
-}
-
-/// Fig. 4's cells: Fig. 3's grid with never-true conditional
-/// watchpoints.
-pub fn fig4_cells(ctx: &Experiment) -> Vec<SessionJob> {
-    watchpoint_grid_cells(ctx, true)
-}
-
-fn watchpoint_grid_cells(ctx: &Experiment, conditional: bool) -> Vec<SessionJob> {
-    let mut cells = Vec::new();
+/// Figs. 3 and 4: every kernel × watch kind under the four
+/// implementations the paper compares, plus the pure-observation DISE
+/// comparator organisation as a fifth column (it
+/// joins the per-workload observer batch, so the extra column costs no
+/// extra functional execution).
+fn watchpoint_grid(ctx: &Experiment, conditional: bool) -> Figure {
+    let backends = [
+        BackendKind::SingleStep,
+        BackendKind::VirtualMemory,
+        BackendKind::hw4(),
+        BackendKind::dise_default(),
+        BackendKind::DiseComparators,
+    ];
+    let header = format!(
+        "{:<10} {:<9}{:>9}{:>9}{:>9}{:>9}{:>9}",
+        "benchmark", "watch", "SingleStep", " VirtMem", " HwRegs", "  DISE", " DISE-Cmp"
+    );
+    let mut fig = Figure::new(header, "");
     for w in ctx.workloads() {
         for kind in WatchKind::ALL {
             let wp = if conditional { w.conditional_watchpoint(kind) } else { w.watchpoint(kind) };
-            for (_, backend) in standard_backends() {
-                cells.push(ctx.job(w, vec![wp], backend));
-            }
+            fig.row(ctx, format!("{:<10} {:<9}", w.name(), kind.label()), w, &[wp], &backends);
         }
     }
-    cells
+    fig
 }
 
-fn watchpoint_grid(ctx: &Experiment, conditional: bool) -> String {
-    let overheads = ctx.grid_overheads(&watchpoint_grid_cells(ctx, conditional));
-
-    let mut out = format!(
-        "{:<10} {:<9}{:>9}{:>9}{:>9}{:>9}{:>9}\n",
-        "benchmark", "watch", "SingleStep", " VirtMem", " HwRegs", "  DISE", " DISE-Cmp"
-    );
-    let mut next = overheads.into_iter();
-    for w in ctx.workloads() {
-        for kind in WatchKind::ALL {
-            out.push_str(&format!("{:<10} {:<9}", w.name(), kind.label()));
-            for _ in standard_backends() {
-                out.push_str(&fmt_over(next.next().expect("one overhead per cell")));
-            }
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// Fig. 5's cells: every kernel × DISE and binary rewriting, on a COLD
+/// Fig. 5: every kernel × DISE and binary rewriting, on a COLD
 /// watchpoint.
-pub fn fig5_cells(ctx: &Experiment) -> Vec<SessionJob> {
-    let mut cells = Vec::new();
+pub fn fig5_figure(ctx: &Experiment) -> Figure {
+    let backends = [BackendKind::dise_default(), BackendKind::BinaryRewrite];
+    let header =
+        format!("{:<10}{:>10}{:>12}{:>14}", "benchmark", "DISE", "Rewriting", "text growth");
+    let mut fig = Figure::new(header, "");
     for w in ctx.workloads() {
-        for backend in [BackendKind::dise_default(), BackendKind::BinaryRewrite] {
-            cells.push(ctx.job(w, vec![w.watchpoint(WatchKind::Cold)], backend));
-        }
+        fig.row(ctx, format!("{:<10}", w.name()), w, &[w.watchpoint(WatchKind::Cold)], &backends);
     }
-    cells
+    fig
 }
 
 /// **Figure 5** — DISE vs. static binary rewriting on a COLD
 /// watchpoint, plus the static code growth that causes the difference.
 pub fn fig5(ctx: &Experiment) -> String {
-    let cells = fig5_cells(ctx);
-    let reports = run_session_grid(&cells, ctx.workers, ctx.slice);
+    let fig = fig5_figure(ctx);
+    let reports = run_session_grid(&fig.cells(), ctx.workers, ctx.slice);
 
-    let mut out =
-        format!("{:<10}{:>10}{:>12}{:>14}\n", "benchmark", "DISE", "Rewriting", "text growth");
-    for (w, (cells, reports)) in ctx.workloads().iter().zip(cells.chunks(2).zip(reports.chunks(2)))
-    {
+    let mut out = format!("{}\n", fig.header);
+    for ((label, cells), reports) in fig.rows.iter().zip(reports.chunks(2)) {
         // Cell 0 is DISE, cell 1 binary rewriting.
         let overhead = |i: usize| {
             ctx.overhead_of(&cells[i], &reports[i]).expect("both support a single COLD scalar")
         };
         let text = |i: usize| reports[i].as_ref().map_or(0, |r| r.text_bytes);
         out.push_str(&format!(
-            "{:<10}{:>10.2}{:>12.2}{:>13.2}x\n",
-            w.name(),
+            "{label}{:>10.2}{:>12.2}{:>13.2}x\n",
             overhead(0),
             overhead(1),
             text(1) as f64 / text(0).max(1) as f64,
@@ -330,39 +368,32 @@ pub fn fig5(ctx: &Experiment) -> String {
     out
 }
 
-/// The named kernels, in the given order.
-fn kernels<'a>(ctx: &'a Experiment, names: &[&str]) -> Vec<&'a Workload> {
-    names
-        .iter()
-        .map(|name| ctx.workloads().iter().find(|w| w.name() == *name).expect("kernel exists"))
-        .collect()
-}
-
-const FIG6_KERNELS: [&str; 3] = ["crafty", "gcc", "vortex"];
-const FIG6_COUNTS: [usize; 9] = [1, 2, 3, 4, 5, 8, 16, 17, 20];
-
-fn fig6_backends() -> [BackendKind; 5] {
-    [
+/// Fig. 6: sweep kernel × watchpoint count × backend.
+pub fn fig6_figure(ctx: &Experiment) -> Figure {
+    let backends = [
         BackendKind::hw4(),
         BackendKind::Dise(DiseStrategy::default()),
         BackendKind::Dise(DiseStrategy::bloom(false)),
         BackendKind::Dise(DiseStrategy::bloom(true)),
         BackendKind::DiseComparators,
-    ]
-}
-
-/// Fig. 6's cells: sweep kernel × watchpoint count × backend.
-pub fn fig6_cells(ctx: &Experiment) -> Vec<SessionJob> {
-    let mut cells = Vec::new();
-    for w in kernels(ctx, &FIG6_KERNELS) {
-        for n in FIG6_COUNTS {
-            let wps = w.sweep_watchpoints(n);
-            for backend in fig6_backends() {
-                cells.push(ctx.job(w, wps.clone(), backend));
-            }
+    ];
+    let header = format!(
+        "{:<10}{:>4}{:>10}{:>10}{:>10}{:>10}{:>10}",
+        "benchmark", "n", "Hw/VM", "Serial", "ByteBloom", "BitBloom", "Cmp"
+    );
+    let mut fig = Figure::new(header, "");
+    for w in kernels(ctx, &["crafty", "gcc", "vortex"]) {
+        for n in [1, 2, 3, 4, 5, 8, 16, 17, 20] {
+            fig.row(
+                ctx,
+                format!("{:<10}{:>4}", w.name(), n),
+                w,
+                &w.sweep_watchpoints(n),
+                &backends,
+            );
         }
     }
-    cells
+    fig
 }
 
 /// **Figure 6** — impact of the number of watchpoints: the
@@ -374,219 +405,86 @@ pub fn fig6_cells(ctx: &Experiment) -> Vec<SessionJob> {
 /// `Unsupported` at setup) while the match-address organisations spill
 /// their constants to memory and keep running.
 pub fn fig6(ctx: &Experiment) -> String {
-    let overheads = ctx.grid_overheads(&fig6_cells(ctx));
-
-    let mut out = format!(
-        "{:<10}{:>4}{:>10}{:>10}{:>10}{:>10}{:>10}\n",
-        "benchmark", "n", "Hw/VM", "Serial", "ByteBloom", "BitBloom", "Cmp"
-    );
-    let mut next = overheads.into_iter();
-    for w in kernels(ctx, &FIG6_KERNELS) {
-        for n in FIG6_COUNTS {
-            out.push_str(&format!("{:<10}{:>4}", w.name(), n));
-            for _ in fig6_backends() {
-                out.push_str(&fmt_over(next.next().expect("one overhead per cell")));
-            }
-            out.push('\n');
-        }
-    }
-    out
+    fig6_figure(ctx).render(ctx)
 }
 
-/// The scalar watch kinds of Figs. 7 and 8.
-const SCALAR_KINDS: [WatchKind; 4] =
-    [WatchKind::Hot, WatchKind::Warm1, WatchKind::Warm2, WatchKind::Cold];
+/// Figs. 7 and 8: one row per kernel × scalar watch kind, a cell per
+/// backend on that kind's single watchpoint.
+fn scalar_figure<'a>(
+    ctx: &Experiment,
+    mut fig: Figure,
+    kernels: impl Iterator<Item = &'a Workload>,
+    backends: &[BackendKind],
+) -> Figure {
+    for w in kernels {
+        for kind in [WatchKind::Hot, WatchKind::Warm1, WatchKind::Warm2, WatchKind::Cold] {
+            let label = format!("{:<10}{:<7}", w.name(), kind.label());
+            fig.row(ctx, label, w, &[w.watchpoint(kind)], backends);
+        }
+    }
+    fig
+}
 
-const FIG7_KERNELS: [&str; 3] = ["bzip2", "mcf", "twolf"];
-
-fn fig7_organisations() -> [(&'static str, DiseStrategy); 6] {
-    [
+/// Fig. 7: design-space kernel × scalar watch kind × DISE
+/// organisation.
+pub fn fig7_figure(ctx: &Experiment) -> Figure {
+    let organisations = [
         ("MA/EE +cond", DiseStrategy::match_address_call(true)),
         ("EE/-- +cond", DiseStrategy::evaluate_inline(true)),
         ("MAV/-- +cond", DiseStrategy::match_address_value(true)),
         ("MA/EE -cond", DiseStrategy::match_address_call(false)),
         ("EE/-- -cond", DiseStrategy::evaluate_inline(false)),
         ("MAV/-- -cond", DiseStrategy::match_address_value(false)),
-    ]
-}
-
-/// Fig. 7's cells: design-space kernel × scalar watch kind × DISE
-/// organisation.
-pub fn fig7_cells(ctx: &Experiment) -> Vec<SessionJob> {
-    let mut cells = Vec::new();
-    for w in kernels(ctx, &FIG7_KERNELS) {
-        for kind in SCALAR_KINDS {
-            for (_, strategy) in fig7_organisations() {
-                cells.push(ctx.job(w, vec![w.watchpoint(kind)], BackendKind::Dise(strategy)));
-            }
-        }
-    }
-    cells
+    ];
+    let labels = columns(organisations.map(|(label, _)| label), 14);
+    let fig = Figure::new(format!("{:<10}{:<7}{labels}", "benchmark", "watch"), "      ");
+    let backends = organisations.map(|(_, strategy)| BackendKind::Dise(strategy));
+    scalar_figure(ctx, fig, kernels(ctx, &["bzip2", "mcf", "twolf"]), &backends)
 }
 
 /// **Figure 7** — the DISE design space: three replacement-sequence
 /// organisations with and without conditional trap/call support, on
 /// bzip2, mcf and twolf (HOT/WARM1/WARM2/COLD).
 pub fn fig7(ctx: &Experiment) -> String {
-    let overheads = ctx.grid_overheads(&fig7_cells(ctx));
-
-    let mut out = format!("{:<10}{:<7}", "benchmark", "watch");
-    for (label, _) in fig7_organisations() {
-        out.push_str(&format!("{label:>14}"));
-    }
-    out.push('\n');
-    let mut next = overheads.into_iter();
-    for w in kernels(ctx, &FIG7_KERNELS) {
-        for kind in SCALAR_KINDS {
-            out.push_str(&format!("{:<10}{:<7}", w.name(), kind.label()));
-            for _ in fig7_organisations() {
-                out.push_str(&format!(
-                    "      {}",
-                    fmt_over(next.next().expect("one overhead per cell"))
-                ));
-            }
-            out.push('\n');
-        }
-    }
-    out
+    fig7_figure(ctx).render(ctx)
 }
 
-/// Fig. 8's cells: kernel × scalar watch kind × DISE without and with
+/// Fig. 8: kernel × scalar watch kind × DISE without and with
 /// multithreaded calls.
-pub fn fig8_cells(ctx: &Experiment) -> Vec<SessionJob> {
+pub fn fig8_figure(ctx: &Experiment) -> Figure {
+    let header = format!("{:<10}{:<7}{:>12}{:>12}", "benchmark", "watch", "no-MT", "with-MT");
     let backends = [
         BackendKind::dise_default(),
         BackendKind::Dise(DiseStrategy { multithreaded_calls: true, ..DiseStrategy::default() }),
     ];
-    let mut cells = Vec::new();
-    for w in ctx.workloads() {
-        for kind in SCALAR_KINDS {
-            for backend in backends {
-                cells.push(ctx.job(w, vec![w.watchpoint(kind)], backend));
-            }
-        }
-    }
-    cells
+    scalar_figure(ctx, Figure::new(header, "  "), ctx.workloads().iter(), &backends)
 }
 
 /// **Figure 8** — multithreaded DISE function calls: the paper's
 /// default organisation with and without the second thread context.
 pub fn fig8(ctx: &Experiment) -> String {
-    let overheads = ctx.grid_overheads(&fig8_cells(ctx));
-
-    let mut out = format!("{:<10}{:<7}{:>12}{:>12}\n", "benchmark", "watch", "no-MT", "with-MT");
-    let mut next = overheads.into_iter();
-    for w in ctx.workloads() {
-        for kind in SCALAR_KINDS {
-            let plain = next.next().expect("one overhead per cell");
-            let mt = next.next().expect("one overhead per cell");
-            out.push_str(&format!(
-                "{:<10}{:<7}  {}  {}\n",
-                w.name(),
-                kind.label(),
-                fmt_over(plain),
-                fmt_over(mt)
-            ));
-        }
-    }
-    out
+    fig8_figure(ctx).render(ctx)
 }
 
-/// Fig. 9's cells: kernel × DISE without and with debugger protection,
-/// on a COLD watchpoint.
-pub fn fig9_cells(ctx: &Experiment) -> Vec<SessionJob> {
+/// Fig. 9: kernel × DISE without and with debugger protection, on a
+/// COLD watchpoint.
+pub fn fig9_figure(ctx: &Experiment) -> Figure {
     let backends = [
         BackendKind::dise_default(),
         BackendKind::Dise(DiseStrategy { protect_debugger: true, ..DiseStrategy::default() }),
     ];
-    let mut cells = Vec::new();
+    let header = format!("{:<10}{:>14}{:>12}", "benchmark", "unprotected", "protected");
+    let mut fig = Figure::new(header, "  ");
     for w in ctx.workloads() {
-        for backend in backends {
-            cells.push(ctx.job(w, vec![w.watchpoint(WatchKind::Cold)], backend));
-        }
+        fig.row(ctx, format!("{:<10}", w.name()), w, &[w.watchpoint(WatchKind::Cold)], &backends);
     }
-    cells
+    fig
 }
 
 /// **Figure 9** — the cost of protecting the debugger's embedded data
 /// (the Fig. 2f store-range check) on a COLD watchpoint.
 pub fn fig9(ctx: &Experiment) -> String {
-    let overheads = ctx.grid_overheads(&fig9_cells(ctx));
-
-    let mut out = format!("{:<10}{:>14}{:>12}\n", "benchmark", "unprotected", "protected");
-    let mut next = overheads.into_iter();
-    for w in ctx.workloads() {
-        let plain = next.next().expect("one overhead per cell");
-        let prot = next.next().expect("one overhead per cell");
-        out.push_str(&format!("{:<10}  {}  {}\n", w.name(), fmt_over(plain), fmt_over(prot)));
-    }
-    out
-}
-
-/// **Transition-cost sensitivity** (beyond the paper's figures): the
-/// paper *measures* the application→debugger→application round trip at
-/// ~290K cycles (gdb) and ~513K (Visual Studio) but conservatively
-/// models 100K throughout §5. This table re-runs the WARM1 watchpoint
-/// under all three costs. The three cells of each (kernel, backend) row
-/// differ only in timing configuration, so the grid batches them into a
-/// **single functional pass** — the sweep costs one execution per row,
-/// not one per cell.
-pub fn sensitivity(ctx: &Experiment) -> String {
-    let overheads = ctx.grid_overheads(&sensitivity_cells(ctx));
-
-    let costs = transition_cost_sweep(ctx.cpu);
-    let mut out = format!("{:<10}{:<9}", "benchmark", "backend");
-    for (label, _) in &costs {
-        out.push_str(&format!("{label:>10}"));
-    }
-    out.push('\n');
-    let mut next = overheads.into_iter();
-    for w in ctx.workloads() {
-        for (name, _) in sweep_backends() {
-            out.push_str(&format!("{:<10}{:<9}", w.name(), name));
-            for _ in &costs {
-                out.push_str(&format!(
-                    "  {}",
-                    fmt_over(next.next().expect("one overhead per cell"))
-                ));
-            }
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// **Watchpoint-set sweep** (beyond the paper's figures): three
-/// qualitatively different watchpoint sets per kernel
-/// ([`watchpoint_set_sweep`]) under every observing backend plus DISE.
-/// The observing cells of one kernel — every set × VirtMem/HwRegs/
-/// DISE-Cmp — batch into a **single** functional pass of the unmodified
-/// application (`ObserverBatch` members each carry their own set);
-/// only the DISE column pays a private replay per set. HwRegs renders
-/// `--` on the RANGE set (non-scalars exceed register granularity)
-/// without costing its co-members the shared pass.
-pub fn watchpoint_sets(ctx: &Experiment) -> String {
-    let overheads = ctx.grid_overheads(&watchpoint_set_cells(ctx));
-
-    let mut out = format!("{:<10}{:<12}", "benchmark", "watchpoints");
-    for (label, _) in sweep_backends() {
-        out.push_str(&format!("{label:>10}"));
-    }
-    out.push('\n');
-    let mut next = overheads.into_iter();
-    for w in ctx.workloads() {
-        for (set, _) in watchpoint_set_sweep(w) {
-            out.push_str(&format!("{:<10}{set:<12}", w.name()));
-            for _ in sweep_backends() {
-                out.push_str(&format!(
-                    "  {}",
-                    fmt_over(next.next().expect("one overhead per cell"))
-                ));
-            }
-            out.push('\n');
-        }
-    }
-    out
+    fig9_figure(ctx).render(ctx)
 }
 
 /// The backends of the sensitivity and watchpoint-set sweeps: the
@@ -600,37 +498,58 @@ fn sweep_backends() -> [(&'static str, BackendKind); 4] {
     ]
 }
 
-/// The sensitivity table's cells: kernel × sweep backend × transition
-/// cost, on a WARM1 watchpoint.
-pub fn sensitivity_cells(ctx: &Experiment) -> Vec<SessionJob> {
-    let mut cells = Vec::new();
+/// The sensitivity table: kernel × sweep backend × transition cost, on
+/// a WARM1 watchpoint.
+pub fn sensitivity_figure(ctx: &Experiment) -> Figure {
+    let costs = transition_cost_sweep(ctx.cpu);
+    let labels = columns(costs.iter().map(|&(label, _)| label), 10);
+    let mut fig = Figure::new(format!("{:<10}{:<9}{labels}", "benchmark", "backend"), "  ");
     for w in ctx.workloads() {
-        for (_, backend) in sweep_backends() {
-            for (_, cpu) in transition_cost_sweep(ctx.cpu) {
-                cells.push(SessionJob::new(
-                    w.clone(),
-                    vec![w.watchpoint(WatchKind::Warm1)],
-                    backend,
-                    cpu,
-                ));
-            }
+        for (name, backend) in sweep_backends() {
+            let job = ctx.job(w, vec![w.watchpoint(WatchKind::Warm1)], backend);
+            let cells = costs.iter().map(|&(_, cpu)| SessionJob { cpu, ..job.clone() }).collect();
+            fig.rows.push((format!("{:<10}{name:<9}", w.name()), cells));
         }
     }
-    cells
+    fig
 }
 
-/// The watchpoint-set sweep's cells: kernel × watchpoint set × sweep
-/// backend.
-pub fn watchpoint_set_cells(ctx: &Experiment) -> Vec<SessionJob> {
-    let mut cells = Vec::new();
+/// **Transition-cost sensitivity** (beyond the paper's figures): the
+/// paper *measures* the application→debugger→application round trip at
+/// ~290K cycles (gdb) and ~513K (Visual Studio) but conservatively
+/// models 100K throughout §5. This table re-runs the WARM1 watchpoint
+/// under all three costs. The three cells of each (kernel, backend) row
+/// differ only in timing configuration, so the grid batches them into a
+/// **single functional pass** — the sweep costs one execution per row,
+/// not one per cell.
+pub fn sensitivity(ctx: &Experiment) -> String {
+    sensitivity_figure(ctx).render(ctx)
+}
+
+/// The watchpoint-set sweep: kernel × watchpoint set × sweep backend.
+pub fn watchpoint_sets_figure(ctx: &Experiment) -> Figure {
+    let labels = columns(sweep_backends().map(|(label, _)| label), 10);
+    let mut fig = Figure::new(format!("{:<10}{:<12}{labels}", "benchmark", "watchpoints"), "  ");
+    let backends = sweep_backends().map(|(_, backend)| backend);
     for w in ctx.workloads() {
-        for (_, wps) in watchpoint_set_sweep(w) {
-            for (_, backend) in sweep_backends() {
-                cells.push(ctx.job(w, wps.clone(), backend));
-            }
+        for (set, wps) in watchpoint_set_sweep(w) {
+            fig.row(ctx, format!("{:<10}{set:<12}", w.name()), w, &wps, &backends);
         }
     }
-    cells
+    fig
+}
+
+/// **Watchpoint-set sweep** (beyond the paper's figures): three
+/// qualitatively different watchpoint sets per kernel
+/// ([`watchpoint_set_sweep`]) under every observing backend plus DISE.
+/// The observing cells of one kernel — every set × VirtMem/HwRegs/
+/// DISE-Cmp — batch into a **single** functional pass of the unmodified
+/// application (`ObserverBatch` members each carry their own set);
+/// only the DISE column pays a private replay per set. HwRegs renders
+/// `--` on the RANGE set (non-scalars exceed register granularity)
+/// without costing its co-members the shared pass.
+pub fn watchpoint_sets(ctx: &Experiment) -> String {
+    watchpoint_sets_figure(ctx).render(ctx)
 }
 
 /// Sanity harness used by the quickstart example and the integration
@@ -704,6 +623,54 @@ mod tests {
         assert!(ind_vm.is_none());
         assert!(ind_hw.is_none());
         assert!(ind_dise.is_some());
+    }
+
+    /// Every figure declaration is a rectangle of rows, each row on
+    /// one kernel and labelled with its name, and its grid is its rows
+    /// flattened in order.
+    #[test]
+    fn figure_rows_are_labelled_per_kernel() {
+        let ctx = Experiment::new(10, CpuConfig::default());
+        type Declare = fn(&Experiment) -> Figure;
+        let figures: [(&str, Declare); 9] = [
+            ("fig3", fig3_figure),
+            ("fig4", fig4_figure),
+            ("fig5", fig5_figure),
+            ("fig6", fig6_figure),
+            ("fig7", fig7_figure),
+            ("fig8", fig8_figure),
+            ("fig9", fig9_figure),
+            ("sensitivity", sensitivity_figure),
+            ("watchpoint_sets", watchpoint_sets_figure),
+        ];
+        let same = |a: &SessionJob, b: &SessionJob| {
+            a.workload == b.workload
+                && a.watchpoints == b.watchpoints
+                && a.backend == b.backend
+                && a.cpu == b.cpu
+        };
+        for (name, declare) in figures {
+            let fig = declare(&ctx);
+            let width = fig.rows[0].1.len();
+            assert!(width > 0, "{name}: rows hold cells");
+            for (label, cells) in &fig.rows {
+                assert_eq!(cells.len(), width, "{name} {label:?}: every row is as wide");
+                let kernel = &cells[0].workload;
+                assert!(
+                    cells.iter().all(|c| c.workload == *kernel),
+                    "{name} {label:?}: one kernel"
+                );
+                assert!(
+                    label.starts_with(kernel.name()),
+                    "{name} {label:?}: not {}",
+                    kernel.name()
+                );
+            }
+            let flat: Vec<&SessionJob> = fig.rows.iter().flat_map(|(_, cells)| cells).collect();
+            let cells = fig.cells();
+            assert_eq!(cells.len(), flat.len(), "{name}");
+            assert!(cells.iter().zip(flat).all(|(a, b)| same(a, b)), "{name}: cells() is the rows");
+        }
     }
 
     /// A cell whose poll panicked re-raises the panic's message,

@@ -31,6 +31,12 @@
 //! normalises reports against each kernel's baseline run, which it
 //! computes once.
 //!
+//! Each overhead figure is declared once, where its cells and labels
+//! live together: a public `*_figure` function ([`fig3_figure`], …,
+//! [`watchpoint_sets_figure`]) returns its [`Figure`], a header line
+//! and rows of labelled cells. [`Figure::cells`] is the grid the figure
+//! runs, and the same rows lay out its text.
+//!
 //! Configuration is explicit: library code reads no environment
 //! variable. The binaries parse `DISE_ITERS`, `DISE_JOBS` and
 //! `DISE_SLICE` once, through [`Experiment::from_env`] or
@@ -43,9 +49,9 @@ pub mod paper;
 pub mod server;
 
 pub use experiments::{
-    baseline_table, fig3, fig3_cells, fig4, fig4_cells, fig5, fig5_cells, fig6, fig6_cells, fig7,
-    fig7_cells, fig8, fig8_cells, fig9, fig9_cells, sensitivity, sensitivity_cells, table1, table2,
-    watchpoint_set_cells, watchpoint_sets, Experiment,
+    baseline_table, fig3, fig3_figure, fig4, fig4_figure, fig5, fig5_figure, fig6, fig6_figure,
+    fig7, fig7_figure, fig8, fig8_figure, fig9, fig9_figure, sensitivity, sensitivity_figure,
+    table1, table2, watchpoint_sets, watchpoint_sets_figure, Experiment, Figure,
 };
 pub use grid::{
     batch_session_jobs, default_workers, run_grid_with, run_session_grid, CellGroup, SessionJob,

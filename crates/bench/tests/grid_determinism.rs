@@ -10,13 +10,13 @@
 //! CI (`-- --include-ignored`); light variants keep every `cargo test
 //! -q` on the pooled, sliced path.
 
-use dise_bench::{run_grid_with, run_session_grid, Experiment, SessionJob, DEFAULT_SLICE};
+use dise_bench::{run_grid_with, run_session_grid, Experiment, Figure, SessionJob, DEFAULT_SLICE};
 use dise_cpu::CpuConfig;
 use dise_debug::{BackendKind, DebugError, SessionReport};
 use dise_workloads::{all, transition_cost_sweep, WatchKind};
 
 type Render = fn(&Experiment) -> String;
-type Cells = fn(&Experiment) -> Vec<SessionJob>;
+type Declare = fn(&Experiment) -> Figure;
 
 /// Worker counts and slice budgets every grid is run under: serial,
 /// pooled, the default slice and an odd one that forces mid-block
@@ -55,14 +55,14 @@ fn assert_matches_cells(what: &str, cells: &[SessionJob]) {
     }
 }
 
-/// Each experiment's own grid, as the experiment builds it, equals the
+/// Each figure's own grid, as its declaration lays it out, equals the
 /// cell-by-cell reference — restricted to the first `kernels` kernels
 /// (fewer cells, the same shapes).
-fn assert_grids_match_cells(kernels: usize, grids: &[(&str, Cells)]) {
+fn assert_grids_match_cells(kernels: usize, grids: &[(&str, Declare)]) {
     let ctx = Experiment::new(10, CpuConfig::default());
     let names: Vec<&str> = ctx.workloads().iter().take(kernels).map(|w| w.name()).collect();
-    for (name, cells) in grids {
-        let mut cells = cells(&ctx);
+    for (name, declare) in grids {
+        let mut cells = declare(&ctx).cells();
         cells.retain(|c| names.contains(&c.workload.name()));
         assert!(!cells.is_empty(), "{name} has cells on the chosen kernels");
         assert_matches_cells(name, &cells);
@@ -91,9 +91,9 @@ fn batched_and_unbatched_experiments_are_byte_identical() {
     assert_grids_match_cells(
         2,
         &[
-            ("fig8", dise_bench::fig8_cells),
-            ("sensitivity", dise_bench::sensitivity_cells),
-            ("watchpoint_sets", dise_bench::watchpoint_set_cells),
+            ("fig8", dise_bench::fig8_figure),
+            ("sensitivity", dise_bench::sensitivity_figure),
+            ("watchpoint_sets", dise_bench::watchpoint_sets_figure),
         ],
     );
 }
@@ -134,15 +134,15 @@ fn all_experiments_are_batching_invariant() {
     assert_grids_match_cells(
         6,
         &[
-            ("fig3", dise_bench::fig3_cells),
-            ("fig4", dise_bench::fig4_cells),
-            ("fig5", dise_bench::fig5_cells),
-            ("fig6", dise_bench::fig6_cells),
-            ("fig7", dise_bench::fig7_cells),
-            ("fig8", dise_bench::fig8_cells),
-            ("fig9", dise_bench::fig9_cells),
-            ("sensitivity", dise_bench::sensitivity_cells),
-            ("watchpoint_sets", dise_bench::watchpoint_set_cells),
+            ("fig3", dise_bench::fig3_figure),
+            ("fig4", dise_bench::fig4_figure),
+            ("fig5", dise_bench::fig5_figure),
+            ("fig6", dise_bench::fig6_figure),
+            ("fig7", dise_bench::fig7_figure),
+            ("fig8", dise_bench::fig8_figure),
+            ("fig9", dise_bench::fig9_figure),
+            ("sensitivity", dise_bench::sensitivity_figure),
+            ("watchpoint_sets", dise_bench::watchpoint_sets_figure),
         ],
     );
 }
