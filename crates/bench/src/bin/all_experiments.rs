@@ -54,67 +54,25 @@ fn main() {
     }
     doc.push_str(&section("Table 2 — paper", &code(&t2p)));
 
-    // Figures.
-    type Fig = fn(&Experiment) -> String;
-    let figs: [(&str, Fig); 7] = [
-        ("Figure 3 — unconditional watchpoints", dise_bench::fig3),
-        ("Figure 4 — conditional watchpoints", dise_bench::fig4),
-        ("Figure 5 — DISE vs binary rewriting (COLD)", dise_bench::fig5),
-        ("Figure 6 — number of watchpoints", dise_bench::fig6),
-        ("Figure 7 — alternate DISE implementations", dise_bench::fig7),
-        ("Figure 8 — multithreaded DISE calls", dise_bench::fig8),
-        ("Figure 9 — protecting debugger structures", dise_bench::fig9),
-    ];
-    for (i, (title, f)) in figs.iter().enumerate() {
+    // Figures: every overhead figure of the round, in its order.
+    for (name, render, _) in dise_bench::FIGURES {
+        let (title, shape) = figure_section(name);
         eprintln!("running {title} ...");
-        let body = f(&ctx);
-        doc.push_str(&section(&format!("{title} (measured)"), &code(&body)));
-        let (_, note) = paper::FIGURE_NOTES[i];
-        writeln!(doc, "**Paper's shape:** {note}\n").unwrap();
+        doc.push_str(&section(&format!("{title} (measured)"), &code(&render(&ctx))));
+        writeln!(doc, "{shape}\n").unwrap();
     }
-
-    eprintln!("running transition-cost sensitivity ...");
-    let sens = dise_bench::sensitivity(&ctx);
-    doc.push_str(&section(
-        "Transition-cost sensitivity — WARM1 under 100K/290K/513K-cycle round trips (measured)",
-        &code(&sens),
-    ));
-    writeln!(
-        doc,
-        "**Expected shape:** the paper models a conservative 100K-cycle spurious \
-         round trip but measures ~290K under gdb and ~513K under Visual Studio; \
-         DISE rows are flat (no spurious transitions to charge) while the \
-         virtual-memory and hardware-register rows scale with the cost. Each \
-         (kernel, backend) row is one functional pass replayed through three \
-         timing configurations.\n"
-    )
-    .unwrap();
-
-    eprintln!("running watchpoint-set sweep ...");
-    let sets = dise_bench::watchpoint_sets(&ctx);
-    doc.push_str(&section(
-        "Watchpoint-set sweep — HOT / WARM1+COLD / RANGE per kernel (measured)",
-        &code(&sets),
-    ));
-    writeln!(
-        doc,
-        "**Expected shape:** every observing column (VirtMem, HwRegs, DISE-Cmp) \
-         of one kernel — across all three watchpoint sets — is produced from a \
-         single functional pass of the unmodified application; only the DISE \
-         column replays per set. DISE-Cmp reads the same as HwRegs wherever \
-         HwRegs runs; it differs only by also running RANGE, where HwRegs \
-         shows `--` (non-scalar). VirtMem pays page-sharing costs.\n"
-    )
-    .unwrap();
 
     writeln!(
         doc,
         "## Known calibration gaps\n\n\
-         * Kernel HOT write frequencies sit in the 11K–31K per 100K band; the \
-           paper's spread is wider (455 for gcc up to 24.8K for bzip2). The \
-           HOT ordering and the silent-store property (bzip2 mostly \
-           non-silent, all others ≥50% silent) are preserved, which is what \
-           drives the hardware-register and DISE comparisons.\n\
+         * At the default 400 iterations, kernel HOT write frequencies span \
+           686 (gcc) to 30.7K (crafty) per 100K stores, a wider spread than \
+           the paper's 455 (gcc) to 24.8K (bzip2). The HOT ordering differs: \
+           ours is crafty > mcf > twolf > bzip2 > vortex > gcc, the paper's \
+           bzip2 > mcf > vortex > crafty > twolf > gcc; only gcc lowest and \
+           mcf second agree. The silent-store property (bzip2 mostly \
+           non-silent, all others ≥50% silent), which drives the \
+           hardware-register and DISE comparisons, is preserved.\n\
          * Store densities land at 5–14% vs. the paper's 10–20%. IPCs spread \
            wider than the paper's 0.33–2.45 band: mcf is memory-bound below \
            it, and crafty and vortex run above it.\n\
@@ -133,6 +91,42 @@ fn main() {
     } else {
         std::fs::write("EXPERIMENTS.md", &doc).expect("write EXPERIMENTS.md");
         println!("wrote EXPERIMENTS.md ({} bytes)", doc.len());
+    }
+}
+
+/// A figure's section title and the shape it should take: the paper's,
+/// or the reproduction's own expectation where the paper has no figure.
+fn figure_section(name: &str) -> (&'static str, String) {
+    let paper = |i: usize| format!("**Paper's shape:** {}", paper::FIGURE_NOTES[i].1);
+    match name {
+        "fig3" => ("Figure 3 — unconditional watchpoints", paper(0)),
+        "fig4" => ("Figure 4 — conditional watchpoints", paper(1)),
+        "fig5" => ("Figure 5 — DISE vs binary rewriting (COLD)", paper(2)),
+        "fig6" => ("Figure 6 — number of watchpoints", paper(3)),
+        "fig7" => ("Figure 7 — alternate DISE implementations", paper(4)),
+        "fig8" => ("Figure 8 — multithreaded DISE calls", paper(5)),
+        "fig9" => ("Figure 9 — protecting debugger structures", paper(6)),
+        "sensitivity" => (
+            "Transition-cost sensitivity — WARM1 under 100K/290K/513K-cycle round trips",
+            "**Expected shape:** the paper models a conservative 100K-cycle spurious \
+             round trip but measures ~290K under gdb and ~513K under Visual Studio; \
+             DISE rows are flat (no spurious transitions to charge) while the \
+             virtual-memory and hardware-register rows scale with the cost. Each \
+             (kernel, backend) row is one functional pass replayed through three \
+             timing configurations."
+                .to_string(),
+        ),
+        "watchpoint_sets" => (
+            "Watchpoint-set sweep — HOT / WARM1+COLD / RANGE per kernel",
+            "**Expected shape:** every observing column (VirtMem, HwRegs, DISE-Cmp) \
+             of one kernel — across all three watchpoint sets — is produced from a \
+             single functional pass of the unmodified application; only the DISE \
+             column replays per set. DISE-Cmp reads the same as HwRegs wherever \
+             HwRegs runs; it differs only by also running RANGE, where HwRegs \
+             shows `--` (non-scalar). VirtMem pays page-sharing costs."
+                .to_string(),
+        ),
+        _ => panic!("no EXPERIMENTS.md section for figure {name}"),
     }
 }
 

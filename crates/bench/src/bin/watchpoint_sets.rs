@@ -3,7 +3,7 @@
 //! DISE — the observing cells of each kernel share one functional pass.
 
 fn main() {
-    let ctx = dise_bench::Experiment::from_env();
+    let ctx = dise_bench::Experiment::from_env().with_plan(&[dise_bench::watchpoint_sets_figure]);
     println!("Watchpoint-set sweep: HOT / WARM1+COLD / RANGE per kernel");
     println!("(iters = {}, override with DISE_ITERS)\n", ctx.iters);
     print!("{}", dise_bench::watchpoint_sets(&ctx));

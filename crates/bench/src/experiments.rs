@@ -8,18 +8,58 @@
 //! labelled cells. The figure renders from that one declaration, and
 //! tests check the very grid it runs ([`Figure::cells`]) against the
 //! cell-by-cell reference.
+//!
+//! Figures re-run each other's cells (fig8's "no-MT" column, fig9's
+//! "unprotected" column and fig5's DISE column are fig3's DISE cells),
+//! so an [`Experiment`] runs one *round*: its plan is the deduplicated
+//! union of the cells of every figure it will render (all of
+//! [`FIGURES`] by default, narrowed by [`Experiment::with_plan`]),
+//! built at the first grid call, and it keeps every report it has
+//! computed. A figure reads its reports from that memo. On a miss it
+//! runs every *slot* ([`crate::grid::Slot`]: one functional stream
+//! under one detector) that holds one of its unfinished cells, with all
+//! of that slot's planned cells: the extra cells differ only in timing,
+//! so they ride the pass the figure needs anyway. A slot no requested
+//! cell sits in waits for the figure that needs it, so each slot runs
+//! once a round, while a kernel's observer pass runs once for each
+//! figure that observes it. Every report equals its cell run alone, so
+//! the order figures render in never changes their text.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use dise_cpu::{footprints_overlap, CpuConfig, RunStats};
 use dise_debug::{run_baseline, BackendKind, DebugError, DiseStrategy, SessionReport, Watchpoint};
 use dise_workloads::{all, transition_cost_sweep, watchpoint_set_sweep, WatchKind, Workload};
 
-use crate::grid::{default_workers, run_grid_with, run_session_grid, SessionJob, DEFAULT_SLICE};
+use crate::grid::{
+    batch_session_jobs, default_workers, run_grid_with, run_session_grid, SessionJob, DEFAULT_SLICE,
+};
+
+/// A figure's declaration: what [`Experiment::with_plan`] plans.
+type Declare = fn(&Experiment) -> Figure;
+
+/// A figure's renderer: its text, from the round's reports.
+type Render = fn(&Experiment) -> String;
+
+/// The overhead figures of a round, in the order `all_experiments`
+/// renders them: each one's name, renderer and declaration.
+/// [`Experiment::new`] plans all of them.
+pub const FIGURES: [(&str, Render, Declare); 9] = [
+    ("fig3", fig3, fig3_figure),
+    ("fig4", fig4, fig4_figure),
+    ("fig5", fig5, fig5_figure),
+    ("fig6", fig6, fig6_figure),
+    ("fig7", fig7, fig7_figure),
+    ("fig8", fig8, fig8_figure),
+    ("fig9", fig9, fig9_figure),
+    ("sensitivity", sensitivity, sensitivity_figure),
+    ("watchpoint_sets", watchpoint_sets, watchpoint_sets_figure),
+];
 
 /// Shared experiment context: workload scale, machine configuration,
-/// how grids run (workers, slice budget), and each kernel's undebugged
-/// baseline run, computed once.
+/// how grids run (workers, slice budget), each kernel's undebugged
+/// baseline run, computed once, and the round's plan with every report
+/// computed so far.
 pub struct Experiment {
     /// Kernel iteration count.
     pub iters: u32,
@@ -32,12 +72,64 @@ pub struct Experiment {
     workloads: Vec<Workload>,
     /// Each workload's baseline, parallel to `workloads`.
     baselines: Vec<OnceLock<RunStats>>,
+    /// The overhead figures the round plans for.
+    figures: Vec<Declare>,
+    /// The round's plan and memo, built at the first grid call.
+    round: Mutex<Option<Round>>,
+}
+
+/// One round's plan: every planned cell once, with its report once the
+/// cell's slot has run.
+struct Round {
+    cells: Vec<SessionJob>,
+    /// Parallel to `cells`.
+    reports: Vec<Option<Result<SessionReport, DebugError>>>,
+}
+
+impl Round {
+    /// The plan of `cells`, duplicates dropped, nothing run.
+    fn plan(cells: impl IntoIterator<Item = SessionJob>) -> Round {
+        let mut round = Round { cells: Vec::new(), reports: Vec::new() };
+        for cell in cells {
+            round.index(&cell);
+        }
+        round
+    }
+
+    /// The cell's place in the plan; a cell the plan lacks joins it.
+    fn index(&mut self, cell: &SessionJob) -> usize {
+        self.cells.iter().position(|c| c == cell).unwrap_or_else(|| {
+            self.cells.push(cell.clone());
+            self.reports.push(None);
+            self.cells.len() - 1
+        })
+    }
+
+    /// The unfinished cells to run for `wanted`, in plan order: every
+    /// slot of the unfinished cells that holds a wanted one, whole.
+    fn due(&self, wanted: &[usize]) -> Vec<usize> {
+        let open: Vec<usize> =
+            (0..self.cells.len()).filter(|&i| self.reports[i].is_none()).collect();
+        let jobs: Vec<SessionJob> = open.iter().map(|&i| self.cells[i].clone()).collect();
+        let mut want = vec![false; self.cells.len()];
+        for &i in wanted {
+            want[i] = true;
+        }
+        let mut due: Vec<usize> = batch_session_jobs(&jobs)
+            .iter()
+            .flat_map(|group| &group.slots)
+            .filter(|slot| slot.cells.iter().any(|&c| want[open[c]]))
+            .flat_map(|slot| slot.cells.iter().map(|&c| open[c]))
+            .collect();
+        due.sort_unstable();
+        due
+    }
 }
 
 impl Experiment {
     /// Build a context at the given scale, on [`default_workers`]
-    /// threads with [`DEFAULT_SLICE`] slices. Reads nothing from the
-    /// environment.
+    /// threads with [`DEFAULT_SLICE`] slices, planning a round of every
+    /// overhead figure in [`FIGURES`]. Reads nothing from the environment.
     pub fn new(iters: u32, cpu: CpuConfig) -> Experiment {
         let workloads = all(iters);
         let baselines = workloads.iter().map(|_| OnceLock::new()).collect();
@@ -48,6 +140,8 @@ impl Experiment {
             slice: DEFAULT_SLICE,
             workloads,
             baselines,
+            figures: FIGURES.iter().map(|&(_, _, declare)| declare).collect(),
+            round: Mutex::new(None),
         }
     }
 
@@ -75,6 +169,21 @@ impl Experiment {
     pub fn with_workers(mut self, workers: usize) -> Experiment {
         assert!(workers > 0, "worker pool needs at least one thread");
         self.workers = workers;
+        self
+    }
+
+    /// Plan the round for these overhead figures alone (the default is
+    /// all of [`FIGURES`]). A binary that renders one figure narrows to
+    /// it, so its passes carry no timing configurations of figures it
+    /// will not render: at `DISE_ITERS=400` on a 2-core host, a lone
+    /// fig3 took 11 % less wall time narrowed (lower in 17 of 20
+    /// alternating runs). A figure outside the plan still renders; its
+    /// cells join the plan when first asked for. Starts a new round:
+    /// reports computed before are dropped.
+    #[must_use]
+    pub fn with_plan(mut self, figures: &[fn(&Experiment) -> Figure]) -> Experiment {
+        self.figures = figures.to_vec();
+        self.round = Mutex::new(None);
         self
     }
 
@@ -136,10 +245,36 @@ impl Experiment {
         }
     }
 
-    /// Overheads of a whole cell grid, on the worker pool, in cell
-    /// order.
+    /// Reports of a cell grid, in cell order, from the round's memo.
+    /// The first call plans the round. On a miss, every slot that holds
+    /// a requested unfinished cell runs on the worker pool, with all of
+    /// that slot's planned cells, and every report is kept. Selecting
+    /// and storing hold the lock; the drain does not, so two renders
+    /// that miss the same slot at once both run it, to the same bytes.
+    fn grid_reports(&self, cells: &[SessionJob]) -> Vec<Result<SessionReport, DebugError>> {
+        let lock = || self.round.lock().expect("round memo poisoned");
+        let (wanted, due, jobs) = {
+            let mut guard = lock();
+            let round = guard.get_or_insert_with(|| {
+                Round::plan(self.figures.iter().flat_map(|declare| declare(self).cells()))
+            });
+            let wanted: Vec<usize> = cells.iter().map(|c| round.index(c)).collect();
+            let due = round.due(&wanted);
+            let jobs: Vec<SessionJob> = due.iter().map(|&i| round.cells[i].clone()).collect();
+            (wanted, due, jobs)
+        };
+        let reports = run_session_grid(&jobs, self.workers, self.slice);
+        let mut guard = lock();
+        let round = guard.as_mut().expect("planned above");
+        for (i, report) in due.into_iter().zip(reports) {
+            round.reports[i] = Some(report);
+        }
+        wanted.iter().map(|&i| round.reports[i].clone().expect("its slot has run")).collect()
+    }
+
+    /// Overheads of a whole cell grid, in cell order.
     fn grid_overheads(&self, cells: &[SessionJob]) -> Vec<Option<f64>> {
-        let reports = run_session_grid(cells, self.workers, self.slice);
+        let reports = self.grid_reports(cells);
         cells.iter().zip(&reports).map(|(cell, r)| self.overhead_of(cell, r)).collect()
     }
 
@@ -349,7 +484,7 @@ pub fn fig5_figure(ctx: &Experiment) -> Figure {
 /// watchpoint, plus the static code growth that causes the difference.
 pub fn fig5(ctx: &Experiment) -> String {
     let fig = fig5_figure(ctx);
-    let reports = run_session_grid(&fig.cells(), ctx.workers, ctx.slice);
+    let reports = ctx.grid_reports(&fig.cells());
 
     let mut out = format!("{}\n", fig.header);
     for ((label, cells), reports) in fig.rows.iter().zip(reports.chunks(2)) {
@@ -631,25 +766,7 @@ mod tests {
     #[test]
     fn figure_rows_are_labelled_per_kernel() {
         let ctx = Experiment::new(10, CpuConfig::default());
-        type Declare = fn(&Experiment) -> Figure;
-        let figures: [(&str, Declare); 9] = [
-            ("fig3", fig3_figure),
-            ("fig4", fig4_figure),
-            ("fig5", fig5_figure),
-            ("fig6", fig6_figure),
-            ("fig7", fig7_figure),
-            ("fig8", fig8_figure),
-            ("fig9", fig9_figure),
-            ("sensitivity", sensitivity_figure),
-            ("watchpoint_sets", watchpoint_sets_figure),
-        ];
-        let same = |a: &SessionJob, b: &SessionJob| {
-            a.workload == b.workload
-                && a.watchpoints == b.watchpoints
-                && a.backend == b.backend
-                && a.cpu == b.cpu
-        };
-        for (name, declare) in figures {
+        for (name, _, declare) in FIGURES {
             let fig = declare(&ctx);
             let width = fig.rows[0].1.len();
             assert!(width > 0, "{name}: rows hold cells");
@@ -669,7 +786,38 @@ mod tests {
             let flat: Vec<&SessionJob> = fig.rows.iter().flat_map(|(_, cells)| cells).collect();
             let cells = fig.cells();
             assert_eq!(cells.len(), flat.len(), "{name}");
-            assert!(cells.iter().zip(flat).all(|(a, b)| same(a, b)), "{name}: cells() is the rows");
+            assert!(cells.iter().zip(flat).all(|(a, b)| a == b), "{name}: cells() is the rows");
+        }
+    }
+
+    /// fig3's slots carry every fig8 and sensitivity cell, which differ
+    /// from fig3's own only in timing, but fig3 runs no slot it does not
+    /// itself need: no fig4, fig6 or watchpoint-set cell outside fig3's
+    /// grid is finished after it.
+    #[test]
+    fn a_figure_runs_its_own_slots_whole_and_no_others() {
+        let ctx = Experiment::new(10, CpuConfig::default());
+        fig3(&ctx);
+        let guard = ctx.round.lock().expect("round memo poisoned");
+        let round = guard.as_ref().expect("fig3 planned the round");
+        let finished = |cell: &SessionJob| {
+            round.cells.iter().zip(&round.reports).any(|(c, r)| c == cell && r.is_some())
+        };
+        let fig3_cells = fig3_figure(&ctx).cells();
+        let figures: [(&str, Declare, bool); 5] = [
+            ("fig8", fig8_figure, true),
+            ("sensitivity", sensitivity_figure, true),
+            ("fig4", fig4_figure, false),
+            ("fig6", fig6_figure, false),
+            ("watchpoint_sets", watchpoint_sets_figure, false),
+        ];
+        for (name, declare, rides) in figures {
+            for (label, cells) in &declare(&ctx).rows {
+                for (i, cell) in cells.iter().enumerate() {
+                    let expected = rides || fig3_cells.contains(cell);
+                    assert_eq!(finished(cell), expected, "{name} {label:?} cell {i}");
+                }
+            }
         }
     }
 

@@ -25,7 +25,7 @@ use dise_workloads::Workload;
 
 /// One cell of an experiment grid: a kernel, the watchpoints to plant,
 /// the backend implementing them, and the machine configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct SessionJob {
     /// The kernel to debug.
     pub workload: Workload,

@@ -37,6 +37,22 @@
 //! and rows of labelled cells. [`Figure::cells`] is the grid the figure
 //! runs, and the same rows lay out its text.
 //!
+//! An [`Experiment`] runs one round of figures. At its first grid call
+//! it plans the deduplicated union of the cells of every figure it will
+//! render (all of [`FIGURES`] by default; [`Experiment::with_plan`]
+//! narrows it, as the single-figure binaries do), and it keeps every
+//! report it computes. A figure reads its reports from that memo. On a
+//! miss it runs every [`grid::Slot`] (one functional stream under one
+//! detector: backend, watchpoints, engine) that holds one of its
+//! unfinished cells, with all of that slot's planned cells, so the
+//! timing-only cells of later figures ride the pass that first needs
+//! them. A slot no requested cell sits in waits for its own figure. A
+//! full round runs each slot once: 309 passes, where rendering figure
+//! by figure ran 384. A kernel's unmodified observer pass still runs
+//! once for each figure that observes it (fig3, fig4, fig6 and
+//! `watchpoint_sets` hold different slots of it), which is why a round
+//! is not the 294 passes one pass per functional stream would take.
+//!
 //! Configuration is explicit: library code reads no environment
 //! variable. The binaries parse `DISE_ITERS`, `DISE_JOBS` and
 //! `DISE_SLICE` once, through [`Experiment::from_env`] or
@@ -51,7 +67,7 @@ pub mod server;
 pub use experiments::{
     baseline_table, fig3, fig3_figure, fig4, fig4_figure, fig5, fig5_figure, fig6, fig6_figure,
     fig7, fig7_figure, fig8, fig8_figure, fig9, fig9_figure, sensitivity, sensitivity_figure,
-    table1, table2, watchpoint_sets, watchpoint_sets_figure, Experiment, Figure,
+    table1, table2, watchpoint_sets, watchpoint_sets_figure, Experiment, Figure, FIGURES,
 };
 pub use grid::{
     batch_session_jobs, default_workers, run_grid_with, run_session_grid, CellGroup, SessionJob,

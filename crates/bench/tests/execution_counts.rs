@@ -19,13 +19,20 @@
 //! observer group replayed from its stored trace must perform **zero**
 //! functional passes and zero image loads, with byte-identical output.
 //!
+//! And to the round an `Experiment` plans: a figure reuses every report
+//! an earlier figure of the round computed, and a figure's own pass
+//! carries the timing-only cells of later ones, so a whole round runs
+//! each slot (backend, watchpoints, engine) once.
+//!
 //! Every grid's output is also checked against the cell-by-cell
 //! `SessionJob::report` reference, computed before the counters are
 //! read. This file deliberately holds a single `#[test]`: the counters
 //! are process-global, and sibling tests in the same binary would race
 //! the deltas.
 
-use dise_bench::{batch_session_jobs, run_session_grid, SessionJob, DEFAULT_SLICE};
+use dise_bench::{
+    batch_session_jobs, run_session_grid, Experiment, SessionJob, DEFAULT_SLICE, FIGURES,
+};
 use dise_cpu::CpuConfig;
 use dise_debug::{
     checkpoint_forks, fanout_chunks, fanout_chunks_scanned, fanout_chunks_skipped,
@@ -272,6 +279,55 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
         assert_eq!(warm, live, "replaying must not change a single byte (workers={workers})");
     }
     let _ = std::fs::remove_file(&path);
+
+    // The round economy. One experiment renders every overhead figure in
+    // round order: each slot runs once in the whole round, because fig8,
+    // fig9, fig5, fig7 and the sensitivity table find fig3's DISE and
+    // observing cells already reported, and fig3's passes carried their
+    // extra timing configurations. A kernel's unmodified observer pass
+    // still runs once for each figure that observes it (fig3, fig4, fig6,
+    // watchpoint_sets), since a miss never pulls in another figure's
+    // slots. Figure by figure, each on an experiment of its own, the same
+    // texts cost 384.
+    type Render = fn(&Experiment) -> String;
+    let figures = FIGURES.map(|(name, render, _)| (name, render));
+    let cost = |render: Render, ctx: &Experiment| {
+        let (p0, l0) = (functional_passes(), image_loads());
+        let text = render(ctx);
+        (text, (functional_passes() - p0, image_loads() - l0))
+    };
+    let round = Experiment::new(10, CpuConfig::default()).with_workers(1);
+    let mut texts = Vec::new();
+    let (p0, l0) = (functional_passes(), image_loads());
+    for (_, render) in figures {
+        texts.push(render(&round));
+    }
+    assert_eq!(functional_passes() - p0, 309, "a round runs each slot once");
+    assert_eq!(image_loads() - l0, 309, "and loads one image per pass");
+    let mut alone = 0;
+    for ((name, render), text) in figures.iter().zip(&texts) {
+        let (own, (passes, loads)) = cost(*render, &Experiment::new(10, CpuConfig::default()));
+        assert_eq!(passes, loads, "{name}: one load per stream");
+        assert_eq!(&own, text, "{name}: alone it reads as in the round");
+        alone += passes;
+    }
+    assert_eq!(alone, 384, "figure by figure, shared streams run once per figure");
+    for ((name, render), text) in figures.iter().zip(&texts) {
+        let (again, spent) = cost(*render, &round);
+        assert_eq!(spent, (0, 0), "{name}: a second render is read from the memo");
+        assert_eq!(&again, text, "{name}: and reads the same");
+    }
+    let ctx = Experiment::new(10, CpuConfig::default()).with_workers(1);
+    let (_, fig3_cost) = cost(dise_bench::fig3, &ctx);
+    assert!(fig3_cost.0 > 0, "fig3 runs its passes");
+    for (name, render) in
+        [("fig8", dise_bench::fig8 as Render), ("sensitivity", dise_bench::sensitivity)]
+    {
+        let (text, spent) = cost(render, &ctx);
+        assert_eq!(spent, (0, 0), "{name} after fig3: every cell rode fig3's passes");
+        let i = figures.iter().position(|(n, _)| *n == name).expect("a round figure");
+        assert_eq!(text, texts[i], "{name} after fig3 reads as in the round");
+    }
 
     // An interactive `Session` counts its one pass when first driven,
     // not when built: one built only to inspect is free, and driving it

@@ -5,12 +5,19 @@
 //! groups — equals the cell-by-cell
 //! [`SessionJob::report`] reference.
 //!
+//! An experiment keeps every report of its round and reuses it in later
+//! figures, so each figure here renders on a fresh experiment, and a
+//! whole round, rendered in either order, must equal each figure
+//! rendered alone.
+//!
 //! The full sweeps simulate a few hundred sessions (minutes in the dev
 //! profile), so they are `#[ignore]`d by default and run explicitly by
 //! CI (`-- --include-ignored`); light variants keep every `cargo test
 //! -q` on the pooled, sliced path.
 
-use dise_bench::{run_grid_with, run_session_grid, Experiment, Figure, SessionJob, DEFAULT_SLICE};
+use dise_bench::{
+    run_grid_with, run_session_grid, Experiment, Figure, SessionJob, DEFAULT_SLICE, FIGURES,
+};
 use dise_cpu::CpuConfig;
 use dise_debug::{BackendKind, DebugError, SessionReport};
 use dise_workloads::{all, transition_cost_sweep, WatchKind};
@@ -23,17 +30,58 @@ type Declare = fn(&Experiment) -> Figure;
 /// yields.
 const RUNS: [(usize, u64); 3] = [(1, DEFAULT_SLICE), (4, DEFAULT_SLICE), (4, 777)];
 
+/// The round's figures named in `names`, in round order.
+fn figures(names: &[&str]) -> Vec<(&'static str, Render, Declare)> {
+    let chosen: Vec<_> = FIGURES.into_iter().filter(|(name, _, _)| names.contains(name)).collect();
+    assert_eq!(chosen.len(), names.len(), "every name is a round figure: {names:?}");
+    chosen
+}
+
 fn ctx(workers: usize, slice: u64) -> Experiment {
     let mut ctx = Experiment::new(10, CpuConfig::default()).with_workers(workers);
     ctx.slice = slice;
     ctx
 }
 
+/// Each experiment renders the same serial and pooled, each on a fresh
+/// context, so no render reads a report an earlier one computed.
 fn assert_deterministic(experiments: &[(&str, Render)]) {
-    let serial = ctx(1, DEFAULT_SLICE);
-    let pooled = ctx(4, 777);
     for (name, render) in experiments {
-        assert_eq!(render(&serial), render(&pooled), "{name} output depends on how the grid ran");
+        assert_eq!(
+            render(&ctx(1, DEFAULT_SLICE)),
+            render(&ctx(4, 777)),
+            "{name} output depends on how the grid ran"
+        );
+    }
+}
+
+/// A round of `figures` on one experiment planned for them all, rendered
+/// in the given order and in reverse, equals each figure rendered alone
+/// on a fresh experiment planned for it alone, serial and pooled: which
+/// figure pays for a shared slot never shows in the text.
+fn assert_round_matches_each_figure_alone(figures: &[(&str, Render, Declare)]) {
+    let plan: Vec<Declare> = figures.iter().map(|&(_, _, declare)| declare).collect();
+    for (workers, slice) in [(1, DEFAULT_SLICE), (4, 777)] {
+        let alone: Vec<String> = figures
+            .iter()
+            .map(|&(_, render, declare)| render(&ctx(workers, slice).with_plan(&[declare])))
+            .collect();
+        for reversed in [false, true] {
+            let round = ctx(workers, slice).with_plan(&plan);
+            let mut order: Vec<usize> = (0..figures.len()).collect();
+            if reversed {
+                order.reverse();
+            }
+            for i in order {
+                let (name, render, _) = figures[i];
+                assert_eq!(
+                    render(&round),
+                    alone[i],
+                    "{name} in a round (reversed={reversed}) differs from {name} alone \
+                     (workers={workers}, slice={slice})"
+                );
+            }
+        }
     }
 }
 
@@ -58,10 +106,10 @@ fn assert_matches_cells(what: &str, cells: &[SessionJob]) {
 /// Each figure's own grid, as its declaration lays it out, equals the
 /// cell-by-cell reference — restricted to the first `kernels` kernels
 /// (fewer cells, the same shapes).
-fn assert_grids_match_cells(kernels: usize, grids: &[(&str, Declare)]) {
+fn assert_grids_match_cells(kernels: usize, grids: &[(&str, Render, Declare)]) {
     let ctx = Experiment::new(10, CpuConfig::default());
     let names: Vec<&str> = ctx.workloads().iter().take(kernels).map(|w| w.name()).collect();
-    for (name, declare) in grids {
+    for (name, _, declare) in grids {
         let mut cells = declare(&ctx).cells();
         cells.retain(|c| names.contains(&c.workload.name()));
         assert!(!cells.is_empty(), "{name} has cells on the chosen kernels");
@@ -80,6 +128,28 @@ fn light_experiments_are_deterministic_across_worker_counts() {
     ]);
 }
 
+/// The figures that share slots with fig3 (fig8's and sensitivity's
+/// extra timing configurations, fig5's and fig9's DISE COLD cells)
+/// render the same in one round, in either order, as alone.
+#[test]
+fn light_round_matches_each_figure_alone() {
+    assert_round_matches_each_figure_alone(&figures(&[
+        "fig3",
+        "fig5",
+        "fig8",
+        "fig9",
+        "sensitivity",
+    ]));
+}
+
+/// The full round, every overhead figure in `all_experiments` order and
+/// in reverse, equals each figure alone.
+#[test]
+#[ignore = "renders every figure six times; CI runs it with --include-ignored"]
+fn full_round_matches_each_figure_alone() {
+    assert_round_matches_each_figure_alone(&FIGURES);
+}
+
 /// Single-pass batching must be invisible in the output: the grids
 /// with batchable cells (fig8's multithreading pair shares a functional
 /// pass; the sensitivity grid batches its transition costs, observing
@@ -88,14 +158,7 @@ fn light_experiments_are_deterministic_across_worker_counts() {
 /// two kernels.
 #[test]
 fn batched_and_unbatched_experiments_are_byte_identical() {
-    assert_grids_match_cells(
-        2,
-        &[
-            ("fig8", dise_bench::fig8_figure),
-            ("sensitivity", dise_bench::sensitivity_figure),
-            ("watchpoint_sets", dise_bench::watchpoint_sets_figure),
-        ],
-    );
+    assert_grids_match_cells(2, &figures(&["fig8", "sensitivity", "watchpoint_sets"]));
 }
 
 /// Every experiment produces identical bytes serial and pooled, at two
@@ -103,20 +166,11 @@ fn batched_and_unbatched_experiments_are_byte_identical() {
 #[test]
 #[ignore = "simulates every figure twice (minutes in the dev profile); CI runs it with --include-ignored"]
 fn all_experiments_are_deterministic_across_worker_counts() {
-    assert_deterministic(&[
-        ("table1", dise_bench::table1),
-        ("table2", dise_bench::table2),
-        ("fig3", dise_bench::fig3),
-        ("fig4", dise_bench::fig4),
-        ("fig5", dise_bench::fig5),
-        ("fig6", dise_bench::fig6),
-        ("fig7", dise_bench::fig7),
-        ("fig8", dise_bench::fig8),
-        ("fig9", dise_bench::fig9),
-        ("sensitivity", dise_bench::sensitivity),
-        ("watchpoint_sets", dise_bench::watchpoint_sets),
-        ("baseline_table", dise_bench::baseline_table),
-    ]);
+    let mut experiments: Vec<(&str, Render)> =
+        vec![("table1", dise_bench::table1), ("table2", dise_bench::table2)];
+    experiments.extend(FIGURES.map(|(name, render, _)| (name, render)));
+    experiments.push(("baseline_table", dise_bench::baseline_table));
+    assert_deterministic(&experiments);
 }
 
 /// The full sweep over every overhead experiment's grid on all six
@@ -131,20 +185,7 @@ fn all_experiments_are_deterministic_across_worker_counts() {
 #[test]
 #[ignore = "runs every grid cell by cell (minutes in the dev profile); CI runs it with --include-ignored"]
 fn all_experiments_are_batching_invariant() {
-    assert_grids_match_cells(
-        6,
-        &[
-            ("fig3", dise_bench::fig3_figure),
-            ("fig4", dise_bench::fig4_figure),
-            ("fig5", dise_bench::fig5_figure),
-            ("fig6", dise_bench::fig6_figure),
-            ("fig7", dise_bench::fig7_figure),
-            ("fig8", dise_bench::fig8_figure),
-            ("fig9", dise_bench::fig9_figure),
-            ("sensitivity", dise_bench::sensitivity_figure),
-            ("watchpoint_sets", dise_bench::watchpoint_sets_figure),
-        ],
-    );
+    assert_grids_match_cells(6, &FIGURES);
 }
 
 /// The copy-on-write fork contract at grid level: a perturbing sweep
