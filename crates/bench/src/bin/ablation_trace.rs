@@ -6,13 +6,14 @@
 //! prove that, and this harness asserts it for every set it times);
 //! this harness shows the ratios and wall times.
 
+use std::path::Path;
 use std::time::Instant;
 
 use dise_asm::{parse_asm, Layout};
 use dise_cpu::{replay_timing, CpuConfig, TraceReader};
 use dise_debug::{
-    functional_passes, record_session, run_baseline, trace_records, trace_replays, Application,
-    BackendKind, DebugError, SessionReport, SessionTask,
+    functional_passes, run_baseline, trace_records, trace_replays, Application, BackendKind,
+    DebugError, SessionReport, SessionTask,
 };
 use dise_workloads::{all, transition_cost_sweep, WatchKind};
 
@@ -22,6 +23,14 @@ fn scratch_dir() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("dise-trace-ablation-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch trace dir");
     dir
+}
+
+/// Record `app` undebugged: one member that watches and times nothing.
+fn record(app: &Application, path: &Path) {
+    SessionTask::observer_recorded(app, vec![(BackendKind::VirtualMemory, vec![], vec![])], path)
+        .run_to_completion()
+        .into_observe()
+        .expect("the recording pass runs");
 }
 
 /// Run `task` `reps` times; its reports and the fastest wall time.
@@ -63,7 +72,8 @@ fn main() {
         Layout::default(),
     );
     let path = dir.join("tight_loop.dtrc");
-    let stats = record_session(&tight, &path).expect("tight loop records");
+    record(&tight, &path);
+    let stats = TraceReader::open(&path, None).expect("fresh trace opens").stats();
     println!("Persistent trace ablation ({iters}-iteration kernels)\n");
     println!(
         "tight loop: {} records, {} raw B -> {} file B ({:.1}x compression)",
@@ -88,11 +98,12 @@ fn main() {
     for w in &all(iters) {
         let path = dir.join(format!("{}.dtrc", w.name()));
         let t = Instant::now();
-        let stats = record_session(w.app(), &path).expect("kernel records");
+        record(w.app(), &path);
         let record_secs = t.elapsed().as_secs_f64();
 
         let t = Instant::now();
         let mut reader = TraceReader::open(&path, None).expect("fresh trace opens");
+        let stats = reader.stats();
         let replayed = replay_timing(&mut reader, &[CpuConfig::default()])
             .expect("fresh trace replays")
             .remove(0);

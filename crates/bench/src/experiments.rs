@@ -58,8 +58,8 @@ pub const FIGURES: [(&str, Render, Declare); 9] = [
 
 /// Shared experiment context: workload scale, machine configuration,
 /// how grids run (workers, slice budget), each kernel's undebugged
-/// baseline run, computed once, and the round's plan with every report
-/// computed so far.
+/// baseline run and store census, each computed once, and the round's
+/// plan with every report computed so far.
 pub struct Experiment {
     /// Kernel iteration count.
     pub iters: u32,
@@ -72,10 +72,22 @@ pub struct Experiment {
     workloads: Vec<Workload>,
     /// Each workload's baseline, parallel to `workloads`.
     baselines: Vec<OnceLock<RunStats>>,
+    /// Each workload's store census, parallel to `workloads`: taken by
+    /// whichever table asks first, never at construction.
+    censuses: Vec<OnceLock<Census>>,
     /// The overhead figures the round plans for.
     figures: Vec<Declare>,
     /// The round's plan and memo, built at the first grid call.
     round: Mutex<Option<Round>>,
+}
+
+/// One kernel's store census, the data of Tables 1 and 2: its dynamic
+/// stores, and how many of them overlapped each watched expression's
+/// storage ([`WatchKind::ALL`] order) as of the store.
+#[derive(Clone, Copy, Default)]
+struct Census {
+    stores: u64,
+    hits: [u64; WatchKind::ALL.len()],
 }
 
 /// One round's plan: every planned cell once, with its report once the
@@ -132,14 +144,14 @@ impl Experiment {
     /// overhead figure in [`FIGURES`]. Reads nothing from the environment.
     pub fn new(iters: u32, cpu: CpuConfig) -> Experiment {
         let workloads = all(iters);
-        let baselines = workloads.iter().map(|_| OnceLock::new()).collect();
         Experiment {
             iters,
             cpu,
             workers: default_workers(),
             slice: DEFAULT_SLICE,
+            baselines: workloads.iter().map(|_| OnceLock::new()).collect(),
+            censuses: workloads.iter().map(|_| OnceLock::new()).collect(),
             workloads,
-            baselines,
             figures: FIGURES.iter().map(|&(_, _, declare)| declare).collect(),
             round: Mutex::new(None),
         }
@@ -205,6 +217,29 @@ impl Experiment {
             Some(i) => *self.baselines[i].get_or_init(run),
             None => run(),
         }
+    }
+
+    /// The store census of one of [`Experiment::workloads`]: one
+    /// undebugged functional pass under this experiment's machine, taken
+    /// once.
+    fn census(&self, w: &Workload) -> Census {
+        let i = self.workloads.iter().position(|x| x == w).expect("one of the six kernels");
+        *self.censuses[i].get_or_init(|| {
+            let exprs = WatchKind::ALL.map(|k| w.watch_expr(k));
+            let mut census = Census::default();
+            let mut exec = w.app().prepared().expect("kernel assembles").executor(self.cpu);
+            while !exec.is_halted() {
+                let Some(m) = exec.step().mem.filter(|m| m.is_store) else { continue };
+                census.stores += 1;
+                for (hits, expr) in census.hits.iter_mut().zip(&exprs) {
+                    let watched = expr.watched_intervals(exec.mem());
+                    *hits += u64::from(
+                        watched.iter().any(|&(b, len)| footprints_overlap(m.addr, m.width, b, len)),
+                    );
+                }
+            }
+            census
+        })
     }
 
     /// One grid cell under this experiment's machine configuration.
@@ -299,14 +334,7 @@ pub fn table1(ctx: &Experiment) -> String {
     let mut out =
         String::from("benchmark  function                 instructions      IPC   store density\n");
     let rows = ctx.per_workload(|w| {
-        // Functional pass for the store count; timed pass for IPC.
-        let mut exec = w.app().prepared().expect("kernel assembles").executor(ctx.cpu);
-        let mut stores = 0u64;
-        while !exec.is_halted() {
-            if exec.step().mem.is_some_and(|m| m.is_store) {
-                stores += 1;
-            }
-        }
+        let stores = ctx.census(w).stores;
         let base = ctx.baseline(w);
         format!(
             "{:<10} {:<24} {:>12} {:>8.2} {:>10.1}%\n",
@@ -327,27 +355,7 @@ pub fn table2(ctx: &Experiment) -> String {
     let mut out =
         String::from("benchmark       HOT    WARM1    WARM2     COLD INDIRECT    RANGE\n");
     let rows = ctx.per_workload(|w| {
-        let exprs: Vec<_> = WatchKind::ALL.iter().map(|k| w.watch_expr(*k)).collect();
-        let mut hits = [0u64; 6];
-        let mut stores = 0u64;
-        let mut exec = w.app().prepared().expect("kernel assembles").executor(ctx.cpu);
-        while !exec.is_halted() {
-            let e = exec.step();
-            if let Some(m) = e.mem {
-                if m.is_store {
-                    stores += 1;
-                    for (i, expr) in exprs.iter().enumerate() {
-                        let overlap = expr
-                            .watched_intervals(exec.mem())
-                            .iter()
-                            .any(|&(base, len)| footprints_overlap(m.addr, m.width, base, len));
-                        if overlap {
-                            hits[i] += 1;
-                        }
-                    }
-                }
-            }
-        }
+        let Census { stores, hits } = ctx.census(w);
         let mut row = format!("{:<10}", w.name());
         for h in hits {
             row.push_str(&format!(" {:>8.1}", 100_000.0 * h as f64 / stores.max(1) as f64));

@@ -120,10 +120,11 @@ impl CellGroup {
         }
     }
 
-    /// Scatter the output of this group's [`CellGroup::task`] to
-    /// per-cell reports, tagged with their original cell index. A
-    /// group-wide error (an assembly failure, a panicked poll, watchpoints
-    /// the perturbing backend rejects) is every cell's error.
+    /// Scatter the output of this group's [`CellGroup::task`] (one
+    /// result per slot) to per-cell reports, tagged with their original
+    /// cell index. A group-wide error (an assembly failure, a panicked
+    /// poll, watchpoints the perturbing backend rejects) is every cell's
+    /// error.
     ///
     /// # Panics
     ///
@@ -133,10 +134,7 @@ impl CellGroup {
         &self,
         output: TaskOutput,
     ) -> Vec<(usize, Result<SessionReport, DebugError>)> {
-        let (TaskOutput::Group(result) | TaskOutput::Observe(result)) = output else {
-            panic!("a cell group's task is never batch-shaped");
-        };
-        let per_slot = result.unwrap_or_else(|e| vec![Err(e); self.slots.len()]);
+        let per_slot = output.into_observe().unwrap_or_else(|e| vec![Err(e); self.slots.len()]);
         let mut out = Vec::new();
         for (slot, result) in self.slots.iter().zip(per_slot) {
             match result {
@@ -325,8 +323,8 @@ mod tests {
         jobs.iter().map(SessionJob::report).collect()
     }
 
-    /// A group's output scatters to its cells, whichever shape the task
-    /// settled in; a group-wide error is every cell's error.
+    /// A group's output scatters to its cells, perturbing or observing;
+    /// a group-wide error is every cell's error.
     #[test]
     fn a_group_wide_error_reaches_every_cell() {
         let w = &all(10)[0];
@@ -339,9 +337,7 @@ mod tests {
         let groups = batch_session_jobs(&jobs);
         assert_eq!(groups.len(), 2, "one perturbing and one observing group");
         for group in groups {
-            let err = Err(DebugError::Panicked("boom".into()));
-            let output =
-                if group.observing() { TaskOutput::Observe(err) } else { TaskOutput::Group(err) };
+            let output = TaskOutput::Observe(Err(DebugError::Panicked("boom".into())));
             let cells: Vec<usize> = group.slots.iter().flat_map(|s| s.cells.clone()).collect();
             let scattered = group.reports_from(output);
             assert_eq!(scattered.iter().map(|(c, _)| *c).collect::<Vec<_>>(), cells);

@@ -232,7 +232,7 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
         let (p0, l0, f0) = (functional_passes(), image_loads(), checkpoint_forks());
         let group = SessionTask::perturbing_group(app, wp.clone(), backend, &[cpus.to_vec()])
             .run_to_completion()
-            .into_group();
+            .into_observe();
         let group_cost = (functional_passes() - p0, image_loads() - l0, checkpoint_forks() - f0);
         assert_eq!(group_cost, (1, 1, 0), "{backend:?}: one pass, one load, no fork");
         assert_eq!(batch_cost, group_cost, "{backend:?}: a batch is a group of one");

@@ -6,7 +6,8 @@
 //! retargeting comes for free from re-assembly, and register scavenging
 //! is modeled by three reserved registers (`r25`, `r27`, `r28`) that the
 //! calibrated workloads leave unused — a real implementation would
-//! re-allocate registers instead.
+//! re-allocate registers instead. A program that reads or writes one of
+//! them is refused as unsupported.
 
 use dise_asm::{Asm, AsmError, Layout, TextItem};
 use dise_cpu::{Event, Exec, Executor};
@@ -24,6 +25,17 @@ const PREV: &str = "__bw_prev";
 const S1: Reg = Reg::gpr(25);
 const S2: Reg = Reg::gpr(27);
 const S3: Reg = Reg::gpr(28);
+
+/// The registers a text item reads or writes.
+fn registers(item: &TextItem) -> [Option<Reg>; 3] {
+    match item {
+        TextItem::Inst(i) => [i.sources()[0], i.sources()[1], i.dest()],
+        TextItem::BranchTo { link: r, .. }
+        | TextItem::CondBranchTo { rs: r, .. }
+        | TextItem::LoadAddr { rd: r, .. } => [Some(*r), None, None],
+        TextItem::Label(_) | TextItem::Stmt => [None; 3],
+    }
+}
 
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Rewrite;
@@ -56,17 +68,21 @@ impl BackendImpl for Rewrite {
         let mut items = Vec::with_capacity(app.asm().text_items().len() * 4);
         let mut skips = Vec::new();
         for item in app.asm().text_items() {
+            // The inlined check overwrites the scavenged registers, so a
+            // program that uses one would silently compute wrong values.
+            if let Some(r) =
+                registers(item).into_iter().flatten().find(|r| [S1, S2, S3].contains(r))
+            {
+                return Err(DebugError::Unsupported {
+                    backend: "binary-rewrite",
+                    reason: format!(
+                        "the program uses {r}, a register the inlined check scavenges \
+                         (r25, r27, r28)"
+                    ),
+                });
+            }
             match item {
                 TextItem::Inst(i @ Instr::Store { base, disp, .. }) => {
-                    if [S1, S2, S3].contains(base) {
-                        return Err(DebugError::Unsupported {
-                            backend: "binary-rewrite",
-                            reason: format!(
-                                "a store addresses through {base}, a register the inlined \
-                                 check scavenges (r25, r27, r28)"
-                            ),
-                        });
-                    }
                     items.push(TextItem::Inst(*i));
                     let skip = format!("__bw_skip_{}", skips.len());
                     let mut frag = Asm::new();

@@ -88,7 +88,7 @@ pub use task::{
     fanout_chunks, fanout_chunks_scanned, fanout_chunks_skipped, SessionTask, Step, TaskOutput,
     TaskProgress,
 };
-pub use trace::{record_session, trace_records, trace_replays};
+pub use trace::{trace_records, trace_replays};
 pub use watch::{Condition, WatchExpr, WatchFilter, WatchState, WatchValue, Watchpoint};
 
 // Callers matching on `DebugError::Trace` need the nested error type.

@@ -1429,6 +1429,6 @@ mod tests {
     ) -> Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError> {
         SessionTask::perturbing_group(app, watchpoints, backend, batches)
             .run_to_completion()
-            .into_group()
+            .into_observe()
     }
 }

@@ -110,17 +110,16 @@ pub struct TaskProgress {
     pub instructions: u64,
 }
 
-/// The finished result of a [`SessionTask`], one shape per constructor.
+/// The finished result of a [`SessionTask`]: one of two shapes.
 #[derive(Debug)]
 pub enum TaskOutput {
     /// From a batch, session, breakpoint or monitor task: one report
     /// per timing configuration, in `cpus` order.
     Batch(Result<Vec<SessionReport>, DebugError>),
-    /// From [`SessionTask::perturbing_group`]: one batch result per
-    /// engine-configuration sub-batch. The outer `Err` is group-wide.
-    Group(Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError>),
-    /// From [`SessionTask::observer`]: what
-    /// [`crate::ObserverBatch::run`] returns.
+    /// One result per slot: per member from [`SessionTask::observer`]
+    /// (what [`crate::ObserverBatch::run`] returns) and its recorded
+    /// and replayed forms, and per engine-configuration sub-batch from
+    /// [`SessionTask::perturbing_group`]. The outer `Err` is task-wide.
     Observe(Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError>),
 }
 
@@ -134,20 +133,7 @@ impl TaskOutput {
     pub fn into_batch(self) -> Result<Vec<SessionReport>, DebugError> {
         match self {
             TaskOutput::Batch(r) => r,
-            other => panic!("expected a batch task output, got {}", other.shape()),
-        }
-    }
-
-    /// Unwrap a [`TaskOutput::Group`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the task was not constructed by
-    /// [`SessionTask::perturbing_group`].
-    pub fn into_group(self) -> Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError> {
-        match self {
-            TaskOutput::Group(r) => r,
-            other => panic!("expected a perturbing-group task output, got {}", other.shape()),
+            TaskOutput::Observe(_) => panic!("expected a batch task output, got one per slot"),
         }
     }
 
@@ -155,20 +141,11 @@ impl TaskOutput {
     ///
     /// # Panics
     ///
-    /// Panics when the task was not constructed by
-    /// [`SessionTask::observer`].
+    /// Panics when the task is batch-shaped ([`TaskOutput::Batch`]).
     pub fn into_observe(self) -> Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError> {
         match self {
             TaskOutput::Observe(r) => r,
-            other => panic!("expected an observer task output, got {}", other.shape()),
-        }
-    }
-
-    fn shape(&self) -> &'static str {
-        match self {
-            TaskOutput::Batch(_) => "batch",
-            TaskOutput::Group(_) => "perturbing group",
-            TaskOutput::Observe(_) => "observer",
+            TaskOutput::Batch(_) => panic!("expected one result per slot, got a batch"),
         }
     }
 }
@@ -203,12 +180,11 @@ struct GroupSpec {
 
 /// Which [`TaskOutput`] a task settles as: a private group's one
 /// sub-batch result ([`SessionTask::batch`], [`SessionTask::session`]),
-/// its per-sub-batch results ([`SessionTask::perturbing_group`]), or an
-/// observer batch's per-member results.
+/// or one result per slot ([`SessionTask::perturbing_group`] and
+/// observer batches).
 #[derive(Clone, Copy)]
 pub(crate) enum Shape {
     Batch,
-    Group,
     Observe,
 }
 
@@ -221,7 +197,6 @@ impl Shape {
             Shape::Batch => TaskOutput::Batch(
                 out.and_then(|mut subs| subs.pop().expect("a batch is a group of one")),
             ),
-            Shape::Group => TaskOutput::Group(out),
             Shape::Observe => TaskOutput::Observe(out),
         }
     }
@@ -814,19 +789,26 @@ impl SessionTask {
     /// `build_program` run once, and every sub-batch restores the image
     /// copy-on-write into a machine with its own engine capacities.
     ///
-    /// The outer `Err` is group-wide (invalid or unsupported
-    /// watchpoints, assembly failure). Per-sub-batch failures — engine
-    /// capacities too small for the productions, or a sub-batch whose
-    /// own configurations disagree on the engine — land in that
-    /// sub-batch's slot, exactly as its private [`SessionTask::batch`]
-    /// would report them.
+    /// It settles as [`TaskOutput::Observe`], one result per slot: one
+    /// per sub-batch, in order. The outer `Err` is group-wide (invalid
+    /// or unsupported watchpoints, assembly failure). Per-sub-batch
+    /// failures — engine capacities too small for the productions, or a
+    /// sub-batch whose own configurations disagree on the engine — land
+    /// in that sub-batch's slot, exactly as its private
+    /// [`SessionTask::batch`] would report them.
     pub fn perturbing_group(
         app: &Application,
         watchpoints: Vec<Watchpoint>,
         backend: BackendKind,
         batches: &[Vec<CpuConfig>],
     ) -> SessionTask {
-        SessionTask::group(app, watchpoints, backend.instantiate(), batches.to_vec(), Shape::Group)
+        SessionTask::group(
+            app,
+            watchpoints,
+            backend.instantiate(),
+            batches.to_vec(),
+            Shape::Observe,
+        )
     }
 
     pub(crate) fn group(
@@ -856,10 +838,14 @@ impl SessionTask {
 
     /// [`SessionTask::observer`], additionally persisting the shared
     /// functional pass to `trace` — the same single pass serves the
-    /// members *and* every future replay. The trace appears atomically
-    /// when the pass completes; an abandoned task publishes nothing,
-    /// and one whose trace cannot be persisted settles with
-    /// [`DebugError::Trace`].
+    /// members *and* every future replay. This is the one way to record
+    /// a trace. A pass runs, and so records, only when at least one
+    /// member is admitted; to record an undebugged run, pass the member
+    /// `(BackendKind::VirtualMemory, vec![], cpus)`, which watches
+    /// nothing (with `cpus` empty it is not timed either). The trace
+    /// appears atomically when the pass completes; an abandoned task
+    /// publishes nothing, and one whose trace cannot be persisted
+    /// settles with [`DebugError::Trace`].
     pub fn observer_recorded(
         app: &Application,
         members: Vec<(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)>,
@@ -1169,7 +1155,8 @@ mod tests {
     }
 
     /// The tentpole invariant: any budget slicing yields byte-identical
-    /// reports to the run-to-completion path, for all three shapes.
+    /// reports to the run-to-completion path, for a batch, a perturbing
+    /// group and an observer batch.
     #[test]
     fn sliced_polls_match_run_to_completion_for_every_shape() {
         let a = app(20);
@@ -1185,7 +1172,7 @@ mod tests {
         let reference_group =
             SessionTask::perturbing_group(&a, vec![wp(&a)], BackendKind::dise_default(), &batches)
                 .run_to_completion()
-                .into_group()
+                .into_observe()
                 .unwrap();
         let members = vec![(BackendKind::VirtualMemory, vec![wp(&a)], cpus.to_vec())];
         let reference_obs =
@@ -1203,7 +1190,7 @@ mod tests {
                 &batches,
             );
             let out = poll_until_done(&mut task, budgets[budgets.len() - 1 - i]);
-            assert_eq!(out.into_group().unwrap(), reference_group, "group, budget {budget}");
+            assert_eq!(out.into_observe().unwrap(), reference_group, "group, budget {budget}");
 
             let mut task = SessionTask::observer(&a, members.clone());
             let out = poll_until_done(&mut task, budget);
@@ -1303,7 +1290,7 @@ mod tests {
             let group =
                 SessionTask::perturbing_group(&a, vec![w], backend, std::slice::from_ref(&cpus))
                     .run_to_completion()
-                    .into_group()
+                    .into_observe()
                     .and_then(|mut subs| {
                         assert_eq!(subs.len(), 1, "{what} under {backend:?}");
                         subs.pop().unwrap()

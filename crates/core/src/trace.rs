@@ -4,10 +4,11 @@
 //! The in-memory [`crate::ObserverBatch`] already shares one functional
 //! pass across watchpoint sets × observing backends × timing
 //! configurations *within* a process. This module extends the economy
-//! *across* processes and runs: [`record_session`] and
-//! [`SessionTask::observer_recorded`](crate::SessionTask::observer_recorded)
-//! persist the shared `Exec` stream (delta + run-length compressed,
-//! CRC-protected — see `dise-trace`), and
+//! *across* processes and runs:
+//! [`SessionTask::observer_recorded`](crate::SessionTask::observer_recorded),
+//! the one recording entry point, persists the shared `Exec` stream
+//! (delta + run-length compressed, CRC-protected — see `dise-trace`) of
+//! a pass with at least one admitted member, and
 //! [`SessionTask::observer_replay`](crate::SessionTask::observer_replay)
 //! runs a whole observer batch from the stored stream with **zero**
 //! functional passes and zero image loads — pinned by the
@@ -21,16 +22,12 @@
 //! — so a shadow memory updated record-by-record shows each observer
 //! exactly the bytes the live machine would have.
 
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dise_cpu::{CpuConfig, TraceStats, TraceWriter};
-
-use crate::session::{DebugError, FUNCTIONAL_PASSES, IMAGE_LOADS};
-use crate::Application;
-
-/// How many standalone trace recordings this process has performed
-/// ([`record_session`] and every recording observer pass).
+/// How many trace recordings this process has performed: one per
+/// recording observer pass
+/// ([`SessionTask::observer_recorded`](crate::SessionTask::observer_recorded))
+/// that admitted a member.
 pub(crate) static TRACE_RECORDS: AtomicU64 = AtomicU64::new(0);
 
 /// How many stored-trace replays have substituted for a functional
@@ -47,25 +44,4 @@ pub fn trace_records() -> u64 {
 /// one functional pass (and one image load) with a file read.
 pub fn trace_replays() -> u64 {
     TRACE_REPLAYS.load(Ordering::Relaxed)
-}
-
-/// Record `app`'s full functional stream to `trace` — one honest,
-/// counted functional pass of the unmodified application, with no
-/// debugger attached. The file appears atomically on success.
-///
-/// # Errors
-///
-/// [`DebugError::Asm`] when `app` fails to assemble;
-/// [`DebugError::Trace`] when the trace cannot be persisted.
-pub fn record_session(app: &Application, trace: &Path) -> Result<TraceStats, DebugError> {
-    let prepared = app.prepared()?;
-    let mut writer = TraceWriter::create(trace, prepared.fingerprint())?;
-    let mut exec = prepared.executor(CpuConfig::default());
-    IMAGE_LOADS.fetch_add(1, Ordering::Relaxed);
-    FUNCTIONAL_PASSES.fetch_add(1, Ordering::Relaxed);
-    TRACE_RECORDS.fetch_add(1, Ordering::Relaxed);
-    while !exec.is_halted() {
-        writer.record(&exec.step());
-    }
-    Ok(writer.finish()?)
 }

@@ -59,9 +59,8 @@
 use dise_asm::{parse_asm, Layout};
 use dise_cpu::{CpuConfig, Executor, TraceReader};
 use dise_debug::{
-    record_session, run_session, Application, BackendKind, CheckKind, DebugError, DiseStrategy,
-    ObserverBatch, Session, SessionReport, SessionTask, WatchExpr, WatchState, WatchValue,
-    Watchpoint,
+    run_session, Application, BackendKind, CheckKind, DebugError, DiseStrategy, ObserverBatch,
+    Session, SessionReport, SessionTask, WatchExpr, WatchState, WatchValue, Watchpoint,
 };
 use dise_isa::Width;
 use dise_mem::Memory;
@@ -529,7 +528,11 @@ fn check_scenario(
     // observer batch from the file — zero functional passes — and
     // demand the exact results the live batch produced.
     let trace = scratch_trace_path();
-    record_session(&app, &trace).map_err(|e| TestCaseError::fail(format!("recording: {e}")))?;
+    let undebugged = vec![(BackendKind::VirtualMemory, vec![], vec![])];
+    SessionTask::observer_recorded(&app, undebugged, &trace)
+        .run_to_completion()
+        .into_observe()
+        .map_err(|e| TestCaseError::fail(format!("recording: {e}")))?;
     let mut reader = TraceReader::open(&trace, None)
         .map_err(|e| TestCaseError::fail(format!("fresh trace rejected: {e}")))?;
     let prog = app.program().expect("assembles");

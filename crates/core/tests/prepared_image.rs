@@ -251,7 +251,7 @@ fn an_application_that_does_not_assemble_settles_as_asm_everywhere() {
         asm(
             SessionTask::perturbing_group(&app, vec![wp], backend, &[vec![cpu], vec![cpu]])
                 .run_to_completion()
-                .into_group(),
+                .into_observe(),
             &format!("perturbing group {what}"),
         );
         asm(run_session(&app, vec![wp], backend, cpu), &format!("run_session {what}"));
@@ -342,6 +342,44 @@ fn rewriting_a_store_through_a_scavenged_register_is_unsupported() {
     let report = run_session(&app, vec![wp], BackendKind::dise_default(), CpuConfig::default())
         .expect("DISE does not scavenge registers");
     assert_eq!(report.transitions.user, 1);
+}
+
+/// A value kept in a scavenged register is refused, not corrupted: the
+/// check inlined after each watched store would overwrite `r25`.
+#[test]
+fn rewriting_a_program_that_keeps_a_value_in_a_scavenged_register_is_unsupported() {
+    let app = Application::new(
+        parse_asm(
+            "start:  la r1, x
+                     la r2, out
+                     lda r25, 7(zero)
+                     lda r3, 5(zero)
+                     stq r3, 0(r1)
+                     stq r25, 0(r2)
+                     lda r3, 6(zero)
+                     stq r3, 0(r1)
+                     stq r25, 0(r2)
+                     halt
+             .data
+             x:      .quad 0
+             out:    .quad 0",
+        )
+        .expect("parses"),
+        Layout::default(),
+    );
+    let p = app.prepared().expect("assembles");
+    let wp = Watchpoint::new(WatchExpr::Scalar { addr: p.symbol("x").unwrap(), width: Width::Q });
+    match run_session(&app, vec![wp], BackendKind::BinaryRewrite, CpuConfig::default()) {
+        Err(DebugError::Unsupported { backend: "binary-rewrite", reason }) => {
+            assert!(reason.contains("r25"), "{reason}");
+        }
+        other => panic!("expected Unsupported from binary-rewrite, got {other:?}"),
+    }
+    let mut session =
+        Session::with_config(&app, vec![wp], BackendKind::dise_default(), CpuConfig::default())
+            .expect("DISE does not scavenge registers");
+    assert!(!session.run_budget(1_000), "the program halts");
+    assert_eq!(session.executor().mem().read_u(p.symbol("out").unwrap(), 8), 7);
 }
 
 #[test]

@@ -22,8 +22,8 @@ use std::time::Duration;
 use dise_asm::{parse_asm, Layout};
 use dise_cpu::{program_fingerprint, CpuConfig, Executor, TraceWriter};
 use dise_debug::{
-    record_session, Application, BackendKind, DebugError, Scheduler, SessionReport, SessionTask,
-    Step, TaskOutput, TraceError, WatchExpr, Watchpoint,
+    Application, BackendKind, DebugError, Scheduler, SessionReport, SessionTask, Step, TaskOutput,
+    TraceError, WatchExpr, Watchpoint,
 };
 use dise_isa::Width;
 
@@ -75,7 +75,12 @@ fn watch(app: &Application) -> Vec<Watchpoint> {
 /// damages it.
 fn good_trace(name: &str, a: &Application) -> PathBuf {
     let path = scratch(name);
-    record_session(a, &path).expect("recording succeeds");
+    // One undebugged member: the pass runs, and records, unwatched.
+    let undebugged = vec![(BackendKind::VirtualMemory, vec![], vec![])];
+    SessionTask::observer_recorded(a, undebugged, &path)
+        .run_to_completion()
+        .into_observe()
+        .expect("recording succeeds");
     let members = vec![(BackendKind::VirtualMemory, watch(a), vec![CpuConfig::default()])];
     let replayed = replay(a, members, &path).expect("pristine trace replays");
     assert!(replayed[0].is_ok(), "pristine replay runs clean");

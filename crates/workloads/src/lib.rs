@@ -44,11 +44,6 @@ use kernels::{KERNELS, TEMPLATE_ITERS};
 pub use sweeps::{transition_cost_sweep, watchpoint_set_sweep};
 pub use workload::{WatchKind, Workload};
 
-/// Default iteration count giving tens of thousands of dynamic
-/// instructions per kernel — large enough for stable statistics, small
-/// enough that the full experiment grid runs in minutes.
-pub const DEFAULT_ITERS: u32 = 1500;
-
 /// Build all six kernels at the given scale.
 pub fn all(iters: u32) -> Vec<Workload> {
     KERNELS.iter().map(|(_, build)| build(TEMPLATE_ITERS).with_iters(iters)).collect()
