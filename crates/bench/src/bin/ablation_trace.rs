@@ -10,7 +10,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use dise_asm::{parse_asm, Layout};
-use dise_cpu::{replay_timing, CpuConfig, TraceReader};
+use dise_cpu::{CpuConfig, TraceReader};
 use dise_debug::{
     functional_passes, run_baseline, trace_records, trace_replays, Application, BackendKind,
     DebugError, SessionReport, SessionTask,
@@ -89,8 +89,9 @@ fn main() {
     );
 
     // 2. Per-kernel codec economics and throughput: record each
-    //    calibrated kernel once, then replay the stored stream through
-    //    a timing model and check it against the live baseline.
+    //    calibrated kernel once, then replay the stored stream to an
+    //    undebugged member and check its timing against the live
+    //    baseline.
     println!(
         "\n{:<14}{:>10}{:>10}{:>9}{:>8}{:>12}{:>12}",
         "kernel", "records", "file B", "B/rec", "ratio", "rec Mrec/s", "rep Mrec/s"
@@ -101,15 +102,19 @@ fn main() {
         record(w.app(), &path);
         let record_secs = t.elapsed().as_secs_f64();
 
+        let stats = TraceReader::open(&path, None).expect("fresh trace opens").stats();
         let t = Instant::now();
-        let mut reader = TraceReader::open(&path, None).expect("fresh trace opens");
-        let stats = reader.stats();
-        let replayed = replay_timing(&mut reader, &[CpuConfig::default()])
+        let undebugged = vec![(BackendKind::VirtualMemory, vec![], vec![CpuConfig::default()])];
+        let replayed = SessionTask::observer_replay(w.app(), undebugged, &path)
+            .run_to_completion()
+            .into_observe()
             .expect("fresh trace replays")
+            .remove(0)
+            .expect("the undebugged member runs")
             .remove(0);
         let replay_secs = t.elapsed().as_secs_f64();
         let live = run_baseline(w.app(), CpuConfig::default()).expect("kernel runs");
-        assert_eq!(replayed, live, "{}: replayed timing must match the live machine", w.name());
+        assert_eq!(replayed.run, live, "{}: replayed timing must match the live machine", w.name());
 
         #[allow(clippy::cast_precision_loss)]
         let (records, file_bytes) = (stats.records as f64, stats.file_bytes as f64);

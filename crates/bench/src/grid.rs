@@ -60,10 +60,10 @@ impl SessionJob {
     }
 }
 
-/// One result slot of a [`CellGroup`]: an observing member (its own
-/// backend and watchpoints) or a perturbing engine-configuration
-/// sub-batch (the group's backend and watchpoints, its own engine
-/// capacities). Its task output is one report per configuration.
+/// One result slot of a [`CellGroup`]: one functional stream under one
+/// detector — an observing member of a shared pass, or a perturbing
+/// group's one private machine. Its result is one report per
+/// configuration.
 #[derive(Clone, Debug)]
 pub struct Slot {
     /// The backend, timing-only knobs folded into `cpus` by
@@ -86,11 +86,10 @@ pub struct Slot {
 ///   debugger traps on, and observers install no productions, so cells
 ///   that differ in watchpoint set, backend, engine capacities or timing
 ///   all merge.
-/// * **Perturbing** slots all hold the group's one backend and
-///   watchpoint set, one slot per DISE engine capacity
-///   ([`SessionTask::perturbing_group`]): the backend and its image are
-///   built once, and each slot restores the image copy-on-write into a
-///   machine of its own — K slots cost one build and K image loads.
+/// * A **perturbing** group is exactly one slot, one machine
+///   ([`SessionTask::batch`]): its backend, watchpoints and engine
+///   capacities fix the stream, and only timing varies across its
+///   cells.
 #[derive(Clone, Debug)]
 pub struct CellGroup {
     /// The kernel to debug.
@@ -100,8 +99,8 @@ pub struct CellGroup {
 }
 
 impl CellGroup {
-    /// True when the slots share one observer pass, false when they are
-    /// a perturbing backend's engine sub-batches.
+    /// True when the slots share one observer pass, false for a
+    /// perturbing group's one private batch.
     fn observing(&self) -> bool {
         self.slots[0].backend.observation_only()
     }
@@ -114,27 +113,25 @@ impl CellGroup {
                 self.slots.iter().map(|s| (s.backend, s.watchpoints.clone(), s.cpus.clone()));
             SessionTask::observer(app, members.collect())
         } else {
-            let cpus: Vec<Vec<CpuConfig>> = self.slots.iter().map(|s| s.cpus.clone()).collect();
             let slot = &self.slots[0];
-            SessionTask::perturbing_group(app, slot.watchpoints.clone(), slot.backend, &cpus)
+            SessionTask::batch(app, slot.watchpoints.clone(), slot.backend, &slot.cpus)
         }
     }
 
-    /// Scatter the output of this group's [`CellGroup::task`] (one
-    /// result per slot) to per-cell reports, tagged with their original
-    /// cell index. A group-wide error (an assembly failure, a panicked
-    /// poll, watchpoints the perturbing backend rejects) is every cell's
+    /// Scatter the output of this group's [`CellGroup::task`] to
+    /// per-cell reports, tagged with their original cell index: a batch
+    /// is the one slot's result, and an observer output holds one per
+    /// slot. A group-wide error (an assembly failure, a panicked poll,
+    /// watchpoints the perturbing backend rejects) is every cell's
     /// error.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a batch-shaped output: a caller bug, since a group's
-    /// task is never batch-shaped.
     pub fn reports_from(
         &self,
         output: TaskOutput,
     ) -> Vec<(usize, Result<SessionReport, DebugError>)> {
-        let per_slot = output.into_observe().unwrap_or_else(|e| vec![Err(e); self.slots.len()]);
+        let per_slot = match output {
+            TaskOutput::Batch(result) => vec![result],
+            TaskOutput::Observe(out) => out.unwrap_or_else(|e| vec![Err(e); self.slots.len()]),
+        };
         let mut out = Vec::new();
         for (slot, result) in self.slots.iter().zip(per_slot) {
             match result {
@@ -159,9 +156,9 @@ impl CellGroup {
 ///   serves every watchpoint set, observing backend and timing
 ///   configuration at once;
 /// * a **perturbing** core (single-stepping, rewriting, DISE production
-///   injection) groups by (kernel, watchpoints, backend), and its slot
-///   keys on the DISE engine capacities — one private functional stream
-///   per slot, replayed under each cell's timing configuration.
+///   injection) groups by (kernel, watchpoints, backend, DISE engine
+///   capacities) into one slot — one private functional stream,
+///   replayed under each cell's timing configuration.
 ///
 /// Kernel identity is the full workload (not just its name — two scales
 /// of the same kernel are different programs). Groups appear in
@@ -173,7 +170,11 @@ pub fn batch_session_jobs(jobs: &[SessionJob]) -> Vec<CellGroup> {
     for (i, job) in jobs.iter().enumerate() {
         let (backend, cpu) = job.backend.split_timing(job.cpu);
         let observing = backend.observation_only();
-        let same_pass = |s: &Slot| s.backend == backend && s.watchpoints == job.watchpoints;
+        let same_pass = |s: &Slot| {
+            s.backend == backend
+                && s.watchpoints == job.watchpoints
+                && (observing || s.cpus[0].engine == cpu.engine)
+        };
         let group = match groups.iter().position(|g| {
             g.workload == job.workload
                 && g.observing() == observing
@@ -185,11 +186,7 @@ pub fn batch_session_jobs(jobs: &[SessionJob]) -> Vec<CellGroup> {
                 groups.last_mut().expect("just pushed")
             }
         };
-        match group
-            .slots
-            .iter_mut()
-            .find(|s| same_pass(s) && (observing || s.cpus[0].engine == cpu.engine))
-        {
+        match group.slots.iter_mut().find(|s| same_pass(s)) {
             Some(s) => {
                 s.cpus.push(cpu);
                 s.cells.push(i);
@@ -337,7 +334,12 @@ mod tests {
         let groups = batch_session_jobs(&jobs);
         assert_eq!(groups.len(), 2, "one perturbing and one observing group");
         for group in groups {
-            let output = TaskOutput::Observe(Err(DebugError::Panicked("boom".into())));
+            let boom = DebugError::Panicked("boom".into());
+            let output = if group.observing() {
+                TaskOutput::Observe(Err(boom))
+            } else {
+                TaskOutput::Batch(Err(boom))
+            };
             let cells: Vec<usize> = group.slots.iter().flat_map(|s| s.cells.clone()).collect();
             let scattered = group.reports_from(output);
             assert_eq!(scattered.iter().map(|(c, _)| *c).collect::<Vec<_>>(), cells);
@@ -366,7 +368,7 @@ mod tests {
         let groups = batch_session_jobs(&jobs);
         assert_eq!(groups.len(), 2, "the two DISE cells differ only in timing");
         let dise = &groups[0];
-        assert!(!dise.observing(), "DISE perturbs: must run off a shared image");
+        assert!(!dise.observing(), "DISE perturbs: must run privately");
         assert_eq!(dise.slots.len(), 1, "identical engines share one functional stream");
         assert_eq!(dise.slots[0].cells, vec![0, 1]);
         assert!(dise.slots[0].cpus[1].multithreaded_dise_calls, "mt knob folded into the config");
@@ -514,16 +516,15 @@ mod tests {
                 small_engine(),
             ),
         ];
-        // The engine-divergent cells 0 and 2 share one image (one group,
-        // two slots — two functional streams, one load); the different
-        // watchpoint stands alone.
+        // Each cell is its own functional stream, so its own one-slot
+        // group.
         let groups = batch_session_jobs(&jobs);
-        assert_eq!(groups.len(), 2);
-        let p = &groups[0];
-        assert!(!p.observing(), "perturbing cells must group");
-        assert_eq!(p.slots.len(), 2, "one slot per engine configuration");
-        assert_eq!(p.slots[0].cells, vec![0]);
-        assert_eq!(p.slots[1].cells, vec![2]);
+        assert_eq!(groups.len(), 3);
+        for (i, g) in groups.iter().enumerate() {
+            assert!(!g.observing(), "DISE perturbs");
+            assert_eq!(g.slots.len(), 1, "a perturbing group is one machine");
+            assert_eq!(g.slots[0].cells, vec![i]);
+        }
     }
 
     /// The acceptance bar: a grid containing batchable cells (a
@@ -572,10 +573,9 @@ mod tests {
         );
     }
 
-    /// The copy-on-write acceptance bar: a perturbing sweep spanning
-    /// *engine capacities* (cells that can never share a functional
-    /// stream) restores every slot from one shared image and still
-    /// matches the cell-by-cell reference.
+    /// A perturbing sweep spanning *engine capacities* (cells that can
+    /// never share a functional stream) runs one group per engine and
+    /// still matches the cell-by-cell reference.
     #[test]
     fn forked_overheads_match_unforked_cell_for_cell() {
         let w = &all(10)[0];
@@ -599,9 +599,12 @@ mod tests {
         ));
 
         let groups = batch_session_jobs(&jobs);
-        assert_eq!(groups.len(), 3, "one group per (backend, watchpoints)");
-        assert!(!groups[0].observing(), "DISE perturbs");
-        assert_eq!(groups[0].slots.len(), 2, "two engine slots share one image");
+        assert_eq!(groups.len(), 5, "one group per (backend, watchpoints, engine)");
+        for g in &groups {
+            assert!(!g.observing(), "every backend here perturbs");
+            assert_eq!(g.slots.len(), 1, "a perturbing group is one machine");
+        }
+        assert_eq!(groups[0].slots[0].cells, vec![0, 2], "timing-only cells share a machine");
 
         let cell_by_cell = reference(&jobs);
         let grouped = run_session_grid(&jobs, 1, DEFAULT_SLICE);

@@ -17,9 +17,9 @@
 //! groups the cells into [`CellGroup`]s that each share functional
 //! work. Observing backends share one pass of the unmodified application
 //! across watchpoint set × backend × timing
-//! ([`dise_debug::ObserverBatch`]). A perturbing backend builds its
-//! image once and runs one private pass per DISE engine configuration,
-//! each restoring the image copy-on-write. Every group becomes a
+//! ([`dise_debug::ObserverBatch`]). A perturbing group is one machine:
+//! one private pass per (backend, watchpoints, DISE engine), accounted
+//! under every timing configuration of its cells. Every group becomes a
 //! resumable [`dise_debug::SessionTask`] on one cooperative
 //! [`dise_debug::Scheduler`], drained by [`Experiment::workers`]
 //! threads in [`Experiment::slice`]-instruction slices

@@ -20,7 +20,8 @@
 //! (forward references are rejected, so dependency cycles are
 //! unrepresentable — the same backward-only rule as
 //! [`Scheduler::spawn_after`]). `cost=` overrides the modelled
-//! debugger-transition stall, `iters=` the kernel scale.
+//! debugger-transition stall, up to [`CpuConfig::MAX_TRANSITION_COST`]
+//! cycles, and `iters=` the kernel scale.
 //!
 //! ## Determinism
 //!
@@ -96,7 +97,8 @@ fn parse_backend(s: &str) -> Result<BackendKind, String> {
 /// # Errors
 ///
 /// Returns a message naming the offending line for: missing required
-/// keys, unknown keys/values, duplicate names, unknown kernels, and
+/// keys, unknown keys/values, duplicate names, unknown kernels, a
+/// `cost=` above [`CpuConfig::MAX_TRANSITION_COST`], and
 /// `after=` references that are not an *earlier* job's name.
 pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, String> {
     let mut jobs: Vec<JobSpec> = Vec::new();
@@ -146,9 +148,15 @@ pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, String> {
                         value.parse().map_err(|e| at(format!("invalid iters {value:?}: {e}")))?;
                 }
                 "cost" => {
-                    cost = Some(
-                        value.parse().map_err(|e| at(format!("invalid cost {value:?}: {e}")))?,
-                    );
+                    let c: u64 =
+                        value.parse().map_err(|e| at(format!("invalid cost {value:?}: {e}")))?;
+                    if c > CpuConfig::MAX_TRANSITION_COST {
+                        return Err(at(format!(
+                            "cost {c} exceeds the largest transition cost, {} cycles",
+                            CpuConfig::MAX_TRANSITION_COST
+                        )));
+                    }
+                    cost = Some(c);
                 }
                 "after" => {
                     if !seen.contains_key(value) {

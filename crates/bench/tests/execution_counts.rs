@@ -9,10 +9,9 @@
 //!
 //! The same bar extends to the copy-on-write image economy:
 //! `dise_debug::image_loads()` counts every machine instantiated by
-//! restoring a program image — a perturbing group over K engine
-//! configurations builds its backend and image once and pays K loads,
-//! one per machine — and `dise_debug::checkpoint_forks()` stays 0,
-//! because no machine is forked off a template any more.
+//! restoring a program image — one per pass, K for a perturbing sweep
+//! over K engine configurations — and `dise_debug::checkpoint_forks()`
+//! stays 0, because no machine is forked off a template any more.
 //!
 //! And to the persistent trace store: `dise_debug::trace_records()` /
 //! `trace_replays()` count recordings and stored-stream replays — an
@@ -189,11 +188,10 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
     assert!(matches!(out[..], [Err(DebugError::Unsupported { .. })]), "the no-experiment bar");
     assert_eq!(functional_passes() - before, 0, "nothing observable, nothing executed");
 
-    // The copy-on-write image economy. A perturbing sweep over K = 3
-    // DISE engine capacities (x 2 timing configs each) can never share
-    // a functional stream — every sub-batch rightly pays its own pass —
-    // but it shares its backend build and its *image*: each sub-batch's
-    // machine is one copy-on-write restore of it.
+    // The image economy. A perturbing sweep over K = 3 DISE engine
+    // capacities (x 2 timing configs each) can never share a functional
+    // stream: each engine is its own one-machine group, and each machine
+    // is one copy-on-write restore of the backend's image.
     let engines = [(32usize, 256usize), (16, 128), (8, 64)].map(|(p, r)| CpuConfig {
         engine: dise_engine::EngineConfig { pattern_entries: p, replacement_entries: r },
         ..CpuConfig::default()
@@ -210,33 +208,29 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
         }
     }
     assert_eq!(fork_cells.len(), 6);
-    assert_eq!(batch_session_jobs(&fork_cells).len(), 1, "one group, one shared image");
+    assert_eq!(batch_session_jobs(&fork_cells).len(), 3, "one group per engine");
     let expect = reference(&fork_cells);
     let (p0, l0, f0) = (functional_passes(), image_loads(), checkpoint_forks());
     let grouped = grid(&fork_cells);
-    assert_eq!(functional_passes() - p0, 3, "grouped: still one honest pass per engine config");
-    assert_eq!(image_loads() - l0, 3, "grouped: one image load per machine");
-    assert_eq!(checkpoint_forks() - f0, 0, "grouped: no machine is forked");
-    assert_eq!(grouped, expect, "sharing the image must not change a single byte");
+    assert_eq!(functional_passes() - p0, 3, "one honest pass per engine config");
+    assert_eq!(image_loads() - l0, 3, "one image load per machine");
+    assert_eq!(checkpoint_forks() - f0, 0, "no machine is forked");
+    assert_eq!(grouped, expect, "running each engine alone must not change a single byte");
 
-    // A group of one sub-batch — every `paper_grid` group is one — costs
-    // exactly what the batch it equals costs: one load, one pass, no
-    // fork.
-    let cpus = [CpuConfig::default()];
+    // A batch is one machine: one load, one pass, no fork. An empty
+    // batch settles with no reports and costs nothing.
     let app = w.app();
     for backend in [BackendKind::VirtualMemory, BackendKind::dise_default()] {
-        let (p0, l0, f0) = (functional_passes(), image_loads(), checkpoint_forks());
-        let batch =
-            SessionTask::batch(app, wp.clone(), backend, &cpus).run_to_completion().into_batch();
-        let batch_cost = (functional_passes() - p0, image_loads() - l0, checkpoint_forks() - f0);
-        let (p0, l0, f0) = (functional_passes(), image_loads(), checkpoint_forks());
-        let group = SessionTask::perturbing_group(app, wp.clone(), backend, &[cpus.to_vec()])
-            .run_to_completion()
-            .into_observe();
-        let group_cost = (functional_passes() - p0, image_loads() - l0, checkpoint_forks() - f0);
-        assert_eq!(group_cost, (1, 1, 0), "{backend:?}: one pass, one load, no fork");
-        assert_eq!(batch_cost, group_cost, "{backend:?}: a batch is a group of one");
-        assert_eq!(group, Ok(vec![batch]), "{backend:?}: and reports the same");
+        for (cpus, cost) in [(vec![CpuConfig::default()], (1, 1, 0)), (vec![], (0, 0, 0))] {
+            let (p0, l0, f0) = (functional_passes(), image_loads(), checkpoint_forks());
+            let batch = SessionTask::batch(app, wp.clone(), backend, &cpus)
+                .run_to_completion()
+                .into_batch()
+                .expect("the batch runs");
+            let spent = (functional_passes() - p0, image_loads() - l0, checkpoint_forks() - f0);
+            assert_eq!(spent, cost, "{backend:?} over {} configurations", cpus.len());
+            assert_eq!(batch.len(), cpus.len(), "{backend:?}: one report per configuration");
+        }
     }
 
     // The persistent-trace economy, on the 12-cell observer group from

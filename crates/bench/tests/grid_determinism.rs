@@ -188,10 +188,9 @@ fn all_experiments_are_batching_invariant() {
     assert_grids_match_cells(6, &FIGURES);
 }
 
-/// The copy-on-write fork contract at grid level: a perturbing sweep
-/// spanning two workloads, two perturbing backends and two engine
-/// capacities forks every engine slot from one image per group, and
-/// returns the unforked cell-by-cell reports under a serial and a
+/// A perturbing sweep spanning two workloads, two perturbing backends
+/// and two engine capacities runs one machine per (kernel, backend,
+/// engine) and returns the cell-by-cell reports under a serial and a
 /// pooled worker count alike.
 #[test]
 fn forked_and_unforked_grids_are_byte_identical_across_worker_counts() {
@@ -215,7 +214,11 @@ fn forked_and_unforked_grids_are_byte_identical_across_worker_counts() {
             }
         }
     }
-    assert_eq!(dise_bench::batch_session_jobs(&jobs).len(), 4, "one image per kernel x backend");
+    assert_eq!(
+        dise_bench::batch_session_jobs(&jobs).len(),
+        8,
+        "one group per kernel x backend x engine"
+    );
     assert_matches_cells("perturbing sweep", &jobs);
 }
 

@@ -12,6 +12,7 @@
 //! ```
 
 use dise_bench::server::parse_jobs;
+use dise_cpu::CpuConfig;
 use proptest::prelude::*;
 
 #[rustfmt::skip]
@@ -58,6 +59,18 @@ fn parses_or_errs(soup: &Soup) {
     for line in text.lines() {
         let _ = parse_jobs(line);
     }
+}
+
+/// A `cost=` above [`CpuConfig::MAX_TRANSITION_COST`] would wrap the
+/// session's cycle count, so the parser rejects it at its line; the
+/// bound itself is accepted.
+#[test]
+fn cost_past_the_largest_transition_cost_is_rejected() {
+    let job = |cost: &str| format!("a kernel=mcf watch=hot backend=vm iters=5 cost={cost}");
+    let err = parse_jobs(&job("18446744073709551615")).expect_err("u64::MAX is rejected");
+    assert!(err.starts_with("line 1: "), "{err}");
+    let jobs = parse_jobs(&job("4294967296")).expect("the bound is accepted");
+    assert_eq!(jobs[0].cost, Some(CpuConfig::MAX_TRANSITION_COST));
 }
 
 proptest! {

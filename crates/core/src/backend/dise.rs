@@ -69,7 +69,7 @@ struct Cells {
     mask_hi: Option<u64>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct DiseBackend {
     strategy: DiseStrategy,
     wps: Vec<Watchpoint>,

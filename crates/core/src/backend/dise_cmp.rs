@@ -41,7 +41,7 @@ use dise_mem::Memory;
 
 use crate::backend::{classify, ObserverImpl};
 use crate::session::DebugError;
-use crate::{Transition, TransitionStats, WatchExpr, WatchFilter, WatchState, Watchpoint};
+use crate::{Transition, WatchExpr, WatchFilter, WatchState, Watchpoint};
 
 /// Bound-register pairs the organisation provides: the paper's engine
 /// tables are tens of entries, and each pair needs two address
@@ -71,7 +71,6 @@ fn pairs_needed(wps: &[Watchpoint]) -> Result<usize, DebugError> {
 
 /// The comparator detector: the bound pairs mirror the watchpoints'
 /// current intervals, so it holds no state of its own.
-#[derive(Clone)]
 pub(crate) struct CmpObserver;
 
 impl CmpObserver {
@@ -82,13 +81,7 @@ impl CmpObserver {
 }
 
 impl ObserverImpl for CmpObserver {
-    fn observe(
-        &mut self,
-        e: &Exec,
-        mem: &Memory,
-        watch: &mut WatchState,
-        _stats: &mut TransitionStats,
-    ) -> Option<Transition> {
+    fn observe(&mut self, e: &Exec, mem: &Memory, watch: &mut WatchState) -> Option<Transition> {
         // The pairs mirror the watchpoints' current intervals, so a
         // store traps iff it overlaps a watched byte, and every trap
         // wrote one: no spurious address transitions.

@@ -13,7 +13,7 @@ use crate::backend::{
     ObserverImpl,
 };
 use crate::session::DebugError;
-use crate::{Transition, TransitionStats, WatchExpr, WatchFilter, WatchState, Watchpoint};
+use crate::{Transition, WatchExpr, WatchFilter, WatchState, Watchpoint};
 
 /// How a register budget covers a watchpoint set: the quad-aligned
 /// addresses loaded into the comparators, and the pages trapped for
@@ -69,7 +69,6 @@ fn comparator_hit(quads: &[u64], m: &MemOp) -> bool {
 /// The hardware-register detector: a store traps when its quad-aligned
 /// footprint covers a loaded comparator, or when it would fault on a
 /// page of the virtual-memory fallback.
-#[derive(Clone)]
 pub(crate) struct HwObserver {
     quads: Vec<u64>,
     fallback_pages: Vec<u64>,
@@ -83,13 +82,7 @@ impl HwObserver {
 }
 
 impl ObserverImpl for HwObserver {
-    fn observe(
-        &mut self,
-        e: &Exec,
-        mem: &Memory,
-        watch: &mut WatchState,
-        _stats: &mut TransitionStats,
-    ) -> Option<Transition> {
+    fn observe(&mut self, e: &Exec, mem: &Memory, watch: &mut WatchState) -> Option<Transition> {
         let m = e.mem?;
         if !m.is_store {
             return None;

@@ -186,7 +186,6 @@ impl BackendKind {
 /// ([`ObserverImpl`]) classifies its stream against the machine's
 /// memory — the same detector an observer batch fans a shared stream
 /// out to, so the two paths cannot drift apart.
-#[derive(Clone)]
 struct Observing {
     kind: BackendKind,
     /// Built at admission; `None` only before it.
@@ -220,10 +219,10 @@ impl BackendImpl for Observing {
         e: &Exec,
         exec: &mut Executor,
         watch: &mut WatchState,
-        stats: &mut TransitionStats,
+        _stats: &mut TransitionStats,
     ) -> Option<Transition> {
         let detector = self.detector.as_mut().expect("configured at admission");
-        detector.observe(e, exec.mem(), watch, stats)
+        detector.observe(e, exec.mem(), watch)
     }
 }
 
@@ -258,7 +257,7 @@ pub(crate) fn classify(changed: bool, pred_ok: bool, wrote_watched: bool) -> Tra
 /// Internal interface every backend implements. `Send` because a
 /// [`crate::SessionTask`] (which owns one mid-run) migrates between
 /// scheduler worker threads across slices.
-pub(crate) trait BackendImpl: Send + CloneBackend {
+pub(crate) trait BackendImpl: Send {
     /// The static work before the machine exists: check the
     /// watchpoints against this backend and say how the program it runs
     /// differs from the application's prepared one — `None` when it runs
@@ -295,19 +294,6 @@ pub(crate) trait BackendImpl: Send + CloneBackend {
     }
 }
 
-/// Clone a backend behind the trait object, state and all: each
-/// sub-batch of a private group configures its own copy of the backend
-/// the group built once, as `build_program` left it.
-pub(crate) trait CloneBackend {
-    fn boxed_clone(&self) -> Box<dyn BackendImpl>;
-}
-
-impl<T: BackendImpl + Clone + 'static> CloneBackend for T {
-    fn boxed_clone(&self) -> Box<dyn BackendImpl> {
-        Box::new(self.clone())
-    }
-}
-
 /// The transition detector of an *observing* backend, fed either a
 /// private machine's stream ([`Observing`]) or a shared functional
 /// stream, live or replayed. Unlike [`BackendImpl::observe`] it sees
@@ -318,16 +304,13 @@ impl<T: BackendImpl + Clone + 'static> CloneBackend for T {
 /// The chunked fan-out must report transitions bit-identically to the
 /// per-record private loop (the cross-backend conformance suite and
 /// the grid determinism tests hold it to that).
-pub(crate) trait ObserverImpl: Send + CloneObserver {
+pub(crate) trait ObserverImpl: Send {
     /// Inspect one executed instruction of the shared stream; return
-    /// the debugger transition it caused, if any.
-    fn observe(
-        &mut self,
-        e: &Exec,
-        mem: &Memory,
-        watch: &mut WatchState,
-        stats: &mut TransitionStats,
-    ) -> Option<Transition>;
+    /// the debugger transition it caused, if any. `mem` is memory
+    /// exactly as of the record, as far as this observer can tell: the
+    /// fan-out scans a chunk against its final memory only when every
+    /// store in it misses the observer's filter.
+    fn observe(&mut self, e: &Exec, mem: &Memory, watch: &mut WatchState) -> Option<Transition>;
 
     /// The store-footprint prefilter the chunked fan-out tests each
     /// [`dise_cpu::ChunkSummary`] against before scanning this
@@ -336,49 +319,6 @@ pub(crate) trait ObserverImpl: Send + CloneObserver {
     /// `mem` carry the *current* watch state — a dynamic filter
     /// (indirect watches) is rebuilt from them after every forced scan.
     fn filter(&self, watch: &WatchState, mem: &Memory) -> WatchFilter;
-
-    /// Inspect a slice of consecutive records with one virtual
-    /// dispatch, pushing `(record index, transition)` pairs in stream
-    /// order. The default is the per-record fallback over
-    /// [`ObserverImpl::observe`].
-    ///
-    /// `mem` is the state *after* the last record of the slice. The
-    /// caller must guarantee that is indistinguishable from per-record
-    /// memory for this observer — the fan-out does, by scanning only
-    /// single-record slices or slices whose stores all miss the
-    /// member's filter.
-    fn observe_slice(
-        &mut self,
-        records: &[Exec],
-        mem: &Memory,
-        watch: &mut WatchState,
-        stats: &mut TransitionStats,
-        out: &mut Vec<(u32, Transition)>,
-    ) {
-        for (i, e) in records.iter().enumerate() {
-            if let Some(t) = self.observe(e, mem, watch, stats) {
-                out.push((i as u32, t));
-            }
-        }
-    }
-}
-
-/// Clone a detector behind the trait object, so the private-session
-/// adapter that owns one ([`Observing`]) clones it too.
-pub(crate) trait CloneObserver {
-    fn boxed_clone(&self) -> Box<dyn ObserverImpl>;
-}
-
-impl<T: ObserverImpl + Clone + 'static> CloneObserver for T {
-    fn boxed_clone(&self) -> Box<dyn ObserverImpl> {
-        Box::new(self.clone())
-    }
-}
-
-impl Clone for Box<dyn ObserverImpl> {
-    fn clone(&self) -> Self {
-        (**self).boxed_clone()
-    }
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ fn registers(item: &TextItem) -> [Option<Reg>; 3] {
     }
 }
 
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct Rewrite;
 
 impl BackendImpl for Rewrite {

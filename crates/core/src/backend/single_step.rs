@@ -10,7 +10,7 @@ use crate::backend::{classify, BackendImpl};
 use crate::session::DebugError;
 use crate::{Application, Transition, TransitionStats, WatchState, Watchpoint};
 
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct SingleStep {
     stmts: StmtSet,
 }
@@ -24,7 +24,7 @@ const MAX_STMT_WORDS: usize = 1 << 16;
 /// too far past the lowest (possible only in a hand-built program) are
 /// kept in a list. Every fetched record is looked up, so the common
 /// probe is a subtraction, a shift and a bit test.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct StmtSet {
     base: u64,
     words: Box<[u64]>,

@@ -13,7 +13,7 @@ use dise_mem::{Memory, PAGE_SIZE};
 
 use crate::backend::{classify, ObserverImpl};
 use crate::session::DebugError;
-use crate::{Transition, TransitionStats, WatchFilter, WatchState, Watchpoint};
+use crate::{Transition, WatchFilter, WatchState, Watchpoint};
 
 /// The pages covering every statically addressable watched byte.
 ///
@@ -66,7 +66,6 @@ pub(crate) fn store_would_fault(pages: &[u64], addr: u64, width: u64) -> bool {
 
 /// The virtual-memory detector: a store that would fault on a watched
 /// page traps to the debugger, which classifies it.
-#[derive(Clone)]
 pub(crate) struct VmObserver {
     /// Page base addresses covering every watched byte.
     pages: Vec<u64>,
@@ -79,13 +78,7 @@ impl VmObserver {
 }
 
 impl ObserverImpl for VmObserver {
-    fn observe(
-        &mut self,
-        e: &Exec,
-        mem: &Memory,
-        watch: &mut WatchState,
-        _stats: &mut TransitionStats,
-    ) -> Option<Transition> {
+    fn observe(&mut self, e: &Exec, mem: &Memory, watch: &mut WatchState) -> Option<Transition> {
         let m = e.mem?;
         if !m.is_store || !store_would_fault(&self.pages, m.addr, m.width) {
             return None;

@@ -34,7 +34,6 @@ use dise_isa::{encode, AluOp, Cond, Instr, Reg, Width};
 use crate::app::Edits;
 use crate::backend::BackendImpl;
 use crate::session::DebugError;
-use crate::task::Shape;
 use crate::{
     Application, Session, SessionTask, Transition, TransitionStats, WatchState, Watchpoint,
 };
@@ -112,13 +111,12 @@ impl SessionTask {
         cpu: CpuConfig,
     ) -> SessionTask {
         let backend = Box::new(Breakpoints::new(backend, breakpoints));
-        SessionTask::group(app, Vec::new(), backend, vec![vec![cpu]], Shape::Batch)
+        SessionTask::private(app, Vec::new(), backend, &[cpu])
     }
 }
 
 /// A breakpoint set under one implementation: the backend of a private
 /// pass with no watchpoints.
-#[derive(Clone)]
 struct Breakpoints {
     backend: BreakpointBackend,
     breakpoints: Vec<Breakpoint>,

@@ -31,7 +31,6 @@ use dise_isa::{AluOp, Cond, OpClass, Reg};
 use crate::app::Edits;
 use crate::backend::BackendImpl;
 use crate::session::DebugError;
-use crate::task::Shape;
 use crate::{Application, Session, SessionTask, Watchpoint};
 
 /// A registered watch: a byte region and the application-resident
@@ -69,7 +68,7 @@ impl SessionTask {
     /// than three regions settle it as [`DebugError::Unsupported`].
     pub fn monitor(app: &Application, regions: &[MonitoredRegion], cpu: CpuConfig) -> SessionTask {
         let backend = Box::new(IWatcher(regions.to_vec()));
-        SessionTask::group(app, Vec::new(), backend, vec![vec![cpu]], Shape::Batch)
+        SessionTask::private(app, Vec::new(), backend, &[cpu])
     }
 }
 
@@ -78,7 +77,6 @@ impl SessionTask {
 /// its callback, from `dr12`; at most three regions fit the register
 /// budget (iWatcher's hierarchy would spill to memory —
 /// register-resident checks are the fast path both there and here).
-#[derive(Clone)]
 struct IWatcher(Vec<MonitoredRegion>);
 
 impl BackendImpl for IWatcher {

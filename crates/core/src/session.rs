@@ -15,21 +15,20 @@ use dise_engine::EngineError;
 use dise_trace::TraceError;
 
 use crate::backend::BackendImpl;
-use crate::task::{admit_group, Pass, SessionTask};
+use crate::task::{admit_batch, Pass, SessionTask};
 use crate::{Application, BackendKind, TransitionStats, WatchExpr, WatchState, Watchpoint};
 
 /// Functional session passes driven since process start (one per
-/// driven `Executor` run: lone sessions, timing batches, perturbing
-/// sub-batches and shared observer passes each count once). See
-/// [`functional_passes`].
+/// driven `Executor` run: lone sessions, timing batches and shared
+/// observer passes each count once). See [`functional_passes`].
 pub(crate) static FUNCTIONAL_PASSES: AtomicU64 = AtomicU64::new(0);
 
 /// Total functional session passes executed by this process — one per
 /// [`Session`] (counted on its first drive, so a session that is built
-/// and never run counts none), one per [`SessionTask::batch`] (however
-/// many timing configurations it accounts), one per perturbing
-/// sub-batch, and one per [`ObserverBatch`] run (however many
-/// watchpoint sets × backends × timing configurations share it).
+/// and never run counts none), one per non-empty [`SessionTask::batch`]
+/// (however many timing configurations it accounts), and one per
+/// [`ObserverBatch`] run (however many watchpoint sets × backends ×
+/// timing configurations share it).
 /// Undebugged baselines are not counted.
 ///
 /// This is instrumentation for the execution-count assertions that
@@ -45,14 +44,13 @@ pub fn functional_passes() -> u64 {
 pub(crate) static IMAGE_LOADS: AtomicU64 = AtomicU64::new(0);
 
 /// Total program images instantiated into a fresh machine by this
-/// process — one per machine: per [`Session`], per
-/// [`SessionTask::batch`], per sub-batch of a
-/// [`SessionTask::perturbing_group`] (a K-sub-batch group counts K) and
-/// per live [`ObserverBatch`] pass. Instantiation restores the
-/// application's prepared image, or the backend's image built once per
-/// group, copy-on-write; preparing it (assembling and loading, once per
-/// application — see [`Application::prepared`]) is not counted, and
-/// neither are undebugged baselines. Like [`functional_passes`], this
+/// process — one per machine: per [`Session`], per non-empty
+/// [`SessionTask::batch`] and per live [`ObserverBatch`] pass.
+/// Instantiation restores the application's prepared image, or the
+/// backend's image built at the batch's admission, copy-on-write;
+/// preparing it (assembling and loading, once per application — see
+/// [`Application::prepared`]) is not counted, and neither are
+/// undebugged baselines. Like [`functional_passes`], this
 /// is instrumentation for execution-count pins; compare deltas.
 pub fn image_loads() -> u64 {
     IMAGE_LOADS.load(Ordering::Relaxed)
@@ -90,10 +88,10 @@ pub enum DebugError {
         /// Why.
         reason: String,
     },
-    /// The configurations of one batch (or perturbing sub-batch)
-    /// disagree on the DISE engine capacities, so they would execute
-    /// different functional streams and cannot share one pass. Settles
-    /// the batch at admission rather than running any of it.
+    /// The configurations of one batch disagree on the DISE engine
+    /// capacities, so they would execute different functional streams
+    /// and cannot share one pass. Settles the batch at admission rather
+    /// than running any of it.
     MismatchedEngines,
     /// A persistent `Exec` trace was rejected: stale (fingerprint
     /// mismatch), corrupt (CRC/framing), truncated, unreadable, or the
@@ -353,9 +351,9 @@ impl<'a> ObserverBatch<'a> {
 }
 
 /// The per-record session loop behind every private pass ([`Session`],
-/// [`SessionTask::batch`], perturbing sub-batches, breakpoint and
-/// monitor sessions): one functional pass through `exec` and `backend`,
-/// fanned out to every timing model in `timings`, one record at a time.
+/// [`SessionTask::batch`], breakpoint and monitor sessions): one
+/// functional pass through `exec` and `backend`, fanned out to every
+/// timing model in `timings`, one record at a time.
 /// Returns the terminal execution error, if any. Because it dispatches
 /// each record as it retires, it is also the plain reference the
 /// chunked observer fan-out is tested against.
@@ -447,9 +445,7 @@ impl Session {
         backend: Box<dyn BackendImpl>,
         cpu: CpuConfig,
     ) -> Result<Session, DebugError> {
-        // The session is its group's only pass, started here.
-        let pass = admit_group(app, watchpoints, backend, Vec::new())?
-            .start(&[cpu])?
+        let pass = admit_batch(app, watchpoints, backend, &[cpu])?
             .expect("a one-configuration batch always admits a pass");
         Ok(Session { pass, counted: false })
     }
@@ -1318,8 +1314,7 @@ mod tests {
     }
 
     /// Configurations that disagree on the engine cannot share a
-    /// stream: the batch — or just the offending sub-batch of a
-    /// perturbing group — settles with a typed error instead of running.
+    /// stream: the batch settles with a typed error instead of running.
     #[test]
     fn batch_rejects_mismatched_engine_configs() {
         let a = app(5);
@@ -1331,10 +1326,6 @@ mod tests {
             run_batch(&a, vec![wp], BackendKind::dise_default(), &mixed),
             Err(DebugError::MismatchedEngines)
         );
-        let batches = vec![vec![CpuConfig::default()], mixed];
-        let grouped = run_group(&a, vec![wp], BackendKind::dise_default(), &batches).unwrap();
-        assert!(grouped[0].is_ok(), "the healthy sub-batch still runs");
-        assert_eq!(grouped[1], Err(DebugError::MismatchedEngines));
     }
 
     #[test]
@@ -1354,62 +1345,23 @@ mod tests {
         ));
     }
 
-    /// The copy-on-write contract: a perturbing group restoring every
-    /// sub-batch's machine from one built image is bit-identical to the
-    /// sub-batches' private `SessionTask::batch` runs — across all three
-    /// perturbing backends, including binary rewriting, whose *image*
-    /// itself is the product of the shared `build_program`.
+    /// An engine too small for the productions settles its batch as
+    /// `DebugError::Engine` at admission, and a healthy batch of the same
+    /// workload still matches its private run.
     #[test]
-    fn perturbing_group_matches_private_batches_bit_for_bit() {
-        let a = app(8);
-        let wp = scalar_wp(&a, "watched");
-        let cheap = CpuConfig { debugger_transition_cost: 5_000, ..CpuConfig::default() };
-        let narrow = CpuConfig { width: 1, commit_width: 1, ..CpuConfig::default() };
-        let mut small = CpuConfig::default();
-        small.engine.replacement_entries = 64;
-        let batches = vec![
-            vec![CpuConfig::default(), cheap],
-            vec![narrow],
-            vec![small, CpuConfig { debugger_transition_cost: 5_000, ..small }],
-        ];
-        for backend in
-            [BackendKind::SingleStep, BackendKind::BinaryRewrite, BackendKind::dise_default()]
-        {
-            let grouped = run_group(&a, vec![wp], backend, &batches).unwrap();
-            assert_eq!(grouped.len(), batches.len());
-            for (cpus, got) in batches.iter().zip(grouped) {
-                let private = run_batch(&a, vec![wp], backend, cpus).unwrap();
-                let got = got.unwrap();
-                assert_eq!(got.len(), private.len(), "{backend:?}");
-                for (g, p) in got.iter().zip(&private) {
-                    assert_eq!(g.run, p.run, "{backend:?} grouped run diverged");
-                    assert_eq!(g.transitions, p.transitions, "{backend:?}");
-                    assert_eq!(g.error, p.error, "{backend:?}");
-                    assert_eq!(g.text_bytes, p.text_bytes, "{backend:?}");
-                }
-            }
-        }
-    }
-
-    /// Engine-capacity failures are per sub-batch: the sub-batch whose
-    /// configuration cannot hold the productions errs in its own slot
-    /// (exactly as its private batch would), while its siblings off the
-    /// same image still run and still match.
-    #[test]
-    fn perturbing_group_isolates_sub_batch_errors() {
+    fn batch_with_too_small_an_engine_settles_as_engine_error() {
         let a = app(6);
         let wp = scalar_wp(&a, "watched");
         let mut tiny = CpuConfig::default();
         tiny.engine.pattern_entries = 0;
-        let batches = vec![vec![CpuConfig::default()], vec![tiny], vec![]];
-        let grouped = run_group(&a, vec![wp], BackendKind::dise_default(), &batches).unwrap();
-        assert!(matches!(grouped[1], Err(DebugError::Engine(_))), "{:?}", grouped[1]);
-        assert!(grouped[2].as_ref().unwrap().is_empty(), "empty sub-batch yields no reports");
+        let err = run_batch(&a, vec![wp], BackendKind::dise_default(), &[tiny]);
+        assert!(matches!(err, Err(DebugError::Engine(_))), "{err:?}");
+        let healthy =
+            run_batch(&a, vec![wp], BackendKind::dise_default(), &[CpuConfig::default()]).unwrap();
         let lone =
             run_session(&a, vec![wp], BackendKind::dise_default(), CpuConfig::default()).unwrap();
-        let got = &grouped[0].as_ref().unwrap()[0];
-        assert_eq!(got.run, lone.run, "the healthy sibling still matches its private run");
-        assert_eq!(got.transitions, lone.transitions);
+        assert_eq!(healthy[0].run, lone.run, "the healthy batch still matches its private run");
+        assert_eq!(healthy[0].transitions, lone.transitions);
     }
 
     fn run_batch(
@@ -1419,16 +1371,5 @@ mod tests {
         cpus: &[CpuConfig],
     ) -> Result<Vec<SessionReport>, DebugError> {
         SessionTask::batch(app, watchpoints, backend, cpus).run_to_completion().into_batch()
-    }
-
-    fn run_group(
-        app: &Application,
-        watchpoints: Vec<Watchpoint>,
-        backend: BackendKind,
-        batches: &[Vec<CpuConfig>],
-    ) -> Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError> {
-        SessionTask::perturbing_group(app, watchpoints, backend, batches)
-            .run_to_completion()
-            .into_observe()
     }
 }

@@ -18,14 +18,13 @@
 //! over the same admission and passes, so the scheduled and unscheduled
 //! paths share one implementation and cannot drift apart.
 //!
-//! There are two continuations. Every *private* pass — a
-//! [`SessionTask::batch`] or [`SessionTask::session`], each sub-batch of
-//! a [`SessionTask::perturbing_group`], breakpoint and monitor tasks,
-//! and [`crate::Session`] — runs in a group: one admission validates the
-//! watchpoints and builds the backend and its image once, and each
-//! sub-batch restores that image copy-on-write into a machine with its
-//! own engine capacities. A batch is a group of one. Observer batches
-//! share one pass, live or replayed, across many members.
+//! There are two continuations. Every *private* task — a
+//! [`SessionTask::batch`] or [`SessionTask::session`], breakpoint and
+//! monitor tasks, and [`crate::Session`] — is one machine: admission
+//! validates the watchpoints, builds the backend's image and restores it
+//! copy-on-write into one machine, and one pass drives it under every
+//! timing configuration of the batch. Observer batches share one pass,
+//! live or replayed, across many members.
 //!
 //! ## Lifecycle
 //!
@@ -42,7 +41,6 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use dise_cpu::{
     CpuConfig, Event, Exec, ExecChunk, ExecError, Executor, RunStats, TimingBatch, TraceReader,
@@ -51,7 +49,6 @@ use dise_cpu::{
 use dise_mem::Memory;
 use dise_trace::TraceError;
 
-use crate::app::Image;
 use crate::backend::{build_image, BackendImpl, ObserverImpl};
 use crate::session::{
     drive, validate_watchpoints, DebugError, SessionReport, FUNCTIONAL_PASSES, IMAGE_LOADS,
@@ -104,9 +101,7 @@ pub enum Step {
 /// [`crate::Scheduler`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TaskProgress {
-    /// Dynamic instructions this task has retired so far, across every
-    /// machine it has driven (a perturbing group accumulates over its
-    /// sub-batches).
+    /// Dynamic instructions this task has retired so far.
     pub instructions: u64,
 }
 
@@ -116,10 +111,10 @@ pub enum TaskOutput {
     /// From a batch, session, breakpoint or monitor task: one report
     /// per timing configuration, in `cpus` order.
     Batch(Result<Vec<SessionReport>, DebugError>),
-    /// One result per slot: per member from [`SessionTask::observer`]
-    /// (what [`crate::ObserverBatch::run`] returns) and its recorded
-    /// and replayed forms, and per engine-configuration sub-batch from
-    /// [`SessionTask::perturbing_group`]. The outer `Err` is task-wide.
+    /// From an observer task: one result per member, from
+    /// [`SessionTask::observer`] (what [`crate::ObserverBatch::run`]
+    /// returns) and its recorded and replayed forms. The outer `Err` is
+    /// task-wide.
     Observe(Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError>),
 }
 
@@ -128,12 +123,12 @@ impl TaskOutput {
     ///
     /// # Panics
     ///
-    /// Panics when the task is not batch-shaped ([`TaskOutput::Batch`])
-    /// — a shape mismatch is a caller bug, never data-dependent.
+    /// Panics on an observer task's output ([`TaskOutput::Observe`]) —
+    /// a shape mismatch is a caller bug, never data-dependent.
     pub fn into_batch(self) -> Result<Vec<SessionReport>, DebugError> {
         match self {
             TaskOutput::Batch(r) => r,
-            TaskOutput::Observe(_) => panic!("expected a batch task output, got one per slot"),
+            TaskOutput::Observe(_) => panic!("expected a batch task output, got one per member"),
         }
     }
 
@@ -145,15 +140,14 @@ impl TaskOutput {
     pub fn into_observe(self) -> Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError> {
         match self {
             TaskOutput::Observe(r) => r,
-            TaskOutput::Batch(_) => panic!("expected one result per slot, got a batch"),
+            TaskOutput::Batch(_) => panic!("expected one result per member, got a batch"),
         }
     }
 }
 
-/// A resumable debugging-session continuation: a private group (a
-/// batch is a group of one) or an observer batch (live, recorded or
-/// replayed), driven a bounded number of instructions per
-/// [`SessionTask::poll`].
+/// A resumable debugging-session continuation: a private batch (one
+/// machine) or an observer batch (live, recorded or replayed), driven a
+/// bounded number of instructions per [`SessionTask::poll`].
 pub struct SessionTask {
     progress: u64,
     shape: Shape,
@@ -161,8 +155,8 @@ pub struct SessionTask {
 }
 
 enum State {
-    PendingGroup(GroupSpec),
-    Group(Box<GroupRun>),
+    PendingBatch(BatchSpec),
+    Batch(Box<Pass>),
     PendingObserve(ObserveSpec),
     Observe(Box<ObserveRun>),
     /// Stands in for a bug inside a pass: the first poll panics.
@@ -171,33 +165,26 @@ enum State {
     Finished,
 }
 
-struct GroupSpec {
+struct BatchSpec {
     app: Application,
     watchpoints: Vec<Watchpoint>,
     backend: Box<dyn BackendImpl>,
-    batches: Vec<Vec<CpuConfig>>,
+    cpus: Vec<CpuConfig>,
 }
 
-/// Which [`TaskOutput`] a task settles as: a private group's one
-/// sub-batch result ([`SessionTask::batch`], [`SessionTask::session`]),
-/// or one result per slot ([`SessionTask::perturbing_group`] and
-/// observer batches).
+/// Which [`TaskOutput`] a task that fails as a whole (at admission, or
+/// by a panicking poll) settles as.
 #[derive(Clone, Copy)]
-pub(crate) enum Shape {
+enum Shape {
     Batch,
     Observe,
 }
 
 impl Shape {
-    fn output(
-        self,
-        out: Result<Vec<Result<Vec<SessionReport>, DebugError>>, DebugError>,
-    ) -> TaskOutput {
+    fn error(self, e: DebugError) -> TaskOutput {
         match self {
-            Shape::Batch => TaskOutput::Batch(
-                out.and_then(|mut subs| subs.pop().expect("a batch is a group of one")),
-            ),
-            Shape::Observe => TaskOutput::Observe(out),
+            Shape::Batch => TaskOutput::Batch(Err(e)),
+            Shape::Observe => TaskOutput::Observe(Err(e)),
         }
     }
 }
@@ -285,88 +272,6 @@ impl Pass {
             .into_iter()
             .map(|run| SessionReport { run, transitions: stats, error, text_bytes })
             .collect()
-    }
-}
-
-/// The private-group continuation: the built backend and its image
-/// (static work, done once at admission), the sub-batches still to
-/// start, and the current sub-batch's pass lifted into a resumable
-/// field.
-///
-/// Each sub-batch restores the image copy-on-write into a machine with
-/// its own engine capacities — one image load per sub-batch, the same
-/// O(page-table) work whichever way a session machine is made — and is
-/// byte-identical to its own [`SessionTask::batch`].
-pub(crate) struct GroupRun {
-    /// The backend as `build_program` left it, never configured: each
-    /// sub-batch's pass configures its own copy. `None` once the last
-    /// sub-batch has taken it.
-    built: Option<Box<dyn BackendImpl>>,
-    image: Arc<Image>,
-    watchpoints: Vec<Watchpoint>,
-    batches: std::vec::IntoIter<Vec<CpuConfig>>,
-    current: Option<Pass>,
-    out: Vec<Result<Vec<SessionReport>, DebugError>>,
-}
-
-impl GroupRun {
-    /// Advance by at most `budget` instructions; `Some(results)` when
-    /// the whole group has finished.
-    fn advance(
-        &mut self,
-        mut budget: u64,
-        progress: &mut u64,
-    ) -> Option<Vec<Result<Vec<SessionReport>, DebugError>>> {
-        loop {
-            if let Some(pass) = self.current.as_mut() {
-                let ran = pass.drive_budget(budget);
-                *progress += ran;
-                budget -= ran;
-                if !pass.exec.is_halted() {
-                    return None; // budget exhausted mid-sub-batch
-                }
-                let pass = self.current.take().expect("current pass present");
-                self.out.push(Ok(pass.finish()));
-            }
-            let Some(cpus) = self.batches.next() else {
-                return Some(std::mem::take(&mut self.out));
-            };
-            match self.start(&cpus) {
-                Ok(Some(pass)) => {
-                    FUNCTIONAL_PASSES.fetch_add(1, Ordering::Relaxed);
-                    self.current = Some(pass);
-                }
-                Ok(None) => self.out.push(Ok(Vec::new())),
-                Err(e) => self.out.push(Err(e)),
-            }
-        }
-    }
-
-    /// The pass of sub-batch `cpus`: restore the image into a machine
-    /// with the sub-batch's engine capacities (one image load) and
-    /// configure a copy of the built backend on it. `Ok(None)` for an
-    /// empty sub-batch. The last sub-batch takes the built backend
-    /// itself; earlier ones clone it.
-    ///
-    /// # Errors
-    ///
-    /// [`DebugError::MismatchedEngines`] when the configurations
-    /// disagree on the engine, and whatever configuring the backend
-    /// fails with (productions too large for the engine).
-    pub(crate) fn start(&mut self, cpus: &[CpuConfig]) -> Result<Option<Pass>, DebugError> {
-        let built = self.built.as_ref().expect("only the last sub-batch takes the backend");
-        let cfgs: Vec<CpuConfig> = cpus.iter().map(|&c| built.cpu_config(c)).collect();
-        let Some(first) = shared_engine(&cfgs)? else {
-            return Ok(None);
-        };
-        let exec = self.image.executor(*first);
-        IMAGE_LOADS.fetch_add(1, Ordering::Relaxed);
-        let backend = if self.batches.as_slice().is_empty() {
-            self.built.take().expect("checked above")
-        } else {
-            built.boxed_clone()
-        };
-        Pass::on(exec, backend, &self.watchpoints, &cfgs, self.image.text_bytes).map(Some)
     }
 }
 
@@ -567,7 +472,11 @@ fn scan_member(
     mem: &Memory,
 ) -> bool {
     hits.clear();
-    l.observer.observe_slice(records, mem, &mut l.watch, &mut l.stats, hits);
+    for (i, e) in records.iter().enumerate() {
+        if let Some(t) = l.observer.observe(e, mem, &mut l.watch) {
+            hits.push((i as u32, t));
+        }
+    }
     let consumed = if hits.iter().any(|&(_, t)| t.is_spurious()) {
         let timings = l.timing.fork(groups);
         let mut next = 0usize;
@@ -770,58 +679,26 @@ impl SessionTask {
     /// batch that disagrees settles with
     /// [`DebugError::MismatchedEngines`]. Timing-only backend knobs fold
     /// into the configuration first with [`BackendKind::split_timing`].
-    ///
-    /// The task is a [`SessionTask::perturbing_group`] of one sub-batch
-    /// that reports that sub-batch's result.
+    /// An empty batch settles as no reports, without loading a machine.
     pub fn batch(
         app: &Application,
         watchpoints: Vec<Watchpoint>,
         backend: BackendKind,
         cpus: &[CpuConfig],
     ) -> SessionTask {
-        let backend = backend.instantiate();
-        SessionTask::group(app, watchpoints, backend, vec![cpus.to_vec()], Shape::Batch)
+        SessionTask::private(app, watchpoints, backend.instantiate(), cpus)
     }
 
-    /// A task for a whole *perturbing* cell group — one workload, one
-    /// watchpoint set, one backend, many engine-configuration
-    /// sub-batches — off one backend-built image: validation and
-    /// `build_program` run once, and every sub-batch restores the image
-    /// copy-on-write into a machine with its own engine capacities.
-    ///
-    /// It settles as [`TaskOutput::Observe`], one result per slot: one
-    /// per sub-batch, in order. The outer `Err` is group-wide (invalid
-    /// or unsupported watchpoints, assembly failure). Per-sub-batch
-    /// failures — engine capacities too small for the productions, or a
-    /// sub-batch whose own configurations disagree on the engine — land
-    /// in that sub-batch's slot, exactly as its private
-    /// [`SessionTask::batch`] would report them.
-    pub fn perturbing_group(
-        app: &Application,
-        watchpoints: Vec<Watchpoint>,
-        backend: BackendKind,
-        batches: &[Vec<CpuConfig>],
-    ) -> SessionTask {
-        SessionTask::group(
-            app,
-            watchpoints,
-            backend.instantiate(),
-            batches.to_vec(),
-            Shape::Observe,
-        )
-    }
-
-    pub(crate) fn group(
+    /// A batch task under any backend implementation — watchpoints,
+    /// breakpoints or a monitor.
+    pub(crate) fn private(
         app: &Application,
         watchpoints: Vec<Watchpoint>,
         backend: Box<dyn BackendImpl>,
-        batches: Vec<Vec<CpuConfig>>,
-        shape: Shape,
+        cpus: &[CpuConfig],
     ) -> SessionTask {
-        SessionTask::pending(
-            shape,
-            State::PendingGroup(GroupSpec { app: app.clone(), watchpoints, backend, batches }),
-        )
+        let spec = BatchSpec { app: app.clone(), watchpoints, backend, cpus: cpus.to_vec() };
+        SessionTask::pending(Shape::Batch, State::PendingBatch(spec))
     }
 
     /// A task that will perform [`crate::ObserverBatch::run`]: one
@@ -897,9 +774,9 @@ impl SessionTask {
 
     /// What this task settles as when a poll panicked: the panic's
     /// message as [`DebugError::Panicked`], in the task's own output
-    /// shape (the whole batch, group or observer batch fails).
+    /// shape (the whole batch or observer batch fails).
     pub(crate) fn panicked(&self, message: String) -> TaskOutput {
-        self.shape.output(Err(DebugError::Panicked(message)))
+        self.shape.error(DebugError::Panicked(message))
     }
 
     /// Advance by at most `budget` dynamic instructions.
@@ -917,10 +794,14 @@ impl SessionTask {
     /// continuation has no state left to run.
     pub fn poll(&mut self, budget: u64) -> Step {
         match std::mem::replace(&mut self.state, State::Finished) {
-            State::PendingGroup(spec) => {
-                match admit_group(&spec.app, spec.watchpoints, spec.backend, spec.batches) {
-                    Ok(run) => self.state = State::Group(Box::new(run)),
-                    Err(e) => return Step::Done(self.shape.output(Err(e))),
+            State::PendingBatch(spec) => {
+                match admit_batch(&spec.app, spec.watchpoints, spec.backend, &spec.cpus) {
+                    Ok(Some(pass)) => {
+                        FUNCTIONAL_PASSES.fetch_add(1, Ordering::Relaxed);
+                        self.state = State::Batch(Box::new(pass));
+                    }
+                    Ok(None) => return Step::Done(TaskOutput::Batch(Ok(Vec::new()))),
+                    Err(e) => return Step::Done(self.shape.error(e)),
                 }
             }
             State::PendingObserve(spec) => match admit_observe(spec) {
@@ -928,7 +809,7 @@ impl SessionTask {
                 Ok(Admitted::Settled(results)) => {
                     return Step::Done(TaskOutput::Observe(Ok(results)))
                 }
-                Err(e) => return Step::Done(TaskOutput::Observe(Err(e))),
+                Err(e) => return Step::Done(self.shape.error(e)),
             },
             #[cfg(test)]
             State::Panics => panic!("a deliberately panicking task"),
@@ -936,11 +817,14 @@ impl SessionTask {
             running => self.state = running,
         }
         match &mut self.state {
-            State::Group(run) => {
-                if let Some(out) = run.advance(budget, &mut self.progress) {
-                    let out = self.shape.output(Ok(out));
-                    self.state = State::Finished;
-                    return Step::Done(out);
+            State::Batch(pass) => {
+                self.progress += pass.drive_budget(budget);
+                if pass.exec.is_halted() {
+                    let State::Batch(pass) = std::mem::replace(&mut self.state, State::Finished)
+                    else {
+                        unreachable!("state checked above");
+                    };
+                    return Step::Done(TaskOutput::Batch(Ok(pass.finish())));
                 }
             }
             State::Observe(run) => {
@@ -953,7 +837,7 @@ impl SessionTask {
                     return Step::Done(TaskOutput::Observe(run.finish()));
                 }
             }
-            State::PendingGroup(_) | State::PendingObserve(_) | State::Finished => {
+            State::PendingBatch(_) | State::PendingObserve(_) | State::Finished => {
                 unreachable!("pending states were admitted above")
             }
             #[cfg(test)]
@@ -987,28 +871,33 @@ fn shared_engine(cfgs: &[CpuConfig]) -> Result<Option<&CpuConfig>, DebugError> {
 }
 
 /// Admission for every private pass — [`SessionTask::batch`],
-/// [`SessionTask::perturbing_group`], breakpoint and monitor tasks and
-/// [`crate::Session`]: the group-wide static work (validation,
-/// `build_program`).
-/// Each sub-batch's image load happens as the run reaches it
-/// ([`GroupRun::start`]); the caller ticks `FUNCTIONAL_PASSES` — a
-/// task as each sub-batch starts, a `Session` on its first drive.
-pub(crate) fn admit_group(
+/// breakpoint and monitor tasks and [`crate::Session`]: validate the
+/// watchpoints, build the backend's image, restore it into one machine
+/// (one image load) and configure the backend on it. `Ok(None)` for an
+/// empty batch, which loads nothing. The caller ticks
+/// `FUNCTIONAL_PASSES` — a task here, a `Session` on its first drive.
+///
+/// # Errors
+///
+/// Invalid or unsupported watchpoints, an assembly failure,
+/// [`DebugError::MismatchedEngines`] when the configurations disagree on
+/// the engine, and whatever configuring the backend fails with
+/// (productions too large for the engine).
+pub(crate) fn admit_batch(
     app: &Application,
     watchpoints: Vec<Watchpoint>,
-    mut built: Box<dyn BackendImpl>,
-    batches: Vec<Vec<CpuConfig>>,
-) -> Result<GroupRun, DebugError> {
+    mut backend: Box<dyn BackendImpl>,
+    cpus: &[CpuConfig],
+) -> Result<Option<Pass>, DebugError> {
     validate_watchpoints(&watchpoints)?;
-    let image = build_image(built.as_mut(), app, &watchpoints)?;
-    Ok(GroupRun {
-        built: Some(built),
-        image,
-        watchpoints,
-        batches: batches.into_iter(),
-        current: None,
-        out: Vec::new(),
-    })
+    let image = build_image(backend.as_mut(), app, &watchpoints)?;
+    let cfgs: Vec<CpuConfig> = cpus.iter().map(|&c| backend.cpu_config(c)).collect();
+    let Some(first) = shared_engine(&cfgs)? else {
+        return Ok(None);
+    };
+    let exec = image.executor(*first);
+    IMAGE_LOADS.fetch_add(1, Ordering::Relaxed);
+    Pass::on(exec, backend, &watchpoints, &cfgs, image.text_bytes).map(Some)
 }
 
 enum Admitted {
@@ -1155,8 +1044,8 @@ mod tests {
     }
 
     /// The tentpole invariant: any budget slicing yields byte-identical
-    /// reports to the run-to-completion path, for a batch, a perturbing
-    /// group and an observer batch.
+    /// reports to the run-to-completion path, for a batch and an
+    /// observer batch.
     #[test]
     fn sliced_polls_match_run_to_completion_for_every_shape() {
         let a = app(20);
@@ -1168,29 +1057,14 @@ mod tests {
                 .run_to_completion()
                 .into_batch()
                 .unwrap();
-        let batches = vec![cpus.to_vec(), cpus.to_vec()];
-        let reference_group =
-            SessionTask::perturbing_group(&a, vec![wp(&a)], BackendKind::dise_default(), &batches)
-                .run_to_completion()
-                .into_observe()
-                .unwrap();
         let members = vec![(BackendKind::VirtualMemory, vec![wp(&a)], cpus.to_vec())];
         let reference_obs =
             SessionTask::observer(&a, members.clone()).run_to_completion().into_observe().unwrap();
 
-        for (i, &budget) in budgets.iter().enumerate() {
+        for budget in budgets {
             let mut task = SessionTask::batch(&a, vec![wp(&a)], BackendKind::dise_default(), &cpus);
             let out = poll_until_done(&mut task, budget);
             assert_eq!(out.into_batch().unwrap(), reference_batch, "batch, budget {budget}");
-
-            let mut task = SessionTask::perturbing_group(
-                &a,
-                vec![wp(&a)],
-                BackendKind::dise_default(),
-                &batches,
-            );
-            let out = poll_until_done(&mut task, budgets[budgets.len() - 1 - i]);
-            assert_eq!(out.into_observe().unwrap(), reference_group, "group, budget {budget}");
 
             let mut task = SessionTask::observer(&a, members.clone());
             let out = poll_until_done(&mut task, budget);
@@ -1255,13 +1129,11 @@ mod tests {
         let _ = task.poll(1);
     }
 
-    /// A batch is a perturbing group of one sub-batch: its result is the
-    /// group's only entry, for reports and for every error, whether the
-    /// error settles the whole group at admission (invalid watchpoints,
-    /// a perturbing backend that cannot implement them) or just its
-    /// sub-batch (mismatched engines, an observing backend that cannot).
+    /// Every admission outcome of a batch, under an observing and a
+    /// perturbing backend: reports, an empty batch, mismatched engines,
+    /// invalid watchpoints and watchpoints the backend cannot implement.
     #[test]
-    fn a_batch_is_a_group_of_one() {
+    fn batch_settles_each_admission_outcome() {
         let a = app(12);
         let addr = a.program().unwrap().symbol("watched").unwrap();
         let scalar = wp(&a);
@@ -1287,15 +1159,6 @@ mod tests {
         for (backend, w, cpus, what) in cases {
             let batch =
                 SessionTask::batch(&a, vec![w], backend, &cpus).run_to_completion().into_batch();
-            let group =
-                SessionTask::perturbing_group(&a, vec![w], backend, std::slice::from_ref(&cpus))
-                    .run_to_completion()
-                    .into_observe()
-                    .and_then(|mut subs| {
-                        assert_eq!(subs.len(), 1, "{what} under {backend:?}");
-                        subs.pop().unwrap()
-                    });
-            assert_eq!(batch, group, "{what} under {backend:?}");
             match what {
                 "reports" => assert_eq!(batch.unwrap().len(), cpus.len(), "{backend:?}"),
                 "empty" => assert_eq!(batch, Ok(Vec::new()), "{backend:?}"),

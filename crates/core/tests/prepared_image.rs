@@ -248,12 +248,6 @@ fn an_application_that_does_not_assemble_settles_as_asm_everywhere() {
                 .into_batch(),
             &format!("batch {what}"),
         );
-        asm(
-            SessionTask::perturbing_group(&app, vec![wp], backend, &[vec![cpu], vec![cpu]])
-                .run_to_completion()
-                .into_observe(),
-            &format!("perturbing group {what}"),
-        );
         asm(run_session(&app, vec![wp], backend, cpu), &format!("run_session {what}"));
     }
     let members = || vec![(BackendKind::VirtualMemory, vec![wp], vec![cpu])];

@@ -9,6 +9,9 @@
 //! happy path is asserted first, so a failure here is the rejection
 //! logic, never the recording.
 //!
+//! Timing from a stored trace is exact: an undebugged replay reports
+//! the undebugged baseline run under every configuration.
+//!
 //! Failures that surface only mid-run — a CRC-clean trace whose bytes
 //! do not decode, a recording that cannot be published — settle the
 //! task with the same typed error, on one worker or two, without a
@@ -20,10 +23,10 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use dise_asm::{parse_asm, Layout};
-use dise_cpu::{program_fingerprint, CpuConfig, Executor, TraceWriter};
+use dise_cpu::{program_fingerprint, CpuConfig, Executor, RunStats, TraceWriter};
 use dise_debug::{
-    Application, BackendKind, DebugError, Scheduler, SessionReport, SessionTask, Step, TaskOutput,
-    TraceError, WatchExpr, Watchpoint,
+    run_baseline, Application, BackendKind, DebugError, Scheduler, SessionReport, SessionTask,
+    Step, TaskOutput, TraceError, WatchExpr, Watchpoint,
 };
 use dise_isa::Width;
 
@@ -90,6 +93,25 @@ fn good_trace(name: &str, a: &Application) -> PathBuf {
 fn replay_err(a: &Application, path: &Path) -> DebugError {
     let members = vec![(BackendKind::VirtualMemory, watch(a), vec![CpuConfig::default()])];
     replay(a, members, path).expect_err("damaged trace must be rejected")
+}
+
+/// An undebugged replay — one member that watches nothing — times the
+/// stored stream exactly as the live machine does: under the default
+/// and a cheap configuration, it reports the baseline run under each.
+#[test]
+fn undebugged_replay_times_exactly_as_the_baseline() {
+    let a = app(2_000);
+    let path = good_trace("timing", &a);
+    let cheap = CpuConfig { debugger_transition_cost: 5, ..CpuConfig::default() };
+    let cpus = vec![CpuConfig::default(), cheap];
+    let undebugged = vec![(BackendKind::VirtualMemory, vec![], cpus.clone())];
+    let mut replayed = replay(&a, undebugged, &path).expect("the trace replays");
+    let reports = replayed.remove(0).expect("the undebugged member runs");
+    let runs: Vec<RunStats> = reports.into_iter().map(|r| r.run).collect();
+    let baselines: Vec<RunStats> =
+        cpus.iter().map(|&c| run_baseline(&a, c).expect("the kernel runs")).collect();
+    assert_eq!(runs, baselines, "timing from trace must be exact");
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

@@ -50,6 +50,15 @@ pub struct CpuConfig {
     pub engine: EngineConfig,
 }
 
+impl CpuConfig {
+    /// The largest [`CpuConfig::debugger_transition_cost`] a session
+    /// may be given: 2^32 cycles, over 8,000 times the largest cost the
+    /// paper measured (513K cycles). Stall cycles add into `u64` cycle
+    /// counts, so this leaves room for 2^32 spurious transitions; a cost
+    /// near `u64::MAX` wraps the count at the first one.
+    pub const MAX_TRANSITION_COST: u64 = 1 << 32;
+}
+
 impl Default for CpuConfig {
     fn default() -> CpuConfig {
         CpuConfig {

@@ -57,8 +57,8 @@ pub use exec::{
 pub use predictor::{BpredConfig, Predictor};
 pub use timing::{RunStats, Timing, TimingBatch};
 pub use trace::{
-    program_fingerprint, replay_timing, ExecDecoder, ExecEncoder, Fingerprint, TraceReader,
-    TraceStats, TraceWriter,
+    program_fingerprint, ExecDecoder, ExecEncoder, Fingerprint, TraceReader, TraceStats,
+    TraceWriter,
 };
 
 use dise_asm::Program;

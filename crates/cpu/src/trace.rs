@@ -74,7 +74,6 @@ use dise_trace::{read_chunk_file, ChunkWriter, TraceError};
 use crate::exec::{
     Branch, BranchKind, Event, Exec, ExecChunk, ExecError, FlushKind, InstrFacts, MemOp,
 };
-use crate::{CpuConfig, RunStats, TimingBatch, MAX_BLOCK_STEPS};
 
 /// Target size of one compressed data chunk. Chunking is pure byte
 /// segmentation — the codec state runs straight across chunk seams —
@@ -933,34 +932,6 @@ impl TraceReader {
             file_bytes: self.file_bytes,
         }
     }
-}
-
-/// Run a [`TimingBatch`] entirely from a stored trace: one stream read,
-/// one [`RunStats`] per configuration, no functional execution at all.
-///
-/// # Errors
-///
-/// [`TraceError`] when the stream fails mid-decode (see
-/// [`TraceReader::next`]).
-pub fn replay_timing(
-    reader: &mut TraceReader,
-    cpus: &[CpuConfig],
-) -> Result<Vec<RunStats>, TraceError> {
-    let mut batch = TimingBatch::new(cpus);
-    // Pure timing replay has no observers, so every record is clean:
-    // decode whole chunks into one scratch buffer and account each as a
-    // slice, models-outer / records-inner.
-    let mut chunk = ExecChunk::with_capacity(MAX_BLOCK_STEPS);
-    loop {
-        let (read, dirty) = reader.next_chunk(&mut chunk, u64::MAX, |_| false)?;
-        debug_assert!(dirty.is_none(), "the never-dirty closure returned a record");
-        batch.consume_slice(chunk.records());
-        chunk.clear();
-        if read == 0 {
-            break;
-        }
-    }
-    Ok(batch.finish())
 }
 
 #[cfg(test)]
