@@ -32,7 +32,7 @@ use dise_debug::{run_baseline, BackendKind, DebugError, DiseStrategy, SessionRep
 use dise_workloads::{all, transition_cost_sweep, watchpoint_set_sweep, WatchKind, Workload};
 
 use crate::grid::{
-    batch_session_jobs, default_workers, run_grid_with, run_session_grid, SessionJob, DEFAULT_SLICE,
+    batch_session_jobs, default_workers, run_grid_with, run_session_grid, SessionJob,
 };
 
 /// A figure's declaration: what [`Experiment::with_plan`] plans.
@@ -67,7 +67,14 @@ pub struct Experiment {
     pub cpu: CpuConfig,
     /// Worker threads that drain experiment grids.
     pub workers: usize,
-    /// Scheduler slice budget (instructions per grant) for grids.
+    /// Scheduler slice budget (instructions per grant) for grids:
+    /// `u64::MAX` by default, so each group runs whole on its worker
+    /// and a round holds only the groups its workers are running.
+    /// Reports are byte-identical for every budget; a finite one
+    /// interleaves the groups with preemptions instead, and the
+    /// scheduler's admission-first rule then starts every group of a
+    /// grid before it resumes any, keeping a whole figure of passes
+    /// resident.
     pub slice: u64,
     workloads: Vec<Workload>,
     /// Each workload's baseline, parallel to `workloads`.
@@ -140,15 +147,16 @@ impl Round {
 
 impl Experiment {
     /// Build a context at the given scale, on [`default_workers`]
-    /// threads with [`DEFAULT_SLICE`] slices, planning a round of every
-    /// overhead figure in [`FIGURES`]. Reads nothing from the environment.
+    /// threads running each grid group whole ([`Experiment::slice`] is
+    /// `u64::MAX`), planning a round of every overhead figure in
+    /// [`FIGURES`]. Reads nothing from the environment.
     pub fn new(iters: u32, cpu: CpuConfig) -> Experiment {
         let workloads = all(iters);
         Experiment {
             iters,
             cpu,
             workers: default_workers(),
-            slice: DEFAULT_SLICE,
+            slice: u64::MAX,
             baselines: workloads.iter().map(|_| OnceLock::new()).collect(),
             censuses: workloads.iter().map(|_| OnceLock::new()).collect(),
             workloads,
@@ -160,7 +168,9 @@ impl Experiment {
     /// The binaries' context: [`Experiment::new`] under the paper's
     /// default machine, configured once from the environment —
     /// `DISE_ITERS` (default 400), `DISE_JOBS` (default
-    /// [`default_workers`]) and `DISE_SLICE` (default [`DEFAULT_SLICE`]).
+    /// [`default_workers`]) and `DISE_SLICE` (unset: each group runs
+    /// whole, as in [`Experiment::new`]; set, the scheduler's slice
+    /// budget, such as [`DEFAULT_SLICE`](crate::DEFAULT_SLICE)).
     ///
     /// # Panics
     ///
@@ -171,7 +181,7 @@ impl Experiment {
         let mut ctx =
             Experiment::new(dise_env::env_number("DISE_ITERS", 400), CpuConfig::default())
                 .with_workers(dise_env::env_number("DISE_JOBS", default_workers()));
-        ctx.slice = dise_env::env_number("DISE_SLICE", DEFAULT_SLICE);
+        ctx.slice = dise_env::env_number("DISE_SLICE", u64::MAX);
         assert!(ctx.slice > 0, "DISE_SLICE must be at least one instruction");
         ctx
     }

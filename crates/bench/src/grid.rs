@@ -202,9 +202,11 @@ pub fn batch_session_jobs(jobs: &[SessionJob]) -> Vec<CellGroup> {
     groups
 }
 
-/// Default scheduler slice budget (dynamic instructions per grant):
-/// large enough that slicing overhead is noise, small enough that a
-/// full grid still preempts hundreds of times.
+/// Default scheduler slice budget (dynamic instructions per grant) of
+/// `session_server` and the scheduler ablation: large enough that
+/// slicing overhead is noise, small enough that short sessions are not
+/// stuck behind long ones. An [`crate::Experiment`] runs each group
+/// whole instead ([`crate::Experiment::slice`]).
 pub const DEFAULT_SLICE: u64 = 65_536;
 
 /// The machine's available parallelism (1 when unknown): the worker

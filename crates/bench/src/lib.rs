@@ -22,8 +22,8 @@
 //! under every timing configuration of its cells. Every group becomes a
 //! resumable [`dise_debug::SessionTask`] on one cooperative
 //! [`dise_debug::Scheduler`], drained by [`Experiment::workers`]
-//! threads in [`Experiment::slice`]-instruction slices
-//! ([`run_session_grid`]). Each cell's report scatters back in cell
+//! threads, each group whole unless [`Experiment::slice`] sets a
+//! budget ([`run_session_grid`]). Each cell's report scatters back in cell
 //! order, byte-identical to its own [`SessionJob::report`] for every
 //! worker count and slice budget (the grid determinism and scheduler
 //! suites); the pass/load savings are pinned by execution-count

@@ -35,8 +35,8 @@ use dise_bench::{
 use dise_cpu::CpuConfig;
 use dise_debug::{
     checkpoint_forks, fanout_chunks, fanout_chunks_scanned, fanout_chunks_skipped,
-    functional_passes, image_loads, trace_records, trace_replays, BackendKind, DebugError,
-    DiseStrategy, Scheduler, Session, SessionReport, SessionTask,
+    fanout_pipeline_records, functional_passes, image_loads, trace_records, trace_replays,
+    BackendKind, DebugError, DiseStrategy, Scheduler, Session, SessionReport, SessionTask,
 };
 use dise_workloads::{all, transition_cost_sweep, watchpoint_set_sweep, WatchKind};
 
@@ -322,6 +322,23 @@ fn grids_execute_once_per_functional_stream_not_once_per_cell() {
         let i = figures.iter().position(|(n, _)| *n == name).expect("a round figure");
         assert_eq!(text, texts[i], "{name} after fig3 reads as in the round");
     }
+
+    // The shared timing economy. Each kernel's fig3 observer pass (VM
+    // and hardware registers over fig3's watchpoint rows) times every
+    // member on one batch, whose cycle pipelines are shared by every
+    // slot with the same stall history since its last drain: far fewer
+    // records than one model per slot.
+    let ctx = Experiment::new(10, CpuConfig::default());
+    let mut observed = dise_bench::fig3_figure(&ctx).cells();
+    observed.retain(|c| c.backend.observation_only());
+    assert_eq!(batch_session_jobs(&observed).len(), 6, "one observer pass per kernel");
+    let expect = reference(&observed);
+    let r0 = fanout_pipeline_records();
+    assert_eq!(grid(&observed), expect, "sharing pipelines must not change a single byte");
+    let pipeline_records = fanout_pipeline_records() - r0;
+    let slot_records: u64 = expect.iter().flatten().map(|r| r.run.instructions).sum();
+    assert_eq!(slot_records, 528_405, "108 cells, one slot each");
+    assert_eq!(pipeline_records, 99_339, "pipelines shared by common stall histories");
 
     // An interactive `Session` counts its one pass when first driven,
     // not when built: one built only to inspect is free, and driving it

@@ -26,9 +26,10 @@ type Render = fn(&Experiment) -> String;
 type Declare = fn(&Experiment) -> Figure;
 
 /// Worker counts and slice budgets every grid is run under: serial,
-/// pooled, the default slice and an odd one that forces mid-block
+/// pooled, each group whole (an [`Experiment`]'s default), the
+/// scheduler's default slice and an odd one that forces mid-block
 /// yields.
-const RUNS: [(usize, u64); 3] = [(1, DEFAULT_SLICE), (4, DEFAULT_SLICE), (4, 777)];
+const RUNS: [(usize, u64); 4] = [(2, u64::MAX), (1, DEFAULT_SLICE), (4, DEFAULT_SLICE), (4, 777)];
 
 /// The round's figures named in `names`, in round order.
 fn figures(names: &[&str]) -> Vec<(&'static str, Render, Declare)> {
@@ -43,15 +44,14 @@ fn ctx(workers: usize, slice: u64) -> Experiment {
     ctx
 }
 
-/// Each experiment renders the same serial and pooled, each on a fresh
-/// context, so no render reads a report an earlier one computed.
+/// Each experiment renders the same serial and pooled, whole and
+/// sliced, each on a fresh context, so no render reads a report an
+/// earlier one computed.
 fn assert_deterministic(experiments: &[(&str, Render)]) {
     for (name, render) in experiments {
-        assert_eq!(
-            render(&ctx(1, DEFAULT_SLICE)),
-            render(&ctx(4, 777)),
-            "{name} output depends on how the grid ran"
-        );
+        let whole = render(&Experiment::new(10, CpuConfig::default()));
+        assert_eq!(whole, render(&ctx(1, DEFAULT_SLICE)), "{name}: whole vs sliced serial");
+        assert_eq!(whole, render(&ctx(4, 777)), "{name} output depends on how the grid ran");
     }
 }
 

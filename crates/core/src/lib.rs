@@ -85,8 +85,8 @@ pub use session::{
 pub use stats::{Transition, TransitionStats};
 pub use strategy::{CheckKind, DiseStrategy, MultiMatch};
 pub use task::{
-    fanout_chunks, fanout_chunks_scanned, fanout_chunks_skipped, SessionTask, Step, TaskOutput,
-    TaskProgress,
+    fanout_chunks, fanout_chunks_scanned, fanout_chunks_skipped, fanout_pipeline_records,
+    SessionTask, Step, TaskOutput, TaskProgress,
 };
 pub use trace::{trace_records, trace_replays};
 pub use watch::{Condition, WatchExpr, WatchFilter, WatchState, WatchValue, Watchpoint};

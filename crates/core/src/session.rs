@@ -9,7 +9,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dise_asm::AsmError;
 use dise_cpu::{
-    CpuConfig, Event, Exec, ExecError, Executor, Machine, RunStats, Timing, TimingBatch,
+    ConfigError, CpuConfig, Event, Exec, ExecError, Executor, Machine, RunStats, Timing,
+    TimingBatch,
 };
 use dise_engine::EngineError;
 use dise_trace::TraceError;
@@ -93,6 +94,12 @@ pub enum DebugError {
     /// and cannot share one pass. Settles the batch at admission rather
     /// than running any of it.
     MismatchedEngines,
+    /// A machine configuration the timing model cannot honour (see
+    /// [`CpuConfig::validate`]): a zero width, commit width, port
+    /// count or window, or a transition cost above
+    /// [`CpuConfig::MAX_TRANSITION_COST`]. Settles the batch, or the
+    /// observer member, at admission.
+    InvalidConfig(ConfigError),
     /// A persistent `Exec` trace was rejected: stale (fingerprint
     /// mismatch), corrupt (CRC/framing), truncated, unreadable, or the
     /// wrong format version. Replays fail loudly here rather than ever
@@ -122,6 +129,7 @@ impl fmt::Display for DebugError {
                 "batched configurations disagree on the DISE engine capacities and cannot \
                  share one functional pass"
             ),
+            DebugError::InvalidConfig(e) => write!(f, "invalid machine configuration: {e}"),
             DebugError::Trace(e) => write!(f, "trace store rejected: {e}"),
             DebugError::Panicked(msg) => write!(f, "session panicked: {msg}"),
         }
@@ -225,6 +233,13 @@ pub(crate) fn validate_watchpoints(wps: &[Watchpoint]) -> Result<(), DebugError>
         }
     }
     Ok(())
+}
+
+/// Refuse every machine the timing model cannot honour
+/// ([`CpuConfig::validate`]), at the admission of a batch or an
+/// observer member.
+pub(crate) fn validate_configs(cpus: &[CpuConfig]) -> Result<(), DebugError> {
+    cpus.iter().try_for_each(|c| c.validate().map_err(DebugError::InvalidConfig))
 }
 
 /// A session batch sharing **one functional pass per workload**: the

@@ -39,19 +39,21 @@
 //! and some configurations), which is how a scheduler holds >1000
 //! concurrently in-flight sessions cheaply on a single core.
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dise_cpu::{
-    CpuConfig, Event, Exec, ExecChunk, ExecError, Executor, RunStats, TimingBatch, TraceReader,
-    TraceWriter, MAX_BLOCK_STEPS,
+    CpuConfig, Event, Exec, ExecChunk, ExecError, Executor, TimingBatch, TraceReader, TraceWriter,
+    MAX_BLOCK_STEPS,
 };
 use dise_mem::Memory;
 use dise_trace::TraceError;
 
 use crate::backend::{build_image, BackendImpl, ObserverImpl};
 use crate::session::{
-    drive, validate_watchpoints, DebugError, SessionReport, FUNCTIONAL_PASSES, IMAGE_LOADS,
+    drive, validate_configs, validate_watchpoints, DebugError, SessionReport, FUNCTIONAL_PASSES,
+    IMAGE_LOADS,
 };
 use crate::trace::{TRACE_RECORDS, TRACE_REPLAYS};
 use crate::{
@@ -71,6 +73,10 @@ pub(crate) static FANOUT_CHUNKS_SKIPPED: AtomicU64 = AtomicU64::new(0);
 /// records one by one. `skipped + scanned == members × chunks`, always.
 pub(crate) static FANOUT_CHUNKS_SCANNED: AtomicU64 = AtomicU64::new(0);
 
+/// Records the observer fan-out's timing pipelines consumed, summed
+/// over pipelines (see [`TimingBatch::pipeline_records`]).
+pub(crate) static FANOUT_PIPELINE_RECORDS: AtomicU64 = AtomicU64::new(0);
+
 /// Process-wide count of chunks dispatched by the observer fan-out.
 pub fn fanout_chunks() -> u64 {
     FANOUT_CHUNKS.load(Ordering::Relaxed)
@@ -84,6 +90,14 @@ pub fn fanout_chunks_skipped() -> u64 {
 /// Process-wide count of per-member record-by-record chunk scans.
 pub fn fanout_chunks_scanned() -> u64 {
     FANOUT_CHUNKS_SCANNED.load(Ordering::Relaxed)
+}
+
+/// Process-wide count of records the observer fan-out's timing
+/// pipelines consumed, summed over pipelines: the cycle work of every
+/// observer pass, against each member's configurations times the
+/// records for one model per configuration.
+pub fn fanout_pipeline_records() -> u64 {
+    FANOUT_PIPELINE_RECORDS.load(Ordering::Relaxed)
 }
 
 /// What one [`SessionTask::poll`] call reports.
@@ -276,7 +290,8 @@ impl Pass {
 }
 
 /// One admitted member of an observer pass: its detector and private
-/// accounting, fed the shared `Exec` stream. `filter` is the
+/// accounting, fed the shared `Exec` stream, and its timing
+/// configurations' slots in the pass's [`TimingBatch`]. `filter` is the
 /// member's precomputed store-footprint prefilter; the fan-out rebuilds
 /// it (for dynamic filters only) after every forced scan.
 struct LiveObserver {
@@ -284,48 +299,8 @@ struct LiveObserver {
     observer: Box<dyn ObserverImpl>,
     watch: WatchState,
     filter: WatchFilter,
-    timing: MemberTiming,
+    slots: Range<usize>,
     stats: TransitionStats,
-}
-
-/// Where a member's timing models live: in a shared copy-on-write
-/// [`TimingGroup`], or privately once the member's cycle stream has
-/// diverged from its group's.
-///
-/// Timing is a pure function of the record stream and the member's
-/// *spurious-stall* sequence (non-spurious transitions touch statistics,
-/// never cycles). Members admitted with identical `CpuConfig` lists
-/// therefore hold bit-identical timing state until the first spurious
-/// transition — so the fan-out consumes each chunk **once per group**
-/// instead of once per member, and a member forks its private copy of
-/// the group state (exactly as of the preceding chunk) at the moment it
-/// first needs to interleave a stall. Every report is byte-identical to
-/// the member's private [`SessionTask::session`].
-enum MemberTiming {
-    Shared(usize),
-    Private(TimingBatch),
-}
-
-impl MemberTiming {
-    /// The member is about to interleave a stall with its consumes:
-    /// detach from the shared group (which has *not* consumed the
-    /// current chunk yet) and return the private models.
-    fn fork<'a>(&'a mut self, groups: &[TimingGroup]) -> &'a mut TimingBatch {
-        if let MemberTiming::Shared(g) = *self {
-            *self = MemberTiming::Private(groups[g].timings.clone());
-        }
-        match self {
-            MemberTiming::Private(t) => t,
-            MemberTiming::Shared(_) => unreachable!("just forked"),
-        }
-    }
-}
-
-/// One shared timing state per distinct `CpuConfig` list across the
-/// batch's members.
-struct TimingGroup {
-    timings: TimingBatch,
-    cfgs: Vec<CpuConfig>,
 }
 
 /// Must `e` leave the clean bulk path? A record is dirty when it
@@ -345,17 +320,27 @@ fn record_is_dirty(live: &[LiveObserver], e: &Exec) -> bool {
 }
 
 /// The chunk-at-a-time fan-out of an observer pass, live or replayed.
-/// One scratch chunk and one scratch hit list live for the whole run —
-/// no per-record heap traffic.
+/// One scratch chunk and scratch hit lists live for the whole run — no
+/// per-record heap traffic.
 ///
 /// The dispatch contract, per chunk and per member:
 ///
 /// - the member's [`WatchFilter`] misses the chunk's
 ///   [`dise_cpu::ChunkSummary`] and the chunk carries no event → the
-///   member's `observe` is skipped for every record and its timing
-///   models consume the records as one bulk slice;
-/// - otherwise the member scans record by record, with the exact
-///   consume/observe/stall interleaving of the scalar loop.
+///   member's `observe` is skipped for every record;
+/// - otherwise the member scans record by record, counting each
+///   transition and reporting each spurious one's record.
+///
+/// Timing is a pure function of the record stream and each slot's
+/// spurious stalls (non-spurious transitions touch statistics, never
+/// cycles), so one [`TimingBatch`] times the pass for every member:
+/// each member owns a range of its slots. The batch consumes each
+/// chunk once, cut after every record on which some member stalled,
+/// and stalls those members' slots there together — the scalar loop's
+/// consume → observe → stall order. Slots that stall on one record
+/// share their cycle pipeline from there on (see [`TimingBatch`]).
+/// Every report is byte-identical to the member's private
+/// [`SessionTask::session`].
 ///
 /// Byte-identity for every chunk size rests on one invariant: `observe`
 /// only ever runs against memory *exactly* as of its record. Clean
@@ -365,25 +350,31 @@ fn record_is_dirty(live: &[LiveObserver], e: &Exec) -> bool {
 struct FanOut {
     chunk: ExecChunk,
     hits: Vec<(u32, Transition)>,
-    groups: Vec<TimingGroup>,
-    /// Per-chunk scratch: which groups still owe this chunk a consume.
-    pending: Vec<bool>,
-    /// Not yet published: chunks, member skips, member scans.
+    /// The chunk's spurious hits: (record index, live member index).
+    stalls: Vec<(u32, usize)>,
+    /// The slots one record's stalls charge.
+    stalled: Vec<usize>,
+    timings: TimingBatch,
+    /// Not yet published: chunks, member skips, member scans, and the
+    /// batch's pipeline-records.
     chunks: u64,
     skipped: u64,
     scanned: u64,
+    published_records: u64,
 }
 
 impl FanOut {
-    fn new(groups: Vec<TimingGroup>) -> FanOut {
+    fn new(timings: TimingBatch) -> FanOut {
         FanOut {
             chunk: ExecChunk::with_capacity(MAX_BLOCK_STEPS),
             hits: Vec::new(),
-            pending: vec![false; groups.len()],
-            groups,
+            stalls: Vec::new(),
+            stalled: Vec::new(),
+            timings,
             chunks: 0,
             skipped: 0,
             scanned: 0,
+            published_records: 0,
         }
     }
 
@@ -392,16 +383,13 @@ impl FanOut {
         FANOUT_CHUNKS.fetch_add(std::mem::take(&mut self.chunks), Ordering::Relaxed);
         FANOUT_CHUNKS_SKIPPED.fetch_add(std::mem::take(&mut self.skipped), Ordering::Relaxed);
         FANOUT_CHUNKS_SCANNED.fetch_add(std::mem::take(&mut self.scanned), Ordering::Relaxed);
+        let records = self.timings.pipeline_records();
+        FANOUT_PIPELINE_RECORDS.fetch_add(records - self.published_records, Ordering::Relaxed);
+        self.published_records = records;
     }
 
-    /// Dispatch the buffered records to every member and reset the
-    /// chunk. No-op on an empty chunk.
-    ///
-    /// Per member: skip (filter misses, no event), or scan. A scanning
-    /// member whose hits carry no spurious stall only *counts* them —
-    /// its cycle stream is still the plain slice, so its timing stays
-    /// with the group. Group consumes run last, after every possible
-    /// fork has copied the group's pre-chunk state.
+    /// Dispatch the buffered records to every member, time them, and
+    /// reset the chunk. No-op on an empty chunk.
     fn flush(&mut self, live: &mut [LiveObserver], mem: &Memory) {
         if self.chunk.is_empty() {
             return;
@@ -409,29 +397,30 @@ impl FanOut {
         self.chunks += 1;
         let summary = *self.chunk.summary();
         let records = self.chunk.records();
-        for p in &mut self.pending {
-            *p = false;
-        }
-        for l in live.iter_mut() {
-            let consumed = if summary.any_event() || l.filter.intersects(&summary) {
+        self.stalls.clear();
+        for (k, l) in live.iter_mut().enumerate() {
+            if summary.any_event() || l.filter.intersects(&summary) {
                 self.scanned += 1;
-                scan_member(l, &self.groups, records, &mut self.hits, mem)
+                scan_member(l, records, &mut self.hits, mem);
+                let spurious = self.hits.iter().filter(|(_, t)| t.is_spurious());
+                self.stalls.extend(spurious.map(|&(i, _)| (i, k)));
             } else {
                 self.skipped += 1;
-                false
-            };
-            if !consumed {
-                match &mut l.timing {
-                    MemberTiming::Shared(g) => self.pending[*g] = true,
-                    MemberTiming::Private(t) => t.consume_slice(records),
-                }
             }
         }
-        for (g, pending) in self.groups.iter_mut().zip(&self.pending) {
-            if *pending {
-                g.timings.consume_slice(records);
+        self.stalls.sort_unstable();
+        let mut next = 0;
+        for stalls in self.stalls.chunk_by(|a, b| a.0 == b.0) {
+            let i = stalls[0].0 as usize;
+            self.timings.consume_slice(&records[next..=i]);
+            next = i + 1;
+            self.stalled.clear();
+            for &(_, k) in stalls {
+                self.stalled.extend(live[k].slots.clone());
             }
+            self.timings.stall(&self.stalled);
         }
+        self.timings.consume_slice(&records[next..]);
         self.chunk.clear();
     }
 
@@ -454,53 +443,26 @@ impl FanOut {
     }
 }
 
-/// One member's record-by-record chunk scan. When a hit is spurious the
-/// member must interleave a stall with its consumes — it forks off its
-/// timing group (pre-chunk state) and reproduces the scalar loop's
-/// exact ordering: each record consumed before its transition is
-/// counted and stalled. Hits without stalls only touch statistics, so
-/// the member's cycle stream is still the plain slice and its timing
-/// stays shared (the caller consumes it group-wise); the return value
-/// says whether this member's models already consumed the chunk. A
-/// dynamic filter is rebuilt afterwards — the scan may have moved an
-/// indirect watch's target.
+/// One member's record-by-record chunk scan: every transition is
+/// counted, and `hits` is left holding each with its record's index in
+/// the chunk. A dynamic filter is rebuilt afterwards — the scan may
+/// have moved an indirect watch's target.
 fn scan_member(
     l: &mut LiveObserver,
-    groups: &[TimingGroup],
     records: &[Exec],
     hits: &mut Vec<(u32, Transition)>,
     mem: &Memory,
-) -> bool {
+) {
     hits.clear();
     for (i, e) in records.iter().enumerate() {
         if let Some(t) = l.observer.observe(e, mem, &mut l.watch) {
+            l.stats.count(t);
             hits.push((i as u32, t));
         }
     }
-    let consumed = if hits.iter().any(|&(_, t)| t.is_spurious()) {
-        let timings = l.timing.fork(groups);
-        let mut next = 0usize;
-        for &(i, t) in hits.iter() {
-            let i = i as usize;
-            timings.consume_slice(&records[next..=i]);
-            next = i + 1;
-            l.stats.count(t);
-            if t.is_spurious() {
-                timings.debugger_stall();
-            }
-        }
-        timings.consume_slice(&records[next..]);
-        true
-    } else {
-        for &(_, t) in hits.iter() {
-            l.stats.count(t);
-        }
-        false
-    };
     if l.filter.is_dynamic() {
         l.filter = l.observer.filter(&l.watch, mem);
     }
-    consumed
 }
 
 /// The observer-batch continuation: one shared record stream and every
@@ -615,12 +577,8 @@ impl ObserveRun {
         n
     }
 
-    /// Seal the recording, if any, and scatter the members' reports.
-    /// Each group's timing models are finished **once**; every member
-    /// still on the group reports those same stats — bit-identical to
-    /// the private models it never needed (cloning the whole model
-    /// state instead would cost thousands of cache-set allocations per
-    /// member).
+    /// Seal the recording, if any, and scatter the members' reports:
+    /// each member's are its slots' statistics.
     ///
     /// # Errors
     ///
@@ -638,16 +596,11 @@ impl ObserveRun {
             Source::Live { writer: None, .. } | Source::Replay { failure: None, .. } => {}
         }
         let ObserveRun { live, fan, mut results, error, text_bytes, .. } = self;
-        let group_runs: Vec<Vec<RunStats>> =
-            fan.groups.into_iter().map(|g| g.timings.finish()).collect();
+        let runs = fan.timings.finish();
         for l in live {
-            let runs = match l.timing {
-                MemberTiming::Private(t) => t.finish(),
-                MemberTiming::Shared(g) => group_runs[g].clone(),
-            };
-            results[l.member] = Ok(runs
-                .into_iter()
-                .map(|run| SessionReport { run, transitions: l.stats, error, text_bytes })
+            results[l.member] = Ok(runs[l.slots]
+                .iter()
+                .map(|&run| SessionReport { run, transitions: l.stats, error, text_bytes })
                 .collect());
         }
         Ok(results)
@@ -879,7 +832,8 @@ fn shared_engine(cfgs: &[CpuConfig]) -> Result<Option<&CpuConfig>, DebugError> {
 ///
 /// # Errors
 ///
-/// Invalid or unsupported watchpoints, an assembly failure,
+/// Invalid or unsupported watchpoints, an invalid machine
+/// ([`DebugError::InvalidConfig`]), an assembly failure,
 /// [`DebugError::MismatchedEngines`] when the configurations disagree on
 /// the engine, and whatever configuring the backend fails with
 /// (productions too large for the engine).
@@ -890,6 +844,7 @@ pub(crate) fn admit_batch(
     cpus: &[CpuConfig],
 ) -> Result<Option<Pass>, DebugError> {
     validate_watchpoints(&watchpoints)?;
+    validate_configs(cpus)?;
     let image = build_image(backend.as_mut(), app, &watchpoints)?;
     let cfgs: Vec<CpuConfig> = cpus.iter().map(|&c| backend.cpu_config(c)).collect();
     let Some(first) = shared_engine(&cfgs)? else {
@@ -909,40 +864,40 @@ enum Admitted {
 
 /// Per-member admission: validate and instantiate each member against
 /// the loaded memory image, settling failures into their result slots.
+/// Returns the admitted members, the pass's timing batch (each admitted
+/// member's configurations, in member order) and the results.
 #[allow(clippy::type_complexity)]
 fn admit_members(
     members: &[(BackendKind, Vec<Watchpoint>, Vec<CpuConfig>)],
     mem: &Memory,
-) -> (Vec<LiveObserver>, Vec<TimingGroup>, Vec<Result<Vec<SessionReport>, DebugError>>) {
+) -> (Vec<LiveObserver>, TimingBatch, Vec<Result<Vec<SessionReport>, DebugError>>) {
     let mut results: Vec<Result<Vec<SessionReport>, DebugError>> =
         members.iter().map(|_| Ok(Vec::new())).collect();
     let mut live: Vec<LiveObserver> = Vec::new();
-    let mut groups: Vec<TimingGroup> = Vec::new();
+    let mut cfgs: Vec<CpuConfig> = Vec::new();
     for (i, (backend, watchpoints, cpus)) in members.iter().enumerate() {
         let admitted = validate_watchpoints(watchpoints)
+            .and_then(|()| validate_configs(cpus))
             .and_then(|()| backend.instantiate_observer(watchpoints));
         match admitted {
             Ok(observer) => {
                 let watch = WatchState::new(watchpoints, mem);
                 let filter = observer.filter(&watch, mem);
-                let g = groups.iter().position(|g| g.cfgs == *cpus).unwrap_or_else(|| {
-                    groups
-                        .push(TimingGroup { timings: TimingBatch::new(cpus), cfgs: cpus.clone() });
-                    groups.len() - 1
-                });
+                let slots = cfgs.len()..cfgs.len() + cpus.len();
+                cfgs.extend_from_slice(cpus);
                 live.push(LiveObserver {
                     member: i,
                     observer,
                     watch,
                     filter,
-                    timing: MemberTiming::Shared(g),
+                    slots,
                     stats: TransitionStats::default(),
                 });
             }
             Err(e) => results[i] = Err(e),
         }
     }
-    (live, groups, results)
+    (live, TimingBatch::new(&cfgs), results)
 }
 
 /// Admission for an observer batch, live or replayed. A live pass loads
@@ -978,7 +933,7 @@ fn admit_observe(spec: ObserveSpec) -> Result<Admitted, DebugError> {
             Source::Live { exec: Box::new(exec), writer: None }
         }
     };
-    let (live, groups, results) = admit_members(&spec.members, source.mem());
+    let (live, timings, results) = admit_members(&spec.members, source.mem());
     if live.is_empty() {
         // No pass runs, so nothing is recorded either: a group that
         // settles at admission stays settled — and cold — forever.
@@ -999,7 +954,7 @@ fn admit_observe(spec: ObserveSpec) -> Result<Admitted, DebugError> {
     Ok(Admitted::Live(Box::new(ObserveRun {
         source,
         live,
-        fan: FanOut::new(groups),
+        fan: FanOut::new(timings),
         results,
         error: None,
         text_bytes: prepared.text_bytes(),
@@ -1167,6 +1122,67 @@ mod tests {
                 _ => assert!(matches!(batch, Err(DebugError::Unsupported { .. })), "{batch:?}"),
             }
         }
+    }
+
+    /// A machine the timing model cannot honour settles at admission as
+    /// [`DebugError::InvalidConfig`], naming `field`: the whole batch of
+    /// a private task, and only its own member in an observer pass,
+    /// whose other member still runs.
+    fn assert_refused(field: &str, bad: CpuConfig) {
+        let a = app(12);
+        let d = CpuConfig::default();
+        let refused = |r: Result<Vec<SessionReport>, DebugError>| match r {
+            Err(DebugError::InvalidConfig(e)) => e.field == field,
+            _ => false,
+        };
+        for backend in [BackendKind::VirtualMemory, BackendKind::dise_default()] {
+            let batch = SessionTask::batch(&a, vec![wp(&a)], backend, &[d, bad])
+                .run_to_completion()
+                .into_batch();
+            assert!(refused(batch), "{field}: batch under {backend:?}");
+        }
+        let members = vec![
+            (BackendKind::VirtualMemory, vec![wp(&a)], vec![bad]),
+            (BackendKind::VirtualMemory, vec![wp(&a)], vec![d]),
+        ];
+        let out = SessionTask::observer(&a, members).run_to_completion().into_observe();
+        let [first, second] = <[_; 2]>::try_from(out.unwrap()).unwrap();
+        assert!(refused(first), "{field}: its observer member");
+        assert_eq!(second.unwrap().len(), 1, "{field}: the other member runs");
+    }
+
+    #[test]
+    fn zero_width_is_refused() {
+        assert_refused("width", CpuConfig { width: 0, ..CpuConfig::default() });
+    }
+
+    #[test]
+    fn zero_commit_width_is_refused() {
+        assert_refused("commit_width", CpuConfig { commit_width: 0, ..CpuConfig::default() });
+    }
+
+    #[test]
+    fn empty_rob_is_refused() {
+        assert_refused("rob_entries", CpuConfig { rob_entries: 0, ..CpuConfig::default() });
+    }
+
+    #[test]
+    fn empty_rs_is_refused() {
+        assert_refused("rs_entries", CpuConfig { rs_entries: 0, ..CpuConfig::default() });
+    }
+
+    #[test]
+    fn zero_mem_ports_is_refused() {
+        assert_refused("mem_ports", CpuConfig { mem_ports: 0, ..CpuConfig::default() });
+    }
+
+    #[test]
+    fn transition_cost_past_the_bound_is_refused() {
+        let cost = CpuConfig::MAX_TRANSITION_COST + 1;
+        assert_refused(
+            "debugger_transition_cost",
+            CpuConfig { debugger_transition_cost: cost, ..CpuConfig::default() },
+        );
     }
 
     /// An invalid watchpoint settles a task at admission, identically

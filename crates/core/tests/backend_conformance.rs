@@ -60,11 +60,12 @@ use dise_asm::{parse_asm, Layout};
 use dise_cpu::{CpuConfig, Executor, TraceReader};
 use dise_debug::{
     run_session, Application, BackendKind, CheckKind, DebugError, DiseStrategy, ObserverBatch,
-    Session, SessionReport, SessionTask, WatchExpr, WatchState, WatchValue, Watchpoint,
+    Scheduler, Session, SessionReport, SessionTask, WatchExpr, WatchState, WatchValue, Watchpoint,
 };
 use dise_isa::Width;
 use dise_mem::Memory;
 use dise_workloads::synthetic::{scenario_sets, StoreOp, WatchSpec, SLOTS};
+use dise_workloads::WatchKind;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -928,6 +929,67 @@ fn byte_stores_at_both_ends_of_the_address_space_agree_everywhere() {
         let shared = batch.run().expect("the application assembles");
         for ((kind, private), shared) in observed.into_iter().zip(shared) {
             assert_eq!(shared.expect("admitted"), vec![private], "{expr:?} under {kind:?}");
+        }
+    }
+}
+
+/// One observer pass whose members stall on overlapping records: VM,
+/// hardware registers and the DISE comparators over HOT, WARM1,
+/// conditional HOT (every HOT store is a spurious predicate miss) and
+/// the RANGE set, each timed at the paper's cost, the gdb cost and a
+/// cost below the drain bound. The batch shares cycle pipelines among
+/// slots that stall on the same records; each member's reports must
+/// still equal its private sessions, one per configuration, at 1 and 4
+/// workers and at slices of 97 and 65,536 instructions (the scheduler
+/// default `dise_bench::DEFAULT_SLICE`).
+#[test]
+fn overlapping_stalls_match_private_sessions() {
+    let cpus = [
+        CpuConfig::default(),
+        CpuConfig { debugger_transition_cost: 290_000, ..CpuConfig::default() },
+        CpuConfig { debugger_transition_cost: 7, ..CpuConfig::default() },
+    ];
+    for w in &dise_workloads::all(10) {
+        let sets = [
+            vec![w.watchpoint(WatchKind::Hot)],
+            vec![w.watchpoint(WatchKind::Warm1)],
+            vec![w.conditional_watchpoint(WatchKind::Hot)],
+            vec![w.watchpoint(WatchKind::Range)],
+        ];
+        let mut members = Vec::new();
+        for backend in
+            [BackendKind::VirtualMemory, BackendKind::hw4(), BackendKind::DiseComparators]
+        {
+            for set in &sets {
+                members.push((backend, set.clone(), cpus.to_vec()));
+            }
+        }
+        let private: Vec<Result<Vec<SessionReport>, DebugError>> = members
+            .iter()
+            .map(|(backend, set, cpus)| {
+                cpus.iter()
+                    .map(|&cpu| {
+                        let task = SessionTask::session(w.app(), set.clone(), *backend, cpu);
+                        task.run_to_completion().into_batch().map(|mut r| r.remove(0))
+                    })
+                    .collect()
+            })
+            .collect();
+        assert!(
+            private.iter().flatten().flatten().any(|r| r.transitions.spurious_total() > 0),
+            "{}: some member stalls",
+            w.name()
+        );
+        for (workers, slice) in [(1, 97), (4, 97), (1, 65_536), (4, 65_536)] {
+            let scheduler = Scheduler::new(slice);
+            scheduler.spawn(SessionTask::observer(w.app(), members.clone()));
+            let (_, out) = scheduler.drain(workers).pop().expect("one task, one output");
+            assert_eq!(
+                out.into_observe().expect("the pass runs"),
+                private,
+                "{} (workers={workers}, slice={slice})",
+                w.name()
+            );
         }
     }
 }

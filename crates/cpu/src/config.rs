@@ -57,7 +57,54 @@ impl CpuConfig {
     /// counts, so this leaves room for 2^32 spurious transitions; a cost
     /// near `u64::MAX` wraps the count at the first one.
     pub const MAX_TRANSITION_COST: u64 = 1 << 32;
+
+    /// Check that the timing model can honour this machine: it fetches,
+    /// commits and reaches memory at least one instruction per cycle,
+    /// its ROB and RS hold at least one entry each, and its transition
+    /// cost is at most [`CpuConfig::MAX_TRANSITION_COST`]. Admission
+    /// refuses a machine that fails, rather than time it.
+    ///
+    /// # Errors
+    ///
+    /// The first field that fails, in declaration order.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let zero = [
+            ("width", self.width == 0),
+            ("commit_width", self.commit_width == 0),
+            ("rob_entries", self.rob_entries == 0),
+            ("rs_entries", self.rs_entries == 0),
+            ("mem_ports", self.mem_ports == 0),
+        ];
+        if let Some(&(field, _)) = zero.iter().find(|(_, zero)| *zero) {
+            return Err(ConfigError { field, reason: "must be at least 1" });
+        }
+        if self.debugger_transition_cost > Self::MAX_TRANSITION_COST {
+            return Err(ConfigError {
+                field: "debugger_transition_cost",
+                reason: "must be at most 2^32 cycles",
+            });
+        }
+        Ok(())
+    }
 }
+
+/// A [`CpuConfig`] field the timing model cannot honour (see
+/// [`CpuConfig::validate`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The field's name.
+    pub field: &'static str,
+    /// What it must be.
+    pub reason: &'static str,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "`{}` {}", self.field, self.reason)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 impl Default for CpuConfig {
     fn default() -> CpuConfig {
@@ -93,5 +140,30 @@ mod tests {
         assert_eq!(c.engine.pattern_entries, 32);
         assert_eq!(c.engine.replacement_entries, 512);
         assert!(!c.multithreaded_dise_calls);
+        assert_eq!(c.validate(), Ok(()));
+    }
+
+    /// Each degenerate field is refused by name; the largest allowed
+    /// cost passes.
+    #[test]
+    fn validate_names_the_first_bad_field() {
+        let d = CpuConfig::default();
+        let cases = [
+            ("width", CpuConfig { width: 0, ..d }),
+            ("commit_width", CpuConfig { commit_width: 0, ..d }),
+            ("rob_entries", CpuConfig { rob_entries: 0, ..d }),
+            ("rs_entries", CpuConfig { rs_entries: 0, ..d }),
+            ("mem_ports", CpuConfig { mem_ports: 0, ..d }),
+            (
+                "debugger_transition_cost",
+                CpuConfig { debugger_transition_cost: CpuConfig::MAX_TRANSITION_COST + 1, ..d },
+            ),
+            ("width", CpuConfig { width: 0, rob_entries: 0, ..d }),
+        ];
+        for (field, c) in cases {
+            assert_eq!(c.validate().map_err(|e| e.field), Err(field));
+        }
+        let max = CpuConfig { debugger_transition_cost: CpuConfig::MAX_TRANSITION_COST, ..d };
+        assert_eq!(max.validate(), Ok(()));
     }
 }

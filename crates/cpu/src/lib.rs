@@ -49,7 +49,7 @@ mod predictor;
 mod timing;
 mod trace;
 
-pub use config::CpuConfig;
+pub use config::{ConfigError, CpuConfig};
 pub use exec::{
     byte_span, footprints_overlap, BlockCacheStats, Branch, BranchKind, ChunkSummary, Event, Exec,
     ExecChunk, ExecError, Executor, FlushKind, InstrFacts, MemOp, MAX_BLOCK_STEPS, NUM_REGS,

@@ -23,10 +23,24 @@
 //!   the front end; debugger transitions stall it for
 //!   [`CpuConfig::debugger_transition_cost`] cycles.
 //!
-//! Every piece of per-model state has a size fixed by the
-//! [`CpuConfig`] at construction: the ROB and RS are one ring of the
-//! latest instructions' issue and commit cycles (see `Timing::recent`),
-//! and the port-usage window and the store table each keep a small
+//! A model is two halves. Its *front* ([`Front`]) is everything the
+//! record stream alone drives: the caches, TLBs and branch predictor,
+//! and the record counts. Its *pipeline* ([`Pipeline`]) is every cycle
+//! value: the front end's cycle and slots, the commit frontier, register
+//! and store ready times, port reservations and the ROB/RS ring. The
+//! front reads no cycle, so it is the same for every model of one
+//! machine fed the same records, whatever each model stalls; only the
+//! pipeline depends on the stalls. A lone [`Timing`] steps both halves
+//! of each record in one fused call (`Pipeline::retire` asks the front
+//! for each outcome where the pipeline needs it); a [`TimingBatch`]
+//! shares one front among the configurations of one machine and a
+//! pipeline among every configuration with the same stall history
+//! since its last draining stall.
+//!
+//! Every piece of pipeline state has a size fixed by the [`CpuConfig`]
+//! at construction: the ROB and RS are one ring of the latest
+//! instructions' issue and commit cycles (see `Pipeline::recent`), and
+//! the port-usage window and the store table each keep a small
 //! direct-mapped table of the entries that can still matter, spilling
 //! the rare collision between two live entries to a pruned map (see
 //! [`UseTable`] and [`StoreTable`]). Nothing grows with the length of
@@ -46,24 +60,26 @@
 //! which is what lets the windows and the store table forget it.
 //!
 //! A spurious debugger stall drains the pipeline, so its cost only
-//! shifts time. After any record, every live cycle value — the front
-//! end and the commit frontier, register and store ready times, port
-//! reservations and the ROB/RS ring — is at most
+//! shifts time. After any record, every live cycle value is at most
 //! `last_commit + max(mispredict_penalty, dise_flush_penalty)`: each is
 //! bounded by a commit cycle, except a redirect, which adds at most one
 //! penalty to one. A stall of cost `C` resumes the front end and the
 //! commit frontier at `last_commit + C`, so when `C` clears that bound
 //! every earlier value is dead: no later instruction can be ready
-//! before `last_commit + C + 1`. The caches, TLBs and predictor never
-//! see cycles. Two models fed the same records and stalls that differ
-//! only in a cost `C` at or above the bound therefore stay one model
-//! shifted by a constant number of cycles, which is what lets a
-//! [`TimingBatch`] run such configurations on one model.
+//! before `last_commit + C + 1`, and the drained pipeline is its resume
+//! cycle alone. Two pipelines of one machine that drain on the same
+//! record therefore stay one pipeline shifted by a constant number of
+//! cycles from there on, whatever their histories and costs were, and
+//! any pipeline at all, stalled past everything it holds, can stand in
+//! for them. That is what lets a [`TimingBatch`] merge pipelines at
+//! common drains and reuse a pooled one without copying it. A stall
+//! below the bound leaves live values behind, so a pipeline stalled
+//! that way keeps its exact history.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use dise_mem::{AddrHasher, MemSystem};
+use dise_mem::{AddrHasher, CacheStats, MemSystem, PAGE_SIZE};
 
 use crate::exec::{BranchKind, Exec, FlushKind, MemOp};
 use crate::{CpuConfig, Predictor};
@@ -321,6 +337,338 @@ fn quads(m: &MemOp) -> (u64, Option<u64>) {
     (first, (last != first).then_some(last))
 }
 
+/// The record-driven half of a model: the caches, TLBs and predictor,
+/// and the record counts. Nothing here reads a cycle, so every model of
+/// one machine fed the same records holds the same front, whatever it
+/// stalls — except that a stall makes the next fetch look the line up
+/// again (see [`TimingBatch`]).
+#[derive(Clone, Debug)]
+struct Front {
+    mem: MemSystem,
+    pred: Predictor,
+    /// Current instruction-cache line number (fetch locality).
+    cur_line: u64,
+    /// log2 of the L1I line size.
+    iline_shift: u32,
+    /// Records, fetched records, mispredicts and DISE flushes so far.
+    counts: RunStats,
+}
+
+/// What the front decided about one record: all the cycle pipeline
+/// needs from the caches and the predictor, kept for replay when a
+/// class runs several pipelines.
+#[derive(Clone, Copy, Debug)]
+struct FrontOut {
+    /// Cycles fetch stalls for an instruction-side miss.
+    fetch_stall: u64,
+    /// Execution latency: the data access's, or the ALU's.
+    latency: u64,
+    /// How a fetched branch ends its fetch group.
+    branch: Redirect,
+    /// A DISE control transfer flushes the front end.
+    flush: bool,
+}
+
+/// The front-end redirect a fetched branch causes.
+#[derive(Clone, Copy, Debug)]
+enum Redirect {
+    None,
+    /// Predicted taken: the fetch group ends.
+    Taken,
+    /// Mispredicted: the front end refills.
+    Mispredict,
+}
+
+/// Where [`Pipeline::retire`] reads a record's cache and predictor
+/// outcomes, in this order: from the [`Front`] itself, looking the
+/// record up as it retires (the fused step of a lone model), or from a
+/// [`FrontOut`] the front produced earlier.
+trait Lookup {
+    /// Count the record; the cycles its fetch stalls.
+    fn fetch(&mut self, e: &Exec) -> u64;
+    /// Its execution latency.
+    fn latency(&mut self, e: &Exec) -> u64;
+    /// The redirect its branch causes.
+    fn branch(&mut self, e: &Exec) -> Redirect;
+    /// Whether it flushes the front end.
+    fn flush(&mut self, cfg: &CpuConfig, e: &Exec) -> bool;
+}
+
+impl Front {
+    fn new(cfg: &CpuConfig) -> Front {
+        Front {
+            mem: MemSystem::new(cfg.mem),
+            pred: Predictor::new(cfg.bpred),
+            cur_line: u64::MAX,
+            iline_shift: cfg.mem.l1i.line.trailing_zeros(),
+            counts: RunStats::default(),
+        }
+    }
+
+    /// Look one record up in the caches and the predictor, in
+    /// [`Pipeline::retire`]'s order.
+    #[inline(always)]
+    fn step(&mut self, cfg: &CpuConfig, e: &Exec) -> FrontOut {
+        FrontOut {
+            fetch_stall: self.fetch(e),
+            latency: self.latency(e),
+            branch: self.branch(e),
+            flush: self.flush(cfg, e),
+        }
+    }
+}
+
+impl Lookup for Front {
+    #[inline(always)]
+    fn fetch(&mut self, e: &Exec) -> u64 {
+        self.counts.instructions += 1;
+        if e.fetched {
+            self.counts.fetched_instructions += 1;
+            let line = e.pc >> self.iline_shift;
+            if line != self.cur_line {
+                self.cur_line = line;
+                return self.mem.inst_fetch(e.pc) - 1;
+            }
+        }
+        0
+    }
+
+    #[inline(always)]
+    fn latency(&mut self, e: &Exec) -> u64 {
+        match e.mem {
+            Some(m) => self.mem.data_access(m.addr, m.is_store),
+            None => e.facts.latency(),
+        }
+    }
+
+    #[inline(always)]
+    fn branch(&mut self, e: &Exec) -> Redirect {
+        let Some(b) = e.branch.filter(|_| e.fetched) else {
+            return Redirect::None;
+        };
+        let mispredict = match b.kind {
+            BranchKind::Conditional => !self.pred.predict_and_update(e.pc, b.taken),
+            BranchKind::Direct => false,
+            BranchKind::Indirect => !self.pred.predict_indirect(e.pc, b.target),
+            BranchKind::Call => {
+                self.pred.push_return(e.pc + 4);
+                e.facts.is_jmp() && !self.pred.predict_indirect(e.pc, b.target)
+            }
+            BranchKind::Return => !self.pred.predict_return(b.target),
+        };
+        if mispredict {
+            self.counts.mispredicts += 1;
+            self.cur_line = u64::MAX; // refetch charges the I-cache
+            Redirect::Mispredict
+        } else if b.taken {
+            self.cur_line = u64::MAX;
+            Redirect::Taken
+        } else {
+            Redirect::None
+        }
+    }
+
+    #[inline(always)]
+    fn flush(&mut self, cfg: &CpuConfig, e: &Exec) -> bool {
+        let Some(kind) = e.flush else {
+            return false;
+        };
+        let suppressed = cfg.multithreaded_dise_calls
+            && matches!(kind, FlushKind::DiseCall | FlushKind::DiseRet);
+        if !suppressed {
+            self.counts.dise_flushes += 1;
+            self.cur_line = u64::MAX;
+        }
+        !suppressed
+    }
+}
+
+impl Lookup for &FrontOut {
+    #[inline(always)]
+    fn fetch(&mut self, _: &Exec) -> u64 {
+        self.fetch_stall
+    }
+
+    #[inline(always)]
+    fn latency(&mut self, _: &Exec) -> u64 {
+        self.latency
+    }
+
+    #[inline(always)]
+    fn branch(&mut self, _: &Exec) -> Redirect {
+        self.branch
+    }
+
+    #[inline(always)]
+    fn flush(&mut self, _: &CpuConfig, _: &Exec) -> bool {
+        self.flush
+    }
+}
+
+/// The cycle half of a model: the front end's and the commit
+/// frontier's cycles, register and store ready times, port
+/// reservations and the ROB/RS ring. It reads a record's static facts
+/// and memory footprint, and takes its cache and predictor outcomes
+/// from a [`Lookup`].
+#[derive(Clone, Debug)]
+struct Pipeline {
+    /// Cycle the front end is currently delivering into.
+    front_cycle: u64,
+    /// Slots remaining in the current front-end cycle.
+    front_slots: u64,
+
+    /// Per-register ready cycle (latest in-flight definition), indexed
+    /// by [`InstrFacts`](crate::InstrFacts) slot: slot `NO_SOURCE` stays
+    /// 0 and slot `NO_DEST` absorbs writes nothing reads. 64 slots, so a
+    /// six-bit index needs no bounds check.
+    reg_ready: [u64; 64],
+    /// Per-quadword ready cycle of the latest store (memory dependence).
+    store_ready: StoreTable,
+
+    /// `(issue, commit)` cycles of the latest instructions, indexed by
+    /// sequence number modulo a power of two ≥ both window sizes.
+    ///
+    /// The ROB and RS fill and drain in program order, so instruction
+    /// `i` dispatches once instruction `i - rob_entries` has committed
+    /// and instruction `i - rs_entries` has issued; every older entry
+    /// drained at a cycle dispatch has already passed. Those two cycles
+    /// are all dispatch needs, so the queues keep no occupancy count.
+    recent: Box<[(u64, u64)]>,
+
+    /// Issue-slot and memory-port usage per cycle.
+    port_use: UseTable,
+
+    /// In-order commit frontier.
+    commit_cycle: u64,
+    commit_slots: u64,
+    last_commit: u64,
+}
+
+impl Pipeline {
+    fn new(cfg: &CpuConfig) -> Pipeline {
+        assert!(cfg.rob_entries >= 1 && cfg.rs_entries >= 1, "ROB and RS need at least one entry");
+        let recent = cfg.rob_entries.max(cfg.rs_entries).next_power_of_two();
+        Pipeline {
+            front_cycle: 0,
+            front_slots: cfg.width,
+            reg_ready: [0; 64],
+            store_ready: StoreTable::new(cfg.rob_entries),
+            recent: vec![(0, 0); recent].into_boxed_slice(),
+            port_use: UseTable::new(USE_SLOTS, cfg.width, cfg.mem_ports),
+            commit_cycle: 0,
+            commit_slots: cfg.commit_width,
+            last_commit: 0,
+        }
+    }
+
+    fn refill(&mut self, cfg: &CpuConfig, resume_at: u64) {
+        self.front_cycle = self.front_cycle.max(resume_at);
+        self.front_slots = cfg.width;
+    }
+
+    /// Account record `seq`, reading what the front decides about it
+    /// from `front`; returns its commit cycle.
+    #[inline(always)]
+    fn retire(&mut self, cfg: &CpuConfig, seq: u64, e: &Exec, front: &mut impl Lookup) -> u64 {
+        // ---- Front end --------------------------------------------------
+        let fetch_stall = front.fetch(e);
+        if fetch_stall > 0 {
+            // Fetch stalls for the miss; the group restarts.
+            self.front_cycle += fetch_stall;
+            self.front_slots = cfg.width;
+        }
+        if self.front_slots == 0 {
+            self.front_cycle += 1;
+            self.front_slots = cfg.width;
+        }
+        self.front_slots -= 1;
+        let mut dispatch = self.front_cycle;
+
+        // ---- Window occupancy -------------------------------------------
+        // Instructions `seq - rob_entries` and `seq - rs_entries`. Before
+        // either exists the index wraps to a slot at or after `seq` in
+        // the ring (which holds at least both window sizes), one no
+        // instruction has written yet: its zero cycles bound nothing.
+        let mask = self.recent.len() - 1;
+        let rob = seq.wrapping_sub(cfg.rob_entries as u64) as usize & mask;
+        let rs = seq.wrapping_sub(cfg.rs_entries as u64) as usize & mask;
+        dispatch = dispatch.max(self.recent[rob].1).max(self.recent[rs].0);
+        self.front_cycle = self.front_cycle.max(dispatch);
+
+        // ---- Operand readiness ------------------------------------------
+        let facts = e.facts;
+        let [a, b] = facts.sources();
+        let mut ready = (dispatch + 1).max(self.reg_ready[a]).max(self.reg_ready[b]);
+        if let Some(m) = e.mem {
+            if !m.is_store {
+                let (first, second) = quads(&m);
+                ready = ready.max(self.store_ready.ready(first));
+                if let Some(q) = second {
+                    ready = ready.max(self.store_ready.ready(q));
+                }
+            }
+        }
+
+        // ---- Issue -------------------------------------------------------
+        // `ready > front_cycle` here, and the front only advances, so
+        // `front_cycle + 1` lower-bounds every future probe: usage tagged
+        // below it is dead.
+        let live_floor = self.front_cycle + 1;
+        let issue = self.port_use.reserve(ready, live_floor, e.mem.is_some());
+
+        // ---- Execute -----------------------------------------------------
+        let done = issue + front.latency(e);
+        self.reg_ready[facts.dest()] = done;
+        if let Some(m) = e.mem {
+            if m.is_store {
+                let (first, second) = quads(&m);
+                self.store_ready.record(first, done, live_floor);
+                if let Some(q) = second {
+                    self.store_ready.record(q, done, live_floor);
+                }
+            }
+        }
+
+        // ---- Commit (in order) --------------------------------------------
+        let mut commit = done.max(self.commit_cycle);
+        if commit > self.commit_cycle {
+            self.commit_cycle = commit;
+            self.commit_slots = cfg.commit_width;
+        }
+        if self.commit_slots == 0 {
+            self.commit_cycle += 1;
+            self.commit_slots = cfg.commit_width;
+            commit = self.commit_cycle;
+        }
+        self.commit_slots -= 1;
+        self.last_commit = commit;
+        self.recent[seq as usize & mask] = (issue, commit);
+
+        // ---- Redirects -----------------------------------------------------
+        match front.branch(e) {
+            Redirect::Mispredict => self.refill(cfg, done + cfg.mispredict_penalty),
+            // Predicted-taken branch ends the fetch group.
+            Redirect::Taken => {
+                self.front_cycle += 1;
+                self.front_slots = cfg.width;
+            }
+            Redirect::None => {}
+        }
+        if front.flush(cfg, e) {
+            self.refill(cfg, done + cfg.dise_flush_penalty);
+        }
+
+        commit
+    }
+
+    /// Resume after a debugger stall: the pipeline is flushed and
+    /// restarts at `resume`, without moving the last commit.
+    fn stall(&mut self, cfg: &CpuConfig, resume: u64) {
+        self.commit_cycle = self.commit_cycle.max(resume);
+        self.refill(cfg, resume);
+    }
+}
+
 /// Aggregate results of a timed run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RunStats {
@@ -360,45 +708,11 @@ impl RunStats {
 #[derive(Clone, Debug)]
 pub struct Timing {
     cfg: CpuConfig,
-    mem: MemSystem,
-    pred: Predictor,
-
-    /// Cycle the front end is currently delivering into.
-    front_cycle: u64,
-    /// Slots remaining in the current front-end cycle.
-    front_slots: u64,
-    /// Current instruction-cache line number (fetch locality).
-    cur_line: u64,
-    /// log2 of the L1I line size.
-    iline_shift: u32,
-
-    /// Per-register ready cycle (latest in-flight definition), indexed
-    /// by [`InstrFacts`](crate::InstrFacts) slot: slot `NO_SOURCE` stays
-    /// 0 and slot `NO_DEST` absorbs writes nothing reads. 64 slots, so a
-    /// six-bit index needs no bounds check.
-    reg_ready: [u64; 64],
-    /// Per-quadword ready cycle of the latest store (memory dependence).
-    store_ready: StoreTable,
-
-    /// `(issue, commit)` cycles of the latest instructions, indexed by
-    /// sequence number modulo a power of two ≥ both window sizes.
-    ///
-    /// The ROB and RS fill and drain in program order, so instruction
-    /// `i` dispatches once instruction `i - rob_entries` has committed
-    /// and instruction `i - rs_entries` has issued; every older entry
-    /// drained at a cycle dispatch has already passed. Those two cycles
-    /// are all dispatch needs, so the queues keep no occupancy count.
-    recent: Box<[(u64, u64)]>,
-
-    /// Issue-slot and memory-port usage per cycle.
-    port_use: UseTable,
-
-    /// In-order commit frontier.
-    commit_cycle: u64,
-    commit_slots: u64,
-    last_commit: u64,
-
-    stats: RunStats,
+    front: Front,
+    pipe: Pipeline,
+    /// Debugger stalls charged, and their cycles.
+    stalls: u64,
+    stall_cycles: u64,
 }
 
 impl Timing {
@@ -408,172 +722,34 @@ impl Timing {
     ///
     /// Panics if the ROB or RS has no entries.
     pub fn new(cfg: CpuConfig) -> Timing {
-        assert!(cfg.rob_entries >= 1 && cfg.rs_entries >= 1, "ROB and RS need at least one entry");
-        let recent = cfg.rob_entries.max(cfg.rs_entries).next_power_of_two();
         Timing {
             cfg,
-            mem: MemSystem::new(cfg.mem),
-            pred: Predictor::new(cfg.bpred),
-            front_cycle: 0,
-            front_slots: cfg.width,
-            cur_line: u64::MAX,
-            iline_shift: cfg.mem.l1i.line.trailing_zeros(),
-            reg_ready: [0; 64],
-            store_ready: StoreTable::new(cfg.rob_entries),
-            recent: vec![(0, 0); recent].into_boxed_slice(),
-            port_use: UseTable::new(USE_SLOTS, cfg.width, cfg.mem_ports),
-            commit_cycle: 0,
-            commit_slots: cfg.commit_width,
-            last_commit: 0,
-            stats: RunStats::default(),
+            front: Front::new(&cfg),
+            pipe: Pipeline::new(&cfg),
+            stalls: 0,
+            stall_cycles: 0,
         }
     }
 
     /// The memory hierarchy (for inspecting cache statistics).
     pub fn mem_system(&self) -> &MemSystem {
-        &self.mem
+        &self.front.mem
     }
 
     /// The branch predictor (for inspecting misprediction rates).
     pub fn predictor(&self) -> &Predictor {
-        &self.pred
+        &self.front.pred
     }
 
     /// Cycles elapsed so far (commit frontier).
     pub fn cycles(&self) -> u64 {
-        self.last_commit
-    }
-
-    fn redirect(&mut self, resume_at: u64) {
-        self.front_cycle = self.front_cycle.max(resume_at);
-        self.front_slots = self.cfg.width;
-        self.cur_line = u64::MAX; // refetch charges the I-cache
+        self.pipe.last_commit
     }
 
     /// Account one instruction; returns its commit cycle.
     pub fn consume(&mut self, e: &Exec) -> u64 {
-        let seq = self.stats.instructions;
-        self.stats.instructions += 1;
-
-        // ---- Front end --------------------------------------------------
-        if e.fetched {
-            self.stats.fetched_instructions += 1;
-            let line = e.pc >> self.iline_shift;
-            if line != self.cur_line {
-                self.cur_line = line;
-                let lat = self.mem.inst_fetch(e.pc);
-                if lat > 1 {
-                    // Fetch stalls for the miss; the group restarts.
-                    self.front_cycle += lat - 1;
-                    self.front_slots = self.cfg.width;
-                }
-            }
-        }
-        if self.front_slots == 0 {
-            self.front_cycle += 1;
-            self.front_slots = self.cfg.width;
-        }
-        self.front_slots -= 1;
-        let mut dispatch = self.front_cycle;
-
-        // ---- Window occupancy -------------------------------------------
-        // Instructions `seq - rob_entries` and `seq - rs_entries`. Before
-        // either exists the index wraps to a slot at or after `seq` in
-        // the ring (which holds at least both window sizes), one no
-        // instruction has written yet: its zero cycles bound nothing.
-        let mask = self.recent.len() - 1;
-        let rob = seq.wrapping_sub(self.cfg.rob_entries as u64) as usize & mask;
-        let rs = seq.wrapping_sub(self.cfg.rs_entries as u64) as usize & mask;
-        dispatch = dispatch.max(self.recent[rob].1).max(self.recent[rs].0);
-        self.front_cycle = self.front_cycle.max(dispatch);
-
-        // ---- Operand readiness ------------------------------------------
-        let facts = e.facts;
-        let [a, b] = facts.sources();
-        let mut ready = (dispatch + 1).max(self.reg_ready[a]).max(self.reg_ready[b]);
-        if let Some(m) = e.mem {
-            if !m.is_store {
-                let (first, second) = quads(&m);
-                ready = ready.max(self.store_ready.ready(first));
-                if let Some(q) = second {
-                    ready = ready.max(self.store_ready.ready(q));
-                }
-            }
-        }
-
-        // ---- Issue -------------------------------------------------------
-        // `ready > front_cycle` here, and the front only advances, so
-        // `front_cycle + 1` lower-bounds every future probe: usage tagged
-        // below it is dead.
-        let live_floor = self.front_cycle + 1;
-        let issue = self.port_use.reserve(ready, live_floor, e.mem.is_some());
-
-        // ---- Execute -----------------------------------------------------
-        let latency = match e.mem {
-            Some(m) => self.mem.data_access(m.addr, m.is_store),
-            None => facts.latency(),
-        };
-        let done = issue + latency;
-        self.reg_ready[facts.dest()] = done;
-        if let Some(m) = e.mem {
-            if m.is_store {
-                let (first, second) = quads(&m);
-                self.store_ready.record(first, done, live_floor);
-                if let Some(q) = second {
-                    self.store_ready.record(q, done, live_floor);
-                }
-            }
-        }
-
-        // ---- Commit (in order) --------------------------------------------
-        let mut commit = done.max(self.commit_cycle);
-        if commit > self.commit_cycle {
-            self.commit_cycle = commit;
-            self.commit_slots = self.cfg.commit_width;
-        }
-        if self.commit_slots == 0 {
-            self.commit_cycle += 1;
-            self.commit_slots = self.cfg.commit_width;
-            commit = self.commit_cycle;
-        }
-        self.commit_slots -= 1;
-        self.last_commit = commit;
-        self.recent[seq as usize & mask] = (issue, commit);
-
-        // ---- Redirects -----------------------------------------------------
-        if let Some(b) = e.branch {
-            if e.fetched {
-                let mispredict = match b.kind {
-                    BranchKind::Conditional => !self.pred.predict_and_update(e.pc, b.taken),
-                    BranchKind::Direct => false,
-                    BranchKind::Indirect => !self.pred.predict_indirect(e.pc, b.target),
-                    BranchKind::Call => {
-                        self.pred.push_return(e.pc + 4);
-                        e.facts.is_jmp() && !self.pred.predict_indirect(e.pc, b.target)
-                    }
-                    BranchKind::Return => !self.pred.predict_return(b.target),
-                };
-                if mispredict {
-                    self.stats.mispredicts += 1;
-                    self.redirect(done + self.cfg.mispredict_penalty);
-                } else if b.taken {
-                    // Predicted-taken branch ends the fetch group.
-                    self.front_cycle += 1;
-                    self.front_slots = self.cfg.width;
-                    self.cur_line = u64::MAX;
-                }
-            }
-        }
-        if let Some(kind) = e.flush {
-            let suppressed = self.cfg.multithreaded_dise_calls
-                && matches!(kind, FlushKind::DiseCall | FlushKind::DiseRet);
-            if !suppressed {
-                self.stats.dise_flushes += 1;
-                self.redirect(done + self.cfg.dise_flush_penalty);
-            }
-        }
-
-        commit
+        let seq = self.front.counts.instructions;
+        self.pipe.retire(&self.cfg, seq, e, &mut self.front)
     }
 
     /// Charge a debugger transition: the pipeline is flushed and the
@@ -581,64 +757,128 @@ impl Timing {
     /// [`CpuConfig::debugger_transition_cost`] for spurious transitions;
     /// masked transitions are free per the paper's methodology).
     pub fn debugger_stall(&mut self, cost: u64) {
-        self.stats.debugger_stalls += 1;
-        self.stats.debugger_stall_cycles += cost;
-        let resume = self.last_commit + cost;
-        self.commit_cycle = self.commit_cycle.max(resume);
-        self.redirect(resume);
+        self.stalls += 1;
+        self.stall_cycles += cost;
+        self.pipe.stall(&self.cfg, self.pipe.last_commit + cost);
+        self.front.cur_line = u64::MAX; // refetch charges the I-cache
     }
 
     /// Close out the run and return the statistics.
     pub fn finish(&mut self) -> RunStats {
-        self.stats.cycles = self.last_commit;
-        self.stats
+        RunStats {
+            cycles: self.pipe.last_commit,
+            debugger_stalls: self.stalls,
+            debugger_stall_cycles: self.stall_cycles,
+            ..self.front.counts
+        }
     }
 }
 
-/// A batch of timing models replaying one functional record stream —
-/// the single-pass multi-config engine behind the sensitivity sweeps:
-/// the [`Executor`](crate::Executor) produces its program-order
-/// [`Exec`] stream once, and the batch accounts it under every
-/// configuration it was built with.
+/// The timing of one functional record stream under many
+/// configurations, each a *slot* that stalls on its own — the engine
+/// behind the sensitivity sweeps and the observer fan-out: the
+/// [`Executor`](crate::Executor) or a stored trace produces the
+/// program-order [`Exec`] stream once, and the batch accounts it under
+/// every slot, each equal to a lone [`Timing`] of its configuration
+/// charged the same stalls.
 ///
 /// Configurations that differ only in
-/// [`CpuConfig::debugger_transition_cost`], with every such cost at or
-/// above `max(mispredict_penalty, dise_flush_penalty)`, form one
-/// *class* and share one [`Timing`]: by the drain invariant (module
-/// docs) their models stay the same model shifted by a cycle offset, so
-/// the batch runs the class's cheapest configuration (its *lead*) and
-/// keeps each configuration's offset over it. Exact duplicates always share; a cost below the
-/// bound keeps its own model. Models of different classes are fully
-/// isolated — only the functional stream is shared — so a batch of
-/// one is cycle-identical to driving a lone [`Timing`].
+/// [`CpuConfig::debugger_transition_cost`] form one *class*, which runs
+/// one record-driven front (its caches, TLBs, predictor and record
+/// counts, which no cycle reaches) and as few cycle pipelines as its
+/// slots' stall histories allow:
+///
+/// - every slot of a class starts on one pipeline;
+/// - [`TimingBatch::stall`] charges a subset of slots. A slot whose
+///   cost is at or above `max(mispredict_penalty, dise_flush_penalty)`
+///   drains its pipeline (module docs): its live state is the resume
+///   cycle alone, so every such slot of the class that stalls on one
+///   record leaves for one pipeline together, each at its own cycle
+///   offset. That pipeline is one they left empty, or one from the
+///   class's pool of pipelines no slot holds any more; either holds
+///   only dead values once stalled past them, so it is re-based and
+///   nothing is copied;
+/// - a slot below the bound keeps its exact history: slots of one
+///   pipeline that stall to the same cycle stay together, and the
+///   rest split off with a copy of the cycle state (about 19 KB under
+///   the paper's machine). They never merge again;
+/// - a pipeline no slot holds any more returns to the pool.
+///
+/// A class keeps its front and first pipeline as a lone [`Timing`], so
+/// while it runs one pipeline each record takes exactly
+/// [`Timing::consume`]'s fused step, and front outputs are never
+/// buffered; with more, the front looks a block of records up once and
+/// every pipeline replays its outputs. Classes are isolated, so a batch
+/// of one is cycle-identical to driving a lone [`Timing`].
+///
+/// A lone model makes its next fetch look its line up again after a
+/// stall. When that is the line the front looked up last, the lookup
+/// is a most-recently-used hit that changes no cache state and costs
+/// one cycle, so the shared front stays exact and the slot only counts
+/// it: [`TimingBatch::mem_stats`] adds it to the slot's L1I and ITLB
+/// accesses. That argument needs an L1I line no larger than a page, so
+/// a configuration with a larger line is a class of its own.
 #[derive(Clone, Debug)]
 pub struct TimingBatch {
-    /// One model per class, in order of each class's first
-    /// configuration, each configured with its lead's cost.
-    models: Vec<Timing>,
-    /// One slot per configuration, in construction order.
-    slots: Vec<Slot>,
-    /// Some configuration's cost differs from its lead's, so stalls
-    /// move offsets. False for a batch of one and for exact
-    /// duplicates, which then do no per-stall slot work.
-    shifted: bool,
-    /// A record was consumed since the last stall (or since the start).
-    fresh: bool,
+    classes: Vec<Class>,
+    /// Each configuration's class and slot within it, in construction
+    /// order.
+    places: Vec<(usize, usize)>,
 }
 
-/// One configuration's place in a [`TimingBatch`].
-#[derive(Clone, Copy, Debug)]
+/// The configurations of one machine in a [`TimingBatch`].
+#[derive(Clone, Debug)]
+struct Class {
+    /// The class's front and first pipeline, run as a lone model of the
+    /// machine; its own transition cost and stall counts go unused
+    /// (slots carry theirs).
+    model: Timing,
+    /// Its further pipelines: pipeline `p > 0` is `extra[p - 1]`.
+    extra: Vec<Pipeline>,
+    /// How many slots hold each pipeline.
+    users: Vec<usize>,
+    /// [`drain_bound`] of the machine.
+    bound: u64,
+    /// Pipelines no slot holds.
+    pool: Vec<Pipeline>,
+    slots: Vec<Slot>,
+    /// Slots stalled since the front last fetched: their lone models
+    /// look the next fetched line up again.
+    refetch: Vec<usize>,
+    /// Front outputs of the block being replayed, with several
+    /// pipelines.
+    outs: Vec<FrontOut>,
+    /// Records consumed summed over pipelines, as of `counted_at`
+    /// records, when the number of pipelines last changed.
+    counted: u64,
+    counted_at: u64,
+    /// Scratch for [`Class::stall`]: the slots it charges, those below
+    /// the bound with their pipelines and resume cycles in their
+    /// pipelines' terms, and those at or above it with theirs.
+    stalled: Vec<usize>,
+    kept: Vec<(usize, usize, u64)>,
+    drained: Vec<(usize, u64)>,
+}
+
+/// One configuration's place in its [`Class`].
+#[derive(Clone, Copy, Debug, Default)]
 struct Slot {
-    /// Index of its class's model.
-    model: usize,
+    /// Index of the pipeline it reads.
+    pipe: usize,
     /// Its own spurious-transition cost.
     cost: u64,
-    /// Cycles its live state (front end, commit frontier, ready times,
-    /// reservations) runs ahead of the lead's since the last stall.
-    front: u64,
-    /// Cycles its last commit runs ahead of the lead's until a record
-    /// follows the last stall; from then on it equals `front`.
+    /// Cycles (wrapping) its live state runs ahead of its pipeline's.
+    shift: u64,
+    /// Its last commit as of its last stall, which holds until a record
+    /// follows it (a stall never moves the last commit).
     commit: u64,
+    /// Records the class had consumed at its last stall.
+    stalled_at: u64,
+    stalls: u64,
+    /// Refetches its lone model counted that the front did not make.
+    refetches: u64,
+    /// Listed in [`Class::refetch`].
+    pending: bool,
 }
 
 /// The least transition cost that drains a model built from `cfg`:
@@ -650,122 +890,339 @@ fn drain_bound(cfg: &CpuConfig) -> u64 {
     cfg.mispredict_penalty.max(cfg.dise_flush_penalty)
 }
 
+/// Records the front looks up before the pipelines replay them.
+const FRONT_BLOCK: usize = 256;
+
+impl Class {
+    fn new(cfg: CpuConfig) -> Class {
+        Class {
+            model: Timing::new(cfg),
+            extra: Vec::new(),
+            users: vec![0],
+            bound: drain_bound(&cfg),
+            pool: Vec::new(),
+            slots: Vec::new(),
+            refetch: Vec::new(),
+            outs: Vec::new(),
+            counted: 0,
+            counted_at: 0,
+            stalled: Vec::new(),
+            kept: Vec::new(),
+            drained: Vec::new(),
+        }
+    }
+
+    fn pipe(&self, p: usize) -> &Pipeline {
+        if p == 0 {
+            &self.model.pipe
+        } else {
+            &self.extra[p - 1]
+        }
+    }
+
+    fn pipe_mut(&mut self, p: usize) -> &mut Pipeline {
+        if p == 0 {
+            &mut self.model.pipe
+        } else {
+            &mut self.extra[p - 1]
+        }
+    }
+
+    /// Records consumed so far.
+    fn records(&self) -> u64 {
+        self.model.front.counts.instructions
+    }
+
+    fn pipeline_records(&self) -> u64 {
+        self.counted + (self.records() - self.counted_at) * self.users.len() as u64
+    }
+
+    /// A new pipeline for `users` slots; returns its index.
+    fn add_pipe(&mut self, state: Pipeline, users: usize) -> usize {
+        (self.counted, self.counted_at) = (self.pipeline_records(), self.records());
+        self.extra.push(state);
+        self.users.push(users);
+        self.users.len() - 1
+    }
+
+    /// Return pipeline `p`, which no slot holds, to the pool; the last
+    /// pipeline takes its index.
+    fn remove_pipe(&mut self, p: usize) {
+        (self.counted, self.counted_at) = (self.pipeline_records(), self.records());
+        let last = self.users.len() - 1;
+        let state = if p == 0 {
+            let next = self.extra.pop().expect("some slot holds a pipeline");
+            std::mem::replace(&mut self.model.pipe, next)
+        } else {
+            self.extra.swap_remove(p - 1)
+        };
+        self.users.swap_remove(p);
+        self.pool.push(state);
+        for slot in &mut self.slots {
+            if slot.pipe == last {
+                slot.pipe = p;
+            }
+        }
+    }
+
+    fn last_commit(&self, s: usize) -> u64 {
+        let slot = &self.slots[s];
+        if self.records() > slot.stalled_at {
+            self.pipe(slot.pipe).last_commit.wrapping_add(slot.shift)
+        } else {
+            slot.commit
+        }
+    }
+
+    fn consume(&mut self, mut records: &[Exec]) {
+        if !self.refetch.is_empty() {
+            let Some(i) = records.iter().position(|e| e.fetched) else {
+                return self.run(records);
+            };
+            self.run(&records[..i]);
+            let front = &self.model.front;
+            let line = records[i].pc >> front.iline_shift;
+            let repeat = u64::from(line == front.cur_line && line != u64::MAX);
+            for s in self.refetch.drain(..) {
+                self.slots[s].refetches += repeat;
+                self.slots[s].pending = false;
+            }
+            records = &records[i..];
+        }
+        self.run(records);
+    }
+
+    fn run(&mut self, records: &[Exec]) {
+        if self.extra.is_empty() {
+            for e in records {
+                self.model.consume(e);
+            }
+            return;
+        }
+        let Timing { cfg, front, pipe, .. } = &mut self.model;
+        for block in records.chunks(FRONT_BLOCK) {
+            let seq = front.counts.instructions;
+            self.outs.clear();
+            self.outs.extend(block.iter().map(|e| front.step(cfg, e)));
+            for pipe in std::iter::once(&mut *pipe).chain(&mut self.extra) {
+                for (k, (e, out)) in block.iter().zip(&self.outs).enumerate() {
+                    pipe.retire(cfg, seq + k as u64, e, &mut &*out);
+                }
+            }
+        }
+    }
+
+    /// Charge the slots in `self.stalled` (distinct) a spurious stall
+    /// at their own costs.
+    fn stall(&mut self) {
+        let cfg = self.model.cfg;
+        let seq = self.records();
+        let mut stalled = std::mem::take(&mut self.stalled);
+        let mut kept = std::mem::take(&mut self.kept);
+        let mut drained = std::mem::take(&mut self.drained);
+        if stalled.len() == self.slots.len() {
+            // Every lone model of the class refetches, and so does the
+            // front.
+            self.model.front.cur_line = u64::MAX;
+            for s in self.refetch.drain(..) {
+                self.slots[s].pending = false;
+            }
+        }
+        for &s in &stalled {
+            let commit = self.last_commit(s);
+            let refetches = !self.slots[s].pending && self.model.front.cur_line != u64::MAX;
+            let slot = &mut self.slots[s];
+            if refetches {
+                slot.pending = true;
+                self.refetch.push(s);
+            }
+            slot.commit = commit;
+            slot.stalled_at = seq;
+            slot.stalls += 1;
+            let resume = commit + slot.cost;
+            if slot.cost >= self.bound {
+                self.users[slot.pipe] -= 1;
+                drained.push((s, resume));
+            } else {
+                kept.push((s, slot.pipe, resume.wrapping_sub(slot.shift)));
+            }
+        }
+        // Below the bound: slots of one pipeline stalling to one cycle
+        // stay together; in place once they are all of its slots.
+        kept.sort_unstable_by_key(|&(_, p, resume)| (p, resume));
+        for group in kept.chunk_by(|a, b| (a.1, a.2) == (b.1, b.2)) {
+            let (_, p, resume) = group[0];
+            if group.len() == self.users[p] {
+                self.pipe_mut(p).stall(&cfg, resume);
+                continue;
+            }
+            let mut state = self.pipe(p).clone();
+            state.stall(&cfg, resume);
+            self.users[p] -= group.len();
+            let q = self.add_pipe(state, group.len());
+            for &(s, ..) in group {
+                self.slots[s].pipe = q;
+            }
+        }
+        // At or above it: one pipeline, re-based past all it holds — one
+        // the drained slots left, or one from the pool.
+        if !drained.is_empty() {
+            let p = self.users.iter().position(|&u| u == 0).unwrap_or_else(|| {
+                let state = self.pool.pop().unwrap_or_else(|| Pipeline::new(&cfg));
+                self.add_pipe(state, 0)
+            });
+            let bound = self.bound;
+            let pipe = self.pipe_mut(p);
+            let base = pipe.commit_cycle + bound;
+            pipe.stall(&cfg, base);
+            self.users[p] = drained.len();
+            for &(s, resume) in &drained {
+                let slot = &mut self.slots[s];
+                slot.pipe = p;
+                slot.shift = resume.wrapping_sub(base);
+            }
+        }
+        for p in (0..self.users.len()).rev() {
+            if self.users[p] == 0 {
+                self.remove_pipe(p);
+            }
+        }
+        stalled.clear();
+        kept.clear();
+        drained.clear();
+        (self.stalled, self.kept, self.drained) = (stalled, kept, drained);
+    }
+}
+
 impl TimingBatch {
-    /// Models for the given configurations, in the given order: one per
-    /// class (see [`TimingBatch`]), led by its cheapest configuration.
+    /// Slots for the given configurations, in the given order, grouped
+    /// into classes (see [`TimingBatch`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a configuration's ROB or RS has no entries, as
+    /// [`Timing::new`] does.
     pub fn new(cfgs: &[CpuConfig]) -> TimingBatch {
-        let drains = |c: &CpuConfig| c.debugger_transition_cost >= drain_bound(c);
-        let key = |c: &CpuConfig| CpuConfig { debugger_transition_cost: 0, ..*c };
-        let mut leads: Vec<CpuConfig> = Vec::new();
-        let mut slots = Vec::with_capacity(cfgs.len());
+        let mut classes: Vec<Class> = Vec::new();
+        let mut places = Vec::with_capacity(cfgs.len());
         for c in cfgs {
-            let model = leads
-                .iter()
-                .position(|l| l == c || (drains(l) && drains(c) && key(l) == key(c)))
-                .unwrap_or_else(|| {
-                    leads.push(*c);
-                    leads.len() - 1
+            let key = CpuConfig { debugger_transition_cost: 0, ..*c };
+            let shares = c.mem.l1i.line <= PAGE_SIZE;
+            let k =
+                classes.iter().position(|k| shares && k.model.cfg == key).unwrap_or_else(|| {
+                    classes.push(Class::new(key));
+                    classes.len() - 1
                 });
-            let lead = &mut leads[model];
-            lead.debugger_transition_cost =
-                lead.debugger_transition_cost.min(c.debugger_transition_cost);
-            slots.push(Slot { model, cost: c.debugger_transition_cost, front: 0, commit: 0 });
+            let class = &mut classes[k];
+            class.users[0] += 1;
+            class.slots.push(Slot { cost: c.debugger_transition_cost, ..Slot::default() });
+            places.push((k, class.slots.len() - 1));
         }
-        let shifted = slots.iter().any(|s| s.cost != leads[s.model].debugger_transition_cost);
-        TimingBatch {
-            models: leads.into_iter().map(Timing::new).collect(),
-            slots,
-            shifted,
-            fresh: false,
-        }
+        TimingBatch { classes, places }
     }
 
     /// Number of configurations in the batch.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.places.len()
     }
 
     /// True when the batch holds no configurations.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.places.is_empty()
     }
 
-    /// The memory hierarchy of configuration `i` (for inspecting cache
-    /// statistics). Configurations in one class share it.
-    pub fn mem_system(&self, i: usize) -> &MemSystem {
-        self.models[self.slots[i].model].mem_system()
+    /// Cache and TLB statistics of configuration `i`, `(l1i, l1d, l2,
+    /// itlb, dtlb)`: those of a lone model of it.
+    pub fn mem_stats(
+        &self,
+        i: usize,
+    ) -> (CacheStats, CacheStats, CacheStats, CacheStats, CacheStats) {
+        let (k, s) = self.places[i];
+        let (mut l1i, l1d, l2, mut itlb, dtlb) = self.classes[k].model.front.mem.stats();
+        let refetches = self.classes[k].slots[s].refetches;
+        l1i.accesses += refetches;
+        itlb.accesses += refetches;
+        (l1i, l1d, l2, itlb, dtlb)
     }
 
     /// The branch predictor of configuration `i`. Configurations in one
     /// class share it.
     pub fn predictor(&self, i: usize) -> &Predictor {
-        self.models[self.slots[i].model].predictor()
+        &self.classes[self.places[i].0].model.front.pred
     }
 
-    /// Account one instruction in every model.
+    /// Records the batch's pipelines have consumed, summed over
+    /// pipelines: the cycle work the batch did, against `len()` times
+    /// the records for one model per configuration. For tests and
+    /// counters.
+    pub fn pipeline_records(&self) -> u64 {
+        self.classes.iter().map(Class::pipeline_records).sum()
+    }
+
+    /// Account one instruction under every configuration.
     #[inline]
     pub fn consume(&mut self, e: &Exec) {
-        self.fresh = true;
-        if let [t] = self.models.as_mut_slice() {
-            t.consume(e);
-        } else {
-            for t in &mut self.models {
-                t.consume(e);
+        if let [class] = self.classes.as_mut_slice() {
+            if class.extra.is_empty() && class.refetch.is_empty() {
+                class.model.consume(e);
+                return;
             }
         }
+        self.consume_slice(std::slice::from_ref(e));
     }
 
-    /// Account a whole slice of consecutive instructions in every
-    /// model, models-outer / records-inner: each model walks the slice
-    /// while its own state is hot, eliminating the per-record batch
-    /// dispatch. Per-model state is fully isolated, so this is
-    /// cycle-identical to calling [`TimingBatch::consume`] once per
-    /// record — valid only while no per-record side channel (a debugger
-    /// stall) interleaves with the slice.
+    /// Account a whole slice of consecutive instructions under every
+    /// configuration, classes-outer / records-inner: each class walks
+    /// the slice while its own state is hot. Cycle-identical to calling
+    /// [`TimingBatch::consume`] once per record.
+    #[inline]
     pub fn consume_slice(&mut self, slice: &[Exec]) {
-        self.fresh |= !slice.is_empty();
-        for t in &mut self.models {
-            for e in slice {
-                t.consume(e);
+        for class in &mut self.classes {
+            class.consume(slice);
+        }
+    }
+
+    /// Charge the configurations `slots` (distinct indices) a spurious
+    /// debugger transition each, at its own
+    /// [`CpuConfig::debugger_transition_cost`], after the last record
+    /// consumed. As in [`Timing::debugger_stall`], a stall does not move
+    /// the last commit, so a second stall of a configuration with no
+    /// record between charges no further cycles.
+    pub fn stall(&mut self, slots: &[usize]) {
+        for (k, class) in self.classes.iter_mut().enumerate() {
+            class.stalled.clear();
+            class.stalled.extend(
+                slots.iter().filter_map(|&i| (self.places[i].0 == k).then_some(self.places[i].1)),
+            );
+            if !class.stalled.is_empty() {
+                class.stall();
             }
         }
     }
 
-    /// Charge every configuration a spurious debugger transition at its
-    /// own [`CpuConfig::debugger_transition_cost`]: each model stalls
-    /// for its lead's cost, and each configuration's offset grows by
-    /// the difference. A stall does not move the commit frontier, so a
-    /// second stall with no record between charges no further cycles
-    /// (as in [`Timing::debugger_stall`]): the offset restarts from the
-    /// last commit's, not from the previous stall's.
+    /// Charge every configuration a spurious debugger transition:
+    /// [`TimingBatch::stall`] of all of them.
     pub fn debugger_stall(&mut self) {
-        for t in &mut self.models {
-            t.debugger_stall(t.cfg.debugger_transition_cost);
+        for class in &mut self.classes {
+            class.stalled.clear();
+            class.stalled.extend(0..class.slots.len());
+            class.stall();
         }
-        if self.shifted {
-            for s in &mut self.slots {
-                if self.fresh {
-                    s.commit = s.front;
-                }
-                s.front = s.commit + (s.cost - self.models[s.model].cfg.debugger_transition_cost);
-            }
-        }
-        self.fresh = false;
     }
 
     /// Close out the run: per-configuration statistics in construction
     /// order.
-    pub fn finish(mut self) -> Vec<RunStats> {
-        let lead: Vec<RunStats> = self.models.iter_mut().map(Timing::finish).collect();
-        self.slots
+    pub fn finish(self) -> Vec<RunStats> {
+        self.places
             .iter()
-            .map(|s| {
-                let stats = lead[s.model];
-                let offset = if self.fresh { s.front } else { s.commit };
+            .map(|&(k, s)| {
+                let class = &self.classes[k];
+                let slot = &class.slots[s];
                 RunStats {
-                    cycles: stats.cycles + offset,
-                    debugger_stall_cycles: stats.debugger_stalls * s.cost,
-                    ..stats
+                    cycles: class.last_commit(s),
+                    debugger_stalls: slot.stalls,
+                    debugger_stall_cycles: slot.stalls * slot.cost,
+                    ..class.model.front.counts
                 }
             })
             .collect()
@@ -1090,16 +1547,16 @@ mod tests {
         c.mem.mem_latency = link - c.mem.l1_latency - c.mem.tlb_miss_penalty;
         let mut t = Timing::new(c);
         let mut wide = Timing::new(c);
-        wide.port_use = UseTable::new(1 << 17, c.width, c.mem_ports);
+        wide.pipe.port_use = UseTable::new(1 << 17, c.width, c.mem_ports);
         let (mut widest, mut largest_spill) = (0, 0);
         for i in 0..4_000u64 {
             let e = load(0x10_0000 + (i % 8) * 4, 1, 1, 0x100_0000 + i * 0x1_0040);
             assert_eq!(t.consume(&e), wide.consume(&e), "record {i}");
-            widest = widest.max(t.reg_ready[1] - t.front_cycle);
-            largest_spill = largest_spill.max(t.port_use.spill.len());
+            widest = widest.max(t.pipe.reg_ready[1] - t.pipe.front_cycle);
+            largest_spill = largest_spill.max(t.pipe.port_use.spill.len());
         }
         assert_eq!(t.finish(), wide.finish());
-        assert!(wide.port_use.spill.is_empty(), "the wide ring never spills");
+        assert!(wide.pipe.port_use.spill.is_empty(), "the wide ring never spills");
         // W = 80 links, against a bound of 81.
         assert!(widest > 80 * link * 9 / 10, "span {widest} should near the bound");
         assert!(widest <= 1 + 81 * link + 80 / 4 + 80 / 2, "span {widest} past the bound");
@@ -1107,15 +1564,15 @@ mod tests {
         assert!(largest_spill <= 4 * 80 + MIN_PRUNE, "spill peaked at {largest_spill}");
     }
 
-    /// Under the paper's machine the model's own tables take 18 KB, so
-    /// a fork copies little; the caches and predictor add their
-    /// geometry's tag and counter arrays (about 0.2 MB).
+    /// Under the paper's machine a pipeline's tables take 18 KB, so a
+    /// split copies little; the front's caches and predictor add their
+    /// geometry's tag and counter arrays (about 0.2 MB), once per class.
     #[test]
     fn default_model_tables_are_small() {
         let t = Timing::new(cfg());
-        let bytes = std::mem::size_of_val(&*t.port_use.slots)
-            + std::mem::size_of_val(&*t.store_ready.slots)
-            + std::mem::size_of_val(&*t.recent);
+        let bytes = std::mem::size_of_val(&*t.pipe.port_use.slots)
+            + std::mem::size_of_val(&*t.pipe.store_ready.slots)
+            + std::mem::size_of_val(&*t.pipe.recent);
         assert_eq!(bytes, USE_SLOTS * 16 + 512 * 16 + 128 * 16);
         assert_eq!(bytes, 18_432);
     }
@@ -1133,7 +1590,7 @@ mod tests {
             l.mem.as_mut().unwrap().width = 4;
             let lc = t.consume(&l);
             assert!(lc >= sc, "load at {load_addr:#x} commits no earlier than the store");
-            assert!(t.store_ready.ready(0) > 0 && t.store_ready.ready(u64::MAX >> 3) > 0);
+            assert!(t.pipe.store_ready.ready(0) > 0 && t.pipe.store_ready.ready(u64::MAX >> 3) > 0);
         }
     }
 
@@ -1157,9 +1614,9 @@ mod tests {
         };
         for i in 0..1_000_000u64 {
             t.consume(&store(0x10_0000 + (i % 16) * 4, quad(i) * 8, 8));
-            largest_spill = largest_spill.max(t.store_ready.spill.len());
+            largest_spill = largest_spill.max(t.pipe.store_ready.spill.len());
         }
-        assert_eq!(t.store_ready.slots.len(), 512, "four slots per ROB entry, never more");
+        assert_eq!(t.pipe.store_ready.slots.len(), 512, "four slots per ROB entry, never more");
         assert!(largest_spill > 0, "colliding live stores must spill");
         assert!(largest_spill <= 4 * c.rob_entries + MIN_PRUNE, "spill peaked at {largest_spill}");
     }
@@ -1261,42 +1718,72 @@ mod tests {
         assert_eq!(batch.finish(), lone);
     }
 
+    /// Pipelines each class of `batch` runs, in class order.
+    fn pipes(batch: &TimingBatch) -> Vec<usize> {
+        batch.classes.iter().map(|c| c.users.len()).collect()
+    }
+
     /// The transition-cost sweep's three configurations are one class:
-    /// one model, whatever order the costs come in.
+    /// one front, and one pipeline however often they all stall.
     #[test]
     fn sweep_costs_share_one_model() {
         let sweep = [with_cost(290_000), with_cost(100_000), with_cost(513_000)];
-        let batch = TimingBatch::new(&sweep);
-        assert_eq!((batch.len(), batch.models.len()), (3, 1));
-        assert_eq!(batch.models[0].cfg.debugger_transition_cost, 100_000);
-        assert!(batch.shifted);
-        assert!(!TimingBatch::new(&[cfg()]).shifted, "a batch of one moves no offsets");
-        let dup = TimingBatch::new(&[with_cost(5), with_cost(5)]);
-        assert_eq!(dup.models.len(), 1, "exact duplicates share even below the bound");
-        assert!(!dup.shifted);
+        let mut batch = TimingBatch::new(&sweep);
+        assert_eq!((batch.len(), pipes(&batch)), (3, vec![1]));
+        for i in 0..300u64 {
+            batch.consume(&plain_alu(0x10_0000 + (i % 64) * 4, (i % 8) as u8, 20));
+            if i % 50 == 0 {
+                batch.debugger_stall();
+                assert_eq!(pipes(&batch), [1], "slots draining together stay together");
+            }
+        }
+        assert_eq!(batch.pipeline_records(), 300);
+        let mut dup = TimingBatch::new(&[with_cost(5), with_cost(5)]);
+        dup.consume(&plain_alu(0x10_0000, 1, 2));
+        dup.debugger_stall();
+        assert_eq!(pipes(&dup), [1], "exact duplicates stay together even below the bound");
     }
 
     /// A cost below `max(mispredict_penalty, dise_flush_penalty)` may
-    /// not drain the pipeline, so it keeps its own model; costs at or
-    /// above the bound still share theirs, and another machine never
-    /// shares.
+    /// not drain the pipeline, so at a stall it splits off with a copy
+    /// and never merges again; costs at or above the bound drain into
+    /// one pipeline however they stalled before, and another machine is
+    /// a class of its own.
     #[test]
-    fn below_the_bound_cost_builds_its_own_model() {
+    fn below_the_bound_costs_split_and_drains_merge() {
         let bound = drain_bound(&cfg());
         assert!(bound > 1);
         let mut slow_mem = cfg();
         slow_mem.mem.mem_latency = 400;
         let cfgs =
             [with_cost(bound), with_cost(bound - 1), with_cost(100_000), slow_mem, with_cost(0)];
-        let batch = TimingBatch::new(&cfgs);
-        assert_eq!(
-            batch.slots.iter().map(|s| s.model).collect::<Vec<_>>(),
-            [0, 1, 0, 2, 3],
-            "bound and 100K share; bound - 1, another machine and 0 do not"
-        );
-        let lead_costs: Vec<u64> =
-            batch.models.iter().map(|t| t.cfg.debugger_transition_cost).collect();
-        assert_eq!(lead_costs, [bound, bound - 1, 100_000, 0]);
+        let mut batch = TimingBatch::new(&cfgs);
+        assert_eq!(batch.places, [(0, 0), (0, 1), (0, 2), (1, 0), (0, 3)]);
+        let mut lone: Vec<Timing> = cfgs.iter().map(|c| Timing::new(*c)).collect();
+        let mut step = |batch: &mut TimingBatch, stalled: &[usize], at: u64| {
+            for i in at..at + 40 {
+                let e = plain_alu(0x10_0000 + (i % 64) * 4, (i % 8) as u8, (i % 3) as u8);
+                batch.consume(&e);
+                lone.iter_mut().for_each(|t| _ = t.consume(&e));
+            }
+            batch.stall(stalled);
+            for &s in stalled {
+                lone[s].debugger_stall(cfgs[s].debugger_transition_cost);
+            }
+        };
+        step(&mut batch, &[0], 0);
+        assert_eq!(pipes(&batch), [2, 1], "slot 0 drains off the shared pipeline");
+        step(&mut batch, &[2], 40);
+        assert_eq!(pipes(&batch), [3, 1], "slot 2 drains on another record");
+        step(&mut batch, &[0, 1, 2, 3, 4], 80);
+        assert_eq!(pipes(&batch), [3, 1], "0 and 2 merge; 1 and 4 stall apart");
+        step(&mut batch, &[0, 1, 2, 4], 120);
+        assert_eq!(pipes(&batch), [3, 1], "merged drains stay merged, split ones apart");
+        step(&mut batch, &[4], 160);
+        step(&mut batch, &[], 200);
+        assert_eq!(pipes(&batch), [3, 1]);
+        let lone: Vec<RunStats> = lone.iter_mut().map(Timing::finish).collect();
+        assert_eq!(batch.finish(), lone);
     }
 
     /// Stalls at every awkward place: before the first record, two and
@@ -1354,11 +1841,11 @@ mod tests {
     /// a stored trace may still carry) are functional annotations, so
     /// debugger cost enters exclusively through
     /// [`Timing::debugger_stall`].
-    /// Since the batch composes one independent [`TimingBatch`] per
-    /// member — each member carrying its own watchpoint set — this is
-    /// also what lets one pass serve members whose *watchpoints*
-    /// differ: watchpoints only change which stalls a member charges,
-    /// never what the shared stream costs.
+    /// Since the pass times every member's configurations as slots of
+    /// one [`TimingBatch`] — each member carrying its own watchpoint
+    /// set — this is also what lets one pass serve members whose
+    /// *watchpoints* differ: watchpoints only change which stalls a
+    /// member's slots are charged, never what the shared stream costs.
     #[test]
     fn event_annotations_never_change_cycle_accounting() {
         let run = |annotate: bool| {

@@ -962,9 +962,9 @@ fn check_lone(cfg: CpuConfig, steps: &[Step]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// The copy-on-write fork path: a batch consumes the stream in chunks,
-/// is cloned at `fork`, and the clone then charges an extra stall after
-/// every record it sees. Both must match oracles fed the same steps.
+/// A mid-stream clone: a batch consumes the stream in chunks, is cloned
+/// at `fork`, and the clone then charges an extra stall after every
+/// record it sees. Both must match oracles fed the same steps.
 fn check_forked_batch(
     cfgs: &[CpuConfig],
     steps: &[Step],
@@ -1014,7 +1014,7 @@ fn check_forked_batch(
 
     for (batch, oracle) in [(batch, trunk), (branch, branch_oracle)] {
         for (i, slow) in oracle.iter().enumerate() {
-            let (a, b, c, d, e) = batch.mem_system(i).stats();
+            let (a, b, c, d, e) = batch.mem_stats(i);
             prop_assert_eq!([a, b, c, d, e], oracle_mem_stats(slow));
             prop_assert_eq!(
                 (batch.predictor(i).dir_predictions, batch.predictor(i).dir_mispredicts),
@@ -1035,21 +1035,125 @@ fn check_forked_batch(
 fn cost_class_strategy() -> impl Strategy<Value = Vec<CpuConfig>> {
     (config_strategy(), prop::collection::vec((0u8..4, 0u64..100_000), 2..6)).prop_map(
         |(base, picks)| {
-            let bound = base.mispredict_penalty.max(base.dise_flush_penalty);
             picks
                 .into_iter()
-                .map(|(side, r)| {
-                    let cost = match side {
-                        0 => bound.saturating_sub(1 + r % 3),
-                        1 => bound + r % 3,
-                        2 => bound + r,
-                        _ => bound + 1000 * (r % 600),
-                    };
-                    CpuConfig { debugger_transition_cost: cost, ..base }
+                .map(|(side, r)| CpuConfig {
+                    debugger_transition_cost: pick_cost(&base, side, r),
+                    ..base
                 })
                 .collect()
         },
     )
+}
+
+/// Cost picks for `base`, each just below, at or just above
+/// `max(mispredict_penalty, dise_flush_penalty)`, or far above it.
+fn pick_cost(base: &CpuConfig, side: u8, r: u64) -> u64 {
+    let bound = base.mispredict_penalty.max(base.dise_flush_penalty);
+    match side {
+        0 => bound.saturating_sub(1 + r % 3),
+        1 => bound + r % 3,
+        2 => bound + r,
+        _ => bound + 1000 * (r % 600),
+    }
+}
+
+/// Two machines and 2–6 configurations of them, the first on one and
+/// the second on the other, each at a cost from [`pick_cost`].
+fn two_class_strategy() -> impl Strategy<Value = Vec<CpuConfig>> {
+    (
+        config_strategy(),
+        config_strategy(),
+        prop::collection::vec((any::<bool>(), 0u8..4, 0u64..100_000), 2..7),
+    )
+        .prop_map(|(a, b, picks)| {
+            picks
+                .into_iter()
+                .enumerate()
+                .map(|(i, (other, side, r))| {
+                    let base = if i == 1 || (i > 1 && other) { b } else { a };
+                    CpuConfig { debugger_transition_cost: pick_cost(&base, side, r), ..base }
+                })
+                .collect()
+        })
+}
+
+/// After each record, the configurations whose bit is set in `masks`
+/// (cycled) stall; a `Step::Stall` stalls them all. Records go to the
+/// batch as slices cut at every stall. Each configuration must match
+/// a lone oracle model charged the same stalls.
+fn check_subset_stalls(
+    cfgs: &[CpuConfig],
+    steps: &[Step],
+    masks: &[u8],
+) -> Result<(), TestCaseError> {
+    let mut batch = TimingBatch::new(cfgs);
+    let mut oracle: Vec<Timing> = cfgs.iter().map(|c| Timing::new(*c)).collect();
+    let mut slice: Vec<Exec> = Vec::new();
+    for (i, step) in steps.iter().enumerate() {
+        let stalled: Vec<usize> = match step {
+            Step::Record(e) => {
+                slice.push(*e);
+                oracle.iter_mut().for_each(|t| _ = t.consume(e));
+                let mask = masks[i % masks.len()];
+                (0..cfgs.len()).filter(|s| (mask >> s) & 1 == 1).collect()
+            }
+            Step::Stall => (0..cfgs.len()).collect(),
+        };
+        if !stalled.is_empty() {
+            batch.consume_slice(&slice);
+            slice.clear();
+            batch.stall(&stalled);
+            for s in stalled {
+                oracle[s].debugger_stall(cfgs[s].debugger_transition_cost);
+            }
+        }
+    }
+    batch.consume_slice(&slice);
+    for (i, slow) in oracle.iter().enumerate() {
+        let (a, b, c, d, e) = batch.mem_stats(i);
+        prop_assert_eq!([a, b, c, d, e], oracle_mem_stats(slow), "cache stats of slot {}", i);
+        prop_assert_eq!(
+            (batch.predictor(i).dir_predictions, batch.predictor(i).dir_mispredicts),
+            (slow.predictor().dir_predictions, slow.predictor().dir_mispredicts)
+        );
+    }
+    let slow: Vec<RunStats> = oracle.into_iter().map(|mut t| t.finish()).collect();
+    prop_assert_eq!(batch.finish(), slow);
+    Ok(())
+}
+
+/// A sparse stall mask: per record, no stall three times in four.
+fn mask_strategy() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec((0u8..4, any::<u8>()), 1..64)
+        .prop_map(|m| m.into_iter().map(|(k, bits)| if k == 0 { bits } else { 0 }).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn subset_stalls_match_oracle(
+        cfgs in two_class_strategy(),
+        ops in stream_strategy(400),
+        masks in mask_strategy(),
+    ) {
+        check_subset_stalls(&cfgs, &build_stream(&ops), &masks)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1500))]
+
+    #[test]
+    #[ignore = "large sweep; run with --include-ignored"]
+    fn subset_stalls_match_oracle_sweep(
+        cfgs in two_class_strategy(),
+        ops in stream_strategy(1000),
+        masks in mask_strategy(),
+    ) {
+        check_subset_stalls(&cfgs, &build_stream(&ops), &masks)?;
+    }
 }
 
 proptest! {
